@@ -288,8 +288,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     With ``--metrics OUT`` the run carries the live telemetry plane and
     writes the merged registry to OUT (Prometheus text for ``.prom`` /
-    ``.txt``, JSON otherwise).  Components are pinned to cores in
-    deployment order and every shard count runs the sharded simulation,
+    ``.txt``, JSON otherwise).  Components are pinned to cores spread
+    evenly over the platform, in deployment order, and every shard count
+    runs the sharded simulation,
     so the ``metrics sha256:`` line is a second shard-count-invariant
     CI contract: the whole telemetry stream (histogram buckets, window
     series) is bit-identical for any ``--shards N``.
@@ -328,10 +329,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         # Pin the placement so the shard partitioner cannot move
         # components between runs: shard-merge invariance of the metrics
-        # stream is only meaningful over one fixed placement.
-        for i, comp in enumerate(app.components.values()):
-            comp.placement.setdefault("core", i)
+        # stream is only meaningful over one fixed placement.  The pins
+        # are spread evenly over the platform's cores, so every shard's
+        # core block hosts a component at any shard count.
         rt = ShardedSmpSimRuntime(args.shards, parallel=args.parallel, profile=profile)
+        n_cores = rt.platform.n_cores
+        n_components = len(app.components)
+        for i, comp in enumerate(app.components.values()):
+            comp.placement.setdefault("core", i * n_cores // n_components)
         rt.deploy(app)
         enable_telemetry(rt)
         rt.start()

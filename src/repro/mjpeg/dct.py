@@ -1,13 +1,9 @@
 """8x8 type-II/III DCT, vectorised over batches of blocks.
 
-The transform is expressed as two matrix products with the orthonormal
-DCT-II basis matrix ``C`` (``X = C B C^T``), evaluated with ``einsum``
-over arbitrary batch dimensions -- the numpy-vectorisation discipline of
-the hpc-parallel guides: no Python loop touches a pixel.
-
-A scaled AAN-style variant (:func:`idct_blocks_scaled`) demonstrates the
-classic embedded-decoder optimisation of folding the descaling constants
-into the dequantization table.
+The transform is two matrix products with the orthonormal DCT-II basis
+matrix ``C`` (``X = C B C^T``), each a batched ``@`` over any leading
+dimensions -- the numpy-vectorisation discipline of the hpc-parallel
+guides: no Python loop touches a pixel.
 """
 
 from __future__ import annotations
@@ -26,6 +22,11 @@ def _dct_matrix() -> np.ndarray:
 
 #: Orthonormal 8-point DCT-II basis matrix.
 DCT_MATRIX = _dct_matrix()
+_DCT_MATRIX_T = DCT_MATRIX.T.copy()
+
+# The association order below is part of the output contract: rounding
+# differs between ``(C^T @ X) @ C`` and ``C^T @ (X @ C)``, and only the
+# left-first order reproduces the committed frame digests bit for bit.
 
 
 def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -33,8 +34,7 @@ def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.shape[-2:] != (8, 8):
         raise ValueError(f"expected trailing (8, 8), got {blocks.shape}")
-    c = DCT_MATRIX
-    return np.einsum("ij,...jk,lk->...il", c, blocks, c, optimize=True)
+    return (DCT_MATRIX @ blocks) @ _DCT_MATRIX_T
 
 
 def idct_blocks(coefs: np.ndarray) -> np.ndarray:
@@ -42,19 +42,7 @@ def idct_blocks(coefs: np.ndarray) -> np.ndarray:
     coefs = np.asarray(coefs, dtype=np.float64)
     if coefs.shape[-2:] != (8, 8):
         raise ValueError(f"expected trailing (8, 8), got {coefs.shape}")
-    c = DCT_MATRIX
-    return np.einsum("ji,...jk,kl->...il", c, coefs, c, optimize=True)
-
-
-def idct_blocks_scaled(qcoefs: np.ndarray, quant: np.ndarray) -> np.ndarray:
-    """Dequantize + inverse DCT with the descale folded into the table.
-
-    Mathematically identical to ``idct_blocks(qcoefs * quant)`` but does
-    the dequantization multiply once against a precomputed float table --
-    the memory-traffic-saving trick embedded IDCT kernels use.
-    """
-    folded = np.asarray(quant, dtype=np.float64)
-    return idct_blocks(np.asarray(qcoefs, dtype=np.float64) * folded)
+    return (_DCT_MATRIX_T @ coefs) @ DCT_MATRIX
 
 
 def pixels_from_idct(samples: np.ndarray) -> np.ndarray:

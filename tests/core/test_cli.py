@@ -54,6 +54,22 @@ def test_trace_prints_critical_path_and_writes_artifacts(capsys, tmp_path):
     assert flow_starts and flow_ends
 
 
+def _run_metrics(capsys, tmp_path, shards):
+    out_path = tmp_path / f"m{shards}.json"
+    assert main(["run", "--images", "4", "--shards", str(shards), "--metrics", str(out_path)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_run_metrics_spreads_components_over_every_shard(capsys, tmp_path):
+    """The pinned placement covers all four shards' core blocks, and the
+    metrics stream is identical at 1/2/4 shards."""
+    outs = {n: _run_metrics(capsys, tmp_path, n) for n in (1, 2, 4)}
+    hosting = {l.split(":")[0] for l in outs[4] if l.startswith("shard ")}
+    assert hosting == {"shard 0", "shard 1", "shard 2", "shard 3"}
+    digests = {n: next(l for l in out if l.startswith("metrics sha256:")) for n, out in outs.items()}
+    assert digests[1] == digests[2] == digests[4]
+
+
 def test_requires_a_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mjpeg.dct import DCT_MATRIX, fdct_blocks, idct_blocks, idct_blocks_scaled, pixels_from_idct
+from repro.mjpeg.dct import DCT_MATRIX, fdct_blocks, idct_blocks, pixels_from_idct
 from repro.mjpeg.quant import STD_LUMA_QUANT, dequantize, quant_table, quantize
 from repro.mjpeg.zigzag import ZIGZAG_ORDER, dezigzag, zigzag
 
@@ -109,15 +109,6 @@ def test_dct_dc_coefficient_is_scaled_mean():
     coefs = fdct_blocks(block)
     assert coefs[0, 0] == pytest.approx(800.0)  # 8 * mean
     assert np.allclose(coefs.ravel()[1:], 0, atol=1e-9)
-
-
-def test_idct_scaled_equals_dequant_then_idct():
-    rng = np.random.default_rng(3)
-    q = quant_table(75)
-    qcoefs = rng.integers(-50, 50, (6, 8, 8))
-    a = idct_blocks_scaled(qcoefs, q)
-    b = idct_blocks(qcoefs * q)
-    assert np.allclose(a, b, atol=1e-9)
 
 
 def test_pixels_from_idct_clamps():
