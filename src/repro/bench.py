@@ -343,8 +343,8 @@ def bench_sim_shards(quick: bool = False) -> Dict:
     # Envelope hot-path micro-bench: construct-push-release through the
     # staging heap, with the src/iface strings repeating the way real
     # component graphs repeat them -- the case `sys.intern` in
-    # Envelope.__init__ targets (interned strings win the heap
-    # comparison's identity short-circuit).
+    # Envelope.__new__ targets (the heap's C tuple comparison
+    # short-circuits on identical strings).
     from repro.sim.mailbox import Staging
 
     n_envs = 20_000 if quick else 100_000

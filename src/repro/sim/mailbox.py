@@ -14,7 +14,8 @@ where ``send_seq`` is the sender context's own per-message counter.  All
 key fields are properties of the *logical* send, none of the shard
 layout, so sorting envelopes by key reproduces one canonical per-channel
 put order for every shard count -- the heart of the shard-invariance
-oracle.
+oracle.  An envelope *is* that key plus its delivery action, a 6-tuple
+the heap orders with the built-in tuple comparison.
 
 Two containers move envelopes:
 
@@ -33,63 +34,62 @@ from __future__ import annotations
 
 import threading
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from sys import intern as _intern
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 #: Key fields, in comparison order (see module docstring).
 KEY_FIELDS = ("recv_time", "send_time", "src", "src_interface", "seq")
 
 
-class Envelope:
-    """One staged delivery: an ordering key plus the delivery action.
+class Envelope(tuple):
+    """One staged delivery: the tuple ``(*key, deliver)``.
 
     ``deliver`` is a zero-arg callable executed *on the receiving
     shard's kernel* at ``recv_time`` (typically a bound ``Channel.put``).
-    Comparison is by key only -- keys are unique per logical message
-    (each sender context numbers its sends), so heaps of envelopes never
-    fall back to comparing callables.
+    Keys are unique per logical message (each sender context numbers its
+    sends), so comparisons never reach ``deliver``; :class:`Staging`
+    turns a duplicate key into a ``ValueError``.
     """
 
-    __slots__ = ("recv_time", "send_time", "src", "src_interface", "seq", "deliver")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         recv_time: int,
         send_time: int,
         src: str,
         src_interface: str,
         seq: int,
         deliver: Callable[[], None],
-    ) -> None:
+    ) -> "Envelope":
         if recv_time < send_time:
             raise ValueError(
                 f"recv_time {recv_time} precedes send_time {send_time} "
                 f"(negative link latency?)"
             )
-        self.recv_time = recv_time
-        self.send_time = send_time
         # A workload sends many envelopes with the same (src, iface)
         # strings; interning collapses them to one object each, so the
-        # heap's tie-break comparisons short-circuit on identity instead
-        # of comparing characters (and N staged envelopes hold 2 string
+        # heap's tuple comparisons short-circuit on identity instead of
+        # comparing characters (and N staged envelopes hold 2 string
         # references, not 2N strings).
-        self.src = _intern(src)
-        self.src_interface = _intern(src_interface)
-        self.seq = seq
-        self.deliver = deliver
+        return tuple.__new__(
+            cls, (recv_time, send_time, _intern(src), _intern(src_interface), seq, deliver)
+        )
 
-    @property
-    def key(self) -> Tuple[int, int, str, str, int]:
-        """The total-order key (shard-layout independent)."""
-        return (self.recv_time, self.send_time, self.src, self.src_interface, self.seq)
-
-    def __lt__(self, other: "Envelope") -> bool:
-        return self.key < other.key
+    recv_time = property(itemgetter(0))
+    send_time = property(itemgetter(1))
+    src = property(itemgetter(2))
+    src_interface = property(itemgetter(3))
+    seq = property(itemgetter(4))
+    deliver = property(itemgetter(5))
+    #: The total-order key (shard-layout independent).
+    key = property(itemgetter(slice(0, 5)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<Envelope recv={self.recv_time} send={self.send_time} "
-            f"src={self.src}.{self.src_interface}#{self.seq}>"
+            f"<Envelope recv={self[0]} send={self[1]} "
+            f"src={self[2]}.{self[3]}#{self[4]}>"
         )
 
 
@@ -136,13 +136,30 @@ def _deliver_group(group: List[Envelope]) -> Callable[[], None]:
 
     def deliver_batch() -> None:
         for env in group:
-            env.deliver()
+            env[5]()
 
     return deliver_batch
 
 
+def _key_error(heap: List[Envelope], exc: TypeError) -> Exception:
+    """Equal keys make the heap's tuple comparison fall through to the
+    ``deliver`` callables, which raises ``TypeError``: name the key.
+    Only that error path pays for this scan."""
+    seen = set()
+    for env in heap:
+        key = env[:5]
+        if key in seen:
+            return ValueError(
+                f"duplicate envelope key {key}: keys "
+                f"({', '.join(KEY_FIELDS)}) must be unique per logical send"
+            )
+        seen.add(key)
+    return exc
+
+
 class Staging:
-    """A shard-private min-heap of envelopes ordered by delivery key."""
+    """A shard-private min-heap of envelopes, read by position
+    (``env[0]`` is ``recv_time``, ``env[5]`` is ``deliver``)."""
 
     def __init__(self) -> None:
         self._heap: List[Envelope] = []
@@ -154,7 +171,10 @@ class Staging:
 
     def push(self, envelope: Envelope) -> None:
         """Stage one envelope for later release."""
-        heappush(self._heap, envelope)
+        try:
+            heappush(self._heap, envelope)
+        except TypeError as exc:
+            raise _key_error(self._heap, exc)
 
     def push_many(self, envelopes: Iterable[Envelope]) -> int:
         """Stage a chunk of envelopes in one O(n) heapify instead of n
@@ -164,17 +184,31 @@ class Staging:
         if not items:
             return 0
         heap = self._heap
-        if len(items) > len(heap) >> 2:
-            heap.extend(items)
-            heapify(heap)
-        else:
-            for env in items:
-                heappush(heap, env)
+        try:
+            if len(items) > len(heap) >> 2:
+                heap.extend(items)
+                heapify(heap)
+            else:
+                for env in items:
+                    heappush(heap, env)
+        except TypeError as exc:
+            raise _key_error(heap, exc)
         return len(items)
 
     def min_recv_time(self) -> Optional[int]:
         """Earliest staged ``recv_time``, or None when empty."""
-        return self._heap[0].recv_time if self._heap else None
+        return self._heap[0][0] if self._heap else None
+
+    def _pop_below(self, horizon: int) -> List[Envelope]:
+        """Pop every envelope with ``recv_time < horizon``, in key order."""
+        heap = self._heap
+        batch: List[Envelope] = []
+        try:
+            while heap and heap[0][0] < horizon:
+                batch.append(heappop(heap))
+        except TypeError as exc:
+            raise _key_error(heap, exc)
+        return batch
 
     def release_below(self, horizon: int, schedule: Callable[[int, Any], Any]) -> int:
         """Release every envelope with ``recv_time < horizon`` into the
@@ -186,12 +220,10 @@ class Staging:
         count.  This is the per-envelope reference path; the hot path is
         :meth:`release_batched`, which the equivalence tests hold to
         identical dispatch traces."""
-        heap = self._heap
-        n = 0
-        while heap and heap[0].recv_time < horizon:
-            env = heappop(heap)
-            schedule(env.recv_time, env.deliver)
-            n += 1
+        batch = self._pop_below(horizon)
+        for env in batch:
+            schedule(env[0], env[5])
+        n = len(batch)
         self.released += n
         self.batches += n
         return n
@@ -210,21 +242,19 @@ class Staging:
         per envelope -- the cross-shard event count drops by the batch
         factor."""
         heap = self._heap
-        if not heap or heap[0].recv_time >= horizon:
+        if not heap or heap[0][0] >= horizon:
             return 0
-        batch: List[Envelope] = []
-        while heap and heap[0].recv_time < horizon:
-            batch.append(heappop(heap))
+        batch = self._pop_below(horizon)
         n = len(batch)
         i = 0
         while i < n:
             env = batch[i]
-            t = env.recv_time
+            t = env[0]
             j = i + 1
-            while j < n and batch[j].recv_time == t:
+            while j < n and batch[j][0] == t:
                 j += 1
             if j - i == 1:
-                schedule(t, env.deliver)
+                schedule(t, env[5])
             else:
                 schedule(t, _deliver_group(batch[i:j]))
             self.batches += 1

@@ -473,6 +473,10 @@ class ShardedSimulation:
                 )
         self.shards = list(shards)
         self._lookahead: Dict[Tuple[int, int], int] = {}
+        #: ``(src, dst, lookahead)`` for every cross-shard pair, in
+        #: declaration order; kept in step with ``_lookahead`` by
+        #: :meth:`add_link` so :meth:`_bounds` need not rebuild it.
+        self._cross: List[Tuple[int, int, int]] = []
         self.sweeps = 0
 
     def add_link(self, src_shard: int, dst_shard: int, latency_ns: int) -> None:
@@ -486,6 +490,8 @@ class ShardedSimulation:
         current = self._lookahead.get(key)
         if current is None or latency < current:
             self._lookahead[key] = latency
+            if src_shard != dst_shard:
+                self._cross = [(s, d, la) for (s, d), la in self._lookahead.items() if s != d]
         if src_shard == dst_shard:
             shard = self.shards[src_shard]
             shard.self_lookahead = min(shard.self_lookahead, latency)
@@ -509,7 +515,7 @@ class ShardedSimulation:
         never outrun a message routed to it through any chain of
         currently idle shards."""
         eots = list(eots)
-        cross = [(s, d, la) for (s, d), la in self._lookahead.items() if s != d]
+        cross = self._cross
         changed = True
         while changed:
             changed = False

@@ -51,6 +51,8 @@ def test_smoke_jobs_are_separate():
     assert any("shard-count invariant" in s for s in step_names["scale-smoke"])
     assert any("shard-merge invariant" in s for s in step_names["metrics-smoke"])
     assert not any("shard-merge invariant" in s for s in step_names["scale-smoke"])
+    scale_runs = " ".join(s.get("run", "") for s in jobs["scale-smoke"]["steps"])
+    assert "--shards 4 --parallel" in scale_runs
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
     assert "python -m bench run --smoke --out bench-smoke.json" in runs

@@ -20,6 +20,14 @@ from repro.workloads import (
 
 CFG = TrafficConfig(n_components=200, n_sessions=40, ticks=2, spin=5)
 
+#: Digest and makespan of the 1k-component seed-1 model (the CLI's
+#: ``run --workload traffic --components 1000``).  The shard-count oracle
+#: compares the code against itself; these literals also catch a change
+#: that moves every shard count alike.  ``spin`` is host work only.
+PINNED_1K = TrafficConfig(n_components=1000, seed=1, spin=0)
+PINNED_1K_DIGEST = "f4d366f3675d9c4c5759a372aa3449df8a13f6f41edd1573faae459bc67b59f1"
+PINNED_1K_MAKESPAN_NS = 3_007_500
+
 
 def test_graph_is_deterministic_and_complete():
     graph = build_traffic_graph(CFG)
@@ -46,6 +54,14 @@ def test_digest_invariant_across_shard_counts():
         assert result["digest"] == reference["digest"]
         assert result["events"] == reference["events"]
         assert result["makespan_ns"] == reference["makespan_ns"]
+
+
+@pytest.mark.parametrize("n_shards", (1, 4))
+def test_1k_seed1_digest_is_pinned(n_shards):
+    result = run_traffic(PINNED_1K, n_shards)
+    assert result["digest"] == PINNED_1K_DIGEST
+    assert result["makespan_ns"] == PINNED_1K_MAKESPAN_NS
+    assert result["events"] == 5850
 
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
