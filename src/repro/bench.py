@@ -517,7 +517,7 @@ def bench_kernel(quick: bool = False) -> Dict:
         noop = lambda: None  # noqa: E731
         handles = [kernel.schedule(i + 1, noop) for i in range(n_cancel)]
         # Cancel every handle not on the immediate frontier; compaction
-        # keeps the calendar from holding dead entries until their time.
+        # keeps the heap from holding dead entries until their time.
         for handle in handles[100:]:
             handle.cancel()
         kernel.run()
@@ -526,9 +526,8 @@ def bench_kernel(quick: bool = False) -> Dict:
 
     # Deadline-timer churn: the receive-with-deadline pattern where the
     # message beats the timer, so every timer is scheduled then
-    # cancelled.  These ride the kernel's timer wheel -- a cancelled
-    # deadline never enters the calendar, never becomes a tombstone and
-    # never triggers compaction.
+    # cancelled.  Each cancel leaves a heap tombstone; compaction drops
+    # them once they are both numerous and half of the heap.
     def run_timer_churn() -> None:
         kernel = Kernel()
         noop = lambda: None  # noqa: E731

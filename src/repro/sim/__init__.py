@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel (:class:`~repro.sim.kernel.Kernel`) keeps integer-nanosecond
-virtual time and a calendar-queue event scheduler (O(1) schedule and
-dispatch; see the design notes in :mod:`repro.sim.kernel`).  Concurrency
+virtual time and a binary heap of ``(time, seq)``-ordered callbacks
+(see the design notes in :mod:`repro.sim.kernel`).  Concurrency
 is expressed with
 generator-based *processes* (:class:`~repro.sim.process.Process`) that yield
 :class:`~repro.sim.process.Command` objects -- ``Timeout`` to advance time,

@@ -56,7 +56,7 @@ class Event:
             # Resume at the current instant but asynchronously, so the
             # waiting process does not re-enter while another is running.
             # call_soon keeps schedule(0, ...) FIFO semantics while
-            # skipping the calendar (kernel fast path).
+            # skipping the event heap (kernel fast path).
             self.kernel.call_soon(resume, self._value)
         else:
             self._waiters.append(resume)

@@ -1,112 +1,62 @@
-"""The discrete-event kernel: a clock plus a calendar queue of callbacks.
+"""The discrete-event kernel: a clock plus a binary heap of callbacks.
 
 The kernel is intentionally minimal -- processes, events and resources are
 layered on top of ``schedule_at`` / ``run``.  Determinism contract: events
 with equal timestamps fire in scheduling order (FIFO tie-break via a
 monotonically increasing sequence number).
 
-Hot-path design notes
----------------------
-The kernel is the inner loop of every simulated run.  Earlier revisions
-used a binary heap of ``EventHandle`` objects; at 200k+ events the
-``O(log n)`` sift with a *Python* ``__lt__`` per comparison dominated the
-per-event cost.  The queue is now a **calendar queue** (R. Brown,
-"Calendar Queues", CACM 1988): an array of time buckets of width ``w``
-spanning one "year", with O(1) insert (one integer divide + list append)
-and O(1) amortised dispatch (sweep the current bucket, sort its due
-entries once with the C tuple sort).  Entries are plain
-``(time, seq, handle)`` tuples, so every comparison the structure ever
-makes runs at C speed.
+Design
+------
+Pending events live in one ``heapq`` of ``(time, seq, handle, callback,
+args)`` tuples.  Sequence numbers are unique, so a comparison never gets
+past ``seq``: every sift is a C comparison of two ints.  Beside it, a
+FIFO deque holds the same-instant wakeups of :meth:`Kernel.call_soon` as
+tuples of the same shape; the dispatcher merges the two heads by
+``(time, seq)``, so an event fires in exactly the order it would have
+taken through the heap.
 
-- **Adaptive resize.**  When the live population outgrows (or undershoots)
-  the bucket array, the calendar is rebuilt: bucket count tracks the
-  population (power of two) and the bucket width is re-derived from the
-  median inter-event gap of a timestamp sample, which keeps bucket
-  occupancy O(1) for the near-uniform timestamp distributions the
-  workloads produce.
-- **Far-future spill.**  Events more than a year ahead of the sweep would
-  degrade bucket scans, so they wait in a C-speed tuple heap and migrate
-  into buckets as the sweep approaches -- pathological timestamps cannot
-  degrade the common-case insert.
-- **Due-run dispatch.**  The sweep extracts a bucket's due entries into a
-  sorted run consumed by index; ``run()`` dispatches straight off that
-  run, folding the old ``peek()``-then-``step()`` double head-prune into
-  a single selection per event.
-- **Timer wheel** (:meth:`Kernel.schedule_timer`): deadline timers that
-  are usually cancelled before firing (receive deadlines, watchdogs) park
-  in a coarse wheel and are promoted into the calendar only when their
-  slot comes due.  A cancelled timer never becomes a calendar tombstone,
-  so schedule-then-cancel churn costs two appends and a flag write.
+- ``cancel`` is lazy: it flags the handle, and the dispatcher drops
+  flagged entries when they reach a head.  Once at least
+  ``_COMPACT_MIN`` cancelled entries linger *and* they make up half of
+  everything stored, one rebuild filters them out, so stored entries
+  stay below ``2 * live + _COMPACT_MIN``.
 - ``pending()`` is O(1): a live-event counter is maintained by
-  ``schedule``/``cancel``/``step`` instead of scanning the structures.
-- Same-instant wakeups (``call_soon``) bypass the calendar entirely
-  through a FIFO side queue.  Ordering stays exactly as if they had gone
-  through the calendar because all queues share one sequence-number
-  domain and the dispatcher merges them by ``(time, seq)``.
-- ``EventHandle`` objects are pooled.  A handle is recycled only when a
-  refcount probe proves no external reference survives, so user-held
-  handles (e.g. for a later ``cancel``) are never reused underneath them.
+  schedule, cancel and dispatch instead of scanning the queues.
+- The entry, not the handle, carries the callback and its arguments, so
+  dropping a dispatched entry releases them; an :class:`EventHandle` is
+  only a cancellation token.
 
-``cancel`` stays lazy (a flag write); cancelled entries are dropped when
-the sweep meets them, and a compaction rebuild purges them wholesale once
-they are both numerous and the majority of the stored population.
+Ablation A11 (``benchmarks/test_ablation_kernel_queue.py``) keeps the
+calendar queue, far-future spill heap and timer wheel this replaced,
+and a pooled-handle variant, as references.  The heap is faster end to
+end and on every kernel micro-bench except a 100k-event backlog that no
+workload builds; pooling lost the micro-benches and tied end to end.
+See docs/performance.md, "Simulation kernel: one heap".
 """
 
 from __future__ import annotations
 
-import sys
-from bisect import insort
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import DeadlockError, SchedulingError
 
-#: Compaction threshold: rebuild the calendar once at least this many
+#: Compaction threshold: rebuild the queues once at least this many
 #: cancelled entries linger *and* they make up half the stored entries.
 _COMPACT_MIN = 64
 
-#: Upper bound on pooled EventHandle objects.
-_POOL_MAX = 512
-
-#: Calendar geometry bounds (bucket counts are powers of two).
-_MIN_BUCKETS = 32
-_MAX_BUCKETS = 1 << 16
-
-#: Dispatch trims the consumed prefix of the due run past this length.
-_READY_TRIM = 4096
-
-#: Timer-wheel slots (fixed; the slot width adapts per anchoring).
-_WHEEL_SLOTS = 256
-
-_INF = float("inf")
-
 #: Allocation fast path: ``object.__new__`` skips the ``__init__``
-#: frame; the hot paths write every slot inline (same as a pool hit).
+#: frame; the insert paths write every slot inline.
 _new_handle_obj = object.__new__
 
 
 class EventHandle:
-    """Cancellable handle for a scheduled callback."""
+    """Cancellation token for a scheduled callback.  ``_kernel`` is
+    cleared when the event fires, which turns a late ``cancel`` into a
+    no-op."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_kernel", "_queued", "_in_cal")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        kernel: Optional["Kernel"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._kernel = kernel
-        self._queued = kernel is not None
-        self._in_cal = False
+    __slots__ = ("time", "seq", "cancelled", "_kernel")
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly,
@@ -115,18 +65,12 @@ class EventHandle:
             return
         self.cancelled = True
         kernel = self._kernel
-        if kernel is not None and self._queued:
+        if kernel is not None:
             kernel._alive -= 1
-            if self._in_cal:
-                kernel._n_cancelled += 1
-                if (
-                    kernel._n_cancelled >= _COMPACT_MIN
-                    and kernel._n_cancelled * 2 >= kernel._cal_count
-                ):
-                    kernel._purge()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+            n = kernel._n_cancelled + 1
+            kernel._n_cancelled = n
+            if n >= _COMPACT_MIN and n * 2 >= len(kernel._heap) + len(kernel._imm):
+                kernel._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -146,7 +90,8 @@ class Kernel:
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        self._imm: deque[EventHandle] = deque()  # same-instant FIFO fast path
+        self._heap: list[tuple] = []  # (time, seq, handle, callback, args)
+        self._imm: deque[tuple] = deque()  # same-instant FIFO, same shape
         self._live_processes: int = 0  # maintained by Process
         self.events_executed: int = 0
         #: Consulted by ``run()`` when the queue drains with processes
@@ -160,32 +105,7 @@ class Kernel:
         #: check belongs to the coordinator (after draining mailboxes).
         self.deadlock_check: bool = True
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
-        self._n_cancelled: int = 0  # cancelled entries still stored in the calendar
-        self._pool: list[EventHandle] = []
-        # -- calendar queue ----------------------------------------------
-        self._n_buckets: int = _MIN_BUCKETS
-        self._mask: int = _MIN_BUCKETS - 1
-        self._width: int = 1024  # ns; re-derived on rebuild
-        self._buckets: list[list[tuple]] = [[] for _ in range(_MIN_BUCKETS)]
-        self._bucket_count: int = 0  # entries stored in the bucket array
-        self._cal_count: int = 0  # entries in buckets + spill + due run
-        self._bucket_top: int = self._width  # exclusive bound of the due window
-        self._cur: int = 0  # bucket whose window ends at _bucket_top
-        self._year: int = _MIN_BUCKETS * self._width
-        self._far: list[tuple] = []  # spill heap: > one year ahead of the sweep
-        self._far_limit: int = self._bucket_top + self._year
-        self._ready: list[tuple] = []  # sorted due run, consumed by index
-        self._ready_pos: int = 0
-        self._ready_cap: int = 512  # rebuild pressure threshold for the due run
-        self._grow_cap: int = _MIN_BUCKETS << 1  # bucket-population rebuild trigger
-        self._far_cap: int = _MIN_BUCKETS << 1  # spill-size rebuild trigger
-        # -- timer wheel -------------------------------------------------
-        self._wheel: list[list[tuple]] = [[] for _ in range(_WHEEL_SLOTS)]
-        self._wheel_entries: int = 0  # stored wheel entries (live + cancelled)
-        self._wheel_base: int = 0
-        self._wheel_tw: int = 1
-        self._wheel_pos: int = _WHEEL_SLOTS  # exhausted; re-anchor on next insert
-        self._wheel_next = _INF  # lower bound on the next undrained slot start
+        self._n_cancelled: int = 0  # cancelled entries still stored
 
     @property
     def now(self) -> int:
@@ -197,528 +117,76 @@ class Kernel:
     def schedule(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now.
 
-        This is the hottest entry point in the kernel; the insert body
-        of :meth:`_schedule_abs` is inlined here to skip a call frame.
-        Keep the two in sync."""
+        The hottest entry point: the body of :meth:`_push` is inlined
+        here to skip a call frame.  Keep the two in sync."""
         if delay_ns < 0:
             raise SchedulingError(f"negative delay: {delay_ns}")
         time_ns = self._now + int(delay_ns)
-        pool = self._pool
         seq = self._seq
-        if pool:
-            handle = pool.pop()
-        else:
-            handle = _new_handle_obj(EventHandle)
-            handle._kernel = self
+        handle = _new_handle_obj(EventHandle)
         handle.time = time_ns
         handle.seq = seq
-        handle.callback = callback
-        handle.args = args
         handle.cancelled = False
-        handle._queued = True
-        handle._in_cal = True
+        handle._kernel = self
         self._seq = seq + 1
         self._alive += 1
-        self._cal_count += 1
-        entry = (time_ns, seq, handle)
-        if time_ns < self._bucket_top:
-            ready = self._ready
-            insort(ready, entry, self._ready_pos)
-            if len(ready) - self._ready_pos > self._ready_cap:
-                if ready[-1][0] > ready[self._ready_pos][0]:
-                    self._rebuild()
-                else:
-                    self._ready_cap = (len(ready) - self._ready_pos) << 1
-        elif time_ns < self._far_limit:
-            self._buckets[(time_ns // self._width) & self._mask].append(entry)
-            self._bucket_count += 1
-            if self._bucket_count > self._grow_cap:
-                self._rebuild()
-        else:
-            far = self._far
-            heappush(far, entry)
-            if len(far) > self._far_cap:
-                self._rebuild()
+        heappush(self._heap, (time_ns, seq, handle, callback, args))
         return handle
 
     def schedule_at(self, time_ns: int, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
         if time_ns < self._now:
             raise SchedulingError(f"cannot schedule in the past: {time_ns} < {self._now}")
-        return self._schedule_abs(int(time_ns), callback, args)
+        return self._push(int(time_ns), callback, args)
 
-    def _schedule_abs(self, time_ns: int, callback: Callable[..., None], args: tuple) -> EventHandle:
-        pool = self._pool
+    def schedule_timer(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule a **deadline timer**: semantics identical to
+        :meth:`schedule`.  Kept as its own entry point so callers name
+        timers that are usually cancelled before firing (receive
+        deadlines, watchdogs) and instrumentation can count them."""
+        if delay_ns < 0:
+            raise SchedulingError(f"negative delay: {delay_ns}")
+        return self._push(self._now + int(delay_ns), callback, args)
+
+    def _push(self, time_ns: int, callback: Callable[..., None], args: tuple) -> EventHandle:
         seq = self._seq
-        if pool:
-            handle = pool.pop()
-        else:
-            handle = _new_handle_obj(EventHandle)
-            handle._kernel = self
+        handle = _new_handle_obj(EventHandle)
         handle.time = time_ns
         handle.seq = seq
-        handle.callback = callback
-        handle.args = args
         handle.cancelled = False
-        handle._queued = True
-        handle._in_cal = True
+        handle._kernel = self
         self._seq = seq + 1
         self._alive += 1
-        self._cal_count += 1
-        entry = (time_ns, seq, handle)
-        if time_ns < self._bucket_top:
-            # Due inside the current sweep window: insert into the sorted
-            # run directly (at or after the consumption point -- the entry
-            # is never earlier than anything already dispatched).
-            ready = self._ready
-            insort(ready, entry, self._ready_pos)
-            if len(ready) - self._ready_pos > self._ready_cap:
-                if ready[-1][0] > ready[self._ready_pos][0]:
-                    self._rebuild()  # re-derive a tighter width
-                else:
-                    # One dense timestamp: inserts append in O(1); just
-                    # back the threshold off geometrically.
-                    self._ready_cap = (len(ready) - self._ready_pos) << 1
-        elif time_ns < self._far_limit:
-            self._buckets[(time_ns // self._width) & self._mask].append(entry)
-            self._bucket_count += 1
-            if self._bucket_count > self._grow_cap:
-                self._rebuild()
-        else:
-            far = self._far
-            heappush(far, entry)
-            if len(far) > self._far_cap:
-                self._rebuild()  # spill pressure: re-anchor the year
+        heappush(self._heap, (time_ns, seq, handle, callback, args))
         return handle
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current instant, bypassing
-        the calendar.  Equivalent to ``schedule(0, ...)`` -- including
-        FIFO ordering relative to it -- but O(1) with no bucket math;
-        used by the event/channel wakeup fast path."""
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-        else:
-            handle = _new_handle_obj(EventHandle)
-            handle._kernel = self
-        handle.time = self._now
-        handle.seq = self._seq
-        handle.callback = callback
-        handle.args = args
+        the heap.  Equivalent to ``schedule(0, ...)`` -- including FIFO
+        ordering relative to it -- but O(1); used by the event/channel
+        wakeup fast path."""
+        seq = self._seq
+        handle = _new_handle_obj(EventHandle)
+        handle.time = now = self._now
+        handle.seq = seq
         handle.cancelled = False
-        handle._queued = True
-        handle._in_cal = False
-        self._seq += 1
+        handle._kernel = self
+        self._seq = seq + 1
         self._alive += 1
-        self._imm.append(handle)
+        self._imm.append((now, seq, handle, callback, args))
         return handle
 
-    def schedule_timer(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule a **deadline timer**: semantics identical to
-        :meth:`schedule` (same ``(time, seq)`` ordering domain), tuned
-        for timers that are usually cancelled before firing.
-
-        The handle parks in a coarse timer wheel and is promoted into the
-        calendar only when its slot comes due, so the common
-        schedule-then-cancel churn of receive deadlines never creates a
-        calendar tombstone and never triggers compaction."""
-        if delay_ns < 0:
-            raise SchedulingError(f"negative delay: {delay_ns}")
-        delay_ns = int(delay_ns)
-        time_ns = self._now + delay_ns
-        if not self._wheel_entries:
-            # Empty wheel: re-anchor it around this deadline so the slot
-            # width matches the workload's timeout scale (horizon = 2x).
-            self._wheel_tw = (delay_ns >> 7) or 1
-            self._wheel_base = self._now
-            self._wheel_pos = 0
-            self._wheel_next = _INF
-        idx = (time_ns - self._wheel_base) // self._wheel_tw
-        if idx < self._wheel_pos or idx >= _WHEEL_SLOTS:
-            # Behind the drained cursor or beyond the horizon: the wheel
-            # cannot hold it; fall back to an ordinary calendar insert.
-            return self._schedule_abs(time_ns, callback, args)
-        handle = self._new_handle(time_ns, callback, args)
-        self._wheel[idx].append((time_ns, handle.seq, handle))
-        self._wheel_entries += 1
-        slot_start = self._wheel_base + idx * self._wheel_tw
-        if slot_start < self._wheel_next:
-            self._wheel_next = slot_start
-        return handle
-
-    def _new_handle(self, time_ns: int, callback: Callable[..., None], args: tuple) -> EventHandle:
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-        else:
-            handle = _new_handle_obj(EventHandle)
-            handle._kernel = self
-        handle.time = time_ns
-        handle.seq = self._seq
-        handle.callback = callback
-        handle.args = args
-        handle.cancelled = False
-        handle._queued = True
-        handle._in_cal = False
-        self._seq += 1
-        self._alive += 1
-        return handle
-
-    def _discard(self, handle: EventHandle) -> None:
-        """Retire a dequeued handle: break refs and pool it when no
-        external reference can still reach it (refcount probe)."""
-        handle._queued = False
-        handle.callback = None  # type: ignore[assignment]
-        handle.args = ()
-        # Refs here: the caller's binding(s) + getrefcount's argument
-        # (+ possibly the consumed entry tuple, which is never re-read).
-        # <= 3 means nobody outside the kernel holds the handle.
-        if len(self._pool) < _POOL_MAX and sys.getrefcount(handle) <= 3:
-            self._pool.append(handle)
-
-    # -- calendar machinery ---------------------------------------------------
-
-    def _insert_entry(self, entry: tuple) -> None:
-        """Re-file one ``(time, seq, handle)`` entry (timer promotion)."""
-        t = entry[0]
-        if t < self._bucket_top:
-            insort(self._ready, entry, self._ready_pos)
-        elif t < self._far_limit:
-            self._buckets[(t // self._width) & self._mask].append(entry)
-            self._bucket_count += 1
-        else:
-            heappush(self._far, entry)
-        self._cal_count += 1
-
-    def _purge(self) -> None:
-        """Tombstone compaction without touching the geometry: filter
-        cancelled entries out of the due run, buckets and spill in
-        place.  Unlike the old heap (where dead entries cost an
-        ``O(log n)`` sift each), a calendar tombstone only costs its
-        sweep visit, so compaction exists for memory hygiene and can be
-        this cheap: each purge visits ~2x the entries it drops."""
-        discard = self._discard
-        ready = self._ready
-        live_ready: list[tuple] = []
-        append = live_ready.append
-        for i in range(self._ready_pos, len(ready)):
-            e = ready[i]
-            if e[2].cancelled:
-                discard(e[2])
-            else:
-                append(e)
-        self._ready = live_ready
-        self._ready_pos = 0
-        # Re-derive the due-run pressure threshold from the compacted
-        # population: a purge that dropped most of a bloated run must not
-        # leave the old (doubled-up) threshold behind, or the next burst
-        # of inserts would defer the rebuild it needs.
-        self._ready_cap = max(512, len(live_ready) << 1)
-        buckets = self._buckets
-        bucket_count = 0
-        for i, b in enumerate(buckets):
-            if not b:
-                continue
-            keep = [e for e in b if not e[2].cancelled]
-            if len(keep) != len(b):
-                for e in b:
-                    if e[2].cancelled:
-                        discard(e[2])
-                buckets[i] = keep
-            bucket_count += len(keep)
-        self._bucket_count = bucket_count
-        far = self._far
-        if far:
-            keep = [e for e in far if not e[2].cancelled]
-            if len(keep) != len(far):
-                for e in far:
-                    if e[2].cancelled:
-                        discard(e[2])
-                heapify(keep)
-                self._far = far = keep
-        self._cal_count = len(live_ready) + bucket_count + len(far)
-        self._n_cancelled = 0
-
-    def _rebuild(self) -> None:
-        """Collect live entries, drop tombstones, re-derive the bucket
-        count and width from the live distribution, redistribute.
-
-        Serves three roles: adaptive resize (population outgrew or
-        undershot the bucket array), tombstone compaction, and spill
-        re-anchoring (the year no longer covers the live span)."""
-        if self._n_cancelled:
-            entries = []
-            append = entries.append
-            discard = self._discard
-            ready = self._ready
-            for i in range(self._ready_pos, len(ready)):
-                e = ready[i]
-                if e[2].cancelled:
-                    discard(e[2])
-                else:
-                    append(e)
-            for b in self._buckets:
-                for e in b:
-                    if e[2].cancelled:
-                        discard(e[2])
-                    else:
-                        append(e)
-            for e in self._far:
-                if e[2].cancelled:
-                    discard(e[2])
-                else:
-                    append(e)
-        else:
-            entries = self._ready[self._ready_pos:]
-            extend = entries.extend
-            for b in self._buckets:
-                if b:
-                    extend(b)
-            extend(self._far)
-        count = len(entries)
-        if count > 1:
-            # Bucket width ~ 3x the median inter-event gap of a sample
-            # (the median shrugs off one far-future outlier; ties at a
-            # single hot timestamp fall through to width 1).
-            step = count // 64 or 1
-            times = sorted(entries[i][0] for i in range(0, count, step))
-            gaps = sorted(times[i + 1] - times[i] for i in range(len(times) - 1))
-            width = 3 * gaps[len(gaps) // 2] or 1
-            t0 = times[0]
-            span_buckets = (times[-1] - t0) // width + 2
-        else:
-            width = self._width
-            t0 = entries[0][0] if entries else self._now
-            span_buckets = 1
-        # Size one doubling ahead of the live population so a growing
-        # queue rebuilds O(log n) times total -- but no wider than the
-        # sampled span needs: tie-heavy workloads fit in a few buckets,
-        # and allocating count-many empty lists is the dominant rebuild
-        # cost.  (The sample min standing in for the true min is safe:
-        # a too-high epoch only routes more entries to the due run.)
-        n_new = _MIN_BUCKETS
-        target = count << 1
-        if span_buckets < target:
-            target = span_buckets
-        while n_new < target and n_new < _MAX_BUCKETS:
-            n_new <<= 1
-        epoch = t0 // width
-        mask = n_new - 1
-        top = (epoch + 1) * width
-        year = n_new * width
-        far_limit = top + year
-        buckets: list[list[tuple]] = [[] for _ in range(n_new)]
-        far: list[tuple] = []
-        due: list[tuple] = []
-        bucket_count = 0
-        for e in entries:
-            t = e[0]
-            if t < top:
-                due.append(e)
-            elif t < far_limit:
-                buckets[(t // width) & mask].append(e)
-                bucket_count += 1
-            else:
-                far.append(e)
-        due.sort()
-        heapify(far)
-        self._n_buckets = n_new
-        self._mask = mask
-        self._width = width
-        self._year = year
-        self._cur = epoch & mask
-        self._bucket_top = top
-        self._far_limit = far_limit
-        self._buckets = buckets
-        self._bucket_count = bucket_count
-        self._far = far
-        self._ready = due
-        self._ready_pos = 0
-        self._ready_cap = max(512, len(due) << 1)
-        # Pressure triggers back off geometrically past the current
-        # population: when the geometry can no longer grow (span-capped
-        # or at _MAX_BUCKETS), rebuilds stay O(log n) instead of
-        # thrashing once per insert.
-        self._grow_cap = max(n_new << 1, bucket_count << 1)
-        self._far_cap = max(n_new << 1, len(far) << 1)
-        self._cal_count = count
-        self._n_cancelled = 0
-
-    def _advance(self) -> bool:
-        """Sweep forward until a bucket yields due entries into the run;
-        returns False when the calendar is empty."""
-        self._ready = []
-        self._ready_pos = 0
-        live = self._cal_count - self._n_cancelled
-        if live * 4 < self._n_buckets and self._n_buckets > _MIN_BUCKETS:
-            self._rebuild()
-            if self._ready:
-                return True
-        if not self._bucket_count:
-            if not self._far:
-                return False
-            return self._jump()
-        buckets = self._buckets
-        far = self._far
-        mask = self._mask
-        w = self._width
-        cur = self._cur
-        top = self._bucket_top
-        fl = self._far_limit
-        for _ in range(self._n_buckets):
-            cur = (cur + 1) & mask
-            top += w
-            fl += w
-            while far and far[0][0] < fl:
-                e = heappop(far)
-                buckets[(e[0] // w) & mask].append(e)
-                self._bucket_count += 1
-            b = buckets[cur]
-            if b:
-                due = [e for e in b if e[0] < top]
-                if due:
-                    if len(due) == len(b):
-                        buckets[cur] = []
-                    else:
-                        buckets[cur] = [e for e in b if e[0] >= top]
-                    self._bucket_count -= len(due)
-                    due.sort()
-                    self._ready = due
-                    self._ready_cap = max(512, len(due) << 1)
-                    self._cur = cur
-                    self._bucket_top = top
-                    self._far_limit = fl
-                    return True
-        self._cur = cur
-        self._bucket_top = top
-        self._far_limit = fl
-        return self._jump()
-
-    def _jump(self) -> bool:
-        """A whole year swept empty: reposition the sweep at the global
-        minimum directly instead of walking empty years."""
-        t_min = None
-        if self._bucket_count:
-            for b in self._buckets:
-                for e in b:
-                    if t_min is None or e[0] < t_min:
-                        t_min = e[0]
-        far = self._far
-        if far and (t_min is None or far[0][0] < t_min):
-            t_min = far[0][0]
-        if t_min is None:
-            return False
-        w = self._width
-        mask = self._mask
-        epoch = t_min // w
-        cur = epoch & mask
-        top = (epoch + 1) * w
-        fl = top + self._year
-        buckets = self._buckets
-        while far and far[0][0] < fl:
-            e = heappop(far)
-            buckets[(e[0] // w) & mask].append(e)
-            self._bucket_count += 1
-        b = buckets[cur]
-        due = [e for e in b if e[0] < top]
-        if len(due) == len(b):
-            buckets[cur] = []
-        else:
-            buckets[cur] = [e for e in b if e[0] >= top]
-        self._bucket_count -= len(due)
-        due.sort()
-        self._ready = due
-        self._ready_pos = 0
-        self._ready_cap = max(512, len(due) << 1)
-        self._cur = cur
-        self._bucket_top = top
-        self._far_limit = fl
-        return True
-
-    def _promote_timers(self, t) -> None:
-        """Drain every wheel slot whose window starts at or before ``t``
-        into the calendar (``t=None`` drains the whole wheel).  Cancelled
-        timers are dropped here for free."""
-        wheel = self._wheel
-        tw = self._wheel_tw
-        base = self._wheel_base
-        pos = self._wheel_pos
-        while pos < _WHEEL_SLOTS and self._wheel_entries:
-            if t is not None and base + pos * tw > t:
-                break
-            slot = wheel[pos]
-            if slot:
-                self._wheel_entries -= len(slot)
-                for e in slot:
-                    h = e[2]
-                    if h.cancelled:
-                        self._discard(h)
-                    else:
-                        h._in_cal = True
-                        self._insert_entry(e)
-                wheel[pos] = []
-            pos += 1
-        self._wheel_pos = pos
-        if pos < _WHEEL_SLOTS and self._wheel_entries:
-            self._wheel_next = base + pos * tw
-        else:
-            self._wheel_next = _INF
-
-    def _select(self):
-        """Prune cancelled heads, promote due timers, and return
-        ``(time, src)`` for the next event: ``src`` is 0 for the
-        immediate queue, 1 for the calendar run, None when idle."""
+    def _compact(self) -> None:
+        """Drop every cancelled entry from both queues, in place (the
+        dispatch loop holds references to the queue objects)."""
+        heap = self._heap
+        heap[:] = [e for e in heap if not e[2].cancelled]
+        heapify(heap)
         imm = self._imm
-        while True:
-            while imm and imm[0].cancelled:
-                self._discard(imm.popleft())
-            # -- calendar head (prune tombstones, refill the due run) ----
-            # Guarded by the O(1) entry count: an imm-only workload (the
-            # channel wakeup pattern) never touches the sweep machinery.
-            e = None
-            if self._cal_count:
-                ready = self._ready
-                pos = self._ready_pos
-                while True:
-                    if pos < len(ready):
-                        e = ready[pos]
-                        h = e[2]
-                        if h.cancelled:
-                            pos += 1
-                            self._n_cancelled -= 1
-                            self._cal_count -= 1
-                            self._discard(h)
-                            continue
-                        if pos >= _READY_TRIM:
-                            del ready[:pos]
-                            pos = 0
-                        self._ready_pos = pos
-                        break
-                    self._ready_pos = pos
-                    if not self._advance():
-                        e = None
-                        break
-                    ready = self._ready
-                    pos = self._ready_pos
-            # -- merge with the immediate queue by (time, seq) -----------
-            if imm:
-                h = imm[0]
-                if e is not None and (e[0] < h.time or (e[0] == h.time and e[1] < h.seq)):
-                    t, src = e[0], 1
-                else:
-                    t, src = h.time, 0
-            elif e is not None:
-                t, src = e[0], 1
-            else:
-                if self._wheel_entries:
-                    self._promote_timers(None)
-                    continue
-                return None, None
-            if self._wheel_entries and self._wheel_next <= t:
-                self._promote_timers(t)
-                continue
-            return t, src
+        live = [e for e in imm if not e[2].cancelled]
+        imm.clear()
+        imm.extend(live)
+        self._n_cancelled = 0
 
     # -- dispatch -------------------------------------------------------------
 
@@ -728,7 +196,19 @@ class Kernel:
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next pending event, or None if the queue is empty."""
-        return self._select()[0]
+        imm = self._imm
+        heap = self._heap
+        while imm and imm[0][2].cancelled:
+            imm.popleft()
+            self._n_cancelled -= 1
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+            self._n_cancelled -= 1
+        if imm:
+            if heap and heap[0] < imm[0]:
+                return heap[0][0]
+            return imm[0][0]
+        return heap[0][0] if heap else None
 
     def idle_advance(self, time_ns: int) -> None:
         """Move the idle clock forward to ``time_ns`` without dispatching.
@@ -745,45 +225,28 @@ class Kernel:
             )
         self._now = time_ns
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when idle."""
-        t, src = self._select()
-        if src is None:
-            return False
-        if src:
-            pos = self._ready_pos
-            handle = self._ready[pos][2]
-            self._ready_pos = pos + 1
-            self._cal_count -= 1
-        else:
-            handle = self._imm.popleft()
-        self._now = t
-        self.events_executed += 1
-        self._alive -= 1
-        handle._queued = False
-        callback = handle.callback
-        args = handle.args
-        callback(*args)
-        self._discard(handle)
-        return True
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``
         have fired.  Returns the final simulated time.
 
-        Raises :class:`DeadlockError` if the queue drains while registered
+        Stopping at ``until`` leaves the clock at ``until``.  Raises
+        :class:`DeadlockError` if the queue drains while registered
         processes are still alive (everybody blocked on events that nobody
         can trigger).
         """
-        executed = 0
+        heap = self._heap
         imm = self._imm
-        select = self._select
-        discard = self._discard
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            t, src = select()
-            if src is None:
+        executed = 0
+        while max_events is None or executed < max_events:
+            if imm:
+                entry = imm[0]
+                from_heap = heap and heap[0] < entry
+                if from_heap:
+                    entry = heap[0]
+            elif heap:
+                entry = heap[0]
+                from_heap = True
+            else:
                 if self.on_idle is not None and self.on_idle():
                     continue  # the hook injected new work (mailbox drain)
                 if self._live_processes > 0 and self.deadlock_check:
@@ -791,23 +254,21 @@ class Kernel:
                         f"no pending events but {self._live_processes} process(es) still alive"
                     )
                 break
-            if until is not None and t > until:
+            t, _, handle, callback, args = entry
+            if not handle.cancelled and until is not None and t > until:
                 self._now = until
                 break
-            if src:
-                pos = self._ready_pos
-                handle = self._ready[pos][2]
-                self._ready_pos = pos + 1
-                self._cal_count -= 1
+            if from_heap:
+                heappop(heap)
             else:
-                handle = imm.popleft()
+                imm.popleft()
+            if handle.cancelled:
+                self._n_cancelled -= 1
+                continue
             self._now = t
             self.events_executed += 1
             self._alive -= 1
-            handle._queued = False
-            callback = handle.callback
-            args = handle.args
+            handle._kernel = None
             callback(*args)
-            discard(handle)
             executed += 1
         return self._now

@@ -107,7 +107,7 @@ class Process:
             kernel._live_processes += 1
         # Zero-delay starts ride the immediate queue: call_soon is
         # ordering-identical to schedule(0, ...) by the kernel contract
-        # but skips the calendar insert entirely.
+        # but skips the heap insert entirely.
         if start_delay_ns:
             self._pending_handle = kernel.schedule(start_delay_ns, self._resume, None)
         else:
@@ -180,7 +180,7 @@ class Process:
     def _dispatch(self, command: Command) -> None:
         if isinstance(command, Timeout):
             # Timeout(0) -- the cooperative-yield idiom -- takes the
-            # immediate-queue fast path (same FIFO order, no calendar).
+            # immediate-queue fast path (same FIFO order, no heap).
             delay = command.delay_ns
             if delay:
                 self._pending_handle = self.kernel.schedule(delay, self._resume, None)

@@ -16,11 +16,10 @@ return without suspending, while the slow path blocks on an internal
 No-contention fast path: an uncontended ``Channel.put``/``get`` (item
 available, nobody blocked) completes synchronously -- no Event object is
 allocated and nothing is rescheduled through the kernel.  Contended
-wakeups ride :meth:`Kernel.call_soon`, which skips the scheduling
-calendar while preserving FIFO order with ordinary zero-delay events.
-Deadline receives park their timers in the kernel's timer wheel
-(:meth:`Kernel.schedule_timer`), so the usual cancel-on-delivery never
-leaves a tombstone behind.
+wakeups ride :meth:`Kernel.call_soon`, which skips the event heap
+while preserving FIFO order with ordinary zero-delay events.  Deadline
+receives schedule their timers with :meth:`Kernel.schedule_timer` and
+cancel them on delivery.
 """
 
 from __future__ import annotations
@@ -209,10 +208,9 @@ class Channel:
         delivery, the getter is unregistered on expiry -- so repeated
         deadline receives leak neither timers (``Kernel.pending()``
         returns to baseline) nor ghost getters (FIFO wakeup order is
-        preserved for later arrivals).  Because delivery usually wins,
-        the deadline rides the kernel's timer wheel
-        (:meth:`Kernel.schedule_timer`): a cancelled deadline never
-        becomes a calendar tombstone.
+        preserved for later arrivals).  The deadline is scheduled with
+        :meth:`Kernel.schedule_timer`; a cancelled one stays in the heap
+        as a tombstone until it surfaces or compaction drops it.
         """
         if timeout_ns < 0:
             raise SimulationError(f"negative deadline: {timeout_ns}")

@@ -1,7 +1,7 @@
 """Sharded conservative parallel discrete-event simulation.
 
 One logical machine is partitioned into N *shards*, each owning a
-private :class:`~repro.sim.kernel.Kernel` (clock + calendar queue) and a
+private :class:`~repro.sim.kernel.Kernel` (clock + event heap) and a
 disjoint subset of the component graph.  Shards exchange messages only
 through the envelope layer of :mod:`repro.sim.mailbox` and advance under
 **conservative synchronization** (Chandy/Misra/Bryant family): the
@@ -381,10 +381,9 @@ class Shard:
         shard ever sends can reach a neighbor before ``eot() +
         lookahead``, which is what the coordinator's bounds build on."""
         t = self.kernel.peek()
-        s = self.staging.min_recv_time()
-        if t is None:
-            return _INF if s is None else s
-        return t if s is None else min(t, s)
+        staged = self.staging._heap
+        s = staged[0][0] if staged else _INF
+        return s if t is None or s < t else t
 
     def run_until(self, bound: float) -> None:
         """Execute all shard-local work strictly below ``bound``.
@@ -392,40 +391,46 @@ class Shard:
         Alternates batch release of staged envelopes (in key order,
         below ``min(bound, now + self_lookahead)`` -- see the module
         docstring for why that horizon pins the canonical order) with
-        kernel execution up to the earliest un-released envelope, and
-        idle-advances the clock over gaps so later batches unlock.
+        kernel execution up to that horizon, and idle-advances the clock
+        over gaps so later batches unlock.
         """
         kernel = self.kernel
         la = self.self_lookahead
+        # The staging heap is mutated in place, so one reference serves
+        # the whole window.
+        staged = self.staging._heap
         release = (
             self.staging.release_batched
             if self.batch_release
             else self.staging.release_below
         )
+        schedule_at = kernel.schedule_at
         t0 = perf_counter()
         try:
             while True:
-                horizon = min(bound, kernel.now + la)
-                release(horizon, kernel.schedule_at)
-                nxt = self.staging.min_recv_time()
-                stop = horizon if nxt is None else min(horizon, nxt)
+                now = kernel.now
+                horizon = now + la
+                if bound < horizon:
+                    horizon = bound
+                if staged and staged[0][0] < horizon:
+                    release(horizon, schedule_at)
+                # Release emptied the staging heap below ``horizon``.
                 t = kernel.peek()
-                if t is not None and t < stop:
-                    # Events strictly below ``stop``; new same-shard
-                    # envelopes land at >= now + self_lookahead >= stop,
-                    # so none can undercut this execution window.
-                    kernel.run(until=None if stop == _INF else int(stop) - 1)
+                if t is not None and t < horizon:
+                    # Events strictly below ``horizon``; new same-shard
+                    # envelopes land at >= now + self_lookahead >=
+                    # horizon, so none can undercut this execution window.
+                    kernel.run(until=None if horizon == _INF else int(horizon) - 1)
                     continue
-                nt = min(
-                    nxt if nxt is not None else _INF,
-                    t if t is not None else _INF,
-                )
+                nt = staged[0][0] if staged else _INF
+                if t is not None and t < nt:
+                    nt = t
                 if nt >= bound:
                     return
-                if kernel.now >= nt:
+                if now >= nt:
                     raise SimulationError(
                         f"{self.name}: staged delivery at {nt} not ahead of "
-                        f"clock {kernel.now} -- lookahead violated"
+                        f"clock {now} -- lookahead violated"
                     )
                 # Nothing can happen in (now, nt): idle-advance so the
                 # release horizon reaches the next staged envelope.
@@ -448,17 +453,20 @@ class ShardedSimulation:
     shards' self-lookahead); the *minimum* latency per directed shard
     pair becomes that pair's lookahead.  :meth:`run` then sweeps:
 
-    1. drain every shard's mailbox into its staging heap,
-    2. snapshot ``eot_i`` for every shard; if all are ``inf`` the
-       simulation is over (or deadlocked, if processes are still alive),
-    3. compute ``bound_i = min_j (eot_j + lookahead(j, i))`` over
-       in-neighbors ``j != i``,
-    4. run every shard with ``eot_i < bound_i`` up to its bound.
+    1. if every shard's ``eot_i`` is ``inf`` the simulation is over (or
+       deadlocked, if processes are still alive),
+    2. compute ``bound_i = min_k (eot_k + P[k][i])`` from the
+       shortest-path lookahead table (:meth:`_bounds`),
+    3. run every shard with ``eot_i < bound_i`` up to its bound,
+    4. drain the non-empty mailboxes into their staging heaps and
+       refresh ``eot`` for the shards that ran or received envelopes --
+       every other shard's kernel and staging are untouched, so its
+       cached ``eot`` still holds.
 
     The globally earliest shard always satisfies ``eot_i < bound_i``
     (lookaheads are >= 1 ns), so every sweep makes progress.  Envelopes
     posted mid-sweep carry receive times >= the pre-sweep ``eot_j +
-    lookahead(j, i) >= bound_i``, so draining them one sweep late can
+    lookahead(j, i) >= bound_i``, so draining them after the window can
     never miss work below any bound already handed out.
     """
 
@@ -472,11 +480,14 @@ class ShardedSimulation:
                     "pass shards sorted by index"
                 )
         self.shards = list(shards)
+        n = len(self.shards)
         self._lookahead: Dict[Tuple[int, int], int] = {}
-        #: ``(src, dst, lookahead)`` for every cross-shard pair, in
-        #: declaration order; kept in step with ``_lookahead`` by
-        #: :meth:`add_link` so :meth:`_bounds` need not rebuild it.
-        self._cross: List[Tuple[int, int, int]] = []
+        #: ``_paths[k][i]``: the shortest chain of cross-shard links from
+        #: shard *k* to shard *i* (at least one link; ``inf`` when none).
+        self._paths: List[List[float]] = [[_INF] * n for _ in range(n)]
+        #: Per destination *i*, the ``(k, _paths[k][i])`` pairs with a
+        #: finite path -- what :meth:`_bounds` reads.
+        self._into: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         self.sweeps = 0
 
     def add_link(self, src_shard: int, dst_shard: int, latency_ns: int) -> None:
@@ -491,49 +502,66 @@ class ShardedSimulation:
         if current is None or latency < current:
             self._lookahead[key] = latency
             if src_shard != dst_shard:
-                self._cross = [(s, d, la) for (s, d), la in self._lookahead.items() if s != d]
+                self._shorten(src_shard, dst_shard, latency)
         if src_shard == dst_shard:
             shard = self.shards[src_shard]
             shard.self_lookahead = min(shard.self_lookahead, latency)
+
+    def _shorten(self, a: int, b: int, latency: int) -> None:
+        """Fold a lowered link ``a -> b`` into the path table: a path
+        that now improves runs ``k ~> a -> b ~> i``, so one O(n^2) pass
+        over the old distances into ``a`` and out of ``b`` suffices."""
+        paths = self._paths
+        n = len(paths)
+        to_a = [0 if k == a else paths[k][a] for k in range(n)]
+        from_b = [0 if i == b else paths[b][i] for i in range(n)]
+        for k in range(n):
+            via = to_a[k] + latency
+            if via == _INF:
+                continue
+            row = paths[k]
+            for i in range(n):
+                if via + from_b[i] < row[i]:
+                    row[i] = via + from_b[i]
+        self._into = [
+            [(k, paths[k][i]) for k in range(n) if paths[k][i] != _INF] for i in range(n)
+        ]
 
     def lookahead(self, src_shard: int, dst_shard: int) -> Optional[int]:
         """The conservative bound contribution of a shard pair, if any."""
         return self._lookahead.get((src_shard, dst_shard))
 
     def _bounds(self, eots: Sequence[float]) -> List[float]:
-        """Per-shard execution bounds from the EOT *fixed point*.
+        """Per-shard execution bounds ``min_k (eot_k + P[k][i])``.
 
         A locally idle shard is not unreachable: a third shard can wake
         it, and it would then send onward.  The earliest instant shard
         *j* could possibly act is therefore the Chandy/Misra fixed point
 
-            ``E_j = min(local_eot_j, min_k (E_k + lookahead(k, j)))``
+            ``E_j = min(eot_j, min_k (E_k + lookahead(k, j)))``
 
-        computed by relaxation (terminates: every step lowers some
-        ``E``, floored by the global minimum since lookaheads are
-        >= 1 ns).  Bounds then come from the fixed point, so a shard can
-        never outrun a message routed to it through any chain of
-        currently idle shards."""
-        eots = list(eots)
-        cross = self._cross
-        changed = True
-        while changed:
-            changed = False
-            for src, dst, la in cross:
-                if eots[src] + la < eots[dst]:
-                    eots[dst] = eots[src] + la
-                    changed = True
-        bounds = [_INF] * len(self.shards)
-        for src, dst, la in cross:
-            if eots[src] + la < bounds[dst]:
-                bounds[dst] = eots[src] + la
+        and ``bound_i = min_j (E_j + lookahead(j, i))``.  Unrolled, the
+        fixed point is ``E_j = min_k (eot_k + dist(k, j))``, so the bound
+        is the shortest path of at least one link from any shard *k*,
+        ``P[k][i]``, added to ``eot_k``.  :meth:`add_link` keeps ``P``
+        current, so no relaxation runs per sweep, and a shard can never
+        outrun a message routed to it through any chain of currently
+        idle shards."""
+        bounds = []
+        for into in self._into:
+            bound = _INF
+            for k, path in into:
+                t = eots[k] + path
+                if t < bound:
+                    bound = t
+            bounds.append(bound)
         return bounds
 
     def _finished(self, eots: Sequence[float]) -> bool:
         """All-idle check; raises only after every mailbox is drained,
         so a shard idling on pending cross-shard input never
         false-positives as deadlock."""
-        if any(e != _INF for e in eots):
+        if min(eots) != _INF:
             return False
         live = sum(s.kernel._live_processes for s in self.shards)
         if live:
@@ -550,76 +578,83 @@ class ShardedSimulation:
                 s.kernel.idle_advance(t_max)
         return True
 
+    def _sweep(self, execute: Callable[[List[int], List[float]], None]) -> int:
+        """The window loop both drivers share; ``execute(runnable,
+        bounds)`` runs one window.  ``eots`` is cached across sweeps and
+        refreshed only where a window or an arrival could move it."""
+        shards = self.shards
+        for shard in shards:
+            shard.drain_inbox()
+        eots = [s.eot() for s in shards]
+        while not self._finished(eots):
+            bounds = self._bounds(eots)
+            runnable = [i for i, e in enumerate(eots) if e < bounds[i]]
+            if not runnable:
+                raise DeadlockError(
+                    "conservative synchronization stalled: no shard below its bound"
+                )
+            execute(runnable, bounds)
+            self.sweeps += 1
+            for i, shard in enumerate(shards):
+                # Every window has rejoined, so nothing posts concurrently:
+                # peek at the mailbox list without taking its lock.
+                if shard.inbox._items:
+                    shard.drain_inbox()
+                elif i not in runnable:
+                    continue
+                eots[i] = shard.eot()
+        return self.sweeps
+
     def run(self) -> int:
         """Cooperative driver: one sweep at a time on the calling thread.
 
         Fully deterministic and allocation-light -- the default for
         correctness-sensitive runs.  Returns the number of sweeps."""
         shards = self.shards
-        while True:
-            for shard in shards:
-                shard.drain_inbox()
-            eots = [s.eot() for s in shards]
-            if self._finished(eots):
-                return self.sweeps
-            bounds = self._bounds(eots)
-            progressed = False
-            for i, shard in enumerate(shards):
-                if eots[i] < bounds[i]:
-                    shard.run_until(bounds[i])
-                    progressed = True
-            if not progressed:
-                raise DeadlockError(
-                    "conservative synchronization stalled: no shard below its bound"
-                )
-            self.sweeps += 1
+
+        def execute(runnable: List[int], bounds: List[float]) -> None:
+            for i in runnable:
+                shards[i].run_until(bounds[i])
+
+        return self._sweep(execute)
 
     def run_parallel(self) -> int:
         """Window-barrier driver: every runnable shard executes its
         window on its own OS thread, then all rejoin.
 
-        Bounds come from the same pre-sweep snapshot as :meth:`run` and
-        all deliveries go through the same keyed staging, so results are
+        Bounds come from the same cached EOTs as :meth:`run` and all
+        deliveries go through the same keyed staging, so results are
         identical to the cooperative driver -- the threads only overlap
         the wall-clock execution of one window."""
         shards = self.shards
-        while True:
-            for shard in shards:
-                shard.drain_inbox()
-            eots = [s.eot() for s in shards]
-            if self._finished(eots):
-                return self.sweeps
-            bounds = self._bounds(eots)
-            runnable = [i for i in range(len(shards)) if eots[i] < bounds[i]]
-            if not runnable:
-                raise DeadlockError(
-                    "conservative synchronization stalled: no shard below its bound"
-                )
+
+        def execute(runnable: List[int], bounds: List[float]) -> None:
             if len(runnable) == 1:
                 shards[runnable[0]].run_until(bounds[runnable[0]])
-            else:
-                errors: List[Optional[BaseException]] = [None] * len(runnable)
+                return
+            errors: List[Optional[BaseException]] = [None] * len(runnable)
 
-                def window(slot: int, shard: Shard, bound: float) -> None:
-                    try:
-                        shard.run_until(bound)
-                    except BaseException as exc:  # noqa: BLE001 - rejoined below
-                        errors[slot] = exc
+            def window(slot: int, shard: Shard, bound: float) -> None:
+                try:
+                    shard.run_until(bound)
+                except BaseException as exc:  # noqa: BLE001 - rejoined below
+                    errors[slot] = exc
 
-                threads = [
-                    threading.Thread(
-                        target=window,
-                        args=(slot, shards[i], bounds[i]),
-                        name=f"{shards[i].name}.window",
-                        daemon=True,
-                    )
-                    for slot, i in enumerate(runnable)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                for exc in errors:
-                    if exc is not None:
-                        raise exc
-            self.sweeps += 1
+            threads = [
+                threading.Thread(
+                    target=window,
+                    args=(slot, shards[i], bounds[i]),
+                    name=f"{shards[i].name}.window",
+                    daemon=True,
+                )
+                for slot, i in enumerate(runnable)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for exc in errors:
+                if exc is not None:
+                    raise exc
+
+        return self._sweep(execute)

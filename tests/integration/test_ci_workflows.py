@@ -53,6 +53,9 @@ def test_smoke_jobs_are_separate():
     assert not any("shard-merge invariant" in s for s in step_names["scale-smoke"])
     scale_runs = " ".join(s.get("run", "") for s in jobs["scale-smoke"]["steps"])
     assert "--shards 4 --parallel" in scale_runs
+    shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
+    assert "run --images 6 --shards 4 --parallel" in shard_runs
+    assert 'test "$sha1" = "$sha4p"' in shard_runs
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
     assert "python -m bench run --smoke --out bench-smoke.json" in runs

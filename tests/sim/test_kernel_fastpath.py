@@ -3,7 +3,7 @@
 The kernel's ordering contract -- fire by (time, scheduling order),
 regardless of which internal queue an event rides -- must survive the
 O(1) ``pending`` counter, the immediate-queue ``call_soon`` fast path,
-calendar-queue compaction, the timer wheel and handle pooling.
+tombstone compaction, deadline timers and handle pooling.
 """
 
 import random
@@ -135,8 +135,8 @@ def test_cancel_after_fire_is_noop_even_with_pooling():
     first = kernel.schedule(1, log.append, "first")
     kernel.run()
     assert log == ["first"]
-    # the fired handle may have been recycled internally; cancelling the
-    # caller's reference must not disturb later events
+    # cancelling the caller's reference to a fired event must not
+    # disturb later events
     first.cancel()
     first.cancel()
     kernel.schedule(2, log.append, "second")
@@ -150,7 +150,7 @@ def test_cancel_after_fire_is_noop_even_with_pooling():
 def test_handle_pool_reuse_keeps_results_correct():
     kernel = Kernel()
     fired = []
-    # schedule/run repeatedly so discarded handles cycle through the pool
+    # schedule/run repeatedly: every round's handles are fresh
     for round_no in range(20):
         for i in range(50):
             kernel.schedule(i % 5, fired.append, (round_no, i))
@@ -160,3 +160,89 @@ def test_handle_pool_reuse_keeps_results_correct():
     for round_no in range(20):
         chunk = [item for item in fired if item[0] == round_no]
         assert chunk == sorted(chunk, key=lambda item: (item[1] % 5, item[1]))
+
+
+# -- deadline timers -----------------------------------------------------------
+
+
+def test_timer_shares_ordering_domain_with_schedule():
+    kernel = Kernel()
+    log = []
+    # same instant, interleaved across the insert paths: FIFO by
+    # scheduling order must hold regardless of the entry point
+    kernel.schedule(100, log.append, "s0")
+    kernel.schedule_timer(100, log.append, "t0")
+    kernel.schedule(100, log.append, "s1")
+    kernel.schedule_timer(100, log.append, "t1")
+    kernel.run()
+    assert log == ["s0", "t0", "s1", "t1"]
+    assert kernel.now == 100
+
+
+def test_cancelled_timer_never_fires():
+    kernel = Kernel()
+    fired = []
+    handles = [kernel.schedule_timer(5_000, fired.append, i) for i in range(200)]
+    keeper = kernel.schedule(7_000, fired.append, "keeper")
+    for h in handles:
+        h.cancel()
+    assert kernel.pending() == 1
+    kernel.run()
+    assert fired == ["keeper"]
+    assert not keeper.cancelled
+
+
+def test_far_timer_orders_after_nearer_events():
+    kernel = Kernel()
+    log = []
+    kernel.schedule_timer(10, log.append, "near")
+    kernel.schedule_timer(10_000_000, log.append, "far")
+    kernel.schedule(5_000, log.append, "mid")
+    kernel.run()
+    assert log == ["near", "mid", "far"]
+    assert kernel.now == 10_000_000
+
+
+def test_timer_cancel_interleaved_with_regular_events():
+    kernel = Kernel()
+    log = []
+
+    def deliver(i):
+        log.append(("deliver", i, kernel.now))
+        if pending_timers:
+            pending_timers.pop().cancel()
+
+    pending_timers = []
+    for i in range(50):
+        pending_timers.append(kernel.schedule_timer(10_000, log.append, ("timeout", i)))
+        kernel.schedule(100 * (i + 1), deliver, i)
+    kernel.run()
+    delivered = [e for e in log if e[0] == "deliver"]
+    timeouts = [e for e in log if e[0] == "timeout"]
+    assert len(delivered) == 50
+    # each delivery cancelled one deadline; none should have fired
+    assert timeouts == []
+    assert kernel.pending() == 0
+
+
+def _stored(kernel):
+    return len(kernel._heap) + len(kernel._imm)
+
+
+def test_tombstones_stay_bounded_after_mass_cancels():
+    kernel = Kernel()
+    log = []
+    rng = random.Random(7)
+    tags = list(range(5_000))
+    handles = [kernel.schedule(rng.randrange(1, 10_000), log.append, t) for t in tags]
+    tags += [-i for i in range(1, 200)]
+    handles += [kernel.call_soon(log.append, -i) for i in range(1, 200)]
+    survivors = set(rng.sample(range(len(handles)), 150))
+    for i, handle in enumerate(handles):
+        if i not in survivors:
+            handle.cancel()
+            # lazy cancel, but compaction keeps dead entries below the live ones
+            assert _stored(kernel) <= 2 * kernel.pending() + 64
+    assert kernel.pending() == 150
+    kernel.run()
+    assert sorted(log) == sorted(tags[i] for i in survivors)

@@ -1,8 +1,8 @@
 """Unit tests for the sharded conservative simulation layer.
 
 Covers the kernel hooks the shard coordinator relies on
-(``deadlock_check``, ``on_idle``, purge threshold re-derivation), the
-partitioning helpers, span-id ranges, the envelope/mailbox/staging
+(``deadlock_check``, ``on_idle``), the partitioning helpers, span-id
+ranges, the envelope/mailbox/staging
 machinery, and the coordinator itself (delivery-order invariance across
 shard counts, deadlock semantics, cooperative vs parallel drivers).
 """
@@ -83,25 +83,6 @@ def test_kernel_on_idle_false_falls_through_to_deadlock():
     kernel.on_idle = lambda: False
     with pytest.raises(DeadlockError):
         kernel.run()
-
-
-def test_purge_rederives_ready_cap():
-    """Regression: a purge that drops most of a bloated due run must
-    re-derive the pressure threshold from the compacted population, not
-    keep the geometrically backed-off one."""
-    kernel = Kernel()
-    noop = lambda: None  # noqa: E731
-    # Dense same-timestamp inserts into the due window back the
-    # threshold off geometrically without rebuilding.
-    handles = [kernel.schedule(5, noop) for _ in range(5000)]
-    assert kernel._ready_cap > 4096
-    # Cancel nearly everything; compaction triggers repeatedly on the way.
-    for handle in handles[:4990]:
-        handle.cancel()
-    assert kernel._n_cancelled < 64  # purges ran; only a sub-threshold tail left
-    assert kernel._ready_cap == 512  # max(512, live << 1), re-derived by purge
-    kernel.run()
-    assert kernel.now == 5
 
 
 # -- partitioning helpers ------------------------------------------------------
