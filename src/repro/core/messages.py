@@ -24,8 +24,28 @@ _KINDS = (DATA, CONTROL, OBSERVATION)
 MESSAGE_HEADER_BYTES = 32
 
 
+_getsizeof = sys.getsizeof
+_ndarray = np.ndarray
+
+
 def payload_nbytes(payload: Any) -> int:
-    """Best-effort byte size of a payload for copy-cost accounting."""
+    """Best-effort byte size of a payload for copy-cost accounting.
+
+    The exact types the pipeline sends are tested first; anything else
+    (subclasses included) takes the ``isinstance`` chain, which gives
+    every type the same size as the exact-type tests do."""
+    cls = type(payload)
+    if cls is dict:
+        n = 0
+        for key, value in payload.items():
+            n += payload_nbytes(key) + payload_nbytes(value)
+        return n
+    if cls is str:
+        return len(payload) if payload.isascii() else len(payload.encode("utf-8"))
+    if cls is int:
+        return _getsizeof(payload)
+    if cls is _ndarray:
+        return payload.nbytes
     if payload is None:
         return 0
     if isinstance(payload, np.ndarray):
@@ -38,7 +58,7 @@ def payload_nbytes(payload: Any) -> int:
         return sum(payload_nbytes(p) for p in payload)
     if isinstance(payload, dict):
         return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items())
-    return int(sys.getsizeof(payload))
+    return int(_getsizeof(payload))
 
 
 #: Span id meaning "no causal context" (root of a causal chain).

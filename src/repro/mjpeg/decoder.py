@@ -48,16 +48,19 @@ def decode_plane(
     convention falls out for free); a <= 48-bit window register is
     refilled one word at a time, and the packed LUTs
     (:attr:`HuffmanTable.lut_dc` / :attr:`~HuffmanTable.lut_ac`) resolve
-    code length, run and magnitude size in a single list index.  The
-    magnitude bits are extracted straight from the 16-bit window when the
-    whole symbol fits (the common case), so no wide-integer arithmetic
-    survives in the loop.  Decoded coefficients are gathered sparsely and
+    code length, run and magnitude size in a single list index.  When a
+    whole AC symbol fits the 16-bit window (the common case), a second
+    index into :attr:`~HuffmanTable.lut_ac_value` yields its signed
+    coefficient with no shift, mask or EXTEND; the DC magnitude is still
+    cut from the window, so no wide-integer arithmetic survives in the
+    loop.  Decoded coefficients are gathered sparsely and
     scattered into the output array in one numpy assignment.  Bit-exact
     with :func:`decode_plane_reference` (the pre-LUT per-bit walk), which
     the property tests enforce.
     """
     dc_lut = dc_table.lut_dc
     ac_lut = ac_table.lut_ac
+    ac_value = ac_table.lut_ac_value
     data = reader._data
     total_bits = reader._nbytes * 8
     start = reader.bits_read
@@ -135,23 +138,24 @@ def decode_plane(
                     k += (entry >> 8) & 0xFF
                     if k >= 64:
                         raise DecodeError(f"AC run overflows block (k={k})")
-                    size = entry & 0xFF
-                    if size:
-                        if need <= 16:
-                            mag = (window >> (16 - need)) & emask[size]
-                            wbits -= need
-                        else:
-                            if wbits < need:
-                                wreg = ((wreg & ((1 << wbits) - 1)) << 32) | words[w]
-                                w += 1
-                                wbits += 32
-                            wbits -= need
-                            mag = (wreg >> wbits) & emask[size]
+                    mag = ac_value[window]
+                    if mag:  # code and magnitude fit the window
+                        wbits -= need
+                        idx_append(base + k)
+                        val_append(mag)
+                    elif entry & 0xFF:  # need > 16: magnitude from the register
+                        size = entry & 0xFF
+                        if wbits < need:
+                            wreg = ((wreg & ((1 << wbits) - 1)) << 32) | words[w]
+                            w += 1
+                            wbits += 32
+                        wbits -= need
+                        mag = (wreg >> wbits) & emask[size]
                         if mag < half[size]:
                             mag -= emask[size]
                         idx_append(base + k)
                         val_append(mag)
-                    else:
+                    else:  # ZRL
                         wbits -= need
                     k += 1
                 elif entry < 0:  # EOB; entry is -code_length

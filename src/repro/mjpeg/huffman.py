@@ -124,6 +124,7 @@ class HuffmanTable:
         self._lut: Optional[List[int]] = None  # built on first decode
         self._lut_dc: Optional[List[int]] = None
         self._lut_ac: Optional[List[int]] = None
+        self._lut_ac_value: Optional[List[int]] = None
 
     @property
     def lut(self) -> List[int]:
@@ -169,6 +170,36 @@ class HuffmanTable:
                         out[window] = ((length + size) << 16) | (run << 8) | size
             self._lut_ac = out
         return self._lut_ac
+
+    @property
+    def lut_ac_value(self) -> List[int]:
+        """2^16-entry companion of :attr:`lut_ac`: for a window whose AC
+        code and magnitude bits both fit in its 16 bits, the signed
+        coefficient (EXTEND applied); 0 for every other window (EOB,
+        ZRL, a symbol that needs more than 16 bits, invalid).  A valid
+        coefficient is never 0, so ``decode_plane`` reads the value in
+        one index and, on 0, cuts the magnitude from its bit register.  Equal values
+        share one int object (every window a code-plus-magnitude prefix
+        owns is filled by one slice assignment)."""
+        if self._lut_ac_value is None:
+            packed = self.lut_ac
+            out = [0] * (1 << 16)
+            window = 0
+            while window < 1 << 16:
+                entry = packed[window]
+                need = entry >> 16
+                size = entry & 0xFF
+                if entry <= 0 or not size or need > 16:
+                    window += 1
+                    continue
+                span = 1 << (16 - need)
+                value = (window >> (16 - need)) & ((1 << size) - 1)
+                if value < 1 << (size - 1):
+                    value -= (1 << size) - 1
+                out[window : window + span] = [value] * span
+                window += span
+            self._lut_ac_value = out
+        return self._lut_ac_value
 
     def _build_lut(self) -> List[int]:
         # Canonical codes in (length asc, code asc) order cover contiguous

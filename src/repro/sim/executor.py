@@ -11,12 +11,19 @@ This is the substrate shared by the Linux-like scheduler
 - :class:`Compute` -- occupy the CPU for a modelled amount of work,
 - :class:`YieldCpu` -- voluntarily relinquish the CPU.
 
-Each core runs a dispatcher process.  Compute work is executed in
-*interruptible slices*: the dispatcher arms a slice-end timer and waits on
-an event that either the timer or a preemption request triggers, then
-charges the thread for the time actually run.  This keeps the event count
-O(#scheduling decisions), not O(compute time / quantum), while still
-modelling priority preemption exactly.
+Each core is dispatched by plain kernel callbacks over its state: the
+current thread, the armed slice timer, the slice start and the quantum
+budget left.  Compute work runs in *interruptible slices*.  A slice
+that nothing can interrupt -- :meth:`Kernel.advance_to` proves its end
+would be the next event the kernel pops -- is charged inline: the clock
+moves to its end and the thread keeps running in the same callback.
+Any other slice arms one timer; a preemption cancels it and ends the
+slice early.  When the timer fires with nothing else due, the thread
+continues inline again; otherwise it continues through one ``call_soon``
+behind the entries already due.  Either way every event keeps the order
+it had with a dispatcher process waiting on a per-slice event, and the
+event count is O(#contended scheduling decisions), not O(compute time /
+quantum) nor O(#slices), while priority preemption stays exact.
 
 Scheduling policy is pluggable (:class:`SchedPolicy`); the engine itself
 is policy-free.
@@ -30,7 +37,7 @@ from typing import Any, Callable, Deque, Generator, Iterable, Optional, Protocol
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
-from repro.sim.process import Command, Process, Timeout, WaitEvent
+from repro.sim.process import Command, Timeout, WaitEvent
 
 
 class Compute(Command):
@@ -141,7 +148,7 @@ class SchedThread:
 
 
 class CpuCore:
-    """One modelled core: a CPU model plus a dispatcher process."""
+    """One modelled core: a CPU model plus its dispatch state."""
 
     __slots__ = (
         "engine",
@@ -149,10 +156,11 @@ class CpuCore:
         "model",
         "current",
         "busy_ns",
-        "_idle_event",
-        "_slice_event",
+        "_idle",
         "_slice_timer",
-        "_dispatcher",
+        "_slice_start",
+        "_quantum",
+        "_budget",
     )
 
     def __init__(self, engine: "ExecEngine", index: int, model: Any) -> None:
@@ -161,10 +169,11 @@ class CpuCore:
         self.model = model
         self.current: Optional[SchedThread] = None
         self.busy_ns = 0
-        self._idle_event: Optional[Event] = None
-        self._slice_event: Optional[Event] = None
-        self._slice_timer = None
-        self._dispatcher: Optional[Process] = None
+        self._idle = False  # parked with nothing to run, waiting for a kick
+        self._slice_timer = None  # armed while a slice can be interrupted
+        self._slice_start = 0
+        self._quantum: Optional[int] = None
+        self._budget: Optional[int] = None  # quantum left in this turn
 
     @property
     def idle(self) -> bool:
@@ -177,18 +186,19 @@ class CpuCore:
 
     def kick(self) -> None:
         """Wake the dispatcher if it is idle-waiting."""
-        if self._idle_event is not None and not self._idle_event.triggered:
-            ev, self._idle_event = self._idle_event, None
-            ev.trigger(None)
+        if self._idle:
+            self._idle = False
+            engine = self.engine
+            engine.kernel.call_soon(engine._dispatch, self)
 
     def preempt(self) -> None:
         """Interrupt the current compute slice (no-op when not computing)."""
-        if self._slice_event is not None and not self._slice_event.triggered:
-            if self._slice_timer is not None:
-                self._slice_timer.cancel()
-                self._slice_timer = None
-            ev, self._slice_event = self._slice_event, None
-            ev.trigger("preempt")
+        timer = self._slice_timer
+        if timer is not None:
+            timer.cancel()
+            self._slice_timer = None
+            engine = self.engine
+            engine.kernel.call_soon(engine._end_slice, self, True)
 
     def __repr__(self) -> str:  # pragma: no cover
         running = self.current.name if self.current else "idle"
@@ -241,9 +251,7 @@ class ExecEngine:
         self.on_context_switch: Optional[Callable[[CpuCore, Optional[SchedThread], Optional[SchedThread]], None]] = None
         self._shutdown = False
         for core in self.cores:
-            core._dispatcher = Process(
-                kernel, self._dispatch_loop(core), name=f"cpu{core.index}.dispatch", daemon=True
-            )
+            kernel.call_soon(self._dispatch, core)
 
     # -- public API ----------------------------------------------------------
 
@@ -266,11 +274,8 @@ class ExecEngine:
         return thread
 
     def shutdown(self) -> None:
-        """Let dispatcher loops exit once every spawned thread has finished.
-
-        Without this the idle dispatchers would count as live processes and
-        ``Kernel.run()`` would report a deadlock when the event queue drains.
-        """
+        """Let the cores stop for good once every spawned thread has
+        finished: an idle core then no longer waits for a kick."""
         self._shutdown = True
         for core in self.cores:
             core.kick()
@@ -323,34 +328,36 @@ class ExecEngine:
         thread._send_value = value
         self._make_ready(thread)
 
-    def _dispatch_loop(self, core: CpuCore) -> Generator[Command, Any, None]:
-        kernel = self.kernel
+    def _dispatch(self, core: CpuCore) -> None:
+        """Pick and run threads on an idle core until one arms a slice
+        timer or nothing is left to pick."""
+        policy = self.policy
         while True:
-            thread = self.policy.pick(self, core)
+            thread = policy.pick(self, core)
             if thread is None:
-                if self._shutdown and self.alive_threads == 0:
-                    return
-                ev = Event(kernel, name=f"cpu{core.index}.idle")
-                core._idle_event = ev
-                yield WaitEvent(ev)
-                continue
-
+                core._idle = not (self._shutdown and self.alive_threads == 0)
+                return
             core.current = thread
             thread.core = core
             thread.state = RUNNING
             thread.context_switches += 1
             if self.on_context_switch is not None:
                 self.on_context_switch(core, None, thread)
+            quantum = policy.quantum_ns(thread, policy.has_ready(self, core))
+            core._quantum = core._budget = quantum
+            offcpu = self._run(core, thread)
+            if offcpu is None:
+                return
+            self._switch_out(core, thread, offcpu)
 
-            offcpu = yield from self._run_thread_on(core, thread)
-
-            core.current = None
-            if self.on_context_switch is not None:
-                self.on_context_switch(core, thread, None)
-            if not offcpu and thread.alive:
-                # Preempted or quantum-expired: back to the ready queue.
-                thread.state = READY
-                self.policy.enqueue(self, thread)
+    def _switch_out(self, core: CpuCore, thread: SchedThread, offcpu: bool) -> None:
+        core.current = None
+        if self.on_context_switch is not None:
+            self.on_context_switch(core, thread, None)
+        if not offcpu and thread.alive:
+            # Preempted or quantum-expired: back to the ready queue.
+            thread.state = READY
+            self.policy.enqueue(self, thread)
 
     def _advance(self, thread: SchedThread) -> tuple[str, Any]:
         """Resume the thread generator one step; classify the outcome."""
@@ -367,19 +374,37 @@ class ExecEngine:
             return "failed", error
         return "cmd", cmd
 
-    def _run_thread_on(
-        self, core: CpuCore, thread: SchedThread
-    ) -> Generator[Command, Any, bool]:
-        """Run ``thread`` until it blocks/sleeps/finishes (returns True) or
-        is preempted / exhausts its quantum (returns False)."""
-        kernel = self.kernel
-        contended = self.policy.has_ready(self, core)
-        quantum = self.policy.quantum_ns(thread, contended)
-        slice_budget = quantum
+    @staticmethod
+    def _charge(core: CpuCore, thread: SchedThread, ran: int) -> int:
+        """Charge ``ran`` ns of compute; returns the compute left."""
+        core.busy_ns += ran
+        thread.cpu_time_ns += ran
+        left = thread._remaining_compute_ns - ran
+        thread._remaining_compute_ns = left if left > 0 else None
+        return left
 
+    def _run(self, core: CpuCore, thread: SchedThread, ran: Optional[int] = None) -> Optional[bool]:
+        """Run ``thread`` on ``core``, first charging a slice of ``ran`` ns
+        that has just ended.  Returns True when the thread blocks, sleeps
+        or finishes, False when it is preempted by its quantum or yields,
+        and None when it waits on an armed slice timer."""
+        kernel = self.kernel
         while True:
-            # Finish any partially executed compute first.
-            if thread._remaining_compute_ns is None:
+            if ran is not None:
+                left = self._charge(core, thread, ran)
+                budget = core._budget
+                if budget is not None:
+                    budget -= ran
+                    if left > 0 and budget <= 0:
+                        if self.policy.has_ready(self, core):
+                            return False
+                        # Nobody waiting: keep the CPU for another quantum.
+                        budget = core._quantum
+                    core._budget = budget
+                ran = None
+
+            remaining = thread._remaining_compute_ns
+            if remaining is None:
                 kind, payload = self._advance(thread)
                 if kind == "done":
                     thread.state = DONE
@@ -400,10 +425,10 @@ class ExecEngine:
                     raise payload
                 cmd = payload
                 if isinstance(cmd, Compute):
-                    cost = int(core.model.cost_ns(cmd.opclass, cmd.units))
-                    if cost <= 0:
+                    remaining = int(core.model.cost_ns(cmd.opclass, cmd.units))
+                    if remaining <= 0:
                         continue
-                    thread._remaining_compute_ns = cost
+                    thread._remaining_compute_ns = remaining
                 elif isinstance(cmd, Timeout):
                     thread.state = SLEEPING
                     kernel.schedule(cmd.delay_ns, self._wake, thread, None)
@@ -421,37 +446,38 @@ class ExecEngine:
                     )
                     continue
 
-            # Execute (part of) the pending compute as an interruptible slice.
-            remaining = thread._remaining_compute_ns
-            run_ns = remaining if slice_budget is None else min(remaining, slice_budget)
-            started = kernel.now
-            ev = Event(kernel, name=f"cpu{core.index}.slice")
-            core._slice_event = ev
-            core._slice_timer = kernel.schedule(run_ns, self._end_slice, core, ev)
-            reason = yield WaitEvent(ev)
-            core._slice_event = None
-            core._slice_timer = None
-            ran = kernel.now - started
-            core.busy_ns += ran
-            thread.cpu_time_ns += ran
-            left = remaining - ran
-            thread._remaining_compute_ns = left if left > 0 else None
-            if reason == "preempt":
-                return False
-            if slice_budget is not None:
-                slice_budget -= ran
-                if thread._remaining_compute_ns is not None and slice_budget <= 0:
-                    if self.policy.has_ready(self, core):
-                        return False
-                    # Nobody waiting: keep the CPU for another quantum.
-                    slice_budget = quantum
+            # Execute (part of) the pending compute as one slice.
+            budget = core._budget
+            run_ns = remaining if budget is None or remaining < budget else budget
+            if kernel.advance_to(kernel.now + run_ns):
+                ran = run_ns  # nothing can interrupt it: charge inline
+                continue
+            core._slice_start = kernel.now
+            core._slice_timer = kernel.schedule(run_ns, self._slice_timer_fired, core)
+            return None
 
-    @staticmethod
-    def _end_slice(core: CpuCore, ev: Event) -> None:
-        if not ev.triggered:
-            core._slice_timer = None
-            core._slice_event = None
-            ev.trigger("timer")
+    def _slice_timer_fired(self, core: CpuCore) -> None:
+        core._slice_timer = None
+        kernel = self.kernel
+        if kernel.advance_to(kernel.now):
+            self._end_slice(core, False)
+        else:
+            kernel.call_soon(self._end_slice, core, False)
+
+    def _end_slice(self, core: CpuCore, preempted: bool) -> None:
+        """Continue ``core`` after its slice timer fired or a preemption
+        cut the slice short."""
+        thread = core.current
+        ran = self.kernel.now - core._slice_start
+        if preempted:
+            self._charge(core, thread, ran)
+            offcpu = False
+        else:
+            offcpu = self._run(core, thread, ran)
+            if offcpu is None:
+                return
+        self._switch_out(core, thread, offcpu)
+        self._dispatch(core)
 
     # Optional error hook (set by OS layers); default None re-raises.
     on_thread_error: Optional[Callable[[SchedThread, BaseException], None]] = None

@@ -25,19 +25,28 @@ taken through the heap.
 - The entry, not the handle, carries the callback and its arguments, so
   dropping a dispatched entry releases them; an :class:`EventHandle` is
   only a cancellation token.
+- :meth:`Kernel.advance_to` lets a running callback move the clock to a
+  later instant itself when a timer for that instant would be the very
+  next entry :meth:`Kernel.run` pops.  The CPU dispatcher uses it to run
+  compute slices that nothing can interrupt without a heap round trip,
+  so ``events_executed`` does not count those slices.
 
 Ablation A11 (``benchmarks/test_ablation_kernel_queue.py``) keeps the
 calendar queue, far-future spill heap and timer wheel this replaced,
 and a pooled-handle variant, as references.  The heap is faster end to
 end and on every kernel micro-bench except a 100k-event backlog that no
 workload builds; pooling lost the micro-benches and tied end to end.
-See docs/performance.md, "Simulation kernel: one heap".
+Ablation A12 (``benchmarks/test_ablation_cpu_dispatch.py``) keeps the
+two insert shortcuts that followed -- ``schedule`` with ``_push``
+inlined, handles built with ``object.__new__`` -- which did not win end
+to end either.  See docs/performance.md, "Simulation kernel: one heap".
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import DeadlockError, SchedulingError
@@ -46,10 +55,6 @@ from repro.sim.errors import DeadlockError, SchedulingError
 #: cancelled entries linger *and* they make up half the stored entries.
 _COMPACT_MIN = 64
 
-#: Allocation fast path: ``object.__new__`` skips the ``__init__``
-#: frame; the insert paths write every slot inline.
-_new_handle_obj = object.__new__
-
 
 class EventHandle:
     """Cancellation token for a scheduled callback.  ``_kernel`` is
@@ -57,6 +62,12 @@ class EventHandle:
     no-op."""
 
     __slots__ = ("time", "seq", "cancelled", "_kernel")
+
+    def __init__(self, time: int, seq: int, kernel: "Kernel") -> None:
+        self.time = time
+        self.seq = seq
+        self.cancelled = False
+        self._kernel: Optional[Kernel] = kernel
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly,
@@ -93,6 +104,8 @@ class Kernel:
         self._heap: list[tuple] = []  # (time, seq, handle, callback, args)
         self._imm: deque[tuple] = deque()  # same-instant FIFO, same shape
         self._live_processes: int = 0  # maintained by Process
+        #: Callbacks dispatched by ``run``; work done inline after an
+        #: ``advance_to`` (compute slices) is not counted.
         self.events_executed: int = 0
         #: Consulted by ``run()`` when the queue drains with processes
         #: still alive: a zero-arg callable returning True when it
@@ -106,6 +119,10 @@ class Kernel:
         self.deadlock_check: bool = True
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
         self._n_cancelled: int = 0  # cancelled entries still stored
+        #: Latest instant ``advance_to`` may reach: the running
+        #: ``run(until=...)`` bound, or -1 (refuse) outside ``run`` and
+        #: under ``max_events``.
+        self._horizon: float = -1
 
     @property
     def now(self) -> int:
@@ -115,23 +132,10 @@ class Kernel:
     # -- scheduling -----------------------------------------------------------
 
     def schedule(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay_ns`` from now.
-
-        The hottest entry point: the body of :meth:`_push` is inlined
-        here to skip a call frame.  Keep the two in sync."""
+        """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SchedulingError(f"negative delay: {delay_ns}")
-        time_ns = self._now + int(delay_ns)
-        seq = self._seq
-        handle = _new_handle_obj(EventHandle)
-        handle.time = time_ns
-        handle.seq = seq
-        handle.cancelled = False
-        handle._kernel = self
-        self._seq = seq + 1
-        self._alive += 1
-        heappush(self._heap, (time_ns, seq, handle, callback, args))
-        return handle
+        return self._push(self._now + int(delay_ns), callback, args)
 
     def schedule_at(self, time_ns: int, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
@@ -150,11 +154,7 @@ class Kernel:
 
     def _push(self, time_ns: int, callback: Callable[..., None], args: tuple) -> EventHandle:
         seq = self._seq
-        handle = _new_handle_obj(EventHandle)
-        handle.time = time_ns
-        handle.seq = seq
-        handle.cancelled = False
-        handle._kernel = self
+        handle = EventHandle(time_ns, seq, self)
         self._seq = seq + 1
         self._alive += 1
         heappush(self._heap, (time_ns, seq, handle, callback, args))
@@ -166,11 +166,8 @@ class Kernel:
         ordering relative to it -- but O(1); used by the event/channel
         wakeup fast path."""
         seq = self._seq
-        handle = _new_handle_obj(EventHandle)
-        handle.time = now = self._now
-        handle.seq = seq
-        handle.cancelled = False
-        handle._kernel = self
+        now = self._now
+        handle = EventHandle(now, seq, self)
         self._seq = seq + 1
         self._alive += 1
         self._imm.append((now, seq, handle, callback, args))
@@ -225,50 +222,84 @@ class Kernel:
             )
         self._now = time_ns
 
+    def advance_to(self, time_ns: int) -> bool:
+        """From inside a callback: move the clock to ``time_ns`` if a
+        timer scheduled now for ``time_ns`` would be the very next entry
+        :meth:`run` pops, and return True.  Otherwise change nothing and
+        return False.
+
+        That holds when no same-instant wakeup is queued, every heap
+        entry is later than ``time_ns`` (an entry at exactly ``time_ns``
+        is older than the timer, so it would fire first) and ``time_ns``
+        is within the running ``run(until=...)``.  The caller then does
+        inline what the timer's callback would have done, so the order of
+        every other event is unchanged.  Always False outside ``run`` and
+        under ``run(max_events=...)``, whose count the skip would change.
+        A cancelled entry not yet dropped counts as pending: refusing is
+        always exact.
+        """
+        if time_ns > self._horizon or self._imm:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= time_ns:
+            return False
+        self._now = time_ns
+        return True
+
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``
         have fired.  Returns the final simulated time.
 
-        Stopping at ``until`` leaves the clock at ``until``.  Raises
+        Stopping at ``until`` leaves the clock at ``until``; an ``until``
+        in the past raises :class:`SchedulingError`.  Raises
         :class:`DeadlockError` if the queue drains while registered
         processes are still alive (everybody blocked on events that nobody
         can trigger).
         """
+        if until is not None and until < self._now:
+            raise SchedulingError(f"cannot run until the past: {until} < {self._now}")
         heap = self._heap
         imm = self._imm
         executed = 0
-        while max_events is None or executed < max_events:
-            if imm:
-                entry = imm[0]
-                from_heap = heap and heap[0] < entry
-                if from_heap:
+        if max_events is None:
+            self._horizon = inf if until is None else until
+        else:
+            self._horizon = -1
+        try:
+            while max_events is None or executed < max_events:
+                if imm:
+                    entry = imm[0]
+                    from_heap = heap and heap[0] < entry
+                    if from_heap:
+                        entry = heap[0]
+                elif heap:
                     entry = heap[0]
-            elif heap:
-                entry = heap[0]
-                from_heap = True
-            else:
-                if self.on_idle is not None and self.on_idle():
-                    continue  # the hook injected new work (mailbox drain)
-                if self._live_processes > 0 and self.deadlock_check:
-                    raise DeadlockError(
-                        f"no pending events but {self._live_processes} process(es) still alive"
-                    )
-                break
-            t, _, handle, callback, args = entry
-            if not handle.cancelled and until is not None and t > until:
-                self._now = until
-                break
-            if from_heap:
-                heappop(heap)
-            else:
-                imm.popleft()
-            if handle.cancelled:
-                self._n_cancelled -= 1
-                continue
-            self._now = t
-            self.events_executed += 1
-            self._alive -= 1
-            handle._kernel = None
-            callback(*args)
-            executed += 1
+                    from_heap = True
+                else:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
+                    if self._live_processes > 0 and self.deadlock_check:
+                        raise DeadlockError(
+                            f"no pending events but {self._live_processes} process(es) still alive"
+                        )
+                    break
+                t, _, handle, callback, args = entry
+                if not handle.cancelled and until is not None and t > until:
+                    self._now = until
+                    break
+                if from_heap:
+                    heappop(heap)
+                else:
+                    imm.popleft()
+                if handle.cancelled:
+                    self._n_cancelled -= 1
+                    continue
+                self._now = t
+                self.events_executed += 1
+                self._alive -= 1
+                handle._kernel = None
+                callback(*args)
+                executed += 1
+        finally:
+            self._horizon = -1
         return self._now

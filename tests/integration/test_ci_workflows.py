@@ -59,3 +59,29 @@ def test_smoke_jobs_are_separate():
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
     assert "python -m bench run --smoke --out bench-smoke.json" in runs
+
+
+def test_every_job_installs_the_dev_extras():
+    # Tier-1 modules import hypothesis at module level and this file
+    # needs pyyaml: a job that installs only numpy and pytest stops at
+    # collection or skips these checks.
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    for name, job in ci["jobs"].items():
+        installs = [s["run"] for s in job["steps"] if "pip install" in s.get("run", "")]
+        assert installs, f"job {name} installs nothing"
+        assert all('-e ".[dev]"' in run for run in installs), (name, installs)
+    pyproject = (WORKFLOW_DIR.parents[1] / "pyproject.toml").read_text()
+    dev = next(line for line in pyproject.splitlines() if line.startswith("dev = "))
+    for package in ("pytest", "hypothesis", "pyyaml"):
+        assert f'"{package}"' in dev
+
+
+def test_paper_tables_job_fails_on_drift():
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    runs = [s.get("run", "") for s in ci["jobs"]["paper-tables"]["steps"]]
+    regenerate = next(i for i, r in enumerate(runs) if "benchmarks/test_table*.py" in r)
+    assert "benchmarks/test_figure*.py" in runs[regenerate]
+    diff = next(i for i, r in enumerate(runs) if "git diff --exit-code" in r)
+    assert diff > regenerate
+    assert "benchmarks/results/table*" in runs[diff]
+    assert "benchmarks/results/figure*" in runs[diff]

@@ -23,6 +23,8 @@ from repro.mjpeg.huffman import (
     STD_AC_LUMA,
     STD_DC_CHROMA,
     STD_DC_LUMA,
+    decode_magnitude,
+    magnitude_category,
 )
 
 TABLES = [STD_DC_LUMA, STD_AC_LUMA, STD_DC_CHROMA, STD_AC_CHROMA]
@@ -155,3 +157,84 @@ def test_peek16_pads_with_ones_past_eof():
     assert reader.peek16() == 0xFFFF
     with pytest.raises(EOFError):
         reader.skip(1)
+
+
+@pytest.mark.parametrize("table", [STD_AC_LUMA, STD_AC_CHROMA], ids=lambda t: t.name)
+def test_ac_value_table_matches_extend_on_every_window(table):
+    # Every window whose AC code plus magnitude fits in 16 bits maps to
+    # the EXTEND of its magnitude bits; every other window maps to 0.
+    packed = table.lut_ac
+    values = table.lut_ac_value
+    for window in range(1 << 16):
+        entry = packed[window]
+        need = entry >> 16
+        size = entry & 0xFF
+        if entry > 0 and size and need <= 16:
+            bits = (window >> (16 - need)) & ((1 << size) - 1)
+            reader = BitWriter()
+            reader.write(bits, size)
+            assert values[window] == decode_magnitude(BitReader(reader.getvalue()), size)
+            assert values[window] != 0
+        else:
+            assert values[window] == 0
+
+
+def _ac_needs(qzz, ac_table):
+    """Bits each coded AC coefficient of ``qzz`` takes (code + magnitude)."""
+    needs = []
+    for block in qzz:
+        run = 0
+        for value in block[1:]:
+            if value == 0:
+                run += 1
+                continue
+            while run > 15:
+                run -= 16
+            size = magnitude_category(int(value))
+            needs.append(ac_table.encode_map[(run << 4) | size][1] + size)
+            run = 0
+    return needs
+
+
+def test_decode_plane_reaches_both_ac_magnitude_branches():
+    # Crafted blocks: short symbols served by the AC value table, ZRL
+    # runs, and 10-bit magnitudes whose code plus magnitude
+    # overflow the 16-bit window (the bit-register branch).
+    qzz = np.zeros((4, 64), dtype=np.int32)
+    qzz[0, 0] = 5
+    qzz[0, 1:6] = [1, -1, 3, -2, 7]
+    qzz[0, 30] = 1000  # run 24 -> ZRL + run 8, size 10
+    qzz[0, 63] = -1
+    qzz[1, 0] = -700
+    qzz[1, 1] = -1023
+    qzz[1, 2] = 513
+    qzz[1, 20] = 777
+    qzz[2, 0] = 12
+    qzz[3, 50] = -600
+    qzz[3, 51] = 40
+    for dc_table, ac_table in ((STD_DC_LUMA, STD_AC_LUMA), (STD_DC_CHROMA, STD_AC_CHROMA)):
+        needs = _ac_needs(qzz, ac_table)
+        assert any(n <= 16 for n in needs) and any(n > 16 for n in needs)
+        writer = BitWriter()
+        encode_plane(writer, qzz, dc_table, ac_table)
+        writer.align()
+        payload = writer.getvalue()
+        fast = decode_plane(BitReader(payload), 4, dc_table, ac_table)
+        ref = decode_plane_reference(BitReader(payload), 4, dc_table, ac_table)
+        np.testing.assert_array_equal(fast, ref)
+        np.testing.assert_array_equal(fast, qzz)
+
+
+def test_random_blocks_reach_both_ac_magnitude_branches():
+    # The property test above draws magnitudes up to 1023; its blocks
+    # must exercise the table branch and the need > 16 branch alike.
+    rng = np.random.default_rng(42)
+    needs = []
+    for trial in range(8):
+        n_blocks = int(rng.integers(1, 24))
+        qzz = np.zeros((n_blocks, 64), dtype=np.int32)
+        for b in range(n_blocks):
+            for _ in range(int(rng.integers(0, 12))):
+                qzz[b, int(rng.integers(0, 64))] = int(rng.integers(-1023, 1024))
+        needs += _ac_needs(qzz, STD_AC_LUMA)
+    assert any(n <= 16 for n in needs) and any(n > 16 for n in needs)
