@@ -652,9 +652,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
     from repro.trace import (
         SpanGraph,
-        enable_sharded_tracing,
+        collect_trace,
         enable_tracing,
-        merge_buffers,
         queue_depth_series,
         write_chrome_trace,
         write_columns,
@@ -662,37 +661,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True)
-    if args.shards > 1:
-        # Sharded run: one trace buffer per shard, merged afterwards on
-        # the (timestamp, shard, sequence) key -- see docs/observing.md,
-        # "Merging multi-shard traces".
-        rt = ShardedSmpSimRuntime(args.shards)
-        rt.deploy(app)
-        shard_buffers = enable_sharded_tracing(rt)
-        if args.metrics is not None:
-            from repro.metrics import enable_telemetry
+    rt = ShardedSmpSimRuntime(args.shards) if args.shards > 1 else SmpSimRuntime()
+    rt.deploy(app)
+    # A sharded run traces into one buffer per shard, merged afterwards
+    # on the (timestamp, shard, sequence) key -- see docs/observing.md,
+    # "Merging multi-shard traces".
+    traced = enable_tracing(rt)
+    if args.metrics is not None:
+        from repro.metrics import enable_telemetry
 
-            enable_telemetry(rt)
-        rt.start()
-        rt.wait()
-        rt.stop()
-        buffer = merge_buffers(shard_buffers)
+        enable_telemetry(rt)
+    rt.start()
+    rt.wait()
+    rt.stop()
+    buffer = collect_trace(rt)
+    if isinstance(traced, list):
         print(
-            f"merged {len(shard_buffers)} shard buffers "
-            f"({', '.join(str(len(b)) for b in shard_buffers)} events) "
+            f"merged {len(traced)} shard buffers "
+            f"({', '.join(str(len(b)) for b in traced)} events) "
             f"over {rt.sim.sweeps} sweeps"
         )
-    else:
-        rt = SmpSimRuntime()
-        rt.deploy(app)
-        buffer = enable_tracing(rt)
-        if args.metrics is not None:
-            from repro.metrics import enable_telemetry
-
-            enable_telemetry(rt)
-        rt.start()
-        rt.wait()
-        rt.stop()
 
     graph = SpanGraph.from_trace(buffer)
     items = graph.attribute_items("frame")

@@ -109,8 +109,9 @@ class InterfaceContract:
 
 class ContractChecker:
     """Validates one component's telemetry stream against its interface
-    contracts.  Driven by :class:`repro.metrics.telemetry.ComponentTelemetry`
-    (per-message hooks) and the registry's window-roll hook (rates)."""
+    contracts.  Driven by the :class:`repro.core.observation.ObservationProbe`
+    (per-message hooks, at append time) and the registry's window-roll
+    hook (rates)."""
 
     __slots__ = (
         "component", "receive_contracts", "send_contracts",

@@ -20,6 +20,7 @@ application communication.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
@@ -36,7 +37,7 @@ APPLICATION_LEVEL = "application"
 
 LEVELS = (OS_LEVEL, MIDDLEWARE_LEVEL, APPLICATION_LEVEL)
 
-#: Deferred-sample opcodes (first tuple element in the probe's buffer).
+#: Record opcodes (first element of a probe record).
 _SEND = 0
 _RECV = 1
 
@@ -76,14 +77,17 @@ class ObservationProbe:
         self.component = component
         self.policy = policy
         self._op_index = 0
-        #: Deferred middleware samples -- the tuple-buffer trick
-        #: :meth:`~repro.trace.tracer.Tracer.emit` uses.  The hot path
-        #: appends one plain tuple (``(_SEND, iface, dur)`` or
-        #: ``(_RECV, iface, dur, latency)``); timers and per-interface
-        #: dict inserts are folded lazily at report time.  Appending to a
-        #: list is atomic under the GIL, so native-runtime threads share
-        #: the probe without a lock.
-        self._mw_samples: list = []
+        #: One record per middleware operation, ``(op, iface,
+        #: duration_ns, latency_ns, size_bytes, timed)``: ``size_bytes``
+        #: is -1 for control messages, ``latency_ns`` -1 when unknown,
+        #: and ``timed`` says whether the policy samples it into the
+        #: timers.  The hot path appends one tuple; :meth:`_fold` feeds
+        #: every plane that reads it -- the timers below and, when
+        #: attached, the telemetry instruments.  Appending to a list is
+        #: atomic under the GIL, so native-runtime threads append
+        #: without a lock.
+        self._records: list = []
+        self._fold_lock = threading.Lock()
         self._send_timer = Timer(f"{component.name}.send")
         self._recv_timer = Timer(f"{component.name}.receive")
         #: End-to-end message latency (sender timestamp -> delivery).
@@ -128,68 +132,96 @@ class ObservationProbe:
         #: histograms are cheap enough to afford it.
         self.telemetry = None
 
-    # -- deferred-sample folding ----------------------------------------------
+    # -- folding ------------------------------------------------------------
 
-    def _drain_samples(self) -> None:
-        """Fold buffered middleware samples into the timers.
+    def _fold(self, *_window) -> None:
+        """Fold the appended records into the timers and the telemetry.
 
-        Snapshot-then-delete (``buf[:n]`` / ``del buf[:n]``) so samples a
-        concurrent native-runtime thread appends mid-drain survive for
-        the next drain instead of being lost.
+        Runs as a registry roll hook (``_window`` is the hook's
+        ``(index, start_ns, end_ns, final)``), so every record lands in
+        the window it was observed in, and before every read.  Snapshot
+        then delete under a lock only folds take: a record a concurrent
+        native-runtime thread appends mid-fold stays for the next fold,
+        and two folds never take the same record.
         """
-        buf = self._mw_samples
-        n = len(buf)
-        if not n:
-            return
-        chunk = buf[:n]
-        del buf[:n]
-        send_timer = self._send_timer
-        recv_timer = self._recv_timer
-        by_send = self._send_timers_by_iface
-        by_recv = self._recv_timers_by_iface
-        for sample in chunk:
-            iface, dur = sample[1], sample[2]
-            if sample[0] == _SEND:
-                send_timer.record(dur)
-                timer = by_send.get(iface)
-                if timer is None:
-                    timer = by_send[iface] = Timer(iface)
+        with self._fold_lock:
+            buf = self._records
+            n = len(buf)
+            if not n:
+                return
+            chunk = buf[:n]
+            del buf[:n]
+            send_timer = self._send_timer
+            recv_timer = self._recv_timer
+            latency_timer = self._latency_timer
+            by_send = self._send_timers_by_iface
+            by_recv = self._recv_timers_by_iface
+            for op, iface, dur, latency, _size, timed in chunk:
+                if not timed:
+                    continue
+                if op == _SEND:
+                    send_timer.record(dur)
+                    timer = by_send.get(iface)
+                    if timer is None:
+                        timer = by_send[iface] = Timer(iface)
+                else:
+                    recv_timer.record(dur)
+                    if latency >= 0:
+                        latency_timer.record(latency)
+                    timer = by_recv.get(iface)
+                    if timer is None:
+                        timer = by_recv[iface] = Timer(iface)
                 timer.record(dur)
-            else:
-                recv_timer.record(dur)
-                timer = by_recv.get(iface)
-                if timer is None:
-                    timer = by_recv[iface] = Timer(iface)
-                timer.record(dur)
-                if sample[3] >= 0:
-                    self._latency_timer.record(sample[3])
+            tel = self.telemetry
+            if tel is None:
+                return
+            groups: Dict[tuple, list] = {}
+            for record in chunk:
+                key = record[:2]
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = []
+                group.append(record)
+            for (op, iface), records in groups.items():
+                durations = [r[2] for r in records]
+                data = [r for r in records if r[4] >= 0]
+                sizes = [r[4] for r in data]
+                if op == _SEND:
+                    tel.fold_sends(iface, durations, sizes)
+                else:
+                    # Delivery latency is a *data* metric: control
+                    # messages (e.g. end-of-stream markers) queue behind
+                    # the whole stream and would dominate the tail with
+                    # meaningless outliers.
+                    latencies = [r[3] for r in data if r[3] >= 0]
+                    tel.fold_receives(iface, durations, sizes, latencies)
 
     # The timers stay part of the public surface; reading one folds the
-    # pending samples first, so deferral is invisible to consumers.
+    # pending records first, so deferral is invisible to consumers.
 
     @property
     def send_timer(self) -> Timer:
-        self._drain_samples()
+        self._fold()
         return self._send_timer
 
     @property
     def recv_timer(self) -> Timer:
-        self._drain_samples()
+        self._fold()
         return self._recv_timer
 
     @property
     def latency_timer(self) -> Timer:
-        self._drain_samples()
+        self._fold()
         return self._latency_timer
 
     @property
     def send_timers_by_iface(self) -> Dict[str, Timer]:
-        self._drain_samples()
+        self._fold()
         return self._send_timers_by_iface
 
     @property
     def recv_timers_by_iface(self) -> Dict[str, Timer]:
-        self._drain_samples()
+        self._fold()
         return self._recv_timers_by_iface
 
     # -- recording (called from ComponentContext) ----------------------------
@@ -209,40 +241,39 @@ class ObservationProbe:
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
         """Account one send operation (kind-aware; see class doc).
 
-        Hot path: one tuple append, no timer math, no dict insert --
-        those are deferred to :meth:`_drain_samples` at report time.
+        Hot path: counters, the telemetry clock nudge and the live
+        contract check, then one record append; timers and histograms
+        are folded later by :meth:`_fold`.
         """
-        if message.kind == OBSERVATION:
+        kind = message.kind
+        if kind == OBSERVATION:
             return  # observation traffic must not observe itself
-        if self._should_time():
-            self._mw_samples.append((_SEND, iface, duration_ns))
-        tel = self.telemetry
-        if tel is not None:
-            # ComponentTelemetry.on_send, inlined: the telemetry plane
-            # is always-on, and a per-event call into another module's
-            # cold code measurably breaks the 1.05x overhead budget of
-            # ``bench metrics_overhead`` (the samples appended here are
-            # folded in batch at window rolls, see ComponentTelemetry).
-            reg = tel.registry
-            sent = message.sent_at_us
-            ts = sent * 1_000 if sent is not None else reg.last_ns
-            if ts > reg.last_ns:
-                reg.last_ns = ts
-            if ts >= reg._next_roll_ns:
-                reg.advance(ts)
-            entry = tel._send_cache.get(iface)
-            if entry is None:
-                entry = tel._make_send(iface)
-            if message.kind == DATA:
-                entry[3].append((duration_ns, message.size_bytes))
-                if tel.checker is not None:
-                    tel.checker.on_send(iface, message, ts)
-            else:
-                entry[3].append((duration_ns, -1))
-        if message.kind == DATA:
+        if kind == DATA:
+            size = message.size_bytes
             self.data_sends.inc()
             if self._track_bytes():
-                self.bytes_sent += message.size_bytes
+                self.bytes_sent += size
+        else:
+            size = -1
+        timed = self._should_time()
+        tel = self.telemetry
+        if tel is None:
+            if timed:
+                self._records.append((_SEND, iface, duration_ns, -1, size, True))
+            return
+        # Telemetry sees every operation.  Move its clock before the
+        # append: a window roll folds the earlier records into the
+        # closing window, and this one into the next.
+        reg = tel.registry
+        sent = message.sent_at_us
+        ts = sent * 1_000 if sent is not None else reg.last_ns
+        if ts > reg.last_ns:
+            reg.last_ns = ts
+        if ts >= reg._next_roll_ns:
+            reg.advance(ts)
+        self._records.append((_SEND, iface, duration_ns, -1, size, timed))
+        if kind == DATA and tel.checker is not None:
+            tel.checker.on_send(iface, message, ts)
 
     def record_deposit(self, iface: str, message: Message, duration_ns: int) -> None:
         """A deposit into the component's own provided interface: tracked,
@@ -255,38 +286,38 @@ class ObservationProbe:
     def record_receive(
         self, iface: str, message: Message, duration_ns: int, now_us: Optional[int] = None
     ) -> None:
-        """Account one receive operation (kind-aware)."""
-        if message.kind == OBSERVATION:
+        """Account one receive operation (kind-aware; see record_send)."""
+        kind = message.kind
+        if kind == OBSERVATION:
             return
-        if now_us is not None and message.sent_at_us is not None:
-            # Clamp at zero: cross-CPU local clocks may run ahead.
-            latency_ns = max(0, (now_us - message.sent_at_us)) * 1_000
-        else:
-            latency_ns = -1
-        if self._should_time():
-            self._mw_samples.append((_RECV, iface, duration_ns, latency_ns))
-        tel = self.telemetry
-        if tel is not None:
-            # ComponentTelemetry.on_receive, inlined (see record_send).
-            reg = tel.registry
-            ts = now_us * 1_000 if now_us is not None else reg.last_ns
-            if ts > reg.last_ns:
-                reg.last_ns = ts
-            if ts >= reg._next_roll_ns:
-                reg.advance(ts)
-            entry = tel._recv_cache.get(iface)
-            if entry is None:
-                entry = tel._make_recv(iface)
-            if message.kind == DATA:
-                entry[4].append((duration_ns, latency_ns, message.size_bytes))
-                if tel.checker is not None:
-                    tel.checker.on_receive(iface, message, latency_ns, ts)
-            else:
-                entry[4].append((duration_ns, -1, -1))
-        if message.kind == DATA:
+        if kind == DATA:
+            size = message.size_bytes
             self.data_receives.inc()
             if self._track_bytes():
-                self.bytes_received += message.size_bytes
+                self.bytes_received += size
+        else:
+            size = -1
+        sent = message.sent_at_us
+        if now_us is not None and sent is not None:
+            # Clamp at zero: cross-CPU local clocks may run ahead.
+            latency_ns = max(0, (now_us - sent)) * 1_000
+        else:
+            latency_ns = -1
+        timed = self._should_time()
+        tel = self.telemetry
+        if tel is None:
+            if timed:
+                self._records.append((_RECV, iface, duration_ns, latency_ns, size, True))
+            return
+        reg = tel.registry
+        ts = now_us * 1_000 if now_us is not None else reg.last_ns
+        if ts > reg.last_ns:
+            reg.last_ns = ts
+        if ts >= reg._next_roll_ns:
+            reg.advance(ts)
+        self._records.append((_RECV, iface, duration_ns, latency_ns, size, timed))
+        if kind == DATA and tel.checker is not None:
+            tel.checker.on_receive(iface, message, latency_ns, ts)
 
     def record_alloc(self, nbytes: int, time_us: int) -> None:
         """Account a heap allocation (memory-evolution timeline)."""
@@ -369,15 +400,16 @@ class ObservationProbe:
         return data
 
     def _middleware_report(self) -> Dict[str, Any]:
+        self._fold()
         data = {
-            "send": self.send_timer.snapshot(),
-            "receive": self.recv_timer.snapshot(),
-            "latency": self.latency_timer.snapshot(),
+            "send": self._send_timer.snapshot(),
+            "receive": self._recv_timer.snapshot(),
+            "latency": self._latency_timer.snapshot(),
             "send_by_interface": {
-                name: t.snapshot() for name, t in self.send_timers_by_iface.items()
+                name: t.snapshot() for name, t in self._send_timers_by_iface.items()
             },
             "receive_by_interface": {
-                name: t.snapshot() for name, t in self.recv_timers_by_iface.items()
+                name: t.snapshot() for name, t in self._recv_timers_by_iface.items()
             },
         }
         if self.middleware_adapter is not None:

@@ -40,7 +40,7 @@ from repro.mjpeg.stream import generate_stream
 from repro.recovery import RecoveryManager
 from repro.runtime.simulated import SmpSimRuntime
 from repro.sim.rng import RngRegistry
-from repro.trace.tracer import enable_tracing
+from repro.trace.tracer import collect_trace, enable_tracing
 
 #: IDCT workers of the SMP assembly (crash victims, round-robin).
 _IDCTS = ("IDCT_1", "IDCT_2", "IDCT_3")
@@ -343,17 +343,12 @@ def run_chaos_campaign(
         attach_campaign_contracts(app, deadline_us)
     if shards > 1:
         from repro.runtime import ShardedSmpSimRuntime
-        from repro.trace import enable_sharded_tracing, merge_buffers
 
         rt = ShardedSmpSimRuntime(shards)
-        rt.deploy(app)
-        shard_buffers = enable_sharded_tracing(rt)
-        buffer = None
     else:
         rt = SmpSimRuntime()
-        rt.deploy(app)
-        buffer = enable_tracing(rt)
-        shard_buffers = None
+    rt.deploy(app)
+    enable_tracing(rt)
     if metrics:
         enable_telemetry(rt)  # after tracing: checkers emit trace events
     injector = FaultInjector(plan).install(rt)
@@ -377,8 +372,7 @@ def run_chaos_campaign(
     except Exception:  # noqa: BLE001 - teardown of a failed app may rethrow
         if not error:
             raise
-    if shard_buffers is not None:
-        buffer = merge_buffers(shard_buffers)
+    buffer = collect_trace(rt)
 
     delivered = dict(app.components["Reorder"].frames)
     lost = sorted(set(reference_hashes) - set(delivered))

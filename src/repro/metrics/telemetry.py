@@ -17,10 +17,12 @@ giving up the "no per-sample storage" constraint of an embedded target:
   by ``(ts, shard, seq)``.  Window ids draw from shard ranges
   (:func:`repro.sim.shard.shard_window_source`) so merged series never
   collide, mirroring span ids.
-- :class:`ComponentTelemetry` -- the per-component adapter fed by the
-  :class:`~repro.core.observation.ObservationProbe` hot-path hooks; it
-  also drives the component's contract checker
-  (:mod:`repro.core.contracts`) from the same stream.
+- :class:`ComponentTelemetry` -- the per-component instruments fed by
+  the :class:`~repro.core.observation.ObservationProbe`'s records: the
+  probe appends one record per send/receive, and one fold feeds its
+  timers and these histograms and counters at window rolls.  The
+  probe also runs the component's contract checker
+  (:mod:`repro.core.contracts`) on the same stream, per operation.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
   wiring, shaped exactly like ``enable_tracing`` / ``merge_buffers``:
   call after ``deploy()`` (and after ``enable_tracing`` when you want
@@ -94,24 +96,40 @@ class Log2Histogram:
 
     def observe(self, value: int) -> None:
         """Record one sample (negative samples clamp to 0)."""
-        if value < 0:
-            value = 0
-        b = value.bit_length()
-        if b >= N_BUCKETS:
-            b = N_BUCKETS - 1
-        self.counts[b] += 1
-        self.count += 1
-        self.total += value
-        dc = self.delta_counts
-        dc[b] = dc.get(b, 0) + 1
-        self.delta_count += 1
-        self.delta_total += value
-        mn = self.min_value
-        if mn is None or value < mn:
-            self.min_value = value
-        mx = self.max_value
-        if mx is None or value > mx:
-            self.max_value = value
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[int]) -> None:
+        """Record a batch of samples (negative samples clamp to 0).
+
+        The instrument state is bound to locals once per batch, so the
+        per-sample cost is pure int math -- this is how the probe's
+        records are folded at window rolls.
+        """
+        counts = self.counts
+        deltas = self.delta_counts
+        n = tot = 0
+        mn, mx = self.min_value, self.max_value
+        for v in values:
+            if v < 0:
+                v = 0
+            b = v.bit_length()
+            if b >= N_BUCKETS:
+                b = N_BUCKETS - 1
+            counts[b] += 1
+            deltas[b] = deltas.get(b, 0) + 1
+            n += 1
+            tot += v
+            if mn is None or v < mn:
+                mn = v
+            if mx is None or v > mx:
+                mx = v
+        if n:
+            self.count += n
+            self.total += tot
+            self.delta_count += n
+            self.delta_total += tot
+            self.min_value = mn
+            self.max_value = mx
 
     def take_delta(self) -> Optional[Dict[str, Any]]:
         """The window delta accumulated since the last cut (cleared), as
@@ -522,21 +540,17 @@ def merge_registries(parts: List[MetricsRegistry]) -> MetricsRegistry:
 
 
 class ComponentTelemetry:
-    """Per-component adapter between the observation probe's hot-path
-    hooks and a shared :class:`MetricsRegistry` (plus the component's
-    contract checker, when any interface carries a contract).
+    """Per-component adapter between the observation probe and a shared
+    :class:`MetricsRegistry` (plus the component's contract checker,
+    when any interface carries a contract).
 
-    The per-message hot path follows the probe's own deferral idiom
-    (see :meth:`ObservationProbe.record_send`): it only moves the
-    registry clock (two compares) and appends one pending tuple to the
-    interface's cache entry; the histogram/counter folds run batched in
-    :meth:`_drain` -- as a roll hook when a window closes (before its
-    deltas are cut, so every sample lands in the window it was observed
-    in) and before any read.  The fold binds each instrument's state to
-    locals once per interface, so per-sample cost is pure int math:
-    scattered per-event instrument updates measured ~2x slower against
-    the 1.05x budget of ``bench metrics_overhead``.  Contract checks
-    stay per-event: violations are *live* by design.
+    The middleware stream arrives as the probe's own records (see
+    :meth:`ObservationProbe._fold`): the probe's hot path moves the
+    registry clock and runs the live contract checks, and its fold --
+    a registry roll hook, so it runs before each window's deltas are
+    cut -- hands each interface's durations, data sizes and latencies
+    to :meth:`fold_sends` / :meth:`fold_receives`.  Contract checks stay
+    per operation: violations are *live* by design.
     """
 
     __slots__ = (
@@ -550,17 +564,10 @@ class ComponentTelemetry:
         self.registry = registry
         self.component = component
         self.checker = checker
-        # iface -> [duration hist, msg counter, byte counter, pending]
-        # (receive adds a latency histogram before pending).  Pending
-        # send samples are (duration_ns, size_bytes), receive samples
-        # (duration_ns, latency_ns, size_bytes); size_bytes == -1 marks
-        # control messages (duration-only, no counters, no latency).
+        # iface -> [duration hist, msg counter, byte counter]; receive
+        # adds a delivery-latency histogram.
         self._send_cache: Dict[str, list] = {}
         self._recv_cache: Dict[str, list] = {}
-        # Drain before each window cut.  Registered here, so it runs
-        # before any contract checker's on_window (attached after
-        # construction): rate checks see fully folded counters.
-        registry.add_roll_hook(self._on_roll)
         self._restarts = registry.counter("restarts_total", component=component)
         self._restart_hist = registry.histogram("restart_downtime_ns", component=component)
         self._replays = registry.counter("replays_total", component=component)
@@ -575,7 +582,6 @@ class ComponentTelemetry:
             reg.histogram("send_duration_ns", component=c, iface=iface),
             reg.counter("messages_sent_total", component=c, iface=iface),
             reg.counter("bytes_sent_total", component=c, iface=iface),
-            [],
         ]
         return entry
 
@@ -586,143 +592,34 @@ class ComponentTelemetry:
             reg.counter("messages_received_total", component=c, iface=iface),
             reg.counter("bytes_received_total", component=c, iface=iface),
             reg.histogram("delivery_latency_ns", component=c, iface=iface),
-            [],
         ]
         return entry
 
-    # -- middleware stream (probe hot path) ----------------------------------
+    # -- middleware stream (folded probe records) ----------------------------
 
-    def on_send(self, iface: str, message, duration_ns: int) -> None:
-        """One send: clock, pending sample, live contract check."""
-        sent = message.sent_at_us
-        reg = self.registry
-        ts = sent * 1_000 if sent is not None else reg.last_ns
-        if ts > reg.last_ns:
-            reg.last_ns = ts
-        if ts >= reg._next_roll_ns:
-            # Crossing a window boundary drains the pending samples into
-            # the closing window *before* this one is appended.
-            reg.advance(ts)
+    def fold_sends(self, iface: str, durations: List[int], sizes: List[int]) -> None:
+        """Fold one interface's sends: every operation's duration, and
+        the sizes of the data messages among them."""
         entry = self._send_cache.get(iface)
         if entry is None:
             entry = self._make_send(iface)
-        if message.kind == "data":
-            entry[3].append((duration_ns, message.size_bytes))
-            if self.checker is not None:
-                self.checker.on_send(iface, message, ts)
-        else:
-            entry[3].append((duration_ns, -1))
+        entry[0].observe_many(durations)
+        if sizes:
+            entry[1].value += len(sizes)
+            entry[2].value += sum(sizes)
 
-    def on_receive(self, iface: str, message, duration_ns: int,
-                   latency_ns: int, now_us: Optional[int]) -> None:
-        """One receive: clock, pending sample, live contract checks
-        (deadline, ordering)."""
-        reg = self.registry
-        ts = now_us * 1_000 if now_us is not None else reg.last_ns
-        if ts > reg.last_ns:
-            reg.last_ns = ts
-        if ts >= reg._next_roll_ns:
-            reg.advance(ts)
+    def fold_receives(self, iface: str, durations: List[int], sizes: List[int],
+                      latencies: List[int]) -> None:
+        """Fold one interface's receives (see :meth:`fold_sends`) and the
+        delivery latencies of its data messages."""
         entry = self._recv_cache.get(iface)
         if entry is None:
             entry = self._make_recv(iface)
-        if message.kind == "data":
-            entry[4].append((duration_ns, latency_ns, message.size_bytes))
-            if self.checker is not None:
-                self.checker.on_receive(iface, message, latency_ns, ts)
-        else:
-            entry[4].append((duration_ns, -1, -1))
-
-    def _on_roll(self, index: int, start_ns: int, end_ns: int, final: bool) -> None:
-        self._drain()
-
-    @staticmethod
-    def _fold_duration(hist, samples: list) -> None:
-        """Fold (duration, ...) samples into one histogram, locals-bound."""
-        counts = hist.counts
-        deltas = hist.delta_counts
-        n = tot = 0
-        mn, mx = hist.min_value, hist.max_value
-        for sample in samples:
-            v = sample[0]
-            if v < 0:
-                v = 0
-            b = v.bit_length()
-            if b >= N_BUCKETS:
-                b = N_BUCKETS - 1
-            counts[b] += 1
-            deltas[b] = deltas.get(b, 0) + 1
-            n += 1
-            tot += v
-            if mn is None or v < mn:
-                mn = v
-            if mx is None or v > mx:
-                mx = v
-        hist.count += n
-        hist.total += tot
-        hist.delta_count += n
-        hist.delta_total += tot
-        hist.min_value = mn
-        hist.max_value = mx
-
-    def _drain(self) -> None:
-        """Fold pending samples into the instruments (batched)."""
-        for entry in self._send_cache.values():
-            samples = entry[3]
-            if not samples:
-                continue
-            entry[3] = []
-            self._fold_duration(entry[0], samples)
-            msgs = nbytes = 0
-            for _dur, size in samples:
-                if size >= 0:
-                    msgs += 1
-                    nbytes += size
-            if msgs:
-                entry[1].value += msgs
-                entry[2].value += nbytes
-        for entry in self._recv_cache.values():
-            samples = entry[4]
-            if not samples:
-                continue
-            entry[4] = []
-            self._fold_duration(entry[0], samples)
-            # Delivery latency is a *data* metric: control messages
-            # (e.g. end-of-stream markers) queue behind the whole
-            # stream and would dominate the tail with meaningless
-            # outliers.
-            lat_hist = entry[3]
-            counts = lat_hist.counts
-            deltas = lat_hist.delta_counts
-            n = tot = 0
-            mn, mx = lat_hist.min_value, lat_hist.max_value
-            msgs = nbytes = 0
-            for _dur, lat, size in samples:
-                if size >= 0:
-                    msgs += 1
-                    nbytes += size
-                    if lat >= 0:
-                        b = lat.bit_length()
-                        if b >= N_BUCKETS:
-                            b = N_BUCKETS - 1
-                        counts[b] += 1
-                        deltas[b] = deltas.get(b, 0) + 1
-                        n += 1
-                        tot += lat
-                        if mn is None or lat < mn:
-                            mn = lat
-                        if mx is None or lat > mx:
-                            mx = lat
-            if n:
-                lat_hist.count += n
-                lat_hist.total += tot
-                lat_hist.delta_count += n
-                lat_hist.delta_total += tot
-                lat_hist.min_value = mn
-                lat_hist.max_value = mx
-            if msgs:
-                entry[1].value += msgs
-                entry[2].value += nbytes
+        entry[0].observe_many(durations)
+        if sizes:
+            entry[1].value += len(sizes)
+            entry[2].value += sum(sizes)
+        entry[3].observe_many(latencies)
 
     # -- robustness stream (supervisor / recovery / injector hooks) -----------
 
@@ -776,8 +673,8 @@ class ComponentTelemetry:
     # -- observer surface ------------------------------------------------------
 
     def interface_summary(self) -> Dict[str, Any]:
-        """Per-interface percentile summary for the middleware report."""
-        self._drain()
+        """Per-interface percentile summary for the middleware report
+        (the probe folds its records before asking)."""
 
         def quantile_view(entry_index: int, cache: Dict[str, tuple]) -> Dict[str, Any]:
             out = {}
@@ -860,12 +757,11 @@ def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS):
         if policy is not None and not getattr(policy, "telemetry", True):
             continue
         reg = registries[cont.extra["shard"]] if registries is not None else single
-        # Construct before attaching the checker: the telemetry's drain
-        # hook must register ahead of the checker's on_window, so rate
-        # checks run against fully folded counters.
-        tel = ComponentTelemetry(reg, cont.component.name)
-        tel.checker = _attach_checker(cont, reg)
-        probe.telemetry = tel
+        probe.telemetry = ComponentTelemetry(reg, cont.component.name)
+        # The probe's fold hook registers ahead of the checker's
+        # on_window, so rate checks run against fully folded counters.
+        reg.add_roll_hook(probe._fold)
+        probe.telemetry.checker = _attach_checker(cont, reg)
     runtime.metrics = registries if registries is not None else single
     return runtime.metrics
 

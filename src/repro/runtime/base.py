@@ -62,6 +62,10 @@ class Runtime(ABC):
         #: deploy and start): one :class:`MetricsRegistry`, or a
         #: per-shard list on the sharded runtime.
         self.metrics = None
+        #: Trace plane (set by :func:`repro.trace.tracer.enable_tracing`
+        #: between deploy and start): one :class:`TraceBuffer`, or a
+        #: per-shard list on the sharded runtime.
+        self.trace = None
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.trace.tracer import (
     TraceColumns,
     Tracer,
     TracingContext,
-    enable_sharded_tracing,
+    collect_trace,
     enable_tracing,
     merge_buffers,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "Tracer",
     "TracingContext",
     "busy_fraction",
-    "enable_sharded_tracing",
+    "collect_trace",
     "enable_tracing",
     "hop_summary",
     "merge_buffers",

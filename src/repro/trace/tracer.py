@@ -280,41 +280,46 @@ class TracingContext:
             self._tracer.emit("compute", opclass, END)
 
 
-def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None) -> TraceBuffer:
+def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None):
     """Install tracing contexts on every deployed component.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    Returns the buffer collecting the events.
+    On a sharded runtime one buffer is built per shard: a shared buffer
+    would interleave its sequence numbers in sweep execution order --
+    different for every shard count -- while per-shard buffers keep each
+    shard's trace self-consistent.  Span/cause ids already come from
+    per-shard ranges, so the merged trace has no collisions.  Returns
+    the buffer (or the per-shard buffer list); :func:`collect_trace`
+    returns the one merged trace after ``wait()``.
     """
-    buffer = buffer or TraceBuffer()
+    n_shards = getattr(runtime, "n_shards", 0)
+    if n_shards:
+        if buffer is not None:
+            raise ValueError("a sharded runtime traces into one buffer per shard")
+        buffers = [TraceBuffer() for _ in range(n_shards)]
+    else:
+        buffers = None
+        if buffer is None:
+            buffer = TraceBuffer()
     for cont in runtime.containers.values():
         if cont.context is None:
             raise RuntimeError("enable_tracing requires a deployed application")
-        tracer = Tracer(buffer, cont.component.name, cont.context.now_ns)
+        target = buffers[cont.extra["shard"]] if buffers is not None else buffer
+        tracer = Tracer(target, cont.component.name, cont.context.now_ns)
         cont.context = TracingContext(cont.context, tracer)
         cont.extra["tracer"] = tracer
-    return buffer
+    runtime.trace = buffers if buffers is not None else buffer
+    return runtime.trace
 
 
-def enable_sharded_tracing(runtime) -> List[TraceBuffer]:
-    """Install tracing on a sharded runtime: one buffer per shard.
-
-    A shared buffer would interleave its sequence numbers in sweep
-    execution order -- different for every shard count.  Per-shard
-    buffers keep each shard's trace self-consistent; combine them with
-    :func:`merge_buffers` afterwards.  Span/cause ids inside the events
-    already come from per-shard ranges, so the merged trace has no
-    collisions.  Returns the buffer list, indexed by shard.
-    """
-    buffers = [TraceBuffer() for _ in range(runtime.n_shards)]
-    for cont in runtime.containers.values():
-        if cont.context is None:
-            raise RuntimeError("enable_sharded_tracing requires a deployed application")
-        buffer = buffers[cont.extra["shard"]]
-        tracer = Tracer(buffer, cont.component.name, cont.context.now_ns)
-        cont.context = TracingContext(cont.context, tracer)
-        cont.extra["tracer"] = tracer
-    return buffers
+def collect_trace(runtime) -> TraceBuffer:
+    """A runtime's trace after ``wait()``, as one buffer: the per-shard
+    buffers of a sharded runtime merged by :func:`merge_buffers` (see
+    docs/observing.md, "Merging multi-shard traces")."""
+    trace = getattr(runtime, "trace", None)
+    if trace is None:
+        raise ValueError("enable_tracing() was not called on this runtime")
+    return merge_buffers(trace) if isinstance(trace, list) else trace
 
 
 def merge_buffers(

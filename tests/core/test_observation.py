@@ -70,7 +70,7 @@ def test_deposits_counted_separately_from_sends():
 
 
 def test_deferred_samples_fold_identically():
-    """The tuple-buffer hot path defers timer folding; the folded report
+    """The record-append hot path defers timer folding; the folded report
     must be indistinguishable from eager per-event recording."""
     _, probe = make_probe()
     msg = data_msg(64)
@@ -78,10 +78,10 @@ def test_deferred_samples_fold_identically():
     for i in range(100):
         probe.record_send("out" if i % 3 else "aux", msg, 100 + i)
         probe.record_receive("in", stamped, 200 + i, now_us=10 + i)
-    # Samples sit unfolded in the buffer until a timer is read.
-    assert len(probe._mw_samples) == 200
+    # Records sit unfolded in the buffer until a timer is read.
+    assert len(probe._records) == 200
     report = probe.report(MIDDLEWARE_LEVEL)
-    assert not probe._mw_samples
+    assert not probe._records
     assert report["send"]["count"] == 100
     assert report["send"]["total_ns"] == sum(100 + i for i in range(100))
     assert report["receive"]["count"] == 100

@@ -13,7 +13,7 @@ from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
 from repro.runtime.base import RuntimeError_
 from repro.sim.shard import span_shard
-from repro.trace import TraceBuffer, enable_sharded_tracing, merge_buffers
+from repro.trace import TraceBuffer, collect_trace, enable_tracing, merge_buffers
 
 N_IMAGES = 3
 
@@ -29,7 +29,7 @@ def _decode(n_shards: int, parallel: bool = False, trace: bool = False):
     buffers = None
     if trace:
         rt.deploy(app)
-        buffers = enable_sharded_tracing(rt)
+        buffers = enable_tracing(rt)
         rt.start()
         rt.wait()
     else:
@@ -54,8 +54,8 @@ def test_parallel_driver_output_matches_cooperative():
     assert parallel == cooperative
 
 
-def _per_component_sequences(buffers):
-    merged = merge_buffers(buffers)
+def _per_component_sequences(rt):
+    merged = collect_trace(rt)
     sequences = {}
     for ts, seq, component, category, name, phase, args in merged.rows():
         sequences.setdefault(component, []).append((category, name, phase))
@@ -66,11 +66,11 @@ def test_per_component_event_order_is_shard_count_invariant():
     """Timestamps may shift with placement (different cores, different
     NUMA latencies) but each component must run through the identical
     event sequence at every shard count."""
-    two, _, buffers2 = _decode(2, trace=True)
-    four, _, buffers4 = _decode(4, trace=True)
+    two, rt2, buffers2 = _decode(2, trace=True)
+    four, rt4, buffers4 = _decode(4, trace=True)
     assert two == four
     assert len(buffers2) == 2 and len(buffers4) == 4
-    assert _per_component_sequences(buffers2) == _per_component_sequences(buffers4)
+    assert _per_component_sequences(rt2) == _per_component_sequences(rt4)
 
 
 def test_span_ids_come_from_the_owning_shards_range():
@@ -187,3 +187,21 @@ def test_shard_plane_gauges_are_stamped_and_digest_safe():
     assert len(busy) == 4 and len(cut) == 8  # in/out per shard
     assert all(instruments[k]["kind"] == "gauge" for k in busy + cut)
     assert sum(instruments[k]["value"] for k in cut) > 0  # real cross traffic
+
+
+def test_collect_trace_merges_shard_buffers_and_passes_one_through():
+    _, rt, buffers = _decode(2, trace=True)
+    merged = collect_trace(rt)
+    assert len(merged) == sum(len(b) for b in buffers)
+    assert merged.rows() == merge_buffers(buffers).rows()
+    _, plain, buffer = _decode(0, trace=True)
+    assert isinstance(buffer, TraceBuffer)
+    assert collect_trace(plain) is buffer
+
+
+def test_sharded_tracing_rejects_a_shared_buffer():
+    stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
+    rt = ShardedSmpSimRuntime(2)
+    rt.deploy(build_smp_assembly(stream, use_stored_coefficients=True))
+    with pytest.raises(ValueError, match="one buffer per shard"):
+        enable_tracing(rt, TraceBuffer())
