@@ -54,7 +54,7 @@ Commands
     ``--recover`` campaigns trip the *deadline* contract (replays
     arrive late) and dedup the duplicates.  ``--metrics OUT`` writes
     the campaign registry.  With ``--recover --durable DIR`` the
-    campaign runs in a supervised child OS process whose recovery
+    campaign runs in a forked child OS process whose recovery
     state lives on disk in ``DIR``, and ``--kill9 K`` schedules K real
     SIGKILLs of that process mid-decode; the oracle is unchanged (the
     complete frame set, sha256-identical to the fault-free reference).
@@ -390,14 +390,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print("--kill9 requires --recover --durable DIR (it kills a real process)",
               file=sys.stderr)
         return 2
-    from repro.faults import run_chaos_campaign
+    from repro.faults import build_campaign_plan, run_chaos_campaign
 
     result = run_chaos_campaign(
         seed=args.seed,
         n_images=args.images,
-        drop_rate=args.drop_rate,
-        crashes=args.crashes,
         recover=args.recover,
+        plan=build_campaign_plan(
+            args.seed, args.images, drop_rate=args.drop_rate, crashes=args.crashes
+        ),
     )
     print(json.dumps(result.summary(), indent=2))
     for event in result.supervision:

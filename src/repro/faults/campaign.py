@@ -6,8 +6,8 @@ the 16-core SMP model:
 1. a **reference** run without faults, recording every decoded frame;
 2. a **chaos** run with a seed-derived :class:`~repro.faults.plan.FaultPlan`
    (component crashes at deterministic receive counts, probabilistic
-   message drops and duplicates on named connections), supervised with a
-   restart policy, traced, and observed.
+   message drops and duplicates on named connections), supervised under
+   one named policy of :data:`POLICIES`, traced, and observed.
 
 The contract checked by :func:`run_chaos_campaign` is the paper-style
 robustness claim: despite crashes and message loss the application
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -33,12 +33,19 @@ from repro.core.contracts import InterfaceContract
 from repro.core.observation import APPLICATION_LEVEL
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.supervisor import RESTART, RestartPolicy, Supervisor
+from repro.faults.supervisor import (
+    JITTER_FULL,
+    RESTART,
+    DegradePolicy,
+    HaltPolicy,
+    RestartPolicy,
+    Supervisor,
+)
 from repro.metrics.telemetry import collect_telemetry, enable_telemetry
 from repro.mjpeg.components import BATCHES_PER_IMAGE, build_smp_assembly, frames_digest
 from repro.mjpeg.stream import generate_stream
 from repro.recovery import RecoveryManager
-from repro.runtime.simulated import SmpSimRuntime
+from repro.runtime.simulated import ShardedSmpSimRuntime, SmpSimRuntime
 from repro.sim.rng import RngRegistry
 from repro.trace.tracer import collect_trace, enable_tracing
 
@@ -46,7 +53,7 @@ from repro.trace.tracer import collect_trace, enable_tracing
 _IDCTS = ("IDCT_1", "IDCT_2", "IDCT_3")
 
 #: Per-message delivery deadline (microseconds) attached to the decode
-#: pipeline's inbound interfaces when the campaign runs with telemetry.
+#: pipeline's inbound interfaces of every chaos run.
 #: Chosen just above the fault-free latency envelope of the 8-image
 #: stream (data-message max ~5.84 ms, seed-independent), so violations
 #: are *fault-induced*: plain drops and crashes never add latency, but
@@ -54,6 +61,57 @@ _IDCTS = ("IDCT_1", "IDCT_2", "IDCT_3")
 #: through the restart backoff and land at 7.1-8.4 ms -- every campaign
 #: seed trips the deadline under ``--recover``, a clean run never does.
 DEADLINE_US = 6_500
+
+#: End-of-stream-under-loss deadline for runs whose policy can
+#: permanently sever an upstream (degrade/halt): the Reorder stage stops
+#: waiting after this much *virtual* silence.  Far above any restart
+#: backoff or stall (< 5 ms), so it only fires on genuine upstream death.
+QUIESCENCE_NS = 50_000_000
+
+
+@dataclass(frozen=True)
+class PolicyProfile:
+    """How one named supervision policy maps onto a chaos run."""
+
+    name: str
+    #: Oracle mode for :attr:`CampaignResult.ok` (fleet cells use it).
+    oracle: str
+    #: Builds a fresh supervision policy object for one run.
+    factory: Callable[[], Any]
+    #: Install exactly-once recovery alongside the supervisor.
+    recover: bool = False
+    #: The policy can sever an upstream for good (degrade/halt): the run
+    #: records an application failure in its result instead of raising,
+    #: and the Reorder stage counts its live upstreams with a quiescence
+    #: deadline.
+    severs: bool = False
+
+    @property
+    def sharded_ok(self) -> bool:
+        """Valid on the sharded platform (recovery is single-kernel only)."""
+        return not self.recover
+
+    def build(self):
+        """A fresh policy object for one run."""
+        return self.factory()
+
+
+def _restart(**extra) -> Callable[[], RestartPolicy]:
+    return lambda: RestartPolicy(max_attempts=5, base_backoff_ns=200_000, **extra)
+
+
+#: Every supervision policy a chaos run can name.
+POLICIES: Dict[str, PolicyProfile] = {
+    "restart": PolicyProfile("restart", "progress", _restart()),
+    "restart-jitter": PolicyProfile(
+        "restart-jitter", "progress", _restart(jitter_mode=JITTER_FULL)
+    ),
+    "degrade": PolicyProfile(
+        "degrade", "survivors", lambda: DegradePolicy(detach_outbound=True), severs=True
+    ),
+    "halt": PolicyProfile("halt", "survivors", HaltPolicy, severs=True),
+    "recover": PolicyProfile("recover", "exact", _restart(), recover=True),
+}
 
 
 def attach_campaign_contracts(app, deadline_us: int = DEADLINE_US) -> None:
@@ -102,7 +160,8 @@ class CampaignResult:
     recovery: Dict[str, Any] = field(default_factory=dict)
     frames_digest: str = ""
     reference_frames_digest: str = ""
-    #: Merged telemetry registry of the chaos run (None when disabled).
+    #: Merged telemetry registry of the chaos run (None when a failed
+    #: run left none to collect).
     metrics: Any = None
     #: Contract violations observed live, keyed ``kind`` -> count.
     contract_violations: Dict[str, int] = field(default_factory=dict)
@@ -174,6 +233,38 @@ class CampaignResult:
             "ok": self.ok,
         }
 
+    def record(self) -> Dict[str, Any]:
+        """The deterministic per-run record a fleet cell persists:
+        :meth:`summary` without the fields its cell spec already holds,
+        and with only the scalar recovery counters."""
+        out = self.summary()
+        for key in ("seed", "n_images", "recover", "shards"):
+            del out[key]
+        out["recovery"] = {
+            key: value
+            for key, value in self.recovery.items()
+            if isinstance(value, (int, bool))
+        }
+        return out
+
+
+def draw_receive_counts(
+    seed: int, stream: str, count: int, per_idct: int
+) -> List[Tuple[str, int]]:
+    """``count`` distinct (IDCT worker, receive count) triggers drawn
+    from the named ``stream`` of ``seed``: workers round-robin, each
+    count in ``[2, per_idct)``."""
+    rng = RngRegistry(seed).stream(stream)
+    used: List[Tuple[str, int]] = []
+    for k in range(count):
+        component = _IDCTS[k % len(_IDCTS)]
+        while True:
+            trigger = (component, int(rng.integers(2, per_idct)))
+            if trigger not in used:
+                used.append(trigger)
+                break
+    return used
+
 
 def build_campaign_plan(
     seed: int,
@@ -203,16 +294,10 @@ def build_campaign_plan(
     per_idct = (n_images - 1) * BATCHES_PER_IMAGE // len(_IDCTS)
     if per_idct < 4:
         raise ValueError("stream too short for the crash schedule")
-    rng = RngRegistry(seed).stream("campaign.schedule")
     plan = FaultPlan(seed)
-    used = set()
-    for k in range(crashes):
-        component = _IDCTS[k % len(_IDCTS)]
-        while True:
-            on_receive = int(rng.integers(2, per_idct))
-            if (component, on_receive) not in used:
-                used.add((component, on_receive))
-                break
+    for component, on_receive in draw_receive_counts(
+        seed, "campaign.schedule", crashes, per_idct
+    ):
         plan.crash(component, on_receive=on_receive)
     if drop_rate > 0:
         plan.drop("IDCT_2", "idctReorder", probability=drop_rate)
@@ -232,13 +317,9 @@ def build_campaign_plan(
     return plan
 
 
-# The canonical frame-set digest lives with the decoder components; the
-# campaign and the sharded-run CI gate must hash identically.
-_frames_digest = frames_digest
-
-
-def _run_reference(stream, shards: int = 1) -> Dict[int, np.ndarray]:
-    """Fault-free run; returns the decoded frames by index.
+def reference_oracle(stream, shards: int = 1) -> Tuple[Dict[int, str], str]:
+    """The fault-free run distilled into the bit-exactness oracle:
+    ``(per-frame sha256 hashes, frame-set digest)``.
 
     ``shards`` selects the platform variant (the sharded conservative
     simulation for ``shards > 1``); the decoded pixels are shard-count
@@ -248,15 +329,11 @@ def _run_reference(stream, shards: int = 1) -> Dict[int, np.ndarray]:
     app = build_smp_assembly(
         stream, use_stored_coefficients=True, keep_frames=True, with_observer=False
     )
-    if shards > 1:
-        from repro.runtime import ShardedSmpSimRuntime
-
-        rt = ShardedSmpSimRuntime(shards)
-    else:
-        rt = SmpSimRuntime()
+    rt = ShardedSmpSimRuntime(shards) if shards > 1 else SmpSimRuntime()
     rt.run(app)
     rt.stop()
-    return dict(app.components["Reorder"].frames)
+    frames = app.components["Reorder"].frames
+    return frame_hashes(frames), frames_digest(frames)
 
 
 def frame_hashes(frames: Dict[int, np.ndarray]) -> Dict[int, str]:
@@ -272,63 +349,55 @@ def frame_hashes(frames: Dict[int, np.ndarray]) -> Dict[int, str]:
 def run_chaos_campaign(
     seed: int = 0,
     n_images: int = 10,
-    drop_rate: float = 0.05,
-    crashes: int = 3,
-    max_attempts: int = 5,
     recover: bool = False,
-    metrics: bool = True,
     deadline_us: int = DEADLINE_US,
     plan: FaultPlan = None,
-    policy=None,
+    policy: str = "restart",
     shards: int = 1,
     oracle: str = "progress",
-    capture_errors: bool = False,
     reference_hashes: Dict[int, str] = None,
     reference_digest: str = "",
-    dynamic_upstream: bool = False,
-    quiescence_timeout_ns: int = None,
 ) -> CampaignResult:
     """Run one seeded chaos campaign; see the module docstring.
 
-    With ``recover=True`` a :class:`~repro.recovery.RecoveryManager` is
-    installed alongside the supervisor, upgrading the claim from
-    "survivors are bit-exact" to exactly-once: the complete frame set is
-    reproduced bit-identically despite crashes, drops and duplicates.
+    ``policy`` names the supervision profile in :data:`POLICIES`.
+    ``recover=True`` selects the ``recover`` profile: a
+    :class:`~repro.recovery.RecoveryManager` is installed alongside the
+    supervisor, upgrading the claim from "survivors are bit-exact" to
+    exactly-once -- the complete frame set is reproduced bit-identically
+    despite crashes, drops and duplicates.  Recovery on the sharded
+    runtime is refused when the manager is installed.
 
-    With ``metrics=True`` (the default) the chaos run carries the live
-    telemetry plane: per-interface latency histograms, restart/MTTR
-    series, and the QoS contracts of :func:`attach_campaign_contracts`
-    checked message-by-message.  Deadline violations surface recovery
-    replays that arrive past ``deadline_us``; ordering violations count
-    injected duplicates that reached the application (zero under
-    exactly-once recovery, which dedups them at admission).
+    The chaos run carries the live telemetry plane: per-interface
+    latency histograms, restart/MTTR series, and the QoS contracts of
+    :func:`attach_campaign_contracts` checked message-by-message.
+    Deadline violations surface recovery replays that arrive past
+    ``deadline_us``; ordering violations count injected duplicates that
+    reached the application (zero under exactly-once recovery, which
+    dedups them at admission).
 
     The remaining keywords are the fleet-cell hooks
     (:mod:`repro.faults.fleet` fans hundreds of these out across a worker
-    pool): an explicit ``plan`` and supervision ``policy`` replace the
-    built-in defaults, ``shards`` runs the chaos application on the
-    conservative sharded simulation, ``oracle`` relaxes or tightens
-    :attr:`CampaignResult.ok` per policy expectation, ``capture_errors``
-    records an application failure in the result instead of raising
-    (halt-policy cells *expect* to fail), and ``reference_hashes`` /
+    pool): an explicit ``plan`` replaces :func:`build_campaign_plan`,
+    ``shards`` runs the chaos application on the conservative sharded
+    simulation, ``oracle`` relaxes or tightens :attr:`CampaignResult.ok`
+    per policy expectation, and ``reference_hashes`` /
     ``reference_digest`` substitute a cached per-frame-sha256 reference
-    for the in-process fault-free run.
+    for the in-process fault-free run.  A policy that severs upstreams
+    (degrade/halt) records an application failure in the result instead
+    of raising: those runs *expect* to fail.
     """
-    if recover and shards > 1:
-        raise ValueError(
-            "recovery campaigns need the single-kernel runtime "
-            "(fault replay is not supported in sharded simulation)"
-        )
+    if recover and policy not in ("restart", "recover"):
+        raise ValueError(f"recover=True selects the recover policy, not {policy!r}")
+    profile = POLICIES["recover" if recover else policy]
     stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
     if reference_hashes is None:
-        reference = _run_reference(stream)
-        reference_hashes = frame_hashes(reference)
-        reference_digest = _frames_digest(reference)
+        reference_hashes, reference_digest = reference_oracle(stream)
     elif not reference_digest:
         raise ValueError("reference_hashes needs the matching reference_digest")
 
     if plan is None:
-        plan = build_campaign_plan(seed, n_images, drop_rate=drop_rate, crashes=crashes)
+        plan = build_campaign_plan(seed, n_images)
     plan.validate()
     app = build_smp_assembly(
         stream,
@@ -336,33 +405,24 @@ def run_chaos_campaign(
         keep_frames=True,
         with_observer=True,
         drop_incomplete=True,
-        dynamic_upstream=dynamic_upstream,
-        quiescence_timeout_ns=quiescence_timeout_ns,
+        dynamic_upstream=profile.severs,
+        quiescence_timeout_ns=QUIESCENCE_NS if profile.severs else None,
     )
-    if metrics:
-        attach_campaign_contracts(app, deadline_us)
-    if shards > 1:
-        from repro.runtime import ShardedSmpSimRuntime
-
-        rt = ShardedSmpSimRuntime(shards)
-    else:
-        rt = SmpSimRuntime()
+    attach_campaign_contracts(app, deadline_us)
+    rt = ShardedSmpSimRuntime(shards) if shards > 1 else SmpSimRuntime()
     rt.deploy(app)
     enable_tracing(rt)
-    if metrics:
-        enable_telemetry(rt)  # after tracing: checkers emit trace events
+    enable_telemetry(rt)  # after tracing: checkers emit trace events
     injector = FaultInjector(plan).install(rt)
-    recovery = RecoveryManager().install(rt) if recover else None
-    if policy is None:
-        policy = RestartPolicy(max_attempts=max_attempts, base_backoff_ns=200_000)
-    supervisor = Supervisor(policy=policy, seed=seed).install(rt)
+    recovery = RecoveryManager().install(rt) if profile.recover else None
+    supervisor = Supervisor(policy=profile.build(), seed=seed).install(rt)
     error = ""
     try:
         rt.start()
         rt.wait()
         reports = rt.collect()
     except Exception as exc:  # noqa: BLE001 - halt cells expect to fail
-        if not capture_errors:
+        if not profile.severs:
             rt.stop()
             raise
         error = repr(exc)
@@ -400,12 +460,10 @@ def run_chaos_campaign(
     fault_events = [e for e in buffer.events() if e.category == "fault"]
     contract_events = [e for e in buffer.events() if e.category == "contract"]
 
-    registry = None
-    if metrics:
-        try:
-            registry = collect_telemetry(rt)
-        except Exception:  # noqa: BLE001 - a halted run may have no registry
-            registry = None
+    try:
+        registry = collect_telemetry(rt)
+    except Exception:  # noqa: BLE001 - a halted run may have no registry
+        registry = None
     violations: Dict[str, int] = {}
     if registry is not None:
         for kind, name, labels, inst in registry.instruments():
@@ -438,9 +496,9 @@ def run_chaos_campaign(
         digest=digest.hexdigest(),
         makespan_ns=rt.makespan_ns or 0,
         fault_trace_events=len(fault_events),
-        recover=recover,
+        recover=profile.recover,
         recovery=recovery.report() if recovery is not None else {},
-        frames_digest=_frames_digest(delivered),
+        frames_digest=frames_digest(delivered),
         reference_frames_digest=reference_digest,
         metrics=registry,
         contract_violations=violations,

@@ -5,6 +5,10 @@ at one point of the campaign grid -- the cross product of
 
     seed x fault class x intensity x supervision policy x shard count.
 
+Policies are named from the one table the engine owns
+(:data:`repro.faults.campaign.POLICIES`), and a cell's result is the
+engine's own :meth:`~repro.faults.campaign.CampaignResult.record`.
+
 The orchestrator fans hundreds of cells out across a pool of worker
 processes, reaping crashed or hung workers, retrying failed cells with
 backoff, and quarantining cells that keep failing.  Every artifact on
@@ -54,19 +58,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.campaign import (
+    _IDCTS,
     DEADLINE_US,
-    _run_reference,
-    frame_hashes,
-    frames_digest,
+    POLICIES,
+    build_campaign_plan,
+    draw_receive_counts,
+    reference_oracle,
     run_chaos_campaign,
 )
 from repro.faults.plan import CRASH, DROP, OVERFLOW, FaultPlan
-from repro.faults.supervisor import (
-    JITTER_FULL,
-    DegradePolicy,
-    HaltPolicy,
-    RestartPolicy,
-)
 from repro.mjpeg.components import BATCHES_PER_IMAGE
 from repro.mjpeg.stream import generate_stream
 from repro.recovery.durable import (
@@ -76,7 +76,6 @@ from repro.recovery.durable import (
     read_checksummed_json,
     write_checksummed_json,
 )
-from repro.sim.rng import RngRegistry
 
 MANIFEST_NAME = "campaign.json"
 AGGREGATE_NAME = "aggregate.json"
@@ -89,72 +88,9 @@ REFCACHE_DIR = "refcache"
 FAULT_CLASSES = ("crash", "drop", "duplicate", "stall", "mixed")
 INTENSITIES = ("light", "heavy")
 
-#: End-of-stream-under-loss deadline handed to cells whose policy can
-#: permanently sever an upstream (degrade/halt): the Reorder stage stops
-#: waiting after this much *virtual* silence.  Far above any restart
-#: backoff or stall (< 5 ms), so it only fires on genuine upstream death.
-QUIESCENCE_NS = 50_000_000
-
-_IDCTS = ("IDCT_1", "IDCT_2", "IDCT_3")
-
 
 class FleetError(ValueError):
     """An ill-formed fleet campaign configuration or directory."""
-
-
-# --------------------------------------------------------------------------
-# Supervision-policy registry
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolicyProfile:
-    """How one named supervision policy maps onto a campaign cell."""
-
-    name: str
-    #: Oracle mode for :attr:`repro.faults.campaign.CampaignResult.ok`.
-    oracle: str
-    #: Install exactly-once recovery alongside the supervisor.
-    recover: bool = False
-    #: Record an application failure in the result instead of raising
-    #: (halt cells *expect* the app to fail).
-    capture_errors: bool = False
-    #: Reorder counts its live upstreams dynamically + quiescence
-    #: deadline (policies that can sever upstreams for good).
-    dynamic_upstream: bool = False
-    #: Valid on the sharded platform (recovery is single-kernel only).
-    sharded_ok: bool = True
-
-    def build(self):
-        """A fresh policy object for one cell run."""
-        if self.name == "restart":
-            return RestartPolicy(max_attempts=5, base_backoff_ns=200_000)
-        if self.name == "restart-jitter":
-            return RestartPolicy(
-                max_attempts=5, base_backoff_ns=200_000, jitter_mode=JITTER_FULL
-            )
-        if self.name == "degrade":
-            return DegradePolicy(detach_outbound=True)
-        if self.name == "halt":
-            return HaltPolicy()
-        if self.name == "recover":
-            return RestartPolicy(max_attempts=5, base_backoff_ns=200_000)
-        raise FleetError(f"no builder for policy {self.name!r}")
-
-
-POLICIES: Dict[str, PolicyProfile] = {
-    "restart": PolicyProfile("restart", oracle="progress"),
-    "restart-jitter": PolicyProfile("restart-jitter", oracle="progress"),
-    "degrade": PolicyProfile(
-        "degrade", oracle="survivors", capture_errors=True, dynamic_upstream=True
-    ),
-    "halt": PolicyProfile(
-        "halt", oracle="survivors", capture_errors=True, dynamic_upstream=True
-    ),
-    "recover": PolicyProfile(
-        "recover", oracle="exact", recover=True, sharded_ok=False
-    ),
-}
 
 
 # --------------------------------------------------------------------------
@@ -342,15 +278,9 @@ def build_cell_plan(
         raise FleetError("stream too short for the fleet fault schedules")
     plan = FaultPlan(seed)
     if fault_class == "crash":
-        rng = RngRegistry(seed).stream("fleet.crash")
-        used = set()
-        for k in range(3 if heavy else 1):
-            component = _IDCTS[k % len(_IDCTS)]
-            while True:
-                on_receive = int(rng.integers(2, per_idct))
-                if (component, on_receive) not in used:
-                    used.add((component, on_receive))
-                    break
+        for component, on_receive in draw_receive_counts(
+            seed, "fleet.crash", 3 if heavy else 1, per_idct
+        ):
             plan.crash(component, on_receive=on_receive)
     elif fault_class == "drop":
         plan.drop("IDCT_2", "idctReorder", probability=0.15 if heavy else 0.05)
@@ -361,23 +291,15 @@ def build_cell_plan(
         if heavy:
             plan.duplicate("IDCT_3", "idctReorder", probability=0.10)
     elif fault_class == "stall":
-        rng = RngRegistry(seed).stream("fleet.stall")
-        used = set()
-        for k in range(3 if heavy else 1):
-            component = _IDCTS[k % len(_IDCTS)]
-            while True:
-                on_receive = int(rng.integers(2, per_idct))
-                if (component, on_receive) not in used:
-                    used.add((component, on_receive))
-                    break
+        for component, on_receive in draw_receive_counts(
+            seed, "fleet.stall", 3 if heavy else 1, per_idct
+        ):
             plan.stall(
                 component,
                 on_receive=on_receive,
                 delay_ns=2_500_000 if heavy else 1_000_000,
             )
     else:  # mixed: the legacy combined campaign schedule
-        from repro.faults.campaign import build_campaign_plan
-
         return build_campaign_plan(
             seed,
             n_images,
@@ -405,14 +327,13 @@ def build_reference_entry(seed: int, shards: int, n_images: int) -> Dict[str, An
     """Run the fault-free reference once and distil it into the cacheable
     oracle: per-frame sha256 hashes plus the order-independent set digest."""
     stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
-    frames = _run_reference(stream, shards=shards)
-    hashes = frame_hashes(frames)
+    hashes, digest = reference_oracle(stream, shards)
     return {
         "seed": seed,
         "shards": shards,
         "n_images": n_images,
-        "hashes": {str(index): digest for index, digest in hashes.items()},
-        "digest": frames_digest(frames),
+        "hashes": {str(index): frame for index, frame in hashes.items()},
+        "digest": digest,
     }
 
 
@@ -487,48 +408,17 @@ def execute_cell(root: str, cell: CellSpec, deadline_us: int) -> Dict[str, Any]:
         # full progress demand: nothing is lost, so everything must come
         # out.
         oracle = "survivors"
-    result = run_chaos_campaign(
+    return run_chaos_campaign(
         seed=cell.seed,
         n_images=cell.n_images,
-        recover=profile.recover,
-        metrics=True,
         deadline_us=deadline_us,
         plan=plan,
-        policy=profile.build(),
+        policy=cell.policy,
         shards=cell.shards,
         oracle=oracle,
-        capture_errors=profile.capture_errors,
         reference_hashes=hashes,
         reference_digest=reference["digest"],
-        dynamic_upstream=profile.dynamic_upstream,
-        quiescence_timeout_ns=QUIESCENCE_NS if profile.dynamic_upstream else None,
-    )
-    recovery_counts = {
-        key: value
-        for key, value in result.recovery.items()
-        if isinstance(value, (int, bool))
-    }
-    return {
-        "ok": result.ok,
-        "oracle": result.oracle,
-        "bit_exact": result.bit_exact,
-        "error": result.error,
-        "frames_expected": result.frames_expected,
-        "frames_delivered": result.frames_delivered,
-        "lost_frames": result.lost_frames,
-        "digest": result.digest,
-        "frames_digest": result.frames_digest,
-        "reference_frames_digest": result.reference_frames_digest,
-        "injected": dict(result.injected),
-        "restarts": result.restarts,
-        "mttr_us": result.mttr_us,
-        "backoff_total_ns": result.backoff_total_ns,
-        "makespan_ns": result.makespan_ns,
-        "fault_trace_events": result.fault_trace_events,
-        "contract_trace_events": result.contract_trace_events,
-        "contract_violations": dict(result.contract_violations),
-        "recovery": recovery_counts,
-    }
+    ).record()
 
 
 def _cell_worker(root: str, cell_dict: Dict[str, Any], settings: Dict[str, Any]) -> None:

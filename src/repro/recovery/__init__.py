@@ -17,15 +17,19 @@ Three cooperating layers (see ``docs/robustness.md``):
   causally linked to the original send's span.
 
 Together these make the fault injector's crash / drop / duplicate faults
-recoverable with exactly-once end-to-end effects, on all three runtimes
-and through the EMBX transport.
+recoverable with exactly-once end-to-end effects on the native, SMP and
+STi7200 runtimes, and through the EMBX transport.
 
 A fourth layer (PR 7) makes the first three survive real process death:
 :class:`~repro.recovery.durable.DurableStore` mirrors the protocol into
 an append-only :class:`~repro.recovery.wal.WriteAheadLog` plus on-disk
 checkpoint spills, and ``RecoveryManager(durable=...)`` cold-restores
 the consistent cut in a fresh process -- the basis of the supervised
-``kill -9`` campaign in :mod:`repro.recovery.supervised`.
+``kill -9`` campaign in :mod:`repro.recovery.supervised`, which forks
+:func:`repro.recovery.worker.run_worker` and SIGKILLs it.
+
+Recovery needs a runtime that can replay messages into a binding;
+:meth:`RecoveryManager.install` refuses the sharded simulation.
 """
 
 from repro.recovery.durable import DurableError, DurableStore, FrameStore

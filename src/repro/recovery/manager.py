@@ -64,6 +64,7 @@ from itertools import count
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import OBSERVATION, payload_nbytes
+from repro.runtime.base import RuntimeError_
 
 #: Connection key: (sender component, required interface name).
 ConnKey = Tuple[str, str]
@@ -127,6 +128,11 @@ class RecoveryManager:
         ``start()``)."""
         if self.installed:
             raise RuntimeError("recovery manager already installed")
+        if not runtime.supports_replay:
+            raise RuntimeError_(
+                f"RecoveryManager cannot be installed on {type(runtime).__name__}: "
+                "fault replay is not supported in sharded simulation; use SmpSimRuntime"
+            )
         if runtime.recovery is not None and runtime.recovery is not self:
             raise RuntimeError("runtime already has a recovery manager")
         runtime.recovery = self

@@ -4,11 +4,14 @@ from disk, prove nothing was lost.
 :func:`run_durable_campaign` is the process-level counterpart of
 :func:`repro.faults.campaign.run_chaos_campaign`: the same seeded chaos
 campaign (in-process crashes, drops, duplicates) runs in a **child OS
-process** (:mod:`repro.recovery.worker`) whose recovery state lives in a
+process** forked from this one (:func:`repro.recovery.worker.run_worker`,
+hosted the way fleet cells are) whose recovery state lives in a
 :class:`~repro.recovery.durable.DurableStore`, and this parent executes
 the plan's ``kill9`` faults against the real pid -- SIGKILL, no warning,
 no cleanup -- once the scheduled number of decoded frames is durable on
-disk.  Each respawn cold-restores from the WAL + checkpoints.
+disk.  Each respawn cold-restores from the WAL + checkpoints.  The
+child writes nothing of its own; a traceback goes to the inherited
+stderr.
 
 The oracle is the same sha256 frame-set digest as ``repro faults
 --recover``: after every kill and restore, the complete frame set on
@@ -26,18 +29,19 @@ instant nondeterministic; the digest is invariant either way.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-import sys
+import signal
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.faults.campaign import _run_reference, build_campaign_plan
+from repro.faults.campaign import build_campaign_plan, reference_oracle
 from repro.mjpeg.components import frames_digest
 from repro.mjpeg.stream import generate_stream
 from repro.recovery.durable import FrameStore, atomic_write_bytes
-from repro.recovery.worker import CONFIG_NAME, FRAMES_DIR, RESULT_NAME
-from repro.runtime.native import SupervisedProcess
+from repro.recovery.worker import CONFIG_NAME, FRAMES_DIR, RESULT_NAME, run_worker
 
 #: Extra respawns tolerated beyond the scheduled kills (a child that
 #: dies on its own -- e.g. a deadline timeout racing teardown -- gets
@@ -91,17 +95,8 @@ class DurableCampaignResult:
         }
 
 
-def _worker_env() -> Dict[str, str]:
-    """Child environment: inherit, but make sure the child resolves the
-    same ``repro`` package this process imported."""
-    import repro
-
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if pkg_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = f"{pkg_root}{os.pathsep}{existing}" if existing else pkg_root
-    return env
+#: How often the parent polls the child and the frame store, in seconds.
+POLL_S = 0.005
 
 
 def run_durable_campaign(
@@ -110,26 +105,19 @@ def run_durable_campaign(
     durable_dir: Optional[str] = None,
     drop_rate: float = 0.05,
     crashes: int = 3,
-    duplicate_rate: float = 0.05,
     kill9s: int = 1,
-    max_attempts: int = 5,
-    checkpoint_interval: int = 8,
     fsync: str = "commit",
     timeout_s: float = 600.0,
-    poll_s: float = 0.005,
 ) -> DurableCampaignResult:
-    """Run one seeded chaos campaign in a supervised child process,
+    """Run one seeded chaos campaign in a forked child process,
     SIGKILLing it at the plan's scheduled frame counts; see module doc.
     """
-    import tempfile
-
     if durable_dir is None:
         durable_dir = tempfile.mkdtemp(prefix=f"repro-durable-{seed}-")
     os.makedirs(durable_dir, exist_ok=True)
 
     stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
-    reference = _run_reference(stream)
-    ref_digest = frames_digest(reference)
+    reference_hashes, reference_digest = reference_oracle(stream)
 
     config = {
         "seed": seed,
@@ -139,10 +127,7 @@ def run_durable_campaign(
         "quality": 75,
         "drop_rate": drop_rate,
         "crashes": crashes,
-        "duplicate_rate": duplicate_rate,
         "kill9s": kill9s,
-        "max_attempts": max_attempts,
-        "checkpoint_interval": checkpoint_interval,
         "fsync": fsync,
     }
     atomic_write_bytes(
@@ -151,12 +136,7 @@ def run_durable_campaign(
     )
 
     plan = build_campaign_plan(
-        seed,
-        n_images,
-        drop_rate=drop_rate,
-        crashes=crashes,
-        duplicate_rate=duplicate_rate,
-        kill9s=kill9s,
+        seed, n_images, drop_rate=drop_rate, crashes=crashes, kill9s=kill9s
     )
     pending_kills = sorted(
         (spec.after_frames for spec in plan.process_faults()), reverse=True
@@ -164,37 +144,46 @@ def run_durable_campaign(
 
     frames_store = FrameStore(os.path.join(durable_dir, FRAMES_DIR))
     result_path = os.path.join(durable_dir, RESULT_NAME)
-    worker = SupervisedProcess(
-        [sys.executable, "-m", "repro.recovery.worker", durable_dir],
-        env=_worker_env(),
-        log_path=os.path.join(durable_dir, "worker.log"),
-    )
+    # Forked like a fleet cell; SIGKILL makes this POSIX-only anyway.
+    ctx = multiprocessing.get_context("fork")
 
     t0 = time.monotonic()
     deadline = t0 + timeout_s
     respawn_budget = len(pending_kills) + EXTRA_RESPAWNS
-    while True:
-        if time.monotonic() > deadline:
-            worker.terminate()
-            raise TimeoutError(
-                f"durable campaign (seed {seed}) exceeded {timeout_s}s; "
-                f"see {os.path.join(durable_dir, 'worker.log')}"
-            )
-        if not worker.alive:
-            if os.path.exists(result_path) and worker.poll() == 0:
-                break  # the stream is drained and the result is durable
-            if worker.spawns > respawn_budget:
-                raise RuntimeError(
-                    f"durable campaign (seed {seed}) worker died "
-                    f"{worker.spawns} times without completing; "
-                    f"see {os.path.join(durable_dir, 'worker.log')}"
+    proc = None
+    spawns = kills = 0
+    try:
+        while True:
+            if time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"durable campaign (seed {seed}) exceeded {timeout_s}s"
                 )
-            worker.spawn()
-        if pending_kills and frames_store.count() >= pending_kills[-1]:
-            if worker.kill9():
-                pending_kills.pop()
-            # else: the child finished first; the loop reaps it above.
-        time.sleep(poll_s)
+            if proc is None or not proc.is_alive():
+                if proc is not None:
+                    proc.join()
+                    if proc.exitcode == 0 and os.path.exists(result_path):
+                        break  # the stream is drained and the result is durable
+                if spawns > respawn_budget:
+                    raise RuntimeError(
+                        f"durable campaign (seed {seed}) worker died "
+                        f"{spawns} times without completing"
+                    )
+                proc = ctx.Process(target=run_worker, args=(durable_dir,))
+                proc.start()
+                spawns += 1
+            if pending_kills and frames_store.count() >= pending_kills[-1]:
+                proc.kill()
+                proc.join()
+                if proc.exitcode == -signal.SIGKILL:
+                    kills += 1
+                    pending_kills.pop()
+                # else: the child finished first; the loop reaps it above.
+            time.sleep(POLL_S)
+    finally:
+        if proc is not None:
+            if proc.is_alive():
+                proc.kill()
+            proc.join()
 
     delivered = frames_store.load_frames()
     with open(result_path) as fh:
@@ -204,13 +193,13 @@ def run_durable_campaign(
         n_images=n_images,
         durable_dir=durable_dir,
         plan=plan.describe(),
-        kills=worker.kills,
+        kills=kills,
         kills_scheduled=kill9s,
-        spawns=worker.spawns,
-        frames_expected=len(reference),
+        spawns=spawns,
+        frames_expected=len(reference_hashes),
         frames_delivered=len(delivered),
         frames_digest=frames_digest(delivered),
-        reference_frames_digest=ref_digest,
+        reference_frames_digest=reference_digest,
         elapsed_s=time.monotonic() - t0,
         worker=worker_result,
     )

@@ -1,13 +1,16 @@
 """Durable-campaign worker: the component-hosting OS process.
 
-``python -m repro.recovery.worker <dir>`` runs one incarnation of the
-MJPEG SMP assembly on the native runtime (real threads -- the paper's
-"an EMBera application is a Linux user process"), with:
+:func:`run_worker` is the body of the child process that
+:func:`repro.recovery.supervised.run_durable_campaign` forks.  It runs
+one incarnation of the MJPEG SMP assembly on the native runtime (real
+threads -- the paper's "an EMBera application is a Linux user process"),
+with:
 
 - the seed-derived in-process fault plan (crashes / drops / duplicates;
   any process-level ``kill9`` specs are stripped -- the supervising
   parent executes those against *this* process),
-- a :class:`~repro.recovery.RecoveryManager` layered over the
+- the ``recover`` supervision profile and a
+  :class:`~repro.recovery.RecoveryManager` layered over the
   :class:`~repro.recovery.durable.DurableStore` in ``<dir>``,
 - completed frames externalized through a
   :class:`~repro.recovery.durable.FrameStore` (``<dir>/frames``), which
@@ -25,7 +28,16 @@ from __future__ import annotations
 
 import json
 import os
-import sys
+
+from repro.faults.campaign import POLICIES, build_campaign_plan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import split_process_faults
+from repro.faults.supervisor import Supervisor
+from repro.mjpeg.components import build_smp_assembly
+from repro.mjpeg.stream import generate_stream
+from repro.recovery.durable import DurableStore, FrameStore, atomic_write_bytes
+from repro.recovery.manager import RecoveryManager
+from repro.runtime.native import NativeRuntime
 
 CONFIG_NAME = "CONFIG.json"
 RESULT_NAME = "RESULT.json"
@@ -34,16 +46,6 @@ FRAMES_DIR = "frames"
 
 def run_worker(root: str) -> dict:
     """One incarnation of the durable campaign in directory ``root``."""
-    from repro.faults.campaign import build_campaign_plan
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import split_process_faults
-    from repro.faults.supervisor import RestartPolicy, Supervisor
-    from repro.mjpeg.components import build_smp_assembly
-    from repro.mjpeg.stream import generate_stream
-    from repro.recovery.durable import DurableStore, FrameStore, atomic_write_bytes
-    from repro.recovery.manager import RecoveryManager
-    from repro.runtime.native import NativeRuntime
-
     with open(os.path.join(root, CONFIG_NAME)) as fh:
         config = json.load(fh)
 
@@ -63,28 +65,22 @@ def run_worker(root: str) -> dict:
         drop_incomplete=False,
         frame_sink=frames.save,
     )
-    runtime = NativeRuntime(receive_timeout_s=config.get("receive_timeout_s", 30.0))
+    runtime = NativeRuntime()
     runtime.deploy(app)
 
     plan = build_campaign_plan(
         config["seed"],
         config["n_images"],
-        drop_rate=config.get("drop_rate", 0.05),
-        crashes=config.get("crashes", 3),
-        duplicate_rate=config.get("duplicate_rate", 0.05),
-        kill9s=config.get("kill9s", 0),
+        drop_rate=config["drop_rate"],
+        crashes=config["crashes"],
+        kill9s=config["kill9s"],
     )
     inproc, _process_specs = split_process_faults(plan)
     injector = FaultInjector(inproc).install(runtime)
-    store = DurableStore(root, config=config, fsync=config.get("fsync", "commit"))
-    recovery = RecoveryManager(
-        checkpoint_interval=config.get("checkpoint_interval", 8), durable=store
-    ).install(runtime)
+    store = DurableStore(root, config=config, fsync=config["fsync"])
+    recovery = RecoveryManager(durable=store).install(runtime)
     supervisor = Supervisor(
-        policy=RestartPolicy(
-            max_attempts=config.get("max_attempts", 5), base_backoff_ns=200_000
-        ),
-        seed=config["seed"],
+        policy=POLICIES["recover"].build(), seed=config["seed"]
     ).install(runtime)
 
     runtime.start()
@@ -104,16 +100,3 @@ def run_worker(root: str) -> dict:
         json.dumps(result, indent=2, sort_keys=True).encode(),
     )
     return result
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m repro.recovery.worker <durable-dir>", file=sys.stderr)
-        return 2
-    run_worker(argv[0])
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -355,89 +355,3 @@ class NativeRuntime(Runtime):
         behaviour (``time.thread_time_ns``), available once it finishes."""
         return cont.extra.get("thread_cpu_ns")
 
-
-class SupervisedProcess:
-    """A component-hosting OS process under spawn / SIGKILL / respawn
-    supervision.
-
-    The paper's framing made literal: "an EMBera application is a Linux
-    user process".  The supervised-subprocess recovery mode
-    (:mod:`repro.recovery.supervised`) runs the whole native runtime in a
-    child interpreter whose only durable artefacts are its on-disk WAL,
-    checkpoints and frame files -- so ``kill9()`` here is a *real* crash
-    (no atexit, no finally blocks, no flushes), and every respawn must
-    cold-restore from disk.
-    """
-
-    def __init__(
-        self,
-        argv: List[str],
-        env: Optional[Dict[str, str]] = None,
-        log_path: Optional[str] = None,
-    ) -> None:
-        self.argv = list(argv)
-        self.env = dict(env) if env is not None else None
-        #: Child stdout+stderr destination (appended across respawns).
-        self.log_path = log_path
-        self.proc = None
-        self.spawns = 0
-        self.kills = 0
-
-    def spawn(self) -> int:
-        """Start (or restart) the child; returns its pid."""
-        import subprocess
-
-        if self.alive:
-            raise RuntimeError_("supervised process already running")
-        if self.log_path is not None:
-            out = open(self.log_path, "ab")
-        else:
-            out = subprocess.DEVNULL
-        try:
-            self.proc = subprocess.Popen(
-                self.argv, env=self.env, stdout=out, stderr=subprocess.STDOUT
-            )
-        finally:
-            if out is not subprocess.DEVNULL:
-                out.close()  # the child holds its own descriptor
-        self.spawns += 1
-        return self.proc.pid
-
-    @property
-    def alive(self) -> bool:
-        """True while the child runs."""
-        return self.proc is not None and self.proc.poll() is None
-
-    def poll(self) -> Optional[int]:
-        """The child's exit code, or ``None`` while it runs."""
-        return None if self.proc is None else self.proc.poll()
-
-    def kill9(self) -> bool:
-        """SIGKILL the child and reap it; returns False if it was
-        already gone (exited on its own -- the race is benign, the
-        caller just respawns or finishes)."""
-        import signal
-
-        if not self.alive:
-            return False
-        self.proc.send_signal(signal.SIGKILL)
-        self.proc.wait()
-        self.kills += 1
-        return True
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[int]:
-        """Block until the child exits; returns its code (``None`` on
-        timeout)."""
-        import subprocess
-
-        if self.proc is None:
-            raise RuntimeError_("supervised process never spawned")
-        try:
-            return self.proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return None
-
-    def terminate(self) -> None:
-        """Best-effort cleanup (SIGKILL + reap) for teardown paths."""
-        if self.alive:
-            self.kill9()

@@ -612,8 +612,11 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     Not supported in sharded mode (use :class:`SmpSimRuntime`): dynamic
     reconfiguration (``add_component``/``connect_live``/``rebind``) and
     fault-replay/recovery -- both would have to mutate channels across
-    shard boundaries mid-run.
+    shard boundaries mid-run.  Installing a recovery manager is refused
+    at install time.
     """
+
+    supports_replay = False
 
     def __init__(
         self,
@@ -845,12 +848,6 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         # observer may live on a different shard, so they ride the same
         # staged path; _transfer branches on target.is_observation.
         raise RuntimeError_("sharded observation transfers route through _transfer")
-
-    def _requeue(self, provided, message: Message) -> None:
-        raise RuntimeError_(
-            "fault replay/recovery is not supported in sharded simulation; "
-            "use SmpSimRuntime"
-        )
 
     # -- dynamic reconfiguration is unsupported across shards ------------------
 

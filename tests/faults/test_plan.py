@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.faults import FaultPlan, FaultPlanError, FaultSpec
+from repro.faults import (
+    FaultPlan,
+    FaultPlanError,
+    FaultSpec,
+    build_campaign_plan,
+    build_cell_plan,
+)
 
 
 def test_fluent_plan_builds_specs_in_order():
@@ -118,3 +124,62 @@ def test_injector_validates_the_plan_at_construction():
     plan = FaultPlan(seed=1).crash("A", on_receive=3).crash("A", on_receive=3)
     with pytest.raises(FaultPlanError, match="duplicate crash trigger"):
         FaultInjector(plan)
+
+
+# Seeded plans pinned as literals: comparing one run against another
+# would not catch a reordered draw from the named RNG streams.
+PINNED_PLANS = [
+    (
+        lambda: build_campaign_plan(1, 8),
+        [
+            {"kind": "crash", "component": "IDCT_1", "on_receive": 41},
+            {"kind": "crash", "component": "IDCT_2", "on_receive": 29},
+            {"kind": "crash", "component": "IDCT_3", "on_receive": 10},
+            {"kind": "drop", "component": "IDCT_2", "interface": "idctReorder",
+             "probability": 0.05},
+            {"kind": "duplicate", "component": "IDCT_1", "interface": "idctReorder",
+             "probability": 0.05},
+        ],
+    ),
+    (
+        lambda: build_campaign_plan(7, 10, kill9s=2),
+        [
+            {"kind": "crash", "component": "IDCT_1", "on_receive": 48},
+            {"kind": "crash", "component": "IDCT_2", "on_receive": 48},
+            {"kind": "crash", "component": "IDCT_3", "on_receive": 2},
+            {"kind": "drop", "component": "IDCT_2", "interface": "idctReorder",
+             "probability": 0.05},
+            {"kind": "duplicate", "component": "IDCT_1", "interface": "idctReorder",
+             "probability": 0.05},
+            {"kind": "kill9", "component": "IDCT_1", "after_frames": 1},
+            {"kind": "kill9", "component": "IDCT_2", "after_frames": 4},
+        ],
+    ),
+    (
+        lambda: build_cell_plan(42, 4, "crash", "heavy"),
+        [
+            {"kind": "crash", "component": "IDCT_1", "on_receive": 4},
+            {"kind": "crash", "component": "IDCT_2", "on_receive": 7},
+            {"kind": "crash", "component": "IDCT_3", "on_receive": 5},
+        ],
+    ),
+    (
+        lambda: build_cell_plan(7, 4, "stall", "heavy"),
+        [
+            {"kind": "stall", "component": "IDCT_1", "on_receive": 10,
+             "delay_ns": 2_500_000},
+            {"kind": "stall", "component": "IDCT_2", "on_receive": 4,
+             "delay_ns": 2_500_000},
+            {"kind": "stall", "component": "IDCT_3", "on_receive": 7,
+             "delay_ns": 2_500_000},
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected", PINNED_PLANS,
+    ids=["campaign-s1", "campaign-s7-kill9", "cell-s42-crash", "cell-s7-stall"],
+)
+def test_seeded_plans_are_pinned(build, expected):
+    assert build().describe() == expected

@@ -85,3 +85,24 @@ def test_paper_tables_job_fails_on_drift():
     assert diff > regenerate
     assert "benchmarks/results/table*" in runs[diff]
     assert "benchmarks/results/figure*" in runs[diff]
+
+
+def test_chaos_job_runs_every_campaign_kind_per_seed():
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    jobs = ci["jobs"]
+    for gone in ("chaos-matrix", "recovery-smoke", "kill9-recovery"):
+        assert gone not in jobs
+    chaos = jobs["chaos"]
+    assert chaos["strategy"]["matrix"]["seed"] == [1, 7, 42]
+    runs = [s.get("run", "") for s in chaos["steps"]]
+    seed = "--seed ${{ matrix.seed }}"
+    assert any(f"faults {seed} --images 8" in r and "--recover" not in r for r in runs)
+    assert any(f"faults {seed} --images 8 --recover" in r for r in runs)
+    kill9 = next(i for i, r in enumerate(runs) if "--durable state --kill9 2" in r)
+    assert f"faults {seed}" in runs[kill9] and "--images 10 --recover" in runs[kill9]
+    assert "recover verify state" in runs[kill9]
+    later = " ".join(runs[kill9:])
+    assert "recover ls state" in later and "recover dump state" in later
+    assert "campaign resume victim" in " ".join(
+        s.get("run", "") for s in jobs["campaign-smoke"]["steps"]
+    )

@@ -9,6 +9,7 @@ not merely keep the survivors exact.
 import pytest
 
 from repro.faults import run_chaos_campaign
+from repro.runtime.base import RuntimeError_
 
 SEEDS = [1, 7, 42]
 
@@ -40,6 +41,18 @@ def test_recovery_activity_is_reported(recovered):
     assert s["recovery"] == rec and s["recover"] is True
 
 
+def test_record_is_the_summary_without_cell_fields(recovered):
+    record = recovered.record()
+    summary = recovered.summary()
+    assert set(summary) - set(record) == {"seed", "n_images", "recover", "shards"}
+    assert {k: record[k] for k in record if k != "recovery"} == {
+        k: summary[k] for k in record if k != "recovery"
+    }
+    # the per-component epoch map is dropped, the counters are kept
+    assert "epochs" in summary["recovery"] and "epochs" not in record["recovery"]
+    assert record["recovery"]["replayed"] == summary["recovery"]["replayed"] > 0
+
+
 def test_recovery_run_is_seed_reproducible():
     a = run_chaos_campaign(seed=1, n_images=6, recover=True)
     b = run_chaos_campaign(seed=1, n_images=6, recover=True)
@@ -57,3 +70,13 @@ def test_without_recovery_the_same_seed_loses_frames():
     assert plain.lost_frames  # ... but the crash cost frames
     recovered = run_chaos_campaign(seed=1, n_images=6, recover=True)
     assert recovered.lost_frames == []
+
+
+def test_recovery_campaign_on_sharded_runtime_is_refused():
+    with pytest.raises(RuntimeError_, match="sharded"):
+        run_chaos_campaign(seed=1, n_images=4, recover=True, shards=2)
+
+
+def test_recover_flag_does_not_override_another_named_policy():
+    with pytest.raises(ValueError, match="recover=True selects the recover policy"):
+        run_chaos_campaign(seed=1, n_images=4, recover=True, policy="halt")

@@ -230,6 +230,17 @@ def test_sharded_runtime_refuses_durable_replay(tmp_path):
     store.close()
 
 
+def test_sharded_runtime_refuses_in_memory_recovery():
+    """The refusal does not wait for a replay: installing any recovery
+    manager on the sharded runtime fails before ``start()``."""
+    app, _sink = make_recoverable_pipeline(N)
+    rt = ShardedSmpSimRuntime(2)
+    rt.deploy(app)
+    with pytest.raises(RuntimeError_, match="RecoveryManager .* ShardedSmpSimRuntime"):
+        RecoveryManager().install(rt)
+    assert rt.recovery is None
+
+
 def test_checksummed_json_roundtrip(tmp_path):
     from repro.recovery.durable import read_checksummed_json, write_checksummed_json
 

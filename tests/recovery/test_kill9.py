@@ -1,7 +1,7 @@
 """Real process death: SIGKILL the component-hosting OS process.
 
 The tentpole acceptance oracle, one seed's worth (the 1/7/42 matrix
-runs in CI's ``kill9-recovery`` job): a native-runtime worker process
+runs in CI's ``chaos`` job): a native-runtime worker process
 is killed -9 mid-campaign at a seed-derived durable-frame count, cold
 restored from the on-disk WAL + checkpoints by a fresh incarnation, and
 the complete decoded frame set on disk must be sha256-identical to the
@@ -11,13 +11,14 @@ disk.
 """
 
 import json
+import multiprocessing
 import os
-import signal
-import subprocess
-import sys
+import time
 
-from repro.recovery.supervised import _worker_env, run_durable_campaign
-from repro.runtime.native import SupervisedProcess
+import pytest
+
+import repro.recovery.supervised as supervised
+from repro.recovery.supervised import EXTRA_RESPAWNS, run_durable_campaign
 
 
 def test_sigkill_mid_campaign_restores_bit_exact_frames(tmp_path):
@@ -48,32 +49,36 @@ def test_sigkill_mid_campaign_restores_bit_exact_frames(tmp_path):
     assert worker["recovery"]["durable"]["cold_restored"] is True
 
 
-def test_supervised_process_spawn_kill_reap():
-    """The process-control primitive in isolation: spawn, SIGKILL, reap,
-    respawn -- exit codes and counters must reflect the signal."""
-    proc = SupervisedProcess(
-        [sys.executable, "-c", "import time; time.sleep(60)"], env=_worker_env()
-    )
-    proc.spawn()
-    assert proc.alive
-    assert proc.kill9()
-    assert not proc.alive
-    assert proc.poll() == -signal.SIGKILL
-    assert (proc.spawns, proc.kills) == (1, 1)
-    assert not proc.kill9()  # already dead: no double count
-    proc.spawn()
-    assert proc.alive
-    proc.terminate()  # teardown path: SIGKILL + reap
-    assert not proc.alive
-    assert (proc.spawns, proc.kills) == (2, 2)
+def test_worker_that_keeps_dying_exhausts_the_respawn_budget(tmp_path, monkeypatch):
+    """A child that exits nonzero on every spawn is respawned until the
+    budget (scheduled kills + EXTRA_RESPAWNS) is spent, then the parent
+    gives up with no child left behind."""
+    spawned = tmp_path / "spawned"
+    spawned.mkdir()
+
+    def dying(root):
+        (spawned / str(os.getpid())).touch()
+        os._exit(3)
+
+    monkeypatch.setattr(supervised, "run_worker", dying)
+    kill9s = 2
+    with pytest.raises(RuntimeError, match="died"):
+        run_durable_campaign(
+            seed=1, n_images=4, durable_dir=str(tmp_path / "state"),
+            kill9s=kill9s, timeout_s=60.0,
+        )
+    assert len(os.listdir(spawned)) == kill9s + EXTRA_RESPAWNS + 1
+    assert multiprocessing.active_children() == []
 
 
-def test_worker_module_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.recovery.worker"],
-        env=_worker_env(),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "usage:" in proc.stderr
+def test_hung_worker_times_out_and_is_killed(tmp_path, monkeypatch):
+    def hanging(root):
+        time.sleep(3600)
+
+    monkeypatch.setattr(supervised, "run_worker", hanging)
+    with pytest.raises(TimeoutError):
+        run_durable_campaign(
+            seed=1, n_images=4, durable_dir=str(tmp_path / "state"),
+            kill9s=1, timeout_s=0.5,
+        )
+    assert multiprocessing.active_children() == []
