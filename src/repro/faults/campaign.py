@@ -432,7 +432,8 @@ def run_chaos_campaign(
     except Exception:  # noqa: BLE001 - teardown of a failed app may rethrow
         if not error:
             raise
-    buffer = collect_trace(rt)
+    trace = collect_trace(rt).columns()
+    trace.validate()
 
     delivered = dict(app.components["Reorder"].frames)
     lost = sorted(set(reference_hashes) - set(delivered))
@@ -456,9 +457,6 @@ def run_chaos_campaign(
         restarts = sum(1 for ev in supervisor.events if ev.action == RESTART)
     mttr_us = sum(mttr_samples) // len(mttr_samples) if mttr_samples else 0
     backoff_total_ns = sum(ev.backoff_ns for ev in supervisor.events)
-
-    fault_events = [e for e in buffer.events() if e.category == "fault"]
-    contract_events = [e for e in buffer.events() if e.category == "contract"]
 
     try:
         registry = collect_telemetry(rt)
@@ -495,14 +493,14 @@ def run_chaos_campaign(
         bit_exact=bit_exact,
         digest=digest.hexdigest(),
         makespan_ns=rt.makespan_ns or 0,
-        fault_trace_events=len(fault_events),
+        fault_trace_events=trace.category.count("fault"),
         recover=profile.recover,
         recovery=recovery.report() if recovery is not None else {},
         frames_digest=frames_digest(delivered),
         reference_frames_digest=reference_digest,
         metrics=registry,
         contract_violations=violations,
-        contract_trace_events=len(contract_events),
+        contract_trace_events=trace.category.count("contract"),
         shards=shards,
         error=error,
         oracle=oracle,

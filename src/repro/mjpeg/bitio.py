@@ -12,7 +12,8 @@ class BitWriter:
     """MSB-first bit accumulator.
 
     ``write`` accepts values of any width (Python ints are unbounded);
-    the accumulator is flushed to bytes as it fills.
+    each write flushes every whole byte with one ``int.to_bytes``, so a
+    wide write (a whole entropy-coded plane) costs O(width).
     """
 
     def __init__(self) -> None:
@@ -29,18 +30,16 @@ class BitWriter:
             return
         if value < 0 or value >= (1 << nbits):
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
+        acc = (self._acc << nbits) | value
+        pending = self._nbits + nbits
         self.bits_written += nbits
-        nbits_left = self._nbits
-        if nbits_left >= 8:
-            acc = self._acc
-            out = self._out
-            while nbits_left >= 8:
-                nbits_left -= 8
-                out.append((acc >> nbits_left) & 0xFF)
-            self._nbits = nbits_left
-            self._acc = acc & ((1 << nbits_left) - 1)
+        if pending >= 8:
+            keep = pending & 7
+            self._out += (acc >> keep).to_bytes(pending >> 3, "big")
+            acc &= (1 << keep) - 1
+            pending = keep
+        self._acc = acc
+        self._nbits = pending
 
     def align(self) -> None:
         """Pad to the next byte boundary with 1-bits (the JPEG stuffing

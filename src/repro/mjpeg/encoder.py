@@ -24,8 +24,6 @@ from repro.mjpeg.huffman import (
     STD_DC_CHROMA,
     STD_DC_LUMA,
     ZRL,
-    encode_magnitude,
-    magnitude_category,
 )
 from repro.mjpeg.quant import quant_table, quantize
 from repro.mjpeg.zigzag import zigzag
@@ -105,89 +103,135 @@ def encode_plane(
     """Encode one plane's (n, 64) quantized zigzag blocks with its own DC
     predictor chain and Huffman tables.
 
-    The zigzag/RLE scan is vectorised: one ``np.nonzero`` over the whole
-    plane yields every (block, position, value) AC triple, DC diffs come
-    from one vectorised subtraction, and the Python loop only walks the
-    nonzero coefficients (not all 64 slots per block).  Bitstream output
-    is identical to the per-block scalar scan.
+    The whole plane is coded with array operations.  Every Huffman code
+    becomes one ``(value, length)`` token: the DC code followed by its
+    magnitude bits, one token per ZRL, each run/size code followed by
+    its magnitude bits, and the EOB.  A token is at most 31 bits long (a
+    code has at most 16 bits and a magnitude category at most 15).
+    Tokens go into an (n, 65) grid in stream order: the DC takes slot 0,
+    an AC coefficient its zigzag index, the j-th ZRL before it the index
+    of the 16j-th zero it skips, and the EOB slot 64.  Their bit ranges
+    are disjoint, so :func:`_pack_tokens` sums them into 32-bit words,
+    and the plane reaches ``writer`` as one wide write, at any bit
+    offset.  Output is byte-identical to coding the symbols one by one.
+
+    A coefficient whose symbol the tables lack (an AC value with
+    |v| >= 1024 or a DC difference with |d| >= 2048 in the standard
+    tables) raises ``ValueError`` naming the table and the block.
     """
     qzz = np.asarray(qzz)
     n_blocks = qzz.shape[0]
     if n_blocks == 0:
         return
+    tokens = np.zeros((n_blocks, 65), dtype=np.int64)
+    lengths = np.zeros((n_blocks, 65), dtype=np.int64)
+
     dcs = qzz[:, 0].astype(np.int64)
-    diffs = np.empty(n_blocks, dtype=np.int64)
-    diffs[0] = dcs[0]
-    if n_blocks > 1:
-        np.subtract(dcs[1:], dcs[:-1], out=diffs[1:])
+    diffs = dcs.copy()
+    diffs[1:] -= dcs[:-1]
+    category = _category(diffs)
+    code, length = _lookup(dc_table, category, category, np.arange(n_blocks))
+    tokens[:, 0] = (code << category) | _magnitude_bits(diffs, category)
+    lengths[:, 0] = length + category
+
     rows, cols = np.nonzero(qzz[:, 1:])
-    cols = cols + 1
-    bounds = np.searchsorted(rows, np.arange(n_blocks + 1)).tolist()
-    cols_l = cols.tolist()
-    vals_l = qzz[rows, cols].tolist()
-    diffs_l = diffs.tolist()
+    cols += 1
+    values = qzz[rows, cols].astype(np.int64)
+    prev = np.zeros_like(cols)  # zigzag index of the previous nonzero, or 0
+    prev[1:] = np.where(rows[1:] == rows[:-1], cols[:-1], 0)
+    run = cols - prev - 1
+    category = _category(values)
+    code, length = _lookup(ac_table, ((run & 15) << 4) | category, category, rows)
+    tokens[rows, cols] = (code << category) | _magnitude_bits(values, category)
+    lengths[rows, cols] = length + category
 
-    dc_enc = dc_table.encode_map
-    ac_enc = ac_table.encode_map
-    zrl_code, zrl_len = ac_enc[ZRL]
-    eob_code, eob_len = ac_enc[EOB]
-    w_write = writer.write
-    for b in range(n_blocks):
-        diff = diffs_l[b]
-        category = diff.bit_length() if diff >= 0 else (-diff).bit_length()
-        code, length = dc_enc[category]
-        w_write(code, length)
-        if category:
-            w_write(diff + (1 << category) - 1 if diff < 0 else diff, category)
-        prev_k = 0
-        for i in range(bounds[b], bounds[b + 1]):
-            k = cols_l[i]
-            value = vals_l[i]
-            run = k - prev_k - 1
-            while run > 15:
-                w_write(zrl_code, zrl_len)
-                run -= 16
-            category = value.bit_length() if value >= 0 else (-value).bit_length()
-            code, length = ac_enc[(run << 4) | category]
-            w_write(code, length)
-            w_write(value + (1 << category) - 1 if value < 0 else value, category)
-            prev_k = k
-        if prev_k < 63:
-            w_write(eob_code, eob_len)
+    for j in (1, 2, 3):  # a run of at most 62 zeros needs at most 3 ZRLs
+        zrl = run >> 4 >= j
+        if zrl.any():
+            slots = rows[zrl], prev[zrl] + 16 * j
+            tokens[slots], lengths[slots] = _code(ac_table, ZRL, rows[zrl][0])
+    eob = np.flatnonzero(qzz[:, 63] == 0)  # the last nonzero is below 63
+    if eob.size:
+        tokens[eob, 64], lengths[eob, 64] = _code(ac_table, EOB, eob[0])
+
+    used = lengths > 0
+    value, n_bits = _pack_tokens(tokens[used], lengths[used])
+    writer.write(value, n_bits)
 
 
-def _encode_block(
-    writer: BitWriter,
-    zz: np.ndarray,
-    prev_dc: int,
-    dc_table=STD_DC_LUMA,
-    ac_table=STD_AC_LUMA,
-) -> int:
-    """Scalar single-block reference encode; returns the block's DC value
-    for the next diff.  ``encode_plane`` is the vectorised equivalent."""
-    dc = int(zz[0])
-    diff = dc - prev_dc
-    category = magnitude_category(diff)
-    dc_table.encode(writer, category)
-    encode_magnitude(writer, diff, category)
+#: 2^0 .. 2^62: ``searchsorted`` over it gives an exact bit length.
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
 
-    run = 0
-    last_nonzero = int(np.max(np.nonzero(zz[1:])[0])) + 1 if np.any(zz[1:]) else 0
-    for k in range(1, last_nonzero + 1):
-        value = int(zz[k])
-        if value == 0:
-            run += 1
-            continue
-        while run > 15:
-            ac_table.encode(writer, ZRL)
-            run -= 16
-        category = magnitude_category(value)
-        ac_table.encode(writer, (run << 4) | category)
-        encode_magnitude(writer, value, category)
-        run = 0
-    if last_nonzero < 63:
-        ac_table.encode(writer, EOB)
-    return dc
+
+def _category(values: np.ndarray) -> np.ndarray:
+    """JPEG SSSS category (bit length of |v|) of each int64 value."""
+    return np.searchsorted(_POW2, np.abs(values), side="right")
+
+
+def _magnitude_bits(values: np.ndarray, category: np.ndarray) -> np.ndarray:
+    """The additional bits of each value: v itself when positive,
+    v + 2^category - 1 (its low bits in ones' complement) when negative."""
+    return np.where(values < 0, values + np.left_shift(1, category) - 1, values)
+
+
+def _lookup(table, symbols, category, blocks):
+    """Gather ``(codes, lengths)`` arrays for ``symbols`` from ``table``.
+
+    Raises ``ValueError`` for the first symbol the table lacks, or whose
+    magnitude category does not fit the 4-bit size field of a symbol.
+    """
+    codes, lengths = table.encode_arrays
+    found = lengths[symbols & 0xFF]
+    bad = (found == 0) | (category > 15)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if category[i] > 15:
+            raise ValueError(
+                f"magnitude category {int(category[i])} has no symbol in "
+                f"table {table.name!r} (block {int(blocks[i])})"
+            )
+        raise _not_in_table(table, int(symbols[i]), int(blocks[i]))
+    return codes[symbols], found
+
+
+def _code(table, symbol: int, block: int) -> Tuple[int, int]:
+    """``(code, length)`` of one symbol."""
+    try:
+        return table.encode_map[symbol]
+    except KeyError:
+        raise _not_in_table(table, symbol, block) from None
+
+
+def _not_in_table(table, symbol: int, block: int) -> ValueError:
+    return ValueError(f"symbol {symbol:#x} not in table {table.name!r} (block {block})")
+
+
+def _pack_tokens(tokens: np.ndarray, lengths: np.ndarray) -> Tuple[int, int]:
+    """Concatenate ``(value, length)`` tokens of at most 32 bits, MSB
+    first, into one ``(value, n_bits)`` pair.
+
+    A token starting at bit ``s`` lies inside the 64-bit window of words
+    ``s // 32`` and ``s // 32 + 1``; shifted into that window, its high
+    and low halves add into the two words.  Token bit ranges are
+    disjoint, so each word is a sum of disjoint bit fields below 2^32,
+    which float64 ``np.bincount`` adds exactly.
+    """
+    ends = np.cumsum(lengths)
+    n_bits = int(ends[-1])
+    starts = ends - lengths
+    word = starts >> 5
+    shift = (64 - (starts & 31) - lengths).astype(np.uint64)
+    window = tokens.astype(np.uint64) << shift
+    n_words = (n_bits + 31) >> 5
+    words = np.bincount(
+        np.concatenate((word, word + 1)),
+        weights=np.concatenate(
+            (window >> np.uint64(32), window & np.uint64(0xFFFFFFFF))
+        ).astype(np.float64),
+        minlength=n_words + 1,
+    )[:n_words]
+    packed = int.from_bytes(words.astype(">u4").tobytes(), "big")
+    return packed >> (n_words * 32 - n_bits), n_bits
 
 
 @dataclass

@@ -125,6 +125,7 @@ class HuffmanTable:
         self._lut_dc: Optional[List[int]] = None
         self._lut_ac: Optional[List[int]] = None
         self._lut_ac_value: Optional[List[int]] = None
+        self._encode_arrays = None  # built on first vectorised encode
 
     @property
     def lut(self) -> List[int]:
@@ -200,6 +201,23 @@ class HuffmanTable:
                 window += span
             self._lut_ac_value = out
         return self._lut_ac_value
+
+    @property
+    def encode_arrays(self):
+        """``(codes, lengths)``: two 256-entry int64 arrays indexed by
+        symbol, the vectorised form of :attr:`encode_map` that
+        ``encode_plane`` gathers from.  A length of 0 marks a symbol the
+        table lacks (every real code is at least one bit long)."""
+        if self._encode_arrays is None:
+            import numpy as np
+
+            codes = np.zeros(256, dtype=np.int64)
+            lengths = np.zeros(256, dtype=np.int64)
+            for symbol, (code, length) in self.encode_map.items():
+                codes[symbol] = code
+                lengths[symbol] = length
+            self._encode_arrays = (codes, lengths)
+        return self._encode_arrays
 
     def _build_lut(self) -> List[int]:
         # Canonical codes in (length asc, code asc) order cover contiguous

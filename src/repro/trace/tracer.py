@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
-from repro.trace.events import BEGIN, END, INSTANT, TraceEvent
+from repro.trace.events import _PHASES, BEGIN, END, INSTANT, TraceEvent
 
 #: Row layout (index -> field) of the buffer's raw storage.
 ROW_FIELDS = ("timestamp_ns", "seq", "component", "category", "name", "phase", "args")
@@ -43,6 +43,17 @@ class TraceColumns:
 
     def __len__(self) -> int:
         return len(self.timestamp_ns)
+
+    def validate(self) -> None:
+        """Raise the ``ValueError`` a :class:`TraceEvent` would for an
+        unknown phase or a negative timestamp, without building events:
+        a set check over ``phase`` and a ``min`` over ``timestamp_ns``."""
+        if not set(self.phase) <= set(_PHASES):
+            phase = next(p for p in self.phase if p not in _PHASES)
+            raise ValueError(f"unknown phase {phase!r}; expected one of {_PHASES}")
+        earliest = min(self.timestamp_ns, default=0)
+        if earliest < 0:
+            raise ValueError(f"negative timestamp {earliest}")
 
 
 class TraceBuffer:

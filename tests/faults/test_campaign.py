@@ -59,3 +59,46 @@ def test_different_seed_changes_the_schedule(campaign):
     other = run_chaos_campaign(seed=3, n_images=6)
     assert other.schedule != campaign.schedule
     assert other.digest != campaign.digest
+
+
+def _capture_trace(monkeypatch, tamper=None):
+    """Wrap the campaign's ``collect_trace`` to keep the buffer it
+    returns, optionally appending a row first."""
+    import repro.faults.campaign as campaign_mod
+
+    captured = []
+    collect = campaign_mod.collect_trace
+
+    def spy(rt):
+        buffer = collect(rt)
+        if tamper is not None:
+            buffer.append(tamper)
+        captured.append(buffer)
+        return buffer
+
+    monkeypatch.setattr(campaign_mod, "collect_trace", spy)
+    return captured
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_trace_event_counts_match_an_events_recount(monkeypatch, seed):
+    captured = _capture_trace(monkeypatch)
+    r = run_chaos_campaign(seed=seed, n_images=4)
+    (buffer,) = captured
+    events = buffer.events()
+    assert r.fault_trace_events == sum(e.category == "fault" for e in events) > 0
+    assert r.contract_trace_events == sum(e.category == "contract" for e in events)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((10, 10**9, "Fetch", "fault", "crash", "X", {}), "unknown phase 'X'"),
+        ((-5, 10**9, "Fetch", "fault", "crash", "I", {}), "negative timestamp -5"),
+    ],
+    ids=["unknown-phase", "negative-timestamp"],
+)
+def test_invalid_trace_rows_still_fail_the_campaign(monkeypatch, row, message):
+    _capture_trace(monkeypatch, tamper=row)
+    with pytest.raises(ValueError, match=message):
+        run_chaos_campaign(seed=1, n_images=4)

@@ -76,6 +76,25 @@ def test_every_job_installs_the_dev_extras():
         assert f'"{package}"' in dev
 
 
+def test_numpy_floor_leg_runs_the_codec_tests_at_the_pyproject_floor():
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    test = ci["jobs"]["test"]
+    assert {"python-version": "3.10", "numpy-floor": True} in test["strategy"]["matrix"]["include"]
+    floor_steps = [s for s in test["steps"] if s.get("if") == "${{ matrix.numpy-floor }}"]
+    runs = " ".join(s["run"] for s in floor_steps)
+    pyproject = (WORKFLOW_DIR.parents[1] / "pyproject.toml").read_text()
+    floor = pyproject.split('"numpy>=', 1)[1].split('"', 1)[0]
+    assert f'"numpy=={floor}.*"' in runs
+    assert "pytest -x -q tests/mjpeg tests/faults" in runs
+    # Past checkout and setup, every other step (the bench artifact
+    # upload included, whose name would collide) skips the leg.
+    setup = ("actions/checkout", "actions/setup-python")
+    for step in test["steps"]:
+        if step in floor_steps or step.get("uses", "").startswith(setup):
+            continue
+        assert step.get("if") == "${{ !matrix.numpy-floor }}", step
+
+
 def test_paper_tables_job_fails_on_drift():
     ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
     runs = [s.get("run", "") for s in ci["jobs"]["paper-tables"]["steps"]]

@@ -1,5 +1,7 @@
 """Unit and property tests for bit I/O and Huffman coding."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,27 @@ def test_bitwriter_value_range_checked():
         w.write(4, 2)
     with pytest.raises(ValueError):
         w.write(-1, 3)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 31, 33, 64, 65, 1000, 100_000])
+def test_one_wide_write_equals_bit_by_bit_writes(width):
+    rng = random.Random(width)
+    value = rng.getrandbits(width) | 1 << (width - 1)  # top bit set
+    for offset in range(8):
+        prefix = rng.getrandbits(offset) if offset else 0
+        wide, narrow = BitWriter(), BitWriter()
+        wide.write(prefix, offset)
+        wide.write(value, width)
+        for i in reversed(range(offset)):
+            narrow.write(prefix >> i & 1, 1)
+        for i in reversed(range(width)):
+            narrow.write(value >> i & 1, 1)
+        assert wide.bits_written == narrow.bits_written == offset + width
+        assert wide.getvalue() == narrow.getvalue()
+        # getvalue pads a copy: later writes continue from the unpadded bits.
+        wide.write(0b10, 2)
+        narrow.write(0b10, 2)
+        assert wide.getvalue() == narrow.getvalue()
 
 
 def test_bitreader_roundtrip():

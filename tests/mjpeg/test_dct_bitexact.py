@@ -87,8 +87,19 @@ def test_kernels_bit_exact_property(blocks):
     assert np.array_equal(fdct_blocks(blocks), einsum_fdct(blocks))
 
 
+#: sha256 of the joined payloads and total ``n_bits`` of
+#: ``generate_stream(8, 96, 96, 75, seed)``, as the per-symbol coder wrote them.
+PAYLOAD_PINS = {
+    1: ("62e469c6cd1a117af2c0a954c717125f6691eca88296e0c78050382631359b8c", 79636),
+    7: ("eeb6b66d17f63fda7f4097ebced97a7c081b8e67418799db84e7eb18c8488567", 79594),
+    42: ("195d17d41baceeca024f10a0d37fca92942ea646351a9ab9bbcf4e2633026f23", 79797),
+}
+
+
 def test_encoded_payload_unchanged():
-    """The encoder runs fdct_blocks: its bitstream is pinned byte for byte."""
-    stream = generate_stream(8, 96, 96, 75, seed=1)
-    digest = hashlib.sha256(b"".join(r.frame.payload for r in stream)).hexdigest()
-    assert digest == "62e469c6cd1a117af2c0a954c717125f6691eca88296e0c78050382631359b8c"
+    """The encoder runs fdct_blocks and the vectorised entropy coder: its
+    bitstream is pinned byte for byte at seeds 1, 7 and 42."""
+    for seed, (sha256, n_bits) in PAYLOAD_PINS.items():
+        stream = generate_stream(8, 96, 96, 75, seed=seed)
+        digest = hashlib.sha256(b"".join(r.frame.payload for r in stream)).hexdigest()
+        assert (digest, sum(r.n_bits for r in stream)) == (sha256, n_bits), seed
