@@ -13,13 +13,15 @@ Two questions about :mod:`repro.sim.kernel`:
    shipped kernel allocates a handle per insert and keeps the callback
    in the heap entry instead.
 
-All three kernels run the ``repro bench`` kernel micro-benches
-(``schedule_run``, ``channel_pingpong``, ``timer_churn``,
-``cancel_compact``; best of ``REPEAT``) and two end-to-end decodes: the
-96-image ``ShardedSmpSimRuntime(4)`` decode and the 192-image
-``SmpSimRuntime`` decode, timed start to stop, arms rotated each round,
-median of ``E2E_ROUNDS``.  Every kernel must produce the same makespan
-and frame digest.
+All three kernels run four kernel micro-benches (``schedule_run``,
+``channel_pingpong``, ``timer_churn``, ``cancel_compact``; best of
+``REPEAT``) and two end-to-end decodes: the 96-image
+``ShardedSmpSimRuntime(4)`` decode and the 192-image ``SmpSimRuntime``
+decode, timed start to stop, arms rotated each round, median of
+``E2E_ROUNDS``.  Every kernel must produce the same makespan and frame
+digest.  ``PooledKernel`` and ``_schedule_run`` are also the in-process
+reference of the ``schedule_run`` gate in
+``benchmarks/test_perf_gates.py``.
 """
 
 import statistics
@@ -1091,7 +1093,7 @@ class PooledKernel:
 KERNELS = {"calendar+wheel": CalendarKernel, "heap + pool": PooledKernel, "heap": Kernel}
 
 
-# -- micro-benches (the shapes of ``repro bench``'s kernel suite) --------------
+# -- micro-benches --------------------------------------------------------------
 
 
 def _schedule_run(kernel_cls):

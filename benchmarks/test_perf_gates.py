@@ -1,0 +1,247 @@
+"""Performance gates: the speed budgets this repository promises.
+
+Run with ``python -m pytest -q benchmarks/test_perf_gates.py`` (add
+``-s`` to see the figures of passing gates).  Whole-run timings, with
+their spread, come from ``python -m bench``; this module holds the
+budgets.  Each timed gate runs the shipped code and a fixed in-process
+reference in the same rounds, arm order alternating, on CPU time with
+the garbage collector parked, and decides on their ratio.  No gate
+compares against a time measured on another host.
+
+- ``schedule_run``: the shipped :class:`~repro.sim.kernel.Kernel`
+  against Ablation A11's ``PooledKernel``, on A11's ``_schedule_run``.
+- ``tracer_emit``: :meth:`~repro.trace.tracer.Tracer.emit` against a
+  bare ``list.append`` of the same row tuple.
+- ``entropy_decode``: the per-symbol walk ``decode_plane_reference``
+  over the LUT path ``decode_plane``; the promise is at least 3x.
+- ``metrics_overhead``: the 8-image SMP decode with and without the live
+  telemetry plane; the promise is at most 1.05x.
+- ``sim_scale``: the critical-path speedup of 1000-component traffic at
+  4 shards; the floor is 1.5x.
+"""
+
+import gc
+import statistics
+import time
+from contextlib import contextmanager
+from typing import Callable, List, NamedTuple, Sequence
+
+from repro.metrics import enable_telemetry
+from repro.mjpeg import generate_stream
+from repro.mjpeg.bitio import BitReader
+from repro.mjpeg.components import build_smp_assembly
+from repro.mjpeg.decoder import decode_plane, decode_plane_reference
+from repro.runtime import SmpSimRuntime
+from repro.sim.kernel import Kernel
+from repro.trace.tracer import TraceBuffer, Tracer
+from repro.workloads import TrafficConfig, run_traffic
+from repro.workloads.traffic import build_traffic_graph
+
+from benchmarks.test_ablation_kernel_queue import PooledKernel, _schedule_run
+
+ROUNDS = 10
+
+#: A micro gate fails when its median ratio exceeds the ratio measured
+#: at the commit that introduced this module by more than this factor.
+MICRO_TOLERANCE = 1.25
+
+#: Kernel / PooledKernel on ``_schedule_run``: the median of three
+#: 10-round runs (medians 0.847, 0.935, 0.982) on a 2-vCPU x86_64 host,
+#: CPython 3.11; their IQRs spanned 0.784-1.088.
+PARENT_SCHEDULE_RATIO = 0.935
+
+#: Tracer.emit / list.append, measured the same way (medians 1.788,
+#: 1.925, 2.002); their IQRs spanned 1.674-2.052.
+PARENT_EMIT_RATIO = 1.925
+
+#: docs/performance.md: the LUT decode is at least 3x the F.16 walk.
+DECODE_SPEEDUP_MIN = 3.0
+
+#: The always-on telemetry plane must cost at most 5% of a decode.
+METRICS_OVERHEAD_MAX = 1.05
+
+#: Static partitions of the skewed traffic graph leave ~1.7x event
+#: imbalance, so a healthy cut measures ~2-3x and a broken one ~1x.
+SIM_SCALE_SPEEDUP_MIN = 1.5
+
+N_EMITS = 100_000
+DECODE_PASSES = 5
+
+
+class Verdict(NamedTuple):
+    ok: bool
+    median: float
+    q1: float
+    q3: float
+    bound: float
+
+    def line(self, name: str, what: str) -> str:
+        return (
+            f"{name}: {what} median {self.median:.3f} (IQR {self.q1:.3f}-{self.q3:.3f},"
+            f" bound {self.bound:.3f}) {'ok' if self.ok else 'FAILED'}"
+        )
+
+
+def _quartiles(samples: Sequence[float]):
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def micro_verdict(ratios: Sequence[float], parent_ratio: float) -> Verdict:
+    """Fails when the median shipped/reference ratio exceeds
+    ``MICRO_TOLERANCE`` times the ratio measured at the parent."""
+    median, q1, q3 = _quartiles(ratios)
+    bound = MICRO_TOLERANCE * parent_ratio
+    return Verdict(median <= bound, median, q1, q3, bound)
+
+
+def decode_verdict(speedups: Sequence[float]) -> Verdict:
+    """Fails when the median walk/LUT speedup is under 3x."""
+    median, q1, q3 = _quartiles(speedups)
+    return Verdict(median >= DECODE_SPEEDUP_MIN, median, q1, q3, DECODE_SPEEDUP_MIN)
+
+
+def metrics_verdict(plain: Sequence[float], telemetry: Sequence[float]) -> Verdict:
+    """Fails when the best-of-arm ratio or the median per-pair ratio of
+    telemetry-on over telemetry-off CPU seconds exceeds 1.05."""
+    median, q1, q3 = _quartiles([on / off for on, off in zip(telemetry, plain)])
+    best_of = min(telemetry) / min(plain)
+    ok = best_of <= METRICS_OVERHEAD_MAX and median <= METRICS_OVERHEAD_MAX
+    return Verdict(ok, median, q1, q3, METRICS_OVERHEAD_MAX)
+
+
+def scale_verdict(speedups: Sequence[float]) -> Verdict:
+    """Fails when any repetition's 4-shard speedup is under 1.5x."""
+    median, q1, q3 = _quartiles(speedups)
+    return Verdict(min(speedups) >= SIM_SCALE_SPEEDUP_MIN, median, q1, q3, SIM_SCALE_SPEEDUP_MIN)
+
+
+@contextmanager
+def parked_gc():
+    """Collect, then keep the collector off: a pause would land in one
+    arm at random."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def cpu_s(body: Callable[[], object]) -> float:
+    """CPU seconds of one call of ``body``, with the GC parked."""
+    with parked_gc():
+        t0 = time.process_time()
+        body()
+        return time.process_time() - t0
+
+
+def paired(shipped: Callable[[], float], reference: Callable[[], float]):
+    """Run both arms once to warm them, then ``ROUNDS`` times each with
+    the arm order alternating (it cancels frequency drift); each arm
+    returns its own timed seconds.  Returns ``(shipped, reference)``."""
+    shipped(), reference()
+    a: List[float] = []
+    b: List[float] = []
+    for r in range(ROUNDS):
+        if r % 2:
+            b.append(reference())
+            a.append(shipped())
+        else:
+            a.append(shipped())
+            b.append(reference())
+    return a, b
+
+
+def _ratios(a: Sequence[float], b: Sequence[float]) -> List[float]:
+    return [x / y for x, y in zip(a, b)]
+
+
+def test_schedule_run():
+    kernel, pooled = paired(
+        lambda: cpu_s(lambda: _schedule_run(Kernel)),
+        lambda: cpu_s(lambda: _schedule_run(PooledKernel)),
+    )
+    verdict = micro_verdict(_ratios(kernel, pooled), PARENT_SCHEDULE_RATIO)
+    print(verdict.line("schedule_run", "Kernel/PooledKernel"))
+    assert verdict.ok, verdict
+
+
+def _emit_rows():
+    tracer = Tracer(TraceBuffer(capacity=N_EMITS), "bench", lambda: 0)
+    emit = tracer.emit
+    for _ in range(N_EMITS):
+        emit("compute", "op", "I", units=1)
+
+
+def _append_rows():
+    rows: List[tuple] = []
+    append = rows.append
+    for seq in range(N_EMITS):
+        append((0, seq, "bench", "compute", "op", "I", {"units": 1}))
+
+
+def test_tracer_emit():
+    emit, append = paired(lambda: cpu_s(_emit_rows), lambda: cpu_s(_append_rows))
+    verdict = micro_verdict(_ratios(emit, append), PARENT_EMIT_RATIO)
+    print(verdict.line("tracer_emit", "emit/append"))
+    assert verdict.ok, verdict
+
+
+def test_entropy_decode_speedup():
+    frames = [r.frame for r in generate_stream(2, 96, 96, quality=75, seed=0).records]
+    for f in frames:
+        assert (decode_plane(BitReader(f.payload), f.n_blocks)
+                == decode_plane_reference(BitReader(f.payload), f.n_blocks)).all()
+    lut, walk = paired(
+        lambda: cpu_s(lambda: [decode_plane(BitReader(f.payload), f.n_blocks)
+                               for f in frames * DECODE_PASSES]),
+        lambda: cpu_s(lambda: [decode_plane_reference(BitReader(f.payload), f.n_blocks)
+                               for f in frames * DECODE_PASSES]),
+    )
+    verdict = decode_verdict(_ratios(walk, lut))
+    print(verdict.line("entropy_decode", "walk/LUT speedup"))
+    assert verdict.ok, verdict
+
+
+def test_metrics_overhead():
+    stream = generate_stream(8, 96, 96, quality=75, seed=1)
+
+    def decode(telemetry: bool) -> float:
+        app = build_smp_assembly(stream)
+        rt = SmpSimRuntime()
+        rt.deploy(app)
+        if telemetry:
+            enable_telemetry(rt)
+        # collect() folds what the probe defers to read time: bill it
+        # to the arm that pays for it.
+        elapsed = cpu_s(lambda: (rt.start(), rt.wait(), rt.collect()))
+        rt.stop()
+        return elapsed
+
+    on, off = paired(lambda: decode(True), lambda: decode(False))
+    verdict = metrics_verdict(off, on)
+    print(verdict.line("metrics_overhead", f"best-of {min(on) / min(off):.3f}, per-pair"))
+    assert verdict.ok, verdict
+
+
+def test_sim_scale():
+    config = TrafficConfig(n_components=1000, ticks=2, spin=40)
+    graph = build_traffic_graph(config)
+    run_traffic(config, 4, graph=graph)  # warm-up: the first run is slower
+    speedups = []
+    for _ in range(3):
+        runs = {}
+        for n in (1, 2, 4):
+            with parked_gc():
+                runs[n] = run_traffic(config, n, graph=graph)
+        digests = {run["digest"] for run in runs.values()}
+        assert len(digests) == 1, f"trace digest diverged across shard counts: {digests}"
+        speedups.append(runs[1]["busy_s"] / runs[4]["max_shard_busy_s"])
+        print(
+            "sim_scale: wall events/s "
+            + ", ".join(f"{n} shards {r['events'] / r['wall_s']:,.0f}" for n, r in runs.items())
+        )
+    verdict = scale_verdict(speedups)
+    print(verdict.line("sim_scale", f"critical-path speedup_4 min {min(speedups):.3f},"))
+    assert verdict.ok, verdict

@@ -12,13 +12,6 @@ Commands
 ``observe``
     Run the quickstart pipeline on the native runtime and dump all three
     observation levels as JSON.
-``bench [--quick] [--workers N] [--check]``
-    Run the perf-trajectory microbenchmarks and write
-    ``BENCH_kernel.json`` / ``BENCH_mjpeg.json`` in the current
-    directory (see ``docs/performance.md``).  ``--workers N`` shards
-    the per-frame decode benches across a process pool; ``--check``
-    re-runs the kernel hot paths and fails on a >25% regression versus
-    the committed ``BENCH_kernel.json`` instead of writing artifacts.
 ``run [--workload {mjpeg,traffic}] [--images N] [--components N]
 [--shards N] [--parallel] [--metrics OUT] [--record-profile OUT.json]
 [--repartition PROFILE.json] [--profile OUT.pstats]``
@@ -182,27 +175,6 @@ def _cmd_observe(_args: argparse.Namespace) -> int:
     printable = {f"{comp}/{level}": data for (comp, level), data in reports.items()}
     printable["contract_violations"] = app.observer.contract_violations()
     print(json.dumps(printable, indent=2, default=str))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.check:
-        # Regression gate: compare against the committed artifact
-        # instead of overwriting it.
-        from repro.bench import check_regressions
-
-        return 0 if check_regressions(quick=args.quick) else 1
-
-    from repro.bench import run_benches
-
-    paths = run_benches(quick=args.quick, workers=args.workers)
-    for path in paths:
-        with open(path) as fh:
-            payload = json.load(fh)
-        line = f"wrote {path}"
-        if "entropy_decode_speedup" in payload:
-            line += f"  (entropy decode speedup {payload['entropy_decode_speedup']:.2f}x)"
-        print(line)
     return 0
 
 
@@ -839,25 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = sub.add_parser("bench", help="run microbenches, write BENCH_*.json")
-    bench.add_argument(
-        "--quick", action="store_true", help="small workloads (CI smoke run)"
-    )
-    bench.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the per-frame decode benches across N processes",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="re-run kernel hot-path benches and fail on a >25% regression "
-        "versus the committed BENCH_kernel.json (writes nothing)",
-    )
-    bench.add_argument(
-        "--profile", dest="pstats", metavar="OUT.pstats", default=None,
-        help="run under cProfile and dump the stats to OUT.pstats "
-        "(inspect with `python -m pstats OUT.pstats`)",
-    )
-
     run = sub.add_parser(
         "run", help="MJPEG SMP decode; prints the frame-set sha256 (CI contract)"
     )
@@ -1081,8 +1034,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _demo("sti7200", args.images)
     if args.command == "observe":
         return _cmd_observe(args)
-    if args.command == "bench":
-        return _profiled(args, lambda: _cmd_bench(args))
     if args.command == "run":
         return _profiled(args, lambda: _cmd_run(args))
     if args.command == "faults":

@@ -191,7 +191,8 @@ def decode_plane_reference(
     """The pre-LUT decode path: per-symbol F.16 MINCODE/MAXCODE walk.
 
     Kept as the bit-exactness oracle for :func:`decode_plane` and as the
-    ``repro bench`` entropy-decode baseline.
+    reference of the entropy-decode gate in
+    ``benchmarks/test_perf_gates.py``.
     """
     out = np.zeros((n_blocks, 64), dtype=np.int32)
     prev_dc = 0

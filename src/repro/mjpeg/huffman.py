@@ -10,7 +10,8 @@ packed ``(code_length << 8) | symbol`` entry, so each symbol costs one
 ``peek16`` + one list index + one ``skip``.  The MINCODE/MAXCODE/VALPTR
 walk of figure F.16 is retained as :meth:`HuffmanTable.decode_walk` --
 the bit-exact reference the LUT is property-tested against, and the
-pre-LUT baseline the ``repro bench`` entropy microbench compares to.
+pre-LUT reference of the entropy-decode gate in
+``benchmarks/test_perf_gates.py``.
 
 The shipped tables are the Annex K "typical" luminance tables; since the
 encoder and decoder share them, correctness is self-contained.

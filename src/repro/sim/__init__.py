@@ -25,9 +25,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.shard import (
     Shard,
     ShardedSimulation,
-    merge_shard_results,
     partition_graph,
-    round_robin_partition,
     shard_core_blocks,
     shard_span_source,
     span_shard,
@@ -44,9 +42,7 @@ __all__ = [
     "Shard",
     "ShardedSimulation",
     "Staging",
-    "merge_shard_results",
     "partition_graph",
-    "round_robin_partition",
     "shard_core_blocks",
     "shard_span_source",
     "span_shard",

@@ -84,36 +84,6 @@ def shard_window_source(shard_index: int) -> Iterator[int]:
 # -- partitioning helpers ------------------------------------------------------
 
 
-def round_robin_partition(n_items: int, n_parts: int) -> List[List[int]]:
-    """Deal item indices round-robin into ``n_parts`` buckets.
-
-    The interleaved split used for embarrassingly parallel fan-out (the
-    bench's per-frame decode sharding): bucket ``s`` gets items
-    ``s, s + n_parts, s + 2*n_parts, ...``."""
-    if n_parts < 1:
-        raise ValueError(f"need at least one part, got {n_parts}")
-    if n_parts > n_items:
-        raise ValueError(
-            f"{n_parts} parts over {n_items} item(s) would leave "
-            f"{n_parts - n_items} empty part(s); clamp the part count to "
-            f"the item count (e.g. min(n_parts, n_items))"
-        )
-    return [list(range(s, n_items, n_parts)) for s in range(n_parts)]
-
-
-def merge_shard_results(results: Iterable[Dict], sum_keys: Sequence[str]) -> Dict:
-    """Merge per-shard result dicts by summing ``sum_keys``.
-
-    The single merge path shared by everything that fans work out over
-    shards -- the multiprocessing decode bench and the ``sim_shards``
-    scaling bench both reduce through here."""
-    merged: Dict = {k: 0 for k in sum_keys}
-    for result in results:
-        for k in sum_keys:
-            merged[k] += result[k]
-    return merged
-
-
 def shard_core_blocks(n_cores: int, n_shards: int) -> List[List[int]]:
     """Split core indices into ``n_shards`` contiguous blocks.
 

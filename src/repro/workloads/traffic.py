@@ -146,8 +146,7 @@ def _activity(config: TrafficConfig, session: int) -> int:
 
 def _spin(n: int) -> int:
     """Pure-python per-event work, so per-shard busy time is real CPU
-    time and the critical-path speedup is honest (same rationale as the
-    bench's spin loop)."""
+    time and the critical-path speedup is honest."""
     x = 0
     for i in range(n):
         x += i

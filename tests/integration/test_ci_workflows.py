@@ -5,6 +5,7 @@ word, so a lost job header silently merges two jobs into one.  This
 loader refuses duplicates instead.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -86,13 +87,24 @@ def test_numpy_floor_leg_runs_the_codec_tests_at_the_pyproject_floor():
     floor = pyproject.split('"numpy>=', 1)[1].split('"', 1)[0]
     assert f'"numpy=={floor}.*"' in runs
     assert "pytest -x -q tests/mjpeg tests/faults" in runs
-    # Past checkout and setup, every other step (the bench artifact
-    # upload included, whose name would collide) skips the leg.
+    # Past checkout and setup, every other step skips the leg.
     setup = ("actions/checkout", "actions/setup-python")
     for step in test["steps"]:
         if step in floor_steps or step.get("uses", "").startswith(setup):
             continue
         assert step.get("if") == "${{ !matrix.numpy-floor }}", step
+
+
+def test_perf_gates_run_from_the_gate_module():
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    jobs = ci["jobs"]
+    gates = "python -m pytest -q benchmarks/test_perf_gates.py"
+    test_runs = [s.get("run", "") for s in jobs["test"]["steps"]]
+    assert [r for r in test_runs if gates in r] == [f"PYTHONPATH=src {gates}"]
+    scale_runs = [s.get("run", "") for s in jobs["scale-smoke"]["steps"]]
+    assert [r for r in scale_runs if gates in r] == [f"PYTHONPATH=src {gates}::test_sim_scale"]
+    every_run = " ".join(s.get("run", "") for job in jobs.values() for s in job["steps"])
+    assert "bench" not in re.findall(r"repro\.cli (\S+)", every_run)
 
 
 def test_paper_tables_job_fails_on_drift():

@@ -48,6 +48,26 @@ def test_frame_set_is_shard_count_invariant():
         assert rt.sim.sweeps >= 1
 
 
+def test_one_shard_makespan_gap_is_the_delivery_link_latency():
+    # A 1-shard run ends a few hundred ns after the plain runtime because
+    # the sharded transport adds the link latency to every delivery;
+    # with that latency zeroed the two runs are the same model.
+    stream = generate_stream(8, 96, 96, quality=75, seed=1)
+
+    def run(rt):
+        app = build_smp_assembly(stream, keep_frames=True)
+        rt.run(app)
+        rt.stop()
+        return rt.makespan_ns, frames_digest(app.components["Reorder"].frames)
+
+    plain = run(SmpSimRuntime())
+    sharded = run(ShardedSmpSimRuntime(1))
+    assert sharded[1] == plain[1] and sharded[0] != plain[0]
+    zero_link = ShardedSmpSimRuntime(1)
+    zero_link.platform.link_latency_ns = lambda src_core, dst_core: 0
+    assert run(zero_link) == plain
+
+
 def test_parallel_driver_output_matches_cooperative():
     cooperative, _, _ = _decode(2, parallel=False)
     parallel, _, _ = _decode(2, parallel=True)

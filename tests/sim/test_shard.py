@@ -22,11 +22,9 @@ from repro.sim.shard import (
     Shard,
     ShardedSimulation,
     cut_edges,
-    merge_shard_results,
     partition_graph,
     profile_weights,
     repartition_from_profile,
-    round_robin_partition,
     shard_core_blocks,
     shard_span_source,
     span_shard,
@@ -86,28 +84,6 @@ def test_kernel_on_idle_false_falls_through_to_deadlock():
 
 
 # -- partitioning helpers ------------------------------------------------------
-
-
-def test_round_robin_partition_matches_strided_ranges():
-    # The exact split the decode bench used before the refactor.
-    assert round_robin_partition(10, 3) == [
-        list(range(0, 10, 3)),
-        list(range(1, 10, 3)),
-        list(range(2, 10, 3)),
-    ]
-    # More parts than items would silently yield empty buckets; callers
-    # clamp (min(n_parts, n_items)) and the helper refuses otherwise.
-    with pytest.raises(ValueError, match="empty part"):
-        round_robin_partition(2, 4)
-    with pytest.raises(ValueError):
-        round_robin_partition(4, 0)
-
-
-def test_merge_shard_results_sums_keys():
-    merged = merge_shard_results(
-        [{"a": 1, "b": 0.5, "c": "x"}, {"a": 2, "b": 0.25, "c": "y"}], ("a", "b")
-    )
-    assert merged == {"a": 3, "b": 0.75}
 
 
 def test_shard_core_blocks_contiguous_and_balanced():
