@@ -26,7 +26,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, List, NamedTuple, Sequence
 
-from repro.metrics import enable_telemetry
+from repro.metrics import collect_telemetry, enable_telemetry
 from repro.mjpeg import generate_stream
 from repro.mjpeg.bitio import BitReader
 from repro.mjpeg.components import build_smp_assembly
@@ -213,9 +213,18 @@ def test_metrics_overhead():
         rt.deploy(app)
         if telemetry:
             enable_telemetry(rt)
-        # collect() folds what the probe defers to read time: bill it
-        # to the arm that pays for it.
-        elapsed = cpu_s(lambda: (rt.start(), rt.wait(), rt.collect()))
+
+        def run():
+            rt.start()
+            rt.wait()
+            # collect() folds what the probe defers to read time, and
+            # collect_telemetry() cuts the window series: bill both to
+            # the arm that pays for them.
+            rt.collect()
+            if telemetry:
+                collect_telemetry(rt)
+
+        elapsed = cpu_s(run)
         rt.stop()
         return elapsed
 

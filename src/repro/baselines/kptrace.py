@@ -85,14 +85,6 @@ class KPTrace:
                 )
         return totals
 
-    def switch_count_by_thread(self) -> Dict[str, int]:
-        """How many times each thread was switched in."""
-        out: Dict[str, int] = {}
-        for record in self.records:
-            if record.event == "switch_in" and record.thread is not None:
-                out[record.thread] = out.get(record.thread, 0) + 1
-        return out
-
     def core_occupancy(self) -> Dict[int, int]:
         """Busy nanoseconds per core, reconstructed from events."""
         active: Dict[int, int] = {}

@@ -17,8 +17,8 @@ Violations surface three ways at once:
 - a ``contract_violations_total{component,iface,kind}`` counter in the
   metrics registry (exporters, ``repro top``, the observer report);
 - a ``contract``/``violation`` INSTANT event in the causal trace (when
-  tracing is enabled), carrying the offending span id so the violation
-  joins the causal chain;
+  tracing is enabled, before or after telemetry), carrying the offending
+  span id so the violation joins the causal chain;
 - the checker's :meth:`~ContractChecker.summary`, which the observer
   folds into the application-level report.
 
@@ -31,10 +31,12 @@ Checks:
     Per-sender sequence monotonicity on the receive side; duplicates
     and reorderings both trip it.  Checked per message.
 ``min_rate_hz`` / ``max_rate_hz``
-    Message rate per telemetry window.  ``max`` is checked on every
-    closed window; ``min`` only on *interior* windows (after the
-    interface's first message, excluding the final partial window), so
-    warm-up and drain don't false-positive.
+    Message rate per telemetry window, judged when the registry cuts its
+    window series (:meth:`repro.metrics.telemetry.MetricsRegistry.finish`)
+    on every window from the interface's first message to the end of
+    run, silent ones included.  ``max`` is checked on each of them;
+    ``min`` only on *interior* windows (excluding the first and the
+    final partial window), so warm-up and drain don't false-positive.
 """
 
 from __future__ import annotations
@@ -110,13 +112,15 @@ class InterfaceContract:
 class ContractChecker:
     """Validates one component's telemetry stream against its interface
     contracts.  Driven by the :class:`repro.core.observation.ObservationProbe`
-    (per-message hooks, at append time) and the registry's window-roll
-    hook (rates)."""
+    (per-message hooks, at append time) and the registry's window cut
+    (rates).  ``extra`` is the container's extras: its ``"tracer"`` is
+    looked up per violation, so the order the planes are enabled in
+    does not matter."""
 
     __slots__ = (
         "component", "receive_contracts", "send_contracts",
-        "_registry", "_tracer", "_counters", "violations",
-        "_last_seq", "_window_counts", "_first_window",
+        "_registry", "_extra", "_counters", "violations",
+        "_last_seq", "_window_counts", "first_window",
     )
 
     def __init__(
@@ -125,22 +129,22 @@ class ContractChecker:
         receive_contracts: Dict[str, InterfaceContract],
         send_contracts: Dict[str, InterfaceContract],
         registry,
-        tracer=None,
+        extra: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.component = component
         self.receive_contracts = receive_contracts
         self.send_contracts = send_contracts
         self._registry = registry
-        self._tracer = tracer
+        self._extra = extra if extra is not None else {}
         self._counters: Dict[Tuple[str, str], Any] = {}
         #: (iface, kind) -> count, the observer-report view.
         self.violations: Dict[Tuple[str, str], int] = {}
         #: (iface, src) -> last seen sender seq (ordering clause).
         self._last_seq: Dict[Tuple[str, str], int] = {}
-        #: iface -> messages in the currently open window (rate clauses).
-        self._window_counts: Dict[str, int] = {}
+        #: (iface, window index) -> messages not yet judged (rate clauses).
+        self._window_counts: Dict[Tuple[str, int], int] = {}
         #: iface -> window index of the interface's first message.
-        self._first_window: Dict[str, int] = {}
+        self.first_window: Dict[str, int] = {}
 
     # -- per-message clauses ---------------------------------------------------
 
@@ -159,7 +163,7 @@ class ContractChecker:
         deadline = contract.deadline_ns
         if deadline is not None and latency_ns > deadline:
             self._violate(
-                iface, DEADLINE,
+                iface, DEADLINE, ts_ns,
                 latency_ns=latency_ns, deadline_ns=deadline,
                 src=message.src, span=message.span,
             )
@@ -168,7 +172,7 @@ class ContractChecker:
             last = self._last_seq.get(key)
             if last is not None and message.seq <= last:
                 self._violate(
-                    iface, ORDERING,
+                    iface, ORDERING, ts_ns,
                     seq=message.seq, last_seq=last,
                     src=message.src, span=message.span,
                 )
@@ -179,26 +183,27 @@ class ContractChecker:
     def _count_for_rate(self, iface: str, contract: InterfaceContract, ts_ns: int) -> None:
         if contract.min_rate_hz is None and contract.max_rate_hz is None:
             return
-        if iface not in self._first_window:
-            self._first_window[iface] = ts_ns // self._registry.window_ns
-        self._window_counts[iface] = self._window_counts.get(iface, 0) + 1
+        window = ts_ns // self._registry.window_ns
+        self.first_window.setdefault(iface, window)
+        key = (iface, window)
+        self._window_counts[key] = self._window_counts.get(key, 0) + 1
 
     # -- per-window clauses ----------------------------------------------------
 
     def on_window(self, index: int, start_ns: int, end_ns: int, final: bool) -> None:
-        """Registry roll hook: evaluate rate clauses over the closing
-        window.  Runs before the window's deltas are cut, so rate
+        """Evaluate rate clauses over one window.  The registry's cut
+        calls it for every window before building the series, so rate
         violations land in the window they judge."""
         window_s = (end_ns - start_ns) / 1e9
         for iface, contract in self._rate_contracts():
-            n = self._window_counts.pop(iface, 0)
-            first = self._first_window.get(iface)
+            n = self._window_counts.pop((iface, index), 0)
+            first = self.first_window.get(iface)
             if first is None:
                 continue  # no traffic yet: nothing to judge
             max_rate = contract.max_rate_hz
             if max_rate is not None and n > max_rate * window_s:
                 self._violate(
-                    iface, RATE, messages=n, window_index=index,
+                    iface, RATE, start_ns, messages=n, window_index=index,
                     limit_hz=max_rate, bound="max",
                 )
             min_rate = contract.min_rate_hz
@@ -211,7 +216,7 @@ class ContractChecker:
                 and n < min_rate * window_s
             ):
                 self._violate(
-                    iface, RATE, messages=n, window_index=index,
+                    iface, RATE, start_ns, messages=n, window_index=index,
                     limit_hz=min_rate, bound="min",
                 )
 
@@ -225,7 +230,7 @@ class ContractChecker:
 
     # -- violation sink --------------------------------------------------------
 
-    def _violate(self, iface: str, kind: str, **details: Any) -> None:
+    def _violate(self, iface: str, kind: str, ts_ns: int, **details: Any) -> None:
         key = (iface, kind)
         counter = self._counters.get(key)
         if counter is None:
@@ -233,11 +238,12 @@ class ContractChecker:
                 "contract_violations_total",
                 component=self.component, iface=iface, kind=kind,
             )
-        counter.inc()
+        counter.inc(1, ts_ns)
         self.violations[key] = self.violations.get(key, 0) + 1
-        if self._tracer is not None:
-            self._tracer.emit("contract", "violation", INSTANT,
-                              iface=iface, kind=kind, **details)
+        tracer = self._extra.get("tracer")
+        if tracer is not None:
+            tracer.emit("contract", "violation", INSTANT,
+                        iface=iface, kind=kind, **details)
 
     def summary(self) -> Dict[str, Any]:
         """Violation counts for the observer's application report."""

@@ -78,14 +78,15 @@ class ObservationProbe:
         self.policy = policy
         self._op_index = 0
         #: One record per middleware operation, ``(op, iface,
-        #: duration_ns, latency_ns, size_bytes, timed)``: ``size_bytes``
-        #: is -1 for control messages, ``latency_ns`` -1 when unknown,
-        #: and ``timed`` says whether the policy samples it into the
-        #: timers.  The hot path appends one tuple; :meth:`_fold` feeds
-        #: every plane that reads it -- the timers below and, when
-        #: attached, the telemetry instruments.  Appending to a list is
-        #: atomic under the GIL, so native-runtime threads append
-        #: without a lock.
+        #: duration_ns, latency_ns, size_bytes, timed, t_ns)``:
+        #: ``size_bytes`` is -1 for control messages, ``latency_ns`` -1
+        #: when unknown, ``timed`` says whether the policy samples it
+        #: into the timers, and ``t_ns`` is the telemetry registry's
+        #: clock when it was recorded (0 without telemetry).  The hot path
+        #: appends one tuple; :meth:`_fold` feeds every plane that reads
+        #: it -- the timers below and, when attached, the telemetry
+        #: instruments.  Appending to a list is atomic under the GIL, so
+        #: native-runtime threads append without a lock.
         self._records: list = []
         self._fold_lock = threading.Lock()
         self._send_timer = Timer(f"{component.name}.send")
@@ -134,13 +135,13 @@ class ObservationProbe:
 
     # -- folding ------------------------------------------------------------
 
-    def _fold(self, *_window) -> None:
+    def _fold(self) -> None:
         """Fold the appended records into the timers and the telemetry.
 
-        Runs as a registry roll hook (``_window`` is the hook's
-        ``(index, start_ns, end_ns, final)``), so every record lands in
-        the window it was observed in, and before every read.  Snapshot
-        then delete under a lock only folds take: a record a concurrent
+        Runs before every read, and from the registry's window cut
+        (:meth:`~repro.metrics.telemetry.MetricsRegistry.finish`); each
+        record lands in the window of its own ``t_ns``.  Snapshot then
+        delete under a lock only folds take: a record a concurrent
         native-runtime thread appends mid-fold stays for the next fold,
         and two folds never take the same record.
         """
@@ -156,7 +157,7 @@ class ObservationProbe:
             latency_timer = self._latency_timer
             by_send = self._send_timers_by_iface
             by_recv = self._recv_timers_by_iface
-            for op, iface, dur, latency, _size, timed in chunk:
+            for op, iface, dur, latency, _size, timed, _t in chunk:
                 if not timed:
                     continue
                 if op == _SEND:
@@ -175,26 +176,29 @@ class ObservationProbe:
             tel = self.telemetry
             if tel is None:
                 return
-            groups: Dict[tuple, list] = {}
-            for record in chunk:
-                key = record[:2]
+            # One batch per (operation, interface, window): the time of
+            # its first record, every duration, and the sizes and known
+            # delivery latencies of its data messages.  Latency is a
+            # *data* metric: control messages (e.g. end-of-stream
+            # markers) queue behind the whole stream and would dominate
+            # the tail with meaningless outliers.
+            window_ns = tel.registry.window_ns
+            groups: Dict[tuple, tuple] = {}
+            for op, iface, dur, latency, size, _timed, t in chunk:
+                key = (op, iface, t // window_ns)
                 group = groups.get(key)
                 if group is None:
-                    group = groups[key] = []
-                group.append(record)
-            for (op, iface), records in groups.items():
-                durations = [r[2] for r in records]
-                data = [r for r in records if r[4] >= 0]
-                sizes = [r[4] for r in data]
+                    group = groups[key] = (t, [], [], [])
+                group[1].append(dur)
+                if size >= 0:
+                    group[2].append(size)
+                    if latency >= 0:
+                        group[3].append(latency)
+            for (op, iface, _window), (t_ns, durations, sizes, latencies) in groups.items():
                 if op == _SEND:
-                    tel.fold_sends(iface, durations, sizes)
+                    tel.fold_sends(iface, t_ns, durations, sizes)
                 else:
-                    # Delivery latency is a *data* metric: control
-                    # messages (e.g. end-of-stream markers) queue behind
-                    # the whole stream and would dominate the tail with
-                    # meaningless outliers.
-                    latencies = [r[3] for r in data if r[3] >= 0]
-                    tel.fold_receives(iface, durations, sizes, latencies)
+                    tel.fold_receives(iface, t_ns, durations, sizes, latencies)
 
     # The timers stay part of the public surface; reading one folds the
     # pending records first, so deferral is invisible to consumers.
@@ -241,9 +245,9 @@ class ObservationProbe:
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
         """Account one send operation (kind-aware; see class doc).
 
-        Hot path: counters, the telemetry clock nudge and the live
-        contract check, then one record append; timers and histograms
-        are folded later by :meth:`_fold`.
+        Hot path: counters, the telemetry clock nudge, one timestamped
+        record append and the live contract check; timers and
+        histograms are folded later by :meth:`_fold`.
         """
         kind = message.kind
         if kind == OBSERVATION:
@@ -259,19 +263,19 @@ class ObservationProbe:
         tel = self.telemetry
         if tel is None:
             if timed:
-                self._records.append((_SEND, iface, duration_ns, -1, size, True))
+                self._records.append((_SEND, iface, duration_ns, -1, size, True, 0))
             return
-        # Telemetry sees every operation.  Move its clock before the
-        # append: a window roll folds the earlier records into the
-        # closing window, and this one into the next.
+        # Telemetry sees every operation.  Its time is the registry clock,
+        # moved to the message's stamp first: a send stamped before
+        # another component moved the clock lands in the current window.
         reg = tel.registry
         sent = message.sent_at_us
-        ts = sent * 1_000 if sent is not None else reg.last_ns
+        ts = sent * 1_000 if sent is not None else 0
         if ts > reg.last_ns:
             reg.last_ns = ts
-        if ts >= reg._next_roll_ns:
-            reg.advance(ts)
-        self._records.append((_SEND, iface, duration_ns, -1, size, timed))
+        else:
+            ts = reg.last_ns
+        self._records.append((_SEND, iface, duration_ns, -1, size, timed, ts))
         if kind == DATA and tel.checker is not None:
             tel.checker.on_send(iface, message, ts)
 
@@ -307,15 +311,15 @@ class ObservationProbe:
         tel = self.telemetry
         if tel is None:
             if timed:
-                self._records.append((_RECV, iface, duration_ns, latency_ns, size, True))
+                self._records.append((_RECV, iface, duration_ns, latency_ns, size, True, 0))
             return
         reg = tel.registry
-        ts = now_us * 1_000 if now_us is not None else reg.last_ns
+        ts = now_us * 1_000 if now_us is not None else 0
         if ts > reg.last_ns:
             reg.last_ns = ts
-        if ts >= reg._next_roll_ns:
-            reg.advance(ts)
-        self._records.append((_RECV, iface, duration_ns, latency_ns, size, timed))
+        else:
+            ts = reg.last_ns
+        self._records.append((_RECV, iface, duration_ns, latency_ns, size, timed, ts))
         if kind == DATA and tel.checker is not None:
             tel.checker.on_receive(iface, message, latency_ns, ts)
 

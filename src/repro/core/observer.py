@@ -20,7 +20,7 @@ but is excluded from the application-level counters.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Tuple
 
 from repro.core.component import Component
 from repro.core.errors import ObservationError
@@ -97,13 +97,6 @@ class ObserverComponent(Component):
             results[key] = reply.data
             self.reports[key] = reply.data
         return results
-
-    def collect_all_levels(self, ctx, targets: Optional[Iterable[str]] = None) -> Generator:
-        """Query every level of every (or the given) attached component."""
-        names = list(targets) if targets is not None else list(self.targets)
-        plan = [(t, level) for t in names for level in LEVELS]
-        result = yield from self.collect(ctx, plan)
-        return result
 
     def report_for(self, component: str, level: str) -> Dict[str, Any]:
         """A previously collected report (error when absent)."""

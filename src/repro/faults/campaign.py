@@ -412,7 +412,7 @@ def run_chaos_campaign(
     rt = ShardedSmpSimRuntime(shards) if shards > 1 else SmpSimRuntime()
     rt.deploy(app)
     enable_tracing(rt)
-    enable_telemetry(rt)  # after tracing: checkers emit trace events
+    enable_telemetry(rt)
     injector = FaultInjector(plan).install(rt)
     recovery = RecoveryManager().install(rt) if profile.recover else None
     supervisor = Supervisor(policy=profile.build(), seed=seed).install(rt)

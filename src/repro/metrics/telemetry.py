@@ -11,22 +11,23 @@ giving up the "no per-sample storage" constraint of an embedded target:
   **bucket-exact** into the single-kernel histogram.
 - :class:`Gauge` -- last-write-wins point-in-time value.
 - :class:`MetricsRegistry` -- instruments keyed by ``name{labels}``,
-  plus a windowed time series: the registry snapshots *deltas* on the
-  sim clock at fixed window boundaries (``index = ts // window_ns``),
-  so per-shard windows merge by index exactly like trace buffers merge
-  by ``(ts, shard, seq)``.  Window ids draw from shard ranges
+  plus a windowed time series on the sim clock.  Every windowed write
+  carries the sim time it happened at, and the instrument keeps its
+  deltas by window index (``index = t_ns // window_ns``); the registry
+  cuts them into the series once, at read time (:meth:`finish`), so
+  per-shard windows merge by index exactly like trace buffers merge by
+  ``(ts, shard, seq)``.  Window ids draw from shard ranges
   (:func:`repro.sim.shard.shard_window_source`) so merged series never
   collide, mirroring span ids.
 - :class:`ComponentTelemetry` -- the per-component instruments fed by
   the :class:`~repro.core.observation.ObservationProbe`'s records: the
-  probe appends one record per send/receive, and one fold feeds its
-  timers and these histograms and counters at window rolls.  The
-  probe also runs the component's contract checker
+  probe appends one timestamped record per send/receive, and one fold
+  feeds its timers and these histograms and counters when something
+  reads them.  The probe also runs the component's contract checker
   (:mod:`repro.core.contracts`) on the same stream, per operation.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
   wiring, shaped exactly like ``enable_tracing`` / ``merge_buffers``:
-  call after ``deploy()`` (and after ``enable_tracing`` when you want
-  contract violations in the trace), collect after ``wait()``.
+  call after ``deploy()``, collect after ``wait()``.
 
 Determinism contract: on the simulated runtimes every instrument fed
 from middleware hooks is a pure function of virtual time, so a pinned
@@ -36,9 +37,8 @@ the ``metrics sha256`` CI gate (see :mod:`repro.metrics.export`).
 
 from __future__ import annotations
 
-import threading
 from itertools import count
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import Counter
 
@@ -68,6 +68,28 @@ def bucket_bounds(index: int) -> Tuple[int, int]:
     return (1 << (index - 1), (1 << index) - 1)
 
 
+#: Window key of untimed writes made before the registry clock first
+#: moves (e.g. initial recovery checkpoints); the cut folds them into
+#: the first window of the series.
+_BEFORE_CLOCK = -1
+
+
+def window_of(registry: Optional["MetricsRegistry"], t_ns: Optional[int]) -> int:
+    """Window index of a write at sim time ``t_ns``; an untimed write
+    (``None``) lands in the window of the registry clock."""
+    if registry is None:
+        return 0
+    if t_ns is None:
+        t_ns = registry.last_ns
+        if not t_ns:
+            return _BEFORE_CLOCK
+    return t_ns // registry.window_ns
+
+
+#: Bucket-index keys of window deltas, precomputed for the sample path.
+_BUCKET_KEYS = tuple(str(b) for b in range(N_BUCKETS))
+
+
 class Log2Histogram:
     """Streaming log2-bucket histogram: no per-sample storage, exact
     bucketwise merge."""
@@ -76,37 +98,40 @@ class Log2Histogram:
 
     __slots__ = (
         "name", "counts", "count", "total", "min_value", "max_value",
-        "delta_counts", "delta_count", "delta_total",
+        "registry", "deltas",
     )
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str = "", registry: Optional["MetricsRegistry"] = None) -> None:
         self.name = name
         self.counts: List[int] = [0] * N_BUCKETS
         self.count = 0
         self.total = 0
         self.min_value: Optional[int] = None
         self.max_value: Optional[int] = None
-        # Samples since the last window cut, kept *pre-aggregated* so
-        # closing a window takes this sparse dict instead of copying
-        # and diffing all 64 cumulative buckets per histogram per roll
-        # (the dominant telemetry cost at ~100 live instruments).
-        self.delta_counts: Dict[int, int] = {}
-        self.delta_count = 0
-        self.delta_total = 0
+        self.registry = registry
+        #: Window index -> that window's export-ready delta, until the
+        #: registry cuts its window series.
+        self.deltas: Dict[int, Dict[str, Any]] = {}
 
-    def observe(self, value: int) -> None:
-        """Record one sample (negative samples clamp to 0)."""
-        self.observe_many((value,))
+    def observe(self, value: int, t_ns: Optional[int] = None) -> None:
+        """Record one sample taken at sim time ``t_ns`` (negative samples
+        clamp to 0)."""
+        self.observe_many((value,), t_ns)
 
-    def observe_many(self, values: Iterable[int]) -> None:
-        """Record a batch of samples (negative samples clamp to 0).
-
-        The instrument state is bound to locals once per batch, so the
-        per-sample cost is pure int math -- this is how the probe's
-        records are folded at window rolls.
-        """
+    def observe_many(self, values: Sequence[int], t_ns: Optional[int] = None) -> None:
+        """Record a batch of samples, all taken in the window of sim time
+        ``t_ns`` (default: the registry clock).  State is bound to locals
+        once per batch: the probe folds one batch per interface and
+        window."""
+        if not values:
+            return
         counts = self.counts
-        deltas = self.delta_counts
+        delta = self.deltas.setdefault(
+            window_of(self.registry, t_ns),
+            {"kind": "histogram", "count": 0, "total_ns": 0, "buckets": {}},
+        )
+        buckets = delta["buckets"]
+        keys = _BUCKET_KEYS
         n = tot = 0
         mn, mx = self.min_value, self.max_value
         for v in values:
@@ -116,36 +141,20 @@ class Log2Histogram:
             if b >= N_BUCKETS:
                 b = N_BUCKETS - 1
             counts[b] += 1
-            deltas[b] = deltas.get(b, 0) + 1
+            key = keys[b]
+            buckets[key] = buckets.get(key, 0) + 1
             n += 1
             tot += v
             if mn is None or v < mn:
                 mn = v
             if mx is None or v > mx:
                 mx = v
-        if n:
-            self.count += n
-            self.total += tot
-            self.delta_count += n
-            self.delta_total += tot
-            self.min_value = mn
-            self.max_value = mx
-
-    def take_delta(self) -> Optional[Dict[str, Any]]:
-        """The window delta accumulated since the last cut (cleared), as
-        export-ready data; ``None`` when nothing was observed."""
-        if not self.delta_count:
-            return None
-        delta = {
-            "kind": "histogram",
-            "count": self.delta_count,
-            "total_ns": self.delta_total,
-            "buckets": {_BUCKET_KEYS[b]: c for b, c in sorted(self.delta_counts.items())},
-        }
-        self.delta_counts = {}
-        self.delta_count = 0
-        self.delta_total = 0
-        return delta
+        self.count += n
+        self.total += tot
+        delta["count"] += n
+        delta["total_ns"] += tot
+        self.min_value = mn
+        self.max_value = mx
 
     def merge(self, other: "Log2Histogram") -> None:
         """Bucketwise addition -- the shard-merge primitive."""
@@ -203,9 +212,7 @@ class Log2Histogram:
         self.total = 0
         self.min_value = None
         self.max_value = None
-        self.delta_counts = {}
-        self.delta_count = 0
-        self.delta_total = 0
+        self.deltas = {}
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready cumulative snapshot, sparse buckets."""
@@ -259,18 +266,39 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
+class WindowedCounter(Counter):
+    """A registry counter: every increment is also kept by the window
+    it happened in (see :func:`window_of`)."""
+
+    __slots__ = ("registry", "deltas")
+
+    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+        super().__init__(name)
+        self.registry = registry
+        #: Window index -> that window's export-ready delta, until the
+        #: registry cuts its window series.
+        self.deltas: Dict[int, Dict[str, Any]] = {}
+
+    def inc(self, n: int = 1, t_ns: Optional[int] = None) -> None:
+        """Increment by ``n`` at sim time ``t_ns`` (default: the
+        registry clock)."""
+        super().inc(n)
+        if n:
+            window = window_of(self.registry, t_ns)
+            self.deltas.setdefault(window, {"kind": "counter", "inc": 0})["inc"] += n
+
+    def reset(self) -> None:
+        """Zero the counter and drop its window deltas."""
+        self.value = 0
+        self.deltas = {}
+
+
 def instrument_id(name: str, labels: Dict[str, Any]) -> str:
     """Canonical ``name{k=v,...}`` id (labels sorted; stable across runs)."""
     if not labels:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-#: Bucket-index keys of window/export payloads, precomputed: the window
-#: cut runs on the per-event hot path's slow branch and must not pay 64
-#: ``str()`` calls per changed histogram.
-_BUCKET_KEYS = tuple(str(b) for b in range(N_BUCKETS))
 
 
 class Window:
@@ -325,43 +353,38 @@ class MetricsRegistry:
         #: key -> (kind, name, labels, instrument)
         self._entries: Dict[tuple, Tuple[str, str, Dict[str, Any], Any]] = {}
         #: key -> canonical instrument id (built once at registration;
-        #: the window cut must not re-join label strings per roll).
+        #: the window cut must not re-join label strings per instrument).
         self._iids: Dict[tuple, str] = {}
         self.windows: List[Window] = []
-        self._window_index: Optional[int] = None
-        #: Sim time at which the open window ends; the per-sample fast
-        #: path is one compare against it (no division).  -1 = no window
-        #: open yet, so the first sample takes the slow path.
-        self._next_roll_ns = -1
-        self._last: Dict[tuple, Any] = {}
-        self._roll_hooks: List[Callable[[int, int, int, bool], None]] = []
-        # Only the slow path (closing a window) locks; the per-sample
-        # fast path is a compare.  Native-runtime threads race only on
-        # the roll, never on their own (component-labeled) instruments.
-        self._lock = threading.Lock()
+        #: Observation probes feeding this registry (registered by
+        #: :func:`enable_telemetry`): :meth:`finish` folds their pending
+        #: records and judges their contract checkers before the cut.
+        self._probes: list = []
+        #: The registry clock: the latest sim time written or advanced
+        #: to.  Gauges and untimed writes read it.
         self.last_ns = 0
 
     # -- instruments ---------------------------------------------------------
 
-    def _get(self, kind: str, factory, name: str, labels: Dict[str, Any]):
+    def _get(self, kind: str, name: str, labels: Dict[str, Any], factory):
         key = (name, tuple(sorted(labels.items())))
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = (kind, name, dict(labels), factory(name))
+            entry = self._entries[key] = (kind, name, dict(labels), factory())
             self._iids[key] = instrument_id(name, labels)
         return entry[3]
 
-    def counter(self, name: str, **labels: Any) -> Counter:
+    def counter(self, name: str, **labels: Any) -> WindowedCounter:
         """Get-or-create a labeled counter."""
-        return self._get("counter", Counter, name, labels)
+        return self._get("counter", name, labels, lambda: WindowedCounter(name, self))
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Get-or-create a labeled gauge."""
-        return self._get("gauge", Gauge, name, labels)
+        return self._get("gauge", name, labels, lambda: Gauge(name))
 
     def histogram(self, name: str, **labels: Any) -> Log2Histogram:
         """Get-or-create a labeled log2 histogram."""
-        return self._get("histogram", Log2Histogram, name, labels)
+        return self._get("histogram", name, labels, lambda: Log2Histogram(name, self))
 
     def instruments(self) -> List[Tuple[str, str, Dict[str, Any], Any]]:
         """All ``(kind, name, labels, instrument)`` entries, id-sorted."""
@@ -371,76 +394,50 @@ class MetricsRegistry:
 
     # -- windows --------------------------------------------------------------
 
-    def add_roll_hook(self, hook: Callable[[int, int, int, bool], None]) -> None:
-        """Register ``hook(index, start_ns, end_ns, final)`` called as a
-        window closes, *before* its deltas are cut -- counters the hook
-        bumps (e.g. contract violations) land in the closing window."""
-        self._roll_hooks.append(hook)
-
     def advance(self, now_ns: int) -> None:
-        """Move the clock; closes windows the time has passed.  The
-        per-sample fast path is two compares (no division)."""
+        """Move the registry clock forward to ``now_ns``."""
         if now_ns > self.last_ns:
             self.last_ns = now_ns
-        if now_ns < self._next_roll_ns:
-            return  # inside (or behind) the open window
-        idx = now_ns // self.window_ns
-        cur = self._window_index
-        if cur is None:
-            self._window_index = idx
-            self._next_roll_ns = (idx + 1) * self.window_ns
-            return
-        if idx <= cur:
-            return  # late stragglers fold into the open window
-        self._roll_to(idx)
-
-    def _roll_to(self, idx: int) -> None:
-        with self._lock:
-            cur = self._window_index
-            if cur is None or idx <= cur:
-                return
-            # Every delta accumulated since the last cut was observed
-            # while window `cur` was open (events advance before they
-            # observe), so the gap windows in between are empty.
-            self._close_window(cur, final=False)
-            self._window_index = idx
-            self._next_roll_ns = (idx + 1) * self.window_ns
 
     def finish(self, now_ns: Optional[int] = None) -> None:
-        """Close the open (partial) window at end of run."""
+        """Cut the window series at end of run (``now_ns``, default the
+        registry clock).
+
+        Folds every probe's pending records, runs each contract
+        checker's :meth:`~repro.core.contracts.ContractChecker.on_window`
+        on every window from its interfaces' first window to the final
+        one -- so rate violations land in the window they judge -- then
+        appends one :class:`Window` per index with deltas, in index
+        order.  Writes made before the clock first moved join the first
+        window.  Gauges are point-in-time: read live, never windowed.
+        """
         if now_ns is not None:
             self.advance(now_ns)
-        with self._lock:
-            cur = self._window_index
-            if cur is None:
-                return
-            self._close_window(cur, final=True)
-
-    def _close_window(self, index: int, final: bool) -> None:
-        start = index * self.window_ns
-        for hook in self._roll_hooks:
-            hook(index, start, start + self.window_ns, final)
-        data: Dict[str, Dict[str, Any]] = {}
-        iids = self._iids
-        last_state = self._last
-        for key, (kind, _name, _labels, inst) in list(self._entries.items()):
-            if kind == "counter":
-                last = last_state.get(key, 0)
-                delta = inst.value - last
-                if delta:
-                    last_state[key] = inst.value
-                    data[iids[key]] = {"kind": "counter", "inc": delta}
-            elif kind == "histogram":
-                # Histograms pre-aggregate their own window delta (see
-                # Log2Histogram.take_delta): the cut is one sparse-dict
-                # handoff, not a 64-bucket copy-and-diff.
-                delta = inst.take_delta()
-                if delta is not None:
-                    data[iids[key]] = delta
-            # Gauges are point-in-time: read live, never windowed.
-        if data:
+        window_ns = self.window_ns
+        final = self.last_ns // window_ns
+        for probe in self._probes:
+            probe._fold()
+            checker = probe.telemetry.checker
+            if checker is None or not checker.first_window:
+                continue
+            for index in range(min(checker.first_window.values()), final + 1):
+                start = index * window_ns
+                checker.on_window(index, start, start + window_ns, index == final)
+        by_index: Dict[int, Dict[str, Dict[str, Any]]] = {}
+        for key, (kind, _name, _labels, inst) in self._entries.items():
+            if kind == "gauge":
+                continue
+            iid = self._iids[key]
+            for index, delta in inst.deltas.items():
+                by_index.setdefault(index, {})[iid] = delta
+            inst.deltas = {}
+        early = by_index.pop(_BEFORE_CLOCK, None)
+        if early is not None:
+            first = min(by_index, default=final)
+            _merge_window_data(by_index.setdefault(first, {}), early)
+        for index in sorted(by_index):
             self.windows.append(
-                Window(next(self._window_ids), index, self.window_ns, self.shard, data)
+                Window(next(self._window_ids), index, window_ns, self.shard, by_index[index])
             )
 
     # -- lifecycle -------------------------------------------------------------
@@ -454,9 +451,6 @@ class MetricsRegistry:
             inst.reset()
         self.windows.clear()
         self._window_ids = iter(self._window_id_factory())
-        self._window_index = None
-        self._next_roll_ns = -1
-        self._last.clear()
         self.last_ns = 0
 
     def snapshot(self) -> Dict[str, Any]:
@@ -513,12 +507,7 @@ def merge_registries(parts: List[MetricsRegistry]) -> MetricsRegistry:
     merged = MetricsRegistry(shard=0, window_ns=parts[0].window_ns)
     for part in parts:
         for kind, name, labels, inst in part.instruments():
-            if kind == "counter":
-                merged.counter(name, **labels).inc(inst.value)
-            elif kind == "gauge":
-                merged.gauge(name, **labels).merge(inst)
-            else:
-                merged.histogram(name, **labels).merge(inst)
+            getattr(merged, kind)(name, **labels).merge(inst)
         if part.last_ns > merged.last_ns:
             merged.last_ns = part.last_ns
     tagged = sorted(
@@ -547,10 +536,11 @@ class ComponentTelemetry:
     The middleware stream arrives as the probe's own records (see
     :meth:`ObservationProbe._fold`): the probe's hot path moves the
     registry clock and runs the live contract checks, and its fold --
-    a registry roll hook, so it runs before each window's deltas are
-    cut -- hands each interface's durations, data sizes and latencies
-    to :meth:`fold_sends` / :meth:`fold_receives`.  Contract checks stay
-    per operation: violations are *live* by design.
+    run before every read, and by :meth:`MetricsRegistry.finish`
+    before the cut -- hands each interface's durations, data sizes and
+    latencies, one batch per window, to :meth:`fold_sends` /
+    :meth:`fold_receives`.  Contract checks stay per operation:
+    violations are *live* by design.
     """
 
     __slots__ = (
@@ -574,7 +564,7 @@ class ComponentTelemetry:
         self._dedups = registry.counter("dedups_total", component=component)
         self._checkpoints = registry.counter("checkpoints_total", component=component)
         self._checkpoint_bytes = registry.counter("checkpoint_bytes_total", component=component)
-        self._faults: Dict[str, Counter] = {}
+        self._faults: Dict[str, WindowedCounter] = {}
 
     def _make_send(self, iface: str) -> list:
         reg, c = self.registry, self.component
@@ -597,50 +587,53 @@ class ComponentTelemetry:
 
     # -- middleware stream (folded probe records) ----------------------------
 
-    def fold_sends(self, iface: str, durations: List[int], sizes: List[int]) -> None:
-        """Fold one interface's sends: every operation's duration, and
-        the sizes of the data messages among them."""
+    def fold_sends(self, iface: str, t_ns: int, durations: List[int], sizes: List[int]) -> None:
+        """Fold one interface's sends in the window of ``t_ns``: every
+        operation's duration, and the sizes of the data messages among
+        them."""
         entry = self._send_cache.get(iface)
         if entry is None:
             entry = self._make_send(iface)
-        entry[0].observe_many(durations)
+        entry[0].observe_many(durations, t_ns)
         if sizes:
-            entry[1].value += len(sizes)
-            entry[2].value += sum(sizes)
+            entry[1].inc(len(sizes), t_ns)
+            entry[2].inc(sum(sizes), t_ns)
 
-    def fold_receives(self, iface: str, durations: List[int], sizes: List[int],
+    def fold_receives(self, iface: str, t_ns: int, durations: List[int], sizes: List[int],
                       latencies: List[int]) -> None:
         """Fold one interface's receives (see :meth:`fold_sends`) and the
         delivery latencies of its data messages."""
         entry = self._recv_cache.get(iface)
         if entry is None:
             entry = self._make_recv(iface)
-        entry[0].observe_many(durations)
+        entry[0].observe_many(durations, t_ns)
         if sizes:
-            entry[1].value += len(sizes)
-            entry[2].value += sum(sizes)
-        entry[3].observe_many(latencies)
+            entry[1].inc(len(sizes), t_ns)
+            entry[2].inc(sum(sizes), t_ns)
+        entry[3].observe_many(latencies, t_ns)
 
     # -- robustness stream (supervisor / recovery / injector hooks) -----------
+    #
+    # Writes without a ``now_ns`` land in the window of the registry clock.
 
     def on_restart(self, downtime_ns: int, now_ns: Optional[int] = None) -> None:
         """One supervised restart: the MTTR live series."""
         if now_ns is not None:
             self.registry.advance(now_ns)
-        self._restarts.inc()
-        self._restart_hist.observe(int(downtime_ns))
+        self._restarts.inc(1, now_ns)
+        self._restart_hist.observe(int(downtime_ns), now_ns)
 
     def on_replay(self, now_ns: Optional[int] = None) -> None:
         """One replayed message (exactly-once recovery)."""
         if now_ns is not None:
             self.registry.advance(now_ns)
-        self._replays.inc()
+        self._replays.inc(1, now_ns)
 
     def on_dedup(self, now_ns: Optional[int] = None) -> None:
         """One duplicate discarded by sequence dedup."""
         if now_ns is not None:
             self.registry.advance(now_ns)
-        self._dedups.inc()
+        self._dedups.inc(1, now_ns)
 
     def on_checkpoint(self, nbytes: int) -> None:
         """One committed recovery checkpoint."""
@@ -716,26 +709,19 @@ def _attach_checker(cont, registry: MetricsRegistry):
     }
     if not receive_contracts and not send_contracts:
         return None
-    checker = ContractChecker(
-        comp.name,
-        receive_contracts,
-        send_contracts,
-        registry,
-        tracer=cont.extra.get("tracer"),
+    return ContractChecker(
+        comp.name, receive_contracts, send_contracts, registry, extra=cont.extra
     )
-    registry.add_roll_hook(checker.on_window)
-    return checker
 
 
 def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS):
     """Attach a :class:`ComponentTelemetry` to every deployed probe.
 
-    Call after ``runtime.deploy(app)`` (and after ``enable_tracing`` if
-    contract violations should appear in the trace) and before
-    ``runtime.start()``.  On a sharded runtime one registry is built per
-    shard with shard-range window ids -- merge with
-    :func:`collect_telemetry` / :func:`merge_registries` afterwards.
-    Returns the registry (or the per-shard registry list).
+    Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
+    On a sharded runtime one registry is built per shard with
+    shard-range window ids -- merge with :func:`collect_telemetry` /
+    :func:`merge_registries` afterwards.  Returns the registry (or the
+    per-shard registry list).
     """
     n_shards = getattr(runtime, "n_shards", 0)
     if n_shards:
@@ -758,10 +744,8 @@ def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS):
             continue
         reg = registries[cont.extra["shard"]] if registries is not None else single
         probe.telemetry = ComponentTelemetry(reg, cont.component.name)
-        # The probe's fold hook registers ahead of the checker's
-        # on_window, so rate checks run against fully folded counters.
-        reg.add_roll_hook(probe._fold)
         probe.telemetry.checker = _attach_checker(cont, reg)
+        reg._probes.append(probe)
     runtime.metrics = registries if registries is not None else single
     return runtime.metrics
 
@@ -770,7 +754,7 @@ def collect_telemetry(runtime, final_ns: Optional[int] = None) -> MetricsRegistr
     """Finalize and merge a runtime's telemetry after ``wait()``.
 
     Stamps the runtime-owned gauges (busy time, queue depths, EMBX
-    object traffic), closes the open window of every registry at the
+    object traffic), cuts the window series of every registry at the
     run's makespan (identical across shard counts under pinned
     placement, so the final partial window is merge-invariant too) and
     returns one merged registry.
@@ -785,5 +769,5 @@ def collect_telemetry(runtime, final_ns: Optional[int] = None) -> MetricsRegistr
     if final_ns is None:
         final_ns = getattr(runtime, "makespan_ns", None)
     for reg in parts:
-        reg.finish(final_ns if final_ns is not None else reg.last_ns)
+        reg.finish(final_ns)
     return merge_registries(parts) if isinstance(regs, list) else regs

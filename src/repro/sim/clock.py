@@ -19,11 +19,6 @@ def us_to_ns(us: float) -> int:
     return round(us * MICROSECOND)
 
 
-def ms_to_ns(ms: float) -> int:
-    """Convert milliseconds to integer nanoseconds (rounded)."""
-    return round(ms * MILLISECOND)
-
-
 def s_to_ns(s: float) -> int:
     """Convert seconds to integer nanoseconds (rounded)."""
     return round(s * SECOND)
@@ -32,11 +27,6 @@ def s_to_ns(s: float) -> int:
 def ns_to_us(ns: int) -> float:
     """Convert nanoseconds to float microseconds."""
     return ns / MICROSECOND
-
-
-def ns_to_ms(ns: int) -> float:
-    """Convert nanoseconds to float milliseconds."""
-    return ns / MILLISECOND
 
 
 def ns_to_s(ns: int) -> float:

@@ -259,16 +259,6 @@ class SpanGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def lost_spans(self) -> List[int]:
-        """Spans sent but never received and not explicitly dropped --
-        messages still in flight when the trace ended (e.g. left in a
-        crashed component's mailbox)."""
-        return sorted(
-            span
-            for span, edge in self.edges.items()
-            if edge.op == "send" and not edge.delivered and span not in self.dropped
-        )
-
     def chain(self, span: int) -> List[SpanEdge]:
         """The causal chain ending at ``span``, root first.
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import Component, ConnectionError_
+from repro.core import Component, ConnectionError_, Message, ObservationProbe
 from repro.core.contracts import (
     DEADLINE,
     InterfaceContract,
@@ -19,8 +19,12 @@ from repro.core.contracts import (
     ContractChecker,
 )
 from repro.core.interfaces import OBSERVATION_INTERFACE
-from repro.metrics.telemetry import MetricsRegistry
+from repro.metrics.telemetry import MetricsRegistry, collect_telemetry, enable_telemetry
+from repro.mjpeg import generate_stream
+from repro.mjpeg.components import build_smp_assembly
+from repro.runtime import SmpSimRuntime
 from repro.trace.events import INSTANT
+from repro.trace.tracer import enable_tracing
 
 
 def _msg(seq=0, src="prod", span=7):
@@ -43,7 +47,7 @@ def _checker(contract, tracer=None, window_ns=1_000, side="receive"):
         contracts if side == "receive" else {},
         contracts if side == "send" else {},
         reg,
-        tracer=tracer,
+        extra={"tracer": tracer},
     )
     return checker, reg
 
@@ -190,6 +194,64 @@ def test_send_side_rate_contract():
         checker.on_send("in", _msg(seq=i), ts_ns=10 + i)
     checker.on_window(0, 0, 1_000_000, final=False)
     assert checker.violations == {("in", RATE): 1}
+
+
+def test_min_rate_judges_silent_windows_at_the_cut():
+    """A 2 kHz floor over 1 ms windows: three messages in each of
+    windows 0-2 and 9-11, none in 3-8.  The cut judges every interior
+    window, so each silent one is a violation, counted in its window."""
+    comp = Component("cons")
+    comp.add_provided("in")
+    comp.set_contract("in", InterfaceContract(min_rate_hz=2_000.0))
+    probe = ObservationProbe(comp)
+    rt = SimpleNamespace(containers={"cons": SimpleNamespace(component=comp, probe=probe, extra={})})
+    enable_telemetry(rt, window_ns=1_000_000)
+    seq = 0
+    for window in (0, 1, 2, 9, 10, 11):
+        for k in range(3):
+            seq += 1
+            now_us = window * 1_000 + 100 * k
+            message = Message(payload=b"x", sent_at_us=now_us, seq=seq, src="prod")
+            probe.record_receive("in", message, 10, now_us=now_us)
+    registry = collect_telemetry(rt)
+    assert probe.telemetry.checker.violations == {("in", RATE): 6}
+    iid = "contract_violations_total{component=cons,iface=in,kind=rate}"
+    assert [w.index for w in registry.windows if iid in w.data] == [3, 4, 5, 6, 7, 8]
+
+
+def _violation_trace(telemetry_first: bool):
+    """A 2-image decode whose IDCT inputs carry a 1 ns deadline that
+    every data message misses, with the two planes enabled in either
+    order."""
+    app = build_smp_assembly(generate_stream(2, 96, 96, quality=75, seed=1))
+    for i in range(1, 4):
+        app.components[f"IDCT_{i}"].set_contract(
+            f"_fetchIdct{i}", InterfaceContract(deadline_ns=1)
+        )
+    rt = SmpSimRuntime()
+    rt.deploy(app)
+    if telemetry_first:
+        enable_telemetry(rt)
+        buffer = enable_tracing(rt)
+    else:
+        buffer = enable_tracing(rt)
+        enable_telemetry(rt)
+    rt.start()
+    rt.wait()
+    registry = collect_telemetry(rt)
+    rt.stop()
+    received = sum(
+        inst.value for kind, name, labels, inst in registry.instruments()
+        if name == "messages_received_total" and labels["component"].startswith("IDCT")
+    )
+    return buffer.rows(), received
+
+
+def test_plane_order_keeps_every_violation_row():
+    rows, received = _violation_trace(telemetry_first=False)
+    violations = [r for r in rows if r[3:5] == ("contract", "violation")]
+    assert received and len(violations) == received
+    assert _violation_trace(telemetry_first=True) == (rows, received)
 
 
 # -- summary -----------------------------------------------------------------

@@ -29,13 +29,11 @@ def _populated_registry() -> MetricsRegistry:
     h = reg.histogram("delivery_latency_ns", component="IDCT_1", iface="in")
     n = reg.counter("messages_sent_total", component="Fetch", iface="out")
     g = reg.gauge("busy_ns", component="Fetch")
-    reg.advance(100)
     for v in (0, 3, 900, 70_000):
-        h.observe(v)
-    n.inc(4)
+        h.observe(v, t_ns=100)
+    n.inc(4, t_ns=100)
     g.set(123_456, 100)
-    reg.advance(2_500)
-    h.observe(12)
+    h.observe(12, t_ns=2_500)
     reg.finish(2_600)
     return reg
 

@@ -14,8 +14,11 @@ Three families of guarantees pinned here:
   (seeds 1 / 7 / 42), the ``metrics sha256`` CI oracle in test form.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core import Component, Message, ObservationProbe
 from repro.metrics.export import metrics_digest
 from repro.metrics.telemetry import (
     DEFAULT_WINDOW_NS,
@@ -24,6 +27,7 @@ from repro.metrics.telemetry import (
     N_BUCKETS,
     bucket_bounds,
     bucket_of,
+    enable_telemetry,
     instrument_id,
     merge_registries,
 )
@@ -141,12 +145,10 @@ def test_window_deltas_land_where_observed():
     reg = MetricsRegistry(window_ns=1_000)
     h = reg.histogram("lat_ns", component="c")
     n = reg.counter("msgs_total", component="c")
-    reg.advance(100)
-    h.observe(5)
-    n.inc()
-    reg.advance(1_500)  # closes window 0
-    h.observe(9)
-    reg.finish(1_600)   # closes window 1 (final, partial)
+    h.observe(5, t_ns=100)
+    n.inc(t_ns=100)
+    h.observe(9, t_ns=1_500)
+    reg.finish(1_600)   # cuts window 0 and window 1 (final, partial)
 
     assert [w.index for w in reg.windows] == [0, 1]
     w0, w1 = reg.windows
@@ -163,21 +165,48 @@ def test_window_deltas_land_where_observed():
 def test_empty_windows_are_skipped():
     reg = MetricsRegistry(window_ns=1_000)
     h = reg.histogram("lat_ns")
-    reg.advance(100)
-    h.observe(1)
-    reg.advance(10_500)  # jumps 10 windows; gap windows carried nothing
-    h.observe(2)
+    h.observe(1, t_ns=100)
+    h.observe(2, t_ns=10_500)  # 10 windows on; gap windows carry nothing
     reg.finish(10_600)
     assert [w.index for w in reg.windows] == [0, 10]
+
+
+def test_untimed_writes_land_in_the_window_of_the_clock():
+    reg = MetricsRegistry(window_ns=1_000)
+    n = reg.counter("msgs_total")
+    n.inc()  # before the clock moves: joins the first window
+    reg.advance(2_100)
+    n.inc(2)
+    reg.advance(3_900)
+    n.inc(4)
+    reg.finish()
+    assert [(w.index, w.data["msgs_total"]["inc"]) for w in reg.windows] == [(2, 3), (3, 4)]
+
+
+def test_a_record_stamped_behind_the_registry_clock_lands_in_its_window():
+    """A send is stamped when it starts; if another component moved the
+    shared clock past a window boundary meanwhile, the record lands in
+    the window the clock is in."""
+    probes = {}
+    for name in ("a", "b"):
+        comp = Component(name)
+        comp.add_provided("in")
+        comp.add_required("out")
+        probes[name] = SimpleNamespace(component=comp, probe=ObservationProbe(comp), extra={})
+    reg = enable_telemetry(SimpleNamespace(containers=probes), window_ns=1_000)
+    probes["b"].probe.record_receive("in", Message(payload=b"x", sent_at_us=1), 10, now_us=5)
+    probes["a"].probe.record_send("out", Message(payload=b"x", sent_at_us=3), 10)
+    reg.finish()
+    sends = "send_duration_ns{component=a,iface=out}"
+    assert [w.index for w in reg.windows if sends in w.data] == [5]
 
 
 def test_gauges_never_appear_in_windows():
     reg = MetricsRegistry(window_ns=1_000)
     g = reg.gauge("queue_depth", component="c")
     h = reg.histogram("lat_ns")
-    reg.advance(100)
     g.set(7, 100)
-    h.observe(3)
+    h.observe(3, t_ns=100)
     reg.finish(1_500)
     for w in reg.windows:
         assert all("queue_depth" not in iid for iid in w.data)
@@ -187,8 +216,7 @@ def test_window_ids_count_from_one():
     reg = MetricsRegistry(window_ns=1_000)
     h = reg.histogram("x")
     for ts in (100, 1_100, 2_100):
-        reg.advance(ts)
-        h.observe(1)
+        h.observe(1, t_ns=ts)
     reg.finish(2_200)
     assert [w.id for w in reg.windows] == [1, 2, 3]
 
@@ -204,9 +232,8 @@ def _drive(reg: MetricsRegistry) -> None:
     for i, (ts, v) in enumerate(
         ((100, 5), (900, 80), (1_200, 7), (4_400, 9), (9_001, 6_000))
     ):
-        reg.advance(ts)
-        h.observe(v)
-        n.inc()
+        h.observe(v, t_ns=ts)
+        n.inc(t_ns=ts)
         g.set(i, ts)
     reg.finish(9_100)
 
@@ -292,8 +319,7 @@ def test_merge_registries_renumbers_and_combines_same_index_windows():
     b = MetricsRegistry(shard=1, window_ns=1_000, window_ids=lambda: iter((20, 21)))
     for reg, v in ((a, 4), (b, 6)):
         h = reg.histogram("lat_ns")
-        reg.advance(100)
-        h.observe(v)
+        h.observe(v, t_ns=100)
         reg.finish(200)
     merged = merge_registries([a, b])
     assert [w.id for w in merged.windows] == [1]  # global renumbering
