@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -79,3 +80,45 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+#: sha256 of the stdout of each command CI runs, pinned before the
+#: commands were rebuilt on ``build_run``: every preset must keep
+#: printing byte-identical output.  Relative output paths, run from a
+#: scratch directory, as CI does.
+STDOUT_PINS = {
+    "run --images 6 --shards 1 --metrics m1.json":
+        "115962c0e87d0c5e9939441b333561435822f1f3b4c992f73e291d2557f23865",
+    "run --images 6 --shards 2 --metrics m2.json":
+        "f8c328b8f3137eb1c8ee226e72ceb3b67dd864f52338f7799419639892b4dba4",
+    "run --images 6 --shards 4 --metrics m4.json":
+        "c048ac1d741fd743d62fb427571156ba882b681e848973ca290967efff1a3b63",
+    "run --images 6 --shards 4 --parallel":
+        "f90af31aa30d2f0f2af1d749150822fd48c4930dfbffdde759ae14d69085b4db",
+    "faults --seed 1 --images 8":
+        "02c3747d9e2645540c4c5e71b457bd42ee29cbfbff971d70375aa0b87071abfb",
+    "faults --seed 7 --images 8":
+        "8b31dc276d695b07a5e39575541a3a3904764478836057320426c29412288748",
+    "faults --seed 42 --images 8":
+        "7f7b28b11d3b79b6e0e9197f132c1814076b3682babaef3f6b3ff4ce002a7f7f",
+    "faults --seed 1 --images 8 --recover":
+        "31d5055323e0bf403831d5485230080c5aca766c1395e41f24f529c3ee07efdf",
+    "faults --seed 7 --images 8 --recover":
+        "9be77c91bf2af2a923b4a9e7015695425c6d4989ed2c663fa6e084f28e418ca6",
+    "faults --seed 42 --images 8 --recover":
+        "d3643eb9653d229778a5a61bd301e20902c08c1645e9675385ca34a012309cee",
+    "trace --images 6":
+        "f91d0d3c9d8492f2b82356c4283b0464a848db1a346b07100ca79b909c2b3543",
+    "trace --images 4 --shards 2":
+        "d336405e62f22003ed80251de733352fe5bb46463acac677372e6ceae6e0f3f8",
+    "top --images 4 --watch --interval 0":
+        "545221a7dd6b5fcbd31c7e77bee6cfd0e8f28100176ec2609c8b063ecd67d354",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_PINS))
+def test_ci_command_stdout_is_pinned(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[command]
