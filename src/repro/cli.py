@@ -106,16 +106,13 @@ def _demo(platform: str, n_images: int) -> int:
     from repro.metrics.analysis import summarize
     from repro.mjpeg import generate_stream
     from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly
-    from repro.runtime import SmpSimRuntime, Sti7200SimRuntime
+    from repro.runtime import RunConfig, build_run
 
     stream = generate_stream(n_images, 96, 96, quality=75, seed=0)
-    if platform == "smp":
-        app = build_smp_assembly(stream, use_stored_coefficients=True)
-        rt = SmpSimRuntime()
-    else:
-        app = build_sti7200_assembly(stream, use_stored_coefficients=True)
-        rt = Sti7200SimRuntime()
-    rt.run(app)
+    assemble = build_smp_assembly if platform == "smp" else build_sti7200_assembly
+    app = assemble(stream, use_stored_coefficients=True)
+    rt = build_run(RunConfig(platform), app)
+    rt.run()
     reports = rt.collect()
     rt.stop()
 
@@ -138,8 +135,7 @@ def _demo(platform: str, n_images: int) -> int:
 
 def _cmd_observe(_args: argparse.Namespace) -> int:
     from repro.core import Application, CONTROL, InterfaceContract
-    from repro.metrics import enable_telemetry
-    from repro.runtime import NativeRuntime
+    from repro.runtime import RunConfig, build_run
 
     def producer(ctx):
         """Demo producer behaviour."""
@@ -165,11 +161,8 @@ def _cmd_observe(_args: argparse.Namespace) -> int:
         "in", InterfaceContract(deadline_ns=1_000_000_000, ordered=True, name="demo-qos")
     )
     app.attach_observer()
-    rt = NativeRuntime()
-    rt.deploy(app)
-    enable_telemetry(rt)
-    rt.start()
-    rt.wait()
+    rt = build_run(RunConfig("native", telemetry=True), app)
+    rt.run()
     reports = rt.collect()
     rt.stop()
     printable = {f"{comp}/{level}": data for (comp, level), data in reports.items()}
@@ -199,16 +192,8 @@ def _write_profile(path: str, payload: dict) -> None:
           f"{len(payload['edges'])} edges)")
 
 
-def _cmd_run_traffic(args: argparse.Namespace) -> int:
-    """The 10k-component traffic model on the raw shard layer.
-
-    Prints the per-shard event balance and a shard-count-invariant
-    ``trace sha256:`` line (the CI ``scale-smoke`` contract).  With
-    ``--record-profile`` the observed traffic is dumped as a
-    ``repro.profile/v1`` document; feeding that back via
-    ``--repartition`` re-partitions by observed load -- the measure ->
-    repartition -> rerun loop on a skewed workload.
-    """
+def _cmd_run_traffic(args: argparse.Namespace, profile: Optional[dict]) -> int:
+    """``run --workload traffic``: the service graph on the raw shard layer."""
     from repro.sim.shard import repartition_from_profile
     from repro.workloads import TrafficConfig, run_traffic, traffic_profile_payload
     from repro.workloads.traffic import build_traffic_graph
@@ -216,12 +201,7 @@ def _cmd_run_traffic(args: argparse.Namespace) -> int:
     config = TrafficConfig(n_components=args.components, ticks=args.ticks)
     graph = build_traffic_graph(config)
     partition = None
-    if args.repartition is not None:
-        try:
-            profile = _load_profile(args.repartition)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if profile is not None:
         partition = repartition_from_profile(
             graph["names"], graph["edges"], args.shards, profile
         )
@@ -251,38 +231,19 @@ def _cmd_run_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """MJPEG SMP decode with a stable frame-set digest on stdout.
+    """The ``run`` command (see the module docstring).
 
-    ``--shards 1`` (the default) runs the plain single-kernel
-    ``SmpSimRuntime``; ``--shards N`` for N > 1 runs the same assembly on
-    the sharded conservative simulation.  The final ``frames sha256:``
-    line is the CI contract: it must be identical for every shard count.
-
-    With ``--metrics OUT`` the run carries the live telemetry plane and
-    writes the merged registry to OUT (Prometheus text for ``.prom`` /
-    ``.txt``, JSON otherwise).  Components are pinned to cores spread
-    evenly over the platform, in deployment order, and every shard count
-    runs the sharded simulation,
-    so the ``metrics sha256:`` line is a second shard-count-invariant
-    CI contract: the whole telemetry stream (histogram buckets, window
-    series) is bit-identical for any ``--shards N``.
-
-    ``--workload traffic`` swaps the decode for the generated
-    fan-in/fan-out service graph (``repro.workloads.traffic``, sized by
-    ``--components``); its invariant line is ``trace sha256:``.  Both
-    workloads support ``--record-profile OUT.json`` (dump observed
-    traffic) and ``--repartition PROFILE.json`` (partition by a recorded
-    profile instead of the static heuristic).
+    ``--shards 1`` runs the single-kernel ``SmpSimRuntime`` unless an
+    option needs the sharded runtime's staged transport (``--parallel``,
+    ``--metrics``, the profile options); a 1-shard sharded run decodes
+    the same frames.  ``--metrics`` also pins the placement (below), so
+    the whole telemetry stream is bit-identical for any ``--shards N``.
     """
+    from repro.hw import make_smp16
     from repro.mjpeg import generate_stream
     from repro.mjpeg.components import build_smp_assembly, frames_digest
-    from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
+    from repro.runtime import RunConfig, build_run
 
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.workload == "traffic":
-        return _cmd_run_traffic(args)
     profile = None
     if args.repartition is not None:
         try:
@@ -290,48 +251,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    # The profile plane lives on the sharded runtime's staged transport;
-    # a 1-shard sharded run is output-identical to the plain runtime, so
-    # profile I/O at --shards 1 just switches runtimes.
-    needs_sharded_rt = profile is not None or args.record_profile is not None
+    # The traffic model runs on the raw shard layer, which takes the
+    # sharded runtime's shard arguments: this one config checks both.
+    config = RunConfig.on_smp(
+        args.shards,
+        sharded=args.metrics is not None or args.record_profile is not None,
+        parallel=args.parallel,
+        profile=profile,
+        telemetry=args.metrics is not None,
+    )
+    if args.workload == "traffic":
+        return _cmd_run_traffic(args, profile)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
     if args.metrics is not None:
-        from repro.metrics import collect_telemetry, enable_telemetry
-
         # Pin the placement so the shard partitioner cannot move
         # components between runs: shard-merge invariance of the metrics
         # stream is only meaningful over one fixed placement.  The pins
         # are spread evenly over the platform's cores, so every shard's
         # core block hosts a component at any shard count.
-        rt = ShardedSmpSimRuntime(args.shards, parallel=args.parallel, profile=profile)
-        n_cores = rt.platform.n_cores
+        n_cores = make_smp16().n_cores
         n_components = len(app.components)
         for i, comp in enumerate(app.components.values()):
             comp.placement.setdefault("core", i * n_cores // n_components)
-        rt.deploy(app)
-        enable_telemetry(rt)
-        rt.start()
-        rt.wait()
-    elif args.shards == 1 and not needs_sharded_rt:
-        rt = SmpSimRuntime()
-        rt.run(app)
-    else:
-        rt = ShardedSmpSimRuntime(args.shards, parallel=args.parallel, profile=profile)
-        rt.run(app)
+    rt = build_run(config, app)
+    rt.run()
     reports = rt.collect()
     rt.stop()
 
     frames = app.components["Reorder"].frames
     if args.shards > 1:
-        assignment = {
-            name: cont.extra["shard"] for name, cont in rt.containers.items()
-        }
-        by_shard: dict = {}
-        for name, shard in sorted(assignment.items(), key=lambda kv: (kv[1], kv[0])):
-            by_shard.setdefault(shard, []).append(name)
-        for shard, names in by_shard.items():
-            print(f"shard {shard}: {', '.join(names)}")
+        for shard in range(args.shards):
+            names = sorted(n for n, c in rt.containers.items() if c.extra["shard"] == shard)
+            if names:
+                print(f"shard {shard}: {', '.join(names)}")
         print(f"sweeps: {rt.sim.sweeps}")
     print(
         f"shards={args.shards} images={args.images} frames={len(frames)} "
@@ -341,7 +294,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.record_profile is not None:
         _write_profile(args.record_profile, rt.profile())
     if args.metrics is not None:
-        from repro.metrics import metrics_digest, write_metrics
+        from repro.metrics import collect_telemetry, metrics_digest, write_metrics
 
         registry = collect_telemetry(rt)
         write_metrics(
@@ -538,8 +491,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Inspect a durable recovery directory (ls / dump / verify)."""
-    import os
-
     from repro.recovery.durable import (
         DurableError, DurableStore, FrameStore, MANIFEST_NAME,
     )
@@ -622,36 +573,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.metrics.analysis import backpressure_report
     from repro.mjpeg import generate_stream
     from repro.mjpeg.components import build_smp_assembly
-    from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
+    from repro.runtime import RunConfig, build_run
     from repro.trace import (
         SpanGraph,
         collect_trace,
-        enable_tracing,
         queue_depth_series,
         write_chrome_trace,
         write_columns,
     )
 
+    config = RunConfig.on_smp(args.shards, trace=True, telemetry=args.metrics is not None)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
-    app = build_smp_assembly(stream, use_stored_coefficients=True)
-    rt = ShardedSmpSimRuntime(args.shards) if args.shards > 1 else SmpSimRuntime()
-    rt.deploy(app)
-    # A sharded run traces into one buffer per shard, merged afterwards
-    # on the (timestamp, shard, sequence) key -- see docs/observing.md,
-    # "Merging multi-shard traces".
-    traced = enable_tracing(rt)
-    if args.metrics is not None:
-        from repro.metrics import enable_telemetry
-
-        enable_telemetry(rt)
-    rt.start()
-    rt.wait()
+    rt = build_run(config, build_smp_assembly(stream, use_stored_coefficients=True))
+    rt.run()
     rt.stop()
     buffer = collect_trace(rt)
-    if isinstance(traced, list):
+    # A sharded run traces into one buffer per shard, merged on the
+    # (timestamp, shard, sequence) key -- see docs/observing.md,
+    # "Merging multi-shard traces".
+    if isinstance(rt.trace, list):
         print(
-            f"merged {len(traced)} shard buffers "
-            f"({', '.join(str(len(b)) for b in traced)} events) "
+            f"merged {len(rt.trace)} shard buffers "
+            f"({', '.join(str(len(b)) for b in rt.trace)} events) "
             f"over {rt.sim.sweeps} sweeps"
         )
 
@@ -729,32 +672,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    """Live ascii dashboard over the MJPEG SMP decode telemetry.
-
-    Runs the decode with the telemetry plane enabled, then renders the
-    per-component table plus the windowed message-rate / latency chart.
-    With ``--watch`` the recorded window series is replayed as live
-    frames (one per telemetry window, ``--interval`` seconds apart),
-    each redrawing the terminal like ``top``.
-    """
+    """The decode's telemetry as the ``top`` dashboard; ``--watch``
+    replays it one telemetry window per redrawn frame."""
     import time
 
-    from repro.metrics import collect_telemetry, enable_telemetry
+    from repro.metrics import collect_telemetry
     from repro.metrics.dashboard import CLEAR, iter_frames, render_dashboard
     from repro.mjpeg import generate_stream
     from repro.mjpeg.components import build_smp_assembly
-    from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
+    from repro.runtime import RunConfig, build_run
 
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
+    config = RunConfig.on_smp(args.shards, telemetry=True)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
-    rt = SmpSimRuntime() if args.shards == 1 else ShardedSmpSimRuntime(args.shards)
-    rt.deploy(app)
-    enable_telemetry(rt)
-    rt.start()
-    rt.wait()
+    rt = build_run(config, app)
+    rt.run()
     rt.collect()
     rt.stop()
     registry = collect_telemetry(rt)
@@ -832,12 +764,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help="partition the simulation across N conservative shards "
-        "(1 = plain single-kernel runtime; output is identical for any N)",
+        "(1 = plain single-kernel runtime unless another option needs the "
+        "sharded one; output is identical for any N)",
     )
     run.add_argument(
         "--parallel", action="store_true",
         help="execute shard windows on OS threads (same results as the "
-        "cooperative driver; needs --shards > 1)",
+        "cooperative driver; runs the sharded runtime at any --shards)",
     )
     run.add_argument(
         "--metrics", metavar="OUT", default=None,
@@ -1024,29 +957,28 @@ def _profiled(args: argparse.Namespace, fn) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 for a run
+    configuration no runtime supports)."""
+    from repro.runtime import ConfigError
+
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _cmd_info(args)
-    if args.command == "demo-smp":
-        return _demo("smp", args.images)
-    if args.command == "demo-sti7200":
-        return _demo("sti7200", args.images)
-    if args.command == "observe":
-        return _cmd_observe(args)
-    if args.command == "run":
-        return _profiled(args, lambda: _cmd_run(args))
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    command = {
+        "info": _cmd_info,
+        "demo-smp": lambda a: _demo("smp", a.images),
+        "demo-sti7200": lambda a: _demo("sti7200", a.images),
+        "observe": _cmd_observe,
+        "run": lambda a: _profiled(a, lambda: _cmd_run(a)),
+        "faults": _cmd_faults,
+        "campaign": _cmd_campaign,
+        "recover": _cmd_recover,
+        "trace": _cmd_trace,
+        "top": _cmd_top,
+    }[args.command]
+    try:
+        return command(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

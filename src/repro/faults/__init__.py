@@ -2,14 +2,13 @@
 
 See ``docs/robustness.md``.  Quick tour::
 
-    from repro.faults import FaultPlan, FaultInjector, Supervisor, RestartPolicy
+    from repro.faults import FaultPlan
+    from repro.runtime import RunConfig, build_run
 
     plan = FaultPlan(seed=7).crash("IDCT_2", on_receive=12) \
                             .drop("IDCT_2", "idctReorder", probability=0.05)
-    rt.deploy(app)
-    FaultInjector(plan).install(rt)
-    Supervisor(policy=RestartPolicy()).install(rt)
-    rt.start(); rt.wait()
+    rt = build_run(RunConfig(faults=plan, policy="restart"), app)  # injector + supervisor
+    rt.run()
 """
 
 from repro.faults.campaign import CampaignResult, build_campaign_plan, run_chaos_campaign

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.contracts import InterfaceContract
 from repro.core.observation import APPLICATION_LEVEL
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.supervisor import (
     JITTER_FULL,
@@ -39,15 +38,13 @@ from repro.faults.supervisor import (
     DegradePolicy,
     HaltPolicy,
     RestartPolicy,
-    Supervisor,
 )
-from repro.metrics.telemetry import collect_telemetry, enable_telemetry
+from repro.metrics.telemetry import collect_telemetry
 from repro.mjpeg.components import BATCHES_PER_IMAGE, build_smp_assembly, frames_digest
 from repro.mjpeg.stream import generate_stream
-from repro.recovery import RecoveryManager
-from repro.runtime.simulated import ShardedSmpSimRuntime, SmpSimRuntime
+from repro.runtime.build import RunConfig, build_run
 from repro.sim.rng import RngRegistry
-from repro.trace.tracer import collect_trace, enable_tracing
+from repro.trace.tracer import collect_trace
 
 #: IDCT workers of the SMP assembly (crash victims, round-robin).
 _IDCTS = ("IDCT_1", "IDCT_2", "IDCT_3")
@@ -78,22 +75,15 @@ class PolicyProfile:
     oracle: str
     #: Builds a fresh supervision policy object for one run.
     factory: Callable[[], Any]
-    #: Install exactly-once recovery alongside the supervisor.
+    #: Install exactly-once recovery alongside the supervisor (a
+    #: :class:`~repro.runtime.build.RunConfig` refuses it on runtimes
+    #: that cannot replay).
     recover: bool = False
     #: The policy can sever an upstream for good (degrade/halt): the run
     #: records an application failure in its result instead of raising,
     #: and the Reorder stage counts its live upstreams with a quiescence
     #: deadline.
     severs: bool = False
-
-    @property
-    def sharded_ok(self) -> bool:
-        """Valid on the sharded platform (recovery is single-kernel only)."""
-        return not self.recover
-
-    def build(self):
-        """A fresh policy object for one run."""
-        return self.factory()
 
 
 def _restart(**extra) -> Callable[[], RestartPolicy]:
@@ -321,16 +311,16 @@ def reference_oracle(stream, shards: int = 1) -> Tuple[Dict[int, str], str]:
     """The fault-free run distilled into the bit-exactness oracle:
     ``(per-frame sha256 hashes, frame-set digest)``.
 
-    ``shards`` selects the platform variant (the sharded conservative
-    simulation for ``shards > 1``); the decoded pixels are shard-count
-    invariant, but fleet campaigns cache one reference per platform so
-    the oracle never crosses runtimes.
+    ``shards`` selects the platform variant (see
+    :meth:`~repro.runtime.build.RunConfig.on_smp`); the decoded pixels
+    are shard-count invariant, but fleet campaigns cache one reference
+    per platform so the oracle never crosses runtimes.
     """
     app = build_smp_assembly(
         stream, use_stored_coefficients=True, keep_frames=True, with_observer=False
     )
-    rt = ShardedSmpSimRuntime(shards) if shards > 1 else SmpSimRuntime()
-    rt.run(app)
+    rt = build_run(RunConfig.on_smp(shards), app)
+    rt.run()
     rt.stop()
     frames = app.components["Reorder"].frames
     return frame_hashes(frames), frames_digest(frames)
@@ -365,8 +355,10 @@ def run_chaos_campaign(
     :class:`~repro.recovery.RecoveryManager` is installed alongside the
     supervisor, upgrading the claim from "survivors are bit-exact" to
     exactly-once -- the complete frame set is reproduced bit-identically
-    despite crashes, drops and duplicates.  Recovery on the sharded
-    runtime is refused when the manager is installed.
+    despite crashes, drops and duplicates.  The run is assembled by
+    :func:`~repro.runtime.build.build_run`, so a combination it cannot
+    run (recovery on the sharded runtime, ``shards < 1``) raises
+    :class:`~repro.runtime.base.RuntimeError_` before anything runs.
 
     The chaos run carries the live telemetry plane: per-interface
     latency histograms, restart/MTTR series, and the QoS contracts of
@@ -390,15 +382,18 @@ def run_chaos_campaign(
     if recover and policy not in ("restart", "recover"):
         raise ValueError(f"recover=True selects the recover policy, not {policy!r}")
     profile = POLICIES["recover" if recover else policy]
+    if plan is None:
+        plan = build_campaign_plan(seed, n_images)
+    plan.validate()
+    config = RunConfig.on_smp(
+        shards, trace=True, telemetry=True, faults=plan, policy=profile.name, seed=seed
+    )
     stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
     if reference_hashes is None:
         reference_hashes, reference_digest = reference_oracle(stream)
     elif not reference_digest:
         raise ValueError("reference_hashes needs the matching reference_digest")
 
-    if plan is None:
-        plan = build_campaign_plan(seed, n_images)
-    plan.validate()
     app = build_smp_assembly(
         stream,
         use_stored_coefficients=True,
@@ -409,17 +404,11 @@ def run_chaos_campaign(
         quiescence_timeout_ns=QUIESCENCE_NS if profile.severs else None,
     )
     attach_campaign_contracts(app, deadline_us)
-    rt = ShardedSmpSimRuntime(shards) if shards > 1 else SmpSimRuntime()
-    rt.deploy(app)
-    enable_tracing(rt)
-    enable_telemetry(rt)
-    injector = FaultInjector(plan).install(rt)
-    recovery = RecoveryManager().install(rt) if profile.recover else None
-    supervisor = Supervisor(policy=profile.build(), seed=seed).install(rt)
+    rt = build_run(config, app)
+    injector, recovery, supervisor = rt.injector, rt.recovery, rt.supervisor
     error = ""
     try:
-        rt.start()
-        rt.wait()
+        rt.run()
         reports = rt.collect()
     except Exception as exc:  # noqa: BLE001 - halt cells expect to fail
         if not profile.severs:
@@ -438,24 +427,18 @@ def run_chaos_campaign(
     delivered = dict(app.components["Reorder"].frames)
     lost = sorted(set(reference_hashes) - set(delivered))
     bit_exact = all(
-        index in reference_hashes
-        and hashlib.sha256(image.tobytes()).hexdigest() == reference_hashes[index]
-        for index, image in delivered.items()
+        reference_hashes.get(index) == frame for index, frame in frame_hashes(delivered).items()
     )
 
-    restarts = 0
-    mttr_samples: List[int] = []
+    restarts = repair_us = 0  # repair_us: MTTR weighted by restart count
     if reports:
         for comp in app.functional_components():
             fault_report = reports[(comp.name, APPLICATION_LEVEL)]["faults"]
             restarts += fault_report["restarts"]
-            if fault_report["restarts"]:
-                mttr_samples.extend(
-                    [fault_report["mttr_us"]] * fault_report["restarts"]
-                )
+            repair_us += fault_report["mttr_us"] * fault_report["restarts"]
     else:
         restarts = sum(1 for ev in supervisor.events if ev.action == RESTART)
-    mttr_us = sum(mttr_samples) // len(mttr_samples) if mttr_samples else 0
+    mttr_us = repair_us // restarts if repair_us else 0
     backoff_total_ns = sum(ev.backoff_ns for ev in supervisor.events)
 
     try:
@@ -466,8 +449,7 @@ def run_chaos_campaign(
     if registry is not None:
         for kind, name, labels, inst in registry.instruments():
             if kind == "counter" and name == "contract_violations_total" and inst.value:
-                key = labels["kind"]
-                violations[key] = violations.get(key, 0) + inst.value
+                violations[labels["kind"]] = violations.get(labels["kind"], 0) + inst.value
 
     digest = hashlib.sha256()
     digest.update(json.dumps(plan.describe(), sort_keys=True).encode())

@@ -49,12 +49,13 @@ the aggregate and renders the Pareto frontier of supervision policies.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.campaign import (
@@ -76,6 +77,7 @@ from repro.recovery.durable import (
     read_checksummed_json,
     write_checksummed_json,
 )
+from repro.runtime.build import ConfigError, RunConfig
 
 MANIFEST_NAME = "campaign.json"
 AGGREGATE_NAME = "aggregate.json"
@@ -145,27 +147,13 @@ class CampaignConfig:
             raise FleetError(f"campaign needs at least 3 images, got {self.n_images}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seeds": list(self.seeds),
-            "fault_classes": list(self.fault_classes),
-            "intensities": list(self.intensities),
-            "policies": list(self.policies),
-            "shard_counts": list(self.shard_counts),
-            "n_images": self.n_images,
-            "deadline_us": self.deadline_us,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "CampaignConfig":
-        return CampaignConfig(
-            seeds=tuple(data["seeds"]),
-            fault_classes=tuple(data["fault_classes"]),
-            intensities=tuple(data["intensities"]),
-            policies=tuple(data["policies"]),
-            shard_counts=tuple(data["shard_counts"]),
-            n_images=int(data["n_images"]),
-            deadline_us=int(data["deadline_us"]),
-        )
+        return CampaignConfig(**{key: tuple(value) if isinstance(value, list) else value
+                                 for key, value in data.items()})
 
     def digest(self) -> str:
         return config_digest(self.to_dict())
@@ -192,28 +180,19 @@ class CellSpec:
         )
 
     def describe(self) -> Dict[str, Any]:
-        return {
-            "cell_id": self.cell_id,
-            "index": self.index,
-            "seed": self.seed,
-            "fault_class": self.fault_class,
-            "intensity": self.intensity,
-            "policy": self.policy,
-            "shards": self.shards,
-            "n_images": self.n_images,
-        }
+        return {"cell_id": self.cell_id, **asdict(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "CellSpec":
-        return CellSpec(
-            index=int(data["index"]),
-            seed=int(data["seed"]),
-            fault_class=data["fault_class"],
-            intensity=data["intensity"],
-            policy=data["policy"],
-            shards=int(data["shards"]),
-            n_images=int(data["n_images"]),
-        )
+        return CellSpec(**{spec.name: data[spec.name] for spec in fields(CellSpec)})
+
+
+def _runnable(policy: str, shards: int) -> bool:
+    try:
+        RunConfig.on_smp(shards, policy=policy)
+    except ConfigError:
+        return False
+    return True
 
 
 def build_grid(config: CampaignConfig) -> List[CellSpec]:
@@ -221,32 +200,19 @@ def build_grid(config: CampaignConfig) -> List[CellSpec]:
 
     The order (seed, fault class, intensity, policy, shards) is part of
     the format: cell indices -- and therefore cell ids, result filenames
-    and the aggregate layout -- are derived from it.  Combinations a
-    policy cannot run (``recover`` on the sharded platform) are skipped,
-    not errors, so the cross product stays declarative.
+    and the aggregate layout -- are derived from it.  Combinations whose
+    :class:`~repro.runtime.build.RunConfig` is refused (``recover`` on
+    the sharded platform) are skipped, not errors, so the cross product
+    stays declarative.
     """
-    cells: List[CellSpec] = []
-    index = 0
-    for seed in config.seeds:
-        for fault_class in config.fault_classes:
-            for intensity in config.intensities:
-                for policy in config.policies:
-                    profile = POLICIES[policy]
-                    for shards in config.shard_counts:
-                        if shards > 1 and not profile.sharded_ok:
-                            continue
-                        cells.append(
-                            CellSpec(
-                                index=index,
-                                seed=seed,
-                                fault_class=fault_class,
-                                intensity=intensity,
-                                policy=policy,
-                                shards=shards,
-                                n_images=config.n_images,
-                            )
-                        )
-                        index += 1
+    axes = itertools.product(
+        config.seeds, config.fault_classes, config.intensities, config.policies,
+        config.shard_counts,
+    )
+    cells = [
+        CellSpec(index, *point, n_images=config.n_images)
+        for index, point in enumerate(p for p in axes if _runnable(p[3], p[4]))
+    ]
     if not cells:
         raise FleetError(
             "the campaign grid is empty (every combination was skipped); "

@@ -132,7 +132,8 @@ class FaultInjector:
     def install(self, runtime) -> "FaultInjector":
         """Hook every deployed behaviour context (call after ``deploy()``
         -- and after ``enable_tracing`` if tracing is wanted -- but before
-        ``start()``)."""
+        ``start()``; :func:`repro.runtime.build.build_run` does this for
+        ``RunConfig(faults=plan)``)."""
         if self.installed:
             raise RuntimeError("fault injector already installed")
         names = set(runtime.containers)
@@ -162,6 +163,7 @@ class FaultInjector:
                 first = next(iter(runtime.containers.values()), None)
                 if first is not None and first.context is not None:
                     self._epoch_ns = first.context.now_ns()
+        runtime.injector = self
         self.installed = True
         return self
 

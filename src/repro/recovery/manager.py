@@ -123,9 +123,9 @@ class RecoveryManager:
     # -- installation ---------------------------------------------------------
 
     def install(self, runtime) -> "RecoveryManager":
-        """Hook every deployed behaviour context (call after ``deploy()``,
-        in any order relative to tracing and fault injection, but before
-        ``start()``)."""
+        """Hook every deployed behaviour context (call after ``deploy()``
+        and before ``start()``; :func:`repro.runtime.build.build_run`
+        does this, in its fixed plane order, for the ``recover`` policy)."""
         if self.installed:
             raise RuntimeError("recovery manager already installed")
         if not runtime.supports_replay:

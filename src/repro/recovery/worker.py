@@ -29,15 +29,12 @@ from __future__ import annotations
 import json
 import os
 
-from repro.faults.campaign import POLICIES, build_campaign_plan
-from repro.faults.injector import FaultInjector
+from repro.faults.campaign import build_campaign_plan
 from repro.faults.plan import split_process_faults
-from repro.faults.supervisor import Supervisor
 from repro.mjpeg.components import build_smp_assembly
 from repro.mjpeg.stream import generate_stream
 from repro.recovery.durable import DurableStore, FrameStore, atomic_write_bytes
-from repro.recovery.manager import RecoveryManager
-from repro.runtime.native import NativeRuntime
+from repro.runtime.build import RunConfig, build_run
 
 CONFIG_NAME = "CONFIG.json"
 RESULT_NAME = "RESULT.json"
@@ -65,9 +62,6 @@ def run_worker(root: str) -> dict:
         drop_incomplete=False,
         frame_sink=frames.save,
     )
-    runtime = NativeRuntime()
-    runtime.deploy(app)
-
     plan = build_campaign_plan(
         config["seed"],
         config["n_images"],
@@ -76,25 +70,24 @@ def run_worker(root: str) -> dict:
         kill9s=config["kill9s"],
     )
     inproc, _process_specs = split_process_faults(plan)
-    injector = FaultInjector(inproc).install(runtime)
     store = DurableStore(root, config=config, fsync=config["fsync"])
-    recovery = RecoveryManager(durable=store).install(runtime)
-    supervisor = Supervisor(
-        policy=POLICIES["recover"].build(), seed=config["seed"]
-    ).install(runtime)
-
-    runtime.start()
-    runtime.wait()
+    runtime = build_run(
+        RunConfig(
+            "native", faults=inproc, policy="recover", seed=config["seed"], durable=store
+        ),
+        app,
+    )
+    runtime.run()
     runtime.stop()
 
     result = {
         "pid": os.getpid(),
         "frames_on_disk": frames.count(),
-        "injected": injector.counts(),
-        "supervised_restarts": len(supervisor.events),
-        "recovery": recovery.report(),
+        "injected": runtime.injector.counts(),
+        "supervised_restarts": len(runtime.supervisor.events),
+        "recovery": runtime.recovery.report(),
     }
-    recovery.close()
+    runtime.recovery.close()
     atomic_write_bytes(
         os.path.join(root, RESULT_NAME),
         json.dumps(result, indent=2, sort_keys=True).encode(),

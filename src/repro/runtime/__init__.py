@@ -14,6 +14,9 @@ Three runtimes execute the same, unmodified components:
   OS21 tasks (one per CPU) with EMBX distributed-object interfaces on the
   STi7200 model.
 
+:func:`~repro.runtime.build.build_run` assembles any of them from one
+:class:`~repro.runtime.build.RunConfig`, with the planes it asks for.
+
 The runtime is the only place observation attaches: it creates a probe
 and an observation-service flow per component, and implements the
 OS-level report with whatever the platform offers (``gettimeofday`` wall
@@ -22,6 +25,7 @@ platform-specifically, as in the paper).
 """
 
 from repro.runtime.base import Runtime, RuntimeError_
+from repro.runtime.build import ConfigError, RunConfig, build_run
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simulated import (
     ShardSimContext,
@@ -32,7 +36,9 @@ from repro.runtime.simulated import (
 )
 
 __all__ = [
+    "ConfigError",
     "NativeRuntime",
+    "RunConfig",
     "Runtime",
     "RuntimeError_",
     "ShardSimContext",
@@ -40,4 +46,5 @@ __all__ = [
     "SimRuntime",
     "SmpSimRuntime",
     "Sti7200SimRuntime",
+    "build_run",
 ]

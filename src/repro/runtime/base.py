@@ -47,30 +47,25 @@ class Runtime(ABC):
         #: Default observation policy for every probe; a component may
         #: override it via ``comp.place(observation_policy=...)``.
         self.observation_policy = None
-        #: Optional :class:`repro.faults.Supervisor` (set by
-        #: ``supervisor.install(runtime)`` between deploy and start).
-        #: When present, covered components run inside its restart /
-        #: degrade / halt flow instead of failing the whole application.
-        self.supervisor = None
         #: Deployment-wide span allocator: every context built by this
         #: runtime draws from it, so message span ids are unique across
         #: components (next() on a count is atomic under CPython -- no
         #: lock even on the thread runtime).
         self.span_source = count(1)
-        #: Optional :class:`repro.recovery.RecoveryManager` (set by
-        #: ``recovery.install(runtime)`` between deploy and start).  When
-        #: present, data/control sends carry delivery sequence numbers and
-        #: supervised restarts replay unacknowledged messages.
-        self.recovery = None
-        #: Live metrics plane (set by
-        #: :func:`repro.metrics.telemetry.enable_telemetry` between
-        #: deploy and start): one :class:`MetricsRegistry`, or a
-        #: per-shard list on the sharded runtime.
-        self.metrics = None
-        #: Trace plane (set by :func:`repro.trace.tracer.enable_tracing`
-        #: between deploy and start): one :class:`TraceBuffer`, or a
-        #: per-shard list on the sharded runtime.
+        # The optional planes, set between deploy and start by
+        # repro.runtime.build.build_run or by each plane's own install.
+        #: Trace plane: a :class:`TraceBuffer`, or one per shard.
         self.trace = None
+        #: Live metrics plane: a :class:`MetricsRegistry`, or one per shard.
+        self.metrics = None
+        #: :class:`repro.faults.FaultInjector` of the run.
+        self.injector = None
+        #: :class:`repro.recovery.RecoveryManager`: dseq-stamped sends and
+        #: replay of unacknowledged messages on supervised restart.
+        self.recovery = None
+        #: :class:`repro.faults.Supervisor`: covered components restart,
+        #: degrade or halt instead of failing the whole application.
+        self.supervisor = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -99,9 +94,10 @@ class Runtime(ABC):
     def stop(self) -> None:
         """Terminate observation services and release the platform."""
 
-    def run(self, app: Application) -> None:
-        """deploy + start + wait (the common happy path)."""
-        self.deploy(app)
+    def run(self, app: Optional[Application] = None) -> None:
+        """deploy (unless ``build_run`` already did) + start + wait."""
+        if app is not None:
+            self.deploy(app)
         self.start()
         self.wait()
 

@@ -1,0 +1,119 @@
+"""One run configuration and the one place that assembles it.
+
+A :class:`RunConfig` names a runtime and the planes a run carries;
+:func:`build_run` builds the runtime, deploys the application and wires
+the planes.  A combination no runtime supports is refused when the
+config is built, before any runtime exists, instead of mid-run.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Optional
+
+from repro.runtime.base import RuntimeError_
+from repro.runtime.native import NativeRuntime
+from repro.runtime.simulated import ShardedSmpSimRuntime, SmpSimRuntime, Sti7200SimRuntime
+
+RUNTIMES = {"smp": SmpSimRuntime, "sharded": ShardedSmpSimRuntime,
+            "sti7200": Sti7200SimRuntime, "native": NativeRuntime}
+
+
+class ConfigError(RuntimeError_):
+    """A :class:`RunConfig` names a combination no runtime supports."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Which runtime a run uses and which planes it carries.
+
+    ``shards``, ``parallel`` and ``profile`` are the
+    :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` arguments;
+    ``faults`` is a :class:`~repro.faults.plan.FaultPlan`; ``policy``
+    names a supervision profile of :data:`repro.faults.campaign.POLICIES`
+    and ``seed`` seeds it.  The ``recover`` policy adds exactly-once
+    recovery, over the ``durable`` store when one is given.
+    """
+
+    runtime: str = "smp"
+    shards: int = 1
+    parallel: bool = False
+    profile: Optional[dict] = None
+    trace: bool = False
+    telemetry: bool = False
+    faults: Any = None
+    policy: Optional[str] = None
+    seed: int = 0
+    durable: Any = None
+
+    def __post_init__(self) -> None:
+        cls = RUNTIMES.get(self.runtime)
+        if cls is None:
+            raise ConfigError(
+                f"unknown runtime {self.runtime!r}; use one of {', '.join(RUNTIMES)}"
+            )
+        if self.shards < 1:
+            raise ConfigError(f"shards={self.shards}: a run needs at least one shard")
+        if cls is not ShardedSmpSimRuntime:
+            for name, given in (("shards", self.shards != 1), ("parallel", self.parallel),
+                                ("profile", self.profile is not None)):
+                if given:
+                    raise ConfigError(
+                        f"runtime {self.runtime!r} does not take {name}="
+                        f"{getattr(self, name)!r}; only runtime 'sharded' does"
+                    )
+        if self.recovers and not cls.supports_replay:
+            raise ConfigError(
+                f"policy 'recover' replays messages, which runtime {self.runtime!r} "
+                f"({cls.__name__}) cannot; use runtime 'smp'"
+            )
+        if self.durable is not None and not self.recovers:
+            raise ConfigError(f"a durable store needs policy 'recover', not {self.policy!r}")
+
+    @classmethod
+    def on_smp(cls, shards: int = 1, sharded: bool = False, **fields) -> "RunConfig":
+        """The SMP platform: the single-kernel runtime at one shard, the
+        sharded one at any other count or when ``sharded``, ``parallel``
+        or a ``profile`` asks for its staged transport."""
+        sharded = sharded or fields.get("parallel") or fields.get("profile") is not None
+        runtime = "smp" if shards == 1 and not sharded else "sharded"
+        return cls(runtime=runtime, shards=shards, **fields)
+
+    @property
+    def recovers(self) -> bool:
+        """Whether the supervision policy installs exactly-once recovery."""
+        from repro.faults.campaign import POLICIES
+
+        return self.policy is not None and POLICIES[self.policy].recover
+
+
+def build_run(config: RunConfig, app):
+    """Build ``config``'s runtime, deploy ``app`` and install the planes
+    in one fixed order: tracing (first, so the injector finds each
+    component's tracer), telemetry, fault injector, recovery,
+    supervisor.  Returns the deployed, unstarted runtime; the planes
+    hang off its ``trace``, ``metrics``, ``injector``, ``recovery`` and
+    ``supervisor`` attributes."""
+    from repro.faults.campaign import POLICIES
+    from repro.faults.injector import FaultInjector
+    from repro.faults.supervisor import Supervisor
+    from repro.metrics.telemetry import enable_telemetry
+    from repro.recovery.manager import RecoveryManager
+    from repro.trace.tracer import enable_tracing
+
+    if config.runtime == "sharded":
+        rt = ShardedSmpSimRuntime(config.shards, parallel=config.parallel, profile=config.profile)
+    else:
+        rt = RUNTIMES[config.runtime]()
+    rt.deploy(app)
+    if config.trace:
+        enable_tracing(rt)
+    if config.telemetry:
+        enable_telemetry(rt)
+    if config.faults is not None:
+        FaultInjector(config.faults).install(rt)
+    if config.recovers:
+        RecoveryManager(durable=config.durable).install(rt)
+    if config.policy is not None:
+        Supervisor(policy=POLICIES[config.policy].factory(), seed=config.seed).install(rt)
+    return rt

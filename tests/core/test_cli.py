@@ -122,3 +122,33 @@ def test_ci_command_stdout_is_pinned(command, capsys, tmp_path, monkeypatch):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[command]
+
+
+@pytest.mark.parametrize("command", ["trace", "top", "run"])
+@pytest.mark.parametrize("shards", ["0", "-2"])
+def test_invalid_shard_count_is_a_config_error(command, shards, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--images", "4", "--shards", shards]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: shards={shards}" in captured.err
+
+
+def test_parallel_runs_the_threaded_driver_at_one_shard(capsys, monkeypatch):
+    from repro.sim.shard import ShardedSimulation
+
+    calls = []
+    run_parallel = ShardedSimulation.run_parallel
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(self.shards))
+        return run_parallel(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardedSimulation, "run_parallel", counting)
+    digests = []
+    for extra in ([], ["--parallel"]):
+        assert main(["run", "--images", "4", "--shards", "1", *extra]) == 0
+        out = capsys.readouterr().out.splitlines()
+        digests.append(next(l for l in out if l.startswith("frames sha256:")))
+    assert calls and set(calls) == {1}  # only the --parallel run, on one shard
+    assert digests[0] == digests[1]

@@ -102,3 +102,16 @@ def test_invalid_trace_rows_still_fail_the_campaign(monkeypatch, row, message):
     _capture_trace(monkeypatch, tamper=row)
     with pytest.raises(ValueError, match=message):
         run_chaos_campaign(seed=1, n_images=4)
+
+
+@pytest.mark.parametrize("shards", [0, -3])
+def test_invalid_shard_count_is_refused_before_any_run(monkeypatch, shards):
+    import repro.faults.campaign as campaign
+    from repro.runtime import RuntimeError_
+
+    def no_reference(*_args, **_kwargs):
+        raise AssertionError("the fault-free reference ran")
+
+    monkeypatch.setattr(campaign, "reference_oracle", no_reference)
+    with pytest.raises(RuntimeError_, match=f"shards={shards}"):
+        run_chaos_campaign(seed=1, n_images=4, shards=shards)

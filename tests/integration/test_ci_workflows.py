@@ -57,6 +57,8 @@ def test_smoke_jobs_are_separate():
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
     assert "run --images 6 --shards 4 --parallel" in shard_runs
     assert 'test "$sha1" = "$sha4p"' in shard_runs
+    assert "run --images 6 --shards 1 --parallel" in shard_runs
+    assert 'test "$sha1" = "$sha1p"' in shard_runs
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
     assert "python -m bench run --smoke --out bench-smoke.json" in runs
