@@ -13,7 +13,7 @@ Commands
     Run the quickstart pipeline on the native runtime and dump all three
     observation levels as JSON.
 ``run [--workload {mjpeg,traffic}] [--images N] [--components N]
-[--shards N] [--parallel] [--metrics OUT] [--record-profile OUT.json]
+[--shards N] [--metrics OUT] [--record-profile OUT.json]
 [--repartition PROFILE.json] [--profile OUT.pstats]``
     Run a workload and print its shard-count-invariant digest.  The
     default ``mjpeg`` workload decodes the MJPEG stream and prints the
@@ -207,9 +207,7 @@ def _cmd_run_traffic(args: argparse.Namespace, profile: Optional[dict]) -> int:
         )
         print(f"repartitioned {len(graph['names'])} components from "
               f"{args.repartition}")
-    result = run_traffic(
-        config, args.shards, parallel=args.parallel, partition=partition, graph=graph
-    )
+    result = run_traffic(config, args.shards, partition=partition, graph=graph)
     mean = result["events"] / args.shards
     for k in range(args.shards):
         n = result["shard_events"][k]
@@ -234,10 +232,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` command (see the module docstring).
 
     ``--shards 1`` runs the single-kernel ``SmpSimRuntime`` unless an
-    option needs the sharded runtime's staged transport (``--parallel``,
-    ``--metrics``, the profile options); a 1-shard sharded run decodes
-    the same frames.  ``--metrics`` also pins the placement (below), so
-    the whole telemetry stream is bit-identical for any ``--shards N``.
+    option needs the sharded runtime's staged transport (``--metrics``,
+    the profile options); a 1-shard sharded run decodes the same frames.
+    ``--metrics`` also pins the placement (below), so the whole
+    telemetry stream is bit-identical for any ``--shards N``.
     """
     from repro.hw import make_smp16
     from repro.mjpeg import generate_stream
@@ -256,7 +254,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = RunConfig.on_smp(
         args.shards,
         sharded=args.metrics is not None or args.record_profile is not None,
-        parallel=args.parallel,
         profile=profile,
         telemetry=args.metrics is not None,
     )
@@ -764,13 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help="partition the simulation across N conservative shards "
-        "(1 = plain single-kernel runtime unless another option needs the "
-        "sharded one; output is identical for any N)",
-    )
-    run.add_argument(
-        "--parallel", action="store_true",
-        help="execute shard windows on OS threads (same results as the "
-        "cooperative driver; runs the sharded runtime at any --shards)",
+        "(1 = plain single-kernel runtime unless --metrics or a profile "
+        "option needs the sharded one; output is identical for any N)",
     )
     run.add_argument(
         "--metrics", metavar="OUT", default=None,

@@ -27,7 +27,7 @@ class ConfigError(RuntimeError_):
 class RunConfig:
     """Which runtime a run uses and which planes it carries.
 
-    ``shards``, ``parallel`` and ``profile`` are the
+    ``shards`` and ``profile`` are the
     :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` arguments;
     ``faults`` is a :class:`~repro.faults.plan.FaultPlan`; ``policy``
     names a supervision profile of :data:`repro.faults.campaign.POLICIES`
@@ -37,7 +37,6 @@ class RunConfig:
 
     runtime: str = "smp"
     shards: int = 1
-    parallel: bool = False
     profile: Optional[dict] = None
     trace: bool = False
     telemetry: bool = False
@@ -55,7 +54,7 @@ class RunConfig:
         if self.shards < 1:
             raise ConfigError(f"shards={self.shards}: a run needs at least one shard")
         if cls is not ShardedSmpSimRuntime:
-            for name, given in (("shards", self.shards != 1), ("parallel", self.parallel),
+            for name, given in (("shards", self.shards != 1),
                                 ("profile", self.profile is not None)):
                 if given:
                     raise ConfigError(
@@ -73,9 +72,9 @@ class RunConfig:
     @classmethod
     def on_smp(cls, shards: int = 1, sharded: bool = False, **fields) -> "RunConfig":
         """The SMP platform: the single-kernel runtime at one shard, the
-        sharded one at any other count or when ``sharded``, ``parallel``
-        or a ``profile`` asks for its staged transport."""
-        sharded = sharded or fields.get("parallel") or fields.get("profile") is not None
+        sharded one at any other count or when ``sharded`` or a
+        ``profile`` asks for its staged transport."""
+        sharded = sharded or fields.get("profile") is not None
         runtime = "smp" if shards == 1 and not sharded else "sharded"
         return cls(runtime=runtime, shards=shards, **fields)
 
@@ -102,7 +101,7 @@ def build_run(config: RunConfig, app):
     from repro.trace.tracer import enable_tracing
 
     if config.runtime == "sharded":
-        rt = ShardedSmpSimRuntime(config.shards, parallel=config.parallel, profile=config.profile)
+        rt = ShardedSmpSimRuntime(config.shards, profile=config.profile)
     else:
         rt = RUNTIMES[config.runtime]()
     rt.deploy(app)

@@ -608,6 +608,8 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     conservative lookahead the coordinator synchronizes on, so the
     simulation output is *identical for every shard count* (the link
     latency is a property of hardware placement, not of the partition).
+    The coordinator runs the shards' windows one after another on the
+    calling thread (:meth:`~repro.sim.shard.ShardedSimulation.run`).
 
     Not supported in sharded mode (use :class:`SmpSimRuntime`): dynamic
     reconfiguration (``add_component``/``connect_live``/``rebind``) and
@@ -623,22 +625,16 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         n_shards: int,
         platform: Optional[Platform] = None,
         quantum_ns: int = 4_000_000,
-        partition: Optional[Dict[str, int]] = None,
-        parallel: bool = False,
         profile: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """``partition`` pins component names to shard indices (wins over
-        the heuristic); ``parallel`` runs each synchronization window on
-        one OS thread per shard instead of cooperatively.  ``profile`` is
-        an observed-traffic document (``repro.profile/v1``, see
-        :meth:`profile`): when given, its busy times weight the nodes and
-        its message counts weight the edges of the deploy-time partition
-        -- the measure -> repartition -> rerun loop."""
+        """``profile`` is an observed-traffic document
+        (``repro.profile/v1``, see :meth:`profile`): when given, its busy
+        times weight the nodes and its message counts weight the edges of
+        the deploy-time partition -- the measure -> repartition -> rerun
+        loop."""
         if n_shards < 1:
             raise RuntimeError_(f"need at least one shard, got {n_shards}")
         self.n_shards = int(n_shards)
-        self.partition_hint = dict(partition or {})
-        self.parallel = parallel
         self.profile_hint = profile
         super().__init__(platform=platform, quantum_ns=quantum_ns)
 
@@ -692,7 +688,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             for req in cont.component.required.values():
                 if req.target is not None:
                     edges.append((cont.component.name, req.target.component.name))
-        affinity = dict(self.partition_hint)
+        affinity: Dict[str, int] = {}
         for name, cont in self.containers.items():
             placement = cont.component.placement
             if "shard" in placement:
@@ -871,15 +867,9 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _run_sim(self) -> None:
-        if self.parallel:
-            self.sim.run_parallel()
-        else:
-            self.sim.run()
-
     def wait(self) -> None:
         """Run all shards to completion under conservative sync."""
-        self._run_sim()
+        self.sim.run()
         self.makespan_ns = max(s.kernel.now for s in self.shards)
         stuck = [
             cont.component.name
@@ -962,7 +952,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         plan = list(plan) if plan is not None else self._default_plan()
         flow = observer.collect(cont.context, plan)
         handle = self._spawn_flow(flow, name=f"{observer.name}.query", cont=cont)
-        self._run_sim()
+        self.sim.run()
         if handle.state != DONE:
             raise RuntimeError_(f"observer query flow stuck in state {handle.state}")
         return handle.result
@@ -988,7 +978,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
                     shard.stage(Envelope(now + 1, now, "", "runtime.shutdown", i, deliver))
         for system in self.systems:
             system.shutdown()
-        self._run_sim()
+        self.sim.run()
 
 
 class Sti7200SimRuntime(SimRuntime):

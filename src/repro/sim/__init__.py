@@ -18,7 +18,7 @@ from repro.sim.clock import MICROSECOND, MILLISECOND, NANOSECOND, SECOND, ns_to_
 from repro.sim.errors import SimulationError, DeadlockError, ProcessKilled
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
-from repro.sim.mailbox import Envelope, Mailbox, Staging
+from repro.sim.mailbox import Envelope, Staging
 from repro.sim.process import Command, Process, Timeout, WaitEvent
 from repro.sim.resources import Channel, Mutex, Semaphore
 from repro.sim.rng import RngRegistry
@@ -38,7 +38,6 @@ __all__ = [
     "Envelope",
     "Event",
     "Kernel",
-    "Mailbox",
     "Shard",
     "ShardedSimulation",
     "Staging",

@@ -1,4 +1,4 @@
-"""Inter-shard mailboxes and the deterministic delivery staging area.
+"""Envelopes and the deterministic delivery staging area.
 
 The sharded simulator (:mod:`repro.sim.shard`) splits one logical
 machine across several :class:`~repro.sim.kernel.Kernel` instances.  A
@@ -17,22 +17,17 @@ put order for every shard count -- the heart of the shard-invariance
 oracle.  An envelope *is* that key plus its delivery action, a 6-tuple
 the heap orders with the built-in tuple comparison.
 
-Two containers move envelopes:
-
-- :class:`Mailbox` -- the cross-shard handoff: a lock-protected FIFO the
-  *sending* shard posts into and the *receiving* shard drains at
-  synchronization points.  This is the only structure touched by two
-  shards.
-- :class:`Staging` -- the receiving shard's private priority queue of
-  undelivered envelopes, ordered by key.  Envelopes are released into
-  the shard kernel in key order, batch-wise below a conservative time
-  horizon (see ``Shard.run_until``), which pins equal-``recv_time``
-  deliveries to key order no matter when they arrived.
+A cross-shard envelope is posted to the receiving shard's inbox, a
+plain list (``Shard.post``), and drained at synchronization points into
+that shard's :class:`Staging`: a private priority queue of undelivered
+envelopes, ordered by key.  Envelopes are released into the shard
+kernel in key order, batch-wise below a conservative time horizon (see
+``Shard.run_until``), which pins equal-``recv_time`` deliveries to key
+order no matter when they arrived.
 """
 
 from __future__ import annotations
 
-import threading
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from sys import intern as _intern
@@ -91,36 +86,6 @@ class Envelope(tuple):
             f"<Envelope recv={self[0]} send={self[1]} "
             f"src={self[2]}.{self[3]}#{self[4]}>"
         )
-
-
-class Mailbox:
-    """Thread-safe FIFO of envelopes posted by other shards.
-
-    The parallel (window-barrier) driver has sender shards posting while
-    the receiver runs, so ``post``/``drain`` take a lock; the cooperative
-    driver pays the same (uncontended) lock for one code path.  Order of
-    the FIFO itself is irrelevant -- envelopes are re-ordered by key in
-    the receiver's :class:`Staging`.
-    """
-
-    def __init__(self) -> None:
-        self._items: List[Envelope] = []
-        self._lock = threading.Lock()
-
-    def post(self, envelope: Envelope) -> None:
-        """Enqueue an envelope (called from the *sending* shard)."""
-        with self._lock:
-            self._items.append(envelope)
-
-    def drain(self) -> List[Envelope]:
-        """Remove and return all pending envelopes (receiving shard)."""
-        with self._lock:
-            items, self._items = self._items, []
-        return items
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
 
 
 def _deliver_group(group: List[Envelope]) -> Callable[[], None]:

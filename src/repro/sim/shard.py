@@ -13,9 +13,8 @@ delay, so shard *i* may freely execute everything strictly below
 where ``eot_j`` is shard *j*'s earliest possible next activity and
 ``lookahead(j, i)`` is the smallest link latency of any channel from *j*
 to *i*.  No null messages circulate; a coordinator recomputes the bounds
-each sweep (a time-window barrier), either cooperatively on one OS
-thread (deterministic wall-clock, the default) or with one OS thread per
-shard (:meth:`ShardedSimulation.run_parallel`).
+each sweep (a time-window barrier) and runs the windows one after
+another on the calling thread (:meth:`ShardedSimulation.run`).
 
 Determinism contract
 --------------------
@@ -42,14 +41,13 @@ traces bit-compatible.
 
 from __future__ import annotations
 
-import threading
 from itertools import count
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.kernel import Kernel
-from repro.sim.mailbox import Envelope, Mailbox, Staging
+from repro.sim.mailbox import Envelope, Staging
 
 _INF = float("inf")
 
@@ -290,7 +288,7 @@ class Shard:
 
     The shard's kernel runs with local deadlock detection disabled -- an
     idle shard with pending cross-shard input is *not* deadlocked; only
-    the coordinator, after draining every mailbox, may declare deadlock.
+    the coordinator, after draining every inbox, may declare deadlock.
     """
 
     def __init__(self, index: int, kernel: Optional[Kernel] = None, name: str = "") -> None:
@@ -300,7 +298,10 @@ class Shard:
         self.name = name or f"shard{index}"
         self.kernel = kernel if kernel is not None else Kernel()
         self.kernel.deadlock_check = False
-        self.inbox = Mailbox()
+        #: Cross-shard envelopes posted by other shards since the last
+        #: drain; their order is irrelevant, :attr:`staging` re-orders
+        #: them by key.
+        self.inbox: List[Envelope] = []
         self.staging = Staging()
         #: Smallest link latency of any channel whose *sender and
         #: receiver both live on this shard* (inf when none): while the
@@ -330,18 +331,18 @@ class Shard:
         self.staging.push(envelope)
 
     def post(self, envelope: Envelope) -> None:
-        """Post a *cross-shard* delivery (called by the sending shard;
-        thread-safe)."""
+        """Post a *cross-shard* delivery (called by the sending shard)."""
         if self.on_envelope is not None:
             self.on_envelope(envelope, True)
-        self.inbox.post(envelope)
+        self.inbox.append(envelope)
 
     def drain_inbox(self) -> int:
-        """Move posted envelopes into the staging heap (owner only).
+        """Move posted envelopes into the staging heap.
 
         The whole window's worth of cross-shard arrivals lands as one
         chunk: a single O(n) heap merge instead of n sifts."""
-        return self.staging.push_many(self.inbox.drain())
+        items, self.inbox = self.inbox, []
+        return self.staging.push_many(items)
 
     # -- conservative execution ----------------------------------------------
 
@@ -428,7 +429,7 @@ class ShardedSimulation:
     2. compute ``bound_i = min_k (eot_k + P[k][i])`` from the
        shortest-path lookahead table (:meth:`_bounds`),
     3. run every shard with ``eot_i < bound_i`` up to its bound,
-    4. drain the non-empty mailboxes into their staging heaps and
+    4. drain the non-empty inboxes into their staging heaps and
        refresh ``eot`` for the shards that ran or received envelopes --
        every other shard's kernel and staging are untouched, so its
        cached ``eot`` still holds.
@@ -528,7 +529,7 @@ class ShardedSimulation:
         return bounds
 
     def _finished(self, eots: Sequence[float]) -> bool:
-        """All-idle check; raises only after every mailbox is drained,
+        """All-idle check; raises only after every inbox is drained,
         so a shard idling on pending cross-shard input never
         false-positives as deadlock."""
         if min(eots) != _INF:
@@ -536,7 +537,7 @@ class ShardedSimulation:
         live = sum(s.kernel._live_processes for s in self.shards)
         if live:
             raise DeadlockError(
-                f"all {len(self.shards)} shards idle with mailboxes drained "
+                f"all {len(self.shards)} shards idle with inboxes drained "
                 f"but {live} process(es) still alive"
             )
         # Quiescent: align every clock to the global maximum, so work
@@ -548,10 +549,11 @@ class ShardedSimulation:
                 s.kernel.idle_advance(t_max)
         return True
 
-    def _sweep(self, execute: Callable[[List[int], List[float]], None]) -> int:
-        """The window loop both drivers share; ``execute(runnable,
-        bounds)`` runs one window.  ``eots`` is cached across sweeps and
-        refreshed only where a window or an arrival could move it."""
+    def run(self) -> int:
+        """Sweep windows on the calling thread until every shard is
+        idle; returns the number of sweeps.  ``eots`` is cached across
+        sweeps and refreshed only where a window or an arrival could
+        move it."""
         shards = self.shards
         for shard in shards:
             shard.drain_inbox()
@@ -563,68 +565,13 @@ class ShardedSimulation:
                 raise DeadlockError(
                     "conservative synchronization stalled: no shard below its bound"
                 )
-            execute(runnable, bounds)
+            for i in runnable:
+                shards[i].run_until(bounds[i])
             self.sweeps += 1
             for i, shard in enumerate(shards):
-                # Every window has rejoined, so nothing posts concurrently:
-                # peek at the mailbox list without taking its lock.
-                if shard.inbox._items:
+                if shard.inbox:
                     shard.drain_inbox()
                 elif i not in runnable:
                     continue
                 eots[i] = shard.eot()
         return self.sweeps
-
-    def run(self) -> int:
-        """Cooperative driver: one sweep at a time on the calling thread.
-
-        Fully deterministic and allocation-light -- the default for
-        correctness-sensitive runs.  Returns the number of sweeps."""
-        shards = self.shards
-
-        def execute(runnable: List[int], bounds: List[float]) -> None:
-            for i in runnable:
-                shards[i].run_until(bounds[i])
-
-        return self._sweep(execute)
-
-    def run_parallel(self) -> int:
-        """Window-barrier driver: every runnable shard executes its
-        window on its own OS thread, then all rejoin.
-
-        Bounds come from the same cached EOTs as :meth:`run` and all
-        deliveries go through the same keyed staging, so results are
-        identical to the cooperative driver -- the threads only overlap
-        the wall-clock execution of one window."""
-        shards = self.shards
-
-        def execute(runnable: List[int], bounds: List[float]) -> None:
-            if len(runnable) == 1:
-                shards[runnable[0]].run_until(bounds[runnable[0]])
-                return
-            errors: List[Optional[BaseException]] = [None] * len(runnable)
-
-            def window(slot: int, shard: Shard, bound: float) -> None:
-                try:
-                    shard.run_until(bound)
-                except BaseException as exc:  # noqa: BLE001 - rejoined below
-                    errors[slot] = exc
-
-            threads = [
-                threading.Thread(
-                    target=window,
-                    args=(slot, shards[i], bounds[i]),
-                    name=f"{shards[i].name}.window",
-                    daemon=True,
-                )
-                for slot, i in enumerate(runnable)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            for exc in errors:
-                if exc is not None:
-                    raise exc
-
-        return self._sweep(execute)

@@ -156,7 +156,6 @@ def _spin(n: int) -> int:
 def run_traffic(
     config: TrafficConfig,
     n_shards: int,
-    parallel: bool = False,
     partition: Optional[Dict[str, int]] = None,
     batch_release: bool = True,
     graph: Optional[Dict] = None,
@@ -280,10 +279,7 @@ def run_traffic(
                 n_requests += 1
 
     t0 = time.perf_counter()
-    if parallel:
-        sim.run_parallel()
-    else:
-        sim.run()
+    sim.run()
     wall_s = time.perf_counter() - t0
 
     events = sum(comp_events)

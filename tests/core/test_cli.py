@@ -93,7 +93,7 @@ STDOUT_PINS = {
         "f8c328b8f3137eb1c8ee226e72ceb3b67dd864f52338f7799419639892b4dba4",
     "run --images 6 --shards 4 --metrics m4.json":
         "c048ac1d741fd743d62fb427571156ba882b681e848973ca290967efff1a3b63",
-    "run --images 6 --shards 4 --parallel":
+    "run --images 6 --shards 4":
         "f90af31aa30d2f0f2af1d749150822fd48c4930dfbffdde759ae14d69085b4db",
     "faults --seed 1 --images 8":
         "02c3747d9e2645540c4c5e71b457bd42ee29cbfbff971d70375aa0b87071abfb",
@@ -134,21 +134,3 @@ def test_invalid_shard_count_is_a_config_error(command, shards, capsys, tmp_path
     assert f"error: shards={shards}" in captured.err
 
 
-def test_parallel_runs_the_threaded_driver_at_one_shard(capsys, monkeypatch):
-    from repro.sim.shard import ShardedSimulation
-
-    calls = []
-    run_parallel = ShardedSimulation.run_parallel
-
-    def counting(self, *args, **kwargs):
-        calls.append(len(self.shards))
-        return run_parallel(self, *args, **kwargs)
-
-    monkeypatch.setattr(ShardedSimulation, "run_parallel", counting)
-    digests = []
-    for extra in ([], ["--parallel"]):
-        assert main(["run", "--images", "4", "--shards", "1", *extra]) == 0
-        out = capsys.readouterr().out.splitlines()
-        digests.append(next(l for l in out if l.startswith("frames sha256:")))
-    assert calls and set(calls) == {1}  # only the --parallel run, on one shard
-    assert digests[0] == digests[1]

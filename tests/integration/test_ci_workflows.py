@@ -53,12 +53,13 @@ def test_smoke_jobs_are_separate():
     assert any("shard-merge invariant" in s for s in step_names["metrics-smoke"])
     assert not any("shard-merge invariant" in s for s in step_names["scale-smoke"])
     scale_runs = " ".join(s.get("run", "") for s in jobs["scale-smoke"]["steps"])
-    assert "--shards 4 --parallel" in scale_runs
+    assert "--components 1000 --shards 4 | tee t4.txt" in scale_runs
+    assert 'test "$sha1" = "$sha4"' in scale_runs
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
-    assert "run --images 6 --shards 4 --parallel" in shard_runs
-    assert 'test "$sha1" = "$sha4p"' in shard_runs
-    assert "run --images 6 --shards 1 --parallel" in shard_runs
-    assert 'test "$sha1" = "$sha1p"' in shard_runs
+    assert "run --images 6 --shards 4 | tee run4.txt" in shard_runs
+    assert "run --images 6 --shards 1 --metrics m1.json" in shard_runs
+    assert 'test "$sha1" = "$sha1s"' in shard_runs
+    assert "--parallel" not in (WORKFLOW_DIR / "ci.yml").read_text()
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
     assert "python -m bench run --smoke --out bench-smoke.json" in runs

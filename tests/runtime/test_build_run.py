@@ -38,7 +38,7 @@ REJECTED = [
     pytest.param(dict(runtime=runtime, **{field: value}), (repr(runtime), field),
                  id=f"{runtime}+{field}")
     for runtime in ("smp", "sti7200", "native")
-    for field, value in (("shards", 2), ("parallel", True), ("profile", PROFILE))
+    for field, value in (("shards", 2), ("profile", PROFILE))
 ]
 
 
@@ -82,7 +82,6 @@ def test_on_smp_picks_the_runtime_from_the_shard_arguments():
     assert RunConfig.on_smp(1).runtime == "smp"
     assert RunConfig.on_smp(2).runtime == "sharded"
     assert RunConfig.on_smp(1, sharded=True).runtime == "sharded"
-    assert RunConfig.on_smp(1, parallel=True).runtime == "sharded"
     assert RunConfig.on_smp(1, profile=PROFILE).runtime == "sharded"
     with pytest.raises(RuntimeError_, match="shards=0"):
         RunConfig.on_smp(0)
@@ -90,8 +89,8 @@ def test_on_smp_picks_the_runtime_from_the_shard_arguments():
 
 ACCEPTED = [
     pytest.param(RunConfig("smp"), build_smp_assembly, SmpSimRuntime, id="smp"),
-    pytest.param(RunConfig("sharded", shards=2, parallel=True), build_smp_assembly,
-                 lambda: ShardedSmpSimRuntime(2, parallel=True), id="sharded"),
+    pytest.param(RunConfig("sharded", shards=2), build_smp_assembly,
+                 lambda: ShardedSmpSimRuntime(2), id="sharded"),
     pytest.param(RunConfig("sti7200"), build_sti7200_assembly, Sti7200SimRuntime,
                  id="sti7200"),
     pytest.param(RunConfig("native"), build_smp_assembly, NativeRuntime, id="native"),

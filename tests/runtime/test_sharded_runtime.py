@@ -18,14 +18,14 @@ from repro.trace import TraceBuffer, collect_trace, enable_tracing, merge_buffer
 N_IMAGES = 3
 
 
-def _decode(n_shards: int, parallel: bool = False, trace: bool = False):
+def _decode(n_shards: int, trace: bool = False):
     """Run the MJPEG SMP decode; returns (digest, runtime, buffers)."""
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
     if n_shards == 0:
         rt = SmpSimRuntime()
     else:
-        rt = ShardedSmpSimRuntime(n_shards, parallel=parallel)
+        rt = ShardedSmpSimRuntime(n_shards)
     buffers = None
     if trace:
         rt.deploy(app)
@@ -66,12 +66,6 @@ def test_one_shard_makespan_gap_is_the_delivery_link_latency():
     zero_link = ShardedSmpSimRuntime(1)
     zero_link.platform.link_latency_ns = lambda src_core, dst_core: 0
     assert run(zero_link) == plain
-
-
-def test_parallel_driver_output_matches_cooperative():
-    cooperative, _, _ = _decode(2, parallel=False)
-    parallel, _, _ = _decode(2, parallel=True)
-    assert parallel == cooperative
 
 
 def _per_component_sequences(rt):

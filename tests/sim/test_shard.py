@@ -2,18 +2,16 @@
 
 Covers the kernel hooks the shard coordinator relies on
 (``deadlock_check``, ``on_idle``), the partitioning helpers, span-id
-ranges, the envelope/mailbox/staging
+ranges, the envelope/inbox/staging
 machinery, and the coordinator itself (delivery-order invariance across
-shard counts, deadlock semantics, cooperative vs parallel drivers).
+shard counts, deadlock semantics).
 """
-
-import threading
 
 import pytest
 
 from repro.sim import Kernel
 from repro.sim.errors import DeadlockError
-from repro.sim.mailbox import Envelope, Mailbox, Staging
+from repro.sim.mailbox import Envelope, Staging
 from repro.sim.process import Process
 from repro.sim.resources import Channel
 from repro.sim.shard import (
@@ -243,29 +241,12 @@ def test_span_bits_leave_room_for_real_traces():
     assert SHARD_SPAN_BITS >= 40
 
 
-# -- envelopes / mailbox / staging ---------------------------------------------
+# -- envelopes / inbox / staging -----------------------------------------------
 
 
 def test_envelope_rejects_receive_before_send():
     with pytest.raises(ValueError):
         Envelope(5, 9, "a", "out", 0, lambda: None)
-
-
-def test_mailbox_post_drain_roundtrip_threaded():
-    mailbox = Mailbox()
-    envs = [Envelope(i + 1, i, f"c{i % 4}", "out", i, lambda: None) for i in range(64)]
-    threads = [
-        threading.Thread(target=lambda sl=sl: [mailbox.post(e) for e in sl])
-        for sl in (envs[:32], envs[32:])
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(mailbox) == 64
-    drained = mailbox.drain()
-    assert len(drained) == 64 and len(mailbox) == 0
-    assert {e.seq for e in drained} == set(range(64))
 
 
 def test_staging_releases_in_key_order_below_horizon():
@@ -338,7 +319,7 @@ def test_release_batched_groups_by_recv_time_in_key_order():
 # -- coordinator ---------------------------------------------------------------
 
 
-def _pipeline_run(n_shards: int, parallel: bool = False, batch: bool = True):
+def _pipeline_run(n_shards: int, batch: bool = True):
     """A 4-chain x 3-stage pipeline on the raw shard layer; returns the
     per-stage-component delivery log."""
     n_chains, n_stages = 4, 3
@@ -377,7 +358,7 @@ def _pipeline_run(n_shards: int, parallel: bool = False, batch: bool = True):
             shards[shard_of[(c, 0)]].stage(
                 Envelope(t, 0, "", f"c{c}", item, lambda c=c, i=item, t=t: handler(c, 0, i, t))
             )
-    sweeps = sim.run_parallel() if parallel else sim.run()
+    sweeps = sim.run()
     assert sweeps >= 1
     return log
 
@@ -387,10 +368,6 @@ def test_delivery_log_invariant_across_shard_counts():
     assert all(len(v) == 5 for v in reference.values())
     for n_shards in (2, 3, 4):
         assert _pipeline_run(n_shards) == reference
-
-
-def test_parallel_driver_matches_cooperative():
-    assert _pipeline_run(4, parallel=True) == _pipeline_run(4, parallel=False)
 
 
 def test_pipeline_batched_release_matches_per_envelope():

@@ -111,7 +111,7 @@ TRAFFIC_1K_SWEEPS = 12
 def fresh_eot_guard(monkeypatch):
     """Check, before every window, that the cached EOTs the coordinator
     hands to ``_bounds`` equal freshly computed ones and that every
-    mailbox is drained.  Returns the list of checked windows."""
+    inbox is drained.  Returns the list of checked windows."""
     checked = []
     original = ShardedSimulation._bounds
 
@@ -125,11 +125,10 @@ def fresh_eot_guard(monkeypatch):
     return checked
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["cooperative", "parallel"])
-def test_cached_eots_stay_fresh_on_the_sharded_decode(fresh_eot_guard, parallel):
+def test_cached_eots_stay_fresh_on_the_sharded_decode(fresh_eot_guard):
     stream = generate_stream(8, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
-    rt = ShardedSmpSimRuntime(4, parallel=parallel)
+    rt = ShardedSmpSimRuntime(4)
     rt.run(app)
     rt.collect()
     rt.stop()
@@ -137,9 +136,8 @@ def test_cached_eots_stay_fresh_on_the_sharded_decode(fresh_eot_guard, parallel)
     assert len(fresh_eot_guard) >= DECODE_8_SWEEPS
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["cooperative", "parallel"])
-def test_cached_eots_stay_fresh_on_traffic(fresh_eot_guard, parallel):
+def test_cached_eots_stay_fresh_on_traffic(fresh_eot_guard):
     config = TrafficConfig(n_components=1000, seed=1, spin=0)
-    result = run_traffic(config, 4, parallel=parallel)
+    result = run_traffic(config, 4)
     assert result["sweeps"] == TRAFFIC_1K_SWEEPS
     assert len(fresh_eot_guard) == TRAFFIC_1K_SWEEPS

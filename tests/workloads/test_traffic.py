@@ -77,10 +77,6 @@ def test_batched_release_matches_per_envelope(seed):
     assert batched["batch_factor"] > 10.0
 
 
-def test_parallel_matches_cooperative():
-    assert run_traffic(CFG, 2, parallel=True)["digest"] == run_traffic(CFG, 2)["digest"]
-
-
 def test_repartition_improves_balance_and_preserves_digest():
     config = TrafficConfig(n_components=400, ticks=2, spin=0)
     graph = build_traffic_graph(config)
