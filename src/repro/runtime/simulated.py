@@ -73,6 +73,12 @@ class SimMailbox:
         self.base_addr = base_addr
 
 
+def _deliver_to_mailbox(mailbox: SimMailbox, message: Message) -> None:
+    """The sharded runtime's staged data delivery (an envelope handler)."""
+    mailbox.written_bytes += message.size_bytes
+    mailbox.channel.put(message)
+
+
 class SimContext(ComponentContext):
     """Component context over a simulated platform."""
 
@@ -809,11 +815,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         src_core = src_cont.extra["core"]
         if target.is_observation:
             yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
-            binding = target.binding
-
-            def deliver(binding=binding, message=message):
-                binding.put(message)
-
+            deliver, binding = Channel.put, target.binding
         else:
             mailbox: SimMailbox = target.binding
             factor = self.platform.copy_factor(src_core, mailbox.node)
@@ -823,15 +825,13 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             if cache is not None:
                 offset = mailbox.written_bytes % max(mailbox.capacity_bytes, 1)
                 cache.access_range(mailbox.base_addr + offset, message.size_bytes)
-
-            def deliver(mailbox=mailbox, message=message):
-                mailbox.written_bytes += message.size_bytes
-                mailbox.channel.put(message)
+            deliver, binding = _deliver_to_mailbox, mailbox
 
         send_time = src_shard.kernel.now
         recv_time = send_time + self.platform.link_latency_ns(src_core, dst_core)
         envelope = Envelope(
-            recv_time, send_time, message.src, message.src_interface, message.seq, deliver
+            recv_time, send_time, message.src, message.src_interface, message.seq,
+            deliver, binding, message,
         )
         dst_shard = self.shards[dst_shard_idx]
         if dst_shard is src_shard:
@@ -971,11 +971,12 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
                     shard = self.shards[cont.extra["shard"]]
                     now = shard.kernel.now
                     message = Message(payload=None, kind=CONTROL, tag="shutdown")
-
-                    def deliver(binding=obs.binding, message=message):
-                        binding.put(message)
-
-                    shard.stage(Envelope(now + 1, now, "", "runtime.shutdown", i, deliver))
+                    shard.stage(
+                        Envelope(
+                            now + 1, now, "", "runtime.shutdown", i,
+                            Channel.put, obs.binding, message,
+                        )
+                    )
         for system in self.systems:
             system.shutdown()
         self.sim.run()

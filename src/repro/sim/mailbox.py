@@ -14,8 +14,11 @@ where ``send_seq`` is the sender context's own per-message counter.  All
 key fields are properties of the *logical* send, none of the shard
 layout, so sorting envelopes by key reproduces one canonical per-channel
 put order for every shard count -- the heart of the shard-invariance
-oracle.  An envelope *is* that key plus its delivery action, a 6-tuple
-the heap orders with the built-in tuple comparison.
+oracle.  An envelope *is* that key plus its delivery action: a handler
+and the handler's positional arguments, ``(*key, handler, *args)``.  The
+heap orders it with the built-in tuple comparison, and the action is
+plain data -- one shared handler per kind of delivery, not a closure
+built for each send.
 
 A cross-shard envelope is posted to the receiving shard's inbox, a
 plain list (``Shard.post``), and drained at synchronization points into
@@ -38,13 +41,14 @@ KEY_FIELDS = ("recv_time", "send_time", "src", "src_interface", "seq")
 
 
 class Envelope(tuple):
-    """One staged delivery: the tuple ``(*key, deliver)``.
+    """One staged delivery: the tuple ``(*key, deliver, *args)``.
 
-    ``deliver`` is a zero-arg callable executed *on the receiving
-    shard's kernel* at ``recv_time`` (typically a bound ``Channel.put``).
-    Keys are unique per logical message (each sender context numbers its
-    sends), so comparisons never reach ``deliver``; :class:`Staging`
-    turns a duplicate key into a ``ValueError``.
+    ``deliver(*args)`` runs *on the receiving shard's kernel* at
+    ``recv_time``.  A sender stages one shared handler with the
+    arguments of this send (the 6-argument form is the zero-argument
+    case).  Keys are unique per logical message (each sender context
+    numbers its sends), so comparisons never reach ``deliver``;
+    :class:`Staging` turns a duplicate key into a ``ValueError``.
     """
 
     __slots__ = ()
@@ -56,7 +60,8 @@ class Envelope(tuple):
         src: str,
         src_interface: str,
         seq: int,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
+        *args: Any,
     ) -> "Envelope":
         if recv_time < send_time:
             raise ValueError(
@@ -69,7 +74,8 @@ class Envelope(tuple):
         # comparing characters (and N staged envelopes hold 2 string
         # references, not 2N strings).
         return tuple.__new__(
-            cls, (recv_time, send_time, _intern(src), _intern(src_interface), seq, deliver)
+            cls,
+            (recv_time, send_time, _intern(src), _intern(src_interface), seq, deliver, *args),
         )
 
     recv_time = property(itemgetter(0))
@@ -78,6 +84,8 @@ class Envelope(tuple):
     src_interface = property(itemgetter(3))
     seq = property(itemgetter(4))
     deliver = property(itemgetter(5))
+    #: The positional arguments ``deliver`` is called with.
+    args = property(itemgetter(slice(6, None)))
     #: The total-order key (shard-layout independent).
     key = property(itemgetter(slice(0, 5)))
 
@@ -93,7 +101,7 @@ def _deliver_group(group: List[Envelope]) -> Callable[[], None]:
 
     The group is already in key order (popped off the staging heap), so
     delivering inline back-to-back produces exactly the channel-put
-    order the per-envelope path produced: each ``deliver`` runs at the
+    order the per-envelope path produced: each ``deliver(*args)`` runs at the
     same kernel ``now`` and any wakeups it triggers ride ``call_soon``
     with sequence numbers *after* the whole group, just as they would
     have landed after the group's individually scheduled events.
@@ -101,30 +109,35 @@ def _deliver_group(group: List[Envelope]) -> Callable[[], None]:
 
     def deliver_batch() -> None:
         for env in group:
-            env[5]()
+            env[5](*env[6:])
 
     return deliver_batch
 
 
+def _duplicate_key(key: tuple) -> ValueError:
+    return ValueError(
+        f"duplicate envelope key {key}: keys "
+        f"({', '.join(KEY_FIELDS)}) must be unique per logical send"
+    )
+
+
 def _key_error(heap: List[Envelope], exc: TypeError) -> Exception:
     """Equal keys make the heap's tuple comparison fall through to the
-    ``deliver`` callables, which raises ``TypeError``: name the key.
-    Only that error path pays for this scan."""
+    ``deliver`` callables, which raises ``TypeError`` when they differ:
+    name the key.  Only that error path pays for this scan."""
     seen = set()
     for env in heap:
         key = env[:5]
         if key in seen:
-            return ValueError(
-                f"duplicate envelope key {key}: keys "
-                f"({', '.join(KEY_FIELDS)}) must be unique per logical send"
-            )
+            return _duplicate_key(key)
         seen.add(key)
     return exc
 
 
 class Staging:
     """A shard-private min-heap of envelopes, read by position
-    (``env[0]`` is ``recv_time``, ``env[5]`` is ``deliver``)."""
+    (``env[0]`` is ``recv_time``, ``env[5:]`` is ``deliver`` and its
+    arguments)."""
 
     def __init__(self) -> None:
         self._heap: List[Envelope] = []
@@ -165,19 +178,29 @@ class Staging:
         return self._heap[0][0] if self._heap else None
 
     def _pop_below(self, horizon: int) -> List[Envelope]:
-        """Pop every envelope with ``recv_time < horizon``, in key order."""
+        """Pop every envelope with ``recv_time < horizon``, in key order.
+
+        Two envelopes sharing a handler compare past an equal key into
+        their arguments without a ``TypeError``, so the heap accepts
+        them.  Equal keys pop adjacent, and this is where they are
+        caught (``seq`` first, so the unique case stays cheap)."""
         heap = self._heap
         batch: List[Envelope] = []
+        prev = (None,) * 5  # no envelope's recv_time is None
         try:
             while heap and heap[0][0] < horizon:
-                batch.append(heappop(heap))
+                env = heappop(heap)
+                if env[4] == prev[4] and env[:5] == prev[:5]:
+                    raise _duplicate_key(env[:5])
+                batch.append(env)
+                prev = env
         except TypeError as exc:
             raise _key_error(heap, exc)
         return batch
 
     def release_below(self, horizon: int, schedule: Callable[[int, Any], Any]) -> int:
         """Release every envelope with ``recv_time < horizon`` into the
-        kernel via ``schedule(recv_time, deliver)``, in key order.
+        kernel via ``schedule(recv_time, deliver, *args)``, in key order.
 
         Key-order release below a *conservative* horizon (no
         later-staged envelope can undercut it) is what makes equal-time
@@ -187,7 +210,7 @@ class Staging:
         identical dispatch traces."""
         batch = self._pop_below(horizon)
         for env in batch:
-            schedule(env[0], env[5])
+            schedule(env[0], *env[5:])
         n = len(batch)
         self.released += n
         self.batches += n
@@ -219,7 +242,7 @@ class Staging:
             while j < n and batch[j][0] == t:
                 j += 1
             if j - i == 1:
-                schedule(t, env[5])
+                schedule(t, *env[5:])
             else:
                 schedule(t, _deliver_group(batch[i:j]))
             self.batches += 1

@@ -210,13 +210,17 @@ def run_traffic(
         ) & _MASK64
         comp_events[idx] += 1
 
-    def send(src_idx: int, dst_idx: int, t_send: int, deliver_args) -> None:
+    def send(src_idx: int, dst_idx: int, t_send: int, handler, *extra) -> None:
+        # Stages the delivery ``handler(dst_idx, src_idx, seq, recv, *extra)``.
         seq = seqs[src_idx]
         seqs[src_idx] = seq + 1
         edge = (src_idx, dst_idx)
         edge_msgs[edge] = edge_msgs.get(edge, 0) + 1
         recv = t_send + config.link_ns
-        env = Envelope(recv, t_send, names[src_idx], "out", seq, deliver_args(seq, recv))
+        env = Envelope(
+            recv, t_send, names[src_idx], "out", seq,
+            handler, dst_idx, src_idx, seq, recv, *extra,
+        )
         me, dst = shard_of[src_idx], shard_of[dst_idx]
         (shards[dst].stage if dst == me else shards[dst].post)(env)
 
@@ -229,11 +233,7 @@ def run_traffic(
         shard_events[shard_of[idx]] += 1
         _spin(spin)
         fold(idx, src_idx, seq, t)
-        sk = base_sink + sink_of[idx - base_back]
-        send(
-            idx, sk, t + config.compute_ns,
-            lambda q, r: lambda: on_sink(sk, idx, q, r),
-        )
+        send(idx, base_sink + sink_of[idx - base_back], t + config.compute_ns, on_sink)
 
     def on_frontend(idx: int, src_idx: int, seq: int, t: int, session: int) -> None:
         shard_events[shard_of[idx]] += 1
@@ -243,10 +243,7 @@ def run_traffic(
         t_send = t + config.compute_ns
         for j in range(fanout):
             be = base_back + pool[(session + j) % len(pool)]
-            send(
-                idx, be, t_send,
-                lambda q, r, be=be: lambda: on_backend(be, idx, q, r),
-            )
+            send(idx, be, t_send, on_backend)
 
     def on_ingress(idx: int, seq: int, t: int, session: int, tick: int) -> None:
         shard_events[shard_of[idx]] += 1
@@ -254,10 +251,7 @@ def run_traffic(
         fold(idx, -1, seq, t)
         fronts = fronts_of[idx]
         fe = base_front + fronts[(session + tick) % len(fronts)]
-        send(
-            idx, fe, t + config.compute_ns,
-            lambda q, r: lambda: on_frontend(fe, idx, q, r, session),
-        )
+        send(idx, fe, t + config.compute_ns, on_frontend, session)
 
     # Inject every request up front: session s, tick k, copy j -- all
     # requests of a tick enter their ingress at the same instant.
@@ -271,10 +265,7 @@ def run_traffic(
                 seq = (s * config.ticks + k) * max_req + j
                 edge_msgs[(-1, lb)] = edge_msgs.get((-1, lb), 0) + 1
                 shards[shard_of[lb]].stage(
-                    Envelope(
-                        t0, 0, "client", f"s{s}", seq,
-                        lambda lb=lb, q=seq, t=t0, s=s, k=k: on_ingress(lb, q, t, s, k),
-                    )
+                    Envelope(t0, 0, "client", f"s{s}", seq, on_ingress, lb, seq, t0, s, k)
                 )
                 n_requests += 1
 

@@ -53,8 +53,9 @@ def test_smoke_jobs_are_separate():
     assert any("shard-merge invariant" in s for s in step_names["metrics-smoke"])
     assert not any("shard-merge invariant" in s for s in step_names["scale-smoke"])
     scale_runs = " ".join(s.get("run", "") for s in jobs["scale-smoke"]["steps"])
+    assert "--components 1000 --shards 2 | tee t2.txt" in scale_runs
     assert "--components 1000 --shards 4 | tee t4.txt" in scale_runs
-    assert 'test "$sha1" = "$sha4"' in scale_runs
+    assert 'test "$sha1" = "$sha2" && test "$sha1" = "$sha4"' in scale_runs
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
     assert "run --images 6 --shards 4 | tee run4.txt" in shard_runs
     assert "run --images 6 --shards 1 --metrics m1.json" in shard_runs

@@ -8,6 +8,7 @@ order for any shard count.
 
 import pytest
 
+from repro.core.messages import Message
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
@@ -115,6 +116,28 @@ def test_placement_hints_pin_components():
     assert rt.containers["IDCT_2"].extra["shard"] == 1
     reference, _, _ = _decode(0)
     assert frames_digest(app.components["Reorder"].frames) == reference
+
+
+def test_staged_deliveries_are_shared_handlers_plus_the_message():
+    # Every envelope of a decode, data, observation and shutdown alike,
+    # carries a module-level handler and the Message as data, not a
+    # closure built for that send.
+    stream = generate_stream(4, 96, 96, quality=75, seed=0)
+    app = build_smp_assembly(stream, use_stored_coefficients=True)
+    rt = ShardedSmpSimRuntime(2)
+    rt.deploy(app)
+    staged, crossed = [], []
+    for shard in rt.shards:
+        shard.on_envelope = lambda env, cross: (staged.append(env), crossed.append(cross))
+    rt.start()
+    rt.wait()
+    rt.collect()
+    rt.stop()
+    assert any(crossed) and not all(crossed)
+    assert {env.deliver.__name__ for env in staged} == {"_deliver_to_mailbox", "put"}
+    for env in staged:
+        assert env.deliver.__closure__ is None, env
+        assert isinstance(env.args[-1], Message), env
 
 
 def test_dynamic_reconfiguration_is_rejected():

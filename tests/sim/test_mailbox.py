@@ -1,11 +1,11 @@
 """Envelope ordering and the staging heap's duplicate-key guard.
 
-An envelope is its own key tuple ``(recv_time, send_time, src,
-src_interface, seq, deliver)``, so the staging heap orders envelopes
-with the built-in tuple comparison.  The property test holds both
-release paths, fed through both push paths in scrambled order, to
-``sorted(e.key)`` -- a reference that does not depend on how envelopes
-compare.
+An envelope is its own key tuple followed by its delivery action,
+``(recv_time, send_time, src, src_interface, seq, deliver, *args)``, so
+the staging heap orders envelopes with the built-in tuple comparison.
+The property test holds both release paths, fed through both push paths
+in scrambled order, to ``sorted(e.key)`` -- a reference that does not
+depend on how envelopes compare.
 """
 
 import random
@@ -28,6 +28,12 @@ def test_envelope_is_its_key_plus_deliver():
     with pytest.raises(AttributeError):
         env.recv_time = 0
     assert "__lt__" not in Envelope.__dict__
+    assert env.args == ()
+    # A shared handler plus its arguments: the key is unchanged.
+    with_args = Envelope(10, 4, "c1", "out", 3, print, 7, "x")
+    assert with_args == (10, 4, "c1", "out", 3, print, 7, "x")
+    assert with_args.deliver is print and with_args.args == (7, "x")
+    assert with_args.key == env.key
 
 
 def test_push_rejects_duplicate_key():
@@ -62,6 +68,45 @@ def test_release_rejects_duplicate_key_pushes_missed(release):
         getattr(staging, release)(2, lambda t, cb: None)
 
 
+# A handler shared by every send: two envelopes with one key compare
+# past it into their (comparable) args, so the heap raises nothing.
+SHARED = print
+
+
+def test_push_rejects_duplicate_key_with_a_shared_handler():
+    staging = Staging()
+    staging.push(Envelope(5, 1, "a", "out", 0, SHARED, 1))
+    staging.push(Envelope(5, 1, "a", "out", 0, SHARED, 2))
+    with pytest.raises(ValueError, match=r"duplicate envelope key \(5, 1, 'a', 'out', 0\)"):
+        staging.release_batched(10, lambda t, cb, *args: None)
+
+
+@pytest.mark.parametrize("staged", (0, 40))
+def test_push_many_rejects_duplicate_key_with_a_shared_handler(staged):
+    staging = Staging()
+    staging.push_many(Envelope(100 + i, 0, "z", "out", i, SHARED, i) for i in range(staged))
+    staging.push_many([Envelope(7, 0, "a", "out", 0, SHARED, j) for j in range(2)])
+    with pytest.raises(ValueError, match="must be unique per logical send"):
+        staging.release_batched(10**9, lambda t, cb, *args: None)
+
+
+@pytest.mark.parametrize("release", ("release_below", "release_batched"))
+@pytest.mark.parametrize("args", ((), (1,)))
+def test_release_rejects_duplicate_key_with_a_shared_handler(release, args):
+    # Equal args (or none) make the two envelopes equal tuples; the
+    # duplicate sits between unique keys at the same recv_time.
+    staging = Staging()
+    for env in (
+        Envelope(5, 0, "a", "in", 3, SHARED, *args),
+        Envelope(5, 0, "a", "out", 0, SHARED, *args),
+        Envelope(5, 0, "a", "out", 0, SHARED, *args),
+        Envelope(5, 0, "b", "out", 0, SHARED, *args),
+    ):
+        staging.push(env)
+    with pytest.raises(ValueError, match=r"duplicate envelope key \(5, 0, 'a', 'out', 0\)"):
+        getattr(staging, release)(6, lambda t, cb, *args: None)
+
+
 def test_other_comparison_errors_propagate_unchanged():
     staging = Staging()
     staging.push(Envelope(5, 0, "a", "out", 0, lambda: None))
@@ -72,7 +117,9 @@ def test_other_comparison_errors_propagate_unchanged():
 def _random_envelopes(rng, log):
     """~300 envelopes with unique keys over few receive times, few
     sources and few interfaces, so most comparisons tie deep into the
-    key.  Names are built at run time, so interning is exercised."""
+    key.  Names are built at run time, so interning is exercised.  Half
+    the envelopes carry a closure, half the shared ``log.append`` with
+    the key as its argument."""
     keys = set()
     while len(keys) < 300:
         recv = rng.randrange(4) * 10 + 10
@@ -84,7 +131,11 @@ def _random_envelopes(rng, log):
             rng.randrange(8),
         ))
     # Sorted first: set order varies with the string hash seed.
-    envs = [Envelope(*key, lambda key=key: log.append(key)) for key in sorted(keys)]
+    envs = [
+        Envelope(*key, log.append, key) if i % 2 else
+        Envelope(*key, lambda key=key: log.append(key))
+        for i, key in enumerate(sorted(keys))
+    ]
     rng.shuffle(envs)
     return envs
 
@@ -118,7 +169,7 @@ def test_release_order_is_sorted_key_order(seed, release):
     for e in envs:
         (early if e.recv_time < horizon or rng.random() < 0.5 else late).append(e)
     scheduled = []
-    schedule = lambda t, cb: scheduled.append((t, cb))  # noqa: E731
+    schedule = lambda t, cb, *args: scheduled.append((t, cb, args))  # noqa: E731
 
     _stage(staging, rng, early)
     first = getattr(staging, release)(horizon, schedule)
@@ -127,8 +178,8 @@ def test_release_order_is_sorted_key_order(seed, release):
     assert getattr(staging, release)(10**9, schedule) == len(envs) - first
     assert len(staging) == 0 and staging.released == len(envs)
 
-    times = [t for t, _ in scheduled]
+    times = [t for t, _, _ in scheduled]
     assert times == sorted(times)
-    for _t, cb in scheduled:
-        cb()
+    for _t, cb, args in scheduled:
+        cb(*args)
     assert log == sorted(e.key for e in envs)
