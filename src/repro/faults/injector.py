@@ -7,7 +7,8 @@ observation probe uses -- so fault campaigns, like observation, require
 delay / corrupt / overflow) act on the sender's ``send`` path; receive
 faults (crash-at-nth-receive, stall) act on the receiver's ``receive``
 path; time-triggered crashes are armed by a kernel-level fault process at
-exact virtual instants on the simulated runtimes.
+exact virtual instants on the simulated runtimes, on the victim's own
+clock (its shard's kernel on the sharded runtime).
 
 Determinism: every probabilistic decision draws from a named stream of
 the plan's :class:`~repro.sim.rng.RngRegistry`
@@ -142,21 +143,28 @@ class FaultInjector:
                 raise RuntimeError(
                     f"fault plan targets unknown component {spec.component!r}"
                 )
+        clocks: Dict[str, Any] = {}
         for cont in runtime.containers.values():
             base = cont.context
             while hasattr(base, "_delegate"):  # unwrap TracingContext et al.
                 base = base._delegate
             base.faults = self
+            clocks[cont.component.name] = getattr(base, "kernel", None)
             self._probes[cont.component.name] = cont.probe
             tracer = cont.extra.get("tracer")
             if tracer is not None:
                 self._tracers[cont.component.name] = tracer
-        kernel = getattr(runtime, "kernel", None)
-        if self._time_crashes:
+        # One fault process per victim clock: each crash arms on the
+        # kernel its victim runs on, so a sharded run arms it at the same
+        # virtual instant, relative to the victim, as an unsharded one.
+        by_kernel: Dict[Any, List[FaultSpec]] = {}
+        for spec in self._time_crashes:
+            by_kernel.setdefault(clocks[spec.component], []).append(spec)
+        for kernel, specs in by_kernel.items():
             if kernel is not None:
                 from repro.sim.process import Process
 
-                Process(kernel, self._fault_clock(), name="fault.clock", daemon=True)
+                Process(kernel, self._fault_clock(specs), name="fault.clock", daemon=True)
             else:
                 # Native runtime: no virtual clock to ride; crashes arm
                 # against elapsed wall time from installation.
@@ -167,14 +175,15 @@ class FaultInjector:
         self.installed = True
         return self
 
-    def _fault_clock(self) -> Generator:
-        """The kernel-level fault process: arms each time-triggered crash
-        at its exact virtual instant (the crash fires at the victim's next
-        middleware interaction, where the injected error can propagate)."""
+    def _fault_clock(self, specs: List[FaultSpec]) -> Generator:
+        """A kernel-level fault process: arms each of ``specs`` (crashes
+        whose victims share this kernel) at its exact virtual instant (the
+        crash fires at the victim's next middleware interaction, where the
+        injected error can propagate)."""
         from repro.sim.process import Timeout
 
         now = 0
-        for spec in sorted(self._time_crashes, key=lambda s: (s.at_ns, s.component)):
+        for spec in sorted(specs, key=lambda s: (s.at_ns, s.component)):
             if spec.at_ns > now:
                 yield Timeout(spec.at_ns - now)
                 now = spec.at_ns

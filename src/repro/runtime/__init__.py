@@ -28,7 +28,6 @@ from repro.runtime.base import Runtime, RuntimeError_
 from repro.runtime.build import ConfigError, RunConfig, build_run
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simulated import (
-    ShardSimContext,
     ShardedSmpSimRuntime,
     SimRuntime,
     SmpSimRuntime,
@@ -41,7 +40,6 @@ __all__ = [
     "RunConfig",
     "Runtime",
     "RuntimeError_",
-    "ShardSimContext",
     "ShardedSmpSimRuntime",
     "SimRuntime",
     "SmpSimRuntime",

@@ -74,29 +74,38 @@ class SimMailbox:
 
 
 def _deliver_to_mailbox(mailbox: SimMailbox, message: Message) -> None:
-    """The sharded runtime's staged data delivery (an envelope handler)."""
+    """Data delivery into a mailbox (also the sharded runtime's
+    envelope handler)."""
     mailbox.written_bytes += message.size_bytes
     mailbox.channel.put(message)
 
 
 class SimContext(ComponentContext):
-    """Component context over a simulated platform."""
+    """Component context over a simulated platform.
+
+    ``kernel`` is the clock of the component's own shard (the one kernel
+    on an unsharded runtime) and ``span_source`` that shard's span-id
+    range; every timestamp the context hands out -- probe, trace,
+    telemetry, heap timeline, log -- reads that clock."""
 
     def __init__(
         self,
         component: Component,
         probe: Optional[ObservationProbe],
         runtime: "SimRuntime",
+        kernel: Kernel,
+        span_source,
         clock_offset_ns: int = 0,
     ) -> None:
         super().__init__(component, probe)
         self.runtime = runtime
+        self.kernel = kernel
         self.clock_offset_ns = clock_offset_ns
-        self._span_source = runtime.span_source
+        self._span_source = span_source
 
     def now_ns(self) -> int:
         """Current platform time in nanoseconds."""
-        return self.runtime.kernel.now + self.clock_offset_ns
+        return self.kernel.now + self.clock_offset_ns
 
     def compute(self, opclass: str, units: float) -> Generator:
         """Declare computational work (see ComponentContext.compute)."""
@@ -125,53 +134,21 @@ class SimContext(ComponentContext):
         return len(self.runtime._data_queue(provided))
 
     def _alloc(self, nbytes: int, label: str):
-        return self.runtime._component_alloc(self.component, nbytes, label)
+        return self.runtime._component_alloc(self.component, nbytes, label, self.kernel.now)
 
     def _free(self, handle) -> int:
-        return self.runtime._component_free(self.component, handle)
+        return self.runtime._component_free(self.component, handle, self.kernel.now)
 
     def log(self, text: str) -> None:
         """Record a debug line in the runtime's log buffer."""
-        self.runtime.logs.append((self.runtime.kernel.now, self.component.name, text))
-
-
-class ShardSimContext(SimContext):
-    """A component context bound to one shard's clock and span range.
-
-    ``now_ns`` reads the *shard's* kernel (shards tick independently
-    between synchronization points) and span/cause ids come from the
-    shard's private range (shard index in the high bits; see
-    :func:`repro.sim.shard.shard_span_source`), so merged traces never
-    collide."""
-
-    def __init__(
-        self,
-        component: Component,
-        probe: Optional[ObservationProbe],
-        runtime: "SimRuntime",
-        shard_kernel: Kernel,
-        span_source,
-        clock_offset_ns: int = 0,
-    ) -> None:
-        super().__init__(component, probe, runtime, clock_offset_ns)
-        self._shard_kernel = shard_kernel
-        self._span_source = span_source
-
-    def now_ns(self) -> int:
-        """Current time of the owning shard in nanoseconds."""
-        return self._shard_kernel.now + self.clock_offset_ns
-
-    def log(self, text: str) -> None:
-        """Record a debug line stamped with the shard's clock."""
-        self.runtime.logs.append((self._shard_kernel.now, self.component.name, text))
+        self.runtime.logs.append((self.kernel.now, self.component.name, text))
 
 
 class SimRuntime(Runtime):
     """Shared machinery for both simulated platforms."""
 
-    def __init__(self, kernel: Optional[Kernel] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.kernel = kernel or Kernel()
         self.logs: List[Tuple[int, str, str]] = []
         self.makespan_ns: Optional[int] = None
         self._fake_addr = 1 << 20  # synthetic address space for cache modelling
@@ -189,9 +166,6 @@ class SimRuntime(Runtime):
         query) that must not appear in the platform's memory accounting."""
         raise NotImplementedError
 
-    def _engine(self):
-        raise NotImplementedError
-
     def _transfer(self, src: Component, target, message: Message) -> Generator:
         raise NotImplementedError
 
@@ -201,12 +175,13 @@ class SimRuntime(Runtime):
     def _clock_offset_for(self, cont: ComponentContainer) -> int:
         return 0
 
-    # -- shared transport paths -----------------------------------------------------
+    def _run(self) -> int:
+        """Run the simulation until nothing is left to do; returns the
+        virtual time it ends at (the sharded runtime runs every shard)."""
+        self.kernel.run()
+        return self.kernel.now
 
-    def _transfer_observation(self, target, message: Message) -> Generator:
-        """Runtime-owned control channel: cheap, platform-independent."""
-        yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
-        target.binding.put(message)
+    # -- shared transport paths -----------------------------------------------------
 
     def _receive(self, dst: Component, provided, timeout_ns: Optional[int] = None) -> Generator:
         binding = provided.binding
@@ -265,9 +240,9 @@ class SimRuntime(Runtime):
     def _make_context(
         self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
     ) -> SimContext:
-        """Build one component/service context (sharded runtimes swap in
-        per-shard clocks and span-id ranges)."""
-        return SimContext(cont.component, probe, self, offset)
+        """Build one component/service context on the runtime's clock and
+        span source (the SMP runtime picks those of the component's shard)."""
+        return SimContext(cont.component, probe, self, self.kernel, self.span_source, offset)
 
     def start(self) -> None:
         """Launch every component's behaviour and observation service."""
@@ -332,8 +307,7 @@ class SimRuntime(Runtime):
 
     def wait(self) -> None:
         """Run/block until all functional behaviours finish."""
-        self.kernel.run()
-        self.makespan_ns = self.kernel.now
+        self.makespan_ns = self._run()
         stuck = [
             cont.component.name
             for cont in self.containers.values()
@@ -356,7 +330,7 @@ class SimRuntime(Runtime):
         plan = list(plan) if plan is not None else self._default_plan()
         flow = observer.collect(cont.context, plan)
         handle = self._spawn_flow(flow, name=f"{observer.name}.query", cont=cont)
-        self.kernel.run()
+        self._run()
         if handle.state != DONE:
             raise RuntimeError_(f"observer query flow stuck in state {handle.state}")
         return handle.result
@@ -381,8 +355,9 @@ class SimRuntime(Runtime):
             from repro.sim.process import Timeout
 
             yield Timeout(delay_ns)
-            reports = yield from observer.collect(cont.context, plan)
-            return (self.kernel.now, reports)
+            ctx = cont.context
+            reports = yield from observer.collect(ctx, plan)
+            return (ctx.kernel.now, reports)
 
         return self._spawn_flow(flow(), name=f"{observer.name}.query@{delay_ns}", cont=cont)
 
@@ -393,8 +368,8 @@ class SimRuntime(Runtime):
                 obs = cont.component.provided.get("introspection")
                 if obs is not None and isinstance(obs.binding, Channel):
                     obs.binding.put(Message(payload=None, kind=CONTROL, tag="shutdown"))
-        self._engine().shutdown()
-        self.kernel.run()
+        self.system.engine.shutdown()
+        self._run()
 
     # -- shared binding helpers ---------------------------------------------------------
 
@@ -418,17 +393,15 @@ class SimRuntime(Runtime):
     def _heap_region(self, cont: ComponentContainer):
         raise NotImplementedError
 
-    def _component_alloc(self, component: Component, nbytes: int, label: str):
+    def _component_alloc(self, component: Component, nbytes: int, label: str, time_ns: int):
         cont = self.container(component.name)
         region = self._heap_region(cont)
-        handle = region.alloc(
-            nbytes, label=f"{component.name}:{label}", time_ns=self.kernel.now
-        )
+        handle = region.alloc(nbytes, label=f"{component.name}:{label}", time_ns=time_ns)
         heap = cont.extra.setdefault("heap", {})
         heap[handle] = (region, nbytes)
         return handle
 
-    def _component_free(self, component: Component, handle) -> int:
+    def _component_free(self, component: Component, handle, time_ns: int) -> int:
         cont = self.container(component.name)
         heap = cont.extra.get("heap", {})
         try:
@@ -437,13 +410,13 @@ class SimRuntime(Runtime):
             raise RuntimeError_(
                 f"{component.name!r} freed unknown heap handle {handle!r}"
             ) from None
-        region.free(handle, time_ns=self.kernel.now)
+        region.free(handle, time_ns=time_ns)
         return nbytes
 
-    def _bind_observation_channels(self, cont: ComponentContainer) -> None:
+    def _bind_observation_channels(self, cont: ComponentContainer, kernel: Kernel) -> None:
         for prov in cont.component.provided.values():
             if prov.is_observation and prov.binding is None:
-                prov.binding = Channel(self.kernel, name=f"obs.{prov.qualified_name}")
+                prov.binding = Channel(kernel, name=f"obs.{prov.qualified_name}")
 
     def _next_fake_addr(self, nbytes: int) -> int:
         addr = self._fake_addr
@@ -452,28 +425,33 @@ class SimRuntime(Runtime):
 
 
 class SmpSimRuntime(SimRuntime):
-    """EMBera over the simulated 16-core Linux NUMA SMP."""
+    """EMBera over the simulated 16-core Linux NUMA SMP.
+
+    The unsharded runtime is the one-shard case of
+    :class:`ShardedSmpSimRuntime`: its kernel, Linux system, process and
+    span source are the only entries of the per-shard lists every
+    deployment step indexes by the component's ``extra["shard"]``."""
 
     def __init__(
         self,
         platform: Optional[Platform] = None,
-        kernel: Optional[Kernel] = None,
         quantum_ns: int = 4_000_000,
     ) -> None:
-        super().__init__(kernel)
+        super().__init__()
         self.platform = platform or make_smp16()
         self.quantum_ns = quantum_ns
         self._init_system()
         self._next_core = 0
 
     def _init_system(self) -> None:
-        """Build the OS instance(s); the sharded variant builds one per
+        """Build the OS as one shard; the sharded variant builds one per
         partition over a core block instead."""
+        self.kernel = Kernel()
         self.system = LinuxSystem(self.kernel, self.platform, quantum_ns=self.quantum_ns)
         self.process = self.system.spawn_process("embera")
-
-    def _engine(self):
-        return self.system.engine
+        self.systems: List[LinuxSystem] = [self.system]
+        self.processes = [self.process]
+        self._span_sources = [self.span_source]
 
     # -- deployment ------------------------------------------------------------
 
@@ -482,30 +460,43 @@ class SmpSimRuntime(SimRuntime):
         if core is None:
             core = self._next_core % self.platform.n_cores
             self._next_core += 1
+        cont.extra["shard"] = 0
         cont.extra["core"] = core
         cont.extra["node"] = self.platform.node_of_core(core)
         return core
 
     def _bind_component(self, cont: ComponentContainer) -> None:
         self._assign_core(cont)
-        self._bind_observation_channels(cont)
+        shard = cont.extra["shard"]
+        kernel = self.systems[shard].kernel
+        process = self.processes[shard]
+        self._bind_observation_channels(cont, kernel)
         node = cont.extra["node"]
         for prov in cont.component.provided.values():
             if prov.is_observation:
                 continue
-            self.process.malloc(
+            process.malloc(
                 prov.mailbox_bytes, label=f"{prov.qualified_name}:mailbox", node=node
             )
             prov.binding = SimMailbox(
-                Channel(self.kernel, name=f"mbox.{prov.qualified_name}"),
+                Channel(kernel, name=f"mbox.{prov.qualified_name}"),
                 node=node,
                 capacity_bytes=prov.mailbox_bytes,
                 base_addr=self._next_fake_addr(prov.mailbox_bytes),
             )
 
+    def _make_context(
+        self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
+    ) -> SimContext:
+        shard = cont.extra["shard"]
+        return SimContext(
+            cont.component, probe, self,
+            self.systems[shard].kernel, self._span_sources[shard], offset,
+        )
+
     def _spawn_behavior(self, cont: ComponentContainer) -> None:
         stack = cont.component.placement.get("stack_bytes", DEFAULT_STACK_BYTES)
-        thread = self.process.pthread_create(
+        thread = self.processes[cont.extra["shard"]].pthread_create(
             self._wrap_behavior(cont),
             name=cont.component.name,
             stack_bytes=stack,
@@ -516,16 +507,19 @@ class SmpSimRuntime(SimRuntime):
 
     def _spawn_flow(self, body: Generator, name: str, cont: ComponentContainer):
         # Infrastructure flows bypass pthread accounting (no stack charge).
-        return self.system.engine.spawn(body, name=name)
+        return self.systems[cont.extra["shard"]].engine.spawn(body, name=name)
 
     # -- transport ------------------------------------------------------------------
 
     def _transfer(self, src: Component, target, message: Message) -> Generator:
+        src_cont = self.containers[src.name]
         if target.is_observation:
-            yield from self._transfer_observation(target, message)
+            # Runtime-owned control channel: cheap, platform-independent.
+            yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
+            self._deliver(src_cont, target, Channel.put, target.binding, message)
             return
         mailbox: SimMailbox = target.binding
-        src_core = self.containers[src.name].extra["core"]
+        src_core = src_cont.extra["core"]
         factor = self.platform.copy_factor(src_core, mailbox.node)
         yield Compute("syscall", 1)
         yield Compute("memcpy_byte", message.size_bytes * factor)
@@ -533,8 +527,15 @@ class SmpSimRuntime(SimRuntime):
         if cache is not None:
             offset = mailbox.written_bytes % max(mailbox.capacity_bytes, 1)
             cache.access_range(mailbox.base_addr + offset, message.size_bytes)
-        mailbox.written_bytes += message.size_bytes
-        mailbox.channel.put(message)
+        self._deliver(src_cont, target, _deliver_to_mailbox, mailbox, message)
+
+    def _deliver(
+        self, src_cont: ComponentContainer, target, handler, binding, message: Message
+    ) -> None:
+        """The last step of a transfer, after the send is charged:
+        ``handler(binding, message)`` at once (the sharded runtime stages
+        it as an envelope instead)."""
+        handler(binding, message)
 
     def _receive_data(
         self, dst: Component, provided, timeout_ns: Optional[int] = None
@@ -564,7 +565,7 @@ class SmpSimRuntime(SimRuntime):
         provided.binding.channel.put_front(message)
 
     def _heap_region(self, cont: ComponentContainer):
-        return self.system.node_region(cont.extra["node"])
+        return self.systems[cont.extra["shard"]].node_region(cont.extra["node"])
 
     # -- observation adapters --------------------------------------------------------
 
@@ -604,10 +605,17 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
 
     Deploy-time graph partitioning (user affinity via ``comp.place(
     shard=K)`` / ``comp.place(core=N)``, otherwise a greedy balanced
-    min-cut heuristic) maps each component to one shard; each shard owns
-    a contiguous block of the platform's cores, a private
-    :class:`~repro.sim.kernel.Kernel` and its own
-    :class:`~repro.oslinux.system.LinuxSystem` instance.  Every message
+    min-cut heuristic) maps each component to one shard.  Each shard owns
+    a contiguous block of the platform's cores and, per shard, a clock
+    (:class:`~repro.sim.kernel.Kernel`), a
+    :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process
+    and a span-id range.  A component is bound, spawned and given its
+    context on its own shard, and every plane -- probe, trace, telemetry,
+    heap timeline, scheduled collects, time-triggered faults -- reads the
+    component's own clock (``SimContext.kernel``); the runtime has no
+    ``kernel``, ``system`` or ``process`` of its own.  This class adds
+    only placement and staged delivery to :class:`SmpSimRuntime`, the
+    one-shard case of the same deployment.  Every message
     delivery -- data, deposit and observation alike -- is staged as an
     :class:`~repro.sim.mailbox.Envelope` and takes the platform's link
     latency between the endpoint cores; that same latency is the
@@ -661,18 +669,15 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         self._span_sources = [shard_span_source(i) for i in range(self.n_shards)]
         self._routes: Dict[Any, Tuple[int, int]] = {}  # provided iface -> (shard, core)
         #: Observed per-edge message counts ((src, dst) component names),
-        #: fed by _transfer -- the raw material of :meth:`profile` and
+        #: fed by _deliver -- the raw material of :meth:`profile` and
         #: the cross-shard traffic gauges.
         self._edge_traffic: Dict[Tuple[str, str], int] = {}
-        # Base-class bookkeeping (allocation timestamps, heap regions)
-        # rides shard 0; everything delivery- or clock-sensitive is
-        # routed per shard below.
-        self.kernel = self.shards[0].kernel
-        self.system = self.systems[0]
-        self.process = self.processes[0]
 
-    def _engine(self):
-        return self.systems[0].engine
+    def _run(self) -> int:
+        """Run all shards under conservative sync; returns the latest
+        shard clock."""
+        self.sim.run()
+        return max(s.kernel.now for s in self.shards)
 
     def shard_of(self, component_name: str) -> int:
         """The shard a deployed component was partitioned onto."""
@@ -751,99 +756,30 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     def _assign_core(self, cont: ComponentContainer) -> int:
         return cont.extra["core"]  # placed during _prepare_deploy
 
-    def _bind_observation_channels(self, cont: ComponentContainer) -> None:
-        shard = self.shards[cont.extra["shard"]]
-        for prov in cont.component.provided.values():
-            if prov.is_observation and prov.binding is None:
-                prov.binding = Channel(shard.kernel, name=f"obs.{prov.qualified_name}")
-
-    def _bind_component(self, cont: ComponentContainer) -> None:
-        self._bind_observation_channels(cont)
-        shard = self.shards[cont.extra["shard"]]
-        process = self.processes[shard.index]
-        node = cont.extra["node"]
-        for prov in cont.component.provided.values():
-            if prov.is_observation:
-                continue
-            process.malloc(
-                prov.mailbox_bytes, label=f"{prov.qualified_name}:mailbox", node=node
-            )
-            prov.binding = SimMailbox(
-                Channel(shard.kernel, name=f"mbox.{prov.qualified_name}"),
-                node=node,
-                capacity_bytes=prov.mailbox_bytes,
-                base_addr=self._next_fake_addr(prov.mailbox_bytes),
-            )
-
-    def _make_context(
-        self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
-    ) -> SimContext:
-        shard_idx = cont.extra["shard"]
-        return ShardSimContext(
-            cont.component,
-            probe,
-            self,
-            self.shards[shard_idx].kernel,
-            self._span_sources[shard_idx],
-            offset,
-        )
-
-    def _spawn_behavior(self, cont: ComponentContainer) -> None:
-        shard_idx = cont.extra["shard"]
-        stack = cont.component.placement.get("stack_bytes", DEFAULT_STACK_BYTES)
-        thread = self.processes[shard_idx].pthread_create(
-            self._wrap_behavior(cont),
-            name=cont.component.name,
-            stack_bytes=stack,
-            affinity=[cont.extra["core"]],
-        )
-        cont.handle = thread.sched
-        cont.extra["pthread"] = thread
-
-    def _spawn_flow(self, body: Generator, name: str, cont: ComponentContainer):
-        return self.systems[cont.extra["shard"]].engine.spawn(body, name=name)
-
     # -- staged transport ------------------------------------------------------
 
-    def _transfer(self, src: Component, target, message: Message) -> Generator:
+    def _deliver(
+        self, src_cont: ComponentContainer, target, handler, binding, message: Message
+    ) -> None:
+        """Stage the delivery as an envelope on the target's shard, one
+        link latency after the send; observation messages ride the same
+        path, since the observer may live on another shard."""
         dst_shard_idx, dst_core = self._routes[target]
-        edge = (src.name, target.component.name)
+        edge = (src_cont.component.name, target.component.name)
         traffic = self._edge_traffic
         traffic[edge] = traffic.get(edge, 0) + 1
-        src_cont = self.containers[src.name]
         src_shard = self.shards[src_cont.extra["shard"]]
-        src_core = src_cont.extra["core"]
-        if target.is_observation:
-            yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
-            deliver, binding = Channel.put, target.binding
-        else:
-            mailbox: SimMailbox = target.binding
-            factor = self.platform.copy_factor(src_core, mailbox.node)
-            yield Compute("syscall", 1)
-            yield Compute("memcpy_byte", message.size_bytes * factor)
-            cache = self.platform.cache_of_core(src_core)
-            if cache is not None:
-                offset = mailbox.written_bytes % max(mailbox.capacity_bytes, 1)
-                cache.access_range(mailbox.base_addr + offset, message.size_bytes)
-            deliver, binding = _deliver_to_mailbox, mailbox
-
         send_time = src_shard.kernel.now
-        recv_time = send_time + self.platform.link_latency_ns(src_core, dst_core)
+        recv_time = send_time + self.platform.link_latency_ns(src_cont.extra["core"], dst_core)
         envelope = Envelope(
             recv_time, send_time, message.src, message.src_interface, message.seq,
-            deliver, binding, message,
+            handler, binding, message,
         )
         dst_shard = self.shards[dst_shard_idx]
         if dst_shard is src_shard:
             dst_shard.stage(envelope)
         else:
             dst_shard.post(envelope)
-
-    def _transfer_observation(self, target, message: Message) -> Generator:
-        # Observation messages carry src/iface/seq like any other and the
-        # observer may live on a different shard, so they ride the same
-        # staged path; _transfer branches on target.is_observation.
-        raise RuntimeError_("sharded observation transfers route through _transfer")
 
     # -- dynamic reconfiguration is unsupported across shards ------------------
 
@@ -865,28 +801,13 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             "connect_live is not supported in sharded simulation; use SmpSimRuntime"
         )
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def wait(self) -> None:
-        """Run all shards to completion under conservative sync."""
-        self.sim.run()
-        self.makespan_ns = max(s.kernel.now for s in self.shards)
-        stuck = [
-            cont.component.name
-            for cont in self.containers.values()
-            if cont.handle is not None and cont.handle.state != DONE
-        ]
-        if stuck:
-            states = {name: self.containers[name].handle.state for name in stuck}
-            raise RuntimeError_(f"components did not finish: {states}")
-
     # -- observed-traffic profile ----------------------------------------------
 
     def profile(self) -> Dict[str, Any]:
         """The observed-traffic document of this run (``repro.profile/v1``).
 
         Per-component CPU busy time plus the per-edge message counts
-        recorded by :meth:`_transfer`, in the shape
+        recorded by :meth:`_deliver`, in the shape
         :func:`repro.sim.shard.repartition_from_profile` consumes: dump
         it after ``wait()``, feed it back as the ``profile=`` argument
         (or ``repro run --repartition``) and the next run's partition is
@@ -941,22 +862,6 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             inn = sum(n for (_s, d), n in cut.items() if d == k)
             reg.gauge("shard_cut_messages", shard=k, direction="in").set(inn, reg.last_ns)
 
-    def collect(
-        self, plan: Optional[Iterable[Tuple[str, str]]] = None
-    ) -> Dict[Tuple[str, str], Dict[str, Any]]:
-        """Run the observer's query flow across shards; returns reports."""
-        if self.app is None or self.app.observer is None:
-            raise RuntimeError_("no observer attached to the application")
-        observer = self.app.observer
-        cont = self.container(observer.name)
-        plan = list(plan) if plan is not None else self._default_plan()
-        flow = observer.collect(cont.context, plan)
-        handle = self._spawn_flow(flow, name=f"{observer.name}.query", cont=cont)
-        self.sim.run()
-        if handle.state != DONE:
-            raise RuntimeError_(f"observer query flow stuck in state {handle.state}")
-        return handle.result
-
     def stop(self) -> None:
         """Shut down observation services on every shard.
 
@@ -979,7 +884,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
                     )
         for system in self.systems:
             system.shutdown()
-        self.sim.run()
+        self._run()
 
 
 class Sti7200SimRuntime(SimRuntime):
@@ -988,19 +893,16 @@ class Sti7200SimRuntime(SimRuntime):
     def __init__(
         self,
         platform: Optional[Platform] = None,
-        kernel: Optional[Kernel] = None,
         quantum_ns: int = 1_000_000,
         enforce_one_component_per_cpu: bool = True,
     ) -> None:
-        super().__init__(kernel)
+        super().__init__()
+        self.kernel = Kernel()
         self.platform = platform or make_sti7200()
         self.system = OS21System(self.kernel, self.platform, quantum_ns=quantum_ns)
         self.embx = EmbxTransport(self.kernel, self.platform.region("sdram"))
         self.enforce_one_component_per_cpu = enforce_one_component_per_cpu
         self._cpu_owner: Dict[int, str] = {}
-
-    def _engine(self):
-        return self.system.engine
 
     # -- deployment -------------------------------------------------------------
 
@@ -1028,7 +930,7 @@ class Sti7200SimRuntime(SimRuntime):
 
     def _bind_component(self, cont: ComponentContainer) -> None:
         self._assign_cpu(cont)
-        self._bind_observation_channels(cont)
+        self._bind_observation_channels(cont, self.kernel)
         cpu = cont.extra["cpu"]
         for prov in cont.component.provided.values():
             if prov.is_observation:
@@ -1066,7 +968,9 @@ class Sti7200SimRuntime(SimRuntime):
 
     def _transfer(self, src: Component, target, message: Message) -> Generator:
         if target.is_observation:
-            yield from self._transfer_observation(target, message)
+            # Runtime-owned control channel: cheap, platform-independent.
+            yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
+            target.binding.put(message)
             return
         yield from self.embx.send(target.binding, message, nbytes=message.size_bytes)
 

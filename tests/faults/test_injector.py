@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import InjectedFault
 from repro.faults import FaultInjector, FaultPlan
-from repro.runtime import SmpSimRuntime
+from repro.runtime import RunConfig, SmpSimRuntime, build_run
 
 from tests.faults.conftest import make_pipeline
 
@@ -116,6 +116,45 @@ def test_timed_crash_is_armed_by_the_kernel_fault_process():
     assert [e["t_ns"] for e in armed] == [1_000_000]
     fired = [e for e in injector.log if e["kind"] == "crash"]
     assert len(fired) == 1 and fired[0]["t_ns"] >= 1_000_000
+
+
+def test_timed_crash_arms_on_the_victims_own_shard_clock():
+    from repro.core import Application, CONTROL
+
+    def run(n_shards):
+        app = Application("timed-sharded")
+
+        def producer(ctx):
+            for i in range(10):
+                yield from ctx.compute("ns", 500_000)
+                yield from ctx.send("out", i)
+            yield from ctx.send("out", None, kind=CONTROL, tag="eos")
+
+        def consumer(ctx):
+            while True:
+                msg = yield from ctx.receive("in")
+                if msg.kind == CONTROL:
+                    return
+
+        # prod and cons sit on shard 1 of 2 with nothing linking them to
+        # shard 0, whose clock runs ahead unconstrained.
+        app.create("idle", behavior=lambda ctx: ctx.compute("ns", 10)).place(core=0)
+        app.create("prod", behavior=producer, requires=["out"]).place(core=14)
+        app.create("cons", behavior=consumer, provides=["in"]).place(core=15)
+        app.connect("prod", "out", "cons", "in")
+        plan = FaultPlan(seed=0).crash("cons", at_ns=1_500_000)
+        rt = build_run(
+            RunConfig.on_smp(n_shards, sharded=True, faults=plan, policy="restart"), app
+        )
+        rt.start()
+        rt.wait()
+        rt.stop()
+        return rt.injector.log
+
+    one = run(1)
+    fired = [e for e in one if e["kind"] == "crash"]
+    assert len(fired) == 1 and fired[0]["t_ns"] >= 1_500_000
+    assert run(2) == one
 
 
 def test_stall_freezes_the_receiver_by_the_configured_delay():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Application, OS_LEVEL
 from repro.hw.memory import AllocationError
-from repro.runtime import NativeRuntime, SmpSimRuntime, Sti7200SimRuntime
+from repro.runtime import NativeRuntime, ShardedSmpSimRuntime, SmpSimRuntime, Sti7200SimRuntime
 from repro.runtime.base import RuntimeError_
 
 
@@ -52,6 +52,29 @@ def test_heap_charged_to_numa_node_on_smp():
     region = rt.system.node_region(2)
     assert region.usage_by_label().get("worker:buf") == 30_000
     rt.stop()
+
+
+@pytest.mark.parametrize(
+    "make_runtime",
+    [SmpSimRuntime, lambda: ShardedSmpSimRuntime(1), lambda: ShardedSmpSimRuntime(2)],
+    ids=["smp", "sharded1", "sharded2"],
+)
+def test_heap_timeline_reads_the_allocators_own_clock(make_runtime):
+    # The allocator sits on core 15 (shard 1 of 2) with nothing linking
+    # it to shard 0: its allocation is stamped at its own clock, the
+    # same instant at every shard count.
+    app = Application("late-alloc")
+
+    def worker(ctx):
+        yield from ctx.compute("ns", 5_000_000)
+        yield from ctx.alloc(1000, label="late")
+
+    app.create("idle", behavior=lambda ctx: ctx.compute("ns", 10)).place(core=0)
+    app.create("worker", behavior=worker).place(core=15)
+    rt = make_runtime()
+    rt.run(app)
+    rt.stop()
+    assert rt.platform.region("node7").timeline() == [(5_000_682, 1000)]
 
 
 def test_heap_in_local_sram_on_sti7200_and_exhaustion():

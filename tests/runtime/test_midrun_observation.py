@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import APPLICATION_LEVEL
-from repro.runtime import SmpSimRuntime
+from repro.core import APPLICATION_LEVEL, Application
+from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
 from repro.runtime.base import RuntimeError_
 
 from tests.runtime.conftest import make_pipeline_app
@@ -55,6 +55,29 @@ def test_scheduled_collect_does_not_perturb_virtual_time():
         rt.stop()
         spans.append(rt.makespan_ns)
     assert spans[0] == spans[1]
+
+
+def test_scheduled_collect_reads_the_observers_own_clock():
+    # Observer and worker sit on shard 1 of 2 with nothing linking them
+    # to shard 0: the snapshot is stamped with the observer's clock, the
+    # same instant at every shard count.
+    def snapshot(n_shards):
+        app = Application("late-snapshot")
+        app.create("idle", behavior=lambda ctx: ctx.compute("ns", 10)).place(core=0)
+        app.create("worker", behavior=lambda ctx: ctx.compute("ns", 5_000_000)).place(core=15)
+        app.attach_observer()
+        app.observer.place(core=14)
+        rt = ShardedSmpSimRuntime(n_shards)
+        rt.deploy(app)
+        rt.start()
+        handle = rt.schedule_collect(1_000_000, plan=[("worker", APPLICATION_LEVEL)])
+        rt.wait()
+        rt.stop()
+        return handle.result
+
+    one = snapshot(1)
+    assert one[0] == 1_002_928
+    assert snapshot(2) == one
 
 
 def test_queue_depth_observation():

@@ -140,6 +140,16 @@ def test_staged_deliveries_are_shared_handlers_plus_the_message():
         assert isinstance(env.args[-1], Message), env
 
 
+@pytest.mark.parametrize("name", ["kernel", "system", "process"])
+def test_sharded_runtime_has_no_runtime_wide_clock_or_os(name):
+    # Each shard owns its clock, OS and process; a runtime-wide alias
+    # would stamp a component with another shard's time.
+    rt = ShardedSmpSimRuntime(2)
+    with pytest.raises(AttributeError):
+        getattr(rt, name)
+    assert len(rt.systems) == len(rt.processes) == 2
+
+
 def test_dynamic_reconfiguration_is_rejected():
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True)
