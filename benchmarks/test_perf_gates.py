@@ -239,6 +239,7 @@ def test_sim_scale():
     graph = build_traffic_graph(config)
     run_traffic(config, 4, graph=graph)  # warm-up: the first run is slower
     speedups = []
+    wall_speedups = []
     for _ in range(3):
         runs = {}
         for n in (1, 2, 4):
@@ -247,10 +248,13 @@ def test_sim_scale():
         digests = {run["digest"] for run in runs.values()}
         assert len(digests) == 1, f"trace digest diverged across shard counts: {digests}"
         speedups.append(runs[1]["busy_s"] / runs[4]["max_shard_busy_s"])
+        wall_speedups.append(runs[1]["wall_s"] / runs[4]["wall_s"])
         print(
             "sim_scale: wall events/s "
             + ", ".join(f"{n} shards {r['events'] / r['wall_s']:,.0f}" for n, r in runs.items())
+            + f" (4 shards on {runs[4]['workers']} worker process(es))"
         )
     verdict = scale_verdict(speedups)
+    print(f"sim_scale: wall-clock speedup_4 median {statistics.median(wall_speedups):.3f}")
     print(verdict.line("sim_scale", f"critical-path speedup_4 min {min(speedups):.3f},"))
     assert verdict.ok, verdict

@@ -215,6 +215,8 @@ def _cmd_run_traffic(args: argparse.Namespace, profile: Optional[dict]) -> int:
               f"busy {result['shard_busy_s'][k] * 1e3:.1f} ms")
     print(f"sweeps: {result['sweeps']}  batch factor: "
           f"{result['batch_factor']:.1f} (released/callback)")
+    workers = result["workers"]
+    print("driver: cooperative" if workers == 1 else f"driver: {workers} worker processes")
     print(
         f"shards={args.shards} components={result['components']} "
         f"sessions={result['sessions']} requests={result['requests']} "

@@ -623,7 +623,9 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     simulation output is *identical for every shard count* (the link
     latency is a property of hardware placement, not of the partition).
     The coordinator runs the shards' windows one after another on the
-    calling thread (:meth:`~repro.sim.shard.ShardedSimulation.run`).
+    calling thread (:meth:`~repro.sim.shard.ShardedSimulation.run`
+    without a handler table): a decode window holds about one event,
+    too little work to pay for a round trip to a worker process.
 
     Not supported in sharded mode (use :class:`SmpSimRuntime`): dynamic
     reconfiguration (``add_component``/``connect_live``/``rebind``) and

@@ -13,8 +13,26 @@ delay, so shard *i* may freely execute everything strictly below
 where ``eot_j`` is shard *j*'s earliest possible next activity and
 ``lookahead(j, i)`` is the smallest link latency of any channel from *j*
 to *i*.  No null messages circulate; a coordinator recomputes the bounds
-each sweep (a time-window barrier) and runs the windows one after
-another on the calling thread (:meth:`ShardedSimulation.run`).
+each sweep (a time-window barrier).  :meth:`ShardedSimulation.run` runs
+the windows one after another on the calling thread, or -- given the
+run's handler table and a host with more than one usable CPU -- in
+forked worker processes that each own a share of the shards
+(`Worker processes`_).
+
+Worker processes
+----------------
+The process driver forks after set-up, so every worker starts with the
+whole simulation in memory and runs only its own shards (shard *i*
+belongs to worker ``i % workers``; the calling process is worker 0).
+Each window is one exchange per forked worker: the coordinator sends
+the bounds and the envelopes bound for that worker's shards, and gets
+back its shards' fresh ``eot`` and the envelopes they posted to shards
+of other workers.  An envelope between two shards of one worker never
+leaves its process.  One crossing workers travels as the plain tuple
+``(*key, handler_index, *args)``, indexing the run's handler table, and
+is rebuilt as an :class:`~repro.sim.mailbox.Envelope` on arrival.  The
+bounds and the window sequence are the cooperative driver's, so the
+delivery order, the digests and the sweep count are too.
 
 Determinism contract
 --------------------
@@ -41,9 +59,16 @@ traces bit-compatible.
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import signal
+import threading
+import traceback
+from collections import deque
 from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.kernel import Kernel
@@ -136,8 +161,9 @@ def partition_graph(
             f"without empty shards; use at most {len(names)} shards"
         )
     affinity = dict(affinity or {})
+    known = set(names)
     for name, shard in affinity.items():
-        if name not in set(names):
+        if name not in known:
             raise ValueError(f"affinity names unknown component {name!r}")
         if not 0 <= shard < n_shards:
             raise ValueError(f"affinity pins {name!r} to shard {shard}, have {n_shards}")
@@ -159,26 +185,31 @@ def partition_graph(
             key = (a, b) if order_of[a] <= order_of[b] else (b, a)
             pair_weight[key] = pair_weight.get(key, 0.0) + float(w)
 
-    def hop_weight(a: str, b: str) -> float:
-        key = (a, b) if order_of[a] <= order_of[b] else (b, a)
-        return pair_weight.get(key, 0.0)
+    def neighbours(node: str) -> List[str]:
+        # Heaviest observed edge first, then declaration order; without
+        # edge weights that is declaration order alone.
+        if not pair_weight:
+            return sorted(set(adjacency[node]), key=order_of.__getitem__)
+        rank = order_of[node]
 
-    # Deterministic BFS over every connected part, seeds in name order;
-    # within a node, heaviest observed edge expands first.
+        def hop(m: str) -> Tuple[float, int]:
+            key = (node, m) if rank <= order_of[m] else (m, node)
+            return -pair_weight.get(key, 0.0), order_of[m]
+
+        return sorted(set(adjacency[node]), key=hop)
+
+    # Deterministic BFS over every connected part, seeds in name order.
     bfs: List[str] = []
     seen = set()
     for seed in names:
         if seed in seen:
             continue
-        queue = [seed]
+        queue = deque([seed])
         seen.add(seed)
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             bfs.append(node)
-            for nxt in sorted(
-                set(adjacency[node]),
-                key=lambda m: (-hop_weight(node, m), order_of[m]),
-            ):
+            for nxt in neighbours(node):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -409,8 +440,132 @@ class Shard:
         finally:
             self.busy_s += perf_counter() - t0
 
+    # -- state across worker processes -----------------------------------------
+
+    def _summary(self) -> tuple:
+        """What a worker process reports for this shard after its last
+        window (read back by :meth:`_adopt`)."""
+        kernel, staging = self.kernel, self.staging
+        return (
+            kernel.now, kernel.events_executed, kernel._live_processes,
+            self.busy_s, staging.released, staging.batches,
+        )
+
+    def _adopt(self, summary: tuple) -> None:
+        """Take over the state a worker process ran this shard to.  This
+        copy stopped at the fork, so its pending events and staged
+        envelopes were delivered by the worker: drop them."""
+        now, events, live, busy_s, released, batches = summary
+        kernel, staging = self.kernel, self.staging
+        kernel._heap.clear()
+        kernel._imm.clear()
+        kernel._alive = kernel._n_cancelled = 0
+        kernel.idle_advance(now)
+        kernel.events_executed = events
+        kernel._live_processes = live
+        self.busy_s = busy_s
+        self.inbox = []
+        staging._heap.clear()
+        staging.released = released
+        staging.batches = batches
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Shard {self.index} now={self.kernel.now} staged={len(self.staging)}>"
+
+
+# -- worker processes ----------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _pin(cpus: Sequence[int], worker: int) -> None:
+    """Bind the calling process to the worker's own CPU, where the
+    platform allows.  Left to itself the scheduler can keep a freshly
+    forked worker on its parent's CPU for the whole run."""
+    if cpus:
+        os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
+
+
+def _stalled() -> DeadlockError:
+    # Unreachable while every lookahead is >= 1 ns: the globally
+    # earliest shard is always below its bound.
+    return DeadlockError("conservative synchronization stalled: no shard below its bound")
+
+
+def _missing_handler(handler: Callable) -> SimulationError:
+    name = getattr(handler, "__qualname__", None) or repr(handler)
+    return SimulationError(f"envelope handler {name} is not in the run's handler table")
+
+
+def _to_wire(envelopes: Iterable[Envelope], index: Dict[Callable, int]) -> List[tuple]:
+    """Envelopes as ``(*key, handler_index, *args)`` tuples, which pickle."""
+    try:
+        return [env[:5] + (index[env[5]],) + env[6:] for env in envelopes]
+    except KeyError as exc:
+        raise _missing_handler(exc.args[0]) from None
+
+
+def _from_wire(wires: Iterable[tuple], handlers: Sequence[Callable]) -> List[Envelope]:
+    return [Envelope(*w[:5], handlers[w[5]], *w[6:]) for w in wires]
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception a worker process raised;
+    the parent re-raises that exception with this as its cause."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+class _WorkerError:
+    """A worker's reply when it failed: the exception and its traceback."""
+
+    def __init__(self, exc: BaseException, tb: str) -> None:
+        self.exc = exc
+        self.tb = tb
+
+
+class _Duplex:
+    """Pickled messages over a pair of pipes: :meth:`send` writes one,
+    :meth:`recv` reads one (``EOFError`` once the other end closed)."""
+
+    def __init__(self, reader: int, writer: int) -> None:
+        self._in = os.fdopen(reader, "rb")
+        self._out = os.fdopen(writer, "wb")
+
+    def send(self, message: Any) -> None:
+        # Pickled whole before the first byte goes out, so a message
+        # that fails to pickle leaves the stream intact.
+        self._out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        self._out.flush()
+
+    def recv(self) -> Any:
+        return pickle.load(self._in)
+
+    def close(self) -> None:
+        self._in.close()
+        try:
+            self._out.close()
+        except BrokenPipeError:  # the other end is gone: nothing to flush to
+            pass
+
+
+def _reply(link: _Duplex, pid: int) -> Any:
+    """Read a worker's reply, re-raising an exception it sent."""
+    try:
+        reply = link.recv()
+    except (EOFError, pickle.UnpicklingError):
+        raise SimulationError(f"shard worker process {pid} exited without replying") from None
+    if isinstance(reply, _WorkerError):
+        raise reply.exc from _WorkerTraceback(reply.tb)
+    return reply
 
 
 # -- the coordinator -----------------------------------------------------------
@@ -460,6 +615,11 @@ class ShardedSimulation:
         #: finite path -- what :meth:`_bounds` reads.
         self._into: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         self.sweeps = 0
+        #: Worker processes the last :meth:`run` used (1: cooperative).
+        self.workers = 1
+        #: ``(shard indices, state)`` per forked worker of the last
+        #: :meth:`run`: what its ``export`` returned for its shards.
+        self.exported: List[Tuple[List[int], Any]] = []
 
     def add_link(self, src_shard: int, dst_shard: int, latency_ns: int) -> None:
         """Declare a channel from ``src_shard`` to ``dst_shard`` with a
@@ -549,11 +709,53 @@ class ShardedSimulation:
                 s.kernel.idle_advance(t_max)
         return True
 
-    def run(self) -> int:
-        """Sweep windows on the calling thread until every shard is
-        idle; returns the number of sweeps.  ``eots`` is cached across
-        sweeps and refreshed only where a window or an arrival could
-        move it."""
+    def _run_window(
+        self, indices: Iterable[int], eots: Sequence[float], bounds: Sequence[float]
+    ) -> None:
+        """Run each shard of ``indices`` whose ``eot`` is below its bound
+        up to that bound: one window of the process driver, for one
+        worker's shards."""
+        shards = self.shards
+        for i in indices:
+            if eots[i] < bounds[i]:
+                shards[i].run_until(bounds[i])
+
+    def run(
+        self,
+        handlers: Optional[Sequence[Callable]] = None,
+        export: Optional[Callable[[List[int]], Any]] = None,
+    ) -> int:
+        """Sweep windows until every shard is idle; returns the number
+        of sweeps.
+
+        ``handlers`` is the run's handler table: every handler an
+        envelope crossing shards may carry.  With it, and when more
+        than one CPU is usable, the shards run in ``min(shards, usable
+        CPUs)`` forked worker processes (module docstring), and each
+        forked worker's ``export(its shard indices)`` lands in
+        :attr:`exported`.  Without it, or with one usable CPU, no
+        ``os.fork`` or another live thread (forking would copy a lock
+        some thread holds), the windows run on the calling thread.
+        Either way every shard here ends holding its final clock and
+        counters."""
+        self.workers = 1
+        self.exported = []
+        if handlers is not None:
+            index = {handler: k for k, handler in enumerate(handlers)}
+            for shard in self.shards:
+                shard.drain_inbox()
+                for env in shard.staging._heap:
+                    if env[5] not in index:
+                        raise _missing_handler(env[5])
+            workers = min(len(self.shards), usable_cpus())
+            if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+                return self._run_forked(handlers, index, export, workers)
+        return self._run_here()
+
+    def _run_here(self) -> int:
+        """The cooperative driver: every window on the calling thread.
+        ``eots`` is cached across sweeps and refreshed only where a
+        window or an arrival could move it."""
         shards = self.shards
         for shard in shards:
             shard.drain_inbox()
@@ -562,9 +764,7 @@ class ShardedSimulation:
             bounds = self._bounds(eots)
             runnable = [i for i, e in enumerate(eots) if e < bounds[i]]
             if not runnable:
-                raise DeadlockError(
-                    "conservative synchronization stalled: no shard below its bound"
-                )
+                raise _stalled()
             for i in runnable:
                 shards[i].run_until(bounds[i])
             self.sweeps += 1
@@ -575,3 +775,144 @@ class ShardedSimulation:
                     continue
                 eots[i] = shard.eot()
         return self.sweeps
+
+    def _run_forked(
+        self,
+        handlers: Sequence[Callable],
+        index: Dict[Callable, int],
+        export: Optional[Callable[[List[int]], Any]],
+        n_workers: int,
+    ) -> int:
+        """The process driver: fork ``n_workers - 1`` workers and
+        coordinate the windows, running worker 0's shards here."""
+        shards = self.shards
+        n = len(shards)
+        eots = [s.eot() for s in shards]
+        if self._finished(eots):
+            return self.sweeps
+        owner = [i % n_workers for i in range(n)]
+        owned = [list(range(w, n, n_workers)) for w in range(n_workers)]
+        children: List[Tuple[int, _Duplex]] = []
+        clean = False
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+        cpus = sorted(mask) if mask else []
+        # Objects alive now are shared with every worker: freezing them
+        # keeps the collectors from touching (and so copying) their pages.
+        gc.freeze()
+        try:
+            for w in range(1, n_workers):
+                down, up = os.pipe(), os.pipe()
+                pid = os.fork()
+                if pid == 0:  # pragma: no cover - runs in the worker
+                    os.close(down[1])
+                    os.close(up[0])
+                    for _, sibling in children:
+                        sibling.close()
+                    _pin(cpus, w)
+                    self._serve(_Duplex(down[0], up[1]), owned[w], handlers, index, export)
+                os.close(down[0])
+                os.close(up[1])
+                children.append((pid, _Duplex(up[0], down[1])))
+            self.workers = n_workers
+            _pin(cpus, 0)
+            # pending[w][i]: wire envelopes for shard i of worker w.
+            pending: List[Dict[int, List[tuple]]] = [{} for _ in range(n_workers)]
+            while min(eots) != _INF:
+                bounds = self._bounds(eots)
+                if not any(e < b for e, b in zip(eots, bounds)):
+                    raise _stalled()
+                for w, (_, link) in enumerate(children, 1):
+                    link.send((eots, bounds, pending[w]))
+                    pending[w] = {}
+                self._run_window(owned[0], eots, bounds)
+                self.sweeps += 1
+                for i, shard in enumerate(shards):
+                    if shard.inbox and owner[i]:
+                        pending[owner[i]][i] = _to_wire(shard.inbox, index)
+                        shard.inbox = []
+                for w, (pid, link) in enumerate(children, 1):
+                    fresh, outbound = _reply(link, pid)
+                    for i, eot in zip(owned[w], fresh):
+                        eots[i] = eot
+                    for i, wires in outbound.items():
+                        if owner[i]:
+                            pending[owner[i]].setdefault(i, []).extend(wires)
+                        else:
+                            shards[i].inbox.extend(_from_wire(wires, handlers))
+                for i in owned[0]:
+                    shard = shards[i]
+                    if shard.inbox:
+                        shard.drain_inbox()
+                    eots[i] = shard.eot()
+                # A worker drains what it is sent before its next window.
+                for bound_for in pending[1:]:
+                    for i, wires in bound_for.items():
+                        eots[i] = min(eots[i], min(wire[0] for wire in wires))
+            for _, link in children:
+                link.send(None)
+            for w, (pid, link) in enumerate(children, 1):
+                summaries, state = _reply(link, pid)
+                for i, summary in zip(owned[w], summaries):
+                    shards[i]._adopt(summary)
+                self.exported.append((owned[w], state))
+            clean = True
+        finally:
+            gc.unfreeze()
+            if mask:
+                os.sched_setaffinity(0, mask)
+            for pid, link in children:
+                if not clean:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                link.close()
+        self._finished(eots)
+        return self.sweeps
+
+    def _serve(
+        self,
+        link: _Duplex,
+        mine: List[int],
+        handlers: Sequence[Callable],
+        index: Dict[Callable, int],
+        export: Optional[Callable[[List[int]], Any]],
+    ) -> None:  # pragma: no cover - runs in the worker
+        """A forked worker's loop: run the windows of shards ``mine``
+        as the coordinator asks, then report their state and exit.  An
+        exception goes back to the coordinator; the worker never
+        returns into its caller."""
+        code = 1
+        try:
+            shards = self.shards
+            others = [i for i in range(len(shards)) if i not in mine]
+            while True:
+                message = link.recv()
+                if message is None:
+                    state = export(mine) if export is not None else None
+                    link.send(([shards[i]._summary() for i in mine], state))
+                    code = 0
+                    return
+                eots, bounds, inbound = message
+                for i, wires in inbound.items():
+                    shard = shards[i]
+                    shard.inbox.extend(_from_wire(wires, handlers))
+                    shard.drain_inbox()
+                self._run_window(mine, eots, bounds)
+                outbound = {}
+                for i in others:
+                    shard = shards[i]
+                    if shard.inbox:
+                        outbound[i] = _to_wire(shard.inbox, index)
+                        shard.inbox = []
+                for i in mine:
+                    if shards[i].inbox:
+                        shards[i].drain_inbox()
+                link.send(([shards[i].eot() for i in mine], outbound))
+        except BaseException as exc:  # noqa: BLE001 - reported to the coordinator
+            tb = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # noqa: BLE001 - any type can fail to round-trip
+                exc = SimulationError(f"{type(exc).__name__}: {exc}")
+            link.send(_WorkerError(exc, tb))
+        finally:
+            os._exit(code)

@@ -162,8 +162,10 @@ def run_traffic(
 ) -> Dict:
     """Run the traffic model on ``n_shards`` conservative shards.
 
-    Returns a result dict with the event totals, per-shard busy times,
-    the shard-count-invariant ``digest`` (sha256 over every component's
+    The shards run in worker processes when more than one CPU is usable
+    (:meth:`ShardedSimulation.run`); ``workers`` in the result says how
+    many.  Returns a result dict with the event totals, per-shard busy
+    times, the shard-count-invariant ``digest`` (sha256 over every component's
     delivery-sequence fold), the observed per-component/per-edge
     activity (for :func:`traffic_profile_payload`) and the batching
     counters.  ``partition`` overrides the static heuristic (that is
@@ -269,8 +271,22 @@ def run_traffic(
                 )
                 n_requests += 1
 
+    def export(owned: List[int]) -> Tuple:
+        # A component belongs to its shard, an edge to its source's.
+        mine = set(owned)
+        comps = [(i, folds[i], comp_events[i]) for i in range(n) if shard_of[i] in mine]
+        edges = [(e, m) for e, m in edge_msgs.items() if e[0] >= 0 and shard_of[e[0]] in mine]
+        return comps, edges, [shard_events[k] for k in owned]
+
     t0 = time.perf_counter()
-    sim.run()
+    sim.run(handlers=(on_ingress, on_frontend, on_backend, on_sink), export=export)
+    for owned, (comps, edges, counts) in sim.exported:
+        for i, f, e in comps:
+            folds[i] = f
+            comp_events[i] = e
+        edge_msgs.update(edges)
+        for k, c in zip(owned, counts):
+            shard_events[k] = c
     wall_s = time.perf_counter() - t0
 
     events = sum(comp_events)
@@ -296,6 +312,7 @@ def run_traffic(
         "events": events,
         "digest": digest,
         "wall_s": wall_s,
+        "workers": sim.workers,
         "sweeps": sim.sweeps,
         "busy_s": sum(busy),
         "shard_busy_s": busy,

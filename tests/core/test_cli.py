@@ -71,6 +71,19 @@ def test_run_metrics_spreads_components_over_every_shard(capsys, tmp_path):
     assert digests[1] == digests[2] == digests[4]
 
 
+@pytest.mark.parametrize(
+    "cpus, shards, driver",
+    [(4, 1, "cooperative"), (1, 4, "cooperative"), (2, 4, "2 worker processes"),
+     (4, 3, "3 worker processes")],
+)
+def test_run_traffic_reports_its_driver(cpus, shards, driver, capsys, usable_cpus):
+    usable_cpus(cpus)
+    args = ["run", "--workload", "traffic", "--components", "200", "--ticks", "1"]
+    assert main(args + ["--shards", str(shards)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("driver:")] == [f"driver: {driver}"]
+
+
 def test_requires_a_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -55,6 +55,7 @@ def test_native_explicit_timeout_raises_deadline_error():
     assert isinstance(cause, DeadlineError)
     assert cause.component == "c" and cause.interface == "in"
     assert cause.elapsed_ns >= 100_000_000
+    rt.stop()
 
 
 def test_native_placement_receive_timeout_overrides_runtime_default():

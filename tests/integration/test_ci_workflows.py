@@ -56,6 +56,11 @@ def test_smoke_jobs_are_separate():
     assert "--components 1000 --shards 2 | tee t2.txt" in scale_runs
     assert "--components 1000 --shards 4 | tee t4.txt" in scale_runs
     assert 'test "$sha1" = "$sha2" && test "$sha1" = "$sha4"' in scale_runs
+    # The multi-shard digests above must come from the process driver.
+    scale_steps = jobs["scale-smoke"]["steps"]
+    workers = next(s["run"] for s in scale_steps if "worker processes" in s.get("name", ""))
+    for log in ("t2.txt", "t4.txt"):
+        assert f"grep -Eq '^driver: [0-9]+ worker processes$' {log}" in workers
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
     assert "run --images 6 --shards 4 | tee run4.txt" in shard_runs
     assert "run --images 6 --shards 1 --metrics m1.json" in shard_runs

@@ -69,6 +69,8 @@ def test_native_join_timeout_bounds_teardown():
     rt.start()
     with pytest.raises(RuntimeError_, match="did not finish"):
         rt.wait()
+    rt.stop()
+    rt.containers["slow"].handle.join(timeout=5.0)
 
 
 def test_sim_failure_does_not_wedge_restarted_runs():

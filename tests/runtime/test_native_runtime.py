@@ -89,6 +89,7 @@ def test_component_exception_reported():
     rt.start()
     with pytest.raises(RuntimeError_, match="native bug"):
         rt.wait()
+    rt.stop()
 
 
 def test_receive_timeout_surfaces_deadlock():

@@ -1,0 +1,235 @@
+"""The process driver of :class:`ShardedSimulation`.
+
+Every test forces two worker processes through the usable-CPU seam
+(the ``usable_cpus`` fixture), so it runs the forked driver on any
+host.  Shard *i* belongs to worker ``i % 2``: shard 0 runs in this
+process, shard 1 in the forked worker.
+
+The driver must fail the way the cooperative one does (an error inside
+a worker re-raises here with its type and message, and no worker
+process outlives the run), leave this process's shards holding the
+merged state, and change nothing a run computes.
+"""
+
+import os
+
+import pytest
+
+from repro.sim.errors import DeadlockError, SchedulingError, SimulationError
+from repro.sim.mailbox import Envelope
+from repro.sim.process import Process
+from repro.sim.resources import Channel
+from repro.sim.shard import Shard, ShardedSimulation
+from repro.workloads import TrafficConfig, run_traffic, traffic_profile_payload
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+SEEDS = [1, 7, 42]
+
+#: What a handler the table lacks raises, in this process or a worker.
+UNLISTED = "handler .*unlisted is not in the run's handler table"
+
+
+@pytest.fixture
+def workers(usable_cpus):
+    usable_cpus(2)
+    return usable_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def noop(*args):
+    pass
+
+
+def linked_pair():
+    shards = [Shard(0), Shard(1)]
+    sim = ShardedSimulation(shards)
+    sim.add_link(0, 1, 1_000)
+    sim.add_link(1, 0, 1_000)
+    return shards, sim
+
+
+# -- failures ------------------------------------------------------------------
+
+
+def test_duplicate_key_in_a_worker_reraises_here(workers):
+    shards, sim = linked_pair()
+    shards[0].stage(Envelope(10, 0, "a", "out", 0, noop))
+    # Two sends with one key on the worker's shard: caught at release.
+    shards[1].stage(Envelope(20, 0, "b", "out", 7, noop, 1))
+    shards[1].stage(Envelope(20, 0, "b", "out", 7, noop, 2))
+    with pytest.raises(ValueError, match=r"duplicate envelope key \(20, 0, 'b', 'out', 7\)"):
+        sim.run(handlers=[noop])
+    assert sim.workers == 2
+    assert_no_child_left()
+
+
+def test_delivery_in_a_workers_past_reraises_here(workers):
+    # Shard 0 promises 1 000 ns of lookahead towards shard 1 and then
+    # sends with 10: shard 1 (in the worker) has run past the arrival.
+    shards, sim = linked_pair()
+
+    def late_send():
+        shards[1].post(Envelope(20, 10, "a", "out", 0, noop))
+
+    shards[0].stage(Envelope(10, 0, "a", "in", 0, late_send))
+    shards[1].stage(Envelope(500, 0, "b", "in", 0, noop))
+    with pytest.raises(SchedulingError, match="cannot schedule in the past: 20 < 500"):
+        sim.run(handlers=[noop, late_send])
+    assert_no_child_left()
+
+
+def test_missing_handler_raises_before_any_fork(workers, monkeypatch):
+    shards, sim = linked_pair()
+
+    def unlisted():
+        pass
+
+    shards[1].stage(Envelope(20, 0, "b", "out", 0, unlisted))
+
+    def no_fork():
+        raise AssertionError("forked with an incomplete handler table")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(SimulationError, match=UNLISTED):
+        sim.run(handlers=[noop])
+
+
+def test_handler_missing_mid_run_is_named(workers):
+    # The worker's shard sends across workers with a handler the table
+    # lacks: the worker names it, and the error re-raises here.
+    shards, sim = linked_pair()
+
+    def unlisted():
+        pass
+
+    def send_back():
+        shards[0].post(Envelope(2_000, 1_000, "b", "out", 0, unlisted))
+
+    shards[1].stage(Envelope(1_000, 0, "b", "in", 0, send_back))
+    with pytest.raises(SimulationError, match=UNLISTED):
+        sim.run(handlers=[send_back])
+    assert_no_child_left()
+
+
+def test_deadlock_counts_the_workers_processes(workers):
+    shards, sim = linked_pair()
+    chan = Channel(shards[1].kernel, name="never")
+
+    def blocked():
+        yield from chan.get()
+
+    Process(shards[1].kernel, blocked(), name="blocked")
+    shards[0].stage(Envelope(10, 0, "a", "out", 0, noop))
+    with pytest.raises(DeadlockError, match="1 process\\(es\\) still alive"):
+        sim.run(handlers=[noop])
+    assert sim.workers == 2
+    assert_no_child_left()
+
+
+def test_cooperative_without_a_table_or_a_second_cpu(workers):
+    shards, sim = linked_pair()
+    shards[1].stage(Envelope(20, 0, "b", "out", 0, noop))
+    sim.run()
+    assert sim.workers == 1
+    shards, sim = linked_pair()
+    shards[1].stage(Envelope(20, 0, "b", "out", 0, noop))
+    workers(1)
+    sim.run(handlers=[noop])
+    assert sim.workers == 1
+
+
+# -- merged state --------------------------------------------------------------
+
+
+def ring(n_shards, laps):
+    """A token passed round ``n_shards`` shards ``laps`` times, plus a
+    same-shard echo per hop; returns ``(shards, sim, handlers,
+    delivered)`` where ``delivered`` counts this process's deliveries."""
+    shards = [Shard(i) for i in range(n_shards)]
+    sim = ShardedSimulation(shards)
+    for a in range(n_shards):
+        sim.add_link(a, (a + 1) % n_shards, 300)
+        sim.add_link(a, a, 100)
+    delivered = []
+    seqs = [0] * n_shards
+
+    def send(src, dst, t, latency, handler, *args):
+        seq = seqs[src]
+        seqs[src] = seq + 1
+        env = Envelope(t + latency, t, f"s{src}", "out", seq, handler, *args)
+        (shards[dst].stage if dst == src else shards[dst].post)(env)
+
+    def echo(me):
+        delivered.append(me)
+
+    def hop(me, left):
+        delivered.append(me)
+        t = shards[me].kernel.now
+        send(me, me, t, 100, echo, me)
+        if left:
+            send(me, (me + 1) % n_shards, t, 300, hop, (me + 1) % n_shards, left - 1)
+
+    shards[0].stage(Envelope(50, 0, "token", "in", 0, hop, 0, laps * n_shards))
+    return shards, sim, (hop, echo), delivered
+
+
+def state(shards):
+    return [
+        (
+            s.kernel.now, s.kernel.events_executed, s.staging.released,
+            s.staging.batches, len(s.staging), len(s.inbox), s.eot(),
+        )
+        for s in shards
+    ]
+
+
+@pytest.mark.parametrize("n_shards", [2, 3, 4])
+def test_parent_shards_hold_the_merged_state(workers, n_shards):
+    workers(1)
+    shards, sim, handlers, _ = ring(n_shards, laps=5)
+    sim.run(handlers=handlers)
+    reference, reference_sweeps = state(shards), sim.sweeps
+
+    workers(2)
+    shards, sim, handlers, delivered = ring(n_shards, laps=5)
+    sim.run(handlers=handlers)
+    assert sim.workers == 2
+    assert state(shards) == reference
+    assert sim.sweeps == reference_sweeps
+    assert all(s.busy_s > 0 for s in shards)
+    assert len({s.kernel.now for s in shards}) == 1  # clocks aligned
+    assert_no_child_left()
+
+    # Nothing is left to deliver: a second run changes nothing.
+    seen = len(delivered)
+    assert sim.run(handlers=handlers) == reference_sweeps
+    assert sim.run() == reference_sweeps
+    assert len(delivered) == seen
+    assert state(shards) == reference
+
+
+# -- the traffic workload ------------------------------------------------------
+
+FIELDS = ("digest", "makespan_ns", "events", "sweeps", "released", "batches", "shard_events")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_traffic_matches_the_cooperative_driver(workers, seed):
+    config = TrafficConfig(n_components=1000, seed=seed, spin=0)
+    for n_shards in (2, 3, 4):
+        workers(1)
+        cooperative = run_traffic(config, n_shards)
+        workers(2)
+        forked = run_traffic(config, n_shards)
+        assert (cooperative["workers"], forked["workers"]) == (1, 2)
+        for field in FIELDS:
+            assert forked[field] == cooperative[field], (n_shards, field)
+        assert traffic_profile_payload(forked)["edges"] == (
+            traffic_profile_payload(cooperative)["edges"]
+        )
+    assert_no_child_left()

@@ -10,10 +10,13 @@ held to it here:
   (:func:`relaxed_bounds`, the coordinator's former code, kept as the
   reference) for random link sets, latencies and idle shards;
 - before every window, the cached EOTs must equal a fresh
-  ``[s.eot() for s in shards]`` on real workloads under both drivers,
-  and the sweep counts must stay those of the relaxation coordinator.
+  ``[s.eot() for s in shards]`` on real workloads, and the sweep counts
+  must stay those of the relaxation coordinator.  On the process
+  driver the fresh ``eot()`` is taken by the worker that owns the
+  shard, after it drained what the coordinator sent it.
 """
 
+import os
 import random
 
 import pytest
@@ -136,8 +139,39 @@ def test_cached_eots_stay_fresh_on_the_sharded_decode(fresh_eot_guard):
     assert len(fresh_eot_guard) >= DECODE_8_SWEEPS
 
 
-def test_cached_eots_stay_fresh_on_traffic(fresh_eot_guard):
+def test_cached_eots_stay_fresh_on_traffic(fresh_eot_guard, usable_cpus):
+    # The guard reads this process's shards, which only the cooperative
+    # driver keeps current between windows.
+    usable_cpus(1)
     config = TrafficConfig(n_components=1000, seed=1, spin=0)
     result = run_traffic(config, 4)
     assert result["sweeps"] == TRAFFIC_1K_SWEEPS
     assert len(fresh_eot_guard) == TRAFFIC_1K_SWEEPS
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("n_shards", [2, 3, 4])
+def test_coordinator_eots_match_the_workers_on_traffic(monkeypatch, usable_cpus, n_shards):
+    """Every worker, at every window, checks the coordinator's ``eot``
+    of each shard it owns against the shard's own ``eot()`` after the
+    drain; a mismatch in a forked worker re-raises here.  At 2 shards a
+    worker's shard starts idle and wakes only on the other worker's
+    envelopes."""
+    usable_cpus(2)
+    windows = []
+    original = ShardedSimulation._run_window
+
+    def guarded(self, indices, eots, bounds):
+        indices = list(indices)
+        assert [eots[i] for i in indices] == [self.shards[i].eot() for i in indices]
+        assert not any(self.shards[i].inbox for i in indices)
+        windows.append(os.getpid())
+        return original(self, indices, eots, bounds)
+
+    monkeypatch.setattr(ShardedSimulation, "_run_window", guarded)
+    config = TrafficConfig(n_components=1000, seed=1, spin=0)
+    result = run_traffic(config, n_shards)
+    assert result["workers"] == 2
+    assert result["sweeps"] == TRAFFIC_1K_SWEEPS
+    # This process ran worker 0's window every time.
+    assert windows == [os.getpid()] * TRAFFIC_1K_SWEEPS
