@@ -13,8 +13,7 @@ Commands
     Run the quickstart pipeline on the native runtime and dump all three
     observation levels as JSON.
 ``run [--workload {mjpeg,traffic}] [--images N] [--components N]
-[--shards N] [--metrics OUT] [--record-profile OUT.json]
-[--repartition PROFILE.json] [--profile OUT.pstats]``
+[--shards N] [--metrics OUT] [--profile OUT.pstats]``
     Run a workload and print its shard-count-invariant digest.  The
     default ``mjpeg`` workload decodes the MJPEG stream and prints the
     sha256 of the decoded frame set; ``--shards N`` partitions the
@@ -27,10 +26,9 @@ Commands
     generated fan-in/fan-out service graph (``--components`` wide, 10k+
     supported) instead; its invariant line is ``trace sha256:`` -- the
     CI ``scale-smoke`` job diffs it across shard counts.  Both workloads
-    can dump observed traffic (``--record-profile``) and re-partition
-    from a recorded profile (``--repartition``) -- the measure ->
-    repartition -> rerun loop.  ``--profile OUT.pstats`` wraps the run
-    in cProfile.
+    place components with the one static partitioner
+    (``repro.sim.shard.partition_graph``).  ``--profile OUT.pstats``
+    wraps the run in cProfile.
 ``top [--images N] [--shards N] [--watch]``
     Live ascii telemetry dashboard over the MJPEG SMP decode:
     per-component send/receive/latency/busy/restart table plus the
@@ -171,43 +169,12 @@ def _cmd_observe(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_profile(path: str) -> dict:
-    """Load and sanity-check a ``repro.profile/v1`` document."""
-    from repro.sim.shard import PROFILE_SCHEMA
-
-    with open(path) as fh:
-        profile = json.load(fh)
-    if profile.get("schema") != PROFILE_SCHEMA:
-        raise ValueError(
-            f"{path}: schema {profile.get('schema')!r} is not {PROFILE_SCHEMA!r}"
-        )
-    return profile
-
-
-def _write_profile(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path} ({len(payload['components'])} components, "
-          f"{len(payload['edges'])} edges)")
-
-
-def _cmd_run_traffic(args: argparse.Namespace, profile: Optional[dict]) -> int:
+def _cmd_run_traffic(args: argparse.Namespace) -> int:
     """``run --workload traffic``: the service graph on the raw shard layer."""
-    from repro.sim.shard import repartition_from_profile
-    from repro.workloads import TrafficConfig, run_traffic, traffic_profile_payload
-    from repro.workloads.traffic import build_traffic_graph
+    from repro.workloads import TrafficConfig, run_traffic
 
     config = TrafficConfig(n_components=args.components, ticks=args.ticks)
-    graph = build_traffic_graph(config)
-    partition = None
-    if profile is not None:
-        partition = repartition_from_profile(
-            graph["names"], graph["edges"], args.shards, profile
-        )
-        print(f"repartitioned {len(graph['names'])} components from "
-              f"{args.repartition}")
-    result = run_traffic(config, args.shards, partition=partition, graph=graph)
+    result = run_traffic(config, args.shards)
     mean = result["events"] / args.shards
     for k in range(args.shards):
         n = result["shard_events"][k]
@@ -225,8 +192,6 @@ def _cmd_run_traffic(args: argparse.Namespace, profile: Optional[dict]) -> int:
         f"makespan={result['makespan_ns'] / 1e6:.3f} simulated ms"
     )
     print(f"trace sha256: {result['digest']}")
-    if args.record_profile is not None:
-        _write_profile(args.record_profile, traffic_profile_payload(result))
     return 0
 
 
@@ -234,8 +199,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` command (see the module docstring).
 
     ``--shards 1`` runs the single-kernel ``SmpSimRuntime`` unless an
-    option needs the sharded runtime's staged transport (``--metrics``,
-    the profile options); a 1-shard sharded run decodes the same frames.
+    option needs the sharded runtime's staged transport (``--metrics``);
+    a 1-shard sharded run decodes the same frames.
     ``--metrics`` also pins the placement (below), so the whole
     telemetry stream is bit-identical for any ``--shards N``.
     """
@@ -244,23 +209,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.mjpeg.components import build_smp_assembly, frames_digest
     from repro.runtime import RunConfig, build_run
 
-    profile = None
-    if args.repartition is not None:
-        try:
-            profile = _load_profile(args.repartition)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     # The traffic model runs on the raw shard layer, which takes the
     # sharded runtime's shard arguments: this one config checks both.
     config = RunConfig.on_smp(
         args.shards,
-        sharded=args.metrics is not None or args.record_profile is not None,
-        profile=profile,
+        sharded=args.metrics is not None,
         telemetry=args.metrics is not None,
     )
     if args.workload == "traffic":
-        return _cmd_run_traffic(args, profile)
+        return _cmd_run_traffic(args)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
     if args.metrics is not None:
@@ -290,8 +247,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"reports={len(reports)} makespan={rt.makespan_ns / 1e6:.3f} simulated ms"
     )
     print(f"frames sha256: {frames_digest(frames)}")
-    if args.record_profile is not None:
-        _write_profile(args.record_profile, rt.profile())
     if args.metrics is not None:
         from repro.metrics import collect_telemetry, metrics_digest, write_metrics
 
@@ -763,25 +718,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help="partition the simulation across N conservative shards "
-        "(1 = plain single-kernel runtime unless --metrics or a profile "
-        "option needs the sharded one; output is identical for any N)",
+        "(1 = plain single-kernel runtime unless --metrics needs the "
+        "sharded one; output is identical for any N)",
     )
     run.add_argument(
         "--metrics", metavar="OUT", default=None,
         help="enable the live telemetry plane and write the merged registry "
         "to OUT (.prom/.txt = Prometheus text, else JSON); pins the "
         "placement and prints a shard-count-invariant 'metrics sha256:' line",
-    )
-    run.add_argument(
-        "--record-profile", metavar="OUT.json", default=None,
-        help="dump the observed traffic (per-component busy time, per-edge "
-        "message counts) as a repro.profile/v1 document after the run",
-    )
-    run.add_argument(
-        "--repartition", metavar="PROFILE.json", default=None,
-        help="partition by a recorded repro.profile/v1 document (observed "
-        "busy time weights the nodes, message counts weight the edges) "
-        "instead of the static min-cut heuristic",
     )
     run.add_argument(
         "--profile", dest="pstats", metavar="OUT.pstats", default=None,

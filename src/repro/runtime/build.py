@@ -27,8 +27,8 @@ class ConfigError(RuntimeError_):
 class RunConfig:
     """Which runtime a run uses and which planes it carries.
 
-    ``shards`` and ``profile`` are the
-    :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` arguments;
+    ``shards`` is the
+    :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` argument;
     ``faults`` is a :class:`~repro.faults.plan.FaultPlan`; ``policy``
     names a supervision profile of :data:`repro.faults.campaign.POLICIES`
     and ``seed`` seeds it.  The ``recover`` policy adds exactly-once
@@ -37,7 +37,6 @@ class RunConfig:
 
     runtime: str = "smp"
     shards: int = 1
-    profile: Optional[dict] = None
     trace: bool = False
     telemetry: bool = False
     faults: Any = None
@@ -53,14 +52,11 @@ class RunConfig:
             )
         if self.shards < 1:
             raise ConfigError(f"shards={self.shards}: a run needs at least one shard")
-        if cls is not ShardedSmpSimRuntime:
-            for name, given in (("shards", self.shards != 1),
-                                ("profile", self.profile is not None)):
-                if given:
-                    raise ConfigError(
-                        f"runtime {self.runtime!r} does not take {name}="
-                        f"{getattr(self, name)!r}; only runtime 'sharded' does"
-                    )
+        if cls is not ShardedSmpSimRuntime and self.shards != 1:
+            raise ConfigError(
+                f"runtime {self.runtime!r} does not take shards={self.shards!r}; "
+                f"only runtime 'sharded' does"
+            )
         if self.recovers and not cls.supports_replay:
             raise ConfigError(
                 f"policy 'recover' replays messages, which runtime {self.runtime!r} "
@@ -72,9 +68,8 @@ class RunConfig:
     @classmethod
     def on_smp(cls, shards: int = 1, sharded: bool = False, **fields) -> "RunConfig":
         """The SMP platform: the single-kernel runtime at one shard, the
-        sharded one at any other count or when ``sharded`` or a
-        ``profile`` asks for its staged transport."""
-        sharded = sharded or fields.get("profile") is not None
+        sharded one at any other count or when ``sharded`` asks for its
+        staged transport."""
         runtime = "smp" if shards == 1 and not sharded else "sharded"
         return cls(runtime=runtime, shards=shards, **fields)
 
@@ -101,7 +96,7 @@ def build_run(config: RunConfig, app):
     from repro.trace.tracer import enable_tracing
 
     if config.runtime == "sharded":
-        rt = ShardedSmpSimRuntime(config.shards, profile=config.profile)
+        rt = ShardedSmpSimRuntime(config.shards)
     else:
         rt = RUNTIMES[config.runtime]()
     rt.deploy(app)

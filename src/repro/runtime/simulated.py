@@ -46,11 +46,9 @@ from repro.sim.kernel import Kernel
 from repro.sim.mailbox import Envelope
 from repro.sim.resources import Channel
 from repro.sim.shard import (
-    PROFILE_SCHEMA,
     Shard,
     ShardedSimulation,
     partition_graph,
-    repartition_from_profile,
     shard_core_blocks,
     shard_span_source,
 )
@@ -604,8 +602,10 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     """The SMP runtime partitioned across N conservative shards.
 
     Deploy-time graph partitioning (user affinity via ``comp.place(
-    shard=K)`` / ``comp.place(core=N)``, otherwise a greedy balanced
-    min-cut heuristic) maps each component to one shard.  Each shard owns
+    shard=K)`` / ``comp.place(core=N)``, otherwise the static unit-weight
+    min-cut heuristic of :func:`~repro.sim.shard.partition_graph`) maps
+    each component to one shard, once: the placement is a function of
+    the declared graph alone, never of observed traffic.  Each shard owns
     a contiguous block of the platform's cores and, per shard, a clock
     (:class:`~repro.sim.kernel.Kernel`), a
     :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process
@@ -641,17 +641,10 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         n_shards: int,
         platform: Optional[Platform] = None,
         quantum_ns: int = 4_000_000,
-        profile: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """``profile`` is an observed-traffic document
-        (``repro.profile/v1``, see :meth:`profile`): when given, its busy
-        times weight the nodes and its message counts weight the edges of
-        the deploy-time partition -- the measure -> repartition -> rerun
-        loop."""
         if n_shards < 1:
             raise RuntimeError_(f"need at least one shard, got {n_shards}")
         self.n_shards = int(n_shards)
-        self.profile_hint = profile
         super().__init__(platform=platform, quantum_ns=quantum_ns)
 
     def _init_system(self) -> None:
@@ -670,10 +663,9 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         self.sim = ShardedSimulation(self.shards)
         self._span_sources = [shard_span_source(i) for i in range(self.n_shards)]
         self._routes: Dict[Any, Tuple[int, int]] = {}  # provided iface -> (shard, core)
-        #: Observed per-edge message counts ((src, dst) component names),
-        #: fed by _deliver -- the raw material of :meth:`profile` and
-        #: the cross-shard traffic gauges.
-        self._edge_traffic: Dict[Tuple[str, str], int] = {}
+        #: Cross-shard message counts per ``(src_shard, dst_shard)``
+        #: pair, fed by _deliver -- the ``shard_cut_messages`` gauges.
+        self._cut_traffic: Dict[Tuple[int, int], int] = {}
 
     def _run(self) -> int:
         """Run all shards under conservative sync; returns the latest
@@ -708,13 +700,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
                 affinity[name] = placement["shard"]
             elif "core" in placement and name not in affinity:
                 affinity[name] = self._shard_of_core(placement["core"])
-        if self.profile_hint is not None:
-            assignment = repartition_from_profile(
-                names, edges, self.n_shards, self.profile_hint, affinity=affinity
-            )
-        else:
-            assignment = partition_graph(names, edges, self.n_shards, affinity=affinity)
-        self._edges = edges
+        assignment = partition_graph(names, edges, self.n_shards, affinity=affinity)
         next_slot = [0] * self.n_shards
         for name in names:
             cont = self.containers[name]
@@ -767,10 +753,8 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         link latency after the send; observation messages ride the same
         path, since the observer may live on another shard."""
         dst_shard_idx, dst_core = self._routes[target]
-        edge = (src_cont.component.name, target.component.name)
-        traffic = self._edge_traffic
-        traffic[edge] = traffic.get(edge, 0) + 1
-        src_shard = self.shards[src_cont.extra["shard"]]
+        src_shard_idx = src_cont.extra["shard"]
+        src_shard = self.shards[src_shard_idx]
         send_time = src_shard.kernel.now
         recv_time = send_time + self.platform.link_latency_ns(src_cont.extra["core"], dst_core)
         envelope = Envelope(
@@ -781,6 +765,8 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         if dst_shard is src_shard:
             dst_shard.stage(envelope)
         else:
+            pair = (src_shard_idx, dst_shard_idx)
+            self._cut_traffic[pair] = self._cut_traffic.get(pair, 0) + 1
             dst_shard.post(envelope)
 
     # -- dynamic reconfiguration is unsupported across shards ------------------
@@ -803,43 +789,6 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             "connect_live is not supported in sharded simulation; use SmpSimRuntime"
         )
 
-    # -- observed-traffic profile ----------------------------------------------
-
-    def profile(self) -> Dict[str, Any]:
-        """The observed-traffic document of this run (``repro.profile/v1``).
-
-        Per-component CPU busy time plus the per-edge message counts
-        recorded by :meth:`_deliver`, in the shape
-        :func:`repro.sim.shard.repartition_from_profile` consumes: dump
-        it after ``wait()``, feed it back as the ``profile=`` argument
-        (or ``repro run --repartition``) and the next run's partition is
-        weighted by what this one actually did."""
-        received: Dict[str, int] = {}
-        for (_src, dst), n in self._edge_traffic.items():
-            received[dst] = received.get(dst, 0) + n
-        components = {}
-        for name, cont in self.containers.items():
-            busy = self._busy_ns_of(cont)
-            components[name] = {
-                "busy_ns": int(busy) if busy is not None else 0,
-                "events": received.get(name, 0),
-                "shard": cont.extra["shard"],
-            }
-        edges = [
-            {"src": src, "dst": dst, "messages": n}
-            for (src, dst), n in sorted(self._edge_traffic.items())
-        ]
-        return {
-            "schema": PROFILE_SCHEMA,
-            "workload": "runtime",
-            "n_shards": self.n_shards,
-            "components": components,
-            "edges": edges,
-            "shards": [
-                {"shard": s.index, "busy_s": s.busy_s} for s in self.shards
-            ],
-        }
-
     def stamp_telemetry(self) -> None:
         """Component gauges (via the base class), plus the shard plane:
         per-shard host busy time and the cross-shard cut traffic.  All
@@ -850,12 +799,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         regs = self.metrics
         if not isinstance(regs, list):
             return
-        cut: Dict[Tuple[int, int], int] = {}
-        for (src, dst), n in self._edge_traffic.items():
-            s = self.containers[src].extra["shard"]
-            d = self.containers[dst].extra["shard"]
-            if s != d:
-                cut[(s, d)] = cut.get((s, d), 0) + n
+        cut = self._cut_traffic
         for k, (shard, reg) in enumerate(zip(self.shards, regs)):
             reg.gauge("shard_busy_seconds", shard=k).set(shard.busy_s, reg.last_ns)
             reg.gauge("shard_sweeps", shard=k).set(self.sim.sweeps, reg.last_ns)

@@ -132,23 +132,16 @@ def partition_graph(
     edges: Iterable[Tuple[str, str]],
     n_shards: int,
     affinity: Optional[Dict[str, int]] = None,
-    weights: Optional[Dict[str, float]] = None,
-    edge_weights: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> Dict[str, int]:
     """Partition a component graph into ``n_shards`` balanced parts.
 
     Greedy heuristic: order components by BFS over the (undirected)
-    connection graph and fill shards with contiguous BFS runs, so
-    tightly coupled neighborhoods land together and the cut stays small.
-    ``affinity`` pins named components to shards (user-supplied
-    placement wins over the heuristic); ``weights`` biases balance
-    (default: every component weighs 1).  ``edge_weights`` (keyed by
-    directed ``(src, dst)`` pairs, accumulated symmetrically) steers the
-    BFS to expand the *heaviest* neighbor first, so observed-hot edges
-    are the last ones a shard boundary cuts -- this is how a measured
-    traffic profile feeds back into the cut
-    (:func:`repartition_from_profile`).  Fully deterministic: ties
-    follow the declaration order of ``names`` and ``edges``.
+    connection graph and fill shards with contiguous BFS runs of equal
+    size, so tightly coupled neighborhoods land together and the cut
+    stays small.  ``affinity`` pins named components to shards
+    (user-supplied placement wins over the heuristic).  Fully
+    deterministic: ties follow the declaration order of ``names`` and
+    ``edges``.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
@@ -167,7 +160,6 @@ def partition_graph(
             raise ValueError(f"affinity names unknown component {name!r}")
         if not 0 <= shard < n_shards:
             raise ValueError(f"affinity pins {name!r} to shard {shard}, have {n_shards}")
-    weight = {n: float((weights or {}).get(n, 1.0)) for n in names}
 
     order_of = {n: i for i, n in enumerate(names)}
     adjacency: Dict[str, List[str]] = {n: [] for n in names}
@@ -177,28 +169,9 @@ def partition_graph(
         if a != b:
             adjacency[a].append(b)
             adjacency[b].append(a)
-    pair_weight: Dict[Tuple[str, str], float] = {}
-    for (a, b), w in (edge_weights or {}).items():
-        if a not in adjacency or b not in adjacency:
-            raise ValueError(f"edge weight ({a!r}, {b!r}) references unknown component")
-        if a != b:
-            key = (a, b) if order_of[a] <= order_of[b] else (b, a)
-            pair_weight[key] = pair_weight.get(key, 0.0) + float(w)
 
-    def neighbours(node: str) -> List[str]:
-        # Heaviest observed edge first, then declaration order; without
-        # edge weights that is declaration order alone.
-        if not pair_weight:
-            return sorted(set(adjacency[node]), key=order_of.__getitem__)
-        rank = order_of[node]
-
-        def hop(m: str) -> Tuple[float, int]:
-            key = (node, m) if rank <= order_of[m] else (m, node)
-            return -pair_weight.get(key, 0.0), order_of[m]
-
-        return sorted(set(adjacency[node]), key=hop)
-
-    # Deterministic BFS over every connected part, seeds in name order.
+    # Deterministic BFS over every connected part, seeds in name order,
+    # neighbours in declaration order.
     bfs: List[str] = []
     seen = set()
     for seed in names:
@@ -209,28 +182,27 @@ def partition_graph(
         while queue:
             node = queue.popleft()
             bfs.append(node)
-            for nxt in neighbours(node):
+            for nxt in sorted(set(adjacency[node]), key=order_of.__getitem__):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
 
     assignment = dict(affinity)
-    total = sum(weight.values())
-    pinned_load = [0.0] * n_shards
-    for name, shard in affinity.items():
-        pinned_load[shard] += weight[name]
+    pinned_load = [0] * n_shards
+    for shard in affinity.values():
+        pinned_load[shard] += 1
 
-    target = total / n_shards
+    target = len(names) / n_shards
     shard = 0
     load = pinned_load[0]
     for name in bfs:
         if name in assignment:
             continue
-        while shard < n_shards - 1 and load + weight[name] / 2 >= target:
+        while shard < n_shards - 1 and load + 0.5 >= target:
             shard += 1
             load = pinned_load[shard]
         assignment[name] = shard
-        load += weight[name]
+        load += 1
     return assignment
 
 
@@ -239,76 +211,6 @@ def cut_edges(
 ) -> List[Tuple[str, str]]:
     """The edges crossing shards under ``assignment`` (diagnostics)."""
     return [(a, b) for a, b in edges if assignment[a] != assignment[b]]
-
-
-#: Schema tag of the observed-traffic profile JSON (``repro run
-#: --record-profile`` writes it, ``--repartition`` reads it back).
-PROFILE_SCHEMA = "repro.profile/v1"
-
-
-def profile_weights(
-    profile: Dict,
-) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:
-    """Extract ``(node_weights, edge_weights)`` from a traffic profile.
-
-    A profile is the JSON document a measured run records: per-component
-    observed busy time (``components: {name: {busy_ns, events, ...}}``,
-    bare numbers accepted) and per-connection observed message counts
-    (``edges: [{src, dst, messages}]``).  Node weights fall back from
-    ``busy_ns`` to ``events`` to 1, floored at 1 so an idle component
-    still occupies space on its shard.
-    """
-    schema = profile.get("schema", PROFILE_SCHEMA)
-    if schema != PROFILE_SCHEMA:
-        raise ValueError(f"unknown profile schema {schema!r}; expected {PROFILE_SCHEMA!r}")
-    node_weights: Dict[str, float] = {}
-    for name, obs in profile.get("components", {}).items():
-        if isinstance(obs, dict):
-            value = obs.get("busy_ns")
-            if not value:
-                value = obs.get("events", 1)
-        else:
-            value = obs
-        node_weights[name] = max(1.0, float(value))
-    edge_weights: Dict[Tuple[str, str], float] = {}
-    for edge in profile.get("edges", []):
-        key = (edge["src"], edge["dst"])
-        edge_weights[key] = edge_weights.get(key, 0.0) + float(edge.get("messages", 1))
-    return node_weights, edge_weights
-
-
-def repartition_from_profile(
-    names: Sequence[str],
-    edges: Iterable[Tuple[str, str]],
-    n_shards: int,
-    profile: Dict,
-    affinity: Optional[Dict[str, int]] = None,
-) -> Dict[str, int]:
-    """Re-partition a component graph from *observed* weights.
-
-    The adaptive half of the measure -> repartition -> rerun loop: the
-    static heuristic assumes every component weighs 1 and every edge
-    matters equally; a recorded profile replaces both with what the
-    workload actually did (node weight = busy ns, edge weight = message
-    count), so skewed workloads rebalance and hot paths stop straddling
-    the cut.  Components present in the graph but absent from the
-    profile weigh 1 -- a profile from a slightly older deploy still
-    partitions the current graph.
-    """
-    node_weights, edge_weights = profile_weights(profile)
-    known = set(names)
-    node_weights = {n: w for n, w in node_weights.items() if n in known}
-    edge_weights = {
-        (a, b): w for (a, b), w in edge_weights.items() if a in known and b in known
-    }
-    return partition_graph(
-        names,
-        edges,
-        n_shards,
-        affinity=affinity,
-        weights=node_weights,
-        edge_weights=edge_weights,
-    )
 
 
 # -- the shard -----------------------------------------------------------------

@@ -8,16 +8,6 @@ the codec.  See :mod:`repro.workloads.traffic` for the fan-in/fan-out
 service-graph ("millions of users") model.
 """
 
-from repro.workloads.traffic import (
-    TrafficConfig,
-    build_traffic_graph,
-    run_traffic,
-    traffic_profile_payload,
-)
+from repro.workloads.traffic import TrafficConfig, build_traffic_graph, run_traffic
 
-__all__ = [
-    "TrafficConfig",
-    "build_traffic_graph",
-    "run_traffic",
-    "traffic_profile_payload",
-]
+__all__ = ["TrafficConfig", "build_traffic_graph", "run_traffic"]

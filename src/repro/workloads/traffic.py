@@ -23,11 +23,10 @@ Two properties are deliberate:
   service where queues drain in waves.
 - **Session skew.**  A small share of sessions is "heavy" (issues
   ``heavy_factor`` requests per tick) and heavy sessions concentrate on
-  the low-numbered ingresses, so a static unit-weight partition leaves
-  some shards hot.  The observed profile (per-component event counts,
-  per-edge message counts) feeds
-  :func:`repro.sim.shard.repartition_from_profile` -- the measure ->
-  repartition -> rerun loop this workload exists to exercise.
+  the low-numbered ingresses, so load is uneven over the graph the way
+  a real service's is: the static unit-weight partition leaves some
+  shards hotter than others (``shard_events`` in the result), and the
+  process driver has to run that uneven load.
 """
 
 from __future__ import annotations
@@ -37,15 +36,10 @@ import struct
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.mailbox import Envelope
-from repro.sim.shard import (
-    PROFILE_SCHEMA,
-    Shard,
-    ShardedSimulation,
-    partition_graph,
-)
+from repro.sim.shard import Shard, ShardedSimulation, partition_graph
 
 _MASK64 = (1 << 64) - 1
 _FNV = 1099511628211
@@ -156,7 +150,6 @@ def _spin(n: int) -> int:
 def run_traffic(
     config: TrafficConfig,
     n_shards: int,
-    partition: Optional[Dict[str, int]] = None,
     batch_release: bool = True,
     graph: Optional[Dict] = None,
 ) -> Dict:
@@ -166,10 +159,9 @@ def run_traffic(
     (:meth:`ShardedSimulation.run`); ``workers`` in the result says how
     many.  Returns a result dict with the event totals, per-shard busy
     times, the shard-count-invariant ``digest`` (sha256 over every component's
-    delivery-sequence fold), the observed per-component/per-edge
-    activity (for :func:`traffic_profile_payload`) and the batching
-    counters.  ``partition`` overrides the static heuristic (that is
-    how a recorded profile re-enters via ``repartition_from_profile``).
+    delivery-sequence fold), the per-component and per-shard event
+    counts and the batching counters.  ``graph`` reuses a graph from
+    :func:`build_traffic_graph` for ``config``.
     """
     graph = graph or build_traffic_graph(config)
     names: List[str] = graph["names"]
@@ -178,7 +170,7 @@ def run_traffic(
     fronts_of, pool_of, sink_of = graph["fronts_of"], graph["pool_of"], graph["sink_of"]
     index_of = {name: i for i, name in enumerate(names)}
 
-    assignment = partition or partition_graph(names, graph["edges"], n_shards)
+    assignment = partition_graph(names, graph["edges"], n_shards)
     shard_of = [assignment[name] for name in names]
 
     shards = [Shard(i) for i in range(n_shards)]
@@ -200,8 +192,6 @@ def run_traffic(
     n = len(names)
     folds = [0] * n  # per-component delivery-sequence hash (layout-invariant)
     comp_events = [0] * n
-    edge_msgs: Dict[Tuple[int, int], int] = {}
-    shard_events = [0] * n_shards
     seqs = [0] * n  # per-source send counters (layout-invariant order)
     spin = config.spin
     fanout = config.fanout
@@ -216,8 +206,6 @@ def run_traffic(
         # Stages the delivery ``handler(dst_idx, src_idx, seq, recv, *extra)``.
         seq = seqs[src_idx]
         seqs[src_idx] = seq + 1
-        edge = (src_idx, dst_idx)
-        edge_msgs[edge] = edge_msgs.get(edge, 0) + 1
         recv = t_send + config.link_ns
         env = Envelope(
             recv, t_send, names[src_idx], "out", seq,
@@ -227,18 +215,15 @@ def run_traffic(
         (shards[dst].stage if dst == me else shards[dst].post)(env)
 
     def on_sink(idx: int, src_idx: int, seq: int, t: int) -> None:
-        shard_events[shard_of[idx]] += 1
         _spin(spin)
         fold(idx, src_idx, seq, t)
 
     def on_backend(idx: int, src_idx: int, seq: int, t: int) -> None:
-        shard_events[shard_of[idx]] += 1
         _spin(spin)
         fold(idx, src_idx, seq, t)
         send(idx, base_sink + sink_of[idx - base_back], t + config.compute_ns, on_sink)
 
     def on_frontend(idx: int, src_idx: int, seq: int, t: int, session: int) -> None:
-        shard_events[shard_of[idx]] += 1
         _spin(spin)
         fold(idx, src_idx, seq, t)
         pool = pool_of[idx - base_front]
@@ -248,7 +233,6 @@ def run_traffic(
             send(idx, be, t_send, on_backend)
 
     def on_ingress(idx: int, seq: int, t: int, session: int, tick: int) -> None:
-        shard_events[shard_of[idx]] += 1
         _spin(spin)
         fold(idx, -1, seq, t)
         fronts = fronts_of[idx]
@@ -265,29 +249,26 @@ def run_traffic(
             t0 = (k + 1) * config.tick_ns
             for j in range(_activity(config, s)):
                 seq = (s * config.ticks + k) * max_req + j
-                edge_msgs[(-1, lb)] = edge_msgs.get((-1, lb), 0) + 1
                 shards[shard_of[lb]].stage(
                     Envelope(t0, 0, "client", f"s{s}", seq, on_ingress, lb, seq, t0, s, k)
                 )
                 n_requests += 1
 
-    def export(owned: List[int]) -> Tuple:
-        # A component belongs to its shard, an edge to its source's.
+    def export(owned: List[int]) -> List[Tuple[int, int, int]]:
+        # A component belongs to its shard.
         mine = set(owned)
-        comps = [(i, folds[i], comp_events[i]) for i in range(n) if shard_of[i] in mine]
-        edges = [(e, m) for e, m in edge_msgs.items() if e[0] >= 0 and shard_of[e[0]] in mine]
-        return comps, edges, [shard_events[k] for k in owned]
+        return [(i, folds[i], comp_events[i]) for i in range(n) if shard_of[i] in mine]
 
     t0 = time.perf_counter()
     sim.run(handlers=(on_ingress, on_frontend, on_backend, on_sink), export=export)
-    for owned, (comps, edges, counts) in sim.exported:
+    for _owned, comps in sim.exported:
         for i, f, e in comps:
             folds[i] = f
             comp_events[i] = e
-        edge_msgs.update(edges)
-        for k, c in zip(owned, counts):
-            shard_events[k] = c
     wall_s = time.perf_counter() - t0
+    shard_events = [0] * n_shards
+    for i, e in enumerate(comp_events):
+        shard_events[shard_of[i]] += e
 
     events = sum(comp_events)
     expected = n_requests * (2 + 2 * fanout)
@@ -322,39 +303,5 @@ def run_traffic(
         "batches": batches,
         "batch_factor": released / batches if batches else 1.0,
         "comp_events": comp_events,
-        "edge_msgs": edge_msgs,
         "makespan_ns": max(s.kernel.now for s in shards),
-    }
-
-
-def traffic_profile_payload(result: Dict) -> Dict:
-    """The observed-traffic profile JSON for a finished run -- the
-    document ``repartition_from_profile`` consumes.  Busy time per
-    component is virtual (events x compute_ns): deterministic, so the
-    measure -> repartition -> rerun loop is reproducible."""
-    config: TrafficConfig = result["config"]
-    names: Sequence[str] = result["names"]
-    components = {
-        name: {
-            "events": result["comp_events"][i],
-            "busy_ns": result["comp_events"][i] * config.compute_ns,
-        }
-        for i, name in enumerate(names)
-        if result["comp_events"][i]
-    }
-    edges = [
-        {"src": names[a], "dst": names[b], "messages": m}
-        for (a, b), m in sorted(result["edge_msgs"].items())
-        if a >= 0
-    ]
-    return {
-        "schema": PROFILE_SCHEMA,
-        "workload": "traffic",
-        "n_shards": result["n_shards"],
-        "components": components,
-        "edges": edges,
-        "shards": [
-            {"shard": k, "events": result["shard_events"][k], "busy_s": result["shard_busy_s"][k]}
-            for k in range(result["n_shards"])
-        ],
     }

@@ -17,8 +17,6 @@ from repro.runtime import (
     build_run,
 )
 
-PROFILE = {"schema": "repro.profile/v1", "components": {}, "edges": []}
-
 #: (config fields, the two sides the error must name)
 REJECTED = [
     pytest.param(dict(runtime="sharded", shards=2, policy="recover"),
@@ -35,10 +33,9 @@ REJECTED = [
                  id="durable-without-recover"),
     pytest.param(dict(runtime="fpga"), ("fpga", "sharded"), id="unknown-runtime"),
 ] + [
-    pytest.param(dict(runtime=runtime, **{field: value}), (repr(runtime), field),
-                 id=f"{runtime}+{field}")
+    pytest.param(dict(runtime=runtime, shards=2), (repr(runtime), "shards"),
+                 id=f"{runtime}+shards")
     for runtime in ("smp", "sti7200", "native")
-    for field, value in (("shards", 2), ("profile", PROFILE))
 ]
 
 
@@ -82,7 +79,6 @@ def test_on_smp_picks_the_runtime_from_the_shard_arguments():
     assert RunConfig.on_smp(1).runtime == "smp"
     assert RunConfig.on_smp(2).runtime == "sharded"
     assert RunConfig.on_smp(1, sharded=True).runtime == "sharded"
-    assert RunConfig.on_smp(1, profile=PROFILE).runtime == "sharded"
     with pytest.raises(RuntimeError_, match="shards=0"):
         RunConfig.on_smp(0)
 

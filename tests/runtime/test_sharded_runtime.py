@@ -182,31 +182,6 @@ def test_merge_buffers_applies_clock_offsets():
     assert [(row[0], row[2]) for row in merged.rows()] == [(100, "x"), (510, "y")]
 
 
-def test_profile_roundtrip_preserves_frames_and_reshapes_partition():
-    """The measure -> repartition -> rerun loop on the runtime: the
-    recorded profile is schema-clean, feeds back through ``profile=``,
-    and the reweighted partition still decodes the identical frame set."""
-    import json
-
-    from repro.sim.shard import PROFILE_SCHEMA
-
-    reference, rt, _ = _decode(2)
-    profile = rt.profile()
-    assert profile["schema"] == PROFILE_SCHEMA
-    json.dumps(profile)  # CLI --record-profile writes this verbatim
-    assert set(profile["components"]) == set(rt.containers)
-    assert all(c["busy_ns"] >= 0 for c in profile["components"].values())
-    assert any(e["messages"] > 0 for e in profile["edges"])
-
-    stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
-    app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
-    rerun = ShardedSmpSimRuntime(2, profile=profile)
-    rerun.run(app)
-    rerun.collect()
-    rerun.stop()
-    assert frames_digest(app.components["Reorder"].frames) == reference
-
-
 def test_shard_plane_gauges_are_stamped_and_digest_safe():
     """The shard telemetry satellite: per-shard busy/sweeps/cut-traffic
     land as *gauges* (shard-layout-dependent, so they must stay outside
@@ -234,6 +209,41 @@ def test_shard_plane_gauges_are_stamped_and_digest_safe():
     assert len(busy) == 4 and len(cut) == 8  # in/out per shard
     assert all(instruments[k]["kind"] == "gauge" for k in busy + cut)
     assert sum(instruments[k]["value"] for k in cut) > 0  # real cross traffic
+
+
+@pytest.mark.parametrize("n_shards", (2, 4))
+def test_shard_cut_gauges_count_the_posted_envelopes(n_shards):
+    """Each shard's ``in`` gauge is the number of cross-shard envelopes
+    posted to it, as its own ``on_envelope`` hook saw them, and every
+    envelope one shard posts out another takes in."""
+    from repro.metrics import collect_telemetry, enable_telemetry
+
+    stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
+    app = build_smp_assembly(stream, use_stored_coefficients=True)
+    rt = ShardedSmpSimRuntime(n_shards)
+    n_cores, n_components = rt.platform.n_cores, len(app.components)
+    for i, comp in enumerate(app.components.values()):
+        comp.placement["core"] = i * n_cores // n_components  # every shard hosts one
+    posted = [0] * n_shards
+    for shard in rt.shards:
+
+        def hook(envelope, cross, k=shard.index):
+            posted[k] += cross
+
+        shard.on_envelope = hook
+    rt.deploy(app)
+    enable_telemetry(rt)
+    rt.start()
+    rt.wait()
+    rt.stop()
+    instruments = collect_telemetry(rt).snapshot()["instruments"]
+    cut = {
+        (i["labels"]["shard"], i["labels"]["direction"]): i["value"]
+        for i in instruments.values()
+        if i["name"] == "shard_cut_messages"
+    }
+    assert [cut[(k, "in")] for k in range(n_shards)] == posted
+    assert sum(cut[(k, "out")] for k in range(n_shards)) == sum(posted) > 0
 
 
 def test_collect_trace_merges_shard_buffers_and_passes_one_through():

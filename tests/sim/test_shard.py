@@ -15,14 +15,11 @@ from repro.sim.mailbox import Envelope, Staging
 from repro.sim.process import Process
 from repro.sim.resources import Channel
 from repro.sim.shard import (
-    PROFILE_SCHEMA,
     SHARD_SPAN_BITS,
     Shard,
     ShardedSimulation,
     cut_edges,
     partition_graph,
-    profile_weights,
-    repartition_from_profile,
     shard_core_blocks,
     shard_span_source,
     span_shard,
@@ -134,77 +131,13 @@ def test_partition_graph_deterministic_under_affinity_pins():
     names = [f"c{i}" for i in range(9)]
     edges = [(f"c{i}", f"c{i + 1}") for i in range(8)]
     affinity = {"c0": 2, "c8": 0}
-    weights = {f"c{i}": float(i + 1) for i in range(9)}
-    first = partition_graph(names, edges, 3, weights=weights, affinity=affinity)
+    first = partition_graph(names, edges, 3, affinity=affinity)
     for _ in range(3):
-        again = partition_graph(names, edges, 3, weights=weights, affinity=affinity)
+        again = partition_graph(names, edges, 3, affinity=affinity)
         assert again == first
     assert first["c0"] == 2 and first["c8"] == 0
     sizes = [sum(1 for s in first.values() if s == k) for k in range(3)]
     assert all(n >= 1 for n in sizes)
-
-
-def test_partition_graph_edge_weights_steer_expansion():
-    # A hub with three spokes plus a detached pair: the heavy edge must
-    # pull its endpoint into the hub's shard ahead of the light spokes.
-    names = ["hub", "x", "y", "z", "m", "n"]
-    edges = [("hub", "x"), ("hub", "y"), ("hub", "z"), ("m", "n")]
-    heavy = partition_graph(names, edges, 2, edge_weights={("hub", "z"): 100.0})
-    assert heavy["z"] == heavy["hub"]
-    assert heavy == partition_graph(names, edges, 2, edge_weights={("hub", "z"): 100.0})
-    with pytest.raises(ValueError):
-        partition_graph(names, edges, 2, edge_weights={("hub", "nope"): 1.0})
-
-
-def test_profile_weights_extracts_node_and_edge_weights():
-    profile = {
-        "schema": PROFILE_SCHEMA,
-        "components": {
-            "a": {"busy_ns": 3000, "events": 5},
-            "b": 1000,
-            "c": {"events": 2},
-            "d": {},
-        },
-        "edges": [
-            {"src": "a", "dst": "b", "messages": 7},
-            {"src": "b", "dst": "a", "messages": 3},
-        ],
-    }
-    node_w, edge_w = profile_weights(profile)
-    assert node_w["a"] == 3000.0
-    assert node_w["b"] == 1000.0
-    assert node_w["c"] == 2.0  # busy_ns absent: falls back to events
-    assert node_w["d"] == 1.0  # floors at 1.0
-    assert edge_w[("a", "b")] == 7.0 and edge_w[("b", "a")] == 3.0
-    with pytest.raises(ValueError, match="schema"):
-        profile_weights({"schema": "nope", "components": {}})
-
-
-def test_repartition_from_profile_balances_by_observed_load():
-    # Two hot chain heads: unit-weight partitioning puts both halves of
-    # the chain together; observed busy time forces the hot pair apart.
-    names = ["hot1", "hot2", "cold1", "cold2"]
-    edges = [("hot1", "hot2"), ("hot2", "cold1"), ("cold1", "cold2")]
-    profile = {
-        "schema": PROFILE_SCHEMA,
-        "components": {
-            "hot1": {"busy_ns": 100_000},
-            "hot2": {"busy_ns": 100_000},
-            "cold1": {"busy_ns": 10},
-            "cold2": {"busy_ns": 10},
-        },
-        "edges": [{"src": "hot2", "dst": "cold1", "messages": 1}],
-    }
-    assignment = repartition_from_profile(names, edges, 2, profile)
-    assert assignment["hot1"] != assignment["hot2"]
-    # Unknown components in the profile are ignored, not an error.
-    profile["components"]["ghost"] = {"busy_ns": 1}
-    profile["edges"].append({"src": "ghost", "dst": "hot1", "messages": 5})
-    assert repartition_from_profile(names, edges, 2, profile) == assignment
-    pinned = repartition_from_profile(
-        names, edges, 2, profile, affinity={"hot1": 1}
-    )
-    assert pinned["hot1"] == 1
 
 
 # -- span-id ranges (shard-safe tracer ids) ------------------------------------

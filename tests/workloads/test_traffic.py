@@ -2,21 +2,12 @@
 
 The contracts under test mirror the CI gates: the trace digest is
 identical for every shard count, batched release changes nothing but
-the callback count, and the measure -> repartition -> rerun loop
-improves shard balance without touching the digest.
+the callback count.
 """
-
-import json
 
 import pytest
 
-from repro.sim.shard import PROFILE_SCHEMA, repartition_from_profile
-from repro.workloads import (
-    TrafficConfig,
-    build_traffic_graph,
-    run_traffic,
-    traffic_profile_payload,
-)
+from repro.workloads import TrafficConfig, build_traffic_graph, run_traffic
 
 CFG = TrafficConfig(n_components=200, n_sessions=40, ticks=2, spin=5)
 
@@ -75,28 +66,3 @@ def test_batched_release_matches_per_envelope(seed):
     # must do strictly better on this tick-aligned workload.
     assert reference["batch_factor"] == 1.0
     assert batched["batch_factor"] > 10.0
-
-
-def test_repartition_improves_balance_and_preserves_digest():
-    config = TrafficConfig(n_components=400, ticks=2, spin=0)
-    graph = build_traffic_graph(config)
-    static = run_traffic(config, 4, graph=graph)
-    profile = traffic_profile_payload(static)
-    tuned_partition = repartition_from_profile(
-        graph["names"], graph["edges"], 4, profile
-    )
-    tuned = run_traffic(config, 4, partition=tuned_partition, graph=graph)
-    assert tuned["digest"] == static["digest"]
-    # The heavy sessions skew the static partition; the observed profile
-    # must recover a measurably flatter event spread.
-    assert max(tuned["shard_events"]) < max(static["shard_events"])
-
-
-def test_profile_payload_is_schema_clean_json():
-    result = run_traffic(TrafficConfig(n_components=64, ticks=1, spin=0), 2)
-    payload = traffic_profile_payload(result)
-    assert payload["schema"] == PROFILE_SCHEMA
-    assert payload["n_shards"] == 2
-    json.dumps(payload)  # must serialize as-is (CLI --record-profile)
-    assert all(edge["messages"] > 0 for edge in payload["edges"])
-    assert all(comp["events"] > 0 for comp in payload["components"].values())
