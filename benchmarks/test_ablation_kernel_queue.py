@@ -40,10 +40,11 @@ from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
 from repro.sim.errors import DeadlockError, SchedulingError
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Timeout
 from repro.sim.resources import Channel
 
 from benchmarks.conftest import save_result
+from tests.sim.reference_process import Process
 
 N_EVENTS = 100_000
 N_MSGS = 25_000

@@ -154,36 +154,6 @@ class Application:
         component.state = ComponentState.DEPLOYED
         return component
 
-    def graph(self, include_observation: bool = False):
-        """The assembly as a ``networkx.DiGraph``.
-
-        Nodes are component names; an edge ``a -> b`` means a required
-        interface of ``a`` is connected to a provided interface of ``b``
-        (i.e. messages flow a -> b).  Edge data carries the interface
-        names.  Observation wiring is hidden by default so the graph
-        matches the paper's application figures.
-        """
-        import networkx as nx
-
-        g = nx.MultiDiGraph(name=self.name)
-        for comp in self.components.values():
-            if not include_observation and comp is self.observer:
-                continue
-            g.add_node(comp.name)
-        for comp in self.components.values():
-            for req in comp.required.values():
-                if req.target is None:
-                    continue
-                if not include_observation and req.is_observation:
-                    continue
-                g.add_edge(
-                    comp.name,
-                    req.target.component.name,
-                    required=req.name,
-                    provided=req.target.name,
-                )
-        return g
-
     def functional_components(self) -> List[Component]:
         """Components excluding the observer."""
         return [

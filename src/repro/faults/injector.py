@@ -6,9 +6,9 @@ observation probe uses -- so fault campaigns, like observation, require
 **no change to behaviour code**.  Transfer faults (drop / duplicate /
 delay / corrupt / overflow) act on the sender's ``send`` path; receive
 faults (crash-at-nth-receive, stall) act on the receiver's ``receive``
-path; time-triggered crashes are armed by a kernel-level fault process at
-exact virtual instants on the simulated runtimes, on the victim's own
-clock (its shard's kernel on the sharded runtime).
+path; time-triggered crashes are armed by kernel callbacks at exact
+virtual instants on the simulated runtimes, on the victim's own clock
+(its shard's kernel on the sharded runtime).
 
 Determinism: every probabilistic decision draws from a named stream of
 the plan's :class:`~repro.sim.rng.RngRegistry`
@@ -154,17 +154,16 @@ class FaultInjector:
             tracer = cont.extra.get("tracer")
             if tracer is not None:
                 self._tracers[cont.component.name] = tracer
-        # One fault process per victim clock: each crash arms on the
-        # kernel its victim runs on, so a sharded run arms it at the same
-        # virtual instant, relative to the victim, as an unsharded one.
+        # Each crash arms on the kernel its victim runs on, so a sharded
+        # run arms it at the same virtual instant, relative to the victim,
+        # as an unsharded one.
         by_kernel: Dict[Any, List[FaultSpec]] = {}
         for spec in self._time_crashes:
             by_kernel.setdefault(clocks[spec.component], []).append(spec)
         for kernel, specs in by_kernel.items():
             if kernel is not None:
-                from repro.sim.process import Process
-
-                Process(kernel, self._fault_clock(specs), name="fault.clock", daemon=True)
+                for spec in sorted(specs, key=lambda s: (s.at_ns, s.component)):
+                    kernel.schedule(spec.at_ns, self._arm, spec)
             else:
                 # Native runtime: no virtual clock to ride; crashes arm
                 # against elapsed wall time from installation.
@@ -175,20 +174,12 @@ class FaultInjector:
         self.installed = True
         return self
 
-    def _fault_clock(self, specs: List[FaultSpec]) -> Generator:
-        """A kernel-level fault process: arms each of ``specs`` (crashes
-        whose victims share this kernel) at its exact virtual instant (the
-        crash fires at the victim's next middleware interaction, where the
-        injected error can propagate)."""
-        from repro.sim.process import Timeout
-
-        now = 0
-        for spec in sorted(specs, key=lambda s: (s.at_ns, s.component)):
-            if spec.at_ns > now:
-                yield Timeout(spec.at_ns - now)
-                now = spec.at_ns
-            self._armed.setdefault(spec.component, []).append(spec)
-            self._record(now, spec.component, "crash-armed", f"at_ns={spec.at_ns}")
+    def _arm(self, spec: FaultSpec) -> None:
+        """Kernel callback at ``spec.at_ns`` after installation: arm a timed
+        crash (it fires at the victim's next middleware interaction, where
+        the injected error can propagate)."""
+        self._armed.setdefault(spec.component, []).append(spec)
+        self._record(spec.at_ns, spec.component, "crash-armed", f"at_ns={spec.at_ns}")
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -12,8 +12,8 @@ Fault taxonomy (``kind``):
 ``crash``
     Raise :class:`~repro.core.errors.InjectedFault` inside the target
     component's execution flow -- either at a virtual-time instant
-    (``at_ns``, armed by the kernel-level fault process on simulated
-    runtimes) or at its ``on_receive``-th data receive (both runtimes).
+    (``at_ns``, armed by a kernel callback on simulated runtimes) or at
+    its ``on_receive``-th data receive (both runtimes).
 ``drop``
     A data message sent by ``component`` through required interface
     ``interface`` is silently lost in transport with ``probability``.

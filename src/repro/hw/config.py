@@ -21,9 +21,7 @@ exercise:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -125,46 +123,3 @@ def platform_from_config(config: Mapping[str, Any]) -> Platform:
         numa=numa,
         cache_config=cache_config,
     )
-
-
-def platform_from_json(path: Union[str, Path]) -> Platform:
-    """Load a platform declared in a JSON file."""
-    return platform_from_config(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def platform_to_config(platform: Platform) -> Dict[str, Any]:
-    """Serialise a platform back to the declarative form.
-
-    Cycle tables and geometry round-trip; live allocation state does not
-    (configs describe hardware, not machine state).
-    """
-    config: Dict[str, Any] = {
-        "name": platform.name,
-        "cores": [
-            {
-                "name": core.name,
-                "freq_hz": core.freq_hz,
-                "cycles": dict(core.cycles_per_unit),
-                "default_cycles": core.default_cycles,
-                "node": node,
-            }
-            for core, node in zip(platform.cores, platform.core_nodes)
-        ],
-        "regions": [
-            {"name": r.name, "size_bytes": r.size_bytes, "node": r.node, "kind": r.kind}
-            for r in platform.regions.values()
-        ],
-    }
-    if platform.numa is not None:
-        config["numa"] = {
-            "distance": platform.numa.distance.tolist(),
-            "hop_penalty": platform.numa.hop_penalty,
-        }
-    if platform.caches:
-        c = platform.caches[0].config
-        config["cache"] = {
-            "size_bytes": c.size_bytes,
-            "line_bytes": c.line_bytes,
-            "ways": c.ways,
-        }
-    return config

@@ -284,42 +284,3 @@ def decode_image(payload: bytes, height: int, width: int, quality: int) -> np.nd
     coefs = decode_frame_coefficients(payload, n_blocks, quality)
     pixels = idct_stage(coefs)
     return assemble_image([pixels], height, width)
-
-
-def decode_color_image(frame) -> np.ndarray:
-    """Decode an :class:`~repro.mjpeg.encoder.EncodedColorFrame` back to
-    (H, W, 3) uint8 RGB: planar entropy decode (luma then chroma tables),
-    dequantize, IDCT, 4:2:0 upsample, colour conversion."""
-    from repro.mjpeg.color import upsample_420, ycbcr_to_rgb
-    from repro.mjpeg.huffman import STD_AC_CHROMA, STD_AC_LUMA, STD_DC_CHROMA, STD_DC_LUMA
-
-    h, w = frame.height, frame.width
-    reader = BitReader(frame.payload)
-    luma_q = quant_table(frame.quality, chroma=False)
-    chroma_q = quant_table(frame.quality, chroma=True)
-    planes = []
-    for (name, n_blocks, _offset), (ph, pw) in zip(
-        frame.plane_index, ((h, w), (h // 2, w // 2), (h // 2, w // 2))
-    ):
-        dc_t, ac_t = (STD_DC_LUMA, STD_AC_LUMA) if name == "Y" else (STD_DC_CHROMA, STD_AC_CHROMA)
-        table = luma_q if name == "Y" else chroma_q
-        zz = decode_plane(reader, n_blocks, dc_t, ac_t)
-        samples = idct_blocks(dequantize(dezigzag(zz), table)) + 128.0
-        blocks = np.clip(samples, 0.0, 255.0)
-        plane = _float_blocks_to_plane(blocks, ph, pw)
-        planes.append(plane)
-    y_plane, cb, cr = planes
-    ycc = np.stack(
-        [y_plane, upsample_420(cb, h, w), upsample_420(cr, h, w)], axis=-1
-    )
-    return ycbcr_to_rgb(ycc)
-
-
-def _float_blocks_to_plane(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
-    """blocks_to_image for float planes (no uint8 constraint)."""
-    n = (height // 8) * (width // 8)
-    if blocks.shape != (n, 8, 8):
-        raise ValueError(f"expected {(n, 8, 8)}, got {blocks.shape}")
-    return (
-        blocks.reshape(height // 8, width // 8, 8, 8).swapaxes(1, 2).reshape(height, width)
-    )

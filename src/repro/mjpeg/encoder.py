@@ -15,16 +15,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.mjpeg.bitio import BitWriter
-from repro.mjpeg.color import rgb_to_ycbcr, subsample_420
 from repro.mjpeg.dct import fdct_blocks
-from repro.mjpeg.huffman import (
-    EOB,
-    STD_AC_CHROMA,
-    STD_AC_LUMA,
-    STD_DC_CHROMA,
-    STD_DC_LUMA,
-    ZRL,
-)
+from repro.mjpeg.huffman import EOB, STD_AC_LUMA, STD_DC_LUMA, ZRL
 from repro.mjpeg.quant import quant_table, quantize
 from repro.mjpeg.zigzag import zigzag
 
@@ -232,80 +224,3 @@ def _pack_tokens(tokens: np.ndarray, lengths: np.ndarray) -> Tuple[int, int]:
     )[:n_words]
     packed = int.from_bytes(words.astype(">u4").tobytes(), "big")
     return packed >> (n_words * 32 - n_bits), n_bits
-
-
-@dataclass
-class EncodedColorFrame:
-    """One encoded 4:2:0 color image: three planar entropy segments."""
-
-    payload: bytes
-    n_bits: int
-    height: int
-    width: int
-    quality: int
-    #: (plane, n_blocks, bit_offset) in Y, Cb, Cr order.  bit_offset is
-    #: the starting bit of the plane's segment inside ``payload``.
-    plane_index: tuple
-
-
-def _plane_to_qzz(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
-    blocks = image_to_blocks_float(plane) - 128.0
-    return zigzag(quantize(fdct_blocks(blocks), table))
-
-
-def image_to_blocks_float(plane: np.ndarray) -> np.ndarray:
-    """(H, W) float plane -> (n, 8, 8) blocks (same layout as
-    :func:`image_to_blocks` but without the uint8 requirement)."""
-    plane = np.asarray(plane, dtype=np.float64)
-    h, w = plane.shape
-    if h % 8 or w % 8:
-        raise ValueError(f"plane dimensions must be multiples of 8, got {plane.shape}")
-    return plane.reshape(h // 8, 8, w // 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
-
-
-def encode_color_image(rgb: np.ndarray, quality: int = 75) -> EncodedColorFrame:
-    """Encode an (H, W, 3) uint8 RGB image as planar 4:2:0 YCbCr.
-
-    Dimensions must be multiples of 16 (so the subsampled chroma planes
-    still align to 8x8 blocks).  Planes are entropy-coded back to back
-    (Y with the luminance tables, Cb/Cr with the chrominance tables),
-    each with its own DC predictor -- the planar analogue of a baseline
-    JFIF scan.
-    """
-    rgb = np.asarray(rgb)
-    if rgb.dtype != np.uint8:
-        raise ValueError(f"expected uint8 RGB image, got {rgb.dtype}")
-    h, w = rgb.shape[:2]
-    if h % 16 or w % 16:
-        raise ValueError(f"color images need dimensions divisible by 16, got {(h, w)}")
-    ycc = rgb_to_ycbcr(rgb)
-    y_plane = ycc[..., 0]
-    cb = subsample_420(ycc[..., 1])
-    cr = subsample_420(ycc[..., 2])
-
-    luma_q = quant_table(quality, chroma=False)
-    chroma_q = quant_table(quality, chroma=True)
-    writer = BitWriter()
-    index = []
-    for plane, table, dc_t, ac_t in (
-        (y_plane, luma_q, STD_DC_LUMA, STD_AC_LUMA),
-        (cb, chroma_q, STD_DC_CHROMA, STD_AC_CHROMA),
-        (cr, chroma_q, STD_DC_CHROMA, STD_AC_CHROMA),
-    ):
-        qzz = _plane_to_qzz(plane, table)
-        index.append((qzz.shape[0], writer.bits_written))
-        encode_plane(writer, qzz, dc_t, ac_t)
-    writer.align()  # 1-pad the tail byte here, not in getvalue()
-    payload = writer.getvalue()
-    return EncodedColorFrame(
-        payload=payload,
-        n_bits=writer.bits_written,
-        height=h,
-        width=w,
-        quality=quality,
-        plane_index=(
-            ("Y", index[0][0], index[0][1]),
-            ("Cb", index[1][0], index[1][1]),
-            ("Cr", index[2][0], index[2][1]),
-        ),
-    )

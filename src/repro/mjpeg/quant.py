@@ -20,27 +20,10 @@ STD_LUMA_QUANT = np.array(
 )
 
 
-#: Annex K table K.2 -- chrominance quantization, raster order.
-STD_CHROMA_QUANT = np.array(
-    [
-        [17, 18, 24, 47, 99, 99, 99, 99],
-        [18, 21, 26, 66, 99, 99, 99, 99],
-        [24, 26, 56, 99, 99, 99, 99, 99],
-        [47, 66, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-        [99, 99, 99, 99, 99, 99, 99, 99],
-    ],
-    dtype=np.int32,
-)
-
-
-def quant_table(quality: int = 75, chroma: bool = False) -> np.ndarray:
-    """Annex K table scaled with the libjpeg quality formula.
+def quant_table(quality: int = 75) -> np.ndarray:
+    """Annex K luminance table scaled with the libjpeg quality formula.
 
     quality 50 returns the base table; higher is finer quantization.
-    ``chroma=True`` selects the chrominance table (K.2).
     """
     if not 1 <= quality <= 100:
         raise ValueError(f"quality must be in [1, 100], got {quality}")
@@ -48,8 +31,7 @@ def quant_table(quality: int = 75, chroma: bool = False) -> np.ndarray:
         scale = 5000 // quality
     else:
         scale = 200 - 2 * quality
-    base = STD_CHROMA_QUANT if chroma else STD_LUMA_QUANT
-    table = (base * scale + 50) // 100
+    table = (STD_LUMA_QUANT * scale + 50) // 100
     return np.clip(table, 1, 255).astype(np.int32)
 
 

@@ -3,10 +3,12 @@
 The kernel (:class:`~repro.sim.kernel.Kernel`) keeps integer-nanosecond
 virtual time and a binary heap of ``(time, seq)``-ordered callbacks
 (see the design notes in :mod:`repro.sim.kernel`).  Concurrency
-is expressed with
-generator-based *processes* (:class:`~repro.sim.process.Process`) that yield
+is expressed with generator bodies that yield
 :class:`~repro.sim.process.Command` objects -- ``Timeout`` to advance time,
 ``WaitEvent`` to block on a one-shot :class:`~repro.sim.events.Event`.
+The executor (:mod:`repro.sim.executor`) runs every component body.
+``Process``, the generator engine that kernel and resource tests drive
+directly, lives in ``tests/sim`` as the reference engine.
 
 Synchronisation primitives built on top of events live in
 :mod:`repro.sim.resources` (semaphores, mutexes, FIFO channels).
@@ -19,7 +21,7 @@ from repro.sim.errors import SimulationError, DeadlockError, ProcessKilled
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
 from repro.sim.mailbox import Envelope, Staging
-from repro.sim.process import Command, Process, Timeout, WaitEvent
+from repro.sim.process import Command, Timeout, WaitEvent
 from repro.sim.resources import Channel, Mutex, Semaphore
 from repro.sim.rng import RngRegistry
 from repro.sim.shard import (
@@ -49,7 +51,6 @@ __all__ = [
     "MILLISECOND",
     "Mutex",
     "NANOSECOND",
-    "Process",
     "ProcessKilled",
     "RngRegistry",
     "SECOND",

@@ -1,6 +1,6 @@
 """One-shot triggerable events, the basic blocking primitive.
 
-A process blocks on an :class:`Event` by yielding
+A thread blocks on an :class:`Event` by yielding
 :class:`~repro.sim.process.WaitEvent`.  ``trigger(value)`` resumes every
 waiter at the current simulation instant (in wait order) and records the
 value, which becomes the result of the ``yield``.  Waiters that subscribe
@@ -51,7 +51,7 @@ class Event:
             self._callbacks.append(callback)
 
     def add_waiter(self, resume: Callable[[Any], None]) -> None:
-        """Internal: used by Process when interpreting WaitEvent."""
+        """Internal: used by the executor when interpreting WaitEvent."""
         if self._triggered:
             # Resume at the current instant but asynchronously, so the
             # waiting process does not re-enter while another is running.

@@ -103,7 +103,7 @@ class Kernel:
         self._seq: int = 0
         self._heap: list[tuple] = []  # (time, seq, handle, callback, args)
         self._imm: deque[tuple] = deque()  # same-instant FIFO, same shape
-        self._live_processes: int = 0  # maintained by Process
+        self._live_processes: int = 0  # fed by the reference engine in tests/sim
         #: Callbacks dispatched by ``run``; work done inline after an
         #: ``advance_to`` (compute slices) is not counted.
         self.events_executed: int = 0

@@ -331,11 +331,7 @@ class Shard:
                     nt = t
                 if nt >= bound:
                     return
-                if now >= nt:
-                    raise SimulationError(
-                        f"{self.name}: staged delivery at {nt} not ahead of "
-                        f"clock {now} -- lookahead violated"
-                    )
+                # Here nt >= horizon = now + la > now (add_link clamps la >= 1).
                 # Nothing can happen in (now, nt): idle-advance so the
                 # release horizon reaches the next staged envelope.
                 kernel.idle_advance(nt)

@@ -157,7 +157,8 @@ def test_embx_invalid_config_rejected():
 
 
 def test_semaphore_waiting_count():
-    from repro.sim import Kernel, Process, Semaphore, Timeout
+    from repro.sim import Kernel, Semaphore, Timeout
+    from tests.sim.reference_process import Process
 
     k = Kernel()
     sem = Semaphore(k, value=0)

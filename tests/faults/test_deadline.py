@@ -6,8 +6,9 @@ from repro.core import Application, CONTROL, DeadlineError
 from repro.runtime import NativeRuntime, SmpSimRuntime, Sti7200SimRuntime
 from repro.runtime.base import RuntimeError_
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process
 from repro.sim.resources import Channel
+
+from tests.sim.reference_process import Process
 
 
 def starved_app(timeout_ns):

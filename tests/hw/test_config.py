@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.hw import make_smp16, make_sti7200
-from repro.hw.config import (
-    PlatformConfigError,
-    platform_from_config,
-    platform_from_json,
-    platform_to_config,
-)
+from repro.hw.config import PlatformConfigError, platform_from_config
 
 
 def biglittle_config():
@@ -36,34 +30,6 @@ def test_build_from_config():
     assert p.region("sram").kind == "sram"
     assert p.copy_factor(0, 1) == pytest.approx(1.3)
     assert p.caches is not None and len(p.caches) == 3
-
-
-def test_roundtrip_through_config():
-    p1 = platform_from_config(biglittle_config())
-    p2 = platform_from_config(platform_to_config(p1))
-    assert p2.name == p1.name
-    assert [c.name for c in p2.cores] == [c.name for c in p1.cores]
-    assert p2.cores[2].cost_ns("idct_block", 10) == p1.cores[2].cost_ns("idct_block", 10)
-    assert p2.copy_factor(0, 1) == p1.copy_factor(0, 1)
-
-
-def test_builtin_platforms_roundtrip():
-    for factory in (make_smp16, make_sti7200):
-        original = factory()
-        rebuilt = platform_from_config(platform_to_config(original))
-        assert rebuilt.n_cores == original.n_cores
-        assert rebuilt.core_nodes == original.core_nodes
-        for a, b in zip(rebuilt.cores, original.cores):
-            assert a.cost_ns("memcpy_byte", 1024) == b.cost_ns("memcpy_byte", 1024)
-
-
-def test_json_file(tmp_path):
-    import json
-
-    path = tmp_path / "platform.json"
-    path.write_text(json.dumps(biglittle_config()))
-    p = platform_from_json(path)
-    assert p.name == "biglittle"
 
 
 def test_validation_errors():

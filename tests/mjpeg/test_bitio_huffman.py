@@ -13,7 +13,9 @@ from repro.mjpeg.huffman import (
     DC_LUMA_BITS,
     DC_LUMA_VALS,
     HuffmanTable,
+    STD_AC_CHROMA,
     STD_AC_LUMA,
+    STD_DC_CHROMA,
     STD_DC_LUMA,
     decode_magnitude,
     encode_magnitude,
@@ -104,6 +106,11 @@ def test_bitio_roundtrip_property(chunks):
 def test_standard_tables_wellformed():
     assert sum(DC_LUMA_BITS) == len(DC_LUMA_VALS) == 12
     assert sum(AC_LUMA_BITS) == len(AC_LUMA_VALS) == 162
+
+
+def test_chroma_huffman_tables_wellformed():
+    assert len(STD_DC_CHROMA.encode_map) == 12
+    assert len(STD_AC_CHROMA.encode_map) == 162
 
 
 def test_table_validation():

@@ -191,18 +191,20 @@ def test_shard_plane_gauges_are_stamped_and_digest_safe():
     def run(n_shards):
         stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
         app = build_smp_assembly(stream, use_stored_coefficients=True)
-        for i, comp in enumerate(app.components.values()):
-            comp.placement.setdefault("core", i)  # pinned placement
         rt = ShardedSmpSimRuntime(n_shards)
+        n_cores, n_components = rt.platform.n_cores, len(app.components)
+        for i, comp in enumerate(app.components.values()):
+            comp.placement["core"] = i * n_cores // n_components  # every shard hosts one
         rt.deploy(app)
+        assert {c.extra["shard"] for c in rt.containers.values()} == set(range(n_shards))
         enable_telemetry(rt)
         rt.start()
         rt.wait()
         rt.stop()
         return collect_telemetry(rt)
 
-    reg2, reg4 = run(2), run(4)
-    assert metrics_digest(reg2) == metrics_digest(reg4)
+    reg1, reg2, reg4 = run(1), run(2), run(4)
+    assert metrics_digest(reg1) == metrics_digest(reg2) == metrics_digest(reg4)
     instruments = reg4.snapshot()["instruments"]
     busy = [k for k in instruments if k.startswith("shard_busy_seconds")]
     cut = [k for k in instruments if k.startswith("shard_cut_messages")]

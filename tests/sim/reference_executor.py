@@ -2,7 +2,7 @@
 generator dispatcher that ``repro.sim.executor`` replaced, kept
 verbatim.
 
-Each core runs a dispatcher :class:`~repro.sim.process.Process`, and
+Each core runs a dispatcher :class:`reference_process.Process`, and
 every compute slice arms a slice-end timer and waits on an
 :class:`~repro.sim.events.Event` that the timer or a preemption
 triggers.  ``repro.sim.executor.ExecEngine`` runs slices that nothing
@@ -32,7 +32,9 @@ from repro.sim.executor import (
     YieldCpu,
 )
 from repro.sim.kernel import Kernel
-from repro.sim.process import Command, Process, Timeout, WaitEvent
+from repro.sim.process import Command, Timeout, WaitEvent
+
+from reference_process import Process
 
 
 class ReferenceCpuCore:

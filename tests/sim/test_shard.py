@@ -12,7 +12,6 @@ import pytest
 from repro.sim import Kernel
 from repro.sim.errors import DeadlockError
 from repro.sim.mailbox import Envelope, Staging
-from repro.sim.process import Process
 from repro.sim.resources import Channel
 from repro.sim.shard import (
     SHARD_SPAN_BITS,
@@ -24,6 +23,8 @@ from repro.sim.shard import (
     shard_span_source,
     span_shard,
 )
+
+from reference_process import Process
 
 
 # -- kernel hooks --------------------------------------------------------------

@@ -17,10 +17,11 @@ import pytest
 
 from repro.sim.errors import DeadlockError, SchedulingError, SimulationError
 from repro.sim.mailbox import Envelope
-from repro.sim.process import Process
 from repro.sim.resources import Channel
 from repro.sim.shard import Shard, ShardedSimulation
 from repro.workloads import TrafficConfig, run_traffic
+
+from reference_process import Process
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 

