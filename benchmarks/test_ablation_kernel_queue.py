@@ -19,7 +19,11 @@ All three kernels run four kernel micro-benches (``schedule_run``,
 ``ShardedSmpSimRuntime(4)`` decode and the 192-image ``SmpSimRuntime``
 decode, timed start to stop, arms rotated each round, median of
 ``E2E_ROUNDS``.  Every kernel must produce the same makespan and frame
-digest.  ``PooledKernel`` and ``_schedule_run`` are also the in-process
+digest.  The executor's inline compute slices call
+:meth:`Kernel.advance_to`, so both reference kernels keep its contract:
+``PooledKernel`` checks its two queues as the heap kernel does, and
+``CalendarKernel`` asks ``_select`` for its next entry, as ``peek``
+does.  ``PooledKernel`` and ``_schedule_run`` are also the in-process
 reference of the ``schedule_run`` gate in
 ``benchmarks/test_perf_gates.py``.
 """
@@ -181,6 +185,10 @@ class CalendarKernel:
         self._wheel_tw: int = 1
         self._wheel_pos: int = _WHEEL_SLOTS  # exhausted; re-anchor on next insert
         self._wheel_next = _INF  # lower bound on the next undrained slot start
+        #: Latest instant ``advance_to`` may reach: the running
+        #: ``run(until=...)`` bound, or -1 (refuse) outside ``run`` and
+        #: under ``max_events``.
+        self._horizon: float = -1
 
     @property
     def now(self) -> int:
@@ -740,6 +748,21 @@ class CalendarKernel:
             )
         self._now = time_ns
 
+    def advance_to(self, time_ns: int) -> bool:
+        """:meth:`Kernel.advance_to`'s contract: move the clock to
+        ``time_ns`` and return True when the next entry :meth:`run` would
+        pop is later than ``time_ns`` and ``time_ns`` is within the
+        running ``run(until=...)``; otherwise change nothing and return
+        False.  The next entry is :meth:`_select`'s answer, the same one
+        :meth:`peek` gives from inside a callback."""
+        if time_ns > self._horizon:
+            return False
+        t, _ = self._select()
+        if t is not None and t <= time_ns:
+            return False
+        self._now = time_ns
+        return True
+
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle."""
         t, src = self._select()
@@ -774,37 +797,44 @@ class CalendarKernel:
         imm = self._imm
         select = self._select
         discard = self._discard
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            t, src = select()
-            if src is None:
-                if self.on_idle is not None and self.on_idle():
-                    continue  # the hook injected new work (mailbox drain)
-                if self._live_processes > 0 and self.deadlock_check:
-                    raise DeadlockError(
-                        f"no pending events but {self._live_processes} process(es) still alive"
-                    )
-                break
-            if until is not None and t > until:
-                self._now = until
-                break
-            if src:
-                pos = self._ready_pos
-                handle = self._ready[pos][2]
-                self._ready_pos = pos + 1
-                self._cal_count -= 1
-            else:
-                handle = imm.popleft()
-            self._now = t
-            self.events_executed += 1
-            self._alive -= 1
-            handle._queued = False
-            callback = handle.callback
-            args = handle.args
-            callback(*args)
-            discard(handle)
-            executed += 1
+        if max_events is None:
+            self._horizon = _INF if until is None else until
+        else:
+            self._horizon = -1
+        try:
+            while True:
+                if max_events is not None and executed >= max_events:
+                    break
+                t, src = select()
+                if src is None:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
+                    if self._live_processes > 0 and self.deadlock_check:
+                        raise DeadlockError(
+                            f"no pending events but {self._live_processes} process(es) still alive"
+                        )
+                    break
+                if until is not None and t > until:
+                    self._now = until
+                    break
+                if src:
+                    pos = self._ready_pos
+                    handle = self._ready[pos][2]
+                    self._ready_pos = pos + 1
+                    self._cal_count -= 1
+                else:
+                    handle = imm.popleft()
+                self._now = t
+                self.events_executed += 1
+                self._alive -= 1
+                handle._queued = False
+                callback = handle.callback
+                args = handle.args
+                callback(*args)
+                discard(handle)
+                executed += 1
+        finally:
+            self._horizon = -1
         return self._now
 
 
@@ -880,6 +910,8 @@ class PooledKernel:
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
         self._n_cancelled: int = 0  # cancelled entries still stored
         self._pool: list[PooledHandle] = []
+        #: Latest instant ``advance_to`` may reach (see CalendarKernel).
+        self._horizon: float = -1
 
     @property
     def now(self) -> int:
@@ -1033,6 +1065,18 @@ class PooledKernel:
             )
         self._now = time_ns
 
+    def advance_to(self, time_ns: int) -> bool:
+        """:meth:`Kernel.advance_to`, on the same two queues: refuse on a
+        queued same-instant wakeup, a heap entry at or before ``time_ns``
+        (a cancelled one still counts) or a target beyond the horizon."""
+        if time_ns > self._horizon or self._imm:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= time_ns:
+            return False
+        self._now = time_ns
+        return True
+
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``
         have fired.  Returns the final simulated time.
@@ -1046,48 +1090,55 @@ class PooledKernel:
         imm = self._imm
         discard = self._discard
         executed = 0
-        while max_events is None or executed < max_events:
-            if imm:
-                entry = imm[0]
-                from_heap = heap and heap[0] < entry
-                if from_heap:
+        if max_events is None:
+            self._horizon = _INF if until is None else until
+        else:
+            self._horizon = -1
+        try:
+            while max_events is None or executed < max_events:
+                if imm:
+                    entry = imm[0]
+                    from_heap = heap and heap[0] < entry
+                    if from_heap:
+                        entry = heap[0]
+                elif heap:
                     entry = heap[0]
-            elif heap:
-                entry = heap[0]
-                from_heap = True
-            else:
-                if self.on_idle is not None and self.on_idle():
-                    continue  # the hook injected new work (mailbox drain)
-                if self._live_processes > 0 and self.deadlock_check:
-                    raise DeadlockError(
-                        f"no pending events but {self._live_processes} process(es) still alive"
-                    )
-                break
-            handle = entry[2]
-            if handle.cancelled:
+                    from_heap = True
+                else:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
+                    if self._live_processes > 0 and self.deadlock_check:
+                        raise DeadlockError(
+                            f"no pending events but {self._live_processes} process(es) still alive"
+                        )
+                    break
+                handle = entry[2]
+                if handle.cancelled:
+                    if from_heap:
+                        heappop(heap)
+                    else:
+                        imm.popleft()
+                    self._n_cancelled -= 1
+                    discard(handle)
+                    continue
+                t = entry[0]
+                if until is not None and t > until:
+                    self._now = until
+                    break
                 if from_heap:
                     heappop(heap)
                 else:
                     imm.popleft()
-                self._n_cancelled -= 1
+                del entry
+                self._now = t
+                self.events_executed += 1
+                self._alive -= 1
+                handle._queued = False
+                handle.callback(*handle.args)
                 discard(handle)
-                continue
-            t = entry[0]
-            if until is not None and t > until:
-                self._now = until
-                break
-            if from_heap:
-                heappop(heap)
-            else:
-                imm.popleft()
-            del entry
-            self._now = t
-            self.events_executed += 1
-            self._alive -= 1
-            handle._queued = False
-            handle.callback(*handle.args)
-            discard(handle)
-            executed += 1
+                executed += 1
+        finally:
+            self._horizon = -1
         return self._now
 
 
@@ -1254,3 +1305,51 @@ def test_kernel_queue_ablation(benchmark):
         "ablation_kernel_queue",
         "\n\n".join([micro_table.render(), e2e_table.render(), "\n".join(verdicts)]),
     )
+
+
+def _advance_probes(kernel_cls):
+    """``(result, now)`` of ``advance_to`` in each case its contract names."""
+    out = []
+
+    def probe(kernel, at, target, **run):
+        def fire():
+            out.append((kernel.advance_to(target), kernel.now))
+
+        kernel.schedule_at(at, fire)
+        kernel.run(**run)
+
+    k = kernel_cls()
+    probe(k, 10, 40)  # nothing else due
+    k = kernel_cls()
+    k.schedule_at(30, lambda: None)
+    probe(k, 10, 30)  # an entry at exactly the target fires first
+    k = kernel_cls()
+    k.schedule_at(30, lambda: None)
+    probe(k, 10, 29)  # just before the next entry
+    k = kernel_cls()
+    k.schedule_timer(25, lambda: None)
+    probe(k, 10, 30)  # a deadline timer counts like any entry
+    k = kernel_cls()
+    probe(k, 10, 40, until=39)  # beyond the horizon
+    k = kernel_cls()
+    probe(k, 10, 40, max_events=5)  # the skip would change the count
+    k = kernel_cls()
+
+    def soon():
+        k.call_soon(lambda: None)
+        out.append((k.advance_to(20), k.now))
+
+    k.schedule_at(10, soon)
+    k.run()
+    k = kernel_cls()
+    out.append((k.advance_to(5), k.now))  # outside run
+    return out
+
+
+def test_reference_kernels_keep_the_advance_to_contract():
+    expected = [
+        (True, 40), (False, 10), (True, 29), (False, 10),
+        (False, 10), (False, 10), (False, 10), (False, 0),
+    ]
+    for name, kernel_cls in KERNELS.items():
+        assert _advance_probes(kernel_cls) == expected, name

@@ -55,9 +55,22 @@ class EncodedFrame:
     width: int
     quality: int
     n_blocks: int
-    #: Quantized zigzag coefficients (n_blocks, 64) -- retained so the
-    #: cost-model-only decode path can skip the Python-level bit walk.
-    qcoefs_zz: np.ndarray
+    #: The quantized zigzag coefficients, stored sparsely -- retained so
+    #: the cost-model-only decode path can skip the Python-level bit
+    #: walk.  ``nz_index`` holds the flat positions of the nonzero
+    #: entries of the ``(n_blocks, 64)`` array (uint16 up to 1 024
+    #: blocks, uint32 above), ``nz_value`` their int16 values.
+    nz_index: np.ndarray
+    nz_value: np.ndarray
+
+    @property
+    def qcoefs_zz(self) -> np.ndarray:
+        """Quantized zigzag coefficients, a read-only dense int16
+        ``(n_blocks, 64)`` array rebuilt from the sparse store."""
+        dense = np.zeros(self.n_blocks * 64, dtype=np.int16)
+        dense[self.nz_index] = self.nz_value
+        dense.flags.writeable = False
+        return dense.reshape(self.n_blocks, 64)
 
 
 def encode_image(image: np.ndarray, quality: int = 75) -> EncodedFrame:
@@ -72,7 +85,7 @@ def encode_image(image: np.ndarray, quality: int = 75) -> EncodedFrame:
     qzz = zigzag(qblocks)  # (n_blocks, 64), int32
 
     writer = BitWriter()
-    encode_plane(writer, qzz)
+    nonzero = encode_plane(writer, qzz)
     writer.align()  # 1-pad the tail byte here, not in getvalue()
     payload = writer.getvalue()
     return EncodedFrame(
@@ -82,7 +95,8 @@ def encode_image(image: np.ndarray, quality: int = 75) -> EncodedFrame:
         width=w,
         quality=quality,
         n_blocks=qzz.shape[0],
-        qcoefs_zz=qzz.astype(np.int16),
+        nz_index=nonzero.astype(np.uint16 if qzz.size <= 1 << 16 else np.uint32),
+        nz_value=qzz.reshape(-1)[nonzero].astype(np.int16),
     )
 
 
@@ -91,9 +105,10 @@ def encode_plane(
     qzz: np.ndarray,
     dc_table=STD_DC_LUMA,
     ac_table=STD_AC_LUMA,
-) -> None:
+) -> np.ndarray:
     """Encode one plane's (n, 64) quantized zigzag blocks with its own DC
-    predictor chain and Huffman tables.
+    predictor chain and Huffman tables.  Returns the flat positions of
+    the plane's nonzero coefficients, which ``encode_image`` stores.
 
     The whole plane is coded with array operations.  Every Huffman code
     becomes one ``(value, length)`` token: the DC code followed by its
@@ -113,8 +128,9 @@ def encode_plane(
     """
     qzz = np.asarray(qzz)
     n_blocks = qzz.shape[0]
+    nonzero = np.flatnonzero(qzz != 0)
     if n_blocks == 0:
-        return
+        return nonzero
     tokens = np.zeros((n_blocks, 65), dtype=np.int64)
     lengths = np.zeros((n_blocks, 65), dtype=np.int64)
 
@@ -126,8 +142,9 @@ def encode_plane(
     tokens[:, 0] = (code << category) | _magnitude_bits(diffs, category)
     lengths[:, 0] = length + category
 
-    rows, cols = np.nonzero(qzz[:, 1:])
-    cols += 1
+    ac = nonzero[(nonzero & 63) != 0]
+    rows = ac >> 6
+    cols = ac & 63
     values = qzz[rows, cols].astype(np.int64)
     prev = np.zeros_like(cols)  # zigzag index of the previous nonzero, or 0
     prev[1:] = np.where(rows[1:] == rows[:-1], cols[:-1], 0)
@@ -149,6 +166,7 @@ def encode_plane(
     used = lengths > 0
     value, n_bits = _pack_tokens(tokens[used], lengths[used])
     writer.write(value, n_bits)
+    return nonzero
 
 
 #: 2^0 .. 2^62: ``searchsorted`` over it gives an exact bit length.

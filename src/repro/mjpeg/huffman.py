@@ -19,7 +19,7 @@ encoder and decoder share them, correctness is self-contained.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mjpeg.bitio import BitReader, BitWriter
 
@@ -132,7 +132,9 @@ class HuffmanTable:
     def lut(self) -> List[int]:
         """The 2^16-entry decode table: index by the next 16 bits of the
         stream; entry is ``(code_length << 8) | symbol``, 0 = invalid."""
-        return self._lut if self._lut is not None else self._build_lut()
+        if self._lut is None:
+            self._lut = self._window_table(lambda length, symbol: (length << 8) | symbol)
+        return self._lut
 
     @property
     def lut_dc(self) -> List[int]:
@@ -141,14 +143,9 @@ class HuffmanTable:
         front as ``((code_length + category) << 16) | category`` (0 =
         invalid).  ``decode_plane`` reads code and magnitude in one step."""
         if self._lut_dc is None:
-            base = self.lut
-            out = [0] * (1 << 16)
-            for window, entry in enumerate(base):
-                if entry:
-                    length = entry >> 8
-                    category = entry & 0xFF
-                    out[window] = ((length + category) << 16) | category
-            self._lut_dc = out
+            self._lut_dc = self._window_table(
+                lambda length, category: ((length + category) << 16) | category
+            )
         return self._lut_dc
 
     @property
@@ -158,19 +155,7 @@ class HuffmanTable:
         run/size symbols (ZRL included: run=15, size=0), ``-code_length``
         for EOB, and 0 for an invalid window."""
         if self._lut_ac is None:
-            base = self.lut
-            out = [0] * (1 << 16)
-            for window, entry in enumerate(base):
-                if entry:
-                    length = entry >> 8
-                    symbol = entry & 0xFF
-                    if symbol == EOB:
-                        out[window] = -length
-                    else:
-                        run = symbol >> 4
-                        size = symbol & 0x0F
-                        out[window] = ((length + size) << 16) | (run << 8) | size
-            self._lut_ac = out
+            self._lut_ac = self._window_table(_ac_entry)
         return self._lut_ac
 
     @property
@@ -180,26 +165,21 @@ class HuffmanTable:
         coefficient (EXTEND applied); 0 for every other window (EOB,
         ZRL, a symbol that needs more than 16 bits, invalid).  A valid
         coefficient is never 0, so ``decode_plane`` reads the value in
-        one index and, on 0, cuts the magnitude from its bit register.  Equal values
-        share one int object (every window a code-plus-magnitude prefix
-        owns is filled by one slice assignment)."""
+        one index and, on 0, cuts the magnitude from its bit register.
+        Each code's interval splits into one run of windows per
+        magnitude, filled with one shared int."""
         if self._lut_ac_value is None:
-            packed = self.lut_ac
             out = [0] * (1 << 16)
-            window = 0
-            while window < 1 << 16:
-                entry = packed[window]
-                need = entry >> 16
-                size = entry & 0xFF
-                if entry <= 0 or not size or need > 16:
-                    window += 1
+            for window, length, symbol in self._code_windows():
+                size = symbol & 0x0F
+                need = length + size
+                if not size or need > 16:  # EOB, ZRL, or past the window
                     continue
                 span = 1 << (16 - need)
-                value = (window >> (16 - need)) & ((1 << size) - 1)
-                if value < 1 << (size - 1):
-                    value -= (1 << size) - 1
-                out[window : window + span] = [value] * span
-                window += span
+                for bits in range(1 << size):
+                    value = bits if bits >= 1 << (size - 1) else bits - (1 << size) + 1
+                    out[window : window + span] = [value] * span
+                    window += span
             self._lut_ac_value = out
         return self._lut_ac_value
 
@@ -220,31 +200,28 @@ class HuffmanTable:
             self._encode_arrays = (codes, lengths)
         return self._encode_arrays
 
-    def _build_lut(self) -> List[int]:
-        # Canonical codes in (length asc, code asc) order cover contiguous
-        # LUT intervals starting at 0: each code of length L owns the
-        # 2^(16-L) windows sharing its prefix.  Build with np.repeat and
-        # convert to a plain list for O(1) unboxed scalar indexing.
-        import numpy as np
-
-        packed: List[int] = []
-        widths: List[int] = []
+    def _code_windows(self) -> Iterator[Tuple[int, int, int]]:
+        """``(first_window, code_length, symbol)`` of every code.  In
+        canonical (length asc, code asc) order the codes cover contiguous
+        window intervals from 0: a code of length L owns the 2^(16-L)
+        windows that start with it."""
+        window = 0
         for length in range(1, 17):
-            n = self.bits[length - 1]
             k = self._valptr[length]
-            for i in range(n):
-                packed.append((length << 8) | self.values[k + i])
-                widths.append(1 << (16 - length))
-        if packed:
-            lut = np.repeat(
-                np.asarray(packed, dtype=np.int32), np.asarray(widths, dtype=np.int64)
-            )
-        else:
-            lut = np.zeros(0, dtype=np.int32)
-        if lut.shape[0] < 1 << 16:
-            lut = np.concatenate([lut, np.zeros((1 << 16) - lut.shape[0], dtype=np.int32)])
-        self._lut = lut.tolist()
-        return self._lut
+            for symbol in self.values[k : k + self.bits[length - 1]]:
+                yield window, length, symbol
+                window += 1 << (16 - length)
+
+    def _window_table(self, entry: Callable[[int, int], int]) -> List[int]:
+        """A 2^16-entry list mapping each code's windows to
+        ``entry(code_length, symbol)`` and every other window to 0.  The
+        windows of one code share one int object, so the table costs its
+        list slots and one object per code, not one per window."""
+        out = [0] * (1 << 16)
+        for window, length, symbol in self._code_windows():
+            width = 1 << (16 - length)
+            out[window : window + width] = [entry(length, symbol)] * width
+        return out
 
     def encode(self, writer: BitWriter, symbol: int) -> int:
         """Write a symbol's code; returns the number of bits emitted."""
@@ -261,10 +238,7 @@ class HuffmanTable:
         Bit-exact with :meth:`decode_walk`, including error behaviour:
         EOFError when the stream ends mid-code, ValueError on a window
         that matches no code."""
-        lut = self._lut
-        if lut is None:
-            lut = self._build_lut()
-        entry = lut[reader.peek16()]
+        entry = self.lut[reader.peek16()]
         if entry:
             reader.skip(entry >> 8)  # EOFError when the code overruns the data
             return entry & 0xFF
@@ -287,6 +261,15 @@ class HuffmanTable:
             code = (code << 1) | reader.read_bit()
             length += 1
         return self.values[self._valptr[length] + (code - self._mincode[length])]
+
+
+def _ac_entry(length: int, symbol: int) -> int:
+    """One :attr:`HuffmanTable.lut_ac` entry."""
+    if symbol == EOB:
+        return -length
+    run = symbol >> 4
+    size = symbol & 0x0F
+    return ((length + size) << 16) | (run << 8) | size
 
 
 #: The standard tables, shared by encoder and decoder.

@@ -91,12 +91,6 @@ class MJPEGStream:
         """Sum of all encoded payload sizes."""
         return sum(len(r.frame.payload) for r in self.records)
 
-    def drop_payloads(self) -> None:
-        """Free the bit payloads, keeping only stored coefficients --
-        for large cost-model-only runs."""
-        for r in self.records:
-            r.frame.payload = b""
-
 
 def generate_stream(
     n_images: int,

@@ -31,7 +31,6 @@ from repro.trace.causal import (
     ItemLatency,
     SpanEdge,
     SpanGraph,
-    hop_summary,
     queue_depth_series,
 )
 from repro.trace.export import write_chrome_trace, write_paje
@@ -53,7 +52,6 @@ __all__ = [
     "busy_fraction",
     "collect_trace",
     "enable_tracing",
-    "hop_summary",
     "merge_buffers",
     "intervals",
     "queue_depth_series",

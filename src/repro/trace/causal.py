@@ -28,7 +28,7 @@ traces stays flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.trace.events import BEGIN, END, TraceEvent
 
@@ -328,35 +328,6 @@ class SpanGraph:
         if not items:
             return None
         return max(items, key=lambda it: it.e2e_ns)
-
-
-def hop_summary(items: Iterable[ItemLatency]) -> Dict[Tuple[str, str], Dict[str, float]]:
-    """Aggregate hop segments over many items, keyed by (component, iface).
-
-    The per-hop means answer *which hop dominates*: compare ``total_ns``
-    across keys; within a hop compare queue wait vs middleware vs compute.
-    """
-    acc: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for item in items:
-        for hop in item.hops:
-            key = (hop.edge.src, hop.edge.iface)
-            slot = acc.setdefault(
-                key,
-                {"count": 0, "compute_ns": 0, "send_ns": 0, "queue_ns": 0,
-                 "recv_ns": 0, "total_ns": 0, "max_total_ns": 0},
-            )
-            slot["count"] += 1
-            slot["compute_ns"] += hop.compute_ns
-            slot["send_ns"] += hop.send_ns
-            slot["queue_ns"] += hop.queue_ns
-            slot["recv_ns"] += hop.recv_ns
-            slot["total_ns"] += hop.total_ns
-            slot["max_total_ns"] = max(slot["max_total_ns"], hop.total_ns)
-    for slot in acc.values():
-        n = slot["count"]
-        for seg in ("compute_ns", "send_ns", "queue_ns", "recv_ns", "total_ns"):
-            slot[f"mean_{seg}"] = slot[seg] / n
-    return acc
 
 
 def queue_depth_series(trace) -> Dict[str, List[Tuple[int, int]]]:

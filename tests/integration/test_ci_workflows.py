@@ -69,6 +69,8 @@ def test_smoke_jobs_are_separate():
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
     assert "python -m bench run --smoke --out bench-smoke.json" in runs
+    runs = " ".join(s.get("run", "") for s in jobs["ablations"]["steps"])
+    assert "python -m pytest -q benchmarks/test_ablation_*.py" in runs
 
 
 def test_every_job_installs_the_dev_extras():

@@ -167,13 +167,6 @@ def test_stream_frames_differ_over_time():
     assert s[0].frame.payload != s[1].frame.payload
 
 
-def test_stream_drop_payloads():
-    s = generate_stream(2, 48, 48)
-    s.drop_payloads()
-    assert all(r.frame.payload == b"" for r in s)
-    assert all(r.frame.qcoefs_zz is not None for r in s)
-
-
 def test_stream_validation():
     with pytest.raises(ValueError):
         generate_stream(0)
