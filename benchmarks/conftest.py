@@ -1,8 +1,10 @@
 """Shared benchmark configuration and helpers.
 
-Scale: by default the paper's 578/3000-image workloads run at 1/10 scale
-(58/300 images) so the whole suite finishes in minutes; set
-``REPRO_FULL=1`` to reproduce at full scale.  Every bench prints the
+The paper-table benches run the paper's own workloads, 578- and
+3000-image MJPEG streams, and nothing smaller.  Each paper decode (SMP at
+578 and 3000 images, STi7200 at 578) runs once per session, in the
+``smp_578``, ``smp_3000`` and ``sti7200_578`` fixtures, which keep only
+its observation reports and makespan.  Every bench prints the
 regenerated table/figure and writes it under ``benchmarks/results/``.
 
 Absolute times come from a calibrated model, so the assertions check the
@@ -12,21 +14,17 @@ counts); EXPERIMENTS.md records paper-vs-measured side by side.
 
 from __future__ import annotations
 
-import os
+import statistics
 from pathlib import Path
+from typing import Any, Dict, NamedTuple, Tuple
 
 import pytest
 
 from repro.mjpeg import generate_stream
+from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly
+from repro.runtime import SmpSimRuntime, Sti7200SimRuntime
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-FULL_SCALE = os.environ.get("REPRO_FULL", "0") == "1"
-
-#: Paper workloads and the default scaled-down equivalents.
-N_SMALL = 578 if FULL_SCALE else 58
-N_LARGE = 3000 if FULL_SCALE else 300
-SCALE = 1.0 if FULL_SCALE else 10.0
 
 
 def save_result(name: str, text: str) -> None:
@@ -34,6 +32,12 @@ def save_result(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print()
     print(text)
+
+
+def quartiles(xs):
+    """``(q1, median, q3)`` of ``xs``."""
+    q1, median, q3 = statistics.quantiles(xs, n=4)
+    return q1, median, q3
 
 
 _STREAMS = {}
@@ -47,13 +51,35 @@ def cached_stream(n_images: int, quality: int = 75, seed: int = 0):
     return _STREAMS[key]
 
 
-@pytest.fixture(scope="session")
-def small_stream():
-    """The '578-image' workload (scaled unless REPRO_FULL=1)."""
-    return cached_stream(N_SMALL)
+class Decode(NamedTuple):
+    """What a paper decode leaves behind: no runtime, no frames."""
+
+    reports: Dict[Tuple[str, str], Dict[str, Any]]
+    makespan_ns: int
+
+
+def decode(build, runtime_cls, n_images: int) -> Decode:
+    app = build(cached_stream(n_images), use_stored_coefficients=True)
+    rt = runtime_cls()
+    rt.run(app)
+    reports = rt.collect()
+    rt.stop()
+    return Decode(reports, rt.makespan_ns)
 
 
 @pytest.fixture(scope="session")
-def large_stream():
-    """The '3000-image' workload (scaled unless REPRO_FULL=1)."""
-    return cached_stream(N_LARGE)
+def smp_578():
+    """The SMP decode of the paper's 578-image stream (Tables 1-3)."""
+    return decode(build_smp_assembly, SmpSimRuntime, 578)
+
+
+@pytest.fixture(scope="session")
+def smp_3000():
+    """The SMP decode of the paper's 3000-image stream (Tables 1-2)."""
+    return decode(build_smp_assembly, SmpSimRuntime, 3000)
+
+
+@pytest.fixture(scope="session")
+def sti7200_578():
+    """The STi7200 decode of the paper's 578-image stream (Table 3)."""
+    return decode(build_sti7200_assembly, Sti7200SimRuntime, 578)

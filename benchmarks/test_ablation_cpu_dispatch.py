@@ -48,7 +48,7 @@ from repro.sim.errors import SchedulingError
 from repro.sim.executor import Compute, ExecEngine, RoundRobinPolicy
 from repro.sim.kernel import EventHandle, Kernel
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import quartiles, save_result
 
 E2E_ROUNDS = 5
 SMP_IMAGES = 192
@@ -273,11 +273,6 @@ class NewHandleKernel(Kernel):
 KERNELS = {"shipped": Kernel, "inlined _push": InlinePushKernel, "object.__new__": NewHandleKernel}
 
 
-def _quartiles(xs):
-    q1, median, q3 = statistics.quantiles(xs, n=4)
-    return q1, median, q3
-
-
 def insert_micro(batches=400, batch=500):
     """ns per ``schedule`` + ``call_soon`` pair, per kernel: the fastest
     of ``batches`` batches, each into a fresh kernel, with the kernels
@@ -324,7 +319,7 @@ def kernel_paths():
                 ratios[name].append(times[name] / times["shipped"])
         assert len(models) == 1, models
         inserts = sum(k._seq for k in _kernels(rt))
-        out[workload] = ({name: _quartiles(ratios[name]) for name in names}, inserts)
+        out[workload] = ({name: quartiles(ratios[name]) for name in names}, inserts)
     return out, insert_micro()
 
 

@@ -17,8 +17,11 @@ All three kernels run four kernel micro-benches (``schedule_run``,
 ``channel_pingpong``, ``timer_churn``, ``cancel_compact``; best of
 ``REPEAT``) and two end-to-end decodes: the 96-image
 ``ShardedSmpSimRuntime(4)`` decode and the 192-image ``SmpSimRuntime``
-decode, timed start to stop, arms rotated each round, median of
-``E2E_ROUNDS``.  Every kernel must produce the same makespan and frame
+decode, timed start to stop, arms rotated each round.  Each reference
+kernel's decode time is divided by the heap kernel's in the same round;
+the table gives the median and quartiles of that ratio over
+``E2E_ROUNDS``, and a reference whose quartiles straddle 1 is
+"unresolved".  Every kernel must produce the same makespan and frame
 digest.  The executor's inline compute slices call
 :meth:`Kernel.advance_to`, so both reference kernels keep its contract:
 ``PooledKernel`` checks its two queues as the heap kernel does, and
@@ -28,7 +31,6 @@ reference of the ``schedule_run`` gate in
 ``benchmarks/test_perf_gates.py``.
 """
 
-import statistics
 import sys
 import time
 from bisect import insort
@@ -47,14 +49,14 @@ from repro.sim.kernel import Kernel
 from repro.sim.process import Timeout
 from repro.sim.resources import Channel
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import quartiles, save_result
 from tests.sim.reference_process import Process
 
 N_EVENTS = 100_000
 N_MSGS = 25_000
 N_CANCEL = 50_000
 REPEAT = 5
-E2E_ROUNDS = 5
+E2E_ROUNDS = 9
 SHARDED_IMAGES = 96
 SMP_IMAGES = 192
 
@@ -1143,6 +1145,7 @@ class PooledKernel:
 
 
 KERNELS = {"calendar+wheel": CalendarKernel, "heap + pool": PooledKernel, "heap": Kernel}
+REFERENCES = ("calendar+wheel", "heap + pool")
 
 
 # -- micro-benches --------------------------------------------------------------
@@ -1249,7 +1252,8 @@ def decode_once(kernel_cls, make_runtime, stream):
 
 
 def end_to_end():
-    """Median seconds per (decode, kernel); the model must not move."""
+    """Per decode: ``(q1, median, q3)`` of each reference kernel's time
+    over the heap kernel's in the same round; the model must not move."""
     decodes = {
         f"sharded decode ({SHARDED_IMAGES} images, 4 shards)": (
             lambda: ShardedSmpSimRuntime(4),
@@ -1263,16 +1267,27 @@ def end_to_end():
     names = list(KERNELS)
     out = {}
     for decode, (make_runtime, stream) in decodes.items():
-        times = {name: [] for name in names}
+        ratios = {name: [] for name in REFERENCES}
         models = {}
         for r in range(E2E_ROUNDS):
+            times = {}
             for name in names[r % len(names):] + names[:r % len(names)]:
-                elapsed, makespan, digest = decode_once(KERNELS[name], make_runtime, stream)
-                times[name].append(elapsed)
+                times[name], makespan, digest = decode_once(KERNELS[name], make_runtime, stream)
                 models[name] = (makespan, digest)
+            for name in REFERENCES:
+                ratios[name].append(times[name] / times["heap"])
         assert len(set(models.values())) == 1, models
-        out[decode] = {name: statistics.median(times[name]) for name in names}
+        out[decode] = {name: quartiles(ratios[name]) for name in REFERENCES}
     return out
+
+
+def verdict(q1, q3):
+    """Faster or slower than the heap in three rounds of four, or neither."""
+    if q3 < 1.0:
+        return "faster"
+    if q1 > 1.0:
+        return "slower"
+    return "unresolved"
 
 
 def run_ablation():
@@ -1290,16 +1305,19 @@ def test_kernel_queue_ablation(benchmark):
     for bench in micros[names[0]]:
         micro_table.add_row([bench] + [round(micros[name][bench]) for name in names])
     e2e_table = Table(
-        ["decode"] + [f"{name} (s)" for name in names],
-        title=f"Ablation A11b: end-to-end decode, median of {E2E_ROUNDS} rotated rounds",
+        ["decode"] + [f"{name} / heap" for name in REFERENCES],
+        title=f"Ablation A11b: end-to-end decode, time / heap kernel's in the same round, "
+        f"median (quartiles) of {E2E_ROUNDS} rotated rounds",
     )
     for decode, row in e2e.items():
-        e2e_table.add_row([decode] + [round(row[name], 3) for name in names])
+        e2e_table.add_row(
+            [decode] + [f"{row[name][1]:.3f} ({row[name][0]:.3f}-{row[name][2]:.3f})"
+                        for name in REFERENCES]
+        )
     verdicts = [
-        f"{decode}: run time against the heap: calendar+wheel "
-        f"{row['calendar+wheel'] / row['heap'] - 1:+.1%}, heap + pool "
-        f"{row['heap + pool'] / row['heap'] - 1:+.1%}"
+        f"{decode}: {name} against the heap: {verdict(row[name][0], row[name][2])}"
         for decode, row in e2e.items()
+        for name in REFERENCES
     ]
     save_result(
         "ablation_kernel_queue",

@@ -18,10 +18,8 @@ import pytest
 
 from repro.core import OS_LEVEL
 from repro.metrics import Table
-from repro.mjpeg.components import build_smp_assembly
-from repro.runtime import SmpSimRuntime
 
-from benchmarks.conftest import N_LARGE, N_SMALL, SCALE, save_result
+from benchmarks.conftest import save_result
 
 COMPONENTS = ("Fetch", "IDCT_1", "IDCT_2", "IDCT_3", "Reorder")
 
@@ -41,24 +39,13 @@ PAPER_MEM_KB = {
 }
 
 
-def run_once(stream):
-    app = build_smp_assembly(stream, use_stored_coefficients=True)
-    rt = SmpSimRuntime()
-    rt.run(app)
-    reports = rt.collect()
-    rt.stop()
-    return {
-        name: reports[(name, OS_LEVEL)] for name in COMPONENTS
-    }
-
-
-def test_table1(benchmark, small_stream, large_stream):
-    os_small = benchmark.pedantic(run_once, args=(small_stream,), rounds=1, iterations=1)
-    os_large = run_once(large_stream)
+def test_table1(smp_578, smp_3000):
+    os_small = {name: smp_578.reports[(name, OS_LEVEL)] for name in COMPONENTS}
+    os_large = {name: smp_3000.reports[(name, OS_LEVEL)] for name in COMPONENTS}
 
     table = Table(
-        ["Component", f"Time{N_SMALL} (us)", f"Time{N_LARGE} (us)", "Mem (kB)",
-         "paper Time578/scale", "paper Mem (kB)"],
+        ["Component", "Time578 (us)", "Time3000 (us)", "Mem (kB)",
+         "paper Time578 (us)", "paper Mem (kB)"],
         title="Table 1: MJPEG components execution time and memory (SMP sim)",
     )
     for name in COMPONENTS:
@@ -68,7 +55,7 @@ def test_table1(benchmark, small_stream, large_stream):
                 os_small[name]["exec_time_us"],
                 os_large[name]["exec_time_us"],
                 os_small[name]["memory_kb"],
-                round(PAPER_US[name][0] / SCALE),
+                PAPER_US[name][0],
                 PAPER_MEM_KB[name],
             ]
         )
@@ -79,7 +66,7 @@ def test_table1(benchmark, small_stream, large_stream):
     assert max(small_times) / min(small_times) < 1.35, small_times
     # (2) linear growth with image count
     ratio = os_large["Fetch"]["exec_time_us"] / os_small["Fetch"]["exec_time_us"]
-    expected = N_LARGE / N_SMALL
+    expected = 3000 / 578
     assert expected * 0.8 < ratio < expected * 1.2, ratio
     # (3) memory exact
     for name in COMPONENTS:
@@ -91,5 +78,5 @@ def test_table1(benchmark, small_stream, large_stream):
         <= os_small["Reorder"]["exec_time_us"]
     )
     # (5) absolute scale sanity: per-image stage time ~7 ms (model target)
-    per_image_us = os_small["Fetch"]["exec_time_us"] / N_SMALL
+    per_image_us = os_small["Fetch"]["exec_time_us"] / 578
     assert per_image_us == pytest.approx(7_066, rel=0.25)

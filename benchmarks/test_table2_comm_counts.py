@@ -10,58 +10,49 @@ Paper (578 / 3000 images):
 These counts are structural (18 block messages per image after the
 priming frame, fanned over 3 IDCTs), so they reproduce **exactly**:
 ``send = 18 * (N - 1)`` -- 10 386 = 18 x 577 and 53 982 = 18 x 2 999.
-At full scale (REPRO_FULL=1) the assertions check the paper's literal
-numbers.
+The assertions check both the formula and the paper's literal numbers.
 """
 
 from repro.core import APPLICATION_LEVEL
 from repro.metrics import Table
-from repro.mjpeg.components import build_smp_assembly
-from repro.runtime import SmpSimRuntime
 
-from benchmarks.conftest import FULL_SCALE, N_LARGE, N_SMALL, save_result
+from benchmarks.conftest import save_result
 
 COMPONENTS = ("Fetch", "IDCT_1", "IDCT_2", "IDCT_3", "Reorder")
 
 
-def counts_for(stream):
-    app = build_smp_assembly(stream, use_stored_coefficients=True)
-    rt = SmpSimRuntime()
-    rt.run(app)
-    reports = rt.collect()
-    rt.stop()
+def counts(decode):
     return {
         name: (
-            reports[(name, APPLICATION_LEVEL)]["sends"],
-            reports[(name, APPLICATION_LEVEL)]["receives"],
+            decode.reports[(name, APPLICATION_LEVEL)]["sends"],
+            decode.reports[(name, APPLICATION_LEVEL)]["receives"],
         )
         for name in COMPONENTS
     }
 
 
-def test_table2(benchmark, small_stream, large_stream):
-    small = benchmark.pedantic(counts_for, args=(small_stream,), rounds=1, iterations=1)
-    large = counts_for(large_stream)
+def test_table2(smp_578, smp_3000):
+    small = counts(smp_578)
+    large = counts(smp_3000)
 
     table = Table(
-        ["Component", f"send{N_SMALL}", f"recv{N_SMALL}", f"send{N_LARGE}", f"recv{N_LARGE}"],
+        ["Component", "send578", "recv578", "send3000", "recv3000"],
         title="Table 2: MJPEG components communication operations (SMP sim)",
     )
     for name in COMPONENTS:
         table.add_row([name, *small[name], *large[name]])
     save_result("table2_comm_counts", table.render())
 
-    for n_images, counts in ((N_SMALL, small), (N_LARGE, large)):
+    for n_images, got in ((578, small), (3000, large)):
         total = 18 * (n_images - 1)
-        assert counts["Fetch"] == (total, 0)
-        assert counts["Reorder"] == (0, total)
+        assert got["Fetch"] == (total, 0)
+        assert got["Reorder"] == (0, total)
         for i in (1, 2, 3):
-            assert counts[f"IDCT_{i}"] == (total // 3, total // 3)
+            assert got[f"IDCT_{i}"] == (total // 3, total // 3)
 
-    if FULL_SCALE:
-        assert small["Fetch"] == (10_386, 0)
-        assert small["IDCT_1"] == (3_462, 3_462)
-        assert small["Reorder"] == (0, 10_386)
-        assert large["Fetch"] == (53_982, 0)
-        assert large["IDCT_1"] == (17_994, 17_994)
-        assert large["Reorder"] == (0, 53_982)
+    assert small["Fetch"] == (10_386, 0)
+    assert small["IDCT_1"] == (3_462, 3_462)
+    assert small["Reorder"] == (0, 10_386)
+    assert large["Fetch"] == (53_982, 0)
+    assert large["IDCT_1"] == (17_994, 17_994)
+    assert large["Reorder"] == (0, 53_982)

@@ -18,30 +18,19 @@ import pytest
 
 from repro.core import OS_LEVEL
 from repro.metrics import Table
-from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly
-from repro.runtime import SmpSimRuntime, Sti7200SimRuntime
 
-from benchmarks.conftest import N_SMALL, SCALE, save_result
+from benchmarks.conftest import save_result
 
 PAPER_S = {"Fetch-Reorder": 1_173, "IDCT_1": 95, "IDCT_2": 95}
 PAPER_MEM_KB = {"Fetch-Reorder": 110, "IDCT_1": 85, "IDCT_2": 85}
 
 
-def run_sti(stream):
-    app = build_sti7200_assembly(stream, use_stored_coefficients=True)
-    rt = Sti7200SimRuntime()
-    rt.run(app)
-    reports = rt.collect()
-    rt.stop()
-    return rt, {n: reports[(n, OS_LEVEL)] for n in PAPER_S}
-
-
-def test_table3(benchmark, small_stream):
-    rt, os_reports = benchmark.pedantic(run_sti, args=(small_stream,), rounds=1, iterations=1)
+def test_table3(sti7200_578):
+    os_reports = {n: sti7200_578.reports[(n, OS_LEVEL)] for n in PAPER_S}
 
     table = Table(
-        ["Component", "Time (s)", "Mem (kB)", "paper Time/scale (s)", "paper Mem (kB)"],
-        title=f"Table 3: MJPEG task time and memory (STi7200 sim, {N_SMALL} images)",
+        ["Component", "Time (s)", "Mem (kB)", "paper Time (s)", "paper Mem (kB)"],
+        title="Table 3: MJPEG task time and memory (STi7200 sim, 578 images)",
     )
     for name in PAPER_S:
         table.add_row(
@@ -49,7 +38,7 @@ def test_table3(benchmark, small_stream):
                 name,
                 round(os_reports[name]["exec_time_us"] / 1e6, 1),
                 os_reports[name]["memory_kb"],
-                round(PAPER_S[name] / SCALE, 1),
+                PAPER_S[name],
                 PAPER_MEM_KB[name],
             ]
         )
@@ -61,32 +50,20 @@ def test_table3(benchmark, small_stream):
     # (1) the ST40 bottleneck ratio
     assert 6 < fr_s / idct_s < 20, (fr_s, idct_s)
     # (2) task_time semantics: IDCT CPU time << makespan
-    assert os_reports["IDCT_1"]["exec_time_us"] * 1_000 < rt.makespan_ns / 3
+    assert os_reports["IDCT_1"]["exec_time_us"] * 1_000 < sti7200_578.makespan_ns / 3
     # (3) memory exact
     for name in PAPER_S:
         assert os_reports[name]["memory_kb"] == PAPER_MEM_KB[name]
     # (4) absolute scale sanity vs the paper's 1 173 s / 95 s at 578 images
-    assert fr_s == pytest.approx(PAPER_S["Fetch-Reorder"] / SCALE, rel=0.30)
-    assert idct_s == pytest.approx(PAPER_S["IDCT_1"] / SCALE, rel=0.30)
+    assert fr_s == pytest.approx(PAPER_S["Fetch-Reorder"], rel=0.30)
+    assert idct_s == pytest.approx(PAPER_S["IDCT_1"], rel=0.30)
 
 
-def test_table3_vs_linux_idct(benchmark, small_stream):
+def test_table3_vs_linux_idct(smp_578, sti7200_578):
     """The paper's cross-platform observation: the OS21 IDCT component
     takes ~25x the Linux IDCT component's time (~4 s vs ~100 s)."""
-
-    def both():
-        app = build_smp_assembly(small_stream, use_stored_coefficients=True)
-        rt = SmpSimRuntime()
-        rt.run(app)
-        linux_reports = rt.collect()
-        rt.stop()
-        _, sti_reports = run_sti(small_stream)
-        return (
-            linux_reports[("IDCT_1", OS_LEVEL)]["cpu_time_us"],
-            sti_reports["IDCT_1"]["exec_time_us"],
-        )
-
-    linux_us, os21_us = benchmark.pedantic(both, rounds=1, iterations=1)
+    linux_us = smp_578.reports[("IDCT_1", OS_LEVEL)]["cpu_time_us"]
+    os21_us = sti7200_578.reports[("IDCT_1", OS_LEVEL)]["exec_time_us"]
     table = Table(
         ["Platform", "IDCT CPU time (s)"],
         title="IDCT component: Linux SMP vs OS21 (paper: ~4 s vs ~100 s at 578 images)",

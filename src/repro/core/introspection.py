@@ -29,21 +29,3 @@ def format_interfaces(component: "Component") -> str:
         lines.append(f"{name} {kind}")
     return "\n".join(lines)
 
-
-def structure_dict(component: "Component") -> dict:
-    """Machine-readable structure: names, kinds, connection targets."""
-    return {
-        "component": component.name,
-        "provided": [
-            {"name": p.name, "observation": p.is_observation}
-            for p in component.provided.values()
-        ],
-        "required": [
-            {
-                "name": r.name,
-                "observation": r.is_observation,
-                "connected_to": r.target.qualified_name if r.target else None,
-            }
-            for r in component.required.values()
-        ],
-    }

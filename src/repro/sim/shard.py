@@ -206,13 +206,6 @@ def partition_graph(
     return assignment
 
 
-def cut_edges(
-    assignment: Dict[str, int], edges: Iterable[Tuple[str, str]]
-) -> List[Tuple[str, str]]:
-    """The edges crossing shards under ``assignment`` (diagnostics)."""
-    return [(a, b) for a, b in edges if assignment[a] != assignment[b]]
-
-
 # -- the shard -----------------------------------------------------------------
 
 

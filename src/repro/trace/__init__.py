@@ -9,7 +9,7 @@ collecting detailed events."
 This package implements that support: per-component
 :class:`~repro.trace.tracer.Tracer` objects record timestamped
 :class:`~repro.trace.events.TraceEvent` records into bounded ring
-buffers; writers serialise them (JSONL / CSV); and
+buffers; writers serialise them (JSONL or columnar JSON); and
 :mod:`repro.trace.analysis` reconstructs per-component timelines,
 matched begin/end intervals and summary statistics.
 """
@@ -24,7 +24,7 @@ from repro.trace.tracer import (
     enable_tracing,
     merge_buffers,
 )
-from repro.trace.writer import read_columns, read_jsonl, write_columns, write_csv, write_jsonl
+from repro.trace.writer import read_columns, read_jsonl, write_columns, write_jsonl
 from repro.trace.analysis import busy_fraction, intervals, summarize_durations, timeline
 from repro.trace.causal import (
     HopLatency,
@@ -62,7 +62,6 @@ __all__ = [
     "timeline",
     "write_chrome_trace",
     "write_columns",
-    "write_csv",
     "write_jsonl",
     "write_paje",
 ]

@@ -1,8 +1,7 @@
-"""Trace serialisation: JSONL, CSV and the columnar JSON format."""
+"""Trace serialisation: JSONL and the columnar JSON format."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Iterable, List, Union
@@ -84,24 +83,3 @@ def read_columns(path: PathLike):
         cols["args"],
     )
 
-
-def write_csv(events: Iterable[TraceEvent], path: PathLike) -> int:
-    """Flat CSV export (args serialised as JSON in the last column)."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_ns", "seq", "component", "category", "name", "phase", "args"])
-        for event in events:
-            writer.writerow(
-                [
-                    event.timestamp_ns,
-                    event.seq,
-                    event.component,
-                    event.category,
-                    event.name,
-                    event.phase,
-                    json.dumps(event.args, separators=(",", ":")),
-                ]
-            )
-            n += 1
-    return n

@@ -157,18 +157,6 @@ def test_format_interfaces_matches_figure5():
     ]
 
 
-def test_structure_dict_records_connections():
-    from repro.core.introspection import structure_dict
-
-    a, b = Component("a"), Component("b")
-    a.add_required("out")
-    b.add_provided("in")
-    a.get_required("out").connect(b.get_provided("in"))
-    d = structure_dict(a)
-    req = [r for r in d["required"] if r["name"] == "out"][0]
-    assert req["connected_to"] == "b.in"
-
-
 def test_latency_recorded_from_message_timestamp():
     _, probe = make_probe()
     msg = Message(payload=b"x", sent_at_us=100)

@@ -12,7 +12,8 @@ import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW_DIR = Path(__file__).resolve().parents[2] / ".github" / "workflows"
+ROOT = Path(__file__).resolve().parents[2]
+WORKFLOW_DIR = ROOT / ".github" / "workflows"
 WORKFLOWS = sorted(WORKFLOW_DIR.glob("*.yml"))
 
 
@@ -82,7 +83,7 @@ def test_every_job_installs_the_dev_extras():
         installs = [s["run"] for s in job["steps"] if "pip install" in s.get("run", "")]
         assert installs, f"job {name} installs nothing"
         assert all('-e ".[dev]"' in run for run in installs), (name, installs)
-    pyproject = (WORKFLOW_DIR.parents[1] / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     dev = next(line for line in pyproject.splitlines() if line.startswith("dev = "))
     for package in ("pytest", "hypothesis", "pyyaml"):
         assert f'"{package}"' in dev
@@ -94,7 +95,7 @@ def test_numpy_floor_leg_runs_the_codec_tests_at_the_pyproject_floor():
     assert {"python-version": "3.10", "numpy-floor": True} in test["strategy"]["matrix"]["include"]
     floor_steps = [s for s in test["steps"] if s.get("if") == "${{ matrix.numpy-floor }}"]
     runs = " ".join(s["run"] for s in floor_steps)
-    pyproject = (WORKFLOW_DIR.parents[1] / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     floor = pyproject.split('"numpy>=', 1)[1].split('"', 1)[0]
     assert f'"numpy=={floor}.*"' in runs
     assert "pytest -x -q tests/mjpeg tests/faults" in runs
@@ -120,13 +121,31 @@ def test_perf_gates_run_from_the_gate_module():
 
 def test_paper_tables_job_fails_on_drift():
     ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
-    runs = [s.get("run", "") for s in ci["jobs"]["paper-tables"]["steps"]]
+    steps = ci["jobs"]["paper-tables"]["steps"]
+    runs = [s.get("run", "") for s in steps]
     regenerate = next(i for i, r in enumerate(runs) if "benchmarks/test_table*.py" in r)
     assert "benchmarks/test_figure*.py" in runs[regenerate]
+    assert "578/3000-image scale" in steps[regenerate]["name"]
+    # The job runs the command README documents, with no scale switch.
+    command = runs[regenerate].strip().removeprefix("PYTHONPATH=src ")
+    assert command in (ROOT / "README.md").read_text()
+    for path in WORKFLOWS:
+        assert "REPRO_FULL" not in path.read_text(), path.name
     diff = next(i for i, r in enumerate(runs) if "git diff --exit-code" in r)
     assert diff > regenerate
     assert "benchmarks/results/table*" in runs[diff]
     assert "benchmarks/results/figure*" in runs[diff]
+
+
+def test_committed_table2_holds_the_papers_counts():
+    text = (ROOT / "benchmarks" / "results" / "table2_comm_counts.txt").read_text()
+    header = text.splitlines()[1].split()
+    assert header == ["Component", "send578", "recv578", "send3000", "recv3000"]
+    rows = {line.split()[0]: line.split()[1:] for line in text.splitlines()[3:]}
+    assert rows["Fetch"] == ["10,386", "0", "53,982", "0"]
+    for idct in ("IDCT_1", "IDCT_2", "IDCT_3"):
+        assert rows[idct] == ["3,462", "3,462", "17,994", "17,994"]
+    assert rows["Reorder"] == ["0", "10,386", "0", "53,982"]
 
 
 def test_chaos_job_runs_every_campaign_kind_per_seed():

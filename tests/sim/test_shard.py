@@ -17,7 +17,6 @@ from repro.sim.shard import (
     SHARD_SPAN_BITS,
     Shard,
     ShardedSimulation,
-    cut_edges,
     partition_graph,
     shard_core_blocks,
     shard_span_source,
@@ -101,7 +100,7 @@ def test_partition_graph_balance_and_determinism():
     sizes = [sum(1 for s in first.values() if s == k) for k in range(2)]
     assert sizes == [4, 4]
     # A chain split in two has exactly one cut edge.
-    assert len(cut_edges(first, edges)) == 1
+    assert len([(a, b) for a, b in edges if first[a] != first[b]]) == 1
 
 
 def test_partition_graph_affinity_wins():

@@ -13,7 +13,6 @@ from repro.trace import (
     read_jsonl,
     summarize_durations,
     timeline,
-    write_csv,
     write_jsonl,
 )
 from repro.trace.analysis import busy_fraction
@@ -125,15 +124,6 @@ def test_jsonl_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     assert write_jsonl(events, path) == 10
     assert read_jsonl(path) == events
-
-
-def test_csv_export(tmp_path):
-    events = [ev(1, 1), ev(2, 2)]
-    path = tmp_path / "trace.csv"
-    assert write_csv(events, path) == 2
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("timestamp_ns")
-    assert len(lines) == 3
 
 
 def test_buffer_capacity_validated():
