@@ -59,7 +59,11 @@ class Decode(NamedTuple):
 
 
 def decode(build, runtime_cls, n_images: int) -> Decode:
-    app = build(cached_stream(n_images), use_stored_coefficients=True)
+    """One paper decode.  Its stream is encoded here rather than taken
+    from :func:`cached_stream`, so it dies with the application when the
+    decode returns."""
+    stream = generate_stream(n_images, 96, 96, quality=75, seed=0)
+    app = build(stream, use_stored_coefficients=True)
     rt = runtime_cls()
     rt.run(app)
     reports = rt.collect()

@@ -39,7 +39,6 @@ from heapq import heappush
 from typing import Any, Callable
 
 import repro.runtime.simulated
-import repro.sim.shard
 from repro.metrics import Table
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly, frames_digest
@@ -95,8 +94,8 @@ def _workloads():
 
 def decode_once(make_runtime, sti7200, stream, kernel_cls=Kernel):
     """One whole decode: (seconds, makespan, frame digest, runtime)."""
-    saved = repro.sim.shard.Kernel, repro.runtime.simulated.Kernel
-    repro.sim.shard.Kernel = repro.runtime.simulated.Kernel = kernel_cls
+    saved = repro.runtime.simulated.Kernel
+    repro.runtime.simulated.Kernel = kernel_cls
     try:
         if sti7200:
             app = build_sti7200_assembly(stream, keep_frames=True)
@@ -105,7 +104,7 @@ def decode_once(make_runtime, sti7200, stream, kernel_cls=Kernel):
         rt = make_runtime()
         rt.deploy(app)
     finally:
-        repro.sim.shard.Kernel, repro.runtime.simulated.Kernel = saved
+        repro.runtime.simulated.Kernel = saved
     t0 = time.perf_counter()
     rt.start()
     rt.wait()
@@ -114,13 +113,6 @@ def decode_once(make_runtime, sti7200, stream, kernel_cls=Kernel):
     elapsed = time.perf_counter() - t0
     frames = app.components["Fetch-Reorder" if sti7200 else "Reorder"].frames
     return elapsed, rt.makespan_ns, frames_digest(frames), rt
-
-
-def _kernels(rt):
-    shards = getattr(rt, "shards", None)
-    if shards is not None:
-        return [shard.kernel for shard in shards]
-    return [rt.kernel]
 
 
 def count_dispatch(make_runtime, sti7200, stream):
@@ -150,10 +142,10 @@ def count_dispatch(make_runtime, sti7200, stream):
         ExecEngine, "_slice_timer_fired", counting_fired
     ):
         *_, rt = decode_once(make_runtime, sti7200, stream)
-    counts["events"] = sum(k.events_executed for k in _kernels(rt))
+    counts["events"] = rt.kernel.events_executed
     with heap_only():
         *_, rt = decode_once(make_runtime, sti7200, stream)
-    counts["events_heap_only"] = sum(k.events_executed for k in _kernels(rt))
+    counts["events_heap_only"] = rt.kernel.events_executed
     return counts
 
 
@@ -318,7 +310,7 @@ def kernel_paths():
             for name in names:
                 ratios[name].append(times[name] / times["shipped"])
         assert len(models) == 1, models
-        inserts = sum(k._seq for k in _kernels(rt))
+        inserts = rt.kernel._seq
         out[workload] = ({name: quartiles(ratios[name]) for name in names}, inserts)
     return out, insert_micro()
 

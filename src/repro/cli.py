@@ -17,7 +17,7 @@ Commands
     Run a workload and print its shard-count-invariant digest.  The
     default ``mjpeg`` workload decodes the MJPEG stream and prints the
     sha256 of the decoded frame set; ``--shards N`` partitions the
-    simulation across N conservative shards (``repro.sim.shard``); the
+    deployment across N shards of one kernel; the
     digest is identical for every shard count -- the CI ``shard-smoke``
     job diffs them.  ``--metrics OUT`` additionally runs the live
     telemetry plane and writes the merged registry (the ``metrics
@@ -198,9 +198,9 @@ def _cmd_run_traffic(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` command (see the module docstring).
 
-    ``--shards 1`` runs the single-kernel ``SmpSimRuntime`` unless an
-    option needs the sharded runtime's staged transport (``--metrics``);
-    a 1-shard sharded run decodes the same frames.
+    ``--shards 1`` runs the unsharded ``SmpSimRuntime`` unless an
+    option needs the sharded runtime's link-latency delivery
+    (``--metrics``); a 1-shard sharded run decodes the same frames.
     ``--metrics`` also pins the placement (below), so the whole
     telemetry stream is bit-identical for any ``--shards N``.
     """
@@ -241,7 +241,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             names = sorted(n for n, c in rt.containers.items() if c.extra["shard"] == shard)
             if names:
                 print(f"shard {shard}: {', '.join(names)}")
-        print(f"sweeps: {rt.sim.sweeps}")
     print(
         f"shards={args.shards} images={args.images} frames={len(frames)} "
         f"reports={len(reports)} makespan={rt.makespan_ns / 1e6:.3f} simulated ms"
@@ -548,8 +547,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if isinstance(rt.trace, list):
         print(
             f"merged {len(rt.trace)} shard buffers "
-            f"({', '.join(str(len(b)) for b in rt.trace)} events) "
-            f"over {rt.sim.sweeps} sweeps"
+            f"({', '.join(str(len(b)) for b in rt.trace)} events)"
         )
 
     graph = SpanGraph.from_trace(buffer)
@@ -717,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--images", type=int, default=8, help="stream length")
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="partition the simulation across N conservative shards "
-        "(1 = plain single-kernel runtime unless --metrics needs the "
+        help="partition the deployment across N shards "
+        "(1 = plain unsharded runtime unless --metrics needs the "
         "sharded one; output is identical for any N)",
     )
     run.add_argument(
@@ -797,8 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--shards", default="1,2", metavar="N,N,...",
-        help="platform shard counts of the grid (run only); the recover "
-        "policy is skipped on sharded platforms",
+        help="platform shard counts of the grid (run only)",
     )
     campaign.add_argument(
         "--images", type=int, default=4, help="stream length per cell (run only)"
@@ -859,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--images", type=int, default=8, help="stream length")
     top.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="run (and merge telemetry) across N conservative shards",
+        help="run (and merge telemetry) across N shards",
     )
     top.add_argument(
         "--watch", action="store_true",

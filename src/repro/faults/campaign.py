@@ -371,8 +371,8 @@ def run_chaos_campaign(
     The remaining keywords are the fleet-cell hooks
     (:mod:`repro.faults.fleet` fans hundreds of these out across a worker
     pool): an explicit ``plan`` replaces :func:`build_campaign_plan`,
-    ``shards`` runs the chaos application on the conservative sharded
-    simulation, ``oracle`` relaxes or tightens :attr:`CampaignResult.ok`
+    ``shards`` runs the chaos application on the sharded SMP runtime,
+    ``oracle`` relaxes or tightens :attr:`CampaignResult.ok`
     per policy expectation, and ``reference_hashes`` /
     ``reference_digest`` substitute a cached per-frame-sha256 reference
     for the in-process fault-free run.  A policy that severs upstreams

@@ -7,8 +7,8 @@ observation probe uses -- so fault campaigns, like observation, require
 delay / corrupt / overflow) act on the sender's ``send`` path; receive
 faults (crash-at-nth-receive, stall) act on the receiver's ``receive``
 path; time-triggered crashes are armed by kernel callbacks at exact
-virtual instants on the simulated runtimes, on the victim's own clock
-(its shard's kernel on the sharded runtime).
+virtual instants on the simulated runtimes, on the kernel of the
+victim's context.
 
 Determinism: every probabilistic decision draws from a named stream of
 the plan's :class:`~repro.sim.rng.RngRegistry`

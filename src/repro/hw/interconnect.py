@@ -52,9 +52,8 @@ class NumaCostModel:
 
     The model also carries the *message latency* of the fabric:
     ``latency_ns(src, dst) = link_latency_ns + hop_latency_ns * hops``.
-    Because it is a guaranteed floor on delivery delay, it doubles as the
-    conservative lookahead bound of the sharded simulator (each shard may
-    run freely up to ``min(neighbor_clock + link_latency)``).
+    The sharded SMP runtime delivers every message this long after its
+    send.
     """
 
     def __init__(

@@ -84,10 +84,9 @@ class Platform:
     def link_latency_ns(self, src_core: int, dst_core: int) -> int:
         """Minimum one-way message latency between two cores (ns).
 
-        Always >= 1: this is the guaranteed floor on inter-component
-        delivery delay, which the sharded simulator uses as its
-        conservative lookahead.  Uniform-memory platforms report a flat
-        fabric latency."""
+        Always >= 1: the sharded SMP runtime delivers every message
+        this long after its send.  Uniform-memory platforms report a
+        flat fabric latency."""
         if self.numa is None:
             return DEFAULT_LINK_LATENCY_NS
         return max(

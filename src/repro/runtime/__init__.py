@@ -8,8 +8,8 @@ Three runtimes execute the same, unmodified components:
 - :class:`~repro.runtime.simulated.SmpSimRuntime` -- components as
   pthreads of the simulated Linux system on the 16-core NUMA SMP model.
 - :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` -- the SMP
-  runtime partitioned across N conservative simulation shards
-  (:mod:`repro.sim.shard`); same output for every shard count.
+  runtime partitioned across N shards of one simulation kernel; same
+  output for every shard count.
 - :class:`~repro.runtime.simulated.Sti7200SimRuntime` -- components as
   OS21 tasks (one per CPU) with EMBX distributed-object interfaces on the
   STi7200 model.

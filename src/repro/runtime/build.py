@@ -57,19 +57,14 @@ class RunConfig:
                 f"runtime {self.runtime!r} does not take shards={self.shards!r}; "
                 f"only runtime 'sharded' does"
             )
-        if self.recovers and not cls.supports_replay:
-            raise ConfigError(
-                f"policy 'recover' replays messages, which runtime {self.runtime!r} "
-                f"({cls.__name__}) cannot; use runtime 'smp'"
-            )
         if self.durable is not None and not self.recovers:
             raise ConfigError(f"a durable store needs policy 'recover', not {self.policy!r}")
 
     @classmethod
     def on_smp(cls, shards: int = 1, sharded: bool = False, **fields) -> "RunConfig":
-        """The SMP platform: the single-kernel runtime at one shard, the
+        """The SMP platform: the unsharded runtime at one shard, the
         sharded one at any other count or when ``sharded`` asks for its
-        staged transport."""
+        link-latency delivery."""
         runtime = "smp" if shards == 1 and not sharded else "sharded"
         return cls(runtime=runtime, shards=shards, **fields)
 

@@ -43,15 +43,8 @@ from repro.os21.system import DEFAULT_TASK_BYTES, OS21System
 from repro.runtime.base import ComponentContainer, Runtime, RuntimeError_
 from repro.sim.executor import Compute, DONE
 from repro.sim.kernel import Kernel
-from repro.sim.mailbox import Envelope
 from repro.sim.resources import Channel
-from repro.sim.shard import (
-    Shard,
-    ShardedSimulation,
-    partition_graph,
-    shard_core_blocks,
-    shard_span_source,
-)
+from repro.sim.shard import partition_graph, shard_core_blocks, shard_span_source
 
 #: Cost charged (per op) for the runtime-owned observation channel.
 OBS_CHANNEL_SYSCALLS = 1
@@ -72,8 +65,8 @@ class SimMailbox:
 
 
 def _deliver_to_mailbox(mailbox: SimMailbox, message: Message) -> None:
-    """Data delivery into a mailbox (also the sharded runtime's
-    envelope handler)."""
+    """Data delivery into a mailbox (also the handler the sharded
+    runtime schedules one link latency after the send)."""
     mailbox.written_bytes += message.size_bytes
     mailbox.channel.put(message)
 
@@ -81,10 +74,10 @@ def _deliver_to_mailbox(mailbox: SimMailbox, message: Message) -> None:
 class SimContext(ComponentContext):
     """Component context over a simulated platform.
 
-    ``kernel`` is the clock of the component's own shard (the one kernel
-    on an unsharded runtime) and ``span_source`` that shard's span-id
-    range; every timestamp the context hands out -- probe, trace,
-    telemetry, heap timeline, log -- reads that clock."""
+    ``kernel`` is the runtime's one kernel and ``span_source`` the
+    span-id range of the component's shard; every timestamp the context
+    hands out -- probe, trace, telemetry, heap timeline, log -- reads
+    that kernel's clock."""
 
     def __init__(
         self,
@@ -173,12 +166,6 @@ class SimRuntime(Runtime):
     def _clock_offset_for(self, cont: ComponentContainer) -> int:
         return 0
 
-    def _run(self) -> int:
-        """Run the simulation until nothing is left to do; returns the
-        virtual time it ends at (the sharded runtime runs every shard)."""
-        self.kernel.run()
-        return self.kernel.now
-
     # -- shared transport paths -----------------------------------------------------
 
     def _receive(self, dst: Component, provided, timeout_ns: Optional[int] = None) -> Generator:
@@ -225,15 +212,10 @@ class SimRuntime(Runtime):
             cont.service_context = self._make_context(cont, None, offset)
             cont.probe.os_adapter = self._os_adapter(cont)
             cont.probe.middleware_adapter = self._mw_adapter(cont)
-        self._finish_deploy()
 
     def _prepare_deploy(self) -> None:
         """Hook before interface binding (the sharded runtime partitions
         the component graph here)."""
-
-    def _finish_deploy(self) -> None:
-        """Hook after contexts exist (the sharded runtime derives its
-        per-link lookaheads from the bound graph here)."""
 
     def _make_context(
         self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
@@ -305,7 +287,7 @@ class SimRuntime(Runtime):
 
     def wait(self) -> None:
         """Run/block until all functional behaviours finish."""
-        self.makespan_ns = self._run()
+        self.makespan_ns = self.kernel.run()
         stuck = [
             cont.component.name
             for cont in self.containers.values()
@@ -328,7 +310,7 @@ class SimRuntime(Runtime):
         plan = list(plan) if plan is not None else self._default_plan()
         flow = observer.collect(cont.context, plan)
         handle = self._spawn_flow(flow, name=f"{observer.name}.query", cont=cont)
-        self._run()
+        self.kernel.run()
         if handle.state != DONE:
             raise RuntimeError_(f"observer query flow stuck in state {handle.state}")
         return handle.result
@@ -360,14 +342,16 @@ class SimRuntime(Runtime):
         return self._spawn_flow(flow(), name=f"{observer.name}.query@{delay_ns}", cont=cont)
 
     def stop(self) -> None:
-        """Shut down observation services and release the platform."""
+        """Shut down observation services and release the platform (every
+        OS instance of ``systems``: one per shard on the SMP)."""
         for cont in self.containers.values():
             if cont.service_handle is not None and cont.service_handle.alive:
                 obs = cont.component.provided.get("introspection")
                 if obs is not None and isinstance(obs.binding, Channel):
                     obs.binding.put(Message(payload=None, kind=CONTROL, tag="shutdown"))
-        self.system.engine.shutdown()
-        self._run()
+        for system in self.systems:
+            system.shutdown()
+        self.kernel.run()
 
     # -- shared binding helpers ---------------------------------------------------------
 
@@ -411,10 +395,10 @@ class SimRuntime(Runtime):
         region.free(handle, time_ns=time_ns)
         return nbytes
 
-    def _bind_observation_channels(self, cont: ComponentContainer, kernel: Kernel) -> None:
+    def _bind_observation_channels(self, cont: ComponentContainer) -> None:
         for prov in cont.component.provided.values():
             if prov.is_observation and prov.binding is None:
-                prov.binding = Channel(kernel, name=f"obs.{prov.qualified_name}")
+                prov.binding = Channel(self.kernel, name=f"obs.{prov.qualified_name}")
 
     def _next_fake_addr(self, nbytes: int) -> int:
         addr = self._fake_addr
@@ -426,9 +410,10 @@ class SmpSimRuntime(SimRuntime):
     """EMBera over the simulated 16-core Linux NUMA SMP.
 
     The unsharded runtime is the one-shard case of
-    :class:`ShardedSmpSimRuntime`: its kernel, Linux system, process and
-    span source are the only entries of the per-shard lists every
-    deployment step indexes by the component's ``extra["shard"]``."""
+    :class:`ShardedSmpSimRuntime`: its Linux system, process and span
+    source are the only entries of the per-shard lists every deployment
+    step indexes by the component's ``extra["shard"]``, and every shard
+    runs on the runtime's one ``kernel``."""
 
     def __init__(
         self,
@@ -443,7 +428,7 @@ class SmpSimRuntime(SimRuntime):
 
     def _init_system(self) -> None:
         """Build the OS as one shard; the sharded variant builds one per
-        partition over a core block instead."""
+        partition over a core block, on the same kernel, instead."""
         self.kernel = Kernel()
         self.system = LinuxSystem(self.kernel, self.platform, quantum_ns=self.quantum_ns)
         self.process = self.system.spawn_process("embera")
@@ -465,10 +450,8 @@ class SmpSimRuntime(SimRuntime):
 
     def _bind_component(self, cont: ComponentContainer) -> None:
         self._assign_core(cont)
-        shard = cont.extra["shard"]
-        kernel = self.systems[shard].kernel
-        process = self.processes[shard]
-        self._bind_observation_channels(cont, kernel)
+        process = self.processes[cont.extra["shard"]]
+        self._bind_observation_channels(cont)
         node = cont.extra["node"]
         for prov in cont.component.provided.values():
             if prov.is_observation:
@@ -477,7 +460,7 @@ class SmpSimRuntime(SimRuntime):
                 prov.mailbox_bytes, label=f"{prov.qualified_name}:mailbox", node=node
             )
             prov.binding = SimMailbox(
-                Channel(kernel, name=f"mbox.{prov.qualified_name}"),
+                Channel(self.kernel, name=f"mbox.{prov.qualified_name}"),
                 node=node,
                 capacity_bytes=prov.mailbox_bytes,
                 base_addr=self._next_fake_addr(prov.mailbox_bytes),
@@ -486,10 +469,9 @@ class SmpSimRuntime(SimRuntime):
     def _make_context(
         self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
     ) -> SimContext:
-        shard = cont.extra["shard"]
         return SimContext(
             cont.component, probe, self,
-            self.systems[shard].kernel, self._span_sources[shard], offset,
+            self.kernel, self._span_sources[cont.extra["shard"]], offset,
         )
 
     def _spawn_behavior(self, cont: ComponentContainer) -> None:
@@ -531,8 +513,8 @@ class SmpSimRuntime(SimRuntime):
         self, src_cont: ComponentContainer, target, handler, binding, message: Message
     ) -> None:
         """The last step of a transfer, after the send is charged:
-        ``handler(binding, message)`` at once (the sharded runtime stages
-        it as an envelope instead)."""
+        ``handler(binding, message)`` at once (the sharded runtime
+        schedules it one link latency later instead)."""
         handler(binding, message)
 
     def _receive_data(
@@ -599,42 +581,27 @@ class SmpSimRuntime(SimRuntime):
 
 
 class ShardedSmpSimRuntime(SmpSimRuntime):
-    """The SMP runtime partitioned across N conservative shards.
+    """The SMP runtime partitioned across N shards of one kernel.
 
     Deploy-time graph partitioning (user affinity via ``comp.place(
     shard=K)`` / ``comp.place(core=N)``, otherwise the static unit-weight
     min-cut heuristic of :func:`~repro.sim.shard.partition_graph`) maps
     each component to one shard, once: the placement is a function of
     the declared graph alone, never of observed traffic.  Each shard owns
-    a contiguous block of the platform's cores and, per shard, a clock
-    (:class:`~repro.sim.kernel.Kernel`), a
-    :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process
-    and a span-id range.  A component is bound, spawned and given its
-    context on its own shard, and every plane -- probe, trace, telemetry,
-    heap timeline, scheduled collects, time-triggered faults -- reads the
-    component's own clock (``SimContext.kernel``); the runtime has no
-    ``kernel``, ``system`` or ``process`` of its own.  This class adds
-    only placement and staged delivery to :class:`SmpSimRuntime`, the
-    one-shard case of the same deployment.  Every message
-    delivery -- data, deposit and observation alike -- is staged as an
-    :class:`~repro.sim.mailbox.Envelope` and takes the platform's link
-    latency between the endpoint cores; that same latency is the
-    conservative lookahead the coordinator synchronizes on, so the
-    simulation output is *identical for every shard count* (the link
-    latency is a property of hardware placement, not of the partition).
-    The coordinator runs the shards' windows one after another on the
-    calling thread (:meth:`~repro.sim.shard.ShardedSimulation.run`
-    without a handler table): a decode window holds about one event,
-    too little work to pay for a round trip to a worker process.
-
-    Not supported in sharded mode (use :class:`SmpSimRuntime`): dynamic
-    reconfiguration (``add_component``/``connect_live``/``rebind``) and
-    fault-replay/recovery -- both would have to mutate channels across
-    shard boundaries mid-run.  Installing a recovery manager is refused
-    at install time.
+    a contiguous block of the platform's cores and, per shard, a
+    :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process,
+    a span-id range, a trace buffer and a telemetry registry.  Every
+    shard runs on the runtime's one :class:`~repro.sim.kernel.Kernel`,
+    as the paper's EMBera threads share one Linux process's timebase.
+    This class adds only placement and link-latency delivery to
+    :class:`SmpSimRuntime`, the one-shard case of the same deployment.
+    Every message delivery -- data, deposit and observation alike --
+    fires one platform link latency between the endpoint cores after
+    the send, so the simulation output is *identical for every shard
+    count* (the link latency is a property of hardware placement, not of
+    the partition).  A component added after deploy takes the next core
+    as on :class:`SmpSimRuntime`, and the shard that owns that core.
     """
-
-    supports_replay = False
 
     def __init__(
         self,
@@ -649,29 +616,19 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
 
     def _init_system(self) -> None:
         self._blocks = shard_core_blocks(self.platform.n_cores, self.n_shards)
-        self.shards: List[Shard] = []
+        self.kernel = Kernel()
         self.systems: List[LinuxSystem] = []
         self.processes = []
         for i, cores in enumerate(self._blocks):
-            shard = Shard(i)
             system = LinuxSystem(
-                shard.kernel, self.platform, quantum_ns=self.quantum_ns, cores=cores
+                self.kernel, self.platform, quantum_ns=self.quantum_ns, cores=cores
             )
-            self.shards.append(shard)
             self.systems.append(system)
             self.processes.append(system.spawn_process(f"embera{i}"))
-        self.sim = ShardedSimulation(self.shards)
         self._span_sources = [shard_span_source(i) for i in range(self.n_shards)]
-        self._routes: Dict[Any, Tuple[int, int]] = {}  # provided iface -> (shard, core)
         #: Cross-shard message counts per ``(src_shard, dst_shard)``
         #: pair, fed by _deliver -- the ``shard_cut_messages`` gauges.
         self._cut_traffic: Dict[Tuple[int, int], int] = {}
-
-    def _run(self) -> int:
-        """Run all shards under conservative sync; returns the latest
-        shard clock."""
-        self.sim.run()
-        return max(s.kernel.now for s in self.shards)
 
     def shard_of(self, component_name: str) -> int:
         """The shard a deployed component was partitioned onto."""
@@ -719,118 +676,44 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             cont.extra["core"] = core
             cont.extra["node"] = self.platform.node_of_core(core)
 
-    def _finish_deploy(self) -> None:
-        """Derive routes and per-link lookaheads from the bound graph."""
-        for cont in self.containers.values():
-            dst_shard = cont.extra["shard"]
-            dst_core = cont.extra["core"]
-            # Deposits re-enter a component's own mailbox through the
-            # same staged path, so every shard always has a self-link.
-            self.sim.add_link(
-                dst_shard, dst_shard, self.platform.link_latency_ns(dst_core, dst_core)
-            )
-            for prov in cont.component.provided.values():
-                self._routes[prov] = (dst_shard, dst_core)
-                for req in prov.connected_from:
-                    src_cont = self.containers[req.component.name]
-                    self.sim.add_link(
-                        src_cont.extra["shard"],
-                        dst_shard,
-                        self.platform.link_latency_ns(src_cont.extra["core"], dst_core),
-                    )
-
-    # -- per-shard deployment --------------------------------------------------
-
     def _assign_core(self, cont: ComponentContainer) -> int:
-        return cont.extra["core"]  # placed during _prepare_deploy
+        if "core" not in cont.extra:  # added after deploy
+            super()._assign_core(cont)
+            cont.extra["shard"] = self._shard_of_core(cont.extra["core"])
+        return cont.extra["core"]
 
-    # -- staged transport ------------------------------------------------------
+    # -- link-latency delivery ---------------------------------------------------
 
     def _deliver(
         self, src_cont: ComponentContainer, target, handler, binding, message: Message
     ) -> None:
-        """Stage the delivery as an envelope on the target's shard, one
-        link latency after the send; observation messages ride the same
-        path, since the observer may live on another shard."""
-        dst_shard_idx, dst_core = self._routes[target]
-        src_shard_idx = src_cont.extra["shard"]
-        src_shard = self.shards[src_shard_idx]
-        send_time = src_shard.kernel.now
-        recv_time = send_time + self.platform.link_latency_ns(src_cont.extra["core"], dst_core)
-        envelope = Envelope(
-            recv_time, send_time, message.src, message.src_interface, message.seq,
-            handler, binding, message,
-        )
-        dst_shard = self.shards[dst_shard_idx]
-        if dst_shard is src_shard:
-            dst_shard.stage(envelope)
-        else:
-            pair = (src_shard_idx, dst_shard_idx)
+        """Deliver one link latency after the send, on the one kernel;
+        observation messages take the same path, since the observer may
+        live on another shard."""
+        dst_cont = self.containers[target.component.name]
+        src_shard, dst_shard = src_cont.extra["shard"], dst_cont.extra["shard"]
+        if src_shard != dst_shard:
+            pair = (src_shard, dst_shard)
             self._cut_traffic[pair] = self._cut_traffic.get(pair, 0) + 1
-            dst_shard.post(envelope)
-
-    # -- dynamic reconfiguration is unsupported across shards ------------------
-
-    def _deploy_dynamic(self, cont: ComponentContainer) -> None:
-        raise RuntimeError_(
-            "dynamic reconfiguration is not supported in sharded simulation; "
-            "use SmpSimRuntime"
-        )
-
-    def rebind(self, *args, **kwargs):
-        """Unsupported in sharded mode (channels are shard-bound)."""
-        raise RuntimeError_(
-            "rebind is not supported in sharded simulation; use SmpSimRuntime"
-        )
-
-    def connect_live(self, *args, **kwargs):
-        """Unsupported in sharded mode (lookaheads are sealed at deploy)."""
-        raise RuntimeError_(
-            "connect_live is not supported in sharded simulation; use SmpSimRuntime"
-        )
+        latency = self.platform.link_latency_ns(src_cont.extra["core"], dst_cont.extra["core"])
+        self.kernel.schedule(latency, handler, binding, message)
 
     def stamp_telemetry(self) -> None:
-        """Component gauges (via the base class), plus the shard plane:
-        per-shard host busy time and the cross-shard cut traffic.  All
-        *gauges* -- shard layout is an execution property, not a
-        simulation result, so it must stay out of ``metrics_digest``
-        (which skips gauges) to keep the shard-invariance contract."""
+        """Component gauges (via the base class), plus the cross-shard
+        cut traffic.  *Gauges* -- shard layout is an execution property,
+        not a simulation result, so it must stay out of
+        ``metrics_digest`` (which skips gauges) to keep the
+        shard-invariance contract."""
         super().stamp_telemetry()
         regs = self.metrics
         if not isinstance(regs, list):
             return
         cut = self._cut_traffic
-        for k, (shard, reg) in enumerate(zip(self.shards, regs)):
-            reg.gauge("shard_busy_seconds", shard=k).set(shard.busy_s, reg.last_ns)
-            reg.gauge("shard_sweeps", shard=k).set(self.sim.sweeps, reg.last_ns)
+        for k, reg in enumerate(regs):
             out = sum(n for (s, _d), n in cut.items() if s == k)
             reg.gauge("shard_cut_messages", shard=k, direction="out").set(out, reg.last_ns)
             inn = sum(n for (_s, d), n in cut.items() if d == k)
             reg.gauge("shard_cut_messages", shard=k, direction="in").set(inn, reg.last_ns)
-
-    def stop(self) -> None:
-        """Shut down observation services on every shard.
-
-        The shutdown control message is *staged* at each service's local
-        ``now + 1`` rather than put directly -- host-side puts into a
-        shard-owned channel would bypass the deterministic delivery
-        order."""
-        for i, cont in enumerate(self.containers.values()):
-            if cont.service_handle is not None and cont.service_handle.alive:
-                obs = cont.component.provided.get("introspection")
-                if obs is not None and isinstance(obs.binding, Channel):
-                    shard = self.shards[cont.extra["shard"]]
-                    now = shard.kernel.now
-                    message = Message(payload=None, kind=CONTROL, tag="shutdown")
-                    shard.stage(
-                        Envelope(
-                            now + 1, now, "", "runtime.shutdown", i,
-                            Channel.put, obs.binding, message,
-                        )
-                    )
-        for system in self.systems:
-            system.shutdown()
-        self._run()
 
 
 class Sti7200SimRuntime(SimRuntime):
@@ -846,6 +729,7 @@ class Sti7200SimRuntime(SimRuntime):
         self.kernel = Kernel()
         self.platform = platform or make_sti7200()
         self.system = OS21System(self.kernel, self.platform, quantum_ns=quantum_ns)
+        self.systems = [self.system]
         self.embx = EmbxTransport(self.kernel, self.platform.region("sdram"))
         self.enforce_one_component_per_cpu = enforce_one_component_per_cpu
         self._cpu_owner: Dict[int, str] = {}
@@ -876,7 +760,7 @@ class Sti7200SimRuntime(SimRuntime):
 
     def _bind_component(self, cont: ComponentContainer) -> None:
         self._assign_cpu(cont)
-        self._bind_observation_channels(cont, self.kernel)
+        self._bind_observation_channels(cont)
         cpu = cont.extra["cpu"]
         for prov in cont.component.provided.values():
             if prov.is_observation:

@@ -217,12 +217,11 @@ class Shard:
     the coordinator, after draining every inbox, may declare deadlock.
     """
 
-    def __init__(self, index: int, kernel: Optional[Kernel] = None, name: str = "") -> None:
+    def __init__(self, index: int) -> None:
         if index < 0:
             raise ValueError(f"shard index must be non-negative, got {index}")
         self.index = index
-        self.name = name or f"shard{index}"
-        self.kernel = kernel if kernel is not None else Kernel()
+        self.kernel = Kernel()
         self.kernel.deadlock_check = False
         #: Cross-shard envelopes posted by other shards since the last
         #: drain; their order is irrelevant, :attr:`staging` re-orders

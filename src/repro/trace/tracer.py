@@ -296,7 +296,7 @@ def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None):
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
     On a sharded runtime one buffer is built per shard: a shared buffer
-    would interleave its sequence numbers in sweep execution order --
+    would interleave its sequence numbers in execution order --
     different for every shard count -- while per-shard buffers keep each
     shard's trace self-consistent.  Span/cause ids already come from
     per-shard ranges, so the merged trace has no collisions.  Returns
@@ -345,8 +345,8 @@ def merge_buffers(
     every downstream analysis (span graphs, exporters, gantt) works
     unchanged.  ``clock_offsets_ns`` aligns shard clocks when they do
     not share an epoch (one additive offset per buffer, default 0 --
-    simulation shards synchronize to a common virtual time, native
-    shards may not).  Dropped-event counts are carried over.
+    simulation shards share one kernel's clock, native shards may
+    not).  Dropped-event counts are carried over.
     """
     if clock_offsets_ns is None:
         offsets = [0] * len(buffers)

@@ -101,13 +101,13 @@ def test_version_flag():
 #: scratch directory, as CI does.
 STDOUT_PINS = {
     "run --images 6 --shards 1 --metrics m1.json":
-        "115962c0e87d0c5e9939441b333561435822f1f3b4c992f73e291d2557f23865",
+        "09f8d76bdecd33f77a295440becaa2cacfac38384313241ca75f5807d5406cb2",
     "run --images 6 --shards 2 --metrics m2.json":
-        "f8c328b8f3137eb1c8ee226e72ceb3b67dd864f52338f7799419639892b4dba4",
+        "fb4d88252f0c2e44b05a8725f747b5015d3bb88c4b664985591e2a8caf7cf43e",
     "run --images 6 --shards 4 --metrics m4.json":
-        "c048ac1d741fd743d62fb427571156ba882b681e848973ca290967efff1a3b63",
+        "72fb8d3490774f72a7388d578a84f9e7f8332f5faa334dc43fd574077035b2ff",
     "run --images 6 --shards 4":
-        "f90af31aa30d2f0f2af1d749150822fd48c4930dfbffdde759ae14d69085b4db",
+        "fbcc4b4f108904c0fa941ab1536981141a9fdeb1a9adef5f8e426657c571bb63",
     "faults --seed 1 --images 8":
         "02c3747d9e2645540c4c5e71b457bd42ee29cbfbff971d70375aa0b87071abfb",
     "faults --seed 7 --images 8":
@@ -123,7 +123,7 @@ STDOUT_PINS = {
     "trace --images 6":
         "f91d0d3c9d8492f2b82356c4283b0464a848db1a346b07100ca79b909c2b3543",
     "trace --images 4 --shards 2":
-        "d336405e62f22003ed80251de733352fe5bb46463acac677372e6ceae6e0f3f8",
+        "89787289e86ad49410600312338a8870601f760c1ab7ccf5f95981cbf593f340",
     "top --images 4 --watch --interval 0":
         "545221a7dd6b5fcbd31c7e77bee6cfd0e8f28100176ec2609c8b063ecd67d354",
 }

@@ -5,10 +5,8 @@ The tentpole oracle in miniature, without spawning OS processes (that is
 fault and *everything in memory is discarded* -- a fresh application,
 fresh runtime and fresh :class:`RecoveryManager` pointed at the same
 durable directory must rebuild the consistent cut and finish the stream
-exactly-once.  Plus the PR 4 satellite extended to the durable path:
-deadline timers on the 256-slot timer wheel must not leak across a
-*disk* restore, and the sharded runtime's refusal of replay is enforced
-at install time rather than by silent corruption.
+exactly-once, on the unsharded and the sharded runtime alike.  Plus
+deadline timers must not leak across a *disk* restore.
 """
 
 import numpy as np
@@ -20,7 +18,6 @@ from repro.core.errors import InjectedFault
 from repro.faults import FaultInjector, FaultPlan
 from repro.recovery import DurableError, DurableStore, FrameStore, RecoveryManager
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
-from repro.runtime.base import RuntimeError_
 
 from tests.recovery.conftest import make_recoverable_pipeline
 
@@ -28,8 +25,8 @@ N = 20
 CONFIG = {"app": "recpipe", "n": N}
 
 
-def _install(root, app, checkpoint_interval=4):
-    rt = SmpSimRuntime()
+def _install(root, app, checkpoint_interval=4, runtime=SmpSimRuntime):
+    rt = runtime()
     rt.deploy(app)
     store = DurableStore(str(root), config=CONFIG, fsync="never")
     recovery = RecoveryManager(
@@ -38,13 +35,13 @@ def _install(root, app, checkpoint_interval=4):
     return rt, recovery
 
 
-def _crash_and_abandon(root, crash_at=13):
+def _crash_and_abandon(root, crash_at=13, runtime=SmpSimRuntime):
     """Incarnation one: run until an unsupervised crash fault kills the
     whole run mid-stream.  Nothing in memory survives past this call --
     only the durable directory does (``close()`` without a final
     checkpoint stands in for the page cache a ``kill -9`` leaves)."""
     app, sink = make_recoverable_pipeline(N)
-    rt, recovery = _install(root, app)
+    rt, recovery = _install(root, app, runtime=runtime)
     FaultInjector(FaultPlan(seed=1).crash("cons", on_receive=crash_at)).install(rt)
     rt.start()
     with pytest.raises(InjectedFault):
@@ -54,13 +51,16 @@ def _crash_and_abandon(root, crash_at=13):
     return partial
 
 
-def test_cold_restore_finishes_the_stream_exactly_once(tmp_path):
-    partial = _crash_and_abandon(tmp_path)
+@pytest.mark.parametrize(
+    "runtime", [SmpSimRuntime, lambda: ShardedSmpSimRuntime(2)], ids=["smp", "sharded2"]
+)
+def test_cold_restore_finishes_the_stream_exactly_once(tmp_path, runtime):
+    partial = _crash_and_abandon(tmp_path, runtime=runtime)
     assert 0 < len(partial) < N  # genuinely died mid-stream
 
     # Incarnation two: fresh everything, same directory.
     app, sink = make_recoverable_pipeline(N)
-    rt, recovery = _install(tmp_path, app)
+    rt, recovery = _install(tmp_path, app, runtime=runtime)
     assert recovery.cold_restored
     assert recovery.restores == 1
     rt.start()
@@ -202,8 +202,8 @@ def test_disk_restore_leaks_no_deadline_timers(tmp_path):
 
 
 def test_sharded_run_leaks_no_deadline_timers():
-    """The sharded half of the satellite: deadline receives on shard
-    kernels are consumed/cancelled just like on the single kernel."""
+    """Deadline receives on the sharded runtime are consumed/cancelled
+    just like on the unsharded one."""
 
     def _pending(timeout_ns):
         app, sink = _deadline_app(timeout_ns)
@@ -211,34 +211,9 @@ def test_sharded_run_leaks_no_deadline_timers():
         rt.run(app)
         rt.stop()
         assert sink.got == list(range(12))
-        return [shard.kernel.pending() for shard in rt.shards]
+        return rt.kernel.pending()
 
     assert _pending(1_000_000_000) == _pending(None)
-
-
-def test_sharded_runtime_refuses_durable_replay(tmp_path):
-    """Cold restore replays into mailboxes via ``_requeue``, which the
-    sharded runtime rejects by design -- the refusal must surface at
-    install time, not corrupt a run later."""
-    _crash_and_abandon(tmp_path)  # leaves unacked messages in the WAL
-    app, _sink = make_recoverable_pipeline(N)
-    rt = ShardedSmpSimRuntime(2)
-    rt.deploy(app)
-    store = DurableStore(str(tmp_path), config=CONFIG, fsync="never")
-    with pytest.raises(RuntimeError_, match="sharded"):
-        RecoveryManager(checkpoint_interval=4, durable=store).install(rt)
-    store.close()
-
-
-def test_sharded_runtime_refuses_in_memory_recovery():
-    """The refusal does not wait for a replay: installing any recovery
-    manager on the sharded runtime fails before ``start()``."""
-    app, _sink = make_recoverable_pipeline(N)
-    rt = ShardedSmpSimRuntime(2)
-    rt.deploy(app)
-    with pytest.raises(RuntimeError_, match="RecoveryManager .* ShardedSmpSimRuntime"):
-        RecoveryManager().install(rt)
-    assert rt.recovery is None
 
 
 def test_checksummed_json_roundtrip(tmp_path):

@@ -7,9 +7,18 @@ import pytest
 from repro.core import APPLICATION_LEVEL, Application, CONTROL, OS_LEVEL
 from repro.mjpeg import decode_image, generate_stream
 from repro.mjpeg.components import IdctComponent, build_smp_assembly
-from repro.runtime import NativeRuntime, SmpSimRuntime
+from repro.runtime import NativeRuntime, ShardedSmpSimRuntime, SmpSimRuntime
 from repro.runtime.base import RuntimeError_
 from repro.sim.process import Timeout
+
+
+@pytest.fixture(
+    params=[SmpSimRuntime, lambda: ShardedSmpSimRuntime(2)], ids=["smp", "sharded2"]
+)
+def sim_runtime(request):
+    """Each simulated SMP runtime: a component added after deploy takes
+    its core, and on the sharded runtime the shard owning that core."""
+    return request.param
 
 
 def slow_pipeline(n_messages=30):
@@ -38,11 +47,11 @@ def slow_pipeline(n_messages=30):
     return app
 
 
-def test_add_component_mid_run_sim():
+def test_add_component_mid_run_sim(sim_runtime):
     """Two components created mid-run, wired to each other, run to
     completion inside the original application."""
     app = slow_pipeline()
-    rt = SmpSimRuntime()
+    rt = sim_runtime()
     rt.deploy(app)
     rt.start()
 
@@ -80,9 +89,9 @@ def test_add_component_mid_run_sim():
     assert rt.probe("tap").data_receives.value == 3
 
 
-def test_dynamic_component_is_observable():
+def test_dynamic_component_is_observable(sim_runtime):
     app = slow_pipeline()
-    rt = SmpSimRuntime()
+    rt = sim_runtime()
     rt.deploy(app)
     rt.start()
 
@@ -103,7 +112,7 @@ def test_dynamic_component_is_observable():
     assert ("extra", APPLICATION_LEVEL) in reports
 
 
-def test_rebind_redirects_messages():
+def test_rebind_redirects_messages(sim_runtime):
     """Messages sent after a rebind arrive at the new target."""
     app = Application("rebind")
     got = {"a": [], "b": []}
@@ -129,7 +138,7 @@ def test_rebind_redirects_messages():
     app.create("b", behavior=consumer("b"), provides=["in"])
     app.connect("prod", "out", "a", "in")
     app.attach_observer()
-    rt = SmpSimRuntime()
+    rt = sim_runtime()
     rt.deploy(app)
     rt.start()
 
@@ -151,14 +160,14 @@ def test_rebind_redirects_messages():
     assert got["b"] == [2]
 
 
-def test_autoscale_idct_mid_run_decodes_all_frames():
+def test_autoscale_idct_mid_run_decodes_all_frames(sim_runtime):
     """The headline scenario: observation detects the 1-IDCT bottleneck,
     the controller adds two more IDCTs mid-run, and every frame still
     decodes bit-identically."""
     stream = generate_stream(12, 96, 96, quality=75, seed=21)
     app = build_smp_assembly(stream, n_idct=1, keep_frames=True)
     app.components["Reorder"].n_upstream = None  # count upstreams live
-    rt = SmpSimRuntime()
+    rt = sim_runtime()
     rt.deploy(app)
     rt.start()
 
@@ -198,13 +207,13 @@ def test_autoscale_idct_mid_run_decodes_all_frames():
     assert reports[("Reorder", APPLICATION_LEVEL)]["receives"] == total_sent
 
 
-def test_autoscale_improves_makespan():
+def test_autoscale_improves_makespan(sim_runtime):
     stream = generate_stream(12, 96, 96, quality=75, seed=22)
 
     def run(scale):
         app = build_smp_assembly(stream, n_idct=1, use_stored_coefficients=True)
         app.components["Reorder"].n_upstream = None
-        rt = SmpSimRuntime()
+        rt = sim_runtime()
         rt.deploy(app)
         rt.start()
         if scale:
@@ -257,21 +266,21 @@ def test_add_component_native_runtime():
     assert seen == ["hello"]
 
 
-def test_reconfiguration_requires_deployed_app():
+def test_reconfiguration_requires_deployed_app(sim_runtime):
     from repro.core import Component
 
-    rt = SmpSimRuntime()
+    rt = sim_runtime()
     with pytest.raises(RuntimeError_, match="deploy"):
         rt.add_component(Component("x", behavior=lambda ctx: iter(())))
     with pytest.raises(RuntimeError_, match="no deployed"):
         rt.connect_live("a", "out", "b", "in")
 
 
-def test_duplicate_dynamic_name_rejected():
+def test_duplicate_dynamic_name_rejected(sim_runtime):
     from repro.core import Component, ConnectionError_
 
     app = slow_pipeline()
-    rt = SmpSimRuntime()
+    rt = sim_runtime()
     rt.deploy(app)
     rt.start()
     with pytest.raises(ConnectionError_, match="duplicate"):

@@ -10,8 +10,8 @@ held to it here:
   (:func:`relaxed_bounds`, the coordinator's former code, kept as the
   reference) for random link sets, latencies and idle shards;
 - before every window, the cached EOTs must equal a fresh
-  ``[s.eot() for s in shards]`` on real workloads, and the sweep counts
-  must stay those of the relaxation coordinator.  On the process
+  ``[s.eot() for s in shards]`` on the traffic workload, and the sweep
+  counts must stay those of the relaxation coordinator.  On the process
   driver the fresh ``eot()`` is taken by the worker that owns the
   shard, after it drained what the coordinator sent it.
 """
@@ -21,9 +21,6 @@ import random
 
 import pytest
 
-from repro.mjpeg import generate_stream
-from repro.mjpeg.components import build_smp_assembly
-from repro.runtime import ShardedSmpSimRuntime
 from repro.sim.shard import Shard, ShardedSimulation
 from repro.workloads import TrafficConfig, run_traffic
 
@@ -102,11 +99,10 @@ def test_bound_routes_through_a_chain_of_idle_shards(n_shards):
     assert sim._bounds(eots)[-1] == 105
 
 
-# -- cached EOTs on real workloads ----------------------------------------------
+# -- cached EOTs on the traffic workload ----------------------------------------
 
-#: ``sim.sweeps`` of each run, computed with the relaxation coordinator
+#: ``sim.sweeps`` of the run, computed with the relaxation coordinator
 #: that refreshed every shard's EOT before every window.
-DECODE_8_SWEEPS = 1146
 TRAFFIC_1K_SWEEPS = 12
 
 
@@ -126,17 +122,6 @@ def fresh_eot_guard(monkeypatch):
 
     monkeypatch.setattr(ShardedSimulation, "_bounds", guarded)
     return checked
-
-
-def test_cached_eots_stay_fresh_on_the_sharded_decode(fresh_eot_guard):
-    stream = generate_stream(8, 96, 96, quality=75, seed=0)
-    app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
-    rt = ShardedSmpSimRuntime(4)
-    rt.run(app)
-    rt.collect()
-    rt.stop()
-    assert rt.sim.sweeps == DECODE_8_SWEEPS
-    assert len(fresh_eot_guard) >= DECODE_8_SWEEPS
 
 
 def test_cached_eots_stay_fresh_on_traffic(fresh_eot_guard, usable_cpus):
