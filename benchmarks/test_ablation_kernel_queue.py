@@ -149,6 +149,12 @@ class CalendarKernel:
         self._imm: deque[CalendarHandle] = deque()  # same-instant FIFO fast path
         self._live_processes: int = 0  # maintained by Process
         self.events_executed: int = 0
+        #: Consulted by ``run()`` when the queue drains with processes
+        #: still alive: a zero-arg callable returning True when it
+        #: injected new work (e.g. drained an inter-shard mailbox), in
+        #: which case the loop continues instead of raising
+        #: :class:`DeadlockError`.
+        self.on_idle: Optional[Callable[[], bool]] = None
         #: Per-shard kernels disable local deadlock detection: an idle
         #: shard with pending cross-shard input is not deadlocked, so the
         #: check belongs to the coordinator (after draining mailboxes).
@@ -802,6 +808,8 @@ class CalendarKernel:
                     break
                 t, src = select()
                 if src is None:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
                     if self._live_processes > 0 and self.deadlock_check:
                         raise DeadlockError(
                             f"no pending events but {self._live_processes} process(es) still alive"
@@ -890,6 +898,12 @@ class PooledKernel:
         self._imm: deque[tuple] = deque()  # same-instant FIFO, same shape
         self._live_processes: int = 0  # maintained by Process
         self.events_executed: int = 0
+        #: Consulted by ``run()`` when the queue drains with processes
+        #: still alive: a zero-arg callable returning True when it
+        #: injected new work (e.g. drained an inter-shard mailbox), in
+        #: which case the loop continues instead of raising
+        #: :class:`DeadlockError`.
+        self.on_idle: Optional[Callable[[], bool]] = None
         #: Per-shard kernels disable local deadlock detection: an idle
         #: shard with pending cross-shard input is not deadlocked, so the
         #: check belongs to the coordinator (after draining mailboxes).
@@ -1092,6 +1106,8 @@ class PooledKernel:
                     entry = heap[0]
                     from_heap = True
                 else:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
                     if self._live_processes > 0 and self.deadlock_check:
                         raise DeadlockError(
                             f"no pending events but {self._live_processes} process(es) still alive"

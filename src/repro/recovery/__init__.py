@@ -26,9 +26,10 @@ an append-only :class:`~repro.recovery.wal.WriteAheadLog` plus on-disk
 checkpoint spills, and ``RecoveryManager(durable=...)`` cold-restores
 the consistent cut in a fresh process -- the basis of the supervised
 ``kill -9`` campaign in :mod:`repro.recovery.supervised`, which forks
-:func:`repro.recovery.worker.run_worker` and SIGKILLs it.  Every
-runtime replays messages into its bindings, so every runtime takes a
-recovery manager.
+:func:`repro.recovery.worker.run_worker` and SIGKILLs it.
+
+Recovery needs a runtime that can replay messages into a binding;
+:meth:`RecoveryManager.install` refuses the sharded SMP runtime.
 """
 
 from repro.recovery.durable import DurableError, DurableStore, FrameStore

@@ -36,6 +36,11 @@ class ComponentContainer:
 class Runtime(ABC):
     """Lifecycle driver: deploy -> start -> wait -> collect -> stop."""
 
+    #: Whether :meth:`_requeue` can replay messages into a binding;
+    #: :meth:`repro.recovery.RecoveryManager.install` refuses a runtime
+    #: that cannot.
+    supports_replay = True
+
     def __init__(self) -> None:
         self.app: Optional[Application] = None
         self.containers: Dict[str, ComponentContainer] = {}

@@ -57,6 +57,11 @@ class RunConfig:
                 f"runtime {self.runtime!r} does not take shards={self.shards!r}; "
                 f"only runtime 'sharded' does"
             )
+        if self.recovers and not cls.supports_replay:
+            raise ConfigError(
+                f"policy 'recover' replays messages, which runtime {self.runtime!r} "
+                f"({cls.__name__}) cannot; use runtime 'smp'"
+            )
         if self.durable is not None and not self.recovers:
             raise ConfigError(f"a durable store needs policy 'recover', not {self.policy!r}")
 

@@ -601,7 +601,14 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     count* (the link latency is a property of hardware placement, not of
     the partition).  A component added after deploy takes the next core
     as on :class:`SmpSimRuntime`, and the shard that owns that core.
+
+    Fault replay/recovery stays refused here (use :class:`SmpSimRuntime`):
+    installing a recovery manager fails at install time, and a
+    ``recover`` :class:`~repro.runtime.build.RunConfig` is refused when
+    it is built.
     """
+
+    supports_replay = False
 
     def __init__(
         self,

@@ -107,6 +107,12 @@ class Kernel:
         #: Callbacks dispatched by ``run``; work done inline after an
         #: ``advance_to`` (compute slices) is not counted.
         self.events_executed: int = 0
+        #: Consulted by ``run()`` when the queue drains with processes
+        #: still alive: a zero-arg callable returning True when it
+        #: injected new work (e.g. drained an inter-shard mailbox), in
+        #: which case the loop continues instead of raising
+        #: :class:`DeadlockError`.
+        self.on_idle: Optional[Callable[[], bool]] = None
         #: Per-shard kernels disable local deadlock detection: an idle
         #: shard with pending cross-shard input is not deadlocked, so the
         #: check belongs to the coordinator (after draining mailboxes).
@@ -270,6 +276,8 @@ class Kernel:
                     entry = heap[0]
                     from_heap = True
                 else:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
                     if self._live_processes > 0 and self.deadlock_check:
                         raise DeadlockError(
                             f"no pending events but {self._live_processes} process(es) still alive"

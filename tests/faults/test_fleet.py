@@ -51,7 +51,7 @@ def test_grid_is_the_cross_product_in_canonical_order():
     assert grid[-1].cell_id == f"c{len(grid)-1:05d}-s7-drop.heavy-halt-sh2"
 
 
-def test_grid_keeps_recover_on_sharded_platforms():
+def test_grid_skips_recover_on_sharded_platforms():
     config = CampaignConfig(
         seeds=(1,),
         fault_classes=("crash",),
@@ -61,11 +61,22 @@ def test_grid_keeps_recover_on_sharded_platforms():
         n_images=4,
     )
     grid = build_grid(config)
-    assert ("recover", 2) in [(c.policy, c.shards) for c in grid]
-    assert [c.index for c in grid] == list(range(4))
+    assert [(c.policy, c.shards) for c in grid] == [
+        ("restart", 1), ("restart", 2), ("recover", 1),
+    ]
 
 
 def test_empty_grid_is_an_error():
+    config = CampaignConfig(
+        seeds=(1,),
+        fault_classes=("crash",),
+        intensities=("light",),
+        policies=("recover",),
+        shard_counts=(2,),
+        n_images=4,
+    )
+    with pytest.raises(FleetError, match="empty"):
+        build_grid(config)
     with pytest.raises(FleetError, match="axis shard_counts is empty"):
         CampaignConfig(
             seeds=(1,),

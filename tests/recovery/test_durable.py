@@ -5,8 +5,10 @@ The tentpole oracle in miniature, without spawning OS processes (that is
 fault and *everything in memory is discarded* -- a fresh application,
 fresh runtime and fresh :class:`RecoveryManager` pointed at the same
 durable directory must rebuild the consistent cut and finish the stream
-exactly-once, on the unsharded and the sharded runtime alike.  Plus
-deadline timers must not leak across a *disk* restore.
+exactly-once.  Plus the PR 4 satellite extended to the durable path:
+deadline timers on the 256-slot timer wheel must not leak across a
+*disk* restore, and the sharded runtime's refusal of replay is enforced
+at install time rather than by silent corruption.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.core.errors import InjectedFault
 from repro.faults import FaultInjector, FaultPlan
 from repro.recovery import DurableError, DurableStore, FrameStore, RecoveryManager
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
+from repro.runtime.base import RuntimeError_
 
 from tests.recovery.conftest import make_recoverable_pipeline
 
@@ -25,8 +28,8 @@ N = 20
 CONFIG = {"app": "recpipe", "n": N}
 
 
-def _install(root, app, checkpoint_interval=4, runtime=SmpSimRuntime):
-    rt = runtime()
+def _install(root, app, checkpoint_interval=4):
+    rt = SmpSimRuntime()
     rt.deploy(app)
     store = DurableStore(str(root), config=CONFIG, fsync="never")
     recovery = RecoveryManager(
@@ -35,13 +38,13 @@ def _install(root, app, checkpoint_interval=4, runtime=SmpSimRuntime):
     return rt, recovery
 
 
-def _crash_and_abandon(root, crash_at=13, runtime=SmpSimRuntime):
+def _crash_and_abandon(root, crash_at=13):
     """Incarnation one: run until an unsupervised crash fault kills the
     whole run mid-stream.  Nothing in memory survives past this call --
     only the durable directory does (``close()`` without a final
     checkpoint stands in for the page cache a ``kill -9`` leaves)."""
     app, sink = make_recoverable_pipeline(N)
-    rt, recovery = _install(root, app, runtime=runtime)
+    rt, recovery = _install(root, app)
     FaultInjector(FaultPlan(seed=1).crash("cons", on_receive=crash_at)).install(rt)
     rt.start()
     with pytest.raises(InjectedFault):
@@ -51,16 +54,13 @@ def _crash_and_abandon(root, crash_at=13, runtime=SmpSimRuntime):
     return partial
 
 
-@pytest.mark.parametrize(
-    "runtime", [SmpSimRuntime, lambda: ShardedSmpSimRuntime(2)], ids=["smp", "sharded2"]
-)
-def test_cold_restore_finishes_the_stream_exactly_once(tmp_path, runtime):
-    partial = _crash_and_abandon(tmp_path, runtime=runtime)
+def test_cold_restore_finishes_the_stream_exactly_once(tmp_path):
+    partial = _crash_and_abandon(tmp_path)
     assert 0 < len(partial) < N  # genuinely died mid-stream
 
     # Incarnation two: fresh everything, same directory.
     app, sink = make_recoverable_pipeline(N)
-    rt, recovery = _install(tmp_path, app, runtime=runtime)
+    rt, recovery = _install(tmp_path, app)
     assert recovery.cold_restored
     assert recovery.restores == 1
     rt.start()
@@ -214,6 +214,31 @@ def test_sharded_run_leaks_no_deadline_timers():
         return rt.kernel.pending()
 
     assert _pending(1_000_000_000) == _pending(None)
+
+
+def test_sharded_runtime_refuses_durable_replay(tmp_path):
+    """Cold restore replays into mailboxes via ``_requeue``, which the
+    sharded runtime rejects by design -- the refusal must surface at
+    install time, not corrupt a run later."""
+    _crash_and_abandon(tmp_path)  # leaves unacked messages in the WAL
+    app, _sink = make_recoverable_pipeline(N)
+    rt = ShardedSmpSimRuntime(2)
+    rt.deploy(app)
+    store = DurableStore(str(tmp_path), config=CONFIG, fsync="never")
+    with pytest.raises(RuntimeError_, match="sharded"):
+        RecoveryManager(checkpoint_interval=4, durable=store).install(rt)
+    store.close()
+
+
+def test_sharded_runtime_refuses_in_memory_recovery():
+    """The refusal does not wait for a replay: installing any recovery
+    manager on the sharded runtime fails before ``start()``."""
+    app, _sink = make_recoverable_pipeline(N)
+    rt = ShardedSmpSimRuntime(2)
+    rt.deploy(app)
+    with pytest.raises(RuntimeError_, match="RecoveryManager .* ShardedSmpSimRuntime"):
+        RecoveryManager().install(rt)
+    assert rt.recovery is None
 
 
 def test_checksummed_json_roundtrip(tmp_path):

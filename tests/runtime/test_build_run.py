@@ -19,6 +19,10 @@ from repro.runtime import (
 
 #: (config fields, the two sides the error must name)
 REJECTED = [
+    pytest.param(dict(runtime="sharded", shards=2, policy="recover"),
+                 ("recover", "sharded"), id="sharded+recover"),
+    pytest.param(dict(runtime="sharded", shards=1, policy="recover"),
+                 ("recover", "sharded"), id="sharded1+recover"),
     pytest.param(dict(runtime="sharded", shards=0), ("shards=0", "at least one shard"),
                  id="shards0"),
     pytest.param(dict(runtime="sharded", shards=-3), ("shards=-3", "at least one shard"),
@@ -62,6 +66,13 @@ def test_unsupported_pair_is_refused_before_any_runtime(fields, sides, construct
     for side in sides:
         assert side in message, (side, message)
     assert constructed == []
+
+
+def test_recovery_refusal_follows_supports_replay(monkeypatch):
+    # The class attribute is the one place that decides replay support.
+    monkeypatch.setattr(SmpSimRuntime, "supports_replay", False)
+    with pytest.raises(RuntimeError_, match="'smp'"):
+        RunConfig(policy="recover")
 
 
 def test_on_smp_picks_the_runtime_from_the_shard_arguments():

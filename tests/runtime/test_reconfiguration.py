@@ -12,15 +12,6 @@ from repro.runtime.base import RuntimeError_
 from repro.sim.process import Timeout
 
 
-@pytest.fixture(
-    params=[SmpSimRuntime, lambda: ShardedSmpSimRuntime(2)], ids=["smp", "sharded2"]
-)
-def sim_runtime(request):
-    """Each simulated SMP runtime: a component added after deploy takes
-    its core, and on the sharded runtime the shard owning that core."""
-    return request.param
-
-
 def slow_pipeline(n_messages=30):
     """Producer feeding a deliberately slow consumer stage."""
     app = Application("reconf")
@@ -47,7 +38,7 @@ def slow_pipeline(n_messages=30):
     return app
 
 
-def test_add_component_mid_run_sim(sim_runtime):
+def test_add_component_mid_run_sim(sim_runtime=SmpSimRuntime):
     """Two components created mid-run, wired to each other, run to
     completion inside the original application."""
     app = slow_pipeline()
@@ -89,7 +80,7 @@ def test_add_component_mid_run_sim(sim_runtime):
     assert rt.probe("tap").data_receives.value == 3
 
 
-def test_dynamic_component_is_observable(sim_runtime):
+def test_dynamic_component_is_observable(sim_runtime=SmpSimRuntime):
     app = slow_pipeline()
     rt = sim_runtime()
     rt.deploy(app)
@@ -112,7 +103,7 @@ def test_dynamic_component_is_observable(sim_runtime):
     assert ("extra", APPLICATION_LEVEL) in reports
 
 
-def test_rebind_redirects_messages(sim_runtime):
+def test_rebind_redirects_messages(sim_runtime=SmpSimRuntime):
     """Messages sent after a rebind arrive at the new target."""
     app = Application("rebind")
     got = {"a": [], "b": []}
@@ -160,7 +151,7 @@ def test_rebind_redirects_messages(sim_runtime):
     assert got["b"] == [2]
 
 
-def test_autoscale_idct_mid_run_decodes_all_frames(sim_runtime):
+def test_autoscale_idct_mid_run_decodes_all_frames(sim_runtime=SmpSimRuntime):
     """The headline scenario: observation detects the 1-IDCT bottleneck,
     the controller adds two more IDCTs mid-run, and every frame still
     decodes bit-identically."""
@@ -207,7 +198,7 @@ def test_autoscale_idct_mid_run_decodes_all_frames(sim_runtime):
     assert reports[("Reorder", APPLICATION_LEVEL)]["receives"] == total_sent
 
 
-def test_autoscale_improves_makespan(sim_runtime):
+def test_autoscale_improves_makespan(sim_runtime=SmpSimRuntime):
     stream = generate_stream(12, 96, 96, quality=75, seed=22)
 
     def run(scale):
@@ -266,7 +257,7 @@ def test_add_component_native_runtime():
     assert seen == ["hello"]
 
 
-def test_reconfiguration_requires_deployed_app(sim_runtime):
+def test_reconfiguration_requires_deployed_app(sim_runtime=SmpSimRuntime):
     from repro.core import Component
 
     rt = sim_runtime()
@@ -276,7 +267,7 @@ def test_reconfiguration_requires_deployed_app(sim_runtime):
         rt.connect_live("a", "out", "b", "in")
 
 
-def test_duplicate_dynamic_name_rejected(sim_runtime):
+def test_duplicate_dynamic_name_rejected(sim_runtime=SmpSimRuntime):
     from repro.core import Component, ConnectionError_
 
     app = slow_pipeline()
@@ -287,3 +278,22 @@ def test_duplicate_dynamic_name_rejected(sim_runtime):
         rt.add_component(Component("prod", behavior=lambda ctx: iter(())))
     rt.wait()
     rt.stop()
+
+
+#: The simulated scenarios above; each takes the runtime factory to run on.
+SIM_SCENARIOS = [
+    test_add_component_mid_run_sim,
+    test_dynamic_component_is_observable,
+    test_rebind_redirects_messages,
+    test_autoscale_idct_mid_run_decodes_all_frames,
+    test_autoscale_improves_makespan,
+    test_reconfiguration_requires_deployed_app,
+    test_duplicate_dynamic_name_rejected,
+]
+
+
+@pytest.mark.parametrize("scenario", SIM_SCENARIOS, ids=lambda test: test.__name__[5:])
+def test_reconfiguration_on_the_sharded_runtime(scenario):
+    """Each simulated scenario on two shards of one kernel: a component
+    added after deploy takes its core, and the shard owning that core."""
+    scenario(sim_runtime=lambda: ShardedSmpSimRuntime(2))

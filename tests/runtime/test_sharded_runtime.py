@@ -8,6 +8,7 @@ shard count.
 
 import pytest
 
+from repro.core.messages import Message
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
@@ -115,6 +116,53 @@ def test_placement_hints_pin_components():
     assert frames_digest(app.components["Reorder"].frames) == reference
 
 
+def test_staged_deliveries_are_shared_handlers_plus_the_message():
+    # Every delivery of a decode, data and observation alike, is
+    # scheduled as a module-level handler with the Message as data, not
+    # as a closure built for that send.
+    stream = generate_stream(4, 96, 96, quality=75, seed=0)
+    app = build_smp_assembly(stream, use_stored_coefficients=True)
+    rt = ShardedSmpSimRuntime(2)
+    rt.deploy(app)
+    staged, crossed = [], []
+    schedule, deliver = rt.kernel.schedule, rt._deliver
+
+    def stage(delay_ns, handler, *args):
+        staged.append((handler, args))
+        return schedule(delay_ns, handler, *args)
+
+    def deliver_staged(src_cont, target, handler, binding, message):
+        crossed.append(src_cont.extra["shard"] != rt.shard_of(target.component.name))
+        rt.kernel.schedule = stage
+        try:
+            deliver(src_cont, target, handler, binding, message)
+        finally:
+            del rt.kernel.schedule
+
+    rt._deliver = deliver_staged
+    rt.start()
+    rt.wait()
+    rt.collect()
+    rt.stop()
+    assert any(crossed) and not all(crossed)
+    assert len(staged) == len(crossed)
+    assert {handler.__name__ for handler, _ in staged} == {"_deliver_to_mailbox", "put"}
+    for handler, args in staged:
+        assert handler.__closure__ is None, handler
+        assert isinstance(args[-1], Message), args
+
+
+@pytest.mark.parametrize("name", ["system", "process"])
+def test_sharded_runtime_has_no_runtime_wide_clock_or_os(name):
+    # Each shard owns its OS and process; a runtime-wide alias would
+    # charge a component to another shard's cores.  The clock is the
+    # runtime's one kernel (the next test).
+    rt = ShardedSmpSimRuntime(2)
+    with pytest.raises(AttributeError):
+        getattr(rt, name)
+    assert len(rt.systems) == len(rt.processes) == 2
+
+
 def test_every_shard_runs_on_the_runtimes_one_kernel():
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
     rt = ShardedSmpSimRuntime(2)
@@ -180,10 +228,11 @@ def test_shard_plane_gauges_are_stamped_and_digest_safe():
 
 
 @pytest.mark.parametrize("n_shards", (2, 4))
-def test_shard_cut_gauges_count_the_cross_shard_sends(n_shards):
-    """Each shard's ``in``/``out`` gauge is the number of traced sends
-    whose destination component lives on another shard, counted from
-    the merged trace's send rows and the placement."""
+def test_shard_cut_gauges_count_the_posted_envelopes(n_shards):
+    """Each shard's ``in``/``out`` gauge is the number of messages posted
+    across the shard cut to/from it: traced sends whose destination
+    component lives on another shard, counted from the merged trace's
+    send rows and the placement."""
     from repro.metrics import collect_telemetry, enable_telemetry
 
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
