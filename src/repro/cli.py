@@ -198,11 +198,10 @@ def _cmd_run_traffic(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` command (see the module docstring).
 
-    ``--shards 1`` runs the unsharded ``SmpSimRuntime`` unless an
-    option needs the sharded runtime's link-latency delivery
-    (``--metrics``); a 1-shard sharded run decodes the same frames.
-    ``--metrics`` also pins the placement (below), so the whole
-    telemetry stream is bit-identical for any ``--shards N``.
+    ``--shards N`` partitions the one ``SmpSimRuntime`` across N shards
+    of its kernel; ``--metrics`` also pins the placement (below), so
+    the makespan and the whole telemetry stream are bit-identical for
+    any ``--shards N``.
     """
     from repro.hw import make_smp16
     from repro.mjpeg import generate_stream
@@ -210,12 +209,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runtime import RunConfig, build_run
 
     # The traffic model runs on the raw shard layer, which takes the
-    # sharded runtime's shard arguments: this one config checks both.
-    config = RunConfig.on_smp(
-        args.shards,
-        sharded=args.metrics is not None,
-        telemetry=args.metrics is not None,
-    )
+    # SMP runtime's shard count: this one config checks both.
+    config = RunConfig(shards=args.shards, telemetry=args.metrics is not None)
     if args.workload == "traffic":
         return _cmd_run_traffic(args)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
@@ -535,7 +530,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_columns,
     )
 
-    config = RunConfig.on_smp(args.shards, trace=True, telemetry=args.metrics is not None)
+    config = RunConfig(shards=args.shards, trace=True, telemetry=args.metrics is not None)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     rt = build_run(config, build_smp_assembly(stream, use_stored_coefficients=True))
     rt.run()
@@ -634,7 +629,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.mjpeg.components import build_smp_assembly
     from repro.runtime import RunConfig, build_run
 
-    config = RunConfig.on_smp(args.shards, telemetry=True)
+    config = RunConfig(shards=args.shards, telemetry=True)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
     rt = build_run(config, app)
@@ -715,9 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--images", type=int, default=8, help="stream length")
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="partition the deployment across N shards "
-        "(1 = plain unsharded runtime unless --metrics needs the "
-        "sharded one; output is identical for any N)",
+        help="partition the deployment across N shards of one kernel (the "
+        "frames digest is identical for any N; with --metrics's pinned "
+        "placement so are the makespan and the metrics digest)",
     )
     run.add_argument(
         "--metrics", metavar="OUT", default=None,

@@ -75,9 +75,7 @@ class PolicyProfile:
     oracle: str
     #: Builds a fresh supervision policy object for one run.
     factory: Callable[[], Any]
-    #: Install exactly-once recovery alongside the supervisor (a
-    #: :class:`~repro.runtime.build.RunConfig` refuses it on runtimes
-    #: that cannot replay).
+    #: Install exactly-once recovery alongside the supervisor.
     recover: bool = False
     #: The policy can sever an upstream for good (degrade/halt): the run
     #: records an application failure in its result instead of raising,
@@ -311,15 +309,14 @@ def reference_oracle(stream, shards: int = 1) -> Tuple[Dict[int, str], str]:
     """The fault-free run distilled into the bit-exactness oracle:
     ``(per-frame sha256 hashes, frame-set digest)``.
 
-    ``shards`` selects the platform variant (see
-    :meth:`~repro.runtime.build.RunConfig.on_smp`); the decoded pixels
+    ``shards`` is the SMP runtime's shard count; the decoded pixels
     are shard-count invariant, but fleet campaigns cache one reference
-    per platform so the oracle never crosses runtimes.
+    per shard count so the oracle never crosses deployments.
     """
     app = build_smp_assembly(
         stream, use_stored_coefficients=True, keep_frames=True, with_observer=False
     )
-    rt = build_run(RunConfig.on_smp(shards), app)
+    rt = build_run(RunConfig(shards=shards), app)
     rt.run()
     rt.stop()
     frames = app.components["Reorder"].frames
@@ -357,7 +354,7 @@ def run_chaos_campaign(
     exactly-once -- the complete frame set is reproduced bit-identically
     despite crashes, drops and duplicates.  The run is assembled by
     :func:`~repro.runtime.build.build_run`, so a combination it cannot
-    run (recovery on the sharded runtime, ``shards < 1``) raises
+    run (``shards < 1``) raises
     :class:`~repro.runtime.base.RuntimeError_` before anything runs.
 
     The chaos run carries the live telemetry plane: per-interface
@@ -371,7 +368,7 @@ def run_chaos_campaign(
     The remaining keywords are the fleet-cell hooks
     (:mod:`repro.faults.fleet` fans hundreds of these out across a worker
     pool): an explicit ``plan`` replaces :func:`build_campaign_plan`,
-    ``shards`` runs the chaos application on the sharded SMP runtime,
+    ``shards`` partitions the chaos application across SMP shards,
     ``oracle`` relaxes or tightens :attr:`CampaignResult.ok`
     per policy expectation, and ``reference_hashes`` /
     ``reference_digest`` substitute a cached per-frame-sha256 reference
@@ -385,8 +382,9 @@ def run_chaos_campaign(
     if plan is None:
         plan = build_campaign_plan(seed, n_images)
     plan.validate()
-    config = RunConfig.on_smp(
-        shards, trace=True, telemetry=True, faults=plan, policy=profile.name, seed=seed
+    config = RunConfig(
+        shards=shards, trace=True, telemetry=True, faults=plan, policy=profile.name,
+        seed=seed,
     )
     stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
     if reference_hashes is None:

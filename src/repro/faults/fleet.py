@@ -77,7 +77,6 @@ from repro.recovery.durable import (
     read_checksummed_json,
     write_checksummed_json,
 )
-from repro.runtime.build import ConfigError, RunConfig
 
 MANIFEST_NAME = "campaign.json"
 AGGREGATE_NAME = "aggregate.json"
@@ -189,23 +188,12 @@ class CellSpec:
         return CellSpec(**{spec.name: data[spec.name] for spec in fields(CellSpec)})
 
 
-def _runnable(policy: str, shards: int) -> bool:
-    try:
-        RunConfig.on_smp(shards, policy=policy)
-    except ConfigError:
-        return False
-    return True
-
-
 def build_grid(config: CampaignConfig) -> List[CellSpec]:
     """Enumerate the campaign cells in canonical order.
 
     The order (seed, fault class, intensity, policy, shards) is part of
     the format: cell indices -- and therefore cell ids, result filenames
-    and the aggregate layout -- are derived from it.  Combinations whose
-    :class:`~repro.runtime.build.RunConfig` is refused (``recover`` on
-    the sharded platform) are skipped, not errors, so the cross product
-    stays declarative.
+    and the aggregate layout -- are derived from it.
     """
     axes = itertools.product(
         config.seeds, config.fault_classes, config.intensities, config.policies,
@@ -213,13 +201,10 @@ def build_grid(config: CampaignConfig) -> List[CellSpec]:
     )
     cells = [
         CellSpec(index, *point, n_images=config.n_images)
-        for index, point in enumerate(p for p in axes if _runnable(p[3], p[4]))
+        for index, point in enumerate(axes)
     ]
     if not cells:
-        raise FleetError(
-            "the campaign grid is empty (every combination was skipped); "
-            "add a shard count of 1 or a policy other than 'recover'"
-        )
+        raise FleetError("the campaign grid is empty")
     return cells
 
 

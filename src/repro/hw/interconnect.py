@@ -36,39 +36,19 @@ def hypercube_distance_matrix(n_nodes: int) -> np.ndarray:
     return mat
 
 
-#: Base one-way message latency between two cores (ns); the HyperTransport
-#: cache-coherent request/response on the modelled Opteron fabric.
-DEFAULT_LINK_LATENCY_NS = 100
-#: Additional latency per interconnect hop crossed (ns).
-DEFAULT_HOP_LATENCY_NS = 50
-
-
 class NumaCostModel:
     """Per-byte copy cost scaled by NUMA distance.
 
     ``cost_factor(src_node, dst_node) = 1 + hop_penalty * hops`` -- the
     standard affine NUMA model: remote accesses stretch linearly with the
     number of interconnect hops crossed.
-
-    The model also carries the *message latency* of the fabric:
-    ``latency_ns(src, dst) = link_latency_ns + hop_latency_ns * hops``.
-    The sharded SMP runtime delivers every message this long after its
-    send.
     """
 
     def __init__(
         self,
         distance_matrix: np.ndarray,
         hop_penalty: float = 0.2,
-        link_latency_ns: int = DEFAULT_LINK_LATENCY_NS,
-        hop_latency_ns: int = DEFAULT_HOP_LATENCY_NS,
     ) -> None:
-        if link_latency_ns < 1:
-            raise ValueError(f"link_latency_ns must be >= 1, got {link_latency_ns}")
-        if hop_latency_ns < 0:
-            raise ValueError(f"hop_latency_ns must be >= 0, got {hop_latency_ns}")
-        self.link_latency_ns = int(link_latency_ns)
-        self.hop_latency_ns = int(hop_latency_ns)
         d = np.asarray(distance_matrix)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -91,7 +71,3 @@ class NumaCostModel:
     def cost_factor(self, src_node: int, dst_node: int) -> float:
         """Per-byte copy-cost multiplier between two nodes."""
         return 1.0 + self.hop_penalty * self.hops(src_node, dst_node)
-
-    def latency_ns(self, src_node: int, dst_node: int) -> int:
-        """Minimum one-way message latency between two nodes (ns, >= 1)."""
-        return self.link_latency_ns + self.hop_latency_ns * self.hops(src_node, dst_node)

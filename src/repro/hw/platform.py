@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.hw.cache import CacheConfig, CacheSim
 from repro.hw.cpu import CpuModel
-from repro.hw.interconnect import DEFAULT_LINK_LATENCY_NS, NumaCostModel
+from repro.hw.interconnect import NumaCostModel
 from repro.hw.memory import MemoryRegion
 
 
@@ -80,21 +80,6 @@ class Platform:
         if self.numa is None:
             return 1.0
         return self.numa.cost_factor(self.node_of_core(src_core), dst_node)
-
-    def link_latency_ns(self, src_core: int, dst_core: int) -> int:
-        """Minimum one-way message latency between two cores (ns).
-
-        Always >= 1: the sharded SMP runtime delivers every message
-        this long after its send.  Uniform-memory platforms report a
-        flat fabric latency."""
-        if self.numa is None:
-            return DEFAULT_LINK_LATENCY_NS
-        return max(
-            1,
-            self.numa.latency_ns(
-                self.node_of_core(src_core), self.node_of_core(dst_core)
-            ),
-        )
 
     def cache_of_core(self, core_idx: int) -> Optional[CacheSim]:
         """The core's private cache model, or None."""

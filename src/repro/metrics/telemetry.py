@@ -718,13 +718,14 @@ def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS):
     """Attach a :class:`ComponentTelemetry` to every deployed probe.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    On a sharded runtime one registry is built per shard with
-    shard-range window ids -- merge with :func:`collect_telemetry` /
-    :func:`merge_registries` afterwards.  Returns the registry (or the
+    On a runtime of more than one shard one registry is built per shard
+    (one shard keeps one registry) with shard-range window ids -- merge
+    with :func:`collect_telemetry` / :func:`merge_registries`
+    afterwards.  Returns the registry (or the
     per-shard registry list).
     """
-    n_shards = getattr(runtime, "n_shards", 0)
-    if n_shards:
+    n_shards = getattr(runtime, "n_shards", 1)
+    if n_shards > 1:
         from repro.sim.shard import shard_window_source
 
         registries = [

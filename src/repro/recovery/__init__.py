@@ -27,9 +27,6 @@ checkpoint spills, and ``RecoveryManager(durable=...)`` cold-restores
 the consistent cut in a fresh process -- the basis of the supervised
 ``kill -9`` campaign in :mod:`repro.recovery.supervised`, which forks
 :func:`repro.recovery.worker.run_worker` and SIGKILLs it.
-
-Recovery needs a runtime that can replay messages into a binding;
-:meth:`RecoveryManager.install` refuses the sharded SMP runtime.
 """
 
 from repro.recovery.durable import DurableError, DurableStore, FrameStore

@@ -6,10 +6,9 @@ Three runtimes execute the same, unmodified components:
   queues; the closest analogue of the paper's Linux/pthread
   implementation, with real wall-clock timestamps.
 - :class:`~repro.runtime.simulated.SmpSimRuntime` -- components as
-  pthreads of the simulated Linux system on the 16-core NUMA SMP model.
-- :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` -- the SMP
-  runtime partitioned across N shards of one simulation kernel; same
-  output for every shard count.
+  pthreads of the simulated Linux system on the 16-core NUMA SMP model,
+  optionally partitioned across N shards of its one simulation kernel
+  (``ShardedSmpSimRuntime(n)`` takes the shard count first).
 - :class:`~repro.runtime.simulated.Sti7200SimRuntime` -- components as
   OS21 tasks (one per CPU) with EMBX distributed-object interfaces on the
   STi7200 model.

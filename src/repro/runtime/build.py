@@ -13,10 +13,9 @@ from typing import Any, Optional
 
 from repro.runtime.base import RuntimeError_
 from repro.runtime.native import NativeRuntime
-from repro.runtime.simulated import ShardedSmpSimRuntime, SmpSimRuntime, Sti7200SimRuntime
+from repro.runtime.simulated import SmpSimRuntime, Sti7200SimRuntime
 
-RUNTIMES = {"smp": SmpSimRuntime, "sharded": ShardedSmpSimRuntime,
-            "sti7200": Sti7200SimRuntime, "native": NativeRuntime}
+RUNTIMES = {"smp": SmpSimRuntime, "sti7200": Sti7200SimRuntime, "native": NativeRuntime}
 
 
 class ConfigError(RuntimeError_):
@@ -27,11 +26,10 @@ class ConfigError(RuntimeError_):
 class RunConfig:
     """Which runtime a run uses and which planes it carries.
 
-    ``shards`` is the
-    :class:`~repro.runtime.simulated.ShardedSmpSimRuntime` argument;
-    ``faults`` is a :class:`~repro.faults.plan.FaultPlan`; ``policy``
-    names a supervision profile of :data:`repro.faults.campaign.POLICIES`
-    and ``seed`` seeds it.  The ``recover`` policy adds exactly-once
+    ``shards`` is the :class:`~repro.runtime.simulated.SmpSimRuntime`
+    shard count; ``faults`` is a :class:`~repro.faults.plan.FaultPlan`;
+    ``policy`` names a supervision profile of
+    :data:`repro.faults.campaign.POLICIES` and ``seed`` seeds it.  The ``recover`` policy adds exactly-once
     recovery, over the ``durable`` store when one is given.
     """
 
@@ -52,26 +50,13 @@ class RunConfig:
             )
         if self.shards < 1:
             raise ConfigError(f"shards={self.shards}: a run needs at least one shard")
-        if cls is not ShardedSmpSimRuntime and self.shards != 1:
+        if cls is not SmpSimRuntime and self.shards != 1:
             raise ConfigError(
                 f"runtime {self.runtime!r} does not take shards={self.shards!r}; "
-                f"only runtime 'sharded' does"
-            )
-        if self.recovers and not cls.supports_replay:
-            raise ConfigError(
-                f"policy 'recover' replays messages, which runtime {self.runtime!r} "
-                f"({cls.__name__}) cannot; use runtime 'smp'"
+                f"only runtime 'smp' does"
             )
         if self.durable is not None and not self.recovers:
             raise ConfigError(f"a durable store needs policy 'recover', not {self.policy!r}")
-
-    @classmethod
-    def on_smp(cls, shards: int = 1, sharded: bool = False, **fields) -> "RunConfig":
-        """The SMP platform: the unsharded runtime at one shard, the
-        sharded one at any other count or when ``sharded`` asks for its
-        link-latency delivery."""
-        runtime = "smp" if shards == 1 and not sharded else "sharded"
-        return cls(runtime=runtime, shards=shards, **fields)
 
     @property
     def recovers(self) -> bool:
@@ -95,10 +80,8 @@ def build_run(config: RunConfig, app):
     from repro.recovery.manager import RecoveryManager
     from repro.trace.tracer import enable_tracing
 
-    if config.runtime == "sharded":
-        rt = ShardedSmpSimRuntime(config.shards)
-    else:
-        rt = RUNTIMES[config.runtime]()
+    cls = RUNTIMES[config.runtime]
+    rt = cls(shards=config.shards) if cls is SmpSimRuntime else cls()
     rt.deploy(app)
     if config.trace:
         enable_tracing(rt)

@@ -64,13 +64,6 @@ class SimMailbox:
         self.base_addr = base_addr
 
 
-def _deliver_to_mailbox(mailbox: SimMailbox, message: Message) -> None:
-    """Data delivery into a mailbox (also the handler the sharded
-    runtime schedules one link latency after the send)."""
-    mailbox.written_bytes += message.size_bytes
-    mailbox.channel.put(message)
-
-
 class SimContext(ComponentContext):
     """Component context over a simulated platform.
 
@@ -203,7 +196,6 @@ class SimRuntime(Runtime):
     def deploy(self, app: Application) -> None:
         """Bind interfaces, build contexts and adapters."""
         self._register(app)
-        self._prepare_deploy()
         for cont in self.containers.values():
             self._bind_component(cont)
         for cont in self.containers.values():
@@ -212,10 +204,6 @@ class SimRuntime(Runtime):
             cont.service_context = self._make_context(cont, None, offset)
             cont.probe.os_adapter = self._os_adapter(cont)
             cont.probe.middleware_adapter = self._mw_adapter(cont)
-
-    def _prepare_deploy(self) -> None:
-        """Hook before interface binding (the sharded runtime partitions
-        the component graph here)."""
 
     def _make_context(
         self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
@@ -407,49 +395,122 @@ class SimRuntime(Runtime):
 
 
 class SmpSimRuntime(SimRuntime):
-    """EMBera over the simulated 16-core Linux NUMA SMP.
+    """EMBera over the simulated 16-core Linux NUMA SMP, on ``shards``
+    shards of one kernel.
 
-    The unsharded runtime is the one-shard case of
-    :class:`ShardedSmpSimRuntime`: its Linux system, process and span
-    source are the only entries of the per-shard lists every deployment
-    step indexes by the component's ``extra["shard"]``, and every shard
-    runs on the runtime's one ``kernel``."""
+    Deploy-time graph partitioning (user affinity via ``comp.place(
+    shard=K)`` / ``comp.place(core=N)``, otherwise the static unit-weight
+    min-cut heuristic of :func:`~repro.sim.shard.partition_graph`) maps
+    each component to one shard, once: the placement is a function of
+    the declared graph alone, never of observed traffic.  Each shard owns
+    a contiguous block of the platform's cores and, per shard, a
+    :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process,
+    a span-id range, a trace buffer and a telemetry registry; the
+    per-shard lists every deployment step indexes by the component's
+    ``extra["shard"]``.  Every shard runs on the runtime's one
+    :class:`~repro.sim.kernel.Kernel`, as the paper's EMBera threads
+    share one Linux process's timebase, and every message is delivered
+    at once (a connection is a pointer), so under pinned placement the
+    output is *identical for every shard count*.
+
+    One shard, the default, is the paper's one EMBera process:
+    ``system`` and ``process`` name its OS and process, and tracing and
+    telemetry keep one buffer and one registry.  A component added after
+    deploy takes the next core and the shard that owns that core.
+    """
 
     def __init__(
         self,
         platform: Optional[Platform] = None,
         quantum_ns: int = 4_000_000,
+        shards: int = 1,
     ) -> None:
+        if shards < 1:
+            raise RuntimeError_(f"need at least one shard, got {shards}")
         super().__init__()
         self.platform = platform or make_smp16()
         self.quantum_ns = quantum_ns
-        self._init_system()
-        self._next_core = 0
-
-    def _init_system(self) -> None:
-        """Build the OS as one shard; the sharded variant builds one per
-        partition over a core block, on the same kernel, instead."""
+        self.n_shards = int(shards)
+        self._blocks = shard_core_blocks(self.platform.n_cores, self.n_shards)
         self.kernel = Kernel()
-        self.system = LinuxSystem(self.kernel, self.platform, quantum_ns=self.quantum_ns)
-        self.process = self.system.spawn_process("embera")
-        self.systems: List[LinuxSystem] = [self.system]
-        self.processes = [self.process]
-        self._span_sources = [self.span_source]
+        self.systems: List[LinuxSystem] = [
+            LinuxSystem(self.kernel, self.platform, quantum_ns=quantum_ns, cores=cores)
+            for cores in self._blocks
+        ]
+        self.processes = [
+            system.spawn_process(f"embera{i}") for i, system in enumerate(self.systems)
+        ]
+        # Shard 0 allocates from the runtime-wide span source, which
+        # recovery replicas draw from too, so no two spans collide.
+        self._span_sources = [self.span_source] + [
+            shard_span_source(i) for i in range(1, self.n_shards)
+        ]
+        if self.n_shards == 1:
+            self.system, self.process = self.systems[0], self.processes[0]
+        self._next_core = 0
+        #: Cross-shard message counts per ``(src_shard, dst_shard)``
+        #: pair, fed by _transfer -- the ``shard_cut_messages`` gauges.
+        self._cut_traffic: Dict[Tuple[int, int], int] = {}
+
+    def shard_of(self, component_name: str) -> int:
+        """The shard a deployed component was partitioned onto."""
+        return self.container(component_name).extra["shard"]
 
     # -- deployment ------------------------------------------------------------
 
-    def _assign_core(self, cont: ComponentContainer) -> int:
-        core = cont.component.placement.get("core")
-        if core is None:
-            core = self._next_core % self.platform.n_cores
-            self._next_core += 1
-        cont.extra["shard"] = 0
+    def _shard_of_core(self, core: int) -> int:
+        for i, block in enumerate(self._blocks):
+            if core in block:
+                return i
+        raise RuntimeError_(f"no core {core} on {self.platform.name}")
+
+    def _register(self, app: Application) -> None:
+        """Register the sealed graph, partition it and place every
+        component on a core of its shard's block."""
+        super()._register(app)
+        names = list(self.containers)
+        edges = []
+        for cont in self.containers.values():
+            for req in cont.component.required.values():
+                if req.target is not None:
+                    edges.append((cont.component.name, req.target.component.name))
+        affinity: Dict[str, int] = {}
+        for name, cont in self.containers.items():
+            placement = cont.component.placement
+            if "shard" in placement:
+                affinity[name] = placement["shard"]
+            elif "core" in placement:
+                affinity[name] = self._shard_of_core(placement["core"])
+        assignment = partition_graph(names, edges, self.n_shards, affinity=affinity)
+        next_slot = [0] * self.n_shards
+        for name in names:
+            cont = self.containers[name]
+            shard = assignment[name]
+            block = self._blocks[shard]
+            core = cont.component.placement.get("core")
+            if core is None:
+                core = block[next_slot[shard] % len(block)]
+                next_slot[shard] += 1
+            elif core not in block:
+                raise RuntimeError_(
+                    f"{name!r} pinned to core {core}, outside shard {shard}'s "
+                    f"cores {block}"
+                )
+            self._place(cont, shard, core)
+        self._next_core = sum(next_slot)
+
+    def _place(self, cont: ComponentContainer, shard: int, core: int) -> None:
+        cont.extra["shard"] = shard
         cont.extra["core"] = core
         cont.extra["node"] = self.platform.node_of_core(core)
-        return core
 
     def _bind_component(self, cont: ComponentContainer) -> None:
-        self._assign_core(cont)
+        if "core" not in cont.extra:  # added after deploy
+            core = cont.component.placement.get("core")
+            if core is None:
+                core = self._next_core % self.platform.n_cores
+                self._next_core += 1
+            self._place(cont, self._shard_of_core(core), core)
         process = self.processes[cont.extra["shard"]]
         self._bind_observation_channels(cont)
         node = cont.extra["node"]
@@ -496,7 +557,8 @@ class SmpSimRuntime(SimRuntime):
         if target.is_observation:
             # Runtime-owned control channel: cheap, platform-independent.
             yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
-            self._deliver(src_cont, target, Channel.put, target.binding, message)
+            self._count_cut(src_cont, target)
+            target.binding.put(message)
             return
         mailbox: SimMailbox = target.binding
         src_core = src_cont.extra["core"]
@@ -507,15 +569,17 @@ class SmpSimRuntime(SimRuntime):
         if cache is not None:
             offset = mailbox.written_bytes % max(mailbox.capacity_bytes, 1)
             cache.access_range(mailbox.base_addr + offset, message.size_bytes)
-        self._deliver(src_cont, target, _deliver_to_mailbox, mailbox, message)
+        self._count_cut(src_cont, target)
+        mailbox.written_bytes += message.size_bytes
+        mailbox.channel.put(message)
 
-    def _deliver(
-        self, src_cont: ComponentContainer, target, handler, binding, message: Message
-    ) -> None:
-        """The last step of a transfer, after the send is charged:
-        ``handler(binding, message)`` at once (the sharded runtime
-        schedules it one link latency later instead)."""
-        handler(binding, message)
+    def _count_cut(self, src_cont: ComponentContainer, target) -> None:
+        """Count a delivery that crosses the shard cut."""
+        src_shard = src_cont.extra["shard"]
+        dst_shard = self.containers[target.component.name].extra["shard"]
+        if src_shard != dst_shard:
+            pair = (src_shard, dst_shard)
+            self._cut_traffic[pair] = self._cut_traffic.get(pair, 0) + 1
 
     def _receive_data(
         self, dst: Component, provided, timeout_ns: Optional[int] = None
@@ -579,132 +643,6 @@ class SmpSimRuntime(SimRuntime):
         the same source the OS-level ``cpu_time_us`` report uses."""
         return cont.handle.cpu_time_ns if cont.handle is not None else None
 
-
-class ShardedSmpSimRuntime(SmpSimRuntime):
-    """The SMP runtime partitioned across N shards of one kernel.
-
-    Deploy-time graph partitioning (user affinity via ``comp.place(
-    shard=K)`` / ``comp.place(core=N)``, otherwise the static unit-weight
-    min-cut heuristic of :func:`~repro.sim.shard.partition_graph`) maps
-    each component to one shard, once: the placement is a function of
-    the declared graph alone, never of observed traffic.  Each shard owns
-    a contiguous block of the platform's cores and, per shard, a
-    :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process,
-    a span-id range, a trace buffer and a telemetry registry.  Every
-    shard runs on the runtime's one :class:`~repro.sim.kernel.Kernel`,
-    as the paper's EMBera threads share one Linux process's timebase.
-    This class adds only placement and link-latency delivery to
-    :class:`SmpSimRuntime`, the one-shard case of the same deployment.
-    Every message delivery -- data, deposit and observation alike --
-    fires one platform link latency between the endpoint cores after
-    the send, so the simulation output is *identical for every shard
-    count* (the link latency is a property of hardware placement, not of
-    the partition).  A component added after deploy takes the next core
-    as on :class:`SmpSimRuntime`, and the shard that owns that core.
-
-    Fault replay/recovery stays refused here (use :class:`SmpSimRuntime`):
-    installing a recovery manager fails at install time, and a
-    ``recover`` :class:`~repro.runtime.build.RunConfig` is refused when
-    it is built.
-    """
-
-    supports_replay = False
-
-    def __init__(
-        self,
-        n_shards: int,
-        platform: Optional[Platform] = None,
-        quantum_ns: int = 4_000_000,
-    ) -> None:
-        if n_shards < 1:
-            raise RuntimeError_(f"need at least one shard, got {n_shards}")
-        self.n_shards = int(n_shards)
-        super().__init__(platform=platform, quantum_ns=quantum_ns)
-
-    def _init_system(self) -> None:
-        self._blocks = shard_core_blocks(self.platform.n_cores, self.n_shards)
-        self.kernel = Kernel()
-        self.systems: List[LinuxSystem] = []
-        self.processes = []
-        for i, cores in enumerate(self._blocks):
-            system = LinuxSystem(
-                self.kernel, self.platform, quantum_ns=self.quantum_ns, cores=cores
-            )
-            self.systems.append(system)
-            self.processes.append(system.spawn_process(f"embera{i}"))
-        self._span_sources = [shard_span_source(i) for i in range(self.n_shards)]
-        #: Cross-shard message counts per ``(src_shard, dst_shard)``
-        #: pair, fed by _deliver -- the ``shard_cut_messages`` gauges.
-        self._cut_traffic: Dict[Tuple[int, int], int] = {}
-
-    def shard_of(self, component_name: str) -> int:
-        """The shard a deployed component was partitioned onto."""
-        return self.container(component_name).extra["shard"]
-
-    # -- partitioning ----------------------------------------------------------
-
-    def _shard_of_core(self, core: int) -> int:
-        for i, block in enumerate(self._blocks):
-            if core in block:
-                return i
-        raise RuntimeError_(f"no core {core} on {self.platform.name}")
-
-    def _prepare_deploy(self) -> None:
-        """Partition the sealed graph and place components on cores."""
-        names = list(self.containers)
-        edges = []
-        for cont in self.containers.values():
-            for req in cont.component.required.values():
-                if req.target is not None:
-                    edges.append((cont.component.name, req.target.component.name))
-        affinity: Dict[str, int] = {}
-        for name, cont in self.containers.items():
-            placement = cont.component.placement
-            if "shard" in placement:
-                affinity[name] = placement["shard"]
-            elif "core" in placement and name not in affinity:
-                affinity[name] = self._shard_of_core(placement["core"])
-        assignment = partition_graph(names, edges, self.n_shards, affinity=affinity)
-        next_slot = [0] * self.n_shards
-        for name in names:
-            cont = self.containers[name]
-            shard = assignment[name]
-            block = self._blocks[shard]
-            core = cont.component.placement.get("core")
-            if core is None:
-                core = block[next_slot[shard] % len(block)]
-                next_slot[shard] += 1
-            elif core not in block:
-                raise RuntimeError_(
-                    f"{name!r} pinned to core {core}, outside shard {shard}'s "
-                    f"cores {block}"
-                )
-            cont.extra["shard"] = shard
-            cont.extra["core"] = core
-            cont.extra["node"] = self.platform.node_of_core(core)
-
-    def _assign_core(self, cont: ComponentContainer) -> int:
-        if "core" not in cont.extra:  # added after deploy
-            super()._assign_core(cont)
-            cont.extra["shard"] = self._shard_of_core(cont.extra["core"])
-        return cont.extra["core"]
-
-    # -- link-latency delivery ---------------------------------------------------
-
-    def _deliver(
-        self, src_cont: ComponentContainer, target, handler, binding, message: Message
-    ) -> None:
-        """Deliver one link latency after the send, on the one kernel;
-        observation messages take the same path, since the observer may
-        live on another shard."""
-        dst_cont = self.containers[target.component.name]
-        src_shard, dst_shard = src_cont.extra["shard"], dst_cont.extra["shard"]
-        if src_shard != dst_shard:
-            pair = (src_shard, dst_shard)
-            self._cut_traffic[pair] = self._cut_traffic.get(pair, 0) + 1
-        latency = self.platform.link_latency_ns(src_cont.extra["core"], dst_cont.extra["core"])
-        self.kernel.schedule(latency, handler, binding, message)
-
     def stamp_telemetry(self) -> None:
         """Component gauges (via the base class), plus the cross-shard
         cut traffic.  *Gauges* -- shard layout is an execution property,
@@ -721,6 +659,19 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             reg.gauge("shard_cut_messages", shard=k, direction="out").set(out, reg.last_ns)
             inn = sum(n for (_s, d), n in cut.items() if d == k)
             reg.gauge("shard_cut_messages", shard=k, direction="in").set(inn, reg.last_ns)
+
+
+class ShardedSmpSimRuntime(SmpSimRuntime):
+    """:class:`SmpSimRuntime` with the shard count first:
+    ``ShardedSmpSimRuntime(4)`` is ``SmpSimRuntime(shards=4)``."""
+
+    def __init__(
+        self,
+        n_shards: int,
+        platform: Optional[Platform] = None,
+        quantum_ns: int = 4_000_000,
+    ) -> None:
+        super().__init__(platform=platform, quantum_ns=quantum_ns, shards=n_shards)
 
 
 class Sti7200SimRuntime(SimRuntime):

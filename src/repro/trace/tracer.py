@@ -295,16 +295,17 @@ def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None):
     """Install tracing contexts on every deployed component.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    On a sharded runtime one buffer is built per shard: a shared buffer
-    would interleave its sequence numbers in execution order --
-    different for every shard count -- while per-shard buffers keep each
-    shard's trace self-consistent.  Span/cause ids already come from
+    On a runtime of more than one shard one buffer is built per shard
+    (one shard keeps one buffer): a shared buffer would interleave its
+    sequence numbers in execution order -- different for every shard
+    count -- while per-shard buffers keep each shard's trace
+    self-consistent.  Span/cause ids already come from
     per-shard ranges, so the merged trace has no collisions.  Returns
     the buffer (or the per-shard buffer list); :func:`collect_trace`
     returns the one merged trace after ``wait()``.
     """
-    n_shards = getattr(runtime, "n_shards", 0)
-    if n_shards:
+    n_shards = getattr(runtime, "n_shards", 1)
+    if n_shards > 1:
         if buffer is not None:
             raise ValueError("a sharded runtime traces into one buffer per shard")
         buffers = [TraceBuffer() for _ in range(n_shards)]
@@ -333,36 +334,23 @@ def collect_trace(runtime) -> TraceBuffer:
     return merge_buffers(trace) if isinstance(trace, list) else trace
 
 
-def merge_buffers(
-    buffers: List[TraceBuffer],
-    clock_offsets_ns: Optional[List[int]] = None,
-) -> TraceBuffer:
+def merge_buffers(buffers: List[TraceBuffer]) -> TraceBuffer:
     """Columnar k-way merge of per-shard trace buffers into one trace.
 
-    Rows are ordered by ``(aligned timestamp, shard index, shard-local
-    seq)`` and re-sequenced globally, so the merged trace satisfies the
-    same ``(timestamp, seq)`` contract as a single-kernel trace and
-    every downstream analysis (span graphs, exporters, gantt) works
-    unchanged.  ``clock_offsets_ns`` aligns shard clocks when they do
-    not share an epoch (one additive offset per buffer, default 0 --
-    simulation shards share one kernel's clock, native shards may
-    not).  Dropped-event counts are carried over.
+    Rows are ordered by ``(timestamp, shard index, shard-local seq)``
+    and re-sequenced globally, so the merged trace satisfies the same
+    ``(timestamp, seq)`` contract as a single-kernel trace and every
+    downstream analysis (span graphs, exporters, gantt) works
+    unchanged.  Simulation shards share one kernel's clock, so their
+    timestamps need no alignment.  Dropped-event counts are carried
+    over.
     """
-    if clock_offsets_ns is None:
-        offsets = [0] * len(buffers)
-    else:
-        offsets = list(clock_offsets_ns)
-        if len(offsets) != len(buffers):
-            raise ValueError(
-                f"{len(buffers)} buffers but {len(offsets)} clock offsets"
-            )
     tagged = []
     dropped = 0
     for shard, buf in enumerate(buffers):
         dropped += buf.dropped
-        off = offsets[shard]
         for row in buf.rows():
-            tagged.append((row[0] + off, shard, row[1], row))
+            tagged.append((row[0], shard, row[1], row))
     tagged.sort(key=lambda entry: entry[:3])
     merged = TraceBuffer(capacity=max(1, sum(b.capacity for b in buffers)))
     for ts, _shard, _seq, row in tagged:

@@ -101,13 +101,13 @@ def test_version_flag():
 #: scratch directory, as CI does.
 STDOUT_PINS = {
     "run --images 6 --shards 1 --metrics m1.json":
-        "09f8d76bdecd33f77a295440becaa2cacfac38384313241ca75f5807d5406cb2",
+        "834f815b594e6725550c31477f49044c269bd25cfcbf81db226497c81c2c8cf6",
     "run --images 6 --shards 2 --metrics m2.json":
-        "fb4d88252f0c2e44b05a8725f747b5015d3bb88c4b664985591e2a8caf7cf43e",
+        "9fcd1da007ad96fb298ebc78c512443f7427dc95afa91c397db1676d6762082b",
     "run --images 6 --shards 4 --metrics m4.json":
-        "72fb8d3490774f72a7388d578a84f9e7f8332f5faa334dc43fd574077035b2ff",
+        "80785acea7c3faf2f70999fb858461524f151811db12af46e9329ddfbda37ade",
     "run --images 6 --shards 4":
-        "fbcc4b4f108904c0fa941ab1536981141a9fdeb1a9adef5f8e426657c571bb63",
+        "8991ffb0022ffaf0101d985815c3f3cf838e1bcb9d242e900088f272ba772160",
     "faults --seed 1 --images 8":
         "02c3747d9e2645540c4c5e71b457bd42ee29cbfbff971d70375aa0b87071abfb",
     "faults --seed 7 --images 8":
@@ -123,7 +123,7 @@ STDOUT_PINS = {
     "trace --images 6":
         "f91d0d3c9d8492f2b82356c4283b0464a848db1a346b07100ca79b909c2b3543",
     "trace --images 4 --shards 2":
-        "89787289e86ad49410600312338a8870601f760c1ab7ccf5f95981cbf593f340",
+        "b95549b8799cb91d40251969031a338b0832f3cb8fe5d9dd11bf2f2211dc2532",
     "top --images 4 --watch --interval 0":
         "545221a7dd6b5fcbd31c7e77bee6cfd0e8f28100176ec2609c8b063ecd67d354",
 }

@@ -51,7 +51,7 @@ def test_grid_is_the_cross_product_in_canonical_order():
     assert grid[-1].cell_id == f"c{len(grid)-1:05d}-s7-drop.heavy-halt-sh2"
 
 
-def test_grid_skips_recover_on_sharded_platforms():
+def test_grid_includes_recover_on_sharded_platforms(tmp_path):
     config = CampaignConfig(
         seeds=(1,),
         fault_classes=("crash",),
@@ -62,8 +62,11 @@ def test_grid_skips_recover_on_sharded_platforms():
     )
     grid = build_grid(config)
     assert [(c.policy, c.shards) for c in grid] == [
-        ("restart", 1), ("restart", 2), ("recover", 1),
+        ("restart", 1), ("restart", 2), ("recover", 1), ("recover", 2),
     ]
+    sharded = CampaignConfig(**{**TINY, "policies": ("recover",), "shard_counts": (2,)})
+    result = run_fleet_campaign(str(tmp_path), sharded, max_workers=1)
+    assert result.ok and result.cells_ok == 1
 
 
 def test_empty_grid_is_an_error():
@@ -75,6 +78,7 @@ def test_empty_grid_is_an_error():
         shard_counts=(2,),
         n_images=4,
     )
+    object.__setattr__(config, "seeds", ())  # past the constructor's own check
     with pytest.raises(FleetError, match="empty"):
         build_grid(config)
     with pytest.raises(FleetError, match="axis shard_counts is empty"):

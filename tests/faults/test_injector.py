@@ -144,7 +144,7 @@ def test_timed_crash_arms_on_the_victims_own_shard_clock():
         app.connect("prod", "out", "cons", "in")
         plan = FaultPlan(seed=0).crash("cons", at_ns=1_500_000)
         rt = build_run(
-            RunConfig.on_smp(n_shards, sharded=True, faults=plan, policy="restart"), app
+            RunConfig(shards=n_shards, faults=plan, policy="restart"), app
         )
         rt.start()
         rt.wait()

@@ -64,8 +64,11 @@ def test_smoke_jobs_are_separate():
         assert f"grep -Eq '^driver: [0-9]+ worker processes$' {log}" in workers
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
     assert "run --images 6 --shards 4 | tee run4.txt" in shard_runs
-    assert "run --images 6 --shards 1 --metrics m1.json" in shard_runs
-    assert 'test "$sha1" = "$sha1s"' in shard_runs
+    assert "sha1s" not in shard_runs  # no separate one-shard runtime leg
+    for n in (1, 2, 4):
+        assert f"run --images 6 --shards {n} --metrics m{n}.json | tee pin{n}.txt" in shard_runs
+        assert f"span{n}=$(grep -o 'makespan=[^ ]*' pin{n}.txt)" in shard_runs
+    assert 'test "$span1" = "$span2" && test "$span1" = "$span4"' in shard_runs
     assert "--parallel" not in (WORKFLOW_DIR / "ci.yml").read_text()
     runs = " ".join(s.get("run", "") for s in jobs["bench-smoke"]["steps"])
     assert "python -m pytest bench -q" in runs
@@ -159,6 +162,9 @@ def test_chaos_job_runs_every_campaign_kind_per_seed():
     seed = "--seed ${{ matrix.seed }}"
     assert any(f"faults {seed} --images 8" in r and "--recover" not in r for r in runs)
     assert any(f"faults {seed} --images 8 --recover" in r for r in runs)
+    sharded = next(r for r in runs if "campaign run" in r)
+    assert f"--seeds {seed.split()[1]}" in sharded
+    assert "--policies recover --shards 2,4 --images 8" in sharded
     kill9 = next(i for i, r in enumerate(runs) if "--durable state --kill9 2" in r)
     assert f"faults {seed}" in runs[kill9] and "--images 10 --recover" in runs[kill9]
     assert "recover verify state" in runs[kill9]

@@ -9,7 +9,6 @@ not merely keep the survivors exact.
 import pytest
 
 from repro.faults import run_chaos_campaign
-from repro.runtime.base import RuntimeError_
 
 SEEDS = [1, 7, 42]
 
@@ -72,9 +71,14 @@ def test_without_recovery_the_same_seed_loses_frames():
     assert recovered.lost_frames == []
 
 
-def test_recovery_campaign_on_sharded_runtime_is_refused():
-    with pytest.raises(RuntimeError_, match="sharded"):
-        run_chaos_campaign(seed=1, n_images=4, recover=True, shards=2)
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_recovery_campaign_on_sharded_runtime_is_exactly_once(seed, shards):
+    r = run_chaos_campaign(seed, 8, recover=True, shards=shards)
+    assert r.ok
+    assert r.lost_frames == []
+    assert r.frames_digest == r.reference_frames_digest
+    assert r.restarts >= r.injected.get("crash", 0) > 0
 
 
 def test_recover_flag_does_not_override_another_named_policy():

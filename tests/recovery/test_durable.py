@@ -7,8 +7,8 @@ fresh runtime and fresh :class:`RecoveryManager` pointed at the same
 durable directory must rebuild the consistent cut and finish the stream
 exactly-once.  Plus the PR 4 satellite extended to the durable path:
 deadline timers on the 256-slot timer wheel must not leak across a
-*disk* restore, and the sharded runtime's refusal of replay is enforced
-at install time rather than by silent corruption.
+*disk* restore, and a cold restore on the sharded runtime replays
+across the shard cut exactly once.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.core.errors import InjectedFault
 from repro.faults import FaultInjector, FaultPlan
 from repro.recovery import DurableError, DurableStore, FrameStore, RecoveryManager
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
-from repro.runtime.base import RuntimeError_
 
 from tests.recovery.conftest import make_recoverable_pipeline
 
@@ -28,8 +27,8 @@ N = 20
 CONFIG = {"app": "recpipe", "n": N}
 
 
-def _install(root, app, checkpoint_interval=4):
-    rt = SmpSimRuntime()
+def _install(root, app, checkpoint_interval=4, make=SmpSimRuntime):
+    rt = make()
     rt.deploy(app)
     store = DurableStore(str(root), config=CONFIG, fsync="never")
     recovery = RecoveryManager(
@@ -38,13 +37,13 @@ def _install(root, app, checkpoint_interval=4):
     return rt, recovery
 
 
-def _crash_and_abandon(root, crash_at=13):
+def _crash_and_abandon(root, crash_at=13, make=SmpSimRuntime):
     """Incarnation one: run until an unsupervised crash fault kills the
     whole run mid-stream.  Nothing in memory survives past this call --
     only the durable directory does (``close()`` without a final
     checkpoint stands in for the page cache a ``kill -9`` leaves)."""
     app, sink = make_recoverable_pipeline(N)
-    rt, recovery = _install(root, app)
+    rt, recovery = _install(root, app, make=make)
     FaultInjector(FaultPlan(seed=1).crash("cons", on_receive=crash_at)).install(rt)
     rt.start()
     with pytest.raises(InjectedFault):
@@ -216,29 +215,23 @@ def test_sharded_run_leaks_no_deadline_timers():
     assert _pending(1_000_000_000) == _pending(None)
 
 
-def test_sharded_runtime_refuses_durable_replay(tmp_path):
-    """Cold restore replays into mailboxes via ``_requeue``, which the
-    sharded runtime rejects by design -- the refusal must surface at
-    install time, not corrupt a run later."""
-    _crash_and_abandon(tmp_path)  # leaves unacked messages in the WAL
-    app, _sink = make_recoverable_pipeline(N)
-    rt = ShardedSmpSimRuntime(2)
-    rt.deploy(app)
-    store = DurableStore(str(tmp_path), config=CONFIG, fsync="never")
-    with pytest.raises(RuntimeError_, match="sharded"):
-        RecoveryManager(checkpoint_interval=4, durable=store).install(rt)
-    store.close()
+def test_sharded_cold_restore_delivers_every_message_exactly_once(tmp_path):
+    """Producer and consumer on shards 0 and 1 of one kernel: the cold
+    restore replays the unacknowledged messages across the shard cut,
+    and the stream still arrives without loss or duplicates."""
+    partial = _crash_and_abandon(tmp_path, make=lambda: ShardedSmpSimRuntime(2))
+    assert 0 < len(partial) < N
 
-
-def test_sharded_runtime_refuses_in_memory_recovery():
-    """The refusal does not wait for a replay: installing any recovery
-    manager on the sharded runtime fails before ``start()``."""
-    app, _sink = make_recoverable_pipeline(N)
-    rt = ShardedSmpSimRuntime(2)
-    rt.deploy(app)
-    with pytest.raises(RuntimeError_, match="RecoveryManager .* ShardedSmpSimRuntime"):
-        RecoveryManager().install(rt)
-    assert rt.recovery is None
+    app, sink = make_recoverable_pipeline(N)
+    rt, recovery = _install(tmp_path, app, make=lambda: ShardedSmpSimRuntime(2))
+    assert rt.shard_of("prod") != rt.shard_of("cons")
+    assert recovery.cold_restored
+    rt.start()
+    rt.wait()
+    rt.stop()
+    assert sink.received == list(range(N))
+    assert recovery.deduped > 0
+    recovery.close()
 
 
 def test_checksummed_json_roundtrip(tmp_path):

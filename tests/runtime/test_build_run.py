@@ -19,23 +19,18 @@ from repro.runtime import (
 
 #: (config fields, the two sides the error must name)
 REJECTED = [
-    pytest.param(dict(runtime="sharded", shards=2, policy="recover"),
-                 ("recover", "sharded"), id="sharded+recover"),
-    pytest.param(dict(runtime="sharded", shards=1, policy="recover"),
-                 ("recover", "sharded"), id="sharded1+recover"),
-    pytest.param(dict(runtime="sharded", shards=0), ("shards=0", "at least one shard"),
+    pytest.param(dict(runtime="sti7200", shards=0), ("shards=0", "at least one shard"),
                  id="shards0"),
-    pytest.param(dict(runtime="sharded", shards=-3), ("shards=-3", "at least one shard"),
-                 id="shards-3"),
+    pytest.param(dict(shards=-3), ("shards=-3", "at least one shard"), id="shards-3"),
     pytest.param(dict(runtime="smp", shards=0), ("shards=0", "at least one shard"),
                  id="smp-shards0"),
     pytest.param(dict(runtime="smp", durable=object()), ("durable", "recover"),
                  id="durable-without-recover"),
-    pytest.param(dict(runtime="fpga"), ("fpga", "sharded"), id="unknown-runtime"),
+    pytest.param(dict(runtime="fpga"), ("fpga", "sti7200"), id="unknown-runtime"),
 ] + [
     pytest.param(dict(runtime=runtime, shards=2), (repr(runtime), "shards"),
                  id=f"{runtime}+shards")
-    for runtime in ("smp", "sti7200", "native")
+    for runtime in ("sti7200", "native")
 ]
 
 
@@ -68,24 +63,19 @@ def test_unsupported_pair_is_refused_before_any_runtime(fields, sides, construct
     assert constructed == []
 
 
-def test_recovery_refusal_follows_supports_replay(monkeypatch):
-    # The class attribute is the one place that decides replay support.
-    monkeypatch.setattr(SmpSimRuntime, "supports_replay", False)
-    with pytest.raises(RuntimeError_, match="'smp'"):
-        RunConfig(policy="recover")
-
-
-def test_on_smp_picks_the_runtime_from_the_shard_arguments():
-    assert RunConfig.on_smp(1).runtime == "smp"
-    assert RunConfig.on_smp(2).runtime == "sharded"
-    assert RunConfig.on_smp(1, sharded=True).runtime == "sharded"
-    with pytest.raises(RuntimeError_, match="shards=0"):
-        RunConfig.on_smp(0)
+def test_one_smp_runtime_takes_every_shard_count(constructed):
+    for shards in (1, 2, 4):
+        app = build_smp_assembly(_stream(), use_stored_coefficients=True)
+        rt = build_run(RunConfig(shards=shards), app)
+        assert type(rt) is SmpSimRuntime
+        assert rt.n_shards == len(rt.systems) == shards
+    assert constructed == ["SmpSimRuntime"] * 3
+    assert not isinstance(SmpSimRuntime(), ShardedSmpSimRuntime)
 
 
 ACCEPTED = [
     pytest.param(RunConfig("smp"), build_smp_assembly, SmpSimRuntime, id="smp"),
-    pytest.param(RunConfig("sharded", shards=2), build_smp_assembly,
+    pytest.param(RunConfig(shards=2), build_smp_assembly,
                  lambda: ShardedSmpSimRuntime(2), id="sharded"),
     pytest.param(RunConfig("sti7200"), build_sti7200_assembly, Sti7200SimRuntime,
                  id="sti7200"),
@@ -137,3 +127,24 @@ def test_build_run_installs_every_plane_on_the_runtime(constructed):
     rt.stop()
     assert rt.injector.counts()["crash"] == 1
     assert len(app.components["Reorder"].frames) == 3
+
+
+@pytest.mark.parametrize("shards", [
+    pytest.param(2, id="sharded+recover"),
+    pytest.param(1, id="sharded1+recover"),
+])
+def test_recovery_is_built_at_every_shard_count(shards, constructed):
+    from repro.faults import FaultPlan
+
+    reference = _decode(build_smp_assembly, _deployed(SmpSimRuntime))
+    plan = FaultPlan(1).crash("IDCT_1", on_receive=3)
+    app = build_smp_assembly(_stream(), use_stored_coefficients=True, keep_frames=True)
+    rt = build_run(RunConfig(shards=shards, faults=plan, policy="recover", seed=1), app)
+    assert constructed[-1] == "SmpSimRuntime" and rt.n_shards == shards
+    assert rt.recovery.installed
+    rt.start()
+    rt.wait()
+    rt.stop()
+    assert rt.injector.counts()["crash"] == 1
+    frames = app.components["Reorder"].frames
+    assert (frames_digest(frames), len(frames)) == reference

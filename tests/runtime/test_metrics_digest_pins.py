@@ -23,7 +23,7 @@ DECODE_PINS = {
     ),
     "sharded4": (
         lambda: ShardedSmpSimRuntime(4),
-        "d9fc5586a7ff8b8edb4d55deb968078d84afbf094f7e2b06af9096fcb9c38e73",
+        "dc9a04feb044582f186142fc43dd468740bb87233eb35bd5895b7e240e37f504",
     ),
 }
 

@@ -76,7 +76,7 @@ def test_scheduled_collect_reads_the_observers_own_clock():
         return handle.result
 
     one = snapshot(1)
-    assert one[0] == 1_002_928
+    assert one[0] == 1_002_728
     assert snapshot(2) == one
 
 

@@ -3,12 +3,12 @@
 The sharding oracle: partitioning the deployment across N shards of
 one kernel is *unobservable* in the output -- the decoded frame set is
 sha256-identical and every component sees the same event order for any
-shard count.
+shard count, and under pinned placement the same timestamps, reports
+and metrics as the plain one-shard runtime.
 """
 
 import pytest
 
-from repro.core.messages import Message
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
@@ -47,24 +47,47 @@ def test_frame_set_is_shard_count_invariant():
         assert digest == reference, f"{n_shards} shards diverged from the baseline"
 
 
-def test_one_shard_makespan_gap_is_the_delivery_link_latency():
-    # A 1-shard run ends a few hundred ns after the plain runtime because
-    # the sharded transport adds the link latency to every delivery;
-    # with that latency zeroed the two runs are the same model.
-    stream = generate_stream(8, 96, 96, quality=75, seed=1)
+def _pinned_decode(make, seed):
+    """A traced, telemetered 12-image decode with every component pinned
+    to core ``i * 16 // n``, so each shard count hosts the same cores."""
+    from repro.metrics import collect_telemetry, enable_telemetry, metrics_digest
+    from tests.runtime.test_sim_model_pins import reports_digest
 
-    def run(rt):
-        app = build_smp_assembly(stream, keep_frames=True)
-        rt.run(app)
-        rt.stop()
-        return rt.makespan_ns, frames_digest(app.components["Reorder"].frames)
+    stream = generate_stream(12, 96, 96, quality=75, seed=seed)
+    app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
+    n_components = len(app.components)
+    for i, comp in enumerate(app.components.values()):
+        comp.placement["core"] = i * 16 // n_components
+    rt = make()
+    rt.deploy(app)
+    enable_tracing(rt)
+    enable_telemetry(rt)
+    rt.start()
+    rt.wait()
+    registry = collect_telemetry(rt)
+    reports = rt.collect()
+    rt.stop()
+    timeline = {}
+    for ts, _seq, component, category, name, phase, _args in collect_trace(rt).rows():
+        timeline.setdefault(component, []).append((ts, category, name, phase))
+    return {
+        "makespan": rt.makespan_ns,
+        "frames": frames_digest(app.components["Reorder"].frames),
+        "reports": reports_digest(reports),
+        "metrics": metrics_digest(registry),
+        "timeline": timeline,
+    }
 
-    plain = run(SmpSimRuntime())
-    sharded = run(ShardedSmpSimRuntime(1))
-    assert sharded[1] == plain[1] and sharded[0] != plain[0]
-    zero_link = ShardedSmpSimRuntime(1)
-    zero_link.platform.link_latency_ns = lambda src_core, dst_core: 0
-    assert run(zero_link) == plain
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_pinned_decode_is_the_plain_runtimes_at_every_shard_count(seed):
+    # Deliveries are immediate on every shard count, so under one
+    # placement the shards change nothing a run reports.
+    plain = _pinned_decode(SmpSimRuntime, seed)
+    for n_shards in (1, 2, 4):
+        sharded = _pinned_decode(lambda: ShardedSmpSimRuntime(n_shards), seed)
+        for key, value in plain.items():
+            assert sharded[key] == value, (n_shards, key)
 
 
 def _per_component_sequences(rt):
@@ -103,6 +126,30 @@ def test_span_ids_come_from_the_owning_shards_range():
     assert allocated and len(allocated) == len(set(allocated))
 
 
+@pytest.mark.parametrize("n_shards", [2, 4])
+def test_recovery_replicas_never_reuse_a_span_id(n_shards):
+    # A replayed replica draws a fresh span from the runtime, which must
+    # not be one a shard already gave a message.
+    from repro.faults import FaultPlan
+    from repro.runtime import RunConfig, build_run
+
+    stream = generate_stream(6, 96, 96, quality=75, seed=1)
+    app = build_smp_assembly(stream, use_stored_coefficients=True)
+    plan = FaultPlan(1).crash("IDCT_1", on_receive=3).crash("Reorder", on_receive=4)
+    config = RunConfig(shards=n_shards, trace=True, faults=plan, policy="recover", seed=1)
+    rt = build_run(config, app)
+    rt.start()
+    rt.wait()
+    rt.stop()
+    spans = [
+        args["span"]
+        for ts, seq, component, category, name, phase, args in collect_trace(rt).rows()
+        if name == "replay" or (name in ("send", "deposit") and phase == "E" and "span" in args)
+    ]
+    assert rt.recovery.replayed > 0
+    assert len(spans) == len(set(spans))
+
+
 def test_placement_hints_pin_components():
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
@@ -114,42 +161,6 @@ def test_placement_hints_pin_components():
     assert rt.containers["IDCT_2"].extra["shard"] == 1
     reference, _, _ = _decode(0)
     assert frames_digest(app.components["Reorder"].frames) == reference
-
-
-def test_staged_deliveries_are_shared_handlers_plus_the_message():
-    # Every delivery of a decode, data and observation alike, is
-    # scheduled as a module-level handler with the Message as data, not
-    # as a closure built for that send.
-    stream = generate_stream(4, 96, 96, quality=75, seed=0)
-    app = build_smp_assembly(stream, use_stored_coefficients=True)
-    rt = ShardedSmpSimRuntime(2)
-    rt.deploy(app)
-    staged, crossed = [], []
-    schedule, deliver = rt.kernel.schedule, rt._deliver
-
-    def stage(delay_ns, handler, *args):
-        staged.append((handler, args))
-        return schedule(delay_ns, handler, *args)
-
-    def deliver_staged(src_cont, target, handler, binding, message):
-        crossed.append(src_cont.extra["shard"] != rt.shard_of(target.component.name))
-        rt.kernel.schedule = stage
-        try:
-            deliver(src_cont, target, handler, binding, message)
-        finally:
-            del rt.kernel.schedule
-
-    rt._deliver = deliver_staged
-    rt.start()
-    rt.wait()
-    rt.collect()
-    rt.stop()
-    assert any(crossed) and not all(crossed)
-    assert len(staged) == len(crossed)
-    assert {handler.__name__ for handler, _ in staged} == {"_deliver_to_mailbox", "put"}
-    for handler, args in staged:
-        assert handler.__closure__ is None, handler
-        assert isinstance(args[-1], Message), args
 
 
 @pytest.mark.parametrize("name", ["system", "process"])
@@ -187,14 +198,6 @@ def test_merge_buffers_orders_by_time_shard_and_seq():
     assert order == [(10, "x"), (10, "y"), (20, "y"), (30, "x")]
     seqs = [row[1] for row in merged.rows()]
     assert seqs == sorted(seqs) and len(set(seqs)) == 4
-
-
-def test_merge_buffers_applies_clock_offsets():
-    a, b = TraceBuffer(capacity=4), TraceBuffer(capacity=4)
-    a.append((100, 1, "x", "compute", "op", "I", {}))
-    b.append((10, 1, "y", "compute", "op", "I", {}))
-    merged = merge_buffers([a, b], clock_offsets_ns=[0, 500])
-    assert [(row[0], row[2]) for row in merged.rows()] == [(100, "x"), (510, "y")]
 
 
 def test_shard_plane_gauges_are_stamped_and_digest_safe():

@@ -31,8 +31,8 @@ PINS = {
     ),
     "sharded4": (
         lambda: ShardedSmpSimRuntime(4),
-        71_617_053,
-        "3d6d95bff416ae2e426f8ead49562832d23f2aa5523fc06b47f7acd638f0d0ed",
+        71_616_737,
+        "a158494f07d6182327b4782a9f7f87867ef323bdf464ec46352e489f3d4c3174",
     ),
 }
 

@@ -1,10 +1,9 @@
 """Unit tests for the sharded conservative simulation layer.
 
-Covers the kernel hooks the shard coordinator relies on
-(``deadlock_check``, ``on_idle``), the partitioning helpers, span-id
-ranges, the envelope/inbox/staging
-machinery, and the coordinator itself (delivery-order invariance across
-shard counts, deadlock semantics).
+Covers the kernel hook the shard coordinator relies on
+(``deadlock_check``), the partitioning helpers, span-id ranges, the
+envelope/inbox/staging machinery, and the coordinator itself
+(delivery-order invariance across shard counts, deadlock semantics).
 """
 
 import pytest
@@ -51,31 +50,6 @@ def test_kernel_deadlock_check_disabled_returns():
     kernel.deadlock_check = False
     kernel.run()  # idle is not an error: the coordinator decides
     assert kernel._live_processes == 1
-
-
-def test_kernel_on_idle_can_refuel_the_run():
-    kernel = Kernel()
-    proc, chan = _blocked_process(kernel)
-    fed = []
-
-    def on_idle() -> bool:
-        if fed:
-            return False
-        fed.append(True)
-        chan.put("late arrival")
-        return True
-
-    kernel.on_idle = on_idle
-    kernel.run()
-    assert not proc._alive
-
-
-def test_kernel_on_idle_false_falls_through_to_deadlock():
-    kernel = Kernel()
-    _blocked_process(kernel)
-    kernel.on_idle = lambda: False
-    with pytest.raises(DeadlockError):
-        kernel.run()
 
 
 # -- partitioning helpers ------------------------------------------------------
