@@ -16,11 +16,11 @@ Commands
 [--shards N] [--metrics OUT] [--profile OUT.pstats]``
     Run a workload and print its shard-count-invariant digest.  The
     default ``mjpeg`` workload decodes the MJPEG stream and prints the
-    sha256 of the decoded frame set; ``--shards N`` partitions the
-    deployment across N shards of one kernel; the
-    digest is identical for every shard count -- the CI ``shard-smoke``
-    job diffs them.  ``--metrics OUT`` additionally runs the live
-    telemetry plane and writes the merged registry (the ``metrics
+    sha256 of the decoded frame set; ``--shards N`` places the
+    components on N shards, each a block of the platform's cores, of
+    the one runtime; the digest is identical for every shard count --
+    the CI ``shard-smoke`` job diffs them.  ``--metrics OUT`` additionally runs the live
+    telemetry plane and writes the run's one registry (the ``metrics
     sha256:`` line is likewise shard-count invariant -- the CI
     ``metrics-smoke`` job diffs it).  ``--workload traffic`` runs the
     generated fan-in/fan-out service graph (``--components`` wide, 10k+
@@ -58,8 +58,8 @@ Commands
     Run the MJPEG SMP demo with causal tracing, print the critical
     path and the per-hop latency table, and write the columnar trace
     plus a Chrome/Perfetto trace with causal flow arrows (see
-    ``docs/observing.md``).  ``--shards N`` traces a sharded run into
-    per-shard buffers and merges them before analysis.
+    ``docs/observing.md``).  ``--shards N`` places the components on N
+    shards; the run still traces into one buffer.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def _cmd_run_traffic(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` command (see the module docstring).
 
-    ``--shards N`` partitions the one ``SmpSimRuntime`` across N shards
-    of its kernel; ``--metrics`` also pins the placement (below), so
+    ``--shards N`` places the components of the one ``SmpSimRuntime``
+    on N core blocks; ``--metrics`` also pins the placement (below), so
     the makespan and the whole telemetry stream are bit-identical for
     any ``--shards N``.
     """
@@ -217,7 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
     if args.metrics is not None:
         # Pin the placement so the shard partitioner cannot move
-        # components between runs: shard-merge invariance of the metrics
+        # components between runs: shard-count invariance of the metrics
         # stream is only meaningful over one fixed placement.  The pins
         # are spread evenly over the platform's cores, so every shard's
         # core block hosts a component at any shard count.
@@ -536,14 +536,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     rt.run()
     rt.stop()
     buffer = collect_trace(rt)
-    # A sharded run traces into one buffer per shard, merged on the
-    # (timestamp, shard, sequence) key -- see docs/observing.md,
-    # "Merging multi-shard traces".
-    if isinstance(rt.trace, list):
-        print(
-            f"merged {len(rt.trace)} shard buffers "
-            f"({', '.join(str(len(b)) for b in rt.trace)} events)"
-        )
 
     graph = SpanGraph.from_trace(buffer)
     items = graph.attribute_items("frame")
@@ -710,13 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--images", type=int, default=8, help="stream length")
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="partition the deployment across N shards of one kernel (the "
+        help="place the components on N shards, each a block of cores (the "
         "frames digest is identical for any N; with --metrics's pinned "
-        "placement so are the makespan and the metrics digest)",
+        "placement so are the makespan and the metrics digest); the "
+        "traffic workload runs N shards of the raw shard layer",
     )
     run.add_argument(
         "--metrics", metavar="OUT", default=None,
-        help="enable the live telemetry plane and write the merged registry "
+        help="enable the live telemetry plane and write the registry "
         "to OUT (.prom/.txt = Prometheus text, else JSON); pins the "
         "placement and prints a shard-count-invariant 'metrics sha256:' line",
     )
@@ -835,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--images", type=int, default=8, help="stream length")
     trace.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="trace a sharded run: one buffer per shard, merged for analysis",
+        help="place the components on N shards (the trace is one buffer at any N)",
     )
     trace.add_argument(
         "--out", default="TRACE_mjpeg", help="output path prefix for trace artifacts"
@@ -851,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--images", type=int, default=8, help="stream length")
     top.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="run (and merge telemetry) across N shards",
+        help="place the components on N shards (one telemetry registry at any N)",
     )
     top.add_argument(
         "--watch", action="store_true",

@@ -368,7 +368,7 @@ def run_chaos_campaign(
     The remaining keywords are the fleet-cell hooks
     (:mod:`repro.faults.fleet` fans hundreds of these out across a worker
     pool): an explicit ``plan`` replaces :func:`build_campaign_plan`,
-    ``shards`` partitions the chaos application across SMP shards,
+    ``shards`` places the chaos application on that many SMP shards,
     ``oracle`` relaxes or tightens :attr:`CampaignResult.ok`
     per policy expectation, and ``reference_hashes`` /
     ``reference_digest`` substitute a cached per-frame-sha256 reference

@@ -199,13 +199,10 @@ def build_grid(config: CampaignConfig) -> List[CellSpec]:
         config.seeds, config.fault_classes, config.intensities, config.policies,
         config.shard_counts,
     )
-    cells = [
+    return [
         CellSpec(index, *point, n_images=config.n_images)
         for index, point in enumerate(axes)
     ]
-    if not cells:
-        raise FleetError("the campaign grid is empty")
-    return cells
 
 
 def build_cell_plan(

@@ -10,7 +10,6 @@ from repro.metrics.telemetry import (
     MetricsRegistry,
     collect_telemetry,
     enable_telemetry,
-    merge_registries,
 )
 from repro.metrics.export import (
     metrics_digest,
@@ -34,7 +33,6 @@ __all__ = [
     "collect_telemetry",
     "enable_telemetry",
     "iter_frames",
-    "merge_registries",
     "metrics_digest",
     "read_metrics",
     "registry_from_payload",

@@ -1,6 +1,6 @@
 """``repro top``: the live ascii dashboard over the telemetry plane.
 
-Renders a (merged) :class:`~repro.metrics.telemetry.MetricsRegistry`
+Renders a :class:`~repro.metrics.telemetry.MetricsRegistry`
 as a terminal frame: run totals, a per-component table with the tail
 percentiles the streaming-server ROADMAP item asks for, contract
 violations, and a per-window throughput/latency chart built from the
@@ -154,7 +154,7 @@ def iter_frames(registry: MetricsRegistry, width: int = 72) -> Iterator[str]:
     and histograms rebuilt from the delta series, gauges carried from
     the final state (they are point-in-time and not windowed).
     """
-    partial = MetricsRegistry(shard=registry.shard, window_ns=registry.window_ns)
+    partial = MetricsRegistry(window_ns=registry.window_ns)
     for kind, name, labels, inst in registry.instruments():
         if kind == "gauge":
             partial.gauge(name, **labels).merge(inst)

@@ -7,10 +7,11 @@ instruments and windows, which the metrics-smoke CI job checks.
 The digest (:func:`metrics_digest`) covers the *deterministic* subset
 of a registry -- counters, histograms and the windowed delta series,
 all pure functions of virtual time -- and excludes gauges (busy time on
-the native runtime is host time).  Under pinned placement the digest is
-identical for every shard count; ``repro run --metrics`` prints it as
-``metrics sha256:`` and CI compares 1/2/4-shard runs, exactly like the
-``frames sha256:`` oracle.
+the native runtime is host time).  A run has one registry at any shard
+count, and under pinned placement its digest -- and its whole document
+but the ``shard_cut_messages`` gauges -- is identical for every shard
+count; ``repro run --metrics`` prints it as ``metrics sha256:`` and CI
+compares 1/2/4-shard runs, exactly like the ``frames sha256:`` oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ SCHEMA = "repro.metrics/v1"
 
 
 def registry_payload(registry: MetricsRegistry, meta: Dict[str, Any] = None) -> Dict[str, Any]:
-    """The JSON document for one (possibly merged) registry."""
+    """The JSON document for one registry."""
     payload = {"schema": SCHEMA, **registry.snapshot()}
     if meta:
         payload["meta"] = dict(meta)
@@ -44,9 +45,9 @@ def registry_from_payload(payload: Dict[str, Any]) -> MetricsRegistry:
     schema = payload.get("schema")
     if schema != SCHEMA:
         raise ValueError(f"unknown metrics schema {schema!r}; expected {SCHEMA!r}")
-    registry = MetricsRegistry(
-        shard=payload.get("shard", 0), window_ns=payload["window_ns"]
-    )
+    # Older v1 documents carry an always-0 "shard" key, at the top and
+    # in every window; loading ignores it.
+    registry = MetricsRegistry(window_ns=payload["window_ns"])
     for snap in payload["instruments"].values():
         kind, name, labels = snap["kind"], snap["name"], snap["labels"]
         if kind == "counter":
@@ -64,7 +65,7 @@ def registry_from_payload(payload: Dict[str, Any]) -> MetricsRegistry:
                 hist.max_value = snap["max_ns"]
     for w in payload.get("windows", []):
         registry.windows.append(
-            Window(w["id"], w["index"], registry.window_ns, w["shard"], w["data"])
+            Window(w["id"], w["index"], registry.window_ns, w["data"])
         )
     return registry
 

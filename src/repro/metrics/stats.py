@@ -26,10 +26,6 @@ class Counter:
             raise ValueError(f"counter increment must be >= 0, got {n}")
         self.value += n
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's count into this one (shard merge)."""
-        self.value += other.value
-
     def reset(self) -> None:
         """Zero the counter in place (registry ``clear()``)."""
         self.value = 0

@@ -7,18 +7,15 @@ giving up the "no per-sample storage" constraint of an embedded target:
 - :class:`Log2Histogram` -- fixed 64-bucket log2 streaming histogram
   (p50/p90/p99/p999 by bucket interpolation, clamped to the tracked
   min/max so single-sample and constant streams report exactly).
-  Merging is bucketwise addition, so per-shard histograms merge
-  **bucket-exact** into the single-kernel histogram.
+  Merging is bucketwise addition, so merged histograms are
+  **bucket-exact**.
 - :class:`Gauge` -- last-write-wins point-in-time value.
 - :class:`MetricsRegistry` -- instruments keyed by ``name{labels}``,
   plus a windowed time series on the sim clock.  Every windowed write
   carries the sim time it happened at, and the instrument keeps its
   deltas by window index (``index = t_ns // window_ns``); the registry
-  cuts them into the series once, at read time (:meth:`finish`), so
-  per-shard windows merge by index exactly like trace buffers merge by
-  ``(ts, shard, seq)``.  Window ids draw from shard ranges
-  (:func:`repro.sim.shard.shard_window_source`) so merged series never
-  collide, mirroring span ids.
+  cuts them into the series once, at read time (:meth:`finish`), and
+  numbers the windows from 1.
 - :class:`ComponentTelemetry` -- the per-component instruments fed by
   the :class:`~repro.core.observation.ObservationProbe`'s records: the
   probe appends one timestamped record per send/receive, and one fold
@@ -26,19 +23,21 @@ giving up the "no per-sample storage" constraint of an embedded target:
   reads them.  The probe also runs the component's contract checker
   (:mod:`repro.core.contracts`) on the same stream, per operation.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
-  wiring, shaped exactly like ``enable_tracing`` / ``merge_buffers``:
-  call after ``deploy()``, collect after ``wait()``.
+  wiring, shaped exactly like ``enable_tracing`` / ``collect_trace``:
+  one registry per runtime at any shard count; call after
+  ``deploy()``, collect after ``wait()``.
 
 Determinism contract: on the simulated runtimes every instrument fed
 from middleware hooks is a pure function of virtual time, so a pinned
-placement produces byte-identical registries for every shard count --
+placement produces the same registry for every shard count, apart
+from the ``shard_cut_messages`` gauges that describe the layout --
 the ``metrics sha256`` CI gate (see :mod:`repro.metrics.export`).
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import Counter
 
@@ -157,7 +156,7 @@ class Log2Histogram:
         self.max_value = mx
 
     def merge(self, other: "Log2Histogram") -> None:
-        """Bucketwise addition -- the shard-merge primitive."""
+        """Bucketwise addition (the dashboard folds interfaces with it)."""
         if other.count == 0:
             return
         counts = self.counts
@@ -248,7 +247,7 @@ class Gauge:
         self.ts_ns = ts_ns
 
     def merge(self, other: "Gauge") -> None:
-        """Later stamp wins (ties keep ours -- shard order)."""
+        """Later stamp wins (ties keep ours)."""
         if other.ts_ns > self.ts_ns:
             self.value = other.value
             self.ts_ns = other.ts_ns
@@ -305,15 +304,14 @@ class Window:
     """One closed window of the series: instrument *deltas* over
     ``[index * window_ns, (index + 1) * window_ns)`` of the sim clock."""
 
-    __slots__ = ("id", "index", "start_ns", "end_ns", "shard", "data")
+    __slots__ = ("id", "index", "start_ns", "end_ns", "data")
 
-    def __init__(self, wid: int, index: int, window_ns: int, shard: int,
+    def __init__(self, wid: int, index: int, window_ns: int,
                  data: Dict[str, Dict[str, Any]]) -> None:
         self.id = wid
         self.index = index
         self.start_ns = index * window_ns
         self.end_ns = (index + 1) * window_ns
-        self.shard = shard
         self.data = data
 
     def to_dict(self) -> Dict[str, Any]:
@@ -323,7 +321,6 @@ class Window:
             "index": self.index,
             "start_ns": self.start_ns,
             "end_ns": self.end_ns,
-            "shard": self.shard,
             "data": self.data,
         }
 
@@ -331,25 +328,16 @@ class Window:
 class MetricsRegistry:
     """Instruments plus their windowed delta series on the sim clock.
 
-    ``window_ids`` is a zero-arg *factory* returning a fresh id iterator
-    (default counts from 1); keeping it a factory lets :meth:`clear`
-    restart the numbering exactly like a fresh registry -- the
-    ``TraceBuffer.clear()`` parity contract (repeated campaigns in one
-    process must produce identical series).
+    Window ids count from 1; :meth:`clear` restarts them exactly like a
+    fresh registry -- the ``TraceBuffer.clear()`` parity contract
+    (repeated campaigns in one process must produce identical series).
     """
 
-    def __init__(
-        self,
-        shard: int = 0,
-        window_ns: int = DEFAULT_WINDOW_NS,
-        window_ids: Optional[Callable[[], Iterable[int]]] = None,
-    ) -> None:
+    def __init__(self, window_ns: int = DEFAULT_WINDOW_NS) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
-        self.shard = shard
         self.window_ns = window_ns
-        self._window_id_factory = window_ids or (lambda: count(1))
-        self._window_ids = iter(self._window_id_factory())
+        self._window_ids = count(1)
         #: key -> (kind, name, labels, instrument)
         self._entries: Dict[tuple, Tuple[str, str, Dict[str, Any], Any]] = {}
         #: key -> canonical instrument id (built once at registration;
@@ -437,7 +425,7 @@ class MetricsRegistry:
             _merge_window_data(by_index.setdefault(first, {}), early)
         for index in sorted(by_index):
             self.windows.append(
-                Window(next(self._window_ids), index, window_ns, self.shard, by_index[index])
+                Window(next(self._window_ids), index, window_ns, by_index[index])
             )
 
     # -- lifecycle -------------------------------------------------------------
@@ -450,7 +438,7 @@ class MetricsRegistry:
         for _kind, _name, _labels, inst in self._entries.values():
             inst.reset()
         self.windows.clear()
-        self._window_ids = iter(self._window_id_factory())
+        self._window_ids = count(1)
         self.last_ns = 0
 
     def snapshot(self) -> Dict[str, Any]:
@@ -466,7 +454,6 @@ class MetricsRegistry:
             instruments[instrument_id(name, labels)] = snap
         return {
             "window_ns": self.window_ns,
-            "shard": self.shard,
             "instruments": instruments,
             "windows": [w.to_dict() for w in self.windows],
         }
@@ -489,43 +476,6 @@ def _merge_window_data(into: Dict[str, Dict[str, Any]], data: Dict[str, Dict[str
             buckets = cur["buckets"]
             for b, c in delta["buckets"].items():
                 buckets[b] = buckets.get(b, 0) + c
-
-
-def merge_registries(parts: List[MetricsRegistry]) -> MetricsRegistry:
-    """K-way merge of per-shard registries into one.
-
-    Instruments merge by id (bucketwise for histograms -- the property
-    the shard-invariance tests pin); windows merge by ``(index, shard,
-    id)`` order, same-index windows combine across shards, and ids are
-    re-numbered globally -- exactly the
-    :func:`repro.trace.tracer.merge_buffers` contract.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    if len({p.window_ns for p in parts}) != 1:
-        raise ValueError("cannot merge registries with different window_ns")
-    merged = MetricsRegistry(shard=0, window_ns=parts[0].window_ns)
-    for part in parts:
-        for kind, name, labels, inst in part.instruments():
-            getattr(merged, kind)(name, **labels).merge(inst)
-        if part.last_ns > merged.last_ns:
-            merged.last_ns = part.last_ns
-    tagged = sorted(
-        ((w.index, part.shard, w.id, w) for part in parts for w in part.windows),
-        key=lambda entry: entry[:3],
-    )
-    by_index: Dict[int, Dict[str, Dict[str, Any]]] = {}
-    order: List[int] = []
-    for index, _shard, _wid, window in tagged:
-        if index not in by_index:
-            by_index[index] = {}
-            order.append(index)
-        _merge_window_data(by_index[index], window.data)
-    for index in order:
-        merged.windows.append(
-            Window(next(merged._window_ids), index, merged.window_ns, 0, by_index[index])
-        )
-    return merged
 
 
 class ComponentTelemetry:
@@ -714,61 +664,40 @@ def _attach_checker(cont, registry: MetricsRegistry):
     )
 
 
-def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS):
+def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS) -> MetricsRegistry:
     """Attach a :class:`ComponentTelemetry` to every deployed probe.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    On a runtime of more than one shard one registry is built per shard
-    (one shard keeps one registry) with shard-range window ids -- merge
-    with :func:`collect_telemetry` / :func:`merge_registries`
-    afterwards.  Returns the registry (or the
-    per-shard registry list).
+    Every component feeds one registry at any shard count; returns it.
     """
-    n_shards = getattr(runtime, "n_shards", 1)
-    if n_shards > 1:
-        from repro.sim.shard import shard_window_source
-
-        registries = [
-            MetricsRegistry(
-                shard=i, window_ns=window_ns,
-                window_ids=(lambda i=i: shard_window_source(i)),
-            )
-            for i in range(n_shards)
-        ]
-    else:
-        registries = None
-    single = MetricsRegistry(window_ns=window_ns) if registries is None else None
+    registry = MetricsRegistry(window_ns=window_ns)
     for cont in runtime.containers.values():
         probe = cont.probe
         policy = probe.policy
         if policy is not None and not getattr(policy, "telemetry", True):
             continue
-        reg = registries[cont.extra["shard"]] if registries is not None else single
-        probe.telemetry = ComponentTelemetry(reg, cont.component.name)
-        probe.telemetry.checker = _attach_checker(cont, reg)
-        reg._probes.append(probe)
-    runtime.metrics = registries if registries is not None else single
-    return runtime.metrics
+        probe.telemetry = ComponentTelemetry(registry, cont.component.name)
+        probe.telemetry.checker = _attach_checker(cont, registry)
+        registry._probes.append(probe)
+    runtime.metrics = registry
+    return registry
 
 
 def collect_telemetry(runtime, final_ns: Optional[int] = None) -> MetricsRegistry:
-    """Finalize and merge a runtime's telemetry after ``wait()``.
+    """Finalize a runtime's telemetry after ``wait()``.
 
     Stamps the runtime-owned gauges (busy time, queue depths, EMBX
-    object traffic), cuts the window series of every registry at the
+    object traffic, shard cut traffic), cuts the window series at the
     run's makespan (identical across shard counts under pinned
-    placement, so the final partial window is merge-invariant too) and
-    returns one merged registry.
+    placement) and returns the registry.
     """
-    regs = getattr(runtime, "metrics", None)
-    if regs is None:
+    registry = getattr(runtime, "metrics", None)
+    if registry is None:
         raise ValueError("enable_telemetry() was not called on this runtime")
     stamp = getattr(runtime, "stamp_telemetry", None)
     if stamp is not None:
         stamp()
-    parts = regs if isinstance(regs, list) else [regs]
     if final_ns is None:
         final_ns = getattr(runtime, "makespan_ns", None)
-    for reg in parts:
-        reg.finish(final_ns)
-    return merge_registries(parts) if isinstance(regs, list) else regs
+    registry.finish(final_ns)
+    return registry

@@ -134,15 +134,9 @@ class LinuxSystem:
         platform: Platform,
         quantum_ns: int = 4_000_000,
         scheduler: str = "rr",
-        cores: Optional[Iterable[int]] = None,
     ) -> None:
         """``scheduler``: ``"rr"`` (round-robin time sharing, default) or
-        ``"fair"`` (CFS-flavoured weighted fair scheduling).
-
-        ``cores`` restricts the instance to a subset of the platform's
-        cores, identified by their *global* core indices -- a simulation
-        shard hosts one such instance per partition while thread
-        affinities keep meaning platform-wide core numbers."""
+        ``"fair"`` (CFS-flavoured weighted fair scheduling)."""
         if scheduler == "rr":
             policy = RoundRobinPolicy(quantum_ns)
         elif scheduler == "fair":
@@ -151,25 +145,7 @@ class LinuxSystem:
             raise ValueError(f"unknown scheduler {scheduler!r}; expected 'rr' or 'fair'")
         self.kernel = kernel
         self.platform = platform
-        if cores is None:
-            self.core_indices = list(range(platform.n_cores))
-            self.engine = ExecEngine(kernel, platform.cores, policy)
-        else:
-            self.core_indices = sorted(cores)
-            if not self.core_indices:
-                raise ValueError("a system needs at least one core")
-            for idx in self.core_indices:
-                if not 0 <= idx < platform.n_cores:
-                    raise ValueError(
-                        f"core index {idx} out of range for {platform.name!r} "
-                        f"({platform.n_cores} cores)"
-                    )
-            self.engine = ExecEngine(
-                kernel,
-                [platform.cores[i] for i in self.core_indices],
-                policy,
-                core_indices=self.core_indices,
-            )
+        self.engine = ExecEngine(kernel, platform.cores, policy)
         self.processes: Dict[int, LinuxProcess] = {}
         self._pid = 0
         self._tid = 0

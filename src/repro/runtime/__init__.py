@@ -7,7 +7,7 @@ Three runtimes execute the same, unmodified components:
   implementation, with real wall-clock timestamps.
 - :class:`~repro.runtime.simulated.SmpSimRuntime` -- components as
   pthreads of the simulated Linux system on the 16-core NUMA SMP model,
-  optionally partitioned across N shards of its one simulation kernel
+  optionally placed on N shards, each a block of its cores
   (``ShardedSmpSimRuntime(n)`` takes the shard count first).
 - :class:`~repro.runtime.simulated.Sti7200SimRuntime` -- components as
   OS21 tasks (one per CPU) with EMBX distributed-object interfaces on the

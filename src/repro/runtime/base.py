@@ -49,9 +49,9 @@ class Runtime(ABC):
         self.span_source = count(1)
         # The optional planes, set between deploy and start by
         # repro.runtime.build.build_run or by each plane's own install.
-        #: Trace plane: a :class:`TraceBuffer`, or one per shard.
+        #: Trace plane: one :class:`TraceBuffer`.
         self.trace = None
-        #: Live metrics plane: a :class:`MetricsRegistry`, or one per shard.
+        #: Live metrics plane: one :class:`MetricsRegistry`.
         self.metrics = None
         #: :class:`repro.faults.FaultInjector` of the run.
         self.injector = None

@@ -44,7 +44,7 @@ from repro.runtime.base import ComponentContainer, Runtime, RuntimeError_
 from repro.sim.executor import Compute, DONE
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Channel
-from repro.sim.shard import partition_graph, shard_core_blocks, shard_span_source
+from repro.sim.shard import partition_graph, shard_core_blocks
 
 #: Cost charged (per op) for the runtime-owned observation channel.
 OBS_CHANNEL_SYSCALLS = 1
@@ -67,25 +67,23 @@ class SimMailbox:
 class SimContext(ComponentContext):
     """Component context over a simulated platform.
 
-    ``kernel`` is the runtime's one kernel and ``span_source`` the
-    span-id range of the component's shard; every timestamp the context
-    hands out -- probe, trace, telemetry, heap timeline, log -- reads
-    that kernel's clock."""
+    The context reads the runtime's one kernel and draws span ids from
+    its one span counter; every timestamp the context hands out --
+    probe, trace, telemetry, heap timeline, log -- reads that kernel's
+    clock."""
 
     def __init__(
         self,
         component: Component,
         probe: Optional[ObservationProbe],
         runtime: "SimRuntime",
-        kernel: Kernel,
-        span_source,
         clock_offset_ns: int = 0,
     ) -> None:
         super().__init__(component, probe)
         self.runtime = runtime
-        self.kernel = kernel
+        self.kernel = runtime.kernel
         self.clock_offset_ns = clock_offset_ns
-        self._span_source = span_source
+        self._span_source = runtime.span_source
 
     def now_ns(self) -> int:
         """Current platform time in nanoseconds."""
@@ -199,18 +197,16 @@ class SimRuntime(Runtime):
         for cont in self.containers.values():
             self._bind_component(cont)
         for cont in self.containers.values():
-            offset = self._clock_offset_for(cont)
-            cont.context = self._make_context(cont, cont.probe, offset)
-            cont.service_context = self._make_context(cont, None, offset)
-            cont.probe.os_adapter = self._os_adapter(cont)
-            cont.probe.middleware_adapter = self._mw_adapter(cont)
+            self._build_contexts(cont)
 
-    def _make_context(
-        self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
-    ) -> SimContext:
-        """Build one component/service context on the runtime's clock and
-        span source (the SMP runtime picks those of the component's shard)."""
-        return SimContext(cont.component, probe, self, self.kernel, self.span_source, offset)
+    def _build_contexts(self, cont: ComponentContainer) -> None:
+        """Give ``cont`` its component and service contexts, on the
+        runtime's clock and span counter, and its probe's adapters."""
+        offset = self._clock_offset_for(cont)
+        cont.context = SimContext(cont.component, cont.probe, self, offset)
+        cont.service_context = SimContext(cont.component, None, self, offset)
+        cont.probe.os_adapter = self._os_adapter(cont)
+        cont.probe.middleware_adapter = self._mw_adapter(cont)
 
     def start(self) -> None:
         """Launch every component's behaviour and observation service."""
@@ -235,11 +231,7 @@ class SimRuntime(Runtime):
 
     def _deploy_dynamic(self, cont: ComponentContainer) -> None:
         self._bind_component(cont)
-        offset = self._clock_offset_for(cont)
-        cont.context = self._make_context(cont, cont.probe, offset)
-        cont.service_context = self._make_context(cont, None, offset)
-        cont.probe.os_adapter = self._os_adapter(cont)
-        cont.probe.middleware_adapter = self._mw_adapter(cont)
+        self._build_contexts(cont)
 
     def _start_dynamic(self, cont: ComponentContainer) -> None:
         self._launch(cont)
@@ -330,15 +322,13 @@ class SimRuntime(Runtime):
         return self._spawn_flow(flow(), name=f"{observer.name}.query@{delay_ns}", cont=cont)
 
     def stop(self) -> None:
-        """Shut down observation services and release the platform (every
-        OS instance of ``systems``: one per shard on the SMP)."""
+        """Shut down observation services and release the platform."""
         for cont in self.containers.values():
             if cont.service_handle is not None and cont.service_handle.alive:
                 obs = cont.component.provided.get("introspection")
                 if obs is not None and isinstance(obs.binding, Channel):
                     obs.binding.put(Message(payload=None, kind=CONTROL, tag="shutdown"))
-        for system in self.systems:
-            system.shutdown()
+        self.system.shutdown()
         self.kernel.run()
 
     # -- shared binding helpers ---------------------------------------------------------
@@ -395,28 +385,26 @@ class SimRuntime(Runtime):
 
 
 class SmpSimRuntime(SimRuntime):
-    """EMBera over the simulated 16-core Linux NUMA SMP, on ``shards``
-    shards of one kernel.
+    """EMBera over the simulated 16-core Linux NUMA SMP: one
+    :class:`~repro.oslinux.system.LinuxSystem` on one
+    :class:`~repro.sim.kernel.Kernel`, running the application as the
+    paper's one EMBera process, ``embera0``.
 
-    Deploy-time graph partitioning (user affinity via ``comp.place(
-    shard=K)`` / ``comp.place(core=N)``, otherwise the static unit-weight
-    min-cut heuristic of :func:`~repro.sim.shard.partition_graph`) maps
-    each component to one shard, once: the placement is a function of
-    the declared graph alone, never of observed traffic.  Each shard owns
-    a contiguous block of the platform's cores and, per shard, a
-    :class:`~repro.oslinux.system.LinuxSystem`, an ``embera<k>`` process,
-    a span-id range, a trace buffer and a telemetry registry; the
-    per-shard lists every deployment step indexes by the component's
-    ``extra["shard"]``.  Every shard runs on the runtime's one
-    :class:`~repro.sim.kernel.Kernel`, as the paper's EMBera threads
-    share one Linux process's timebase, and every message is delivered
-    at once (a connection is a pointer), so under pinned placement the
-    output is *identical for every shard count*.
-
-    One shard, the default, is the paper's one EMBera process:
-    ``system`` and ``process`` name its OS and process, and tracing and
-    telemetry keep one buffer and one registry.  A component added after
-    deploy takes the next core and the shard that owns that core.
+    ``shards`` only places components.  Deploy-time graph partitioning
+    (user affinity via ``comp.place(shard=K)`` / ``comp.place(core=N)``,
+    otherwise the static unit-weight min-cut heuristic of
+    :func:`~repro.sim.shard.partition_graph`) maps each component to one
+    shard, once: the placement is a function of the declared graph
+    alone, never of observed traffic.  Each shard owns a contiguous
+    block of the platform's cores, the component's thread is pinned to
+    a core of its shard's block, ``extra["shard"]`` records the shard and
+    the ``shard_cut_messages`` gauges count the messages that cross the
+    cut.  The OS, the process, the span counter, the trace buffer and
+    the telemetry registry exist once per runtime, and every message is
+    delivered at once (a connection is a pointer), so under pinned
+    placement the output is *identical for every shard count*.  A
+    component added after deploy takes the next core and the shard that
+    owns that core.
     """
 
     def __init__(
@@ -433,20 +421,8 @@ class SmpSimRuntime(SimRuntime):
         self.n_shards = int(shards)
         self._blocks = shard_core_blocks(self.platform.n_cores, self.n_shards)
         self.kernel = Kernel()
-        self.systems: List[LinuxSystem] = [
-            LinuxSystem(self.kernel, self.platform, quantum_ns=quantum_ns, cores=cores)
-            for cores in self._blocks
-        ]
-        self.processes = [
-            system.spawn_process(f"embera{i}") for i, system in enumerate(self.systems)
-        ]
-        # Shard 0 allocates from the runtime-wide span source, which
-        # recovery replicas draw from too, so no two spans collide.
-        self._span_sources = [self.span_source] + [
-            shard_span_source(i) for i in range(1, self.n_shards)
-        ]
-        if self.n_shards == 1:
-            self.system, self.process = self.systems[0], self.processes[0]
+        self.system = LinuxSystem(self.kernel, self.platform, quantum_ns=quantum_ns)
+        self.process = self.system.spawn_process("embera0")
         self._next_core = 0
         #: Cross-shard message counts per ``(src_shard, dst_shard)``
         #: pair, fed by _transfer -- the ``shard_cut_messages`` gauges.
@@ -511,13 +487,12 @@ class SmpSimRuntime(SimRuntime):
                 core = self._next_core % self.platform.n_cores
                 self._next_core += 1
             self._place(cont, self._shard_of_core(core), core)
-        process = self.processes[cont.extra["shard"]]
         self._bind_observation_channels(cont)
         node = cont.extra["node"]
         for prov in cont.component.provided.values():
             if prov.is_observation:
                 continue
-            process.malloc(
+            self.process.malloc(
                 prov.mailbox_bytes, label=f"{prov.qualified_name}:mailbox", node=node
             )
             prov.binding = SimMailbox(
@@ -527,17 +502,9 @@ class SmpSimRuntime(SimRuntime):
                 base_addr=self._next_fake_addr(prov.mailbox_bytes),
             )
 
-    def _make_context(
-        self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
-    ) -> SimContext:
-        return SimContext(
-            cont.component, probe, self,
-            self.kernel, self._span_sources[cont.extra["shard"]], offset,
-        )
-
     def _spawn_behavior(self, cont: ComponentContainer) -> None:
         stack = cont.component.placement.get("stack_bytes", DEFAULT_STACK_BYTES)
-        thread = self.processes[cont.extra["shard"]].pthread_create(
+        thread = self.process.pthread_create(
             self._wrap_behavior(cont),
             name=cont.component.name,
             stack_bytes=stack,
@@ -548,7 +515,7 @@ class SmpSimRuntime(SimRuntime):
 
     def _spawn_flow(self, body: Generator, name: str, cont: ComponentContainer):
         # Infrastructure flows bypass pthread accounting (no stack charge).
-        return self.systems[cont.extra["shard"]].engine.spawn(body, name=name)
+        return self.system.engine.spawn(body, name=name)
 
     # -- transport ------------------------------------------------------------------
 
@@ -609,7 +576,7 @@ class SmpSimRuntime(SimRuntime):
         provided.binding.channel.put_front(message)
 
     def _heap_region(self, cont: ComponentContainer):
-        return self.systems[cont.extra["shard"]].node_region(cont.extra["node"])
+        return self.system.node_region(cont.extra["node"])
 
     # -- observation adapters --------------------------------------------------------
 
@@ -645,16 +612,16 @@ class SmpSimRuntime(SimRuntime):
 
     def stamp_telemetry(self) -> None:
         """Component gauges (via the base class), plus the cross-shard
-        cut traffic.  *Gauges* -- shard layout is an execution property,
-        not a simulation result, so it must stay out of
-        ``metrics_digest`` (which skips gauges) to keep the
-        shard-invariance contract."""
+        cut traffic when there is more than one shard.  *Gauges* --
+        shard layout is an execution property, not a simulation result,
+        so it must stay out of ``metrics_digest`` (which skips gauges)
+        to keep the shard-invariance contract."""
         super().stamp_telemetry()
-        regs = self.metrics
-        if not isinstance(regs, list):
+        reg = self.metrics
+        if reg is None or self.n_shards == 1:
             return
         cut = self._cut_traffic
-        for k, reg in enumerate(regs):
+        for k in range(self.n_shards):
             out = sum(n for (s, _d), n in cut.items() if s == k)
             reg.gauge("shard_cut_messages", shard=k, direction="out").set(out, reg.last_ns)
             inn = sum(n for (_s, d), n in cut.items() if d == k)
@@ -687,7 +654,6 @@ class Sti7200SimRuntime(SimRuntime):
         self.kernel = Kernel()
         self.platform = platform or make_sti7200()
         self.system = OS21System(self.kernel, self.platform, quantum_ns=quantum_ns)
-        self.systems = [self.system]
         self.embx = EmbxTransport(self.kernel, self.platform.region("sdram"))
         self.enforce_one_component_per_cpu = enforce_one_component_per_cpu
         self._cpu_owner: Dict[int, str] = {}

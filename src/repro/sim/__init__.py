@@ -29,8 +29,6 @@ from repro.sim.shard import (
     ShardedSimulation,
     partition_graph,
     shard_core_blocks,
-    shard_span_source,
-    span_shard,
 )
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "Staging",
     "partition_graph",
     "shard_core_blocks",
-    "shard_span_source",
-    "span_shard",
     "MICROSECOND",
     "MILLISECOND",
     "Mutex",

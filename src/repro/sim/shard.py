@@ -46,15 +46,6 @@ shard count*.  Two mechanisms enforce this:
   can undercut (``min(bound, now + self_lookahead)``), so two
   equal-``recv_time`` envelopes always sit in the same batch and sort
   canonically, never in shard-arrival order.
-
-Span-id ranges
---------------
-Merged traces from N shards must never collide on span/cause ids, so
-each shard draws from its own range: shard *k* counts from
-``(k << SHARD_SPAN_BITS) + 1`` (:func:`shard_span_source`), and
-:func:`span_shard` recovers the owning shard from any id.  Shard 0's
-range is identical to the unsharded runtime's, keeping single-shard
-traces bit-compatible.
 """
 
 from __future__ import annotations
@@ -66,43 +57,14 @@ import signal
 import threading
 import traceback
 from collections import deque
-from itertools import count
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.kernel import Kernel
 from repro.sim.mailbox import Envelope, Staging
 
 _INF = float("inf")
-
-#: Span/cause ids carry the owning shard in the bits above this position.
-SHARD_SPAN_BITS = 48
-
-
-def shard_span_source(shard_index: int) -> Iterator[int]:
-    """A span-id counter drawing from shard ``shard_index``'s private
-    range -- ids from different shards can never collide in a merged
-    trace.  Shard 0 yields 1, 2, 3, ... exactly like the unsharded
-    runtime."""
-    if shard_index < 0:
-        raise ValueError(f"shard index must be non-negative, got {shard_index}")
-    return count((shard_index << SHARD_SPAN_BITS) + 1)
-
-
-def span_shard(span_id: int) -> int:
-    """The shard that allocated ``span_id`` (0 for unsharded runs)."""
-    return span_id >> SHARD_SPAN_BITS
-
-
-def shard_window_source(shard_index: int) -> Iterator[int]:
-    """A telemetry-window-id counter from shard ``shard_index``'s
-    private range -- the same scheme as :func:`shard_span_source`, so
-    merged metrics series (:func:`repro.metrics.telemetry.merge_registries`)
-    never collide on window ids and shard 0 numbers windows exactly like
-    an unsharded registry."""
-    return shard_span_source(shard_index)
-
 
 # -- partitioning helpers ------------------------------------------------------
 
@@ -111,8 +73,8 @@ def shard_core_blocks(n_cores: int, n_shards: int) -> List[List[int]]:
     """Split core indices into ``n_shards`` contiguous blocks.
 
     Contiguous blocks keep each shard's cores on as few NUMA nodes as
-    possible, so intra-shard link latencies (and thus self-lookahead)
-    stay small."""
+    possible.  :class:`~repro.runtime.simulated.SmpSimRuntime` pins a
+    component of shard *k* to a core of block *k*."""
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
     if n_shards > n_cores:

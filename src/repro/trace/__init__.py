@@ -22,7 +22,6 @@ from repro.trace.tracer import (
     TracingContext,
     collect_trace,
     enable_tracing,
-    merge_buffers,
 )
 from repro.trace.writer import read_columns, read_jsonl, write_columns, write_jsonl
 from repro.trace.analysis import busy_fraction, intervals, summarize_durations, timeline
@@ -52,7 +51,6 @@ __all__ = [
     "busy_fraction",
     "collect_trace",
     "enable_tracing",
-    "merge_buffers",
     "intervals",
     "queue_depth_series",
     "read_columns",

@@ -140,8 +140,8 @@ class TraceBuffer:
 
     def clear(self) -> None:
         """Drop all events, reset the dropped counter *and* the sequence
-        counter -- a cleared buffer starts a fresh trace, so reusing it
-        cannot produce colliding sequence numbers in merged traces."""
+        counter -- a cleared buffer starts a fresh trace, numbered from
+        1 like a new buffer."""
         self._rows.clear()
         self._head = 0
         self.dropped = 0
@@ -291,69 +291,29 @@ class TracingContext:
             self._tracer.emit("compute", opclass, END)
 
 
-def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None):
+def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None) -> TraceBuffer:
     """Install tracing contexts on every deployed component.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    On a runtime of more than one shard one buffer is built per shard
-    (one shard keeps one buffer): a shared buffer would interleave its
-    sequence numbers in execution order -- different for every shard
-    count -- while per-shard buffers keep each shard's trace
-    self-consistent.  Span/cause ids already come from
-    per-shard ranges, so the merged trace has no collisions.  Returns
-    the buffer (or the per-shard buffer list); :func:`collect_trace`
-    returns the one merged trace after ``wait()``.
+    Every component traces into one buffer -- ``buffer``, or a fresh
+    one -- at any shard count.  Returns the buffer; :func:`collect_trace`
+    returns it after ``wait()``.
     """
-    n_shards = getattr(runtime, "n_shards", 1)
-    if n_shards > 1:
-        if buffer is not None:
-            raise ValueError("a sharded runtime traces into one buffer per shard")
-        buffers = [TraceBuffer() for _ in range(n_shards)]
-    else:
-        buffers = None
-        if buffer is None:
-            buffer = TraceBuffer()
+    if buffer is None:
+        buffer = TraceBuffer()
     for cont in runtime.containers.values():
         if cont.context is None:
             raise RuntimeError("enable_tracing requires a deployed application")
-        target = buffers[cont.extra["shard"]] if buffers is not None else buffer
-        tracer = Tracer(target, cont.component.name, cont.context.now_ns)
+        tracer = Tracer(buffer, cont.component.name, cont.context.now_ns)
         cont.context = TracingContext(cont.context, tracer)
         cont.extra["tracer"] = tracer
-    runtime.trace = buffers if buffers is not None else buffer
-    return runtime.trace
+    runtime.trace = buffer
+    return buffer
 
 
 def collect_trace(runtime) -> TraceBuffer:
-    """A runtime's trace after ``wait()``, as one buffer: the per-shard
-    buffers of a sharded runtime merged by :func:`merge_buffers` (see
-    docs/observing.md, "Merging multi-shard traces")."""
+    """A runtime's trace buffer after ``wait()``."""
     trace = getattr(runtime, "trace", None)
     if trace is None:
         raise ValueError("enable_tracing() was not called on this runtime")
-    return merge_buffers(trace) if isinstance(trace, list) else trace
-
-
-def merge_buffers(buffers: List[TraceBuffer]) -> TraceBuffer:
-    """Columnar k-way merge of per-shard trace buffers into one trace.
-
-    Rows are ordered by ``(timestamp, shard index, shard-local seq)``
-    and re-sequenced globally, so the merged trace satisfies the same
-    ``(timestamp, seq)`` contract as a single-kernel trace and every
-    downstream analysis (span graphs, exporters, gantt) works
-    unchanged.  Simulation shards share one kernel's clock, so their
-    timestamps need no alignment.  Dropped-event counts are carried
-    over.
-    """
-    tagged = []
-    dropped = 0
-    for shard, buf in enumerate(buffers):
-        dropped += buf.dropped
-        for row in buf.rows():
-            tagged.append((row[0], shard, row[1], row))
-    tagged.sort(key=lambda entry: entry[:3])
-    merged = TraceBuffer(capacity=max(1, sum(b.capacity for b in buffers)))
-    for ts, _shard, _seq, row in tagged:
-        merged.append((ts, merged.next_seq()) + row[2:])
-    merged.dropped += dropped
-    return merged
+    return trace

@@ -123,7 +123,7 @@ STDOUT_PINS = {
     "trace --images 6":
         "f91d0d3c9d8492f2b82356c4283b0464a848db1a346b07100ca79b909c2b3543",
     "trace --images 4 --shards 2":
-        "b95549b8799cb91d40251969031a338b0832f3cb8fe5d9dd11bf2f2211dc2532",
+        "88cfffcf60a8948558929a61ec7d2b6252ae944457ce18ddea4c1bf48e61d646",
     "top --images 4 --watch --interval 0":
         "545221a7dd6b5fcbd31c7e77bee6cfd0e8f28100176ec2609c8b063ecd67d354",
 }

@@ -69,18 +69,7 @@ def test_grid_includes_recover_on_sharded_platforms(tmp_path):
     assert result.ok and result.cells_ok == 1
 
 
-def test_empty_grid_is_an_error():
-    config = CampaignConfig(
-        seeds=(1,),
-        fault_classes=("crash",),
-        intensities=("light",),
-        policies=("recover",),
-        shard_counts=(2,),
-        n_images=4,
-    )
-    object.__setattr__(config, "seeds", ())  # past the constructor's own check
-    with pytest.raises(FleetError, match="empty"):
-        build_grid(config)
+def test_constructor_refuses_an_empty_shard_counts_axis():
     with pytest.raises(FleetError, match="axis shard_counts is empty"):
         CampaignConfig(
             seeds=(1,),

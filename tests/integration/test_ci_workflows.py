@@ -51,8 +51,17 @@ def test_smoke_jobs_are_separate():
     jobs = ci["jobs"]
     step_names = {name: [s.get("name", "") for s in job["steps"]] for name, job in jobs.items()}
     assert any("shard-count invariant" in s for s in step_names["scale-smoke"])
-    assert any("shard-merge invariant" in s for s in step_names["metrics-smoke"])
-    assert not any("shard-merge invariant" in s for s in step_names["scale-smoke"])
+    assert any(s.startswith("Telemetry is shard-count invariant")
+               for s in step_names["metrics-smoke"])
+    assert not any("shard-merge" in s for steps in step_names.values() for s in steps)
+    telemetry = next(
+        s["run"] for s in jobs["metrics-smoke"]["steps"]
+        if s.get("name", "").startswith("Telemetry is shard-count invariant")
+    )
+    assert 'if snap["name"] != "shard_cut_messages"' in telemetry
+    assert "assert m1 == m2 == m4" in telemetry
+    assert "Causal trace of a 2-shard run" in step_names["shard-smoke"]
+    assert not any(s.startswith("Merged") for s in step_names["shard-smoke"])
     scale_runs = " ".join(s.get("run", "") for s in jobs["scale-smoke"]["steps"])
     assert "--components 1000 --shards 2 | tee t2.txt" in scale_runs
     assert "--components 1000 --shards 4 | tee t4.txt" in scale_runs

@@ -56,6 +56,21 @@ def test_payload_round_trip_is_identity_on_instruments_and_windows():
     assert json.dumps(again, sort_keys=True) == json.dumps(original, sort_keys=True)
 
 
+def test_a_document_with_the_old_shard_keys_still_loads():
+    # Older v1 documents carry an always-0 "shard" key at the top level
+    # and in every window; loading drops it without moving anything else.
+    payload = registry_payload(_populated_registry())
+    assert "shard" not in payload
+    old = json.loads(json.dumps(payload))
+    old["shard"] = 0
+    for window in old["windows"]:
+        window["shard"] = 0
+    rebuilt = registry_from_payload(old)
+    assert json.dumps(registry_payload(rebuilt), sort_keys=True) == json.dumps(
+        payload, sort_keys=True
+    )
+
+
 def test_unknown_schema_is_rejected():
     payload = registry_payload(_populated_registry())
     payload["schema"] = "repro.metrics/v999"

@@ -29,7 +29,6 @@ from repro.metrics.telemetry import (
     bucket_of,
     enable_telemetry,
     instrument_id,
-    merge_registries,
 )
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly
@@ -303,31 +302,6 @@ def test_sharded_histograms_merge_bucket_exact(seed):
     sharded = _decode_registry(seed, 2)
     assert single.windows, "the decode must produce a window series"
     assert metrics_digest(sharded) == metrics_digest(single)
-
-
-def test_merge_registries_rejects_mixed_window_ns():
-    with pytest.raises(ValueError, match="window_ns"):
-        merge_registries(
-            [MetricsRegistry(window_ns=1_000), MetricsRegistry(window_ns=2_000)]
-        )
-    with pytest.raises(ValueError, match="nothing to merge"):
-        merge_registries([])
-
-
-def test_merge_registries_renumbers_and_combines_same_index_windows():
-    a = MetricsRegistry(shard=0, window_ns=1_000, window_ids=lambda: iter((10, 11)))
-    b = MetricsRegistry(shard=1, window_ns=1_000, window_ids=lambda: iter((20, 21)))
-    for reg, v in ((a, 4), (b, 6)):
-        h = reg.histogram("lat_ns")
-        h.observe(v, t_ns=100)
-        reg.finish(200)
-    merged = merge_registries([a, b])
-    assert [w.id for w in merged.windows] == [1]  # global renumbering
-    (window,) = merged.windows
-    assert window.index == 0
-    assert window.data["lat_ns"]["count"] == 2
-    assert window.data["lat_ns"]["total_ns"] == 10
-    assert merged.histogram("lat_ns").count == 2
 
 
 def test_default_window_is_five_virtual_milliseconds():

@@ -68,7 +68,7 @@ def test_one_smp_runtime_takes_every_shard_count(constructed):
         app = build_smp_assembly(_stream(), use_stored_coefficients=True)
         rt = build_run(RunConfig(shards=shards), app)
         assert type(rt) is SmpSimRuntime
-        assert rt.n_shards == len(rt.systems) == shards
+        assert rt.n_shards == shards
     assert constructed == ["SmpSimRuntime"] * 3
     assert not isinstance(SmpSimRuntime(), ShardedSmpSimRuntime)
 

@@ -12,24 +12,22 @@ import pytest
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
-from repro.sim.shard import span_shard
-from repro.trace import TraceBuffer, collect_trace, enable_tracing, merge_buffers
+from repro.trace import collect_trace, enable_tracing
 
 N_IMAGES = 3
 
 
 def _decode(n_shards: int, trace: bool = False):
-    """Run the MJPEG SMP decode; returns (digest, runtime, buffers)."""
+    """Run the MJPEG SMP decode; returns (digest, runtime)."""
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
     if n_shards == 0:
         rt = SmpSimRuntime()
     else:
         rt = ShardedSmpSimRuntime(n_shards)
-    buffers = None
     if trace:
         rt.deploy(app)
-        buffers = enable_tracing(rt)
+        enable_tracing(rt)
         rt.start()
         rt.wait()
     else:
@@ -37,20 +35,24 @@ def _decode(n_shards: int, trace: bool = False):
     reports = rt.collect()
     rt.stop()
     assert len(reports) == 15  # 5 components x 3 levels
-    return frames_digest(app.components["Reorder"].frames), rt, buffers
+    return frames_digest(app.components["Reorder"].frames), rt
 
 
 def test_frame_set_is_shard_count_invariant():
-    reference, _, _ = _decode(0)  # the plain single-kernel runtime
+    reference, _ = _decode(0)  # the plain single-kernel runtime
     for n_shards in (1, 2, 4):
-        digest, rt, _ = _decode(n_shards)
+        digest, rt = _decode(n_shards)
         assert digest == reference, f"{n_shards} shards diverged from the baseline"
 
 
 def _pinned_decode(make, seed):
     """A traced, telemetered 12-image decode with every component pinned
-    to core ``i * 16 // n``, so each shard count hosts the same cores."""
-    from repro.metrics import collect_telemetry, enable_telemetry, metrics_digest
+    to core ``i * 16 // n``, so each shard count hosts the same cores.
+    The metrics document leaves out the ``shard_cut_messages`` gauges,
+    the one part of a run that describes the shard layout."""
+    from repro.metrics import (
+        collect_telemetry, enable_telemetry, metrics_digest, registry_payload,
+    )
     from tests.runtime.test_sim_model_pins import reports_digest
 
     stream = generate_stream(12, 96, 96, quality=75, seed=seed)
@@ -67,15 +69,24 @@ def _pinned_decode(make, seed):
     registry = collect_telemetry(rt)
     reports = rt.collect()
     rt.stop()
+    rows = collect_trace(rt).rows()
     timeline = {}
-    for ts, _seq, component, category, name, phase, _args in collect_trace(rt).rows():
+    for ts, _seq, component, category, name, phase, _args in rows:
         timeline.setdefault(component, []).append((ts, category, name, phase))
+    document = registry_payload(registry)
+    document["instruments"] = {
+        iid: snap
+        for iid, snap in document["instruments"].items()
+        if snap["name"] != "shard_cut_messages"
+    }
     return {
         "makespan": rt.makespan_ns,
         "frames": frames_digest(app.components["Reorder"].frames),
         "reports": reports_digest(reports),
         "metrics": metrics_digest(registry),
         "timeline": timeline,
+        "trace": rows,
+        "document": document,
     }
 
 
@@ -102,28 +113,10 @@ def test_per_component_event_order_is_shard_count_invariant():
     """Timestamps may shift with placement (different cores, different
     NUMA latencies) but each component must run through the identical
     event sequence at every shard count."""
-    two, rt2, buffers2 = _decode(2, trace=True)
-    four, rt4, buffers4 = _decode(4, trace=True)
+    two, rt2 = _decode(2, trace=True)
+    four, rt4 = _decode(4, trace=True)
     assert two == four
-    assert len(buffers2) == 2 and len(buffers4) == 4
     assert _per_component_sequences(rt2) == _per_component_sequences(rt4)
-
-
-def test_span_ids_come_from_the_owning_shards_range():
-    _, rt, buffers = _decode(2, trace=True)
-    for name, cont in rt.containers.items():
-        span = next(cont.context._span_source)
-        assert span_shard(span) == cont.extra["shard"], name
-    # Every message allocation (send/deposit END carries the fresh span)
-    # across all shard buffers gets a distinct id -- the collision the
-    # per-shard ranges exist to prevent.  Receive events legitimately
-    # repeat the sender's span and are excluded.
-    allocated = []
-    for buffer in buffers:
-        for ts, seq, component, category, name, phase, args in buffer.rows():
-            if name in ("send", "deposit") and phase == "E" and "span" in args:
-                allocated.append(args["span"])
-    assert allocated and len(allocated) == len(set(allocated))
 
 
 @pytest.mark.parametrize("n_shards", [2, 4])
@@ -159,45 +152,22 @@ def test_placement_hints_pin_components():
     rt.collect()
     rt.stop()
     assert rt.containers["IDCT_2"].extra["shard"] == 1
-    reference, _, _ = _decode(0)
+    reference, _ = _decode(0)
     assert frames_digest(app.components["Reorder"].frames) == reference
-
-
-@pytest.mark.parametrize("name", ["system", "process"])
-def test_sharded_runtime_has_no_runtime_wide_clock_or_os(name):
-    # Each shard owns its OS and process; a runtime-wide alias would
-    # charge a component to another shard's cores.  The clock is the
-    # runtime's one kernel (the next test).
-    rt = ShardedSmpSimRuntime(2)
-    with pytest.raises(AttributeError):
-        getattr(rt, name)
-    assert len(rt.systems) == len(rt.processes) == 2
 
 
 def test_every_shard_runs_on_the_runtimes_one_kernel():
     stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
     rt = ShardedSmpSimRuntime(2)
     rt.deploy(build_smp_assembly(stream, use_stored_coefficients=True))
-    assert len(rt.systems) == len(rt.processes) == 2
-    assert all(system.kernel is rt.kernel for system in rt.systems)
+    # Shards only place components: the runtime has one OS and one
+    # process, on its one kernel, at any shard count.
+    assert rt.system.kernel is rt.kernel
+    assert rt.process.system is rt.system
+    assert {cont.extra["shard"] for cont in rt.containers.values()} == {0, 1}
     for cont in rt.containers.values():
         assert cont.context.kernel is rt.kernel
         assert cont.service_context.kernel is rt.kernel
-
-
-def test_merge_buffers_orders_by_time_shard_and_seq():
-    a, b = TraceBuffer(capacity=8), TraceBuffer(capacity=8)
-    # (ts, seq, component, category, name, phase, args)
-    a.append((10, 1, "x", "compute", "op", "I", {}))
-    a.append((30, 2, "x", "compute", "op", "I", {}))
-    b.append((10, 1, "y", "compute", "op", "I", {}))
-    b.append((20, 2, "y", "compute", "op", "I", {}))
-    merged = merge_buffers([a, b])
-    order = [(row[0], row[2]) for row in merged.rows()]
-    # Equal timestamps: shard 0 (buffer a) sorts before shard 1 (b).
-    assert order == [(10, "x"), (10, "y"), (20, "y"), (30, "x")]
-    seqs = [row[1] for row in merged.rows()]
-    assert seqs == sorted(seqs) and len(set(seqs)) == 4
 
 
 def test_shard_plane_gauges_are_stamped_and_digest_safe():
@@ -267,21 +237,3 @@ def test_shard_cut_gauges_count_the_posted_envelopes(n_shards):
     assert [cut[(k, "in")] for k in range(n_shards)] == sent_in
     assert [cut[(k, "out")] for k in range(n_shards)] == sent_out
     assert sum(sent_in) > 0
-
-
-def test_collect_trace_merges_shard_buffers_and_passes_one_through():
-    _, rt, buffers = _decode(2, trace=True)
-    merged = collect_trace(rt)
-    assert len(merged) == sum(len(b) for b in buffers)
-    assert merged.rows() == merge_buffers(buffers).rows()
-    _, plain, buffer = _decode(0, trace=True)
-    assert isinstance(buffer, TraceBuffer)
-    assert collect_trace(plain) is buffer
-
-
-def test_sharded_tracing_rejects_a_shared_buffer():
-    stream = generate_stream(N_IMAGES, 96, 96, quality=75, seed=0)
-    rt = ShardedSmpSimRuntime(2)
-    rt.deploy(build_smp_assembly(stream, use_stored_coefficients=True))
-    with pytest.raises(ValueError, match="one buffer per shard"):
-        enable_tracing(rt, TraceBuffer())

@@ -100,20 +100,10 @@ class ReferenceExecEngine:
         kernel: Kernel,
         core_models: Sequence[Any],
         policy: SchedPolicy,
-        core_indices: Optional[Sequence[int]] = None,
     ) -> None:
-        """``core_indices`` gives the cores platform-global indices when
-        the engine hosts only a subset of a machine (a simulation shard);
-        affinity masks keep using global core numbers either way."""
-        if core_indices is not None and len(core_indices) != len(core_models):
-            raise SimulationError(
-                f"core_indices ({len(core_indices)}) and core_models "
-                f"({len(core_models)}) lengths differ"
-            )
         self.kernel = kernel
         self.policy = policy
-        indices = range(len(core_models)) if core_indices is None else core_indices
-        self.cores = [ReferenceCpuCore(self, i, model) for i, model in zip(indices, core_models)]
+        self.cores = [ReferenceCpuCore(self, i, model) for i, model in enumerate(core_models)]
         self.threads: list[SchedThread] = []
         self.alive_threads = 0
         self.on_context_switch: Optional[Callable[[ReferenceCpuCore, Optional[SchedThread], Optional[SchedThread]], None]] = None

@@ -1,7 +1,7 @@
 """Unit tests for the sharded conservative simulation layer.
 
 Covers the kernel hook the shard coordinator relies on
-(``deadlock_check``), the partitioning helpers, span-id ranges, the
+(``deadlock_check``), the partitioning helpers, the
 envelope/inbox/staging machinery, and the coordinator itself
 (delivery-order invariance across shard counts, deadlock semantics).
 """
@@ -13,13 +13,10 @@ from repro.sim.errors import DeadlockError
 from repro.sim.mailbox import Envelope, Staging
 from repro.sim.resources import Channel
 from repro.sim.shard import (
-    SHARD_SPAN_BITS,
     Shard,
     ShardedSimulation,
     partition_graph,
     shard_core_blocks,
-    shard_span_source,
-    span_shard,
 )
 
 from reference_process import Process
@@ -112,40 +109,6 @@ def test_partition_graph_deterministic_under_affinity_pins():
     assert first["c0"] == 2 and first["c8"] == 0
     sizes = [sum(1 for s in first.values() if s == k) for k in range(3)]
     assert all(n >= 1 for n in sizes)
-
-
-# -- span-id ranges (shard-safe tracer ids) ------------------------------------
-
-
-def test_shard_zero_span_range_is_bit_compatible():
-    source = shard_span_source(0)
-    assert [next(source) for _ in range(3)] == [1, 2, 3]
-
-
-def test_span_sources_never_collide_across_shards():
-    ids = []
-    for shard in range(4):
-        source = shard_span_source(shard)
-        ids.extend(next(source) for _ in range(1000))
-    assert len(set(ids)) == len(ids)
-
-
-def test_span_shard_recovers_the_owner():
-    for shard in (0, 1, 3, 7):
-        source = shard_span_source(shard)
-        assert span_shard(next(source)) == shard
-    assert span_shard(123) == 0  # unsharded ids read as shard 0
-
-
-def test_shard_span_source_rejects_negative_index():
-    with pytest.raises(ValueError):
-        shard_span_source(-1)
-
-
-def test_span_bits_leave_room_for_real_traces():
-    # 48 bits of per-shard sequence: a trace would need ~2.8e14 spans
-    # per shard before ranges could touch.
-    assert SHARD_SPAN_BITS >= 40
 
 
 # -- envelopes / inbox / staging -----------------------------------------------
