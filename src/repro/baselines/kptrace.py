@@ -85,15 +85,3 @@ class KPTrace:
                 )
         return totals
 
-    def core_occupancy(self) -> Dict[int, int]:
-        """Busy nanoseconds per core, reconstructed from events."""
-        active: Dict[int, int] = {}
-        busy: Dict[int, int] = {}
-        for record in self.records:
-            if record.event == "switch_in":
-                active[record.core] = record.timestamp_ns
-            elif record.event == "switch_out" and record.core in active:
-                busy[record.core] = busy.get(record.core, 0) + (
-                    record.timestamp_ns - active.pop(record.core)
-                )
-        return busy

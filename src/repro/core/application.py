@@ -11,7 +11,7 @@ application function", section 4.1).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Generator, Iterable, List, Optional, Union
 
 from repro.core.component import BehaviorFn, Component, ComponentState
 from repro.core.errors import ConnectionError_, LifecycleError
@@ -85,15 +85,6 @@ class Application:
         source = self._resolve(src)
         target = self._resolve(dst)
         source.get_required(required_name).connect(target.get_provided(provided_name))
-
-    def connections(self) -> List[Tuple[str, str]]:
-        """All established connections as qualified-name pairs."""
-        out = []
-        for comp in self.components.values():
-            for req in comp.required.values():
-                if req.target is not None:
-                    out.append((req.qualified_name, req.target.qualified_name))
-        return out
 
     # -- observation wiring ---------------------------------------------------------
 

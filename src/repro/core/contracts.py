@@ -83,16 +83,6 @@ class InterfaceContract:
                 f"min_rate_hz {self.min_rate_hz} exceeds max_rate_hz {self.max_rate_hz}"
             )
 
-    @property
-    def checks_anything(self) -> bool:
-        """True when at least one clause is active."""
-        return (
-            self.deadline_ns is not None
-            or self.min_rate_hz is not None
-            or self.max_rate_hz is not None
-            or self.ordered
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (for reports and command help)."""
         out: Dict[str, Any] = {}

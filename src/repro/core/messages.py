@@ -101,11 +101,6 @@ class Message:
         if self.size_bytes < 0:
             raise ValueError(f"negative message size {self.size_bytes}")
 
-    @property
-    def is_data(self) -> bool:
-        """True for application data messages (Table 2 counting)."""
-        return self.kind == DATA
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Message {self.kind}:{self.tag or '-'} from={self.src or '?'} "

@@ -98,15 +98,6 @@ class ObserverComponent(Component):
             self.reports[key] = reply.data
         return results
 
-    def report_for(self, component: str, level: str) -> Dict[str, Any]:
-        """A previously collected report (error when absent)."""
-        try:
-            return self.reports[(component, level)]
-        except KeyError:
-            raise ObservationError(
-                f"no {level!r} report collected for {component!r}"
-            ) from None
-
     def contract_violations(self) -> Dict[str, Any]:
         """Aggregate contract-violation counts across every collected
         application report (telemetry must be enabled for any to exist).

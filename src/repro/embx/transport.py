@@ -53,8 +53,7 @@ class DistributedObject:
     """
 
     __slots__ = (
-        "name", "size_bytes", "owner_cpu", "queue", "_region", "_handle", "closed",
-        "sends", "receives", "peak_depth",
+        "name", "size_bytes", "owner_cpu", "queue", "sends", "receives", "peak_depth",
     )
 
     def __init__(
@@ -63,16 +62,11 @@ class DistributedObject:
         size_bytes: int,
         owner_cpu: int,
         queue: Channel,
-        region: MemoryRegion,
-        handle: int,
     ) -> None:
         self.name = name
         self.size_bytes = size_bytes
         self.owner_cpu = owner_cpu
         self.queue = queue
-        self._region = region
-        self._handle = handle
-        self.closed = False
         #: Per-object traffic accounting: message counts and the deepest
         #: the object's queue ever got (the transport-level backpressure
         #: high-water mark the causal analysis cross-checks against).
@@ -89,8 +83,6 @@ class DistributedObject:
         object-level accounting moves (the receive side still charges its
         read copy when the message is drained).
         """
-        if self.closed:
-            raise EmbxError(f"requeue on destroyed object {self.name!r}")
         self.queue.put_front((payload, nbytes))
         self.sends += 1
         depth = len(self.queue)
@@ -155,19 +147,11 @@ class EmbxTransport:
         """Allocate a distributed object in the shared region."""
         if name in self.objects:
             raise EmbxError(f"distributed object {name!r} already exists")
-        handle = self.shared_region.alloc(size_bytes, label=f"embx:{name}", time_ns=self.kernel.now)
+        self.shared_region.alloc(size_bytes, label=f"embx:{name}", time_ns=self.kernel.now)
         queue = Channel(self.kernel, name=f"embx.{name}")
-        obj = DistributedObject(name, size_bytes, owner_cpu, queue, self.shared_region, handle)
+        obj = DistributedObject(name, size_bytes, owner_cpu, queue)
         self.objects[name] = obj
         return obj
-
-    def destroy_object(self, obj: DistributedObject) -> None:
-        """Release a distributed object and its shared memory."""
-        if obj.closed:
-            raise EmbxError(f"object {obj.name!r} already destroyed")
-        obj.closed = True
-        self.shared_region.free(obj._handle, time_ns=self.kernel.now)
-        del self.objects[obj.name]
 
     # -- cost model ---------------------------------------------------------------
 
@@ -188,8 +172,6 @@ class EmbxTransport:
         then deposits the message.  Returns as soon as the write is done
         (the receiver need not be waiting).
         """
-        if obj.closed:
-            raise EmbxError(f"send on destroyed object {obj.name!r}")
         if nbytes < 0:
             raise EmbxError(f"negative message size {nbytes}")
         yield Compute("memcpy_byte", self.effective_copy_bytes(nbytes))
@@ -212,8 +194,6 @@ class EmbxTransport:
         ``timeout_ns`` set, raises :class:`EmbxTimeout` when the deadline
         expires first (the blocking-with-timeout variant of the API).
         """
-        if obj.closed:
-            raise EmbxError(f"receive on destroyed object {obj.name!r}")
         if timeout_ns is None:
             payload, nbytes = yield from obj.queue.get()
         else:

@@ -29,7 +29,7 @@ recovery is *observed* with the same machinery as ordinary execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.core.component import ComponentState
 from repro.core.errors import EscalationError
@@ -139,32 +139,18 @@ class HaltPolicy:
 
 
 class Supervisor:
-    """Per-component failure policies plus the recovery flow."""
+    """One failure policy for every component, plus the recovery flow."""
 
     def __init__(self, policy=None, seed: int = 0) -> None:
-        #: Policy for components without an explicit one; ``None`` leaves
-        #: them uncovered (raw behaviour, pre-supervision semantics).
-        self.default_policy = policy
+        #: ``None`` leaves every component uncovered (raw behaviour,
+        #: pre-supervision semantics).
+        self.policy = policy
         self.seed = seed
-        self._policies: Dict[str, Any] = {}
         self._rng = RngRegistry(seed)
         self.events: List[SupervisionEvent] = []
         self.runtime = None
 
     # -- configuration ---------------------------------------------------------
-
-    def set_policy(self, component_name: str, policy) -> "Supervisor":
-        """Assign a policy to one component (fluent)."""
-        self._policies[component_name] = policy
-        return self
-
-    def policy_for(self, component_name: str):
-        """The effective policy of a component (explicit, else default)."""
-        return self._policies.get(component_name, self.default_policy)
-
-    def covers(self, component_name: str) -> bool:
-        """True when failures of this component route through the flow."""
-        return self.policy_for(component_name) is not None
 
     def install(self, runtime) -> "Supervisor":
         """Attach to a runtime (between ``deploy()`` and ``start()``)."""
@@ -175,19 +161,6 @@ class Supervisor:
         return self
 
     # -- reporting -------------------------------------------------------------
-
-    def report(self) -> Dict[str, Any]:
-        """Summary of supervision activity (JSON-friendly)."""
-        per_component: Dict[str, Dict[str, int]] = {}
-        for ev in self.events:
-            slot = per_component.setdefault(ev.component, {})
-            slot[ev.action] = slot.get(ev.action, 0) + 1
-        return {
-            "events": [ev.__dict__ for ev in self.events],
-            "per_component": per_component,
-            "restarts": sum(1 for ev in self.events if ev.action == RESTART),
-            "escalations": sum(1 for ev in self.events if ev.action == ESCALATE),
-        }
 
     # -- the recovery flow -----------------------------------------------------
 
@@ -204,7 +177,7 @@ class Supervisor:
         """The supervised execution flow of one component (a generator
         the runtime spawns in place of the raw behaviour)."""
         comp, ctx, probe = cont.component, cont.context, cont.probe
-        policy = self.policy_for(comp.name)
+        policy = self.policy
         rng = self._rng.stream(f"supervisor.backoff.{comp.name}")
         attempt = 0
         while True:

@@ -21,7 +21,6 @@ cache-miss observation extension (paper section 6, "ongoing work").
 
 from repro.hw.cache import CacheConfig, CacheSim, CacheStats
 from repro.hw.cpu import CpuModel
-from repro.hw.interconnect import hypercube_distance
 from repro.hw.memory import AllocationError, MemoryRegion
 from repro.hw.platform import Platform
 from repro.hw.smp16 import make_smp16
@@ -35,7 +34,6 @@ __all__ = [
     "CpuModel",
     "MemoryRegion",
     "Platform",
-    "hypercube_distance",
     "make_smp16",
     "make_sti7200",
 ]

@@ -5,16 +5,15 @@ simulated middleware feeds the address ranges it copies through a per-core
 cache model, and the observation layer reports hit/miss counters per
 component.
 
-The simulator is exact for arbitrary address streams (``access``) and has
-a fast path for the sequential ranges produced by message copies
-(``access_range``).
+The simulator takes the sequential ranges produced by message copies
+(``access_range``), touching each cache line of a range once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -93,21 +92,11 @@ class CacheSim:
         ways[tag] = None
         return False
 
-    def access(self, addresses: Iterable[int]) -> int:
-        """Access byte addresses one by one; returns miss count delta."""
-        before = self.stats.misses
-        line = self.config.line_bytes
-        for addr in addresses:
-            if addr < 0:
-                raise ValueError(f"negative address {addr}")
-            self._touch_line(addr // line)
-        return self.stats.misses - before
-
     def access_range(self, start: int, nbytes: int) -> int:
         """Sequentially access ``[start, start+nbytes)``; returns misses.
 
-        Equivalent to ``access(range(start, start+nbytes))`` but touches
-        each cache line once, matching a streaming copy.
+        Each cache line of the range is touched once, matching a
+        streaming copy.
         """
         if nbytes < 0:
             raise ValueError(f"negative range length {nbytes}")
@@ -121,11 +110,3 @@ class CacheSim:
             self._touch_line(line_addr)
         return self.stats.misses - before
 
-    def flush(self) -> None:
-        """Invalidate all lines (stats are kept)."""
-        for ways in self._sets:
-            ways.clear()
-
-    def resident_lines(self) -> int:
-        """Number of lines currently cached."""
-        return sum(len(ways) for ways in self._sets)

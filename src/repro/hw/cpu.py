@@ -51,14 +51,5 @@ class CpuModel:
             return round(units)
         return round(units * self.cycles_for(opclass) * self._ns_per_cycle)
 
-    def scaled(self, name: str, factor: float) -> "CpuModel":
-        """A copy whose every opclass is ``factor`` times more expensive."""
-        return CpuModel(
-            name,
-            self.freq_hz,
-            {k: v * factor for k, v in self.cycles_per_unit.items()},
-            default_cycles=self.default_cycles * factor,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CpuModel {self.name} {self.freq_hz / 1e6:.0f} MHz>"

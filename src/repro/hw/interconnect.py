@@ -11,15 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def hypercube_distance(a: int, b: int) -> int:
-    """Hop count between nodes of a hypercube = Hamming distance of ids."""
-    if a < 0 or b < 0:
-        raise ValueError("node ids must be non-negative")
-    return int(bin(a ^ b).count("1"))
-
-
 def hypercube_distance_matrix(n_nodes: int) -> np.ndarray:
-    """Full hop-distance matrix for an ``n_nodes`` hypercube.
+    """Full hop-distance matrix for an ``n_nodes`` hypercube: the hop
+    count between two nodes is the Hamming distance of their ids.
 
     ``n_nodes`` must be a power of two.
     """

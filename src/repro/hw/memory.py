@@ -58,22 +58,6 @@ class MemoryRegion:
         self.used_bytes -= nbytes
         self._timeline.append((time_ns, self.used_bytes))
 
-    @property
-    def free_bytes(self) -> int:
-        """Capacity not currently allocated."""
-        return self.size_bytes - self.used_bytes
-
-    def allocations(self) -> List[Tuple[str, int]]:
-        """Live allocations as ``(label, nbytes)`` pairs (insertion order)."""
-        return list(self._allocations.values())
-
-    def usage_by_label(self) -> Dict[str, int]:
-        """Total live bytes per allocation label."""
-        out: Dict[str, int] = {}
-        for label, nbytes in self._allocations.values():
-            out[label] = out.get(label, 0) + nbytes
-        return out
-
     def timeline(self) -> List[Tuple[int, int]]:
         """(time_ns, used_bytes) samples -- the memory-evolution extension."""
         return list(self._timeline)

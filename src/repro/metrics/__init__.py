@@ -1,7 +1,7 @@
 """Counters, timers, report tables and analyses for observation data."""
 
 from repro.metrics.asciichart import render_xy
-from repro.metrics.stats import Counter, MemoryStats, Timer
+from repro.metrics.stats import Counter, Timer
 from repro.metrics.table import Table
 from repro.metrics.telemetry import (
     ComponentTelemetry,
@@ -26,7 +26,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Log2Histogram",
-    "MemoryStats",
     "MetricsRegistry",
     "Table",
     "Timer",

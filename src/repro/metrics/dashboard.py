@@ -157,7 +157,7 @@ def iter_frames(registry: MetricsRegistry, width: int = 72) -> Iterator[str]:
     partial = MetricsRegistry(window_ns=registry.window_ns)
     for kind, name, labels, inst in registry.instruments():
         if kind == "gauge":
-            partial.gauge(name, **labels).merge(inst)
+            partial.gauge(name, **labels).set(inst.value, inst.ts_ns)
     for k, w in enumerate(registry.windows):
         for iid, delta in w.data.items():
             name, labels = _parse_id(iid)

@@ -52,9 +52,5 @@ class Table:
             lines.append("  ".join(row[i].rjust(widths[i]) for i in range(len(row))))
         return "\n".join(lines)
 
-    def as_dicts(self) -> List[dict]:
-        """Rows as header-keyed dicts (for programmatic assertions)."""
-        return [dict(zip(self.headers, row)) for row in self.rows]
-
     def __str__(self) -> str:  # pragma: no cover
         return self.render()

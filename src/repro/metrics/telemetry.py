@@ -242,15 +242,9 @@ class Gauge:
         self.ts_ns = 0
 
     def set(self, value: float, ts_ns: int = 0) -> None:
-        """Stamp the current value (``ts_ns`` orders merged gauges)."""
+        """Stamp the current value at sim time ``ts_ns``."""
         self.value = value
         self.ts_ns = ts_ns
-
-    def merge(self, other: "Gauge") -> None:
-        """Later stamp wins (ties keep ours)."""
-        if other.ts_ns > self.ts_ns:
-            self.value = other.value
-            self.ts_ns = other.ts_ns
 
     def reset(self) -> None:
         """Zero the gauge in place (registry ``clear()``)."""

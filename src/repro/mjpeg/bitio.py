@@ -79,11 +79,6 @@ class BitReader:
         """Number of bits consumed so far."""
         return self._bytepos * 8 - self._accbits
 
-    @property
-    def exhausted(self) -> bool:
-        """True when no bits remain."""
-        return self._accbits == 0 and self._bytepos >= self._nbytes
-
     def bits_remaining(self) -> int:
         """Number of unread bits left in the stream."""
         return self._accbits + (self._nbytes - self._bytepos) * 8

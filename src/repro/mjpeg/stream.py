@@ -87,10 +87,6 @@ class MJPEGStream:
         """Blocks per frame (constant across the stream)."""
         return self.records[0].n_blocks
 
-    def total_payload_bytes(self) -> int:
-        """Sum of all encoded payload sizes."""
-        return sum(len(r.frame.payload) for r in self.records)
-
 
 def generate_stream(
     n_images: int,

@@ -1,4 +1,4 @@
-"""OS21-like RTOS: tasks, partitions, per-CPU clocks.
+"""OS21-like RTOS: tasks and per-CPU clocks.
 
 Fidelity notes mirrored from the paper (section 5):
 
@@ -22,42 +22,11 @@ from repro.hw.memory import MemoryRegion
 from repro.hw.platform import Platform
 from repro.sim.executor import ExecEngine, PriorityPolicy, SchedThread
 from repro.sim.kernel import Kernel
-from repro.sim.process import Command, WaitEvent
+from repro.sim.process import Command
 
 #: Default OS21 task stack+descriptor footprint used by the EMBera port.
 #: Table 3: "60 kB for the task data and component structure".
 DEFAULT_TASK_BYTES = 60 * 1024
-
-
-class Partition:
-    """An OS21 memory partition: named slab allocation inside a region."""
-
-    def __init__(self, system: "OS21System", name: str, region: MemoryRegion) -> None:
-        self.system = system
-        self.name = name
-        self.region = region
-        self._live: Dict[int, int] = {}
-        self._next = 1
-
-    def alloc(self, nbytes: int, label: str = "") -> int:
-        """Allocate from the partition; returns a pointer handle."""
-        handle = self.region.alloc(
-            nbytes, label=f"{self.name}:{label}" if label else self.name,
-            time_ns=self.system.kernel.now,
-        )
-        ptr = self._next
-        self._next += 1
-        self._live[ptr] = handle
-        return ptr
-
-    def free(self, ptr: int) -> None:
-        """Release a partition allocation."""
-        handle = self._live.pop(ptr)
-        self.region.free(handle, time_ns=self.system.kernel.now)
-
-    def used_bytes(self) -> int:
-        """Bytes currently allocated in the backing region."""
-        return self.region.used_bytes
 
 
 class OS21Task:
@@ -83,11 +52,6 @@ class OS21Task:
         self._mem_handle = mem_handle
         self._mem_region = mem_region
 
-    @property
-    def alive(self) -> bool:
-        """True while still executing."""
-        return self.sched.alive
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<OS21Task {self.name!r} cpu={self.cpu} prio={self.priority}>"
 
@@ -102,17 +66,8 @@ class OS21System:
         self.tasks: Dict[str, OS21Task] = {}
         # Unsynchronised per-CPU clocks: constant boot-time offsets (ns).
         self.clock_offsets_ns = [1_000 * (7 * i % 13) for i in range(platform.n_cores)]
-        self.partitions: Dict[str, Partition] = {}
 
     # -- memory -----------------------------------------------------------------
-
-    def create_partition(self, name: str, region_name: str) -> Partition:
-        """Create a named partition over a memory region."""
-        if name in self.partitions:
-            raise ValueError(f"partition {name!r} already exists")
-        part = Partition(self, name, self.platform.region(region_name))
-        self.partitions[name] = part
-        return part
 
     def local_region_of_cpu(self, cpu: int) -> MemoryRegion:
         """The memory a task's descriptor/stack lives in: ST231s use their
@@ -153,23 +108,11 @@ class OS21System:
             sched.done.on_trigger(_release)
         return task
 
-    @staticmethod
-    def task_join(task: OS21Task) -> Generator[Command, Any, Any]:
-        """``yield from sys.task_join(t)`` -- wait for task termination."""
-        if task.sched.done.triggered:
-            return task.sched.result
-        result = yield WaitEvent(task.sched.done)
-        return result
-
     # -- time -----------------------------------------------------------------------
 
     def task_time_us(self, task: OS21Task) -> int:
         """OS21 ``task_time``: microseconds of CPU time consumed by the task."""
         return task.sched.cpu_time_ns // 1_000
-
-    def time_now_us(self, cpu: int) -> int:
-        """OS21 ``time_now``: the *local* clock of ``cpu`` in microseconds."""
-        return (self.kernel.now + self.clock_offsets_ns[cpu]) // 1_000
 
     def shutdown(self) -> None:
         """Let scheduler loops exit once all tasks finish."""

@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Iterable, Optional
 
 from repro.hw.platform import Platform
-from repro.sim.executor import ExecEngine, FairPolicy, RoundRobinPolicy, SchedThread
+from repro.sim.executor import ExecEngine, RoundRobinPolicy, SchedThread
 from repro.sim.kernel import Kernel
-from repro.sim.process import Command, WaitEvent
+from repro.sim.process import Command
 
 #: Default pthread stack size observed by the paper (8 392 kB).
 DEFAULT_STACK_BYTES = 8392 * 1024
@@ -44,15 +44,6 @@ class PThread:
         """The configured stack size (pthread attribute semantics)."""
         return self.stack_bytes
 
-    @property
-    def alive(self) -> bool:
-        """True while still executing."""
-        return self.sched.alive
-
-    def cpu_time_ns(self) -> int:
-        """Accumulated CPU time of the underlying thread."""
-        return self.sched.cpu_time_ns
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<PThread {self.tid} {self.name!r}>"
 
@@ -66,7 +57,6 @@ class LinuxProcess:
         self.name = name
         self.home_node = home_node
         self.threads: Dict[int, PThread] = {}
-        self._heap: Dict[int, tuple] = {}
         self._next_ptr = 1
         self.heap_bytes = 0
         self.heap_peak = 0
@@ -76,19 +66,12 @@ class LinuxProcess:
     def malloc(self, nbytes: int, label: str = "heap", node: Optional[int] = None) -> int:
         """Allocate from the region of ``node`` (default: the home node)."""
         region = self.system.node_region(self.home_node if node is None else node)
-        handle = region.alloc(nbytes, label=f"{self.name}:{label}", time_ns=self.system.kernel.now)
+        region.alloc(nbytes, label=f"{self.name}:{label}", time_ns=self.system.kernel.now)
         ptr = self._next_ptr
         self._next_ptr += 1
-        self._heap[ptr] = (handle, region, nbytes)
         self.heap_bytes += nbytes
         self.heap_peak = max(self.heap_peak, self.heap_bytes)
         return ptr
-
-    def mfree(self, ptr: int) -> None:
-        """Release a ``malloc`` allocation."""
-        handle, region, nbytes = self._heap.pop(ptr)
-        region.free(handle, time_ns=self.system.kernel.now)
-        self.heap_bytes -= nbytes
 
     # -- threads --------------------------------------------------------------
 
@@ -116,14 +99,6 @@ class LinuxProcess:
         sched.done.on_trigger(_release_stack)
         return thread
 
-    @staticmethod
-    def pthread_join(thread: PThread) -> Generator[Command, Any, Any]:
-        """``yield from proc.pthread_join(t)`` -- wait for thread exit."""
-        if thread.sched.done.triggered:
-            return thread.sched.result
-        result = yield WaitEvent(thread.sched.done)
-        return result
-
 
 class LinuxSystem:
     """The machine-wide OS instance over a simulated platform."""
@@ -133,19 +108,11 @@ class LinuxSystem:
         kernel: Kernel,
         platform: Platform,
         quantum_ns: int = 4_000_000,
-        scheduler: str = "rr",
     ) -> None:
-        """``scheduler``: ``"rr"`` (round-robin time sharing, default) or
-        ``"fair"`` (CFS-flavoured weighted fair scheduling)."""
-        if scheduler == "rr":
-            policy = RoundRobinPolicy(quantum_ns)
-        elif scheduler == "fair":
-            policy = FairPolicy(quantum_ns)
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}; expected 'rr' or 'fair'")
+        """Threads time-share the cores round-robin on ``quantum_ns``."""
         self.kernel = kernel
         self.platform = platform
-        self.engine = ExecEngine(kernel, platform.cores, policy)
+        self.engine = ExecEngine(kernel, platform.cores, RoundRobinPolicy(quantum_ns))
         self.processes: Dict[int, LinuxProcess] = {}
         self._pid = 0
         self._tid = 0
@@ -164,16 +131,6 @@ class LinuxSystem:
     def node_region(self, node: int):
         """The memory region backing a NUMA node."""
         return self.platform.region(f"node{node}")
-
-    # -- time ----------------------------------------------------------------
-
-    def gettimeofday_us(self) -> int:
-        """Microsecond wall clock (the paper's timestamp source on Linux)."""
-        return self.kernel.now // 1_000
-
-    def now_ns(self) -> int:
-        """Current platform time in nanoseconds."""
-        return self.kernel.now
 
     def shutdown(self) -> None:
         """Allow scheduler loops to exit once all threads have finished."""

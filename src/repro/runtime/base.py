@@ -191,10 +191,6 @@ class Runtime(ABC):
         except KeyError:
             raise RuntimeError_(f"no deployed component {name!r}") from None
 
-    def probe(self, name: str) -> ObservationProbe:
-        """The observation probe of a component (by name)."""
-        return self.container(name).probe
-
     # -- telemetry ----------------------------------------------------------
 
     def _busy_ns_of(self, cont: ComponentContainer) -> Optional[int]:
@@ -238,7 +234,7 @@ class Runtime(ABC):
         flow: the raw behaviour, or the supervisor's fault-handling flow
         wrapped around it when supervision covers the component."""
         sup = self.supervisor
-        if sup is not None and sup.covers(cont.component.name):
+        if sup is not None and sup.policy is not None:
             return sup.flow(self, cont)
         return cont.component.behavior(cont.context)
 

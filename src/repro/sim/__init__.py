@@ -10,19 +10,19 @@ The executor (:mod:`repro.sim.executor`) runs every component body.
 ``Process``, the generator engine that kernel and resource tests drive
 directly, lives in ``tests/sim`` as the reference engine.
 
-Synchronisation primitives built on top of events live in
-:mod:`repro.sim.resources` (semaphores, mutexes, FIFO channels).
+The FIFO channel built on top of events lives in
+:mod:`repro.sim.resources`.
 All randomness flows through :mod:`repro.sim.rng` seeded streams so every
 simulation run is bit-for-bit reproducible.
 """
 
-from repro.sim.clock import MICROSECOND, MILLISECOND, NANOSECOND, SECOND, ns_to_s, ns_to_us, s_to_ns, us_to_ns
+from repro.sim.clock import MICROSECOND, MILLISECOND, NANOSECOND, SECOND
 from repro.sim.errors import SimulationError, DeadlockError, ProcessKilled
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
 from repro.sim.mailbox import Envelope, Staging
 from repro.sim.process import Command, Timeout, WaitEvent
-from repro.sim.resources import Channel, Mutex, Semaphore
+from repro.sim.resources import Channel
 from repro.sim.rng import RngRegistry
 from repro.sim.shard import (
     Shard,
@@ -45,17 +45,11 @@ __all__ = [
     "shard_core_blocks",
     "MICROSECOND",
     "MILLISECOND",
-    "Mutex",
     "NANOSECOND",
     "ProcessKilled",
     "RngRegistry",
     "SECOND",
-    "Semaphore",
     "SimulationError",
     "Timeout",
     "WaitEvent",
-    "ns_to_s",
-    "ns_to_us",
-    "s_to_ns",
-    "us_to_ns",
 ]

@@ -137,12 +137,6 @@ class SchedThread:
         """Whether affinity allows this thread on the core."""
         return self.affinity is None or core.index in self.affinity
 
-    def wall_time_ns(self) -> Optional[int]:
-        """Start-to-finish elapsed virtual time, once the thread is done."""
-        if self.start_time_ns is None or self.end_time_ns is None:
-            return None
-        return self.end_time_ns - self.start_time_ns
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<SchedThread {self.name!r} {self.state} prio={self.priority}>"
 
@@ -179,10 +173,6 @@ class CpuCore:
     def idle(self) -> bool:
         """True when no thread occupies the core."""
         return self.current is None
-
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of ``elapsed_ns`` this core spent running threads."""
-        return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
 
     def kick(self) -> None:
         """Wake the dispatcher if it is idle-waiting."""
@@ -514,68 +504,6 @@ class RoundRobinPolicy:
         """Time sharing: a newly ready thread ends the running slice so
         the queue is re-evaluated with quantum bounds."""
         return True
-
-    def quantum_ns(self, thread: SchedThread, contended: bool) -> Optional[int]:
-        """Slice bound for the thread (None = run to completion)."""
-        return self.quantum if contended else None
-
-
-class FairPolicy:
-    """CFS-flavoured fair scheduling: pick the runnable thread with the
-    least *weighted CPU time* (its virtual runtime).
-
-    Weights follow a nice-like geometric ladder: each priority step
-    multiplies the entitled share by ``weight_step`` (priority 0 = weight
-    1.0; higher priority = larger share).  Because the engine already
-    accounts ``cpu_time_ns`` per thread, the policy needs no bookkeeping
-    of its own -- vruntime is ``cpu_time_ns / weight``.
-    """
-
-    def __init__(self, quantum_ns: int = 4_000_000, weight_step: float = 1.25) -> None:
-        if weight_step <= 0:
-            raise SimulationError(f"weight_step must be positive, got {weight_step}")
-        self.quantum = int(quantum_ns)
-        self.weight_step = weight_step
-        self._ready: list[SchedThread] = []
-
-    def weight(self, thread: SchedThread) -> float:
-        """Scheduling weight derived from the thread priority."""
-        return self.weight_step**thread.priority
-
-    def _vruntime(self, thread: SchedThread) -> float:
-        return thread.cpu_time_ns / self.weight(thread)
-
-    def enqueue(self, engine: ExecEngine, thread: SchedThread) -> None:
-        """Add a READY thread to the run queue(s)."""
-        self._ready.append(thread)
-
-    def pick(self, engine: ExecEngine, core: CpuCore) -> Optional[SchedThread]:
-        """Pop the next thread to run on the core (or None)."""
-        best = None
-        for t in self._ready:
-            if not t.alive or not t.runnable_on(core):
-                continue
-            if best is None or self._vruntime(t) < self._vruntime(best):
-                best = t
-        if best is not None:
-            self._ready.remove(best)
-            self._ready = [t for t in self._ready if t.alive]
-        return best
-
-    def has_ready(self, engine: ExecEngine, core: CpuCore) -> bool:
-        """Whether any READY thread could run on the core."""
-        return any(t.alive and t.runnable_on(core) for t in self._ready)
-
-    def should_preempt(self, running: SchedThread, candidate: SchedThread) -> bool:
-        """Whether a newly READY thread preempts the running one."""
-        return False
-
-    def rebalance_on_ready(self, running: SchedThread, candidate: SchedThread) -> bool:
-        # End the slice if the newcomer would plausibly win.  The running
-        # thread's in-flight slice is not charged yet, so compare with
-        # <=: ties resolve after preemption, against charged time.
-        """Whether a wakeup ends the current slice for re-pick."""
-        return self._vruntime(candidate) <= self._vruntime(running)
 
     def quantum_ns(self, thread: SchedThread, contended: bool) -> Optional[int]:
         """Slice bound for the thread (None = run to completion)."""

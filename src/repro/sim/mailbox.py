@@ -34,7 +34,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from sys import intern as _intern
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List
 
 #: Key fields, in comparison order (see module docstring).
 KEY_FIELDS = ("recv_time", "send_time", "src", "src_interface", "seq")
@@ -172,10 +172,6 @@ class Staging:
         except TypeError as exc:
             raise _key_error(heap, exc)
         return len(items)
-
-    def min_recv_time(self) -> Optional[int]:
-        """Earliest staged ``recv_time``, or None when empty."""
-        return self._heap[0][0] if self._heap else None
 
     def _pop_below(self, horizon: int) -> List[Envelope]:
         """Pop every envelope with ``recv_time < horizon``, in key order.

@@ -1,16 +1,12 @@
-"""Synchronisation primitives layered on events.
+"""The FIFO message channel, layered on events.
 
-All primitives expose *generator* acquire/get methods meant to be used with
-``yield from`` inside a process body::
-
-    yield from mutex.acquire()
-    ...
-    mutex.release()
+``get`` is a *generator* meant to be used with ``yield from`` inside a
+process body::
 
     item = yield from channel.get()
 
-The generator pattern lets the fast path (resource free, item available)
-return without suspending, while the slow path blocks on an internal
+The generator pattern lets the fast path (item available) return
+without suspending, while the slow path blocks on an internal
 :class:`~repro.sim.events.Event`.  Wakeups are strictly FIFO.
 
 No-contention fast path: an uncontended ``Channel.put``/``get`` (item
@@ -25,7 +21,7 @@ cancel them on delivery.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
@@ -37,117 +33,27 @@ from repro.sim.process import Command, WaitEvent
 _DEADLINE = object()
 
 
-class Semaphore:
-    """Counting semaphore with FIFO wakeup order."""
-
-    def __init__(self, kernel: Kernel, value: int = 1, name: str = "sem") -> None:
-        if value < 0:
-            raise SimulationError(f"semaphore initial value must be >= 0, got {value}")
-        self.kernel = kernel
-        self.name = name
-        self._count = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        """The trigger value (error before the event fires)."""
-        return self._count
-
-    @property
-    def waiting(self) -> int:
-        """Number of blocked acquirers."""
-        return len(self._waiters)
-
-    def acquire(self) -> Generator[Command, Any, None]:
-        """``yield from sem.acquire()`` -- decrement or block until free."""
-        if self._count > 0 and not self._waiters:
-            self._count -= 1
-            return
-        ev = Event(self.kernel, name=f"{self.name}.acquire")
-        self._waiters.append(ev)
-        yield WaitEvent(ev)
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._count > 0 and not self._waiters:
-            self._count -= 1
-            return True
-        return False
-
-    def release(self) -> None:
-        """Increment, handing the unit directly to the oldest waiter."""
-        if self._waiters:
-            self._waiters.popleft().trigger(None)
-        else:
-            self._count += 1
-
-
-class Mutex(Semaphore):
-    """Binary semaphore; ``release`` refuses to exceed one unit."""
-
-    def __init__(self, kernel: Kernel, name: str = "mutex") -> None:
-        super().__init__(kernel, value=1, name=name)
-
-    def release(self) -> None:
-        """Release one unit, waking the oldest waiter first."""
-        if not self._waiters and self._count >= 1:
-            raise SimulationError(f"mutex {self.name!r} released while free")
-        super().release()
-
-
 class Channel:
-    """FIFO message channel, optionally bounded.
+    """Unbounded FIFO message channel.
 
-    ``put`` is non-blocking when unbounded or below capacity (matching
-    EMBera's asynchronous ``send``); ``put_blocking`` is a generator that
-    waits for space.  ``get`` is a generator that waits for an item.
+    ``put`` never blocks (matching EMBera's asynchronous ``send``);
+    ``get`` is a generator that waits for an item.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        capacity: Optional[int] = None,
-        name: str = "chan",
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise SimulationError(f"channel capacity must be positive, got {capacity}")
+    def __init__(self, kernel: Kernel, name: str = "chan") -> None:
         self.kernel = kernel
         self.name = name
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()
         self.total_put = 0
         self.total_got = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def empty(self) -> bool:
-        """True when no item is queued."""
-        return not self._items
-
-    @property
-    def full(self) -> bool:
-        """True when a bounded channel is at capacity."""
-        return self.capacity is not None and len(self._items) >= self.capacity
-
     def put(self, item: Any) -> None:
-        """Non-blocking put; raises if the channel is bounded and full."""
-        if self.full:
-            raise SimulationError(f"channel {self.name!r} full (capacity={self.capacity})")
-        self._deliver(item)
-
-    def put_blocking(self, item: Any) -> Generator[Command, Any, None]:
-        """``yield from chan.put_blocking(x)`` -- wait for space if full."""
-        while self.full:
-            ev = Event(self.kernel, name=f"{self.name}.put")
-            self._putters.append(ev)
-            yield WaitEvent(ev)
-        self._deliver(item)
-
-    def _deliver(self, item: Any) -> None:
+        """Non-blocking put: hand the item to the oldest blocked getter,
+        or queue it."""
         self.total_put += 1
         getters = self._getters
         if getters:
@@ -169,8 +75,6 @@ class Channel:
         recovery paths: restart replay runs before the behaviour is
         respawned, gap healing runs inside the consumer's own receive).
         """
-        if self.full:
-            raise SimulationError(f"channel {self.name!r} full (capacity={self.capacity})")
         self.total_put += 1
         getters = self._getters
         if getters:
@@ -188,15 +92,10 @@ class Channel:
         if items:
             item = items.popleft()
             self.total_got += 1
-            if self._putters:
-                self._putters.popleft().trigger(None)
             return item
         ev = Event(self.kernel, name=f"{self.name}.get")
         self._getters.append(ev)
-        item = yield WaitEvent(ev)
-        if self._putters:
-            self._putters.popleft().trigger(None)
-        return item
+        return (yield WaitEvent(ev))
 
     def get_with_deadline(self, timeout_ns: int) -> Generator[Command, Any, tuple[bool, Any]]:
         """``ok, item = yield from chan.get_with_deadline(ns)`` -- wait for
@@ -218,8 +117,6 @@ class Channel:
         if items:
             item = items.popleft()
             self.total_got += 1
-            if self._putters:
-                self._putters.popleft().trigger(None)
             return True, item
         ev = Event(self.kernel, name=f"{self.name}.get")
         self._getters.append(ev)
@@ -228,8 +125,6 @@ class Channel:
         if item is _DEADLINE:
             return False, None
         timer.cancel()
-        if self._putters:
-            self._putters.popleft().trigger(None)
         return True, item
 
     def _expire_getter(self, ev: Event) -> None:
@@ -247,7 +142,5 @@ class Channel:
         if self._items:
             item = self._items.popleft()
             self.total_got += 1
-            if self._putters:
-                self._putters.popleft().trigger(None)
             return True, item
         return False, None

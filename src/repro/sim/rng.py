@@ -36,9 +36,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry whose streams are independent of this one's."""
-        return RngRegistry(seed=(self.seed * 0x9E3779B97F4A7C15 + salt) % (2**63))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams

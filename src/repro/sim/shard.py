@@ -510,10 +510,6 @@ class ShardedSimulation:
             [(k, paths[k][i]) for k in range(n) if paths[k][i] != _INF] for i in range(n)
         ]
 
-    def lookahead(self, src_shard: int, dst_shard: int) -> Optional[int]:
-        """The conservative bound contribution of a shard pair, if any."""
-        return self._lookahead.get((src_shard, dst_shard))
-
     def _bounds(self, eots: Sequence[float]) -> List[float]:
         """Per-shard execution bounds ``min_k (eot_k + P[k][i])``.
 

@@ -24,7 +24,7 @@ from repro.trace.tracer import (
     enable_tracing,
 )
 from repro.trace.writer import read_columns, read_jsonl, write_columns, write_jsonl
-from repro.trace.analysis import busy_fraction, intervals, summarize_durations, timeline
+from repro.trace.analysis import busy_fraction, intervals, summarize_durations
 from repro.trace.causal import (
     HopLatency,
     ItemLatency,
@@ -57,7 +57,6 @@ __all__ = [
     "read_jsonl",
     "render_gantt",
     "summarize_durations",
-    "timeline",
     "write_chrome_trace",
     "write_columns",
     "write_jsonl",

@@ -20,12 +20,6 @@ class Interval:
     args: dict
 
 
-def timeline(events: Iterable[TraceEvent], component: Optional[str] = None) -> List[TraceEvent]:
-    """Events in global time order, optionally filtered to one component."""
-    picked = [e for e in events if component is None or e.component == component]
-    return sorted(picked)
-
-
 def intervals(events: Iterable[TraceEvent]) -> List[Interval]:
     """Match BEGIN/END pairs per (component, category, name).
 

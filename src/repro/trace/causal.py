@@ -56,11 +56,6 @@ class SpanEdge:
     recv_end_ns: Optional[int] = None
     receptions: int = 0           # >1 means a duplicated delivery
 
-    @property
-    def delivered(self) -> bool:
-        """True once at least one receive consumed this span."""
-        return self.recv_end_ns is not None
-
 
 @dataclass
 class HopLatency:

@@ -74,34 +74,6 @@ class TraceBuffer:
         self._seq = 0
         self._columns: Optional[TraceColumns] = None
 
-    def append(self, event) -> None:
-        """Add an event (a :class:`TraceEvent` or a raw row tuple),
-        dropping the oldest when full."""
-        if type(event) is not tuple:
-            event = (
-                event.timestamp_ns,
-                event.seq,
-                event.component,
-                event.category,
-                event.name,
-                event.phase,
-                event.args,
-            )
-        self._columns = None
-        rows = self._rows
-        if len(rows) < self.capacity:
-            rows.append(event)
-        else:
-            head = self._head
-            rows[head] = event
-            self._head = (head + 1) % self.capacity
-            self.dropped += 1
-
-    def next_seq(self) -> int:
-        """Next global sequence number."""
-        self._seq += 1
-        return self._seq
-
     def rows(self) -> List[tuple]:
         """All buffered raw rows, oldest first (see :data:`ROW_FIELDS`).
 

@@ -36,13 +36,6 @@ def test_cpu_time_reconstruction_matches_engine():
         assert reconstructed[name] == actual
 
 
-def test_core_occupancy_sums_to_busy_time():
-    rt, tracer, _ = traced_run()
-    occupancy = tracer.core_occupancy()
-    for core_idx, busy in occupancy.items():
-        assert busy == rt.system.engine.cores[core_idx].busy_ns
-
-
 def test_no_component_mapping_in_raw_events():
     """The baseline sees *threads* -- including infrastructure threads --
     with no notion of interfaces or messages: exactly the gap the paper

@@ -70,11 +70,6 @@ def test_observation_required_is_optional_for_validate():
     app.validate()  # no observer attached; introspection unconnected is OK
 
 
-def test_connections_listing():
-    app = two_component_app()
-    assert ("a.out", "b.in") in app.connections()
-
-
 def test_attach_observer_wires_both_directions():
     app = two_component_app()
     obs = app.attach_observer()

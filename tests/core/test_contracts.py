@@ -68,14 +68,6 @@ def test_contract_validation():
         InterfaceContract(min_rate_hz=100.0, max_rate_hz=10.0)
 
 
-def test_checks_anything():
-    assert not InterfaceContract().checks_anything
-    assert not InterfaceContract(name="named-but-empty").checks_anything
-    assert InterfaceContract(deadline_ns=1).checks_anything
-    assert InterfaceContract(ordered=True).checks_anything
-    assert InterfaceContract(min_rate_hz=1.0).checks_anything
-
-
 def test_to_dict_is_sparse():
     assert InterfaceContract().to_dict() == {}
     full = InterfaceContract(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CONTROL, DATA, Message, payload_nbytes
+from repro.core import Message, payload_nbytes
 from repro.core.messages import MESSAGE_HEADER_BYTES
 
 
@@ -40,8 +40,3 @@ def test_message_kind_validated():
 def test_message_negative_size_rejected():
     with pytest.raises(ValueError, match="negative"):
         Message(payload=None, size_bytes=-2)
-
-
-def test_is_data():
-    assert Message(payload=None, kind=DATA).is_data
-    assert not Message(payload=None, kind=CONTROL).is_data

@@ -55,18 +55,6 @@ def test_try_receive_on_native_runtime():
     assert seen == [b"data", None]
 
 
-def test_observer_report_for_and_collect_all_levels():
-    app = make_pipeline_app()
-    rt = SmpSimRuntime()
-    rt.run(app)
-    rt.collect()
-    rt.stop()
-    obs = app.observer
-    assert obs.report_for("prod", "application")["sends"] == 5
-    with pytest.raises(ObservationError, match="no 'os' report"):
-        ObserverComponent("fresh").report_for("prod", "os")
-
-
 def test_observer_rejects_unattached_target():
     app = make_pipeline_app()
     rt = SmpSimRuntime()
@@ -98,9 +86,9 @@ def test_runtime_probe_accessor_and_unknown_component():
     app = make_pipeline_app()
     rt = SmpSimRuntime()
     rt.run(app)
-    assert rt.probe("prod").data_sends.value == 5
+    assert rt.container("prod").probe.data_sends.value == 5
     with pytest.raises(RuntimeError_, match="no deployed"):
-        rt.probe("ghost")
+        rt.container("ghost")
 
 
 def test_double_deploy_rejected():
@@ -136,15 +124,6 @@ def test_context_log_collects():
     assert messages == ["starting", "done"]
 
 
-def test_memory_region_allocations_listing():
-    from repro.hw import MemoryRegion
-
-    r = MemoryRegion("m", 1000)
-    r.alloc(100, "stack")
-    r.alloc(50, "mailbox")
-    assert r.allocations() == [("stack", 100), ("mailbox", 50)]
-
-
 def test_embx_invalid_config_rejected():
     from repro.embx import EmbxError, EmbxTransport
     from repro.hw import MemoryRegion
@@ -154,24 +133,3 @@ def test_embx_invalid_config_rejected():
         EmbxTransport(Kernel(), MemoryRegion("m", 1024), bounce_bytes=0)
     with pytest.raises(EmbxError):
         EmbxTransport(Kernel(), MemoryRegion("m", 1024), bounce_penalty=0.5)
-
-
-def test_semaphore_waiting_count():
-    from repro.sim import Kernel, Semaphore, Timeout
-    from tests.sim.reference_process import Process
-
-    k = Kernel()
-    sem = Semaphore(k, value=0)
-
-    def waiter():
-        yield from sem.acquire()
-
-    Process(k, waiter())
-    Process(k, waiter())
-    k.schedule(10, lambda: counts.append(sem.waiting))
-    k.schedule(20, sem.release)
-    k.schedule(20, sem.release)
-    counts = []
-    k.run()
-    assert counts == [2]
-    assert sem.waiting == 0

@@ -72,7 +72,8 @@ def _capture_trace(monkeypatch, tamper=None):
     def spy(rt):
         buffer = collect(rt)
         if tamper is not None:
-            buffer.append(tamper)
+            buffer._rows.append(tamper)
+            buffer._columns = None
         captured.append(buffer)
         return buffer
 

@@ -205,6 +205,6 @@ def test_try_receive_counts_in_probe():
     rt.start()
     rt.wait()
     rt.stop()
-    probe = rt.probe("cons")
+    probe = rt.container("cons").probe
     assert probe.data_receives.value == 5  # control EOS not counted
     assert probe.bytes_received > 0

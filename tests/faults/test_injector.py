@@ -219,7 +219,7 @@ def test_schedule_replays_bit_exactly_for_the_same_seed():
 def test_faults_feed_the_observation_probe():
     plan = FaultPlan(seed=0).drop("prod", "out", probability=1.0)
     app, _, injector, rt = run_with_plan(plan, n_messages=4)
-    probe = rt.probe("prod")
+    probe = rt.container("prod").probe
     assert probe.fault_counts == {"drop": 4}
 
 

@@ -85,12 +85,10 @@ def test_sim_restart_recovers_and_is_observed():
     assert cons.state == ComponentState.STOPPED
     # Two messages were consumed by the failing attempts; the rest landed.
     assert len(sink) == 6
-    probe = rt.probe("cons")
+    probe = rt.container("cons").probe
     assert probe.restarts == 2
     assert len(probe.recovery_ns) == 2
     assert all(d >= 100_000 for d in probe.recovery_ns)  # downtime >= backoff
-    report = sup.report()
-    assert report["restarts"] == 2 and report["escalations"] == 0
     assert [e.action for e in sup.events] == ["restart", "restart"]
 
 
@@ -104,7 +102,7 @@ def test_native_restart_recovers():
     rt.stop()
     assert app.components["cons"].state == ComponentState.STOPPED
     assert len(sink) == 7
-    assert rt.probe("cons").restarts == 1
+    assert rt.container("cons").probe.restarts == 1
 
 
 def test_escalation_after_max_attempts():
@@ -145,13 +143,6 @@ def test_halt_policy_propagates_the_original_error():
     assert app.components["cons"].state == ComponentState.FAILED
 
 
-def test_per_component_policy_overrides_default():
-    sup = Supervisor(policy=None).set_policy("cons", RestartPolicy())
-    assert sup.covers("cons")
-    assert not sup.covers("prod")
-    assert sup.policy_for("cons").action == "restart"
-
-
 def test_degrade_disconnects_inbound_and_marks_degraded():
     app = Application("degrade")
     delivered = []
@@ -173,7 +164,7 @@ def test_degrade_disconnects_inbound_and_marks_degraded():
     app.connect("prod", "out", "sink", "in")
     rt = SmpSimRuntime()
     rt.deploy(app)
-    Supervisor(policy=None).set_policy("sink", DegradePolicy()).install(rt)
+    Supervisor(policy=DegradePolicy()).install(rt)
     rt.start()
     rt.wait()  # completes: the failure was absorbed
     rt.stop()
@@ -196,8 +187,8 @@ def test_supervised_injected_crashes_recover_end_to_end():
     rt.stop()
     # message 4 died with the crash; everything else was delivered
     assert len(sink) == 9
-    assert rt.probe("cons").restarts == 1
-    assert rt.probe("cons").fault_counts == {"crash": 1}
+    assert rt.container("cons").probe.restarts == 1
+    assert rt.container("cons").probe.fault_counts == {"crash": 1}
 
 
 def test_full_jitter_backoff_spreads_over_the_whole_window():

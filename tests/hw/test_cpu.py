@@ -32,15 +32,6 @@ def test_fractional_cycles_per_byte():
     assert cpu.cost_ns("memcpy_byte", 1000) == 500
 
 
-def test_scaled_copy():
-    cpu = CpuModel("c", 1e9, {"op": 10}, default_cycles=2)
-    slow = cpu.scaled("c2", 3.0)
-    assert slow.cost_ns("op", 10) == 300
-    assert slow.cost_ns("other", 10) == 60
-    # original untouched
-    assert cpu.cost_ns("op", 10) == 100
-
-
 def test_invalid_frequency_rejected():
     with pytest.raises(ValueError):
         CpuModel("c", 0)

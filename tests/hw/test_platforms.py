@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.hw import CpuModel, MemoryRegion, Platform, hypercube_distance, make_smp16, make_sti7200
+from repro.hw import CpuModel, MemoryRegion, Platform, make_smp16, make_sti7200
 from repro.hw.interconnect import NumaCostModel, hypercube_distance_matrix
 from repro.hw.smp16 import OPTERON_CYCLES
 from repro.hw.sti7200 import ST231_CORES, ST40_CORE
-
-
-def test_hypercube_distance_basics():
-    assert hypercube_distance(0, 0) == 0
-    assert hypercube_distance(0, 1) == 1
-    assert hypercube_distance(0, 7) == 3
-    assert hypercube_distance(5, 6) == 2
 
 
 def test_hypercube_matrix_symmetric_and_degree3():
@@ -22,6 +15,8 @@ def test_hypercube_matrix_symmetric_and_degree3():
     assert (np.diag(m) == 0).all()
     # each node has exactly 3 neighbours at distance 1
     assert ((m == 1).sum(axis=1) == 3).all()
+    # hop count is the Hamming distance of the node ids
+    assert (m[0, 1], m[0, 7], m[5, 6]) == (1, 3, 2)
 
 
 def test_hypercube_matrix_requires_power_of_two():

@@ -182,3 +182,25 @@ def test_chaos_job_runs_every_campaign_kind_per_seed():
     assert "campaign resume victim" in " ".join(
         s.get("run", "") for s in jobs["campaign-smoke"]["steps"]
     )
+
+
+def test_reach_job_runs_ci_commands_under_the_hook_then_the_report():
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    reach = ci["jobs"]["reach"]
+    assert reach["timeout-minutes"] == 20
+    runs = [s.get("run", "") for s in reach["steps"]]
+    script = next(i for i, r in enumerate(runs) if "tools/reach/run.sh reach-out" in r)
+    report = next(i for i, r in enumerate(runs) if "tools/reach/report.py --reach reach-out" in r)
+    assert report > script
+    # pytest-benchmark pauses every profile hook around a benchmarked
+    # call unless benchmarking is disabled: every pytest run in the
+    # command script must pass --benchmark-disable.
+    commands = (ROOT / "tools" / "reach" / "run.sh").read_text()
+    pytest_lines = [line for line in commands.splitlines() if "-m pytest" in line]
+    assert pytest_lines
+    assert all("--benchmark-disable" in line for line in pytest_lines)
+    for command in ("benchmarks/test_perf_gates.py", "benchmarks/test_table*.py",
+                    "benchmarks/test_ablation_*.py", "bench_pytest bench",
+                    "python -m bench run --smoke", "repro info", "repro demo-smp 20",
+                    "repro demo-sti7200 20", "repro observe"):
+        assert command in commands, command

@@ -140,7 +140,7 @@ def test_observation_survives_component_failure():
     rt.start()
     with pytest.raises(RuntimeError):
         rt.wait()
-    probe = rt.probe("IDCT_2")
+    probe = rt.container("IDCT_2").probe
     assert probe.data_receives.value >= 3
     assert probe.report("application")["receives"] >= 3
-    assert rt.probe("Fetch").data_sends.value > 0
+    assert rt.container("Fetch").probe.data_sends.value > 0

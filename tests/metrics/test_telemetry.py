@@ -274,32 +274,37 @@ def test_clear_keeps_cached_instrument_references_valid():
     assert h.count == 1
 
 
-# -- the shard-merge property (seeds 1 / 7 / 42) -----------------------------
+# -- the shard-count property (seeds 1 / 7 / 42) -----------------------------
 
 
 def _decode_registry(seed: int, n_shards: int):
-    """Pinned-placement MJPEG decode with telemetry on N shards."""
+    """MJPEG decode with telemetry on N shards, pinned as ``repro run
+    --metrics`` pins it: component i on core ``i * 16 // n``.  Returns
+    the registry and each component's shard."""
     from repro.metrics.telemetry import collect_telemetry, enable_telemetry
 
     stream = generate_stream(3, 96, 96, quality=75, seed=seed)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
+    n_components = len(app.components)
     for i, comp in enumerate(app.components.values()):
-        comp.placement.setdefault("core", i)
+        comp.placement.setdefault("core", i * 16 // n_components)
     rt = ShardedSmpSimRuntime(n_shards)
     rt.deploy(app)
     enable_telemetry(rt)
     rt.start()
     rt.wait()
-    merged = collect_telemetry(rt)
+    registry = collect_telemetry(rt)
+    shards = {name: cont.extra["shard"] for name, cont in rt.containers.items()}
     rt.collect()
     rt.stop()
-    return merged
+    return registry, shards
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
-def test_sharded_histograms_merge_bucket_exact(seed):
-    single = _decode_registry(seed, 1)
-    sharded = _decode_registry(seed, 2)
+def test_histograms_are_bucket_exact_at_two_shards(seed):
+    single, _ = _decode_registry(seed, 1)
+    sharded, shards = _decode_registry(seed, 2)
+    assert set(shards.values()) == {0, 1}, "both shards must host a component"
     assert single.windows, "the decode must produce a window series"
     assert metrics_digest(sharded) == metrics_digest(single)
 

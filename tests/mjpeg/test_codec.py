@@ -151,7 +151,6 @@ def test_generate_stream_geometry():
     assert len(s) == 5
     assert s.n_blocks_per_frame == 144
     assert all(r.index == i for i, r in enumerate(s))
-    assert s.total_payload_bytes() > 0
 
 
 def test_stream_deterministic_by_seed():

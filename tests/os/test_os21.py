@@ -72,14 +72,13 @@ def test_task_time_is_cpu_time_not_wall_time():
     sys_.shutdown()
     k.run()
     assert sys_.task_time_us(t) == 5_000
-    assert t.sched.wall_time_ns() == 105_000_000
+    assert t.sched.end_time_ns - t.sched.start_time_ns == 105_000_000
 
 
 def test_time_now_is_per_cpu_local():
     k, sys_ = make_sys()
-    values = [sys_.time_now_us(cpu) for cpu in range(5)]
     # local clocks are offset from each other (unsynchronised)
-    assert len(set(values)) > 1
+    assert len(set(sys_.clock_offsets_ns[:5])) > 1
 
 
 def test_priority_preemption_between_tasks_on_one_cpu():
@@ -106,24 +105,6 @@ def test_priority_preemption_between_tasks_on_one_cpu():
     assert log[0][1] == 3_000
 
 
-def test_task_join():
-    k, sys_ = make_sys()
-    out = []
-
-    def worker():
-        yield Compute("ns", 500)
-        return 42
-
-    def waiter():
-        out.append((yield from OS21System.task_join(w)))
-
-    w = sys_.task_create(worker(), name="w", cpu=1)
-    sys_.task_create(waiter(), name="waiter", cpu=0)
-    sys_.shutdown()
-    k.run()
-    assert out == [42]
-
-
 def test_duplicate_task_name_rejected():
     k, sys_ = make_sys()
 
@@ -139,17 +120,6 @@ def test_invalid_cpu_rejected():
     k, sys_ = make_sys()
     with pytest.raises(ValueError, match="no CPU"):
         sys_.task_create((x for x in []), name="t", cpu=9)
-
-
-def test_partition_alloc_free():
-    k, sys_ = make_sys()
-    part = sys_.create_partition("heap", "sdram")
-    ptr = part.alloc(1000, label="buf")
-    assert sys_.platform.region("sdram").used_bytes == 1000
-    part.free(ptr)
-    assert sys_.platform.region("sdram").used_bytes == 0
-    with pytest.raises(ValueError, match="already exists"):
-        sys_.create_partition("heap", "sdram")
 
 
 def test_heterogeneous_cost_st40_vs_st231():

@@ -50,7 +50,7 @@ def test_heap_charged_to_numa_node_on_smp():
     rt.start()
     rt.wait()
     region = rt.system.node_region(2)
-    assert region.usage_by_label().get("worker:buf") == 30_000
+    assert sum(n for label, n in region._allocations.values() if label == "worker:buf") == 30_000
     rt.stop()
 
 

@@ -77,7 +77,7 @@ def test_add_component_mid_run_sim(sim_runtime=SmpSimRuntime):
     rt.stop()
     assert received == ["t0", "t1", "t2"]
     assert "tap" in rt.containers and "feeder" in rt.containers
-    assert rt.probe("tap").data_receives.value == 3
+    assert rt.container("tap").probe.data_receives.value == 3
 
 
 def test_dynamic_component_is_observable(sim_runtime=SmpSimRuntime):

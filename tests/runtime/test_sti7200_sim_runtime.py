@@ -98,8 +98,8 @@ def test_distributed_objects_allocated_in_sdram():
     app = place_pipeline(make_pipeline_app())
     rt = Sti7200SimRuntime()
     rt.deploy(app)
-    usage = rt.platform.region("sdram").usage_by_label()
-    assert usage.get("embx:cons.in") == 25 * 1024
+    allocations = rt.platform.region("sdram")._allocations.values()
+    assert sum(n for label, n in allocations if label == "embx:cons.in") == 25 * 1024
 
 
 def test_send_cost_exceeds_smp_equivalent():

@@ -41,7 +41,7 @@ def test_single_thread_compute_advances_time_and_charges_cpu():
     assert t.state == "DONE"
     assert t.cpu_time_ns == 1000
     assert k.now == 1000
-    assert t.wall_time_ns() == 1000
+    assert t.end_time_ns - t.start_time_ns == 1000
 
 
 def test_two_threads_one_core_serialize():
@@ -267,8 +267,8 @@ def test_core_utilization():
     eng.spawn(body(), affinity=[0])
     eng.shutdown()
     k.run()
-    assert eng.cores[0].utilization(k.now) == 1.0
-    assert eng.cores[1].utilization(k.now) == 0.0
+    assert eng.cores[0].busy_ns == k.now  # fully utilised
+    assert eng.cores[1].busy_ns == 0
 
 
 def test_context_switch_hook():

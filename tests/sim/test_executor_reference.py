@@ -21,7 +21,6 @@ from repro.sim import Kernel, Timeout
 from repro.sim.executor import (
     Compute,
     ExecEngine,
-    FairPolicy,
     PriorityPolicy,
     RoundRobinPolicy,
     YieldCpu,
@@ -91,7 +90,7 @@ def gen_scenario(rng):
     ]
     stepping = rng.choice(("run", "run", "until", "max_events"))
     return {
-        "policy": rng.choice(("rr", "fair", "prio")),
+        "policy": rng.choice(("rr", "prio")),
         "quantum": rng.choice((15, 50, 120, 1000)),
         "speeds": [rng.choice((1, 1, 2, 3, 0.5, 1.5)) for _ in range(n_cores)],
         "channels": n_channels,
@@ -107,7 +106,6 @@ def simulate(engine_cls, sc):
     kernel = Kernel()
     policy = {
         "rr": lambda: RoundRobinPolicy(quantum_ns=sc["quantum"]),
-        "fair": lambda: FairPolicy(quantum_ns=sc["quantum"]),
         "prio": lambda: PriorityPolicy(quantum_ns=sc["quantum"]),
     }[sc["policy"]]()
     engine = engine_cls(kernel, [ScaledCpu(s) for s in sc["speeds"]], policy)
@@ -200,7 +198,7 @@ def test_contended_quantum_and_preemption_fixture():
     """A hand-written case that exercises every slice ending: quantum
     expiry with and without contention, priority preemption mid-slice,
     a rebalance on wake, and a timer that ties a wake-up."""
-    for policy in ("rr", "fair", "prio"):
+    for policy in ("rr", "prio"):
         sc = {
             "policy": policy,
             "quantum": 50,

@@ -75,7 +75,7 @@ def test_table_bounds_equal_the_relaxation_fixed_point(seed):
             for _ in range(3):
                 eots = _random_eots(rng, n_shards)
                 assert sim._bounds(eots) == relaxed_bounds(n_shards, lookahead, eots)
-        assert all(sim.lookahead(s, d) == la for (s, d), la in lookahead.items())
+        assert all(sim._lookahead[(s, d)] == la for (s, d), la in lookahead.items())
 
 
 @pytest.mark.parametrize("n_shards", range(3, 9))

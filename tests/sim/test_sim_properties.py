@@ -113,7 +113,7 @@ def test_cache_matches_reference_lru_model(lines):
     sim = CacheSim(CacheConfig(size_bytes=sets * ways * line_bytes, line_bytes=line_bytes, ways=ways))
     ref = _ReferenceLru(sets, ways)
     for line in lines:
-        sim.access([line * line_bytes])
+        sim.access_range(line * line_bytes, 1)
         ref.access(line)
     assert sim.stats.misses == ref.misses
 

@@ -73,7 +73,7 @@ def test_span_graph_structure(chain_trace):
     # Every data message of the chain shows up exactly once, delivered.
     assert len(sends) == 2 * N_ITEMS
     assert len(deposits) == N_ITEMS
-    assert all(e.delivered for e in sends)
+    assert all(e.recv_end_ns is not None for e in sends)
     assert all(e.receptions == 1 for e in sends)
     # Span ids are the dict keys, hence unique by construction; check
     # they are all positive and the cause links point at real receives.
@@ -138,7 +138,9 @@ def test_flow_events_link_every_send(chain_trace, tmp_path):
     starts = {r["id"] for r in records if r.get("ph") == "s"}
     finishes = {r["id"] for r in records if r.get("ph") == "f"}
     graph = SpanGraph.from_trace(chain_trace)
-    delivered = {e.span for e in graph.edges.values() if e.op == "send" and e.delivered}
+    delivered = {
+        e.span for e in graph.edges.values() if e.op == "send" and e.recv_end_ns is not None
+    }
     # Every send opens a flow and every delivered span closes one.
     assert delivered <= starts
     assert delivered <= finishes
@@ -203,11 +205,10 @@ def test_clear_resets_sequence():
     assert len(buffer) == 0
     assert buffer.dropped == 0
     assert len(buffer.columns()) == 0
-    # The satellite fix: a cleared buffer starts a fresh trace, so
-    # sequence numbers restart from 1 instead of colliding with history.
-    assert buffer.next_seq() == 1
+    # A cleared buffer starts a fresh trace, so sequence numbers restart
+    # from 1 instead of colliding with history.
     tracer.emit("a", "y")
-    assert buffer.columns().seq == [2]
+    assert buffer.columns().seq == [1]
 
 
 def test_native_runtime_spans_unique():
@@ -230,4 +231,4 @@ def test_native_runtime_spans_unique():
     graph = SpanGraph.from_trace(buffer)
     data_sends = [e for e in graph.edges.values() if e.op == "send" and e.kind == "data"]
     assert len(data_sends) == 20
-    assert all(e.delivered for e in data_sends)
+    assert all(e.recv_end_ns is not None for e in data_sends)

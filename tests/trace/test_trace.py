@@ -12,7 +12,6 @@ from repro.trace import (
     intervals,
     read_jsonl,
     summarize_durations,
-    timeline,
     write_jsonl,
 )
 from repro.trace.analysis import busy_fraction
@@ -41,8 +40,11 @@ def test_event_dict_roundtrip():
 
 def test_buffer_drops_oldest_when_full():
     buf = TraceBuffer(capacity=3)
+    now = [0]
+    tracer = Tracer(buf, "c", lambda: now[0])
     for i in range(5):
-        buf.append(ev(i, i))
+        now[0] = i
+        tracer.emit("app", "op", INSTANT)
     assert len(buf) == 3
     assert buf.dropped == 2
     assert buf.events()[0].timestamp_ns == 2
@@ -100,12 +102,6 @@ def test_summarize_durations():
     assert stats["count"] == 3
     assert stats["mean_ns"] == 20
     assert stats["min_ns"] == 10 and stats["max_ns"] == 30
-
-
-def test_timeline_filters_component():
-    events = [ev(1, 1, comp="a"), ev(0, 2, comp="b")]
-    assert [e.component for e in timeline(events)] == ["b", "a"]
-    assert [e.component for e in timeline(events, component="a")] == ["a"]
 
 
 def test_busy_fraction_unions_overlaps():
