@@ -12,9 +12,10 @@ Two questions about :mod:`repro.sim.mailbox`:
    traffic model's shape: the comparison runs deep into the key).
 2. **Whether batched release earns its code.**  ``run_traffic`` at 10k
    components x 4 shards (the ``traffic_10k`` workload) with
-   ``Shard.batch_release`` on (one kernel callback per distinct receive
-   time) and off (one per envelope), now that comparisons are cheap.
-   Runs alternate arms and report the median; digests must agree.
+   ``Staging.release_batched`` (one kernel callback per distinct receive
+   time) and with it replaced by ``Staging.release_below`` (one per
+   envelope), now that comparisons are cheap.  Runs alternate arms and
+   report the median; digests must agree.
 """
 
 import statistics
@@ -22,8 +23,10 @@ import time
 from heapq import heappop, heappush
 from sys import intern
 
+import pytest
+
 from repro.metrics import Table
-from repro.sim.mailbox import Envelope
+from repro.sim.mailbox import Envelope, Staging
 from repro.workloads import TrafficConfig, run_traffic
 from repro.workloads.traffic import build_traffic_graph
 
@@ -86,11 +89,12 @@ def traffic_arms():
     for pair in range(TRAFFIC_PAIRS):
         order = (True, False) if pair % 2 == 0 else (False, True)
         for batched in order:
-            t0 = time.perf_counter()
-            results[batched] = run_traffic(
-                TRAFFIC, TRAFFIC_SHARDS, batch_release=batched, graph=graph
-            )
-            times[batched].append(time.perf_counter() - t0)
+            with pytest.MonkeyPatch.context() as patch:
+                if not batched:
+                    patch.setattr(Staging, "release_batched", Staging.release_below)
+                t0 = time.perf_counter()
+                results[batched] = run_traffic(TRAFFIC, TRAFFIC_SHARDS, graph=graph)
+                times[batched].append(time.perf_counter() - t0)
     assert results[True]["digest"] == results[False]["digest"]
     return {
         batched: {

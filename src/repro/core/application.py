@@ -11,7 +11,7 @@ application function", section 4.1).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.core.component import BehaviorFn, Component, ComponentState
 from repro.core.errors import ConnectionError_, LifecycleError

@@ -9,7 +9,7 @@ messages) separately from control and observation traffic.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np

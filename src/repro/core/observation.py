@@ -21,7 +21,7 @@ application communication.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.core.errors import ObservationError

@@ -24,7 +24,6 @@ from typing import Any, Dict, Generator, Iterable, List, Tuple
 
 from repro.core.component import Component
 from repro.core.errors import ObservationError
-from repro.core.interfaces import OBSERVATION_INTERFACE
 from repro.core.messages import OBSERVATION
 from repro.core.observation import LEVELS, ObservationReply, ObservationRequest
 

@@ -11,11 +11,11 @@ cheap part and Table 2 depends on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 from repro.core.errors import ObservationError
-from repro.core.observation import APPLICATION_LEVEL, LEVELS, MIDDLEWARE_LEVEL, OS_LEVEL
+from repro.core.observation import APPLICATION_LEVEL, LEVELS
 
 
 @dataclass(frozen=True)

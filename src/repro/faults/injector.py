@@ -42,7 +42,6 @@ from repro.faults.plan import (
     FaultSpec,
     OVERFLOW,
     PROCESS_KINDS,
-    RECEIVE_KINDS,
     STALL,
     TRANSFER_KINDS,
 )

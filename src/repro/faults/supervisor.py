@@ -29,7 +29,7 @@ recovery is *observed* with the same machinery as ordinary execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from repro.core.component import ComponentState
 from repro.core.errors import EscalationError

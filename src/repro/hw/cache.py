@@ -12,7 +12,7 @@ The simulator takes the sequential ranges produced by message copies
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 

@@ -61,7 +61,7 @@ import time
 from copy import deepcopy
 from dataclasses import replace
 from itertools import count
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.messages import OBSERVATION, payload_nbytes
 

@@ -9,7 +9,7 @@ after the trigger resume immediately.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, TYPE_CHECKING
 
 from repro.sim.errors import SchedulingError
 

@@ -49,7 +49,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional
 
-from repro.sim.errors import DeadlockError, SchedulingError
+from repro.sim.errors import SchedulingError
 
 #: Compaction threshold: rebuild the queues once at least this many
 #: cancelled entries linger *and* they make up half the stored entries.
@@ -103,14 +103,9 @@ class Kernel:
         self._seq: int = 0
         self._heap: list[tuple] = []  # (time, seq, handle, callback, args)
         self._imm: deque[tuple] = deque()  # same-instant FIFO, same shape
-        self._live_processes: int = 0  # fed by the reference engine in tests/sim
         #: Callbacks dispatched by ``run``; work done inline after an
         #: ``advance_to`` (compute slices) is not counted.
         self.events_executed: int = 0
-        #: Per-shard kernels disable local deadlock detection: an idle
-        #: shard with pending cross-shard input is not deadlocked, so the
-        #: check belongs to the coordinator (after draining mailboxes).
-        self.deadlock_check: bool = True
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
         self._n_cancelled: int = 0  # cancelled entries still stored
         #: Latest instant ``advance_to`` may reach: the running
@@ -245,10 +240,7 @@ class Kernel:
         have fired.  Returns the final simulated time.
 
         Stopping at ``until`` leaves the clock at ``until``; an ``until``
-        in the past raises :class:`SchedulingError`.  Raises
-        :class:`DeadlockError` if the queue drains while registered
-        processes are still alive (everybody blocked on events that nobody
-        can trigger).
+        in the past raises :class:`SchedulingError`.
         """
         if until is not None and until < self._now:
             raise SchedulingError(f"cannot run until the past: {until} < {self._now}")
@@ -270,10 +262,6 @@ class Kernel:
                     entry = heap[0]
                     from_heap = True
                 else:
-                    if self._live_processes > 0 and self.deadlock_check:
-                        raise DeadlockError(
-                            f"no pending events but {self._live_processes} process(es) still alive"
-                        )
                     break
                 t, _, handle, callback, args = entry
                 if not handle.cancelled and until is not None and t > until:

@@ -4,20 +4,22 @@ One logical machine is partitioned into N *shards*, each owning a
 private :class:`~repro.sim.kernel.Kernel` (clock + event heap) and a
 disjoint subset of the component graph.  Shards exchange messages only
 through the envelope layer of :mod:`repro.sim.mailbox` and advance under
-**conservative synchronization** (Chandy/Misra/Bryant family): the
-hardware link latency of every channel is a guaranteed minimum delivery
-delay, so shard *i* may freely execute everything strictly below
+**conservative synchronization** (Chandy/Misra/Bryant family) with one
+lookahead for the whole run: no message reaches any shard sooner than
+``lookahead`` after the event that sent it.  Each window therefore runs every shard
+below the one bound
 
-    ``bound_i = min over in-neighbor shards j of (eot_j + lookahead(j, i))``
+    ``bound = min over all shards j of eot_j + lookahead``
 
-where ``eot_j`` is shard *j*'s earliest possible next activity and
-``lookahead(j, i)`` is the smallest link latency of any channel from *j*
-to *i*.  No null messages circulate; a coordinator recomputes the bounds
-each sweep (a time-window barrier).  :meth:`ShardedSimulation.run` runs
-the windows one after another on the calling thread, or -- given the
-run's handler table and a host with more than one usable CPU -- in
-forked worker processes that each own a share of the shards
-(`Worker processes`_).
+where ``eot_j`` is shard *j*'s earliest possible next activity: nothing
+any shard does in the window can land below it.  No null messages
+circulate; a coordinator recomputes the bound each sweep (a time-window
+barrier).  The only workload on this layer, ``traffic``, costs every
+hop the same ``compute_ns + link_ns``, so that hop is its lookahead.
+:meth:`ShardedSimulation.run` runs the windows one after another on the
+calling thread, or -- given the run's handler table and a host with
+more than one usable CPU -- in forked worker processes that each own a
+share of the shards (`Worker processes`_).
 
 Worker processes
 ----------------
@@ -25,13 +27,13 @@ The process driver forks after set-up, so every worker starts with the
 whole simulation in memory and runs only its own shards (shard *i*
 belongs to worker ``i % workers``; the calling process is worker 0).
 Each window is one exchange per forked worker: the coordinator sends
-the bounds and the envelopes bound for that worker's shards, and gets
-back its shards' fresh ``eot`` and the envelopes they posted to shards
+the bound and the envelopes bound for that worker's shards, and gets
+back its shards' least ``eot`` and the envelopes they posted to shards
 of other workers.  An envelope between two shards of one worker never
 leaves its process.  One crossing workers travels as the plain tuple
 ``(*key, handler_index, *args)``, indexing the run's handler table, and
 is rebuilt as an :class:`~repro.sim.mailbox.Envelope` on arrival.  The
-bounds and the window sequence are the cooperative driver's, so the
+bound and the window sequence are the cooperative driver's, so the
 delivery order, the digests and the sweep count are too.
 
 Determinism contract
@@ -43,7 +45,7 @@ shard count*.  Two mechanisms enforce this:
   and released in key order ``(recv_time, send_time, src, iface, seq)``
   -- all fields properties of the logical send, none of the layout;
 - release happens batch-wise below a horizon no later-staged envelope
-  can undercut (``min(bound, now + self_lookahead)``), so two
+  can undercut (``min(bound, now + lookahead)``), so two
   equal-``recv_time`` envelopes always sit in the same batch and sort
   canonically, never in shard-arrival order.
 """
@@ -60,7 +62,7 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.errors import DeadlockError, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.kernel import Kernel
 from repro.sim.mailbox import Envelope, Staging
 
@@ -172,55 +174,30 @@ def partition_graph(
 
 
 class Shard:
-    """One partition: a private kernel plus its staged-delivery state.
-
-    The shard's kernel runs with local deadlock detection disabled -- an
-    idle shard with pending cross-shard input is *not* deadlocked; only
-    the coordinator, after draining every inbox, may declare deadlock.
-    """
+    """One partition: a private kernel plus its staged-delivery state."""
 
     def __init__(self, index: int) -> None:
         if index < 0:
             raise ValueError(f"shard index must be non-negative, got {index}")
         self.index = index
         self.kernel = Kernel()
-        self.kernel.deadlock_check = False
         #: Cross-shard envelopes posted by other shards since the last
         #: drain; their order is irrelevant, :attr:`staging` re-orders
         #: them by key.
         self.inbox: List[Envelope] = []
         self.staging = Staging()
-        #: Smallest link latency of any channel whose *sender and
-        #: receiver both live on this shard* (inf when none): while the
-        #: shard executes, no new envelope can appear with a receive
-        #: time below ``now + self_lookahead``, which is what makes the
-        #: batch release horizon safe.
-        self.self_lookahead: float = _INF
-        #: Release staged envelopes as one kernel callback per distinct
-        #: ``recv_time`` (:meth:`Staging.release_batched`) instead of one
-        #: per envelope.  On by default; the per-envelope path is kept
-        #: for the batch-equivalence tests and as a bisection tool.
-        self.batch_release = True
         #: Wall-clock seconds spent inside :meth:`run_until` -- the
         #: per-shard busy time the critical-path speedup metric uses.
         self.busy_s = 0.0
-        #: Optional hook ``(envelope, cross_shard) -> None`` observing
-        #: every staged delivery (the lookahead property tests record
-        #: envelopes through this).
-        self.on_envelope: Optional[Callable[[Envelope, bool], None]] = None
 
     # -- delivery intake ------------------------------------------------------
 
     def stage(self, envelope: Envelope) -> None:
         """Stage a *same-shard* delivery (called by this shard only)."""
-        if self.on_envelope is not None:
-            self.on_envelope(envelope, False)
         self.staging.push(envelope)
 
     def post(self, envelope: Envelope) -> None:
         """Post a *cross-shard* delivery (called by the sending shard)."""
-        if self.on_envelope is not None:
-            self.on_envelope(envelope, True)
         self.inbox.append(envelope)
 
     def drain_inbox(self) -> int:
@@ -236,38 +213,32 @@ class Shard:
     def eot(self) -> float:
         """Earliest possible next activity: the first pending kernel
         event or staged delivery, ``inf`` when fully idle.  Nothing this
-        shard ever sends can reach a neighbor before ``eot() +
-        lookahead``, which is what the coordinator's bounds build on."""
+        shard ever sends can reach a shard before ``eot() +
+        lookahead``, which is what the coordinator's bound builds on."""
         t = self.kernel.peek()
         staged = self.staging._heap
         s = staged[0][0] if staged else _INF
         return s if t is None or s < t else t
 
-    def run_until(self, bound: float) -> None:
+    def run_until(self, bound: float, lookahead: int) -> None:
         """Execute all shard-local work strictly below ``bound``.
 
         Alternates batch release of staged envelopes (in key order,
-        below ``min(bound, now + self_lookahead)`` -- see the module
+        below ``min(bound, now + lookahead)`` -- see the module
         docstring for why that horizon pins the canonical order) with
         kernel execution up to that horizon, and idle-advances the clock
         over gaps so later batches unlock.
         """
         kernel = self.kernel
-        la = self.self_lookahead
         # The staging heap is mutated in place, so one reference serves
         # the whole window.
         staged = self.staging._heap
-        release = (
-            self.staging.release_batched
-            if self.batch_release
-            else self.staging.release_below
-        )
+        release = self.staging.release_batched
         schedule_at = kernel.schedule_at
         t0 = perf_counter()
         try:
             while True:
-                now = kernel.now
-                horizon = now + la
+                horizon = kernel.now + lookahead
                 if bound < horizon:
                     horizon = bound
                 if staged and staged[0][0] < horizon:
@@ -276,18 +247,18 @@ class Shard:
                 t = kernel.peek()
                 if t is not None and t < horizon:
                     # Events strictly below ``horizon``; new same-shard
-                    # envelopes land at >= now + self_lookahead >=
-                    # horizon, so none can undercut this execution window.
-                    kernel.run(until=None if horizon == _INF else int(horizon) - 1)
+                    # envelopes land at >= now + lookahead >= horizon,
+                    # so none can undercut this execution window.
+                    kernel.run(until=int(horizon) - 1)
                     continue
                 nt = staged[0][0] if staged else _INF
                 if t is not None and t < nt:
                     nt = t
                 if nt >= bound:
                     return
-                # Here nt >= horizon = now + la > now (add_link clamps la >= 1).
-                # Nothing can happen in (now, nt): idle-advance so the
-                # release horizon reaches the next staged envelope.
+                # Here nt >= horizon = now + lookahead > now.  Nothing
+                # can happen in (now, nt): idle-advance so the release
+                # horizon reaches the next staged envelope.
                 kernel.idle_advance(nt)
         finally:
             self.busy_s += perf_counter() - t0
@@ -299,22 +270,21 @@ class Shard:
         window (read back by :meth:`_adopt`)."""
         kernel, staging = self.kernel, self.staging
         return (
-            kernel.now, kernel.events_executed, kernel._live_processes,
-            self.busy_s, staging.released, staging.batches,
+            kernel.now, kernel.events_executed, self.busy_s,
+            staging.released, staging.batches,
         )
 
     def _adopt(self, summary: tuple) -> None:
         """Take over the state a worker process ran this shard to.  This
         copy stopped at the fork, so its pending events and staged
         envelopes were delivered by the worker: drop them."""
-        now, events, live, busy_s, released, batches = summary
+        now, events, busy_s, released, batches = summary
         kernel, staging = self.kernel, self.staging
         kernel._heap.clear()
         kernel._imm.clear()
         kernel._alive = kernel._n_cancelled = 0
         kernel.idle_advance(now)
         kernel.events_executed = events
-        kernel._live_processes = live
         self.busy_s = busy_s
         self.inbox = []
         staging._heap.clear()
@@ -343,12 +313,6 @@ def _pin(cpus: Sequence[int], worker: int) -> None:
     forked worker on its parent's CPU for the whole run."""
     if cpus:
         os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
-
-
-def _stalled() -> DeadlockError:
-    # Unreachable while every lookahead is >= 1 ns: the globally
-    # earliest shard is always below its bound.
-    return DeadlockError("conservative synchronization stalled: no shard below its bound")
 
 
 def _missing_handler(handler: Callable) -> SimulationError:
@@ -424,31 +388,25 @@ def _reply(link: _Duplex, pid: int) -> Any:
 
 
 class ShardedSimulation:
-    """Coordinates N shards under conservative lookahead bounds.
+    """Coordinates N shards under one conservative lookahead.
 
-    ``add_link(src, dst, latency_ns)`` declares a channel between shards
-    (including ``src == dst`` for intra-shard channels, which feed the
-    shards' self-lookahead); the *minimum* latency per directed shard
-    pair becomes that pair's lookahead.  :meth:`run` then sweeps:
+    ``lookahead_ns`` is the least delay, at least 1 ns, from the event
+    that sends an envelope to that envelope's delivery, on one shard or
+    across two.  :meth:`run` then sweeps:
 
-    1. if every shard's ``eot_i`` is ``inf`` the simulation is over (or
-       deadlocked, if processes are still alive),
-    2. compute ``bound_i = min_k (eot_k + P[k][i])`` from the
-       shortest-path lookahead table (:meth:`_bounds`),
-    3. run every shard with ``eot_i < bound_i`` up to its bound,
-    4. drain the non-empty inboxes into their staging heaps and
-       refresh ``eot`` for the shards that ran or received envelopes --
-       every other shard's kernel and staging are untouched, so its
-       cached ``eot`` still holds.
+    1. drain every inbox and take every shard's ``eot``; if all are
+       ``inf`` the simulation is over,
+    2. bound the window at ``min(eot) + lookahead`` (no bound with one
+       shard: it has nobody to wait for),
+    3. run every shard whose ``eot`` is below the bound up to it.
 
-    The globally earliest shard always satisfies ``eot_i < bound_i``
-    (lookaheads are >= 1 ns), so every sweep makes progress.  Envelopes
-    posted mid-sweep carry receive times >= the pre-sweep ``eot_j +
-    lookahead(j, i) >= bound_i``, so draining them after the window can
-    never miss work below any bound already handed out.
+    The shard holding the least ``eot`` always runs, so every sweep
+    makes progress.  Everything sent in a window was sent at or after
+    the least ``eot``, so it arrives at or after the bound: draining it
+    after the window can never miss work below the bound.
     """
 
-    def __init__(self, shards: Sequence[Shard]) -> None:
+    def __init__(self, shards: Sequence[Shard], lookahead_ns: int) -> None:
         if not shards:
             raise ValueError("need at least one shard")
         for i, shard in enumerate(shards):
@@ -457,15 +415,13 @@ class ShardedSimulation:
                     f"shard at position {i} has index {shard.index}; "
                     "pass shards sorted by index"
                 )
+        if lookahead_ns < 1:
+            raise ValueError(
+                f"lookahead must be at least 1 ns, got {lookahead_ns}: a send "
+                "delivered at its own instant leaves no window to run"
+            )
         self.shards = list(shards)
-        n = len(self.shards)
-        self._lookahead: Dict[Tuple[int, int], int] = {}
-        #: ``_paths[k][i]``: the shortest chain of cross-shard links from
-        #: shard *k* to shard *i* (at least one link; ``inf`` when none).
-        self._paths: List[List[float]] = [[_INF] * n for _ in range(n)]
-        #: Per destination *i*, the ``(k, _paths[k][i])`` pairs with a
-        #: finite path -- what :meth:`_bounds` reads.
-        self._into: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        self.lookahead = lookahead_ns
         self.sweeps = 0
         #: Worker processes the last :meth:`run` used (1: cooperative).
         self.workers = 1
@@ -473,100 +429,27 @@ class ShardedSimulation:
         #: :meth:`run`: what its ``export`` returned for its shards.
         self.exported: List[Tuple[List[int], Any]] = []
 
-    def add_link(self, src_shard: int, dst_shard: int, latency_ns: int) -> None:
-        """Declare a channel from ``src_shard`` to ``dst_shard`` with a
-        guaranteed minimum delivery latency (clamped to >= 1 ns)."""
-        n = len(self.shards)
-        if not (0 <= src_shard < n and 0 <= dst_shard < n):
-            raise ValueError(f"link ({src_shard}, {dst_shard}) out of range for {n} shards")
-        latency = max(1, int(latency_ns))
-        key = (src_shard, dst_shard)
-        current = self._lookahead.get(key)
-        if current is None or latency < current:
-            self._lookahead[key] = latency
-            if src_shard != dst_shard:
-                self._shorten(src_shard, dst_shard, latency)
-        if src_shard == dst_shard:
-            shard = self.shards[src_shard]
-            shard.self_lookahead = min(shard.self_lookahead, latency)
+    def _bound(self, least: float) -> float:
+        """The bound of a window whose least ``eot`` is ``least``."""
+        return _INF if len(self.shards) == 1 else least + self.lookahead
 
-    def _shorten(self, a: int, b: int, latency: int) -> None:
-        """Fold a lowered link ``a -> b`` into the path table: a path
-        that now improves runs ``k ~> a -> b ~> i``, so one O(n^2) pass
-        over the old distances into ``a`` and out of ``b`` suffices."""
-        paths = self._paths
-        n = len(paths)
-        to_a = [0 if k == a else paths[k][a] for k in range(n)]
-        from_b = [0 if i == b else paths[b][i] for i in range(n)]
-        for k in range(n):
-            via = to_a[k] + latency
-            if via == _INF:
-                continue
-            row = paths[k]
-            for i in range(n):
-                if via + from_b[i] < row[i]:
-                    row[i] = via + from_b[i]
-        self._into = [
-            [(k, paths[k][i]) for k in range(n) if paths[k][i] != _INF] for i in range(n)
-        ]
-
-    def _bounds(self, eots: Sequence[float]) -> List[float]:
-        """Per-shard execution bounds ``min_k (eot_k + P[k][i])``.
-
-        A locally idle shard is not unreachable: a third shard can wake
-        it, and it would then send onward.  The earliest instant shard
-        *j* could possibly act is therefore the Chandy/Misra fixed point
-
-            ``E_j = min(eot_j, min_k (E_k + lookahead(k, j)))``
-
-        and ``bound_i = min_j (E_j + lookahead(j, i))``.  Unrolled, the
-        fixed point is ``E_j = min_k (eot_k + dist(k, j))``, so the bound
-        is the shortest path of at least one link from any shard *k*,
-        ``P[k][i]``, added to ``eot_k``.  :meth:`add_link` keeps ``P``
-        current, so no relaxation runs per sweep, and a shard can never
-        outrun a message routed to it through any chain of currently
-        idle shards."""
-        bounds = []
-        for into in self._into:
-            bound = _INF
-            for k, path in into:
-                t = eots[k] + path
-                if t < bound:
-                    bound = t
-            bounds.append(bound)
-        return bounds
-
-    def _finished(self, eots: Sequence[float]) -> bool:
-        """All-idle check; raises only after every inbox is drained,
-        so a shard idling on pending cross-shard input never
-        false-positives as deadlock."""
-        if min(eots) != _INF:
-            return False
-        live = sum(s.kernel._live_processes for s in self.shards)
-        if live:
-            raise DeadlockError(
-                f"all {len(self.shards)} shards idle with inboxes drained "
-                f"but {live} process(es) still alive"
-            )
-        # Quiescent: align every clock to the global maximum, so work
-        # injected *between* runs (observer queries, shutdown controls)
-        # can never reach a shard in its past.
+    def _quiesce(self) -> None:
+        """Align every clock to the global maximum once all shards are
+        idle, so work injected *between* runs (observer queries,
+        shutdown controls) can never reach a shard in its past."""
         t_max = max(s.kernel.now for s in self.shards)
         for s in self.shards:
             if s.kernel.now < t_max:
                 s.kernel.idle_advance(t_max)
-        return True
 
-    def _run_window(
-        self, indices: Iterable[int], eots: Sequence[float], bounds: Sequence[float]
-    ) -> None:
-        """Run each shard of ``indices`` whose ``eot`` is below its bound
-        up to that bound: one window of the process driver, for one
-        worker's shards."""
-        shards = self.shards
+    def _run_window(self, indices: Iterable[int], bound: float) -> None:
+        """Run each shard of ``indices`` whose ``eot`` is below
+        ``bound`` up to it: one window, for one worker's shards."""
+        shards, lookahead = self.shards, self.lookahead
         for i in indices:
-            if eots[i] < bounds[i]:
-                shards[i].run_until(bounds[i])
+            shard = shards[i]
+            if shard.eot() < bound:
+                shard.run_until(bound, lookahead)
 
     def run(
         self,
@@ -588,10 +471,12 @@ class ShardedSimulation:
         counters."""
         self.workers = 1
         self.exported = []
+        for shard in self.shards:
+            if shard.inbox:
+                shard.drain_inbox()
         if handlers is not None:
             index = {handler: k for k, handler in enumerate(handlers)}
             for shard in self.shards:
-                shard.drain_inbox()
                 for env in shard.staging._heap:
                     if env[5] not in index:
                         raise _missing_handler(env[5])
@@ -601,27 +486,19 @@ class ShardedSimulation:
         return self._run_here()
 
     def _run_here(self) -> int:
-        """The cooperative driver: every window on the calling thread.
-        ``eots`` is cached across sweeps and refreshed only where a
-        window or an arrival could move it."""
+        """The cooperative driver: every window on the calling thread."""
         shards = self.shards
-        for shard in shards:
-            shard.drain_inbox()
-        eots = [s.eot() for s in shards]
-        while not self._finished(eots):
-            bounds = self._bounds(eots)
-            runnable = [i for i, e in enumerate(eots) if e < bounds[i]]
-            if not runnable:
-                raise _stalled()
-            for i in runnable:
-                shards[i].run_until(bounds[i])
+        every = range(len(shards))
+        while True:
+            least = min(s.eot() for s in shards)
+            if least == _INF:
+                break
+            self._run_window(every, self._bound(least))
             self.sweeps += 1
-            for i, shard in enumerate(shards):
+            for shard in shards:
                 if shard.inbox:
                     shard.drain_inbox()
-                elif i not in runnable:
-                    continue
-                eots[i] = shard.eot()
+        self._quiesce()
         return self.sweeps
 
     def _run_forked(
@@ -635,11 +512,13 @@ class ShardedSimulation:
         coordinate the windows, running worker 0's shards here."""
         shards = self.shards
         n = len(shards)
-        eots = [s.eot() for s in shards]
-        if self._finished(eots):
-            return self.sweeps
         owner = [i % n_workers for i in range(n)]
         owned = [list(range(w, n, n_workers)) for w in range(n_workers)]
+        #: least[w]: the least ``eot`` of worker w's shards.
+        least = [min(shards[i].eot() for i in mine) for mine in owned]
+        if min(least) == _INF:
+            self._quiesce()
+            return self.sweeps
         children: List[Tuple[int, _Duplex]] = []
         clean = False
         mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
@@ -665,37 +544,32 @@ class ShardedSimulation:
             _pin(cpus, 0)
             # pending[w][i]: wire envelopes for shard i of worker w.
             pending: List[Dict[int, List[tuple]]] = [{} for _ in range(n_workers)]
-            while min(eots) != _INF:
-                bounds = self._bounds(eots)
-                if not any(e < b for e, b in zip(eots, bounds)):
-                    raise _stalled()
+            while min(least) != _INF:
+                bound = self._bound(min(least))
                 for w, (_, link) in enumerate(children, 1):
-                    link.send((eots, bounds, pending[w]))
+                    link.send((bound, pending[w]))
                     pending[w] = {}
-                self._run_window(owned[0], eots, bounds)
+                self._run_window(owned[0], bound)
                 self.sweeps += 1
                 for i, shard in enumerate(shards):
                     if shard.inbox and owner[i]:
                         pending[owner[i]][i] = _to_wire(shard.inbox, index)
                         shard.inbox = []
                 for w, (pid, link) in enumerate(children, 1):
-                    fresh, outbound = _reply(link, pid)
-                    for i, eot in zip(owned[w], fresh):
-                        eots[i] = eot
+                    least[w], outbound = _reply(link, pid)
                     for i, wires in outbound.items():
                         if owner[i]:
                             pending[owner[i]].setdefault(i, []).extend(wires)
                         else:
                             shards[i].inbox.extend(_from_wire(wires, handlers))
                 for i in owned[0]:
-                    shard = shards[i]
-                    if shard.inbox:
-                        shard.drain_inbox()
-                    eots[i] = shard.eot()
+                    if shards[i].inbox:
+                        shards[i].drain_inbox()
+                least[0] = min(shards[i].eot() for i in owned[0])
                 # A worker drains what it is sent before its next window.
-                for bound_for in pending[1:]:
-                    for i, wires in bound_for.items():
-                        eots[i] = min(eots[i], min(wire[0] for wire in wires))
+                for w, bound_for in enumerate(pending[1:], 1):
+                    for wires in bound_for.values():
+                        least[w] = min(least[w], min(wire[0] for wire in wires))
             for _, link in children:
                 link.send(None)
             for w, (pid, link) in enumerate(children, 1):
@@ -713,7 +587,7 @@ class ShardedSimulation:
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 link.close()
-        self._finished(eots)
+        self._quiesce()
         return self.sweeps
 
     def _serve(
@@ -739,12 +613,12 @@ class ShardedSimulation:
                     link.send(([shards[i]._summary() for i in mine], state))
                     code = 0
                     return
-                eots, bounds, inbound = message
+                bound, inbound = message
                 for i, wires in inbound.items():
                     shard = shards[i]
                     shard.inbox.extend(_from_wire(wires, handlers))
                     shard.drain_inbox()
-                self._run_window(mine, eots, bounds)
+                self._run_window(mine, bound)
                 outbound = {}
                 for i in others:
                     shard = shards[i]
@@ -754,7 +628,7 @@ class ShardedSimulation:
                 for i in mine:
                     if shards[i].inbox:
                         shards[i].drain_inbox()
-                link.send(([shards[i].eot() for i in mine], outbound))
+                link.send((min(shards[i].eot() for i in mine), outbound))
         except BaseException as exc:  # noqa: BLE001 - reported to the coordinator
             tb = traceback.format_exc()
             try:

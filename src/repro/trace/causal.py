@@ -28,9 +28,9 @@ traces stays flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.trace.events import BEGIN, END, TraceEvent
+from repro.trace.events import BEGIN, END
 
 #: Fault kinds whose span never reaches a receiver.
 _LOSS_KINDS = ("drop", "overflow")

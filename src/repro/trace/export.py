@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Union
 
-from repro.trace.events import BEGIN, END, INSTANT, TraceEvent
+from repro.trace.events import BEGIN, END, TraceEvent
 
 PathLike = Union[str, Path]
 

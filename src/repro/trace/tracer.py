@@ -16,7 +16,7 @@ The buffer is a two-layer store:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.trace.events import _PHASES, BEGIN, END, INSTANT, TraceEvent
 

@@ -69,6 +69,18 @@ class TrafficConfig:
     heavy_factor: int = 4  # requests per tick for a heavy session
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        if self.compute_ns < 0 or self.link_ns < 0:
+            raise ValueError(
+                f"hop costs must be non-negative, got compute_ns={self.compute_ns} "
+                f"and link_ns={self.link_ns}"
+            )
+        if self.compute_ns + self.link_ns < 1:
+            raise ValueError(
+                "a hop must take at least 1 ns (compute_ns + link_ns): it is "
+                "the lookahead every shard runs ahead by"
+            )
+
     @property
     def sessions(self) -> int:
         return self.n_sessions or max(4, self.n_components // 4)
@@ -150,7 +162,6 @@ def _spin(n: int) -> int:
 def run_traffic(
     config: TrafficConfig,
     n_shards: int,
-    batch_release: bool = True,
     graph: Optional[Dict] = None,
 ) -> Dict:
     """Run the traffic model on ``n_shards`` conservative shards.
@@ -168,26 +179,13 @@ def run_traffic(
     n_ingress, n_front, n_back, n_sink = graph["tiers"]
     _, base_front, base_back, base_sink = graph["bases"]
     fronts_of, pool_of, sink_of = graph["fronts_of"], graph["pool_of"], graph["sink_of"]
-    index_of = {name: i for i, name in enumerate(names)}
 
     assignment = partition_graph(names, graph["edges"], n_shards)
     shard_of = [assignment[name] for name in names]
 
     shards = [Shard(i) for i in range(n_shards)]
-    for shard in shards:
-        shard.batch_release = batch_release
-    sim = ShardedSimulation(shards)
-    hop_ns = config.compute_ns + config.link_ns
-    # Every hop takes at least compute + link after its trigger, so the
-    # pairwise lookahead is hop_ns for linked shards and for each
-    # shard's self-link.
-    linked = set()
-    for a, b in graph["edges"]:
-        linked.add((shard_of[index_of[a]], shard_of[index_of[b]]))
-    for k in range(n_shards):
-        linked.add((k, k))
-    for src, dst in sorted(linked):
-        sim.add_link(src, dst, hop_ns)
+    # Every hop lands compute + link after its trigger, on any shard.
+    sim = ShardedSimulation(shards, config.compute_ns + config.link_ns)
 
     n = len(names)
     folds = [0] * n  # per-component delivery-sequence hash (layout-invariant)

@@ -71,6 +71,11 @@ def test_smoke_jobs_are_separate():
     workers = next(s["run"] for s in scale_steps if "worker processes" in s.get("name", ""))
     for log in ("t2.txt", "t4.txt"):
         assert f"grep -Eq '^driver: [0-9]+ worker processes$' {log}" in workers
+    # ... and the window count must not move with the shard count.
+    sweeps = next(s["run"] for s in scale_steps if "windows" in s.get("name", ""))
+    for n in (2, 4):
+        assert f"sweeps{n}=$(grep -o '^sweeps: [0-9]*' t{n}.txt)" in sweeps
+    assert 'test -n "$sweeps2" && test "$sweeps2" = "$sweeps4"' in sweeps
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
     assert "run --images 6 --shards 4 | tee run4.txt" in shard_runs
     assert "sha1s" not in shard_runs  # no separate one-shard runtime leg

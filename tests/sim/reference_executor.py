@@ -136,8 +136,7 @@ class ReferenceExecEngine:
     def shutdown(self) -> None:
         """Let dispatcher loops exit once every spawned thread has finished.
 
-        Without this the idle dispatchers would count as live processes and
-        ``Kernel.run()`` would report a deadlock when the event queue drains.
+        Without this the idle dispatcher loops would stay blocked forever.
         """
         self._shutdown = True
         for core in self.cores:

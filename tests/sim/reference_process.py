@@ -11,22 +11,37 @@ The generator's return value becomes the process result, exposed
 through ``proc.done`` (an :class:`~repro.sim.events.Event` triggered
 with the result) and ``proc.result``.  Exceptions raised inside a
 process propagate out of ``Kernel.run()`` by default, which keeps
-failures loud; set ``on_error`` to capture instead.  Non-daemon
-processes feed the kernel's live-process count, so ``Kernel.run`` and
-the shard driver raise ``DeadlockError`` when every event has drained
-and one is still blocked.
+failures loud; set ``on_error`` to capture instead.  The engine
+counts each kernel's live non-daemon processes itself, and :func:`run`
+raises ``DeadlockError`` when every event has drained and one is still
+blocked (``Kernel.run`` simply returns).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
+from weakref import WeakKeyDictionary
 
-from repro.sim.errors import ProcessKilled, SimulationError
+from repro.sim.errors import DeadlockError, ProcessKilled, SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
 from repro.sim.process import Command, Timeout, WaitEvent
 
 ProcessBody = Generator[Command, Any, Any]
+
+#: Live non-daemon processes per kernel.
+_live: "WeakKeyDictionary[Kernel, int]" = WeakKeyDictionary()
+
+
+def run(kernel: Kernel, until: Optional[int] = None) -> int:
+    """``kernel.run(until)``, raising :class:`DeadlockError` if the queue
+    drained while a non-daemon process of this engine is still alive
+    (everybody blocked on events that nobody can trigger)."""
+    now = kernel.run(until)
+    live = _live.get(kernel, 0)
+    if live and kernel.peek() is None:
+        raise DeadlockError(f"no pending events but {live} process(es) still alive")
+    return now
 
 
 class Process:
@@ -73,7 +88,7 @@ class Process:
         self._alive = True
         self._pending_handle = None
         if not daemon:
-            kernel._live_processes += 1
+            _live[kernel] = _live.get(kernel, 0) + 1
         # Zero-delay starts ride the immediate queue: call_soon is
         # ordering-identical to schedule(0, ...) by the kernel contract
         # but skips the heap insert entirely.
@@ -108,13 +123,13 @@ class Process:
     def _finish(self, result: Any) -> None:
         self._alive = False
         if not self.daemon:
-            self.kernel._live_processes -= 1
+            _live[self.kernel] -= 1
         self.done.trigger(result)
 
     def _fail(self, exc: BaseException) -> None:
         self._alive = False
         if not self.daemon:
-            self.kernel._live_processes -= 1
+            _live[self.kernel] -= 1
         if isinstance(exc, ProcessKilled):
             # A kill is an expected external termination, not an error.
             self.done.trigger(None)

@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Channel, Kernel
 from repro.sim.errors import DeadlockError
 
-from reference_process import Process
+from reference_process import Process, run
 
 
 def test_channel_put_then_get():
@@ -88,4 +88,4 @@ def test_deadlock_detection():
 
     Process(k, starved())
     with pytest.raises(DeadlockError):
-        k.run()
+        run(k)

@@ -1,9 +1,8 @@
 """Unit tests for the sharded conservative simulation layer.
 
-Covers the kernel hook the shard coordinator relies on
-(``deadlock_check``), the partitioning helpers, the
-envelope/inbox/staging machinery, and the coordinator itself
-(delivery-order invariance across shard counts, deadlock semantics).
+Covers the reference engine's deadlock check, the partitioning helpers,
+the envelope/inbox/staging machinery, and the coordinator itself
+(delivery-order invariance across shard counts, its one lookahead).
 """
 
 import pytest
@@ -19,10 +18,10 @@ from repro.sim.shard import (
     shard_core_blocks,
 )
 
-from reference_process import Process
+from reference_process import Process, run
 
 
-# -- kernel hooks --------------------------------------------------------------
+# -- deadlock ------------------------------------------------------------------
 
 
 def _blocked_process(kernel):
@@ -35,18 +34,13 @@ def _blocked_process(kernel):
 
 
 def test_kernel_deadlock_check_default_raises():
+    # The kernel returns on a drained queue; the reference engine, which
+    # knows its processes, reports the one still blocked.
     kernel = Kernel()
     _blocked_process(kernel)
-    with pytest.raises(DeadlockError):
-        kernel.run()
-
-
-def test_kernel_deadlock_check_disabled_returns():
-    kernel = Kernel()
-    _blocked_process(kernel)
-    kernel.deadlock_check = False
-    kernel.run()  # idle is not an error: the coordinator decides
-    assert kernel._live_processes == 1
+    assert kernel.run() == 0
+    with pytest.raises(DeadlockError, match="1 process\\(es\\) still alive"):
+        run(kernel)
 
 
 # -- partitioning helpers ------------------------------------------------------
@@ -188,23 +182,16 @@ def test_release_batched_groups_by_recv_time_in_key_order():
 # -- coordinator ---------------------------------------------------------------
 
 
-def _pipeline_run(n_shards: int, batch: bool = True):
+def _pipeline_run(n_shards: int):
     """A 4-chain x 3-stage pipeline on the raw shard layer; returns the
     per-stage-component delivery log."""
     n_chains, n_stages = 4, 3
     link_ns, compute_ns = 100, 700
     shards = [Shard(i) for i in range(n_shards)]
-    for shard in shards:
-        shard.batch_release = batch
-    sim = ShardedSimulation(shards)
+    sim = ShardedSimulation(shards, compute_ns + link_ns)
     shard_of = {
         (c, s): (c + s) % n_shards for c in range(n_chains) for s in range(n_stages)
     }
-    for c in range(n_chains):
-        for s in range(n_stages - 1):
-            sim.add_link(shard_of[(c, s)], shard_of[(c, s + 1)], link_ns)
-    for k in range(n_shards):
-        sim.add_link(k, k, compute_ns + link_ns)
 
     log = {(c, s): [] for c in range(n_chains) for s in range(n_stages)}
 
@@ -239,27 +226,22 @@ def test_delivery_log_invariant_across_shard_counts():
         assert _pipeline_run(n_shards) == reference
 
 
-def test_pipeline_batched_release_matches_per_envelope():
-    """The batching tentpole's oracle on the pipeline harness:
-    Shard.batch_release toggles between release_batched and the
-    reference release_below; the delivery logs must be identical."""
-    for n_shards in (1, 3):
-        assert _pipeline_run(n_shards, batch=True) == _pipeline_run(n_shards, batch=False)
+def test_pipeline_batched_release_matches_per_envelope(monkeypatch):
+    """The batching oracle on the pipeline harness: release_batched and
+    the reference release_below give identical delivery logs."""
+    batched = [_pipeline_run(n_shards) for n_shards in (1, 3)]
+    monkeypatch.setattr(Staging, "release_batched", Staging.release_below)
+    assert [_pipeline_run(n_shards) for n_shards in (1, 3)] == batched
 
 
-def _chaotic_run(n_shards: int, seed: int, batch: bool):
+def _chaotic_run(n_shards: int, seed: int):
     """A message-storm workload with hash-derived (layout-invariant)
     routing and clustered timestamps, so batched release really forms
     multi-envelope groups.  Returns the per-component delivery log."""
     n_comp, n_msgs, hops = 10, 30, 3
     compute_ns, link_ns = 500, 100
     shards = [Shard(i) for i in range(n_shards)]
-    for shard in shards:
-        shard.batch_release = batch
-    sim = ShardedSimulation(shards)
-    for a in range(n_shards):
-        for b in range(n_shards):
-            sim.add_link(a, b, compute_ns + link_ns)
+    sim = ShardedSimulation(shards, compute_ns + link_ns)
     shard_of = [i % n_shards for i in range(n_comp)]
     log = {i: [] for i in range(n_comp)}
     seqs = [0] * n_comp
@@ -293,32 +275,24 @@ def _chaotic_run(n_shards: int, seed: int, batch: bool):
 
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
-def test_batched_release_equivalent_to_per_envelope(seed):
+def test_batched_release_equivalent_to_per_envelope(monkeypatch, seed):
     """Seeds 1/7/42 (the chaos-campaign set): batched and per-envelope
     release produce identical per-component delivery sequences, at every
     shard count, and both match across shard counts."""
-    reference = _chaotic_run(1, seed, batch=True)
+    reference = _chaotic_run(1, seed)
     for n_shards in (1, 2, 4):
-        assert _chaotic_run(n_shards, seed, batch=True) == reference
-        assert _chaotic_run(n_shards, seed, batch=False) == reference
-
-
-def test_true_deadlock_is_reported_by_the_coordinator():
-    shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards)
-    sim.add_link(0, 1, 100)
-    _blocked_process(shards[1].kernel)  # waits forever, nobody sends
-    with pytest.raises(DeadlockError, match="process\\(es\\) still alive"):
-        sim.run()
+        assert _chaotic_run(n_shards, seed) == reference
+    monkeypatch.setattr(Staging, "release_batched", Staging.release_below)
+    for n_shards in (1, 2, 4):
+        assert _chaotic_run(n_shards, seed) == reference
 
 
 def test_idle_shard_with_pending_cross_shard_input_is_not_deadlocked():
-    """The satellite-6 regression: shard 1 idles on a channel whose only
-    producer lives on shard 0.  The mailbox drain must surface the
-    cross-shard envelope before any deadlock verdict."""
+    """Shard 1 idles on a channel whose only producer lives on shard 0.
+    The mailbox drain must surface the cross-shard envelope, so the
+    run ends with the consumer finished."""
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards)
-    sim.add_link(0, 1, 100)
+    sim = ShardedSimulation(shards, 100)
 
     chan = Channel(shards[1].kernel, name="cross")
 
@@ -335,10 +309,9 @@ def test_idle_shard_with_pending_cross_shard_input_is_not_deadlocked():
 
 
 def test_unlinked_shards_run_independently():
-    # No links at all: two shards with staged work can make progress
-    # (bounds are infinite), so this must still complete.
+    # Nothing crosses: two shards with staged work each run their own.
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards)
+    sim = ShardedSimulation(shards, 100)
     hits = []
     shards[0].stage(Envelope(10, 0, "a", "out", 0, lambda: hits.append(0)))
     shards[1].stage(Envelope(20, 0, "b", "out", 0, lambda: hits.append(1)))
@@ -348,15 +321,20 @@ def test_unlinked_shards_run_independently():
 
 def test_shards_must_be_indexed_in_order():
     with pytest.raises(ValueError):
-        ShardedSimulation([Shard(1), Shard(0)])
+        ShardedSimulation([Shard(1), Shard(0)], 100)
     with pytest.raises(ValueError):
-        ShardedSimulation([])
+        ShardedSimulation([], 100)
+
+
+@pytest.mark.parametrize("lookahead_ns", (0, -5))
+def test_lookahead_below_one_ns_is_refused(lookahead_ns):
+    with pytest.raises(ValueError, match="lookahead must be at least 1 ns"):
+        ShardedSimulation([Shard(0), Shard(1)], lookahead_ns)
 
 
 def test_quiescent_clocks_align_to_global_max():
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards)
-    sim.add_link(0, 1, 100)
+    sim = ShardedSimulation(shards, 100)
     shards[0].kernel.schedule(5_000, lambda: None)
     shards[1].kernel.schedule(7, lambda: None)
     sim.run()

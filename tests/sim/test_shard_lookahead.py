@@ -1,15 +1,15 @@
-"""Property test for conservative lookahead (satellite of the sharding PR).
+"""Property test for conservative lookahead.
 
-For seeded random workloads, every cross-shard message must satisfy
+For seeded random workloads whose per-pair link latencies are at least
+the run's one lookahead, every message must satisfy
 
-    receive time >= sender clock + link latency
+    receive time >= sender clock + link latency >= sender clock + lookahead
 
-where the link latency is the declared lookahead of the (src, dst)
-shard pair.  The test also checks the two delivery-side halves of the
-contract: an envelope's deliver callback runs exactly at its receive
-time, and no shard's clock ever has to move backwards (a violation
-raises ``SimulationError`` inside :meth:`Shard.run_until`, failing the
-test by exception).
+The test also checks the two delivery-side halves of the contract: an
+envelope's deliver callback runs exactly at its receive time, and no
+shard's clock ever has to move backwards (a violation raises
+``SimulationError`` inside :meth:`Shard.run_until`, failing the test by
+exception).
 """
 
 import random
@@ -23,31 +23,32 @@ SEEDS = [1, 7, 42]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cross_shard_receive_respects_lookahead(seed):
+def test_cross_shard_receive_respects_lookahead(monkeypatch, seed):
     rng = random.Random(seed)
     n_shards = rng.choice([2, 3, 4])
     shards = [Shard(i) for i in range(n_shards)]
-    sim = ShardedSimulation(shards)
 
-    # Random per-pair latencies; the declared link *is* the lookahead.
+    # Random per-pair latencies; the least of them is the lookahead.
     latency = {}
     for src in range(n_shards):
         for dst in range(n_shards):
             latency[(src, dst)] = rng.randrange(50, 301)
-            sim.add_link(src, dst, latency[(src, dst)])
+    lookahead = min(latency.values())
+    sim = ShardedSimulation(shards, lookahead)
 
-    # Record every staged/posted envelope through the shard hook.  The
-    # sender's shard index is encoded in env.src by construction below.
+    # Record every staged/posted envelope.  The sender's shard index is
+    # encoded in env.src by construction below.
     records = []
 
-    def hook_for(dst):
-        def hook(env, cross):
-            records.append((dst, env, cross))
+    def recording(intake, cross):
+        def record(shard, env):
+            records.append((shard.index, env, cross))
+            intake(shard, env)
 
-        return hook
+        return record
 
-    for i, shard in enumerate(shards):
-        shard.on_envelope = hook_for(i)
+    monkeypatch.setattr(Shard, "stage", recording(Shard.stage, False))
+    monkeypatch.setattr(Shard, "post", recording(Shard.post, True))
 
     seq = iter(range(10**9))
     delivered = []
@@ -83,9 +84,11 @@ def test_cross_shard_receive_respects_lookahead(seed):
     assert any(cross for _, _, cross in forwarded), "no cross-shard traffic"
     for dst, env, _cross in forwarded:
         src = int(env.src[1:])
-        assert env.recv_time >= env.send_time + latency[(src, dst)], (
+        assert env.recv_time >= env.send_time + latency[(src, dst)] >= (
+            env.send_time + lookahead
+        ), (
             f"envelope {env.src}->shard{dst} recv {env.recv_time} undercuts "
-            f"sender clock {env.send_time} + lookahead {latency[(src, dst)]}"
+            f"sender clock {env.send_time} + latency {latency[(src, dst)]}"
         )
     # Everything injected was eventually delivered.
     assert len(delivered) == n_msgs + len(forwarded)

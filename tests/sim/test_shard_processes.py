@@ -15,13 +15,10 @@ import os
 
 import pytest
 
-from repro.sim.errors import DeadlockError, SchedulingError, SimulationError
+from repro.sim.errors import SchedulingError, SimulationError
 from repro.sim.mailbox import Envelope
-from repro.sim.resources import Channel
 from repro.sim.shard import Shard, ShardedSimulation
 from repro.workloads import TrafficConfig, run_traffic
-
-from reference_process import Process
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -48,10 +45,7 @@ def noop(*args):
 
 def linked_pair():
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards)
-    sim.add_link(0, 1, 1_000)
-    sim.add_link(1, 0, 1_000)
-    return shards, sim
+    return shards, ShardedSimulation(shards, 1_000)
 
 
 # -- failures ------------------------------------------------------------------
@@ -70,8 +64,8 @@ def test_duplicate_key_in_a_worker_reraises_here(workers):
 
 
 def test_delivery_in_a_workers_past_reraises_here(workers):
-    # Shard 0 promises 1 000 ns of lookahead towards shard 1 and then
-    # sends with 10: shard 1 (in the worker) has run past the arrival.
+    # The run promises 1 000 ns of lookahead and shard 0 then sends
+    # with 10: shard 1 (in the worker) has run past the arrival.
     shards, sim = linked_pair()
 
     def late_send():
@@ -117,21 +111,6 @@ def test_handler_missing_mid_run_is_named(workers):
     assert_no_child_left()
 
 
-def test_deadlock_counts_the_workers_processes(workers):
-    shards, sim = linked_pair()
-    chan = Channel(shards[1].kernel, name="never")
-
-    def blocked():
-        yield from chan.get()
-
-    Process(shards[1].kernel, blocked(), name="blocked")
-    shards[0].stage(Envelope(10, 0, "a", "out", 0, noop))
-    with pytest.raises(DeadlockError, match="1 process\\(es\\) still alive"):
-        sim.run(handlers=[noop])
-    assert sim.workers == 2
-    assert_no_child_left()
-
-
 def test_cooperative_without_a_table_or_a_second_cpu(workers):
     shards, sim = linked_pair()
     shards[1].stage(Envelope(20, 0, "b", "out", 0, noop))
@@ -152,10 +131,7 @@ def ring(n_shards, laps):
     same-shard echo per hop; returns ``(shards, sim, handlers,
     delivered)`` where ``delivered`` counts this process's deliveries."""
     shards = [Shard(i) for i in range(n_shards)]
-    sim = ShardedSimulation(shards)
-    for a in range(n_shards):
-        sim.add_link(a, (a + 1) % n_shards, 300)
-        sim.add_link(a, a, 100)
+    sim = ShardedSimulation(shards, 100)
     delivered = []
     seqs = [0] * n_shards
 

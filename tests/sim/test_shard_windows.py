@@ -1,19 +1,22 @@
-"""The coordinator's window bounds and its cached EOTs.
+"""The coordinator's windows: one bound, ``min(eot) + lookahead``.
 
-:class:`ShardedSimulation` computes ``bound_i = min_k (eot_k + P[k][i])``
-from a shortest-path lookahead table kept current by ``add_link``, and
-refreshes ``eot`` between windows only for shards that ran or received
-envelopes.  Both are shortcuts over the textbook procedure, so both are
-held to it here:
+:class:`ShardedSimulation` runs every shard below the least ``eot`` plus
+the run's one lookahead.  These tests hold that bound to what it must
+guarantee and pin what it costs:
 
-- the table bounds must equal the Chandy/Misra relaxation fixed point
-  (:func:`relaxed_bounds`, the coordinator's former code, kept as the
-  reference) for random link sets, latencies and idle shards;
-- before every window, the cached EOTs must equal a fresh
-  ``[s.eot() for s in shards]`` on the traffic workload, and the sweep
-  counts must stay those of the relaxation coordinator.  On the process
-  driver the fresh ``eot()`` is taken by the worker that owns the
-  shard, after it drained what the coordinator sent it.
+- it never exceeds the Chandy/Misra relaxation fixed point
+  (:func:`relaxed_bounds`, the coordinator's per-link reference) for
+  any link set whose latencies are at least the lookahead, and equals
+  that fixed point's least bound when every link is exactly one
+  lookahead;
+- a message pushed down a chain of idle shards, each hop exactly one
+  lookahead, lands on time at every shard: no shard ran past it;
+- the window and release counts of the traffic workload are literals,
+  at seeds 1/7/42 and 1-4 shards, so a change to how windows are cut
+  shows up as a count change;
+- on the process driver, every worker's window starts with its
+  inboxes drained, and the bound the coordinator sends is one
+  lookahead past a least ``eot`` no shard of the worker undercuts.
 """
 
 import os
@@ -21,6 +24,7 @@ import random
 
 import pytest
 
+from repro.sim.mailbox import Envelope
 from repro.sim.shard import Shard, ShardedSimulation
 from repro.workloads import TrafficConfig, run_traffic
 
@@ -28,11 +32,11 @@ SEEDS = [1, 7, 42]
 INF = float("inf")
 
 
-def relaxed_bounds(n_shards, lookahead, eots):
-    """Reference: relax ``E_j = min(eot_j, E_k + lookahead(k, j))`` over
+def relaxed_bounds(n_shards, latency, eots):
+    """Reference: relax ``E_j = min(eot_j, E_k + latency(k, j))`` over
     the cross-shard links to its fixed point, then bound every shard by
     its in-links."""
-    cross = [(s, d, la) for (s, d), la in lookahead.items() if s != d]
+    cross = [(s, d, la) for (s, d), la in latency.items() if s != d]
     eots = list(eots)
     changed = True
     while changed:
@@ -48,115 +52,102 @@ def relaxed_bounds(n_shards, lookahead, eots):
     return bounds
 
 
-def _random_eots(rng, n_shards):
-    # About a third of the shards idle: bounds must route through them.
-    return [INF if rng.random() < 0.35 else rng.randrange(0, 5_000) for _ in range(n_shards)]
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-def test_table_bounds_equal_the_relaxation_fixed_point(seed):
+def test_one_bound_never_exceeds_the_relaxation_fixed_point(seed):
     rng = random.Random(seed)
-    for _ in range(60):
+    for _ in range(200):
         n_shards = rng.randrange(2, 9)
-        sim = ShardedSimulation([Shard(i) for i in range(n_shards)])
-        lookahead = {}
-        pairs = [(s, d) for s in range(n_shards) for d in range(n_shards)]
+        lookahead = rng.randrange(1, 300)
+        sim = ShardedSimulation([Shard(i) for i in range(n_shards)], lookahead)
+        # About a third of the shards idle: bounds route through them.
+        eots = [INF if rng.random() < 0.35 else rng.randrange(0, 5_000) for _ in range(n_shards)]
+        if min(eots) == INF:
+            continue
+        bound = sim._bound(min(eots))
+        assert bound == min(eots) + lookahead
+        pairs = [(s, d) for s in range(n_shards) for d in range(n_shards) if s != d]
         density = rng.random()
-        # Declare links one at a time, some pairs more than once with
-        # higher and lower latencies, and compare after every add_link:
-        # the table is updated incrementally.
-        for _ in range(rng.randrange(1, 3 * len(pairs))):
-            src, dst = rng.choice(pairs)
-            if rng.random() > density:
-                continue
-            latency = rng.randrange(1, 300)
-            sim.add_link(src, dst, latency)
-            lookahead[(src, dst)] = min(latency, lookahead.get((src, dst), latency))
-            for _ in range(3):
-                eots = _random_eots(rng, n_shards)
-                assert sim._bounds(eots) == relaxed_bounds(n_shards, lookahead, eots)
-        assert all(sim._lookahead[(s, d)] == la for (s, d), la in lookahead.items())
+        latency = {
+            pair: rng.randrange(lookahead, lookahead + 300)
+            for pair in pairs
+            if rng.random() < density
+        }
+        assert all(bound <= b for b in relaxed_bounds(n_shards, latency, eots))
+        tight = {pair: lookahead for pair in pairs}
+        assert min(relaxed_bounds(n_shards, tight, eots)) == bound
 
 
 @pytest.mark.parametrize("n_shards", range(3, 9))
 def test_bound_routes_through_a_chain_of_idle_shards(n_shards):
-    # 0 -> 1 -> ... -> n-1, only shard 0 active: the last shard may not
-    # run past the message shard 0 could push down the whole chain.
-    sim = ShardedSimulation([Shard(i) for i in range(n_shards)])
-    lookahead = {}
-    for k in range(n_shards - 1):
-        sim.add_link(k, k + 1, 10 * (k + 1))
-        lookahead[(k, k + 1)] = 10 * (k + 1)
-    eots = [100] + [INF] * (n_shards - 1)
-    bounds = sim._bounds(eots)
-    assert bounds == relaxed_bounds(n_shards, lookahead, eots)
-    assert bounds[-1] == 100 + sum(lookahead.values())
-    assert bounds[0] == INF  # nothing links back into shard 0
-    # A shortcut declared later lowers the whole tail at once.
-    sim.add_link(0, n_shards - 1, 5)
-    lookahead[(0, n_shards - 1)] = 5
-    assert sim._bounds(eots) == relaxed_bounds(n_shards, lookahead, eots)
-    assert sim._bounds(eots)[-1] == 105
+    # 0 -> 1 -> ... -> n-1, only shard 0 active: each shard forwards the
+    # token one lookahead later.  A shard that ran past the token would
+    # fail its delivery with "cannot schedule in the past".
+    lookahead = 100
+    shards = [Shard(i) for i in range(n_shards)]
+    sim = ShardedSimulation(shards, lookahead)
+    arrivals = []
+
+    def hop(me):
+        now = shards[me].kernel.now
+        arrivals.append((me, now))
+        if me + 1 < n_shards:
+            shards[me + 1].post(
+                Envelope(now + lookahead, now, f"s{me}", "out", 0, hop, me + 1)
+            )
+
+    # Late work on the last shard: it may not run there before the token.
+    tail = []
+    shards[-1].stage(Envelope(10_000, 0, "late", "in", 0, tail.append, "late"))
+    shards[0].stage(Envelope(50, 0, "token", "in", 0, hop, 0))
+    sweeps = sim.run()
+    assert arrivals == [(k, 50 + k * lookahead) for k in range(n_shards)]
+    assert tail == ["late"]
+    # One window per hop, then one for the late work.
+    assert sweeps == n_shards + 1
 
 
-# -- cached EOTs on the traffic workload ----------------------------------------
+# -- the traffic workload -------------------------------------------------------
 
-#: ``sim.sweeps`` of the run, computed with the relaxation coordinator
-#: that refreshed every shard's EOT before every window.
-TRAFFIC_1K_SWEEPS = 12
-
-
-@pytest.fixture
-def fresh_eot_guard(monkeypatch):
-    """Check, before every window, that the cached EOTs the coordinator
-    hands to ``_bounds`` equal freshly computed ones and that every
-    inbox is drained.  Returns the list of checked windows."""
-    checked = []
-    original = ShardedSimulation._bounds
-
-    def guarded(self, eots):
-        assert list(eots) == [s.eot() for s in self.shards]
-        assert not any(len(s.inbox) for s in self.shards)
-        checked.append(self)
-        return original(self, eots)
-
-    monkeypatch.setattr(ShardedSimulation, "_bounds", guarded)
-    return checked
+#: ``(sweeps, batches)`` of the 1k-component traffic run per seed and
+#: shard count, cooperative driver.  One shard has no bound, so it runs
+#: in one window.
+TRAFFIC_1K_COUNTS = {
+    (1, 1): (1, 12), (1, 2): (12, 21), (1, 3): (12, 33), (1, 4): (12, 36),
+    (7, 1): (1, 12), (7, 2): (12, 24), (7, 3): (12, 27), (7, 4): (12, 39),
+    (42, 1): (1, 12), (42, 2): (12, 21), (42, 3): (12, 27), (42, 4): (12, 36),
+}
 
 
-def test_cached_eots_stay_fresh_on_traffic(fresh_eot_guard, usable_cpus):
-    # The guard reads this process's shards, which only the cooperative
-    # driver keeps current between windows.
+@pytest.mark.parametrize("seed, n_shards", sorted(TRAFFIC_1K_COUNTS))
+def test_traffic_1k_window_counts_are_pinned(usable_cpus, seed, n_shards):
     usable_cpus(1)
-    config = TrafficConfig(n_components=1000, seed=1, spin=0)
-    result = run_traffic(config, 4)
-    assert result["sweeps"] == TRAFFIC_1K_SWEEPS
-    assert len(fresh_eot_guard) == TRAFFIC_1K_SWEEPS
+    result = run_traffic(TrafficConfig(n_components=1000, seed=seed, spin=0), n_shards)
+    assert (result["sweeps"], result["batches"]) == TRAFFIC_1K_COUNTS[(seed, n_shards)]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("n_shards", [2, 3, 4])
 def test_coordinator_eots_match_the_workers_on_traffic(monkeypatch, usable_cpus, n_shards):
-    """Every worker, at every window, checks the coordinator's ``eot``
-    of each shard it owns against the shard's own ``eot()`` after the
-    drain; a mismatch in a forked worker re-raises here.  At 2 shards a
-    worker's shard starts idle and wakes only on the other worker's
-    envelopes."""
+    """Every worker, at every window, checks the bound it is sent
+    against its own shards after the drain: no inbox left, and no shard
+    with an ``eot`` below ``bound - lookahead``, the least ``eot`` the
+    coordinator holds.  A failed check in a forked worker re-raises
+    here."""
     usable_cpus(2)
     windows = []
     original = ShardedSimulation._run_window
 
-    def guarded(self, indices, eots, bounds):
+    def guarded(self, indices, bound):
         indices = list(indices)
-        assert [eots[i] for i in indices] == [self.shards[i].eot() for i in indices]
         assert not any(self.shards[i].inbox for i in indices)
+        assert min(self.shards[i].eot() for i in indices) >= bound - self.lookahead
         windows.append(os.getpid())
-        return original(self, indices, eots, bounds)
+        return original(self, indices, bound)
 
     monkeypatch.setattr(ShardedSimulation, "_run_window", guarded)
     config = TrafficConfig(n_components=1000, seed=1, spin=0)
     result = run_traffic(config, n_shards)
     assert result["workers"] == 2
-    assert result["sweeps"] == TRAFFIC_1K_SWEEPS
+    assert result["sweeps"] == TRAFFIC_1K_COUNTS[(1, n_shards)][0]
     # This process ran worker 0's window every time.
-    assert windows == [os.getpid()] * TRAFFIC_1K_SWEEPS
+    assert windows == [os.getpid()] * result["sweeps"]

@@ -7,6 +7,7 @@ the callback count.
 
 import pytest
 
+from repro.sim.mailbox import Staging
 from repro.workloads import TrafficConfig, build_traffic_graph, run_traffic
 
 CFG = TrafficConfig(n_components=200, n_sessions=40, ticks=2, spin=5)
@@ -37,6 +38,28 @@ def test_traffic_rejects_tiny_graphs():
         build_traffic_graph(TrafficConfig(n_components=4))
 
 
+@pytest.mark.parametrize(
+    "compute_ns, link_ns, match",
+    [(0, 0, "at least 1 ns"), (-1, 500, "non-negative"), (2_000, -3_000, "non-negative")],
+)
+def test_traffic_rejects_hops_without_a_lookahead(compute_ns, link_ns, match):
+    # A zero-delay hop leaves the shards no window to run ahead in: the
+    # config is refused before any shard exists, not run with a bent
+    # lookahead whose digest then depends on the shard count.
+    with pytest.raises(ValueError, match=match):
+        TrafficConfig(n_components=100, compute_ns=compute_ns, link_ns=link_ns)
+
+
+def test_one_ns_hops_are_shard_count_invariant():
+    config = TrafficConfig(n_components=100, ticks=2, spin=0, compute_ns=1, link_ns=0)
+    reference = run_traffic(config, 1)
+    for n_shards in (2, 4):
+        result = run_traffic(config, n_shards)
+        assert (result["digest"], result["makespan_ns"]) == (
+            reference["digest"], reference["makespan_ns"]
+        )
+
+
 def test_digest_invariant_across_shard_counts():
     reference = run_traffic(CFG, 1)
     assert reference["events"] == reference["requests"] * (2 + 2 * CFG.fanout)
@@ -56,10 +79,11 @@ def test_1k_seed1_digest_is_pinned(n_shards):
 
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
-def test_batched_release_matches_per_envelope(seed):
+def test_batched_release_matches_per_envelope(monkeypatch, seed):
     config = TrafficConfig(n_components=120, n_sessions=24, ticks=2, spin=0, seed=seed)
-    batched = run_traffic(config, 3, batch_release=True)
-    reference = run_traffic(config, 3, batch_release=False)
+    batched = run_traffic(config, 3)
+    monkeypatch.setattr(Staging, "release_batched", Staging.release_below)
+    reference = run_traffic(config, 3)
     assert batched["digest"] == reference["digest"]
     assert batched["events"] == reference["events"]
     # Per-envelope release schedules one callback per envelope; batching
