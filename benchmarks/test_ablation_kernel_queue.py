@@ -43,7 +43,7 @@ from repro.metrics import Table
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime
-from repro.sim.errors import DeadlockError, SchedulingError
+from repro.sim.errors import SchedulingError
 from repro.sim.kernel import Kernel
 from repro.sim.process import Timeout
 from repro.sim.resources import Channel
@@ -147,12 +147,7 @@ class CalendarKernel:
         self._now: int = 0
         self._seq: int = 0
         self._imm: deque[CalendarHandle] = deque()  # same-instant FIFO fast path
-        self._live_processes: int = 0  # maintained by Process
         self.events_executed: int = 0
-        #: Per-shard kernels disable local deadlock detection: an idle
-        #: shard with pending cross-shard input is not deadlocked, so the
-        #: check belongs to the coordinator (after draining mailboxes).
-        self.deadlock_check: bool = True
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
         self._n_cancelled: int = 0  # cancelled entries still stored in the calendar
         self._pool: list[CalendarHandle] = []
@@ -728,21 +723,6 @@ class CalendarKernel:
         """Timestamp of the next pending event, or None if the queue is empty."""
         return self._select()[0]
 
-    def idle_advance(self, time_ns: int) -> None:
-        """Move the idle clock forward to ``time_ns`` without dispatching.
-
-        The sharded coordinator's gap hop: a shard whose next activity is
-        a staged envelope at ``time_ns`` has nothing to execute in
-        ``(now, time_ns)``, so the clock jumps there directly.  Refuses
-        to travel backwards -- that would re-open a past the shard
-        already published lookahead promises about."""
-        time_ns = int(time_ns)
-        if time_ns < self._now:
-            raise SchedulingError(
-                f"cannot idle-advance backwards: {time_ns} < {self._now}"
-            )
-        self._now = time_ns
-
     def advance_to(self, time_ns: int) -> bool:
         """:meth:`Kernel.advance_to`'s contract: move the clock to
         ``time_ns`` and return True when the next entry :meth:`run` would
@@ -782,12 +762,7 @@ class CalendarKernel:
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``
-        have fired.  Returns the final simulated time.
-
-        Raises :class:`DeadlockError` if the queue drains while registered
-        processes are still alive (everybody blocked on events that nobody
-        can trigger).
-        """
+        have fired.  Returns the final simulated time."""
         executed = 0
         imm = self._imm
         select = self._select
@@ -802,10 +777,6 @@ class CalendarKernel:
                     break
                 t, src = select()
                 if src is None:
-                    if self._live_processes > 0 and self.deadlock_check:
-                        raise DeadlockError(
-                            f"no pending events but {self._live_processes} process(es) still alive"
-                        )
                     break
                 if until is not None and t > until:
                     self._now = until
@@ -888,12 +859,7 @@ class PooledKernel:
         self._seq: int = 0
         self._heap: list[tuple] = []  # (time, seq, handle)
         self._imm: deque[tuple] = deque()  # same-instant FIFO, same shape
-        self._live_processes: int = 0  # maintained by Process
         self.events_executed: int = 0
-        #: Per-shard kernels disable local deadlock detection: an idle
-        #: shard with pending cross-shard input is not deadlocked, so the
-        #: check belongs to the coordinator (after draining mailboxes).
-        self.deadlock_check: bool = True
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
         self._n_cancelled: int = 0  # cancelled entries still stored
         self._pool: list[PooledHandle] = []
@@ -1037,21 +1003,6 @@ class PooledKernel:
             return imm[0][0]
         return heap[0][0] if heap else None
 
-    def idle_advance(self, time_ns: int) -> None:
-        """Move the idle clock forward to ``time_ns`` without dispatching.
-
-        The sharded coordinator's gap hop: a shard whose next activity is
-        a staged envelope at ``time_ns`` has nothing to execute in
-        ``(now, time_ns)``, so the clock jumps there directly.  Refuses
-        to travel backwards -- that would re-open a past the shard
-        already published lookahead promises about."""
-        time_ns = int(time_ns)
-        if time_ns < self._now:
-            raise SchedulingError(
-                f"cannot idle-advance backwards: {time_ns} < {self._now}"
-            )
-        self._now = time_ns
-
     def advance_to(self, time_ns: int) -> bool:
         """:meth:`Kernel.advance_to`, on the same two queues: refuse on a
         queued same-instant wakeup, a heap entry at or before ``time_ns``
@@ -1068,10 +1019,7 @@ class PooledKernel:
         """Run until the queue drains, ``until`` is reached, or ``max_events``
         have fired.  Returns the final simulated time.
 
-        Stopping at ``until`` leaves the clock at ``until``.  Raises
-        :class:`DeadlockError` if the queue drains while registered
-        processes are still alive (everybody blocked on events that nobody
-        can trigger).
+        Stopping at ``until`` leaves the clock at ``until``.
         """
         heap = self._heap
         imm = self._imm
@@ -1092,10 +1040,6 @@ class PooledKernel:
                     entry = heap[0]
                     from_heap = True
                 else:
-                    if self._live_processes > 0 and self.deadlock_check:
-                        raise DeadlockError(
-                            f"no pending events but {self._live_processes} process(es) still alive"
-                        )
                     break
                 handle = entry[2]
                 if handle.cancelled:

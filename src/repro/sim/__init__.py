@@ -17,7 +17,7 @@ simulation run is bit-for-bit reproducible.
 """
 
 from repro.sim.clock import MICROSECOND, MILLISECOND, NANOSECOND, SECOND
-from repro.sim.errors import SimulationError, DeadlockError, ProcessKilled
+from repro.sim.errors import SimulationError, ProcessKilled
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
 from repro.sim.mailbox import Envelope, Staging
@@ -34,7 +34,6 @@ from repro.sim.shard import (
 __all__ = [
     "Channel",
     "Command",
-    "DeadlockError",
     "Envelope",
     "Event",
     "Kernel",

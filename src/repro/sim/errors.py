@@ -7,11 +7,6 @@ class SimulationError(Exception):
     """Base class for all kernel-level errors."""
 
 
-class DeadlockError(SimulationError):
-    """Raised when ``run()`` is asked to make progress but no event is
-    pending while processes are still alive (i.e. everybody is blocked)."""
-
-
 class ProcessKilled(SimulationError):
     """Injected into a process generator when it is killed externally."""
 

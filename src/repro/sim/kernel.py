@@ -196,21 +196,6 @@ class Kernel:
             return imm[0][0]
         return heap[0][0] if heap else None
 
-    def idle_advance(self, time_ns: int) -> None:
-        """Move the idle clock forward to ``time_ns`` without dispatching.
-
-        The sharded coordinator's gap hop: a shard whose next activity is
-        a staged envelope at ``time_ns`` has nothing to execute in
-        ``(now, time_ns)``, so the clock jumps there directly.  Refuses
-        to travel backwards -- that would re-open a past the shard
-        already published lookahead promises about."""
-        time_ns = int(time_ns)
-        if time_ns < self._now:
-            raise SchedulingError(
-                f"cannot idle-advance backwards: {time_ns} < {self._now}"
-            )
-        self._now = time_ns
-
     def advance_to(self, time_ns: int) -> bool:
         """From inside a callback: move the clock to ``time_ns`` if a
         timer scheduled now for ``time_ns`` would be the very next entry

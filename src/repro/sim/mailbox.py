@@ -1,12 +1,11 @@
 """Envelopes and the deterministic delivery staging area.
 
 The sharded simulator (:mod:`repro.sim.shard`) splits one logical
-machine across several :class:`~repro.sim.kernel.Kernel` instances.  A
-message crossing (or, in sharded mode, even staying inside) a partition
-cannot be ``Channel.put`` directly: channels are kernel-bound, and the
-arrival *order* of concurrent sends would depend on which shard happened
-to run first.  Instead every delivery is an :class:`Envelope` with a
-totally ordered key
+machine across several shards, each with a clock of its own.  A
+message, whether it crosses shards or stays inside one, is not handed
+over directly: the arrival *order* of concurrent sends would depend on
+which shard happened to run first.  Instead every delivery is an :class:`Envelope`
+with a totally ordered key
 
     ``(recv_time, send_time, src_component, src_interface, send_seq)``
 
@@ -23,9 +22,10 @@ built for each send.
 A cross-shard envelope is posted to the receiving shard's inbox, a
 plain list (``Shard.post``), and drained at synchronization points into
 that shard's :class:`Staging`: a private priority queue of undelivered
-envelopes, ordered by key.  Envelopes are released into the shard
-kernel in key order, batch-wise below a conservative time horizon (see
-``Shard.run_until``), which pins equal-``recv_time`` deliveries to key
+envelopes, ordered by key, and the shard's whole event queue.  The
+shard releases envelopes in key order, batch-wise below a conservative
+time horizon (see ``Shard.run_until``), and runs each delivery as it
+is released; the horizon pins equal-``recv_time`` deliveries to key
 order no matter when they arrived.
 """
 
@@ -43,8 +43,8 @@ KEY_FIELDS = ("recv_time", "send_time", "src", "src_interface", "seq")
 class Envelope(tuple):
     """One staged delivery: the tuple ``(*key, deliver, *args)``.
 
-    ``deliver(*args)`` runs *on the receiving shard's kernel* at
-    ``recv_time``.  A sender stages one shared handler with the
+    ``deliver(*args)`` runs *on the receiving shard*, whose clock then
+    reads ``recv_time``.  A sender stages one shared handler with the
     arguments of this send (the 6-argument form is the zero-argument
     case).  Keys are unique per logical message (each sender context
     numbers its sends), so comparisons never reach ``deliver``;
@@ -97,14 +97,12 @@ class Envelope(tuple):
 
 
 def _deliver_group(group: List[Envelope]) -> Callable[[], None]:
-    """One kernel callback delivering a whole equal-``recv_time`` group.
+    """One callback delivering a whole equal-``recv_time`` group.
 
     The group is already in key order (popped off the staging heap), so
-    delivering inline back-to-back produces exactly the channel-put
-    order the per-envelope path produced: each ``deliver(*args)`` runs at the
-    same kernel ``now`` and any wakeups it triggers ride ``call_soon``
-    with sequence numbers *after* the whole group, just as they would
-    have landed after the group's individually scheduled events.
+    delivering inline back-to-back produces exactly the order the
+    per-envelope path produces: each ``deliver(*args)`` runs at the
+    same ``recv_time``, one after the other, in key order.
     """
 
     def deliver_batch() -> None:
@@ -142,9 +140,10 @@ class Staging:
     def __init__(self) -> None:
         self._heap: List[Envelope] = []
         self.released = 0
-        #: Kernel callbacks actually scheduled by :meth:`release_batched`
-        #: -- ``released / batches`` is the cross-shard batch factor the
-        #: scaling bench reports.
+        #: Callbacks handed out by :meth:`release_batched` (one per
+        #: distinct ``recv_time`` in a release) -- ``released /
+        #: batches`` is the cross-shard batch factor the scaling bench
+        #: reports.
         self.batches = 0
 
     def push(self, envelope: Envelope) -> None:
@@ -194,9 +193,9 @@ class Staging:
             raise _key_error(heap, exc)
         return batch
 
-    def release_below(self, horizon: int, schedule: Callable[[int, Any], Any]) -> int:
-        """Release every envelope with ``recv_time < horizon`` into the
-        kernel via ``schedule(recv_time, deliver, *args)``, in key order.
+    def release_below(self, horizon: int, deliver: Callable[..., Any]) -> int:
+        """Release every envelope with ``recv_time < horizon`` through
+        ``deliver(recv_time, handler, *args)``, in key order.
 
         Key-order release below a *conservative* horizon (no
         later-staged envelope can undercut it) is what makes equal-time
@@ -206,25 +205,23 @@ class Staging:
         identical dispatch traces."""
         batch = self._pop_below(horizon)
         for env in batch:
-            schedule(env[0], *env[5:])
+            deliver(env[0], *env[5:])
         n = len(batch)
         self.released += n
         self.batches += n
         return n
 
-    def release_batched(self, horizon: int, schedule: Callable[[int, Any], Any]) -> int:
-        """Batched release: one scheduled callback per *distinct*
-        ``recv_time`` below the horizon, delivering that time's whole
-        key-ordered group inline.
+    def release_batched(self, horizon: int, deliver: Callable[..., Any]) -> int:
+        """Batched release: one ``deliver(recv_time, callback)`` per
+        *distinct* ``recv_time`` below the horizon, the callback
+        delivering that time's whole key-ordered group inline.
 
-        Equivalent to :meth:`release_below` by construction: every
-        callback is scheduled *now* (so its kernel sequence number
-        precedes anything the executing window schedules later, exactly
-        like the per-envelope path), and within one timestamp the group
-        delivers in key order.  A fan-in workload whose messages share
-        timestamps pays one kernel event per timestamp instead of one
-        per envelope -- the cross-shard event count drops by the batch
-        factor."""
+        Equivalent to :meth:`release_below` by construction: the groups
+        go out in time order and each delivers in key order.  A fan-in
+        workload whose messages share timestamps pays one callback per
+        timestamp instead of one per envelope.  Ablation A10b
+        (``benchmarks/test_ablation_envelope_release.py``) measures what
+        that buys."""
         heap = self._heap
         if not heap or heap[0][0] >= horizon:
             return 0
@@ -238,9 +235,9 @@ class Staging:
             while j < n and batch[j][0] == t:
                 j += 1
             if j - i == 1:
-                schedule(t, *env[5:])
+                deliver(t, *env[5:])
             else:
-                schedule(t, _deliver_group(batch[i:j]))
+                deliver(t, _deliver_group(batch[i:j]))
             self.batches += 1
             i = j
         self.released += n

@@ -1,25 +1,28 @@
 """Sharded conservative parallel discrete-event simulation.
 
 One logical machine is partitioned into N *shards*, each owning a
-private :class:`~repro.sim.kernel.Kernel` (clock + event heap) and a
-disjoint subset of the component graph.  Shards exchange messages only
-through the envelope layer of :mod:`repro.sim.mailbox` and advance under
-**conservative synchronization** (Chandy/Misra/Bryant family) with one
-lookahead for the whole run: no message reaches any shard sooner than
-``lookahead`` after the event that sent it.  Each window therefore runs every shard
-below the one bound
+disjoint subset of the component graph.  A shard is a clock plus a heap
+of undelivered envelopes (:class:`~repro.sim.mailbox.Staging`) in key
+order; that heap is its whole event queue, and a delivery runs its
+handler at once, at the envelope's ``recv_time``.  Shards exchange
+messages only through the envelope layer of :mod:`repro.sim.mailbox`
+and advance under **conservative synchronization**
+(Chandy/Misra/Bryant family) with one lookahead for the whole run: no
+message reaches any shard sooner than ``lookahead`` after the delivery
+that sent it.  Each window therefore runs every shard below the one bound
 
     ``bound = min over all shards j of eot_j + lookahead``
 
-where ``eot_j`` is shard *j*'s earliest possible next activity: nothing
-any shard does in the window can land below it.  No null messages
+where ``eot_j`` is shard *j*'s earliest staged delivery: nothing any
+shard does in the window can land below it.  No null messages
 circulate; a coordinator recomputes the bound each sweep (a time-window
 barrier).  The only workload on this layer, ``traffic``, costs every
 hop the same ``compute_ns + link_ns``, so that hop is its lookahead.
-:meth:`ShardedSimulation.run` runs the windows one after another on the
-calling thread, or -- given the run's handler table and a host with
-more than one usable CPU -- in forked worker processes that each own a
-share of the shards (`Worker processes`_).
+:meth:`ShardedSimulation.run` runs one coordinator loop.  Given the
+run's handler table and a host with more than one usable CPU, it forks
+worker processes that each own a share of the shards (`Worker
+processes`_); otherwise it runs every shard on the calling thread, as a
+loop with no workers.
 
 Worker processes
 ----------------
@@ -33,8 +36,8 @@ of other workers.  An envelope between two shards of one worker never
 leaves its process.  One crossing workers travels as the plain tuple
 ``(*key, handler_index, *args)``, indexing the run's handler table, and
 is rebuilt as an :class:`~repro.sim.mailbox.Envelope` on arrival.  The
-bound and the window sequence are the cooperative driver's, so the
-delivery order, the digests and the sweep count are too.
+bound and the window sequence do not depend on the worker count, so
+the delivery order, the digests and the sweep count do not either.
 
 Determinism contract
 --------------------
@@ -42,12 +45,13 @@ The simulation produces the *same per-channel delivery order for every
 shard count*.  Two mechanisms enforce this:
 
 - every delivery is staged as an :class:`~repro.sim.mailbox.Envelope`
-  and released in key order ``(recv_time, send_time, src, iface, seq)``
+  and delivered in key order ``(recv_time, send_time, src, iface, seq)``
   -- all fields properties of the logical send, none of the layout;
 - release happens batch-wise below a horizon no later-staged envelope
-  can undercut (``min(bound, now + lookahead)``), so two
-  equal-``recv_time`` envelopes always sit in the same batch and sort
-  canonically, never in shard-arrival order.
+  can undercut (``min(bound, head + lookahead)``, ``head`` being the
+  earliest staged ``recv_time``), so two equal-``recv_time`` envelopes
+  always sit in the same batch and sort canonically, never in
+  shard-arrival order.
 """
 
 from __future__ import annotations
@@ -62,8 +66,7 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.errors import SimulationError
-from repro.sim.kernel import Kernel
+from repro.sim.errors import SchedulingError, SimulationError
 from repro.sim.mailbox import Envelope, Staging
 
 _INF = float("inf")
@@ -174,13 +177,14 @@ def partition_graph(
 
 
 class Shard:
-    """One partition: a private kernel plus its staged-delivery state."""
+    """One partition: a clock and a key-ordered heap of envelopes."""
 
     def __init__(self, index: int) -> None:
         if index < 0:
             raise ValueError(f"shard index must be non-negative, got {index}")
         self.index = index
-        self.kernel = Kernel()
+        #: Simulated time (ns) of the last delivery on this shard.
+        self.now = 0
         #: Cross-shard envelopes posted by other shards since the last
         #: drain; their order is irrelevant, :attr:`staging` re-orders
         #: them by key.
@@ -211,55 +215,40 @@ class Shard:
     # -- conservative execution ----------------------------------------------
 
     def eot(self) -> float:
-        """Earliest possible next activity: the first pending kernel
-        event or staged delivery, ``inf`` when fully idle.  Nothing this
-        shard ever sends can reach a shard before ``eot() +
-        lookahead``, which is what the coordinator's bound builds on."""
-        t = self.kernel.peek()
+        """Earliest possible next activity: the first staged delivery,
+        ``inf`` when fully idle.  Nothing this shard ever sends can
+        reach a shard before ``eot() + lookahead``, which is what the
+        coordinator's bound builds on."""
         staged = self.staging._heap
-        s = staged[0][0] if staged else _INF
-        return s if t is None or s < t else t
+        return staged[0][0] if staged else _INF
+
+    def _deliver(self, t: int, handler: Callable[..., None], *args: Any) -> None:
+        """Run one released delivery at once, at its ``recv_time``."""
+        if t < self.now:
+            raise SchedulingError(f"cannot schedule in the past: {t} < {self.now}")
+        self.now = t
+        handler(*args)
 
     def run_until(self, bound: float, lookahead: int) -> None:
-        """Execute all shard-local work strictly below ``bound``.
+        """Deliver every staged envelope below ``bound``, in key order.
 
-        Alternates batch release of staged envelopes (in key order,
-        below ``min(bound, now + lookahead)`` -- see the module
-        docstring for why that horizon pins the canonical order) with
-        kernel execution up to that horizon, and idle-advances the clock
-        over gaps so later batches unlock.
+        Each step releases the envelopes below ``min(bound, head +
+        lookahead)``, ``head`` being the earliest staged ``recv_time``.
+        Whatever a delivery stages lands at least one lookahead after
+        it, so at or past the horizon just released: nothing staged
+        during a step can belong to it (see the module docstring for
+        why that horizon pins the canonical order).
         """
-        kernel = self.kernel
         # The staging heap is mutated in place, so one reference serves
         # the whole window.
         staged = self.staging._heap
         release = self.staging.release_batched
-        schedule_at = kernel.schedule_at
+        deliver = self._deliver
         t0 = perf_counter()
         try:
-            while True:
-                horizon = kernel.now + lookahead
-                if bound < horizon:
-                    horizon = bound
-                if staged and staged[0][0] < horizon:
-                    release(horizon, schedule_at)
-                # Release emptied the staging heap below ``horizon``.
-                t = kernel.peek()
-                if t is not None and t < horizon:
-                    # Events strictly below ``horizon``; new same-shard
-                    # envelopes land at >= now + lookahead >= horizon,
-                    # so none can undercut this execution window.
-                    kernel.run(until=int(horizon) - 1)
-                    continue
-                nt = staged[0][0] if staged else _INF
-                if t is not None and t < nt:
-                    nt = t
-                if nt >= bound:
-                    return
-                # Here nt >= horizon = now + lookahead > now.  Nothing
-                # can happen in (now, nt): idle-advance so the release
-                # horizon reaches the next staged envelope.
-                kernel.idle_advance(nt)
+            while staged and staged[0][0] < bound:
+                horizon = staged[0][0] + lookahead
+                release(bound if bound < horizon else horizon, deliver)
         finally:
             self.busy_s += perf_counter() - t0
 
@@ -268,31 +257,20 @@ class Shard:
     def _summary(self) -> tuple:
         """What a worker process reports for this shard after its last
         window (read back by :meth:`_adopt`)."""
-        kernel, staging = self.kernel, self.staging
-        return (
-            kernel.now, kernel.events_executed, self.busy_s,
-            staging.released, staging.batches,
-        )
+        staging = self.staging
+        return (self.now, self.busy_s, staging.released, staging.batches)
 
     def _adopt(self, summary: tuple) -> None:
         """Take over the state a worker process ran this shard to.  This
-        copy stopped at the fork, so its pending events and staged
-        envelopes were delivered by the worker: drop them."""
-        now, events, busy_s, released, batches = summary
-        kernel, staging = self.kernel, self.staging
-        kernel._heap.clear()
-        kernel._imm.clear()
-        kernel._alive = kernel._n_cancelled = 0
-        kernel.idle_advance(now)
-        kernel.events_executed = events
-        self.busy_s = busy_s
+        copy stopped at the fork, so its staged envelopes were delivered
+        by the worker: drop them."""
+        staging = self.staging
+        self.now, self.busy_s, staging.released, staging.batches = summary
         self.inbox = []
         staging._heap.clear()
-        staging.released = released
-        staging.batches = batches
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Shard {self.index} now={self.kernel.now} staged={len(self.staging)}>"
+        return f"<Shard {self.index} now={self.now} staged={len(self.staging)}>"
 
 
 # -- worker processes ----------------------------------------------------------
@@ -437,10 +415,9 @@ class ShardedSimulation:
         """Align every clock to the global maximum once all shards are
         idle, so work injected *between* runs (observer queries,
         shutdown controls) can never reach a shard in its past."""
-        t_max = max(s.kernel.now for s in self.shards)
+        t_max = max(s.now for s in self.shards)
         for s in self.shards:
-            if s.kernel.now < t_max:
-                s.kernel.idle_advance(t_max)
+            s.now = t_max
 
     def _run_window(self, indices: Iterable[int], bound: float) -> None:
         """Run each shard of ``indices`` whose ``eot`` is below
@@ -462,56 +439,30 @@ class ShardedSimulation:
         ``handlers`` is the run's handler table: every handler an
         envelope crossing shards may carry.  With it, and when more
         than one CPU is usable, the shards run in ``min(shards, usable
-        CPUs)`` forked worker processes (module docstring), and each
-        forked worker's ``export(its shard indices)`` lands in
-        :attr:`exported`.  Without it, or with one usable CPU, no
-        ``os.fork`` or another live thread (forking would copy a lock
-        some thread holds), the windows run on the calling thread.
-        Either way every shard here ends holding its final clock and
-        counters."""
+        CPUs)`` worker processes, ``workers - 1`` of them forked (module
+        docstring), and each forked worker's ``export(its shard
+        indices)`` lands in :attr:`exported`.  Without it, or with one
+        usable CPU, no ``os.fork`` or another live thread (forking
+        would copy a lock some thread holds), the same loop runs every
+        window on the calling thread.  Either way every shard here ends
+        holding its final clock and counters."""
         self.workers = 1
         self.exported = []
-        for shard in self.shards:
+        shards = self.shards
+        n = len(shards)
+        for shard in shards:
             if shard.inbox:
                 shard.drain_inbox()
+        n_workers = 1
+        index: Dict[Callable, int] = {}
         if handlers is not None:
             index = {handler: k for k, handler in enumerate(handlers)}
-            for shard in self.shards:
+            for shard in shards:
                 for env in shard.staging._heap:
                     if env[5] not in index:
                         raise _missing_handler(env[5])
-            workers = min(len(self.shards), usable_cpus())
-            if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-                return self._run_forked(handlers, index, export, workers)
-        return self._run_here()
-
-    def _run_here(self) -> int:
-        """The cooperative driver: every window on the calling thread."""
-        shards = self.shards
-        every = range(len(shards))
-        while True:
-            least = min(s.eot() for s in shards)
-            if least == _INF:
-                break
-            self._run_window(every, self._bound(least))
-            self.sweeps += 1
-            for shard in shards:
-                if shard.inbox:
-                    shard.drain_inbox()
-        self._quiesce()
-        return self.sweeps
-
-    def _run_forked(
-        self,
-        handlers: Sequence[Callable],
-        index: Dict[Callable, int],
-        export: Optional[Callable[[List[int]], Any]],
-        n_workers: int,
-    ) -> int:
-        """The process driver: fork ``n_workers - 1`` workers and
-        coordinate the windows, running worker 0's shards here."""
-        shards = self.shards
-        n = len(shards)
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                n_workers = min(n, usable_cpus())
         owner = [i % n_workers for i in range(n)]
         owned = [list(range(w, n, n_workers)) for w in range(n_workers)]
         #: least[w]: the least ``eot`` of worker w's shards.
@@ -521,11 +472,16 @@ class ShardedSimulation:
             return self.sweeps
         children: List[Tuple[int, _Duplex]] = []
         clean = False
-        mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+        forking = n_workers > 1
+        mask = None
+        if forking:
+            if hasattr(os, "sched_setaffinity"):
+                mask = os.sched_getaffinity(0)
+            # Objects alive now are shared with every worker: freezing
+            # them keeps the collectors from touching (and so copying)
+            # their pages.
+            gc.freeze()
         cpus = sorted(mask) if mask else []
-        # Objects alive now are shared with every worker: freezing them
-        # keeps the collectors from touching (and so copying) their pages.
-        gc.freeze()
         try:
             for w in range(1, n_workers):
                 down, up = os.pipe(), os.pipe()
@@ -579,7 +535,8 @@ class ShardedSimulation:
                 self.exported.append((owned[w], state))
             clean = True
         finally:
-            gc.unfreeze()
+            if forking:
+                gc.unfreeze()
             if mask:
                 os.sched_setaffinity(0, mask)
             for pid, link in children:

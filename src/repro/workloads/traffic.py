@@ -18,9 +18,9 @@ Two properties are deliberate:
 - **Tick alignment.**  All requests of a tick enter at the same instant
   and every hop costs the same fixed ``compute_ns + link_ns``, so each
   tier's deliveries for one tick share a receive timestamp.  That is
-  the batched-release fast path (one kernel callback per distinct
-  timestamp) at full strength -- exactly the shape of a load-balanced
-  service where queues drain in waves.
+  the batched-release fast path (one released group per distinct
+  timestamp, delivered back to back) at full strength -- exactly the
+  shape of a load-balanced service where queues drain in waves.
 - **Session skew.**  A small share of sessions is "heavy" (issues
   ``heavy_factor`` requests per tick) and heavy sessions concentrate on
   the low-numbered ingresses, so load is uneven over the graph the way
@@ -301,5 +301,5 @@ def run_traffic(
         "batches": batches,
         "batch_factor": released / batches if batches else 1.0,
         "comp_events": comp_events,
-        "makespan_ns": max(s.kernel.now for s in shards),
+        "makespan_ns": max(s.now for s in shards),
     }

@@ -76,6 +76,13 @@ def test_smoke_jobs_are_separate():
     for n in (2, 4):
         assert f"sweeps{n}=$(grep -o '^sweeps: [0-9]*' t{n}.txt)" in sweeps
     assert 'test -n "$sweeps2" && test "$sweeps2" = "$sweeps4"' in sweeps
+    # One usable CPU: the same loop with no forked worker, same results.
+    one_cpu = next(s["run"] for s in scale_steps if "no workers" in s.get("name", ""))
+    assert "taskset -c 0 python -m repro.cli run --workload traffic" in one_cpu
+    assert "--components 1000 --shards 4 | tee t4c.txt" in one_cpu
+    assert "grep -q '^driver: cooperative$' t4c.txt" in one_cpu
+    for line in ("trace sha256:", "sweeps: [0-9]*"):
+        assert line in one_cpu and "t4.txt" in one_cpu
     shard_runs = " ".join(s.get("run", "") for s in jobs["shard-smoke"]["steps"])
     assert "run --images 6 --shards 4 | tee run4.txt" in shard_runs
     assert "sha1s" not in shard_runs  # no separate one-shard runtime leg

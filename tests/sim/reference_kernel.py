@@ -22,7 +22,9 @@ import sys
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim.errors import DeadlockError, SchedulingError
+from repro.sim.errors import SchedulingError
+
+from reference_process import DeadlockError
 
 _COMPACT_MIN = 64
 _POOL_MAX = 512

@@ -22,12 +22,18 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 from weakref import WeakKeyDictionary
 
-from repro.sim.errors import DeadlockError, ProcessKilled, SimulationError
+from repro.sim.errors import ProcessKilled, SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
 from repro.sim.process import Command, Timeout, WaitEvent
 
 ProcessBody = Generator[Command, Any, Any]
+
+
+class DeadlockError(SimulationError):
+    """Raised by :func:`run` when the queue drained while a process is
+    still alive (everybody blocked on events that nobody can trigger)."""
+
 
 #: Live non-daemon processes per kernel.
 _live: "WeakKeyDictionary[Kernel, int]" = WeakKeyDictionary()

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.sim import Channel, Kernel
-from repro.sim.errors import DeadlockError
 
-from reference_process import Process, run
+from reference_process import DeadlockError, Process, run
 
 
 def test_channel_put_then_get():

@@ -8,7 +8,7 @@ the envelope/inbox/staging machinery, and the coordinator itself
 import pytest
 
 from repro.sim import Kernel
-from repro.sim.errors import DeadlockError
+from repro.sim.errors import SchedulingError
 from repro.sim.mailbox import Envelope, Staging
 from repro.sim.resources import Channel
 from repro.sim.shard import (
@@ -18,7 +18,7 @@ from repro.sim.shard import (
     shard_core_blocks,
 )
 
-from reference_process import Process, run
+from reference_process import DeadlockError, Process, run
 
 
 # -- deadlock ------------------------------------------------------------------
@@ -197,7 +197,7 @@ def _pipeline_run(n_shards: int):
 
     def handler(c, s, item, t):
         me = shard_of[(c, s)]
-        assert shards[me].kernel.now == t  # delivered exactly at recv time
+        assert shards[me].now == t  # delivered exactly at recv time
         log[(c, s)].append((t, item))
         if s + 1 < n_stages:
             dst = shard_of[(c, s + 1)]
@@ -248,7 +248,7 @@ def _chaotic_run(n_shards: int, seed: int):
 
     def handler(dst, src, seq, t, ttl):
         me = shard_of[dst]
-        assert shards[me].kernel.now == t
+        assert shards[me].now == t
         log[dst].append((t, src, seq))
         if ttl:
             nxt = (dst * 31 + seq * 17 + t + seed) % n_comp
@@ -288,24 +288,38 @@ def test_batched_release_equivalent_to_per_envelope(monkeypatch, seed):
 
 
 def test_idle_shard_with_pending_cross_shard_input_is_not_deadlocked():
-    """Shard 1 idles on a channel whose only producer lives on shard 0.
-    The mailbox drain must surface the cross-shard envelope, so the
-    run ends with the consumer finished."""
+    """Shard 1 has nothing staged; its only input is what shard 0 sends
+    it at t=50.  The mailbox drain must surface the cross-shard
+    envelope, so the run ends with it delivered at its receive time."""
     shards = [Shard(0), Shard(1)]
     sim = ShardedSimulation(shards, 100)
+    got = []
 
-    chan = Channel(shards[1].kernel, name="cross")
+    def produce():
+        shards[1].post(
+            Envelope(150, 50, "producer", "out", 0, lambda: got.append(shards[1].now))
+        )
 
-    def consumer():
-        msg = yield from chan.get()
-        assert msg == "payload"
-
-    proc = Process(shards[1].kernel, consumer(), name="consumer")
-    # Shard 0 sends at t=50; shard 1 has nothing local at all.
-    shards[1].post(Envelope(150, 50, "producer", "out", 0, lambda: chan.put("payload")))
-    shards[0].kernel.schedule(50, lambda: None)
+    shards[0].stage(Envelope(50, 0, "client", "in", 0, produce))
     sim.run()
-    assert not proc._alive
+    assert got == [150]
+
+
+def test_delivery_in_a_shards_past_raises():
+    # The cooperative twin of the process driver's test: the run
+    # promises 1 000 ns of lookahead and shard 0 then sends with 10, so
+    # shard 1 has run past the arrival.
+    shards = [Shard(0), Shard(1)]
+    sim = ShardedSimulation(shards, 1_000)
+
+    def late_send():
+        shards[1].post(Envelope(20, 10, "a", "out", 0, lambda: None))
+
+    shards[0].stage(Envelope(10, 0, "a", "in", 0, late_send))
+    shards[1].stage(Envelope(500, 0, "b", "in", 0, lambda: None))
+    with pytest.raises(SchedulingError, match="cannot schedule in the past: 20 < 500"):
+        sim.run()
+    assert sim.workers == 1
 
 
 def test_unlinked_shards_run_independently():
@@ -335,7 +349,7 @@ def test_lookahead_below_one_ns_is_refused(lookahead_ns):
 def test_quiescent_clocks_align_to_global_max():
     shards = [Shard(0), Shard(1)]
     sim = ShardedSimulation(shards, 100)
-    shards[0].kernel.schedule(5_000, lambda: None)
-    shards[1].kernel.schedule(7, lambda: None)
+    shards[0].stage(Envelope(5_000, 0, "a", "out", 0, lambda: None))
+    shards[1].stage(Envelope(7, 0, "b", "out", 0, lambda: None))
     sim.run()
-    assert shards[0].kernel.now == shards[1].kernel.now == 5_000
+    assert shards[0].now == shards[1].now == 5_000

@@ -54,8 +54,8 @@ def test_cross_shard_receive_respects_lookahead(monkeypatch, seed):
     delivered = []
 
     def forward(me, hops, t):
-        # Deliver exactly at the receive time, on the owning kernel.
-        assert shards[me].kernel.now == t
+        # Deliver exactly at the receive time, on the owning shard.
+        assert shards[me].now == t
         delivered.append((me, t))
         if hops == 0:
             return

@@ -146,7 +146,7 @@ def ring(n_shards, laps):
 
     def hop(me, left):
         delivered.append(me)
-        t = shards[me].kernel.now
+        t = shards[me].now
         send(me, me, t, 100, echo, me)
         if left:
             send(me, (me + 1) % n_shards, t, 300, hop, (me + 1) % n_shards, left - 1)
@@ -158,8 +158,8 @@ def ring(n_shards, laps):
 def state(shards):
     return [
         (
-            s.kernel.now, s.kernel.events_executed, s.staging.released,
-            s.staging.batches, len(s.staging), len(s.inbox), s.eot(),
+            s.now, s.staging.released, s.staging.batches,
+            len(s.staging), len(s.inbox), s.eot(),
         )
         for s in shards
     ]
@@ -179,7 +179,7 @@ def test_parent_shards_hold_the_merged_state(workers, n_shards):
     assert state(shards) == reference
     assert sim.sweeps == reference_sweeps
     assert all(s.busy_s > 0 for s in shards)
-    assert len({s.kernel.now for s in shards}) == 1  # clocks aligned
+    assert len({s.now for s in shards}) == 1  # clocks aligned
     assert_no_child_left()
 
     # Nothing is left to deliver: a second run changes nothing.

@@ -88,7 +88,7 @@ def test_bound_routes_through_a_chain_of_idle_shards(n_shards):
     arrivals = []
 
     def hop(me):
-        now = shards[me].kernel.now
+        now = shards[me].now
         arrivals.append((me, now))
         if me + 1 < n_shards:
             shards[me + 1].post(
