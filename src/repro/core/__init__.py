@@ -47,7 +47,6 @@ from repro.core.observation import (
     ObservationRequest,
 )
 from repro.core.observer import ObserverComponent
-from repro.core.obspolicy import ObservationPolicy
 
 __all__ = [
     "APPLICATION_LEVEL",
@@ -70,7 +69,6 @@ __all__ = [
     "OBSERVATION",
     "OBSERVATION_INTERFACE",
     "OS_LEVEL",
-    "ObservationPolicy",
     "ObservationProbe",
     "ObservationReply",
     "ObservationRequest",

@@ -68,20 +68,16 @@ class ObservationReply:
 class ObservationProbe:
     """Per-component accumulator fed by context interposition.
 
-    ``policy`` (an :class:`~repro.core.obspolicy.ObservationPolicy`)
-    selects what is recorded and which levels the observation service
-    answers; ``None`` means everything.
+    Every component is observed at all three levels, and every
+    middleware operation is timed.
     """
 
-    def __init__(self, component: "Component", policy=None) -> None:
+    def __init__(self, component: "Component") -> None:
         self.component = component
-        self.policy = policy
-        self._op_index = 0
         #: One record per middleware operation, ``(op, iface,
-        #: duration_ns, latency_ns, size_bytes, timed, t_ns)``:
+        #: duration_ns, latency_ns, size_bytes, t_ns)``:
         #: ``size_bytes`` is -1 for control messages, ``latency_ns`` -1
-        #: when unknown, ``timed`` says whether the policy samples it
-        #: into the timers, and ``t_ns`` is the telemetry registry's
+        #: when unknown, and ``t_ns`` is the telemetry registry's
         #: clock when it was recorded (0 without telemetry).  The hot path
         #: appends one tuple; :meth:`_fold` feeds every plane that reads
         #: it -- the timers below and, when attached, the telemetry
@@ -127,10 +123,7 @@ class ObservationProbe:
         #: Runtime-provided middleware extras (e.g. live queue depths).
         self.middleware_adapter: Optional[Callable[[], Dict[str, Any]]] = None
         #: Live metrics plane, attached by
-        #: :func:`repro.metrics.telemetry.enable_telemetry`.  Unlike the
-        #: timers above, telemetry is *not* subject to ``sample_every``:
-        #: contract checking needs every message, and the streaming
-        #: histograms are cheap enough to afford it.
+        #: :func:`repro.metrics.telemetry.enable_telemetry`.
         self.telemetry = None
 
     # -- folding ------------------------------------------------------------
@@ -157,9 +150,7 @@ class ObservationProbe:
             latency_timer = self._latency_timer
             by_send = self._send_timers_by_iface
             by_recv = self._recv_timers_by_iface
-            for op, iface, dur, latency, _size, timed, _t in chunk:
-                if not timed:
-                    continue
+            for op, iface, dur, latency, _size, _t in chunk:
                 if op == _SEND:
                     send_timer.record(dur)
                     timer = by_send.get(iface)
@@ -184,7 +175,7 @@ class ObservationProbe:
             # the tail with meaningless outliers.
             window_ns = tel.registry.window_ns
             groups: Dict[tuple, tuple] = {}
-            for op, iface, dur, latency, size, _timed, t in chunk:
+            for op, iface, dur, latency, size, t in chunk:
                 key = (op, iface, t // window_ns)
                 group = groups.get(key)
                 if group is None:
@@ -230,18 +221,6 @@ class ObservationProbe:
 
     # -- recording (called from ComponentContext) ----------------------------
 
-    def _should_time(self) -> bool:
-        policy = self.policy
-        if policy is None:
-            return True
-        if not policy.time_middleware:
-            return False
-        self._op_index += 1
-        return self._op_index % policy.sample_every == 0
-
-    def _track_bytes(self) -> bool:
-        return self.policy is None or self.policy.track_bytes
-
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
         """Account one send operation (kind-aware; see class doc).
 
@@ -255,19 +234,16 @@ class ObservationProbe:
         if kind == DATA:
             size = message.size_bytes
             self.data_sends.inc()
-            if self._track_bytes():
-                self.bytes_sent += size
+            self.bytes_sent += size
         else:
             size = -1
-        timed = self._should_time()
         tel = self.telemetry
         if tel is None:
-            if timed:
-                self._records.append((_SEND, iface, duration_ns, -1, size, True, 0))
+            self._records.append((_SEND, iface, duration_ns, -1, size, 0))
             return
-        # Telemetry sees every operation.  Its time is the registry clock,
-        # moved to the message's stamp first: a send stamped before
-        # another component moved the clock lands in the current window.
+        # The record's time is the registry clock, moved to the message's
+        # stamp first: a send stamped before another component moved the
+        # clock lands in the current window.
         reg = tel.registry
         sent = message.sent_at_us
         ts = sent * 1_000 if sent is not None else 0
@@ -275,7 +251,7 @@ class ObservationProbe:
             reg.last_ns = ts
         else:
             ts = reg.last_ns
-        self._records.append((_SEND, iface, duration_ns, -1, size, timed, ts))
+        self._records.append((_SEND, iface, duration_ns, -1, size, ts))
         if kind == DATA and tel.checker is not None:
             tel.checker.on_send(iface, message, ts)
 
@@ -297,8 +273,7 @@ class ObservationProbe:
         if kind == DATA:
             size = message.size_bytes
             self.data_receives.inc()
-            if self._track_bytes():
-                self.bytes_received += size
+            self.bytes_received += size
         else:
             size = -1
         sent = message.sent_at_us
@@ -307,11 +282,9 @@ class ObservationProbe:
             latency_ns = max(0, (now_us - sent)) * 1_000
         else:
             latency_ns = -1
-        timed = self._should_time()
         tel = self.telemetry
         if tel is None:
-            if timed:
-                self._records.append((_RECV, iface, duration_ns, latency_ns, size, True, 0))
+            self._records.append((_RECV, iface, duration_ns, latency_ns, size, 0))
             return
         reg = tel.registry
         ts = now_us * 1_000 if now_us is not None else 0
@@ -319,7 +292,7 @@ class ObservationProbe:
             reg.last_ns = ts
         else:
             ts = reg.last_ns
-        self._records.append((_RECV, iface, duration_ns, latency_ns, size, timed, ts))
+        self._records.append((_RECV, iface, duration_ns, latency_ns, size, ts))
         if kind == DATA and tel.checker is not None:
             tel.checker.on_receive(iface, message, latency_ns, ts)
 
@@ -375,11 +348,6 @@ class ObservationProbe:
 
     def report(self, level: str) -> Dict[str, Any]:
         """Build the report dict for one observation level."""
-        if self.policy is not None and not self.policy.allows_level(level):
-            raise ObservationError(
-                f"level {level!r} disabled by the observation policy of "
-                f"{self.component.name!r}"
-            )
         if level == OS_LEVEL:
             return self._os_report()
         if level == MIDDLEWARE_LEVEL:
@@ -474,14 +442,10 @@ def observation_service_behavior(ctx, probe: ObservationProbe):
         request = msg.payload
         if not isinstance(request, ObservationRequest):
             continue
-        try:
-            data = probe.report(request.level)
-        except ObservationError as error:
-            data = {"error": str(error)}
         reply = ObservationReply(
             component=ctx.component.name,
             level=request.level,
-            data=data,
+            data=probe.report(request.level),
             reply_tag=request.reply_tag,
         )
         yield from ctx.send(OBSERVATION_INTERFACE, reply, kind=OBSERVATION)

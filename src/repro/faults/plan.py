@@ -61,8 +61,6 @@ KINDS = (CRASH, DROP, DUPLICATE, DELAY, CORRUPT, STALL, OVERFLOW, KILL9)
 
 #: Kinds interposed on the sender's transfer path.
 TRANSFER_KINDS = (DROP, DUPLICATE, DELAY, CORRUPT, OVERFLOW)
-#: Kinds interposed on the receiver's receive path.
-RECEIVE_KINDS = (CRASH, STALL)
 #: Kinds executed against the hosting OS process, outside the runtime.
 PROCESS_KINDS = (KILL9,)
 

@@ -667,9 +667,6 @@ def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS) -> MetricsRegi
     registry = MetricsRegistry(window_ns=window_ns)
     for cont in runtime.containers.values():
         probe = cont.probe
-        policy = probe.policy
-        if policy is not None and not getattr(policy, "telemetry", True):
-            continue
         probe.telemetry = ComponentTelemetry(registry, cont.component.name)
         probe.telemetry.checker = _attach_checker(cont, registry)
         registry._probes.append(probe)

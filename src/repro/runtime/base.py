@@ -39,9 +39,6 @@ class Runtime(ABC):
     def __init__(self) -> None:
         self.app: Optional[Application] = None
         self.containers: Dict[str, ComponentContainer] = {}
-        #: Default observation policy for every probe; a component may
-        #: override it via ``comp.place(observation_policy=...)``.
-        self.observation_policy = None
         #: Deployment-wide span allocator: every context built by this
         #: runtime draws from it, so message span ids are unique across
         #: components (next() on a count is atomic under CPython -- no
@@ -119,8 +116,7 @@ class Runtime(ABC):
         if self.app is None:
             raise RuntimeError_("deploy() an application before reconfiguring it")
         self.app.add_dynamic(component)
-        policy = component.placement.get("observation_policy", self.observation_policy)
-        cont = ComponentContainer(component, ObservationProbe(component, policy=policy))
+        cont = ComponentContainer(component, ObservationProbe(component))
         self.containers[component.name] = cont
         self._deploy_dynamic(cont)
         for src, req_name, dst, prov_name in connections:
@@ -179,10 +175,7 @@ class Runtime(ABC):
         app.seal()
         self.app = app
         for comp in app.components.values():
-            policy = comp.placement.get("observation_policy", self.observation_policy)
-            self.containers[comp.name] = ComponentContainer(
-                comp, ObservationProbe(comp, policy=policy)
-            )
+            self.containers[comp.name] = ComponentContainer(comp, ObservationProbe(comp))
 
     def container(self, name: str) -> ComponentContainer:
         """The deployment container of a component (by name)."""

@@ -63,7 +63,7 @@ import signal
 import threading
 import traceback
 from collections import deque
-from time import perf_counter
+from time import thread_time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import SchedulingError, SimulationError
@@ -190,8 +190,10 @@ class Shard:
         #: them by key.
         self.inbox: List[Envelope] = []
         self.staging = Staging()
-        #: Wall-clock seconds spent inside :meth:`run_until` -- the
-        #: per-shard busy time the critical-path speedup metric uses.
+        #: CPU seconds this shard's thread spent inside :meth:`run_until`
+        #: -- the per-shard busy time the critical-path speedup metric
+        #: uses.  CPU time, not wall time: a worker process the host
+        #: deschedules is not busy.
         self.busy_s = 0.0
 
     # -- delivery intake ------------------------------------------------------
@@ -244,13 +246,13 @@ class Shard:
         staged = self.staging._heap
         release = self.staging.release_batched
         deliver = self._deliver
-        t0 = perf_counter()
+        t0 = thread_time()
         try:
             while staged and staged[0][0] < bound:
                 horizon = staged[0][0] + lookahead
                 release(bound if bound < horizon else horizon, deliver)
         finally:
-            self.busy_s += perf_counter() - t0
+            self.busy_s += thread_time() - t0
 
     # -- state across worker processes -----------------------------------------
 

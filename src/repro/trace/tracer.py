@@ -20,9 +20,6 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.trace.events import _PHASES, BEGIN, END, INSTANT, TraceEvent
 
-#: Row layout (index -> field) of the buffer's raw storage.
-ROW_FIELDS = ("timestamp_ns", "seq", "component", "category", "name", "phase", "args")
-
 
 @dataclass
 class TraceColumns:
@@ -75,7 +72,10 @@ class TraceBuffer:
         self._columns: Optional[TraceColumns] = None
 
     def rows(self) -> List[tuple]:
-        """All buffered raw rows, oldest first (see :data:`ROW_FIELDS`).
+        """All buffered raw rows, oldest first.
+
+        A row is the tuple ``(timestamp_ns, seq, component, category,
+        name, phase, args)``.
 
         Sim traces come out pre-sorted (virtual time is monotone); native
         multi-thread traces are sorted defensively by (timestamp, seq).

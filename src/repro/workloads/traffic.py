@@ -70,6 +70,13 @@ class TrafficConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if self.ticks < 1:
+            raise ValueError(f"a run needs at least one load tick, got ticks={self.ticks}")
+        if self.n_sessions < 0:
+            raise ValueError(
+                f"n_sessions must be non-negative (0 = n_components // 4), "
+                f"got n_sessions={self.n_sessions}"
+            )
         if self.compute_ns < 0 or self.link_ns < 0:
             raise ValueError(
                 f"hop costs must be non-negative, got compute_ns={self.compute_ns} "

@@ -15,12 +15,18 @@ import pytest
 from repro.metrics.telemetry import collect_telemetry, enable_telemetry
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly
-from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime, Sti7200SimRuntime
+from repro.runtime import (
+    NativeRuntime,
+    ShardedSmpSimRuntime,
+    SmpSimRuntime,
+    Sti7200SimRuntime,
+)
 from repro.trace import END, collect_trace, enable_tracing
 
 N_IMAGES = 4
 
 RUNTIMES = {
+    "native": lambda: NativeRuntime(),
     "smp": lambda: SmpSimRuntime(),
     "sharded1": lambda: ShardedSmpSimRuntime(1),
     "sharded4": lambda: ShardedSmpSimRuntime(4),

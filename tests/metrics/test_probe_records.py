@@ -1,8 +1,8 @@
 """One probe record per middleware operation, folded into every plane.
 
-The probe's timers are sampled by the observation policy; the telemetry
-histograms, counters and the contract checker see every operation.  One
-fold feeds both from the same records, at window rolls and before every
+The probe's timers, the telemetry histograms and counters and the
+contract checker all see every operation.  One fold feeds the timers and
+the telemetry from the same records, at window rolls and before every
 read, and must neither lose nor double-count a record when native-runtime
 threads append while another thread folds.
 """
@@ -13,13 +13,12 @@ from types import SimpleNamespace
 
 from repro.core import Component, Message, ObservationProbe
 from repro.core.contracts import ORDERING, InterfaceContract
-from repro.core.obspolicy import ObservationPolicy
 from repro.metrics.telemetry import enable_telemetry
 
 N_OPS = 40
 
 
-def _wired_probes(n=1, policy=None, contract=None):
+def _wired_probes(n=1, contract=None):
     """Probes behind ``enable_telemetry`` on a runtime-shaped stub, all
     sharing one registry with 1 us windows (one roll per operation)."""
     containers = {}
@@ -29,7 +28,7 @@ def _wired_probes(n=1, policy=None, contract=None):
         comp.add_required("out")
         if contract is not None:
             comp.set_contract("in", contract)
-        probe = ObservationProbe(comp, policy=policy)
+        probe = ObservationProbe(comp)
         containers[comp.name] = SimpleNamespace(component=comp, probe=probe, extra={})
     rt = SimpleNamespace(containers=containers)
     registry = enable_telemetry(rt, window_ns=1_000)
@@ -53,39 +52,26 @@ def _instrument(registry, name, iface, component="c0"):
     return registry.histogram(name, **labels).count
 
 
-def test_sampled_timers_with_full_telemetry_and_contracts():
-    (probe,), registry = _wired_probes(
-        policy=ObservationPolicy.sampled(4), contract=InterfaceContract(ordered=True)
-    )
+def test_timers_telemetry_and_contracts_count_every_operation():
+    (probe,), registry = _wired_probes(contract=InterfaceContract(ordered=True))
     _drive(probe)
     registry.finish()
-    # sample_every counts sends and receives together: every 4th of the
-    # 2 * N_OPS alternating operations is a receive.
-    assert probe.send_timer.count == 0
-    assert probe.recv_timer.count == N_OPS // 2
-    assert sum(t.count for t in probe.recv_timers_by_iface.values()) == N_OPS // 2
+    # All 2 * N_OPS operations reach every plane.
+    assert probe.send_timer.count == probe.recv_timer.count == N_OPS
+    assert probe.latency_timer.count == N_OPS
+    assert sum(t.count for t in probe.send_timers_by_iface.values()) == N_OPS
+    assert sum(t.count for t in probe.recv_timers_by_iface.values()) == N_OPS
     assert _instrument(registry, "send_duration_ns", iface="out") == N_OPS
     assert _instrument(registry, "receive_duration_ns", iface="in") == N_OPS
     assert _instrument(registry, "delivery_latency_ns", iface="in") == N_OPS
     assert _instrument(registry, "messages_sent_total", iface="out") == N_OPS
     assert _instrument(registry, "messages_received_total", iface="in") == N_OPS
+    assert _instrument(registry, "bytes_sent_total", iface="out") == probe.bytes_sent > 0
+    assert _instrument(registry, "bytes_received_total", iface="in") == probe.bytes_received > 0
     assert probe.telemetry.checker.violations == {("in", ORDERING): N_OPS - 1}
     # Every record landed in exactly one window.
     iid = "receive_duration_ns{component=c0,iface=in}"
     assert sum(w.data[iid]["count"] for w in registry.windows if iid in w.data) == N_OPS
-
-
-def test_untimed_policy_leaves_timers_empty_and_fills_histograms():
-    (probe,), registry = _wired_probes(policy=ObservationPolicy(time_middleware=False))
-    _drive(probe)
-    registry.finish()
-    assert probe.send_timer.count == probe.recv_timer.count == probe.latency_timer.count == 0
-    assert not probe.send_timers_by_iface and not probe.recv_timers_by_iface
-    assert _instrument(registry, "send_duration_ns", iface="out") == N_OPS
-    assert _instrument(registry, "receive_duration_ns", iface="in") == N_OPS
-    assert _instrument(registry, "delivery_latency_ns", iface="in") == N_OPS
-    assert probe.bytes_received > 0
-    assert _instrument(registry, "bytes_received_total", iface="in") == probe.bytes_received
 
 
 def test_concurrent_appends_and_folds_lose_and_double_count_nothing():

@@ -5,6 +5,8 @@ the envelope/inbox/staging machinery, and the coordinator itself
 (delivery-order invariance across shard counts, its one lookahead).
 """
 
+import time
+
 import pytest
 
 from repro.sim import Kernel
@@ -331,6 +333,16 @@ def test_unlinked_shards_run_independently():
     shards[1].stage(Envelope(20, 0, "b", "out", 0, lambda: hits.append(1)))
     sim.run()
     assert sorted(hits) == [0, 1]
+
+
+def test_busy_time_counts_cpu_not_wall_time():
+    # A handler that sleeps 50 ms keeps its shard waiting, not busy: the
+    # critical-path speedup must not credit a shard for time the host
+    # spent running something else.
+    shard = Shard(0)
+    shard.stage(Envelope(10, 0, "a", "in", 0, lambda: time.sleep(0.05)))
+    ShardedSimulation([shard], 100).run()
+    assert shard.busy_s < 0.01
 
 
 def test_shards_must_be_indexed_in_order():

@@ -50,6 +50,16 @@ def test_traffic_rejects_hops_without_a_lookahead(compute_ns, link_ns, match):
         TrafficConfig(n_components=100, compute_ns=compute_ns, link_ns=link_ns)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("ticks", 0), ("ticks", -1), ("n_sessions", -3)]
+)
+def test_traffic_rejects_runs_without_requests(field, value):
+    # No tick or a negative session count issues no request: the run
+    # would simulate 0 events, so the config is refused up front.
+    with pytest.raises(ValueError, match=f"{field}={value}"):
+        TrafficConfig(n_components=100, **{field: value})
+
+
 def test_one_ns_hops_are_shard_count_invariant():
     config = TrafficConfig(n_components=100, ticks=2, spin=0, compute_ns=1, link_ns=0)
     reference = run_traffic(config, 1)
