@@ -27,9 +27,8 @@ class SchedRecord:
 class KPTrace:
     """Kernel-event tracer over a simulated ExecEngine."""
 
-    def __init__(self, engine, clock=None) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        self.clock = clock or (lambda: engine.kernel.now)
         self.records: List[SchedRecord] = []
         self._installed = False
         self._previous_hook = None
@@ -52,7 +51,7 @@ class KPTrace:
             self._installed = False
 
     def _on_switch(self, core, old, new) -> None:
-        now = self.clock()
+        now = self.engine.kernel.now
         if old is not None:
             self.records.append(SchedRecord(now, core.index, old.name, "switch_out"))
         if new is not None:

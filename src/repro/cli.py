@@ -171,9 +171,13 @@ def _cmd_observe(_args: argparse.Namespace) -> int:
 
 def _cmd_run_traffic(args: argparse.Namespace) -> int:
     """``run --workload traffic``: the service graph on the raw shard layer."""
+    from repro.runtime import ConfigError
     from repro.workloads import TrafficConfig, run_traffic
 
-    config = TrafficConfig(n_components=args.components, ticks=args.ticks)
+    try:
+        config = TrafficConfig(n_components=args.components, ticks=args.ticks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     result = run_traffic(config, args.shards)
     mean = result["events"] / args.shards
     for k in range(args.shards):

@@ -89,15 +89,13 @@ class Application:
     # -- observation wiring ---------------------------------------------------------
 
     def attach_observer(
-        self,
-        observer: Optional[ObserverComponent] = None,
-        targets: Optional[Iterable[ComponentRef]] = None,
+        self, targets: Optional[Iterable[ComponentRef]] = None
     ) -> ObserverComponent:
-        """Create (or take) an observer and wire the observation interfaces
-        of the target components (default: every functional component)."""
+        """Create an observer and wire the observation interfaces of the
+        target components (default: every functional component)."""
         if self.observer is not None:
             raise ConnectionError_(f"application {self.name!r} already has an observer")
-        observer = observer or ObserverComponent()
+        observer = ObserverComponent()
         self.add(observer)
         self.observer = observer
         if targets is None:

@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import ConnectionError_, LifecycleError
 from repro.core.interfaces import (
-    DEFAULT_MAILBOX_BYTES,
     OBSERVATION_INTERFACE,
     ProvidedInterface,
     RequiredInterface,
@@ -79,32 +78,25 @@ class Component:
 
     # -- structure (control interface: creation & introspection) ------------
 
-    def add_provided(
-        self,
-        name: str,
-        is_observation: bool = False,
-        mailbox_bytes: int = DEFAULT_MAILBOX_BYTES,
-        dynamic: bool = False,
-    ) -> ProvidedInterface:
-        """Declare a provided interface.
-
-        After deployment this is only legal as part of a runtime-driven
-        dynamic reconfiguration (``dynamic=True``), which takes care of
-        binding the new interface to a transport.
-        """
-        if self.state != ComponentState.CREATED and not dynamic:
+    def add_provided(self, name: str, is_observation: bool = False) -> ProvidedInterface:
+        """Declare a provided interface (before deployment only)."""
+        if self.state != ComponentState.CREATED:
             raise LifecycleError(f"cannot add interfaces to {self.name!r} in state {self.state}")
         if name in self.provided:
             raise ConnectionError_(f"{self.name!r} already provides {name!r}")
-        iface = ProvidedInterface(self, name, is_observation=is_observation, mailbox_bytes=mailbox_bytes)
+        iface = ProvidedInterface(self, name, is_observation=is_observation)
         self.provided[name] = iface
         return iface
 
     def add_required(
         self, name: str, is_observation: bool = False, dynamic: bool = False
     ) -> RequiredInterface:
-        """Declare a required interface (see :meth:`add_provided` for the
-        ``dynamic`` escape hatch)."""
+        """Declare a required interface.
+
+        After deployment this is only legal as part of a runtime-driven
+        dynamic reconfiguration (``dynamic=True``), which takes care of
+        binding the new interface to a transport.
+        """
         if self.state != ComponentState.CREATED and not dynamic:
             raise LifecycleError(f"cannot add interfaces to {self.name!r} in state {self.state}")
         if name in self.required:

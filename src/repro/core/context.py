@@ -36,7 +36,7 @@ DUPLICATE = "duplicate"
 class ComponentContext(ABC):
     """Abstract runtime services for one component."""
 
-    def __init__(self, component: "Component", probe: Optional["ObservationProbe"] = None) -> None:
+    def __init__(self, component: "Component", probe: Optional["ObservationProbe"]) -> None:
         self.component = component
         self.probe = probe
         self._seq = 0

@@ -49,7 +49,6 @@ class ProvidedInterface:
         component: "Component",
         name: str,
         is_observation: bool = False,
-        mailbox_bytes: int = DEFAULT_MAILBOX_BYTES,
     ) -> None:
         self.component = component
         self.name = name
@@ -58,7 +57,7 @@ class ProvidedInterface:
         self.binding: Any = None
         #: Bytes charged to the component for this interface's mailbox.
         #: Observation interfaces are runtime-owned and charge nothing.
-        self.mailbox_bytes = 0 if is_observation else mailbox_bytes
+        self.mailbox_bytes = 0 if is_observation else DEFAULT_MAILBOX_BYTES
         #: Required interfaces currently pointing here (the Fractal-style
         #: binding listing; grows/shrinks under dynamic reconfiguration).
         self.connected_from: list = []

@@ -47,7 +47,6 @@ class ObservationRequest:
     """Sent to a component's observation provided interface."""
 
     level: str
-    query: str = "report"
     reply_tag: str = ""
 
     def __post_init__(self) -> None:

@@ -34,8 +34,8 @@ REPORTS_INTERFACE = "reports"
 class ObserverComponent(Component):
     """Gathers observation reports from the components it is attached to."""
 
-    def __init__(self, name: str = "observer") -> None:
-        super().__init__(name)
+    def __init__(self) -> None:
+        super().__init__("observer")
         self.add_provided(REPORTS_INTERFACE, is_observation=True)
         self.targets: List[str] = []
         #: Accumulated reports keyed by ``(component, level)``.

@@ -96,21 +96,9 @@ class DistributedObject:
 class EmbxTransport:
     """Factory and send/receive engine over one shared memory region."""
 
-    def __init__(
-        self,
-        kernel,
-        shared_region: MemoryRegion,
-        bounce_bytes: int = BOUNCE_BUFFER_BYTES,
-        bounce_penalty: float = BOUNCE_PENALTY,
-        signal_latency_ns: int = SIGNAL_LATENCY_NS,
-    ) -> None:
-        if bounce_bytes <= 0 or bounce_penalty < 1.0:
-            raise EmbxError("invalid bounce buffer configuration")
+    def __init__(self, kernel, shared_region: MemoryRegion) -> None:
         self.kernel = kernel
         self.shared_region = shared_region
-        self.bounce_bytes = bounce_bytes
-        self.bounce_penalty = bounce_penalty
-        self.signal_latency_ns = signal_latency_ns
         self.objects: dict[str, DistributedObject] = {}
         self.sends = 0
         self.receives = 0
@@ -157,9 +145,9 @@ class EmbxTransport:
 
     def effective_copy_bytes(self, nbytes: int) -> float:
         """Bytes charged at the CPU's memcpy rate, including bounce penalty."""
-        if nbytes <= self.bounce_bytes:
+        if nbytes <= BOUNCE_BUFFER_BYTES:
             return float(nbytes)
-        return self.bounce_bytes + self.bounce_penalty * (nbytes - self.bounce_bytes)
+        return BOUNCE_BUFFER_BYTES + BOUNCE_PENALTY * (nbytes - BOUNCE_BUFFER_BYTES)
 
     # -- primitives ------------------------------------------------------------------
 
@@ -175,7 +163,7 @@ class EmbxTransport:
         if nbytes < 0:
             raise EmbxError(f"negative message size {nbytes}")
         yield Compute("memcpy_byte", self.effective_copy_bytes(nbytes))
-        yield Compute("ns", self.signal_latency_ns)
+        yield Compute("ns", SIGNAL_LATENCY_NS)
         obj.queue.put((payload, nbytes))
         obj.sends += 1
         depth = len(obj.queue)

@@ -84,21 +84,15 @@ class PolicyProfile:
     severs: bool = False
 
 
-def _restart(**extra) -> Callable[[], RestartPolicy]:
-    return lambda: RestartPolicy(max_attempts=5, base_backoff_ns=200_000, **extra)
-
-
 #: Every supervision policy a chaos run can name.
 POLICIES: Dict[str, PolicyProfile] = {
-    "restart": PolicyProfile("restart", "progress", _restart()),
+    "restart": PolicyProfile("restart", "progress", RestartPolicy),
     "restart-jitter": PolicyProfile(
-        "restart-jitter", "progress", _restart(jitter_mode=JITTER_FULL)
+        "restart-jitter", "progress", lambda: RestartPolicy(JITTER_FULL)
     ),
-    "degrade": PolicyProfile(
-        "degrade", "survivors", lambda: DegradePolicy(detach_outbound=True), severs=True
-    ),
+    "degrade": PolicyProfile("degrade", "survivors", DegradePolicy, severs=True),
     "halt": PolicyProfile("halt", "survivors", HaltPolicy, severs=True),
-    "recover": PolicyProfile("recover", "exact", _restart(), recover=True),
+    "recover": PolicyProfile("recover", "exact", RestartPolicy, recover=True),
 }
 
 
@@ -305,18 +299,17 @@ def build_campaign_plan(
     return plan
 
 
-def reference_oracle(stream, shards: int = 1) -> Tuple[Dict[int, str], str]:
+def reference_oracle(stream) -> Tuple[Dict[int, str], str]:
     """The fault-free run distilled into the bit-exactness oracle:
     ``(per-frame sha256 hashes, frame-set digest)``.
 
-    ``shards`` is the SMP runtime's shard count; the decoded pixels
-    are shard-count invariant, but fleet campaigns cache one reference
-    per shard count so the oracle never crosses deployments.
+    The decoded pixels are shard-count invariant, so one unsharded run
+    is the oracle for every shard count.
     """
     app = build_smp_assembly(
         stream, use_stored_coefficients=True, keep_frames=True, with_observer=False
     )
-    rt = build_run(RunConfig(shards=shards), app)
+    rt = build_run(RunConfig(), app)
     rt.run()
     rt.stop()
     frames = app.components["Reorder"].frames
@@ -326,7 +319,7 @@ def reference_oracle(stream, shards: int = 1) -> Tuple[Dict[int, str], str]:
 def frame_hashes(frames: Dict[int, np.ndarray]) -> Dict[int, str]:
     """Per-frame sha256 of the raw pixel bytes -- the cacheable form of
     the bit-exactness oracle.  Fleet campaigns persist these once per
-    (platform, seed) instead of shipping reference pixels to every cell."""
+    seed instead of shipping reference pixels to every cell."""
     return {
         index: hashlib.sha256(image.tobytes()).hexdigest()
         for index, image in frames.items()

@@ -20,11 +20,11 @@ a ``kill -9`` of the orchestrator itself never leaves a torn file:
 ``DIR/campaign.json``
     The campaign manifest: the full grid configuration plus its
     canonical digest.  Written once; resume refuses a different config.
-``DIR/refcache/s<seed>-sh<shards>.json``
+``DIR/refcache/s<seed>.json``
     The reference-frame cache: per-frame sha256 hashes and the set
-    digest of the fault-free run, computed **once per (seed, platform)**
-    and shared by every cell on that row -- cells never re-run the
-    reference.
+    digest of the fault-free run, computed **once per seed** and shared
+    by every cell of that seed, at every shard count (the decoded pixels
+    are shard-count invariant) -- cells never re-run the reference.
 ``DIR/cells/<cell_id>.json``
     One completed cell result.  Deterministic by construction (virtual
     time only, no wall-clock fields), bound to the manifest by the
@@ -82,6 +82,10 @@ MANIFEST_NAME = "campaign.json"
 AGGREGATE_NAME = "aggregate.json"
 CELLS_DIR = "cells"
 REFCACHE_DIR = "refcache"
+#: Backoff before a failed cell's first retry; it doubles per attempt.
+RETRY_BACKOFF_S = 0.25
+#: How often the orchestrator polls its workers.
+POLL_S = 0.02
 
 #: Fault classes a cell can draw from the grid.  Each is a deterministic
 #: plan template parameterized by (seed, intensity); ``mixed`` is the
@@ -265,31 +269,30 @@ def build_cell_plan(
 # --------------------------------------------------------------------------
 
 
-def reference_key(seed: int, shards: int) -> str:
-    return f"s{seed}-sh{shards}"
+def reference_key(seed: int) -> str:
+    return f"s{seed}"
 
 
-def reference_path(root: str, seed: int, shards: int) -> str:
-    return os.path.join(root, REFCACHE_DIR, f"{reference_key(seed, shards)}.json")
+def reference_path(root: str, seed: int) -> str:
+    return os.path.join(root, REFCACHE_DIR, f"{reference_key(seed)}.json")
 
 
-def build_reference_entry(seed: int, shards: int, n_images: int) -> Dict[str, Any]:
+def build_reference_entry(seed: int, n_images: int) -> Dict[str, Any]:
     """Run the fault-free reference once and distil it into the cacheable
     oracle: per-frame sha256 hashes plus the order-independent set digest."""
     stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
-    hashes, digest = reference_oracle(stream, shards)
+    hashes, digest = reference_oracle(stream)
     return {
         "seed": seed,
-        "shards": shards,
         "n_images": n_images,
         "hashes": {str(index): frame for index, frame in hashes.items()},
         "digest": digest,
     }
 
 
-def load_reference(root: str, seed: int, shards: int, n_images: int) -> Dict[str, Any]:
+def load_reference(root: str, seed: int, n_images: int) -> Dict[str, Any]:
     """Read one reference-cache entry, verifying it matches the campaign."""
-    path = reference_path(root, seed, shards)
+    path = reference_path(root, seed)
     body = read_checksummed_json(path)
     if body.get("n_images") != n_images or body.get("seed") != seed:
         raise DurableError(
@@ -306,19 +309,19 @@ def ensure_reference_cache(
     """Compute every missing/invalid reference entry the grid needs.
     Returns the number of entries (re)built; valid entries are reused."""
     os.makedirs(os.path.join(root, REFCACHE_DIR), exist_ok=True)
-    needed = sorted({(cell.seed, cell.shards, cell.n_images) for cell in grid})
+    needed = sorted({(cell.seed, cell.n_images) for cell in grid})
     built = 0
-    for seed, shards, n_images in needed:
-        path = reference_path(root, seed, shards)
+    for seed, n_images in needed:
+        path = reference_path(root, seed)
         if os.path.exists(path):
             try:
-                load_reference(root, seed, shards, n_images)
+                load_reference(root, seed, n_images)
                 continue  # valid cache hit
             except DurableError:
                 pass  # torn/mismatched: rebuild below
         if progress:
-            progress(f"reference: computing {reference_key(seed, shards)}")
-        entry = build_reference_entry(seed, shards, n_images)
+            progress(f"reference: computing {reference_key(seed)}")
+        entry = build_reference_entry(seed, n_images)
         write_checksummed_json(path, entry, dir_sync=False)
         built += 1
     return built
@@ -342,7 +345,7 @@ def execute_cell(root: str, cell: CellSpec, deadline_us: int) -> Dict[str, Any]:
     deterministic result record (virtual-time metrics only -- anything
     wall-clock would break the byte-identical aggregate)."""
     profile = POLICIES[cell.policy]
-    reference = load_reference(root, cell.seed, cell.shards, cell.n_images)
+    reference = load_reference(root, cell.seed, cell.n_images)
     hashes = {int(index): digest for index, digest in reference["hashes"].items()}
     plan = build_cell_plan(cell.seed, cell.n_images, cell.fault_class, cell.intensity)
     oracle = profile.oracle
@@ -401,19 +404,19 @@ class FleetResult:
     root: str
     n_cells: int
     #: Cells executed by *this* invocation.
-    executed: int = 0
+    executed: int = field(default=0, init=False)
     #: Valid results found on disk before scheduling (resume hits).
-    reused: int = 0
+    reused: int = field(default=0, init=False)
     #: Worker attempts that failed (timeout, crash, invalid result).
-    failed_attempts: int = 0
+    failed_attempts: int = field(default=0, init=False)
     #: Reference-cache entries this invocation had to compute.
-    references_built: int = 0
-    quarantined: List[str] = field(default_factory=list)
-    cells_ok: int = 0
-    cells_failed: List[str] = field(default_factory=list)
-    aggregate_path: str = ""
-    aggregate_sha256: str = ""
-    elapsed_s: float = 0.0
+    references_built: int = field(default=0, init=False)
+    quarantined: List[str] = field(default_factory=list, init=False)
+    cells_ok: int = field(default=0, init=False)
+    cells_failed: List[str] = field(default_factory=list, init=False)
+    aggregate_path: str = field(default="", init=False)
+    aggregate_sha256: str = field(default="", init=False)
+    elapsed_s: float = field(default=0.0, init=False)
 
     @property
     def completed(self) -> int:
@@ -560,8 +563,6 @@ def run_fleet_campaign(
     max_workers: Optional[int] = None,
     cell_timeout_s: float = 120.0,
     max_cell_attempts: int = 3,
-    retry_backoff_s: float = 0.25,
-    poll_s: float = 0.02,
     progress: Optional[Callable[[str], None]] = None,
     worker: Optional[Callable[..., None]] = None,
 ) -> FleetResult:
@@ -691,7 +692,7 @@ def run_fleet_campaign(
                         f"{attempts} attempts ({reason})"
                     )
             else:
-                backoff = retry_backoff_s * (2 ** (attempts - 1))
+                backoff = RETRY_BACKOFF_S * (2 ** (attempts - 1))
                 pending.append((cell, attempts, time.monotonic() + backoff))
                 if progress:
                     progress(
@@ -699,7 +700,7 @@ def run_fleet_campaign(
                         f"({reason}); retrying in {backoff:g}s"
                     )
         if pending or running:
-            time.sleep(poll_s)
+            time.sleep(POLL_S)
 
     result.quarantined = sorted(quarantined)
     aggregate = build_aggregate(config, grid, results, result.quarantined)

@@ -85,9 +85,9 @@ def _corrupt_value(value: Any, rng: np.random.Generator) -> Any:
 class FaultInjector:
     """Applies a :class:`~repro.faults.plan.FaultPlan` to a deployed runtime."""
 
-    def __init__(self, plan: FaultPlan, rng: Optional[RngRegistry] = None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.rng = rng or RngRegistry(plan.seed)
+        self.rng = RngRegistry(plan.seed)
         #: Chronological record of every injected fault:
         #: ``{"t_ns", "component", "kind", "detail"}`` dicts.  Two runs of
         #: the same seeded campaign produce identical logs -- the
@@ -142,33 +142,25 @@ class FaultInjector:
                 raise RuntimeError(
                     f"fault plan targets unknown component {spec.component!r}"
                 )
-        clocks: Dict[str, Any] = {}
         for cont in runtime.containers.values():
             base = cont.context
             while hasattr(base, "_delegate"):  # unwrap TracingContext et al.
                 base = base._delegate
             base.faults = self
-            clocks[cont.component.name] = getattr(base, "kernel", None)
             self._probes[cont.component.name] = cont.probe
             tracer = cont.extra.get("tracer")
             if tracer is not None:
                 self._tracers[cont.component.name] = tracer
-        # Each crash arms on the kernel its victim runs on, so a sharded
-        # run arms it at the same virtual instant, relative to the victim,
-        # as an unsharded one.
-        by_kernel: Dict[Any, List[FaultSpec]] = {}
-        for spec in self._time_crashes:
-            by_kernel.setdefault(clocks[spec.component], []).append(spec)
-        for kernel, specs in by_kernel.items():
-            if kernel is not None:
-                for spec in sorted(specs, key=lambda s: (s.at_ns, s.component)):
-                    kernel.schedule(spec.at_ns, self._arm, spec)
-            else:
-                # Native runtime: no virtual clock to ride; crashes arm
-                # against elapsed wall time from installation.
-                first = next(iter(runtime.containers.values()), None)
-                if first is not None and first.context is not None:
-                    self._epoch_ns = first.context.now_ns()
+        kernel = getattr(runtime, "kernel", None)
+        if kernel is not None:
+            for spec in sorted(self._time_crashes, key=lambda s: (s.at_ns, s.component)):
+                kernel.schedule(spec.at_ns, self._arm, spec)
+        elif self._time_crashes:
+            # Native runtime: no virtual clock to ride; crashes arm
+            # against elapsed wall time from installation.
+            first = next(iter(runtime.containers.values()), None)
+            if first is not None and first.context is not None:
+                self._epoch_ns = first.context.now_ns()
         runtime.injector = self
         self.installed = True
         return self

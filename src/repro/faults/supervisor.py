@@ -10,7 +10,7 @@ component's policy decides what happens next:
 
 ``restart``
     Wait an exponentially growing, jittered backoff, then run a *fresh*
-    behaviour generator.  After ``max_attempts`` consecutive failures the
+    behaviour generator.  After ``MAX_ATTEMPTS`` consecutive failures the
     fault escalates as :class:`~repro.core.errors.EscalationError`.
 ``degrade``
     Mark the component ``DEGRADED``, disconnect the required interfaces
@@ -52,6 +52,15 @@ JITTER_PROPORTIONAL = "proportional"
 JITTER_FULL = "full"
 JITTER_MODES = (JITTER_PROPORTIONAL, JITTER_FULL)
 
+#: Restarts of one component before its fault escalates.
+MAX_ATTEMPTS = 5
+#: Backoff before the first restart; each further attempt doubles it, so
+#: the last of :data:`MAX_ATTEMPTS` waits 16x this (3.2 ms).
+BASE_BACKOFF_NS = 200_000
+BACKOFF_FACTOR = 2.0
+#: ``proportional`` jitter: the backoff moves by up to +/- this share.
+JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class SupervisionEvent:
@@ -66,34 +75,16 @@ class SupervisionEvent:
 
 
 class RestartPolicy:
-    """Exponential backoff with deterministic jitter, then escalation."""
+    """Exponential backoff with deterministic jitter, then escalation
+    after :data:`MAX_ATTEMPTS` restarts."""
 
     action = RESTART
 
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        base_backoff_ns: int = 1_000_000,
-        factor: float = 2.0,
-        max_backoff_ns: int = 1_000_000_000,
-        jitter: float = 0.1,
-        jitter_mode: str = JITTER_PROPORTIONAL,
-    ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if base_backoff_ns < 0 or max_backoff_ns < base_backoff_ns:
-            raise ValueError("invalid backoff bounds")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+    def __init__(self, jitter_mode: str = JITTER_PROPORTIONAL) -> None:
         if jitter_mode not in JITTER_MODES:
             raise ValueError(
                 f"jitter_mode must be one of {JITTER_MODES}, got {jitter_mode!r}"
             )
-        self.max_attempts = max_attempts
-        self.base_backoff_ns = base_backoff_ns
-        self.factor = factor
-        self.max_backoff_ns = max_backoff_ns
-        self.jitter = jitter
         self.jitter_mode = jitter_mode
 
     def backoff_ns(self, attempt: int, rng) -> int:
@@ -103,33 +94,29 @@ class RestartPolicy:
         stay reproducible).
 
         ``proportional`` mode perturbs the exponential value by
-        ``+/- jitter``; ``full`` mode draws uniformly from ``[0, raw]``,
+        ``+/- JITTER``; ``full`` mode draws uniformly from ``[0, raw]``,
         desynchronizing simultaneous restarts across the whole window
         (see :data:`JITTER_MODES`).
         """
-        raw = self.base_backoff_ns * (self.factor ** (attempt - 1))
-        raw = min(raw, self.max_backoff_ns)
+        raw = BASE_BACKOFF_NS * (BACKOFF_FACTOR ** (attempt - 1))
         if self.jitter_mode == JITTER_FULL:
             raw *= float(rng.random())
-        elif self.jitter:
-            raw *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
+        else:
+            raw *= 1.0 + JITTER * (2.0 * float(rng.random()) - 1.0)
         return max(0, int(raw))
 
 
 class DegradePolicy:
     """Give the component up but keep the application alive.
 
-    With ``detach_outbound=True`` the degraded component's *required*
-    (outbound) data interfaces are disconnected too, so downstream
-    components that count their live upstreams dynamically (e.g. a
-    reassembly stage waiting for one end-of-stream marker per upstream)
-    stop expecting traffic from it instead of blocking forever.
+    The degraded component's *required* (outbound) data interfaces are
+    disconnected too, so downstream components that count their live
+    upstreams dynamically (e.g. a reassembly stage waiting for one
+    end-of-stream marker per upstream) stop expecting traffic from it
+    instead of blocking forever.
     """
 
     action = DEGRADE
-
-    def __init__(self, detach_outbound: bool = False) -> None:
-        self.detach_outbound = detach_outbound
 
 
 class HaltPolicy:
@@ -202,13 +189,12 @@ class Supervisor:
                         SupervisionEvent(failed_at, comp.name, DEGRADE, attempt, repr(error)),
                     )
                     self._disconnect_inbound(comp)
-                    if getattr(policy, "detach_outbound", False):
-                        self._disconnect_outbound(comp)
+                    self._disconnect_outbound(comp)
                     comp.state = ComponentState.DEGRADED
                     return None
                 # restart
                 attempt += 1
-                if attempt > policy.max_attempts:
+                if attempt > MAX_ATTEMPTS:
                     self._note(
                         cont,
                         SupervisionEvent(failed_at, comp.name, ESCALATE, attempt - 1, repr(error)),
@@ -241,7 +227,7 @@ class Supervisor:
     def _disconnect_outbound(comp) -> None:
         """Detach the degraded component's outgoing data connections so
         dynamically-counting downstream receivers stop waiting for its
-        end-of-stream (``DegradePolicy(detach_outbound=True)``)."""
+        end-of-stream (see :class:`DegradePolicy`)."""
         for req in comp.required.values():
             if getattr(req, "is_observation", False):
                 continue

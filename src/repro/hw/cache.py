@@ -12,7 +12,7 @@ The simulator takes the sequential ranges produced by message copies
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 
@@ -43,9 +43,9 @@ class CacheConfig:
 class CacheStats:
     """Aggregate access counters."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    evictions: int = field(default=0, init=False)
 
     @property
     def accesses(self) -> int:

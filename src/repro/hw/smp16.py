@@ -28,6 +28,8 @@ N_NODES = 8
 CORES_PER_NODE = 2
 FREQ_HZ = 2.2e9
 NODE_MEMORY_BYTES = 4 * 1024**3  # 4 GB local memory per node
+#: Marginal remote-access cost per hypercube hop (copy factor ``1 + 0.2 * hops``).
+HOP_PENALTY = 0.2
 
 OPTERON_CYCLES = {
     "huffman_block": 108_000.0,
@@ -39,7 +41,7 @@ OPTERON_CYCLES = {
 }
 
 
-def make_smp16(with_caches: bool = False, hop_penalty: float = 0.2) -> Platform:
+def make_smp16(with_caches: bool = False) -> Platform:
     """Build the 16-core Opteron NUMA platform model."""
     cores = [
         CpuModel(f"opteron{i}", FREQ_HZ, OPTERON_CYCLES) for i in range(N_NODES * CORES_PER_NODE)
@@ -49,7 +51,7 @@ def make_smp16(with_caches: bool = False, hop_penalty: float = 0.2) -> Platform:
         f"node{n}": MemoryRegion(f"node{n}", NODE_MEMORY_BYTES, node=n, kind="dram")
         for n in range(N_NODES)
     }
-    numa = NumaCostModel(hypercube_distance_matrix(N_NODES), hop_penalty=hop_penalty)
+    numa = NumaCostModel(hypercube_distance_matrix(N_NODES), hop_penalty=HOP_PENALTY)
     cache_config = CacheConfig(size_bytes=2 * 1024 * 1024, line_bytes=64, ways=8) if with_caches else None
     return Platform(
         "smp16",

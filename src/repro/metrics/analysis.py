@@ -103,7 +103,7 @@ def middleware_cost_share(reports: Reports) -> Dict[str, float]:
     return out
 
 
-def pipeline_throughput(reports: Reports, makespan_ns: int, items_field: str = "deposits") -> Optional[float]:
+def pipeline_throughput(reports: Reports, makespan_ns: int) -> Optional[float]:
     """Delivered items per simulated second, from whichever component
     deposits finished work (the Reorder/display side)."""
     if makespan_ns <= 0:
@@ -111,8 +111,8 @@ def pipeline_throughput(reports: Reports, makespan_ns: int, items_field: str = "
     total = 0
     found = False
     for (comp, lvl), data in reports.items():
-        if lvl == APPLICATION_LEVEL and data.get(items_field, 0) > 0:
-            total += data[items_field]
+        if lvl == APPLICATION_LEVEL and data.get("deposits", 0) > 0:
+            total += data["deposits"]
             found = True
     if not found:
         return None

@@ -494,10 +494,12 @@ class ComponentTelemetry:
         "_checkpoints", "_checkpoint_bytes", "_faults",
     )
 
-    def __init__(self, registry: MetricsRegistry, component: str, checker=None) -> None:
+    def __init__(self, registry: MetricsRegistry, component: str) -> None:
         self.registry = registry
         self.component = component
-        self.checker = checker
+        #: The component's :class:`~repro.core.contracts.ContractChecker`,
+        #: set by :func:`enable_telemetry` when it declares a contract.
+        self.checker = None
         # iface -> [duration hist, msg counter, byte counter]; receive
         # adds a delivery-latency histogram.
         self._send_cache: Dict[str, list] = {}
@@ -658,13 +660,15 @@ def _attach_checker(cont, registry: MetricsRegistry):
     )
 
 
-def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS) -> MetricsRegistry:
+def enable_telemetry(runtime) -> MetricsRegistry:
     """Attach a :class:`ComponentTelemetry` to every deployed probe.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    Every component feeds one registry at any shard count; returns it.
+    Every component feeds one registry of :data:`DEFAULT_WINDOW_NS`
+    windows at any shard count; returns it.
     """
-    registry = MetricsRegistry(window_ns=window_ns)
+    # Read at call time, so a test can narrow the windows by patching it.
+    registry = MetricsRegistry(window_ns=DEFAULT_WINDOW_NS)
     for cont in runtime.containers.values():
         probe = cont.probe
         probe.telemetry = ComponentTelemetry(registry, cont.component.name)
@@ -674,7 +678,7 @@ def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS) -> MetricsRegi
     return registry
 
 
-def collect_telemetry(runtime, final_ns: Optional[int] = None) -> MetricsRegistry:
+def collect_telemetry(runtime) -> MetricsRegistry:
     """Finalize a runtime's telemetry after ``wait()``.
 
     Stamps the runtime-owned gauges (busy time, queue depths, EMBX
@@ -688,7 +692,5 @@ def collect_telemetry(runtime, final_ns: Optional[int] = None) -> MetricsRegistr
     stamp = getattr(runtime, "stamp_telemetry", None)
     if stamp is not None:
         stamp()
-    if final_ns is None:
-        final_ns = getattr(runtime, "makespan_ns", None)
-    registry.finish(final_ns)
+    registry.finish(getattr(runtime, "makespan_ns", None))
     return registry

@@ -43,6 +43,8 @@ from repro.mjpeg.stream import MJPEGStream
 
 #: Batches per image; with 96x96 frames (144 blocks) each batch is 8 blocks.
 BATCHES_PER_IMAGE = 18
+#: IDCT components of the STi7200 deployment: one per ST231 accelerator.
+STI7200_IDCTS = 2
 
 #: Message tags.
 TAG_BATCH = "batch"
@@ -87,7 +89,6 @@ class FetchComponent(Component):
         name: str,
         stream: MJPEGStream,
         n_idct: int = 3,
-        batches_per_image: int = BATCHES_PER_IMAGE,
         use_stored_coefficients: bool = False,
     ) -> None:
         super().__init__(name)
@@ -95,7 +96,7 @@ class FetchComponent(Component):
             raise ValueError(f"need at least one IDCT, got {n_idct}")
         self.stream = stream
         self.n_idct = n_idct
-        self.batches_per_image = batches_per_image
+        self.batches_per_image = BATCHES_PER_IMAGE
         self.use_stored_coefficients = use_stored_coefficients
         # Resumable progress (checkpoint contract): the next record to
         # dispatch and how many batches of the current frame went out.
@@ -218,7 +219,6 @@ class ReorderComponent(Component):
         height: int,
         width: int,
         n_upstream: Optional[int] = 3,
-        batches_per_image: int = BATCHES_PER_IMAGE,
         keep_frames: bool = False,
         drop_incomplete: bool = False,
         frame_sink=None,
@@ -237,7 +237,7 @@ class ReorderComponent(Component):
         #: None means "count the upstreams live" -- required when IDCT
         #: components are added by dynamic reconfiguration.
         self.n_upstream = n_upstream
-        self.batches_per_image = batches_per_image
+        self.batches_per_image = BATCHES_PER_IMAGE
         self.keep_frames = keep_frames
         #: Lossy-transport mode: frames still incomplete at end-of-stream
         #: are discarded (and logged) instead of failing the component.
@@ -357,15 +357,13 @@ class FetchReorderComponent(Component):
         self,
         name: str,
         stream: MJPEGStream,
-        n_idct: int = 2,
-        batches_per_image: int = BATCHES_PER_IMAGE,
         use_stored_coefficients: bool = False,
         keep_frames: bool = False,
     ) -> None:
         super().__init__(name)
         self.stream = stream
-        self.n_idct = n_idct
-        self.batches_per_image = batches_per_image
+        self.n_idct = STI7200_IDCTS
+        self.batches_per_image = BATCHES_PER_IMAGE
         self.use_stored_coefficients = use_stored_coefficients
         self.keep_frames = keep_frames
         self.frames: Dict[int, np.ndarray] = {}
@@ -376,7 +374,7 @@ class FetchReorderComponent(Component):
         self._sent_in_frame = 0
         self._completed = 0
         self._restored = False
-        for i in range(1, n_idct + 1):
+        for i in range(1, STI7200_IDCTS + 1):
             self.add_required(f"fetchIdct{i}")
         self.add_provided("idctReorder")
         self.add_provided("display")
@@ -496,10 +494,8 @@ def build_smp_assembly(
 
 def build_sti7200_assembly(
     stream: MJPEGStream,
-    n_idct: int = 2,
     use_stored_coefficients: bool = False,
     keep_frames: bool = False,
-    with_observer: bool = True,
 ) -> Application:
     """The Figure 7 application: Fetch-Reorder on the ST40 (cpu 0) and
     one IDCT per ST231 accelerator."""
@@ -508,17 +504,15 @@ def build_sti7200_assembly(
         FetchReorderComponent(
             "Fetch-Reorder",
             stream,
-            n_idct=n_idct,
             use_stored_coefficients=use_stored_coefficients,
             keep_frames=keep_frames,
         )
     ).place(cpu=0)
     idcts = []
-    for i in range(1, n_idct + 1):
+    for i in range(1, STI7200_IDCTS + 1):
         idct = app.add(IdctComponent(f"IDCT_{i}", i)).place(cpu=i)
         idcts.append(idct)
         app.connect(fr, f"fetchIdct{i}", idct, f"_fetchIdct{i}")
         app.connect(idct, "idctReorder", fr, "idctReorder")
-    if with_observer:
-        app.attach_observer(targets=[fr, *idcts])
+    app.attach_observer(targets=[fr, *idcts])
     return app

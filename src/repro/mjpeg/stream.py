@@ -12,7 +12,7 @@ IDCTs) therefore matches a real stream of the same geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -23,13 +23,8 @@ DEFAULT_HEIGHT = 96
 DEFAULT_WIDTH = 96
 
 
-def synthetic_frame(
-    index: int,
-    height: int = DEFAULT_HEIGHT,
-    width: int = DEFAULT_WIDTH,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """One uint8 frame of drifting structured texture."""
+def synthetic_frame(index: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """One uint8 frame of drifting structured texture plus ``rng`` noise."""
     y = np.arange(height).reshape(-1, 1)
     x = np.arange(width).reshape(1, -1)
     phase = index * 0.31
@@ -39,8 +34,7 @@ def synthetic_frame(
         + 30.0 * np.cos(2 * np.pi * (y / 32.0) - phase / 2)
         + 20.0 * ((x + y + 3 * index) % 64) / 64.0
     )
-    if rng is not None:
-        img = img + rng.normal(0.0, 4.0, size=(height, width))
+    img = img + rng.normal(0.0, 4.0, size=(height, width))
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
@@ -94,12 +88,11 @@ def generate_stream(
     width: int = DEFAULT_WIDTH,
     quality: int = 75,
     seed: int = 0,
-    noise: bool = True,
 ) -> MJPEGStream:
     """Generate and encode ``n_images`` synthetic frames."""
     if n_images <= 0:
         raise ValueError(f"n_images must be positive, got {n_images}")
-    rng = np.random.default_rng(seed) if noise else None
+    rng = np.random.default_rng(seed)
     records = []
     for i in range(n_images):
         frame = encode_image(synthetic_frame(i, height, width, rng), quality=quality)

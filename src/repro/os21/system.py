@@ -16,7 +16,7 @@ Fidelity notes mirrored from the paper (section 5):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator
 
 from repro.hw.memory import MemoryRegion
 from repro.hw.platform import Platform
@@ -27,6 +27,8 @@ from repro.sim.process import Command
 #: Default OS21 task stack+descriptor footprint used by the EMBera port.
 #: Table 3: "60 kB for the task data and component structure".
 DEFAULT_TASK_BYTES = 60 * 1024
+#: OS21 round-robin quantum among tasks of one priority on one CPU.
+QUANTUM_NS = 1_000_000
 
 
 class OS21Task:
@@ -41,8 +43,8 @@ class OS21Task:
         priority: int,
         task_bytes: int,
         sched: SchedThread,
-        mem_handle: Optional[int],
-        mem_region: Optional[MemoryRegion],
+        mem_handle: int,
+        mem_region: MemoryRegion,
     ) -> None:
         self.name = name
         self.cpu = cpu
@@ -59,10 +61,10 @@ class OS21Task:
 class OS21System:
     """One OS21 instance per CPU, modelled as a shared engine with pinning."""
 
-    def __init__(self, kernel: Kernel, platform: Platform, quantum_ns: int = 1_000_000) -> None:
+    def __init__(self, kernel: Kernel, platform: Platform) -> None:
         self.kernel = kernel
         self.platform = platform
-        self.engine = ExecEngine(kernel, platform.cores, PriorityPolicy(quantum_ns))
+        self.engine = ExecEngine(kernel, platform.cores, PriorityPolicy(QUANTUM_NS))
         self.tasks: Dict[str, OS21Task] = {}
         # Unsynchronised per-CPU clocks: constant boot-time offsets (ns).
         self.clock_offsets_ns = [1_000 * (7 * i % 13) for i in range(platform.n_cores)]
@@ -86,26 +88,23 @@ class OS21System:
         cpu: int,
         priority: int = 5,
         task_bytes: int = DEFAULT_TASK_BYTES,
-        charge_memory: bool = True,
     ) -> OS21Task:
-        """Create and start a task pinned to ``cpu``."""
+        """Create and start a task pinned to ``cpu``; its ``task_bytes``
+        are charged to the CPU's local memory until it finishes."""
         if not 0 <= cpu < self.platform.n_cores:
             raise ValueError(f"no CPU {cpu} on {self.platform.name}")
         if name in self.tasks:
             raise ValueError(f"task name {name!r} already in use")
-        mem_handle = mem_region = None
-        if charge_memory:
-            mem_region = self.local_region_of_cpu(cpu)
-            mem_handle = mem_region.alloc(task_bytes, label=f"{name}:task", time_ns=self.kernel.now)
+        mem_region = self.local_region_of_cpu(cpu)
+        mem_handle = mem_region.alloc(task_bytes, label=f"{name}:task", time_ns=self.kernel.now)
         sched = self.engine.spawn(body, name=name, priority=priority, affinity=[cpu])
         task = OS21Task(name, cpu, priority, task_bytes, sched, mem_handle, mem_region)
         self.tasks[name] = task
-        if charge_memory:
 
-            def _release(_value: Any) -> None:
-                mem_region.free(mem_handle, time_ns=self.kernel.now)
+        def _release(_value: Any) -> None:
+            mem_region.free(mem_handle, time_ns=self.kernel.now)
 
-            sched.done.on_trigger(_release)
+        sched.done.on_trigger(_release)
         return task
 
     # -- time -----------------------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.sim.process import Command
 
 #: Default pthread stack size observed by the paper (8 392 kB).
 DEFAULT_STACK_BYTES = 8392 * 1024
+#: The NUMA node a process's heap and thread stacks live on.
+HOME_NODE = 0
 
 
 class PThread:
@@ -51,11 +53,10 @@ class PThread:
 class LinuxProcess:
     """A user process: an address space (heap accounting) plus threads."""
 
-    def __init__(self, system: "LinuxSystem", pid: int, name: str, home_node: int = 0) -> None:
+    def __init__(self, system: "LinuxSystem", pid: int, name: str) -> None:
         self.system = system
         self.pid = pid
         self.name = name
-        self.home_node = home_node
         self.threads: Dict[int, PThread] = {}
         self._next_ptr = 1
         self.heap_bytes = 0
@@ -65,7 +66,7 @@ class LinuxProcess:
 
     def malloc(self, nbytes: int, label: str = "heap", node: Optional[int] = None) -> int:
         """Allocate from the region of ``node`` (default: the home node)."""
-        region = self.system.node_region(self.home_node if node is None else node)
+        region = self.system.node_region(HOME_NODE if node is None else node)
         region.alloc(nbytes, label=f"{self.name}:{label}", time_ns=self.system.kernel.now)
         ptr = self._next_ptr
         self._next_ptr += 1
@@ -80,15 +81,14 @@ class LinuxProcess:
         body: Generator[Command, Any, Any],
         name: str = "thread",
         stack_bytes: int = DEFAULT_STACK_BYTES,
-        priority: int = 0,
         affinity: Optional[Iterable[int]] = None,
     ) -> PThread:
         """Spawn a thread; its stack is charged to the home node's memory."""
-        region = self.system.node_region(self.home_node)
+        region = self.system.node_region(HOME_NODE)
         stack_handle = region.alloc(
             stack_bytes, label=f"{self.name}:{name}:stack", time_ns=self.system.kernel.now
         )
-        sched = self.system.engine.spawn(body, name=name, priority=priority, affinity=affinity)
+        sched = self.system.engine.spawn(body, name=name, affinity=affinity)
         tid = self.system._next_tid()
         thread = PThread(tid, name, stack_bytes, sched, self, stack_handle)
         self.threads[tid] = thread
@@ -121,10 +121,10 @@ class LinuxSystem:
         self._tid += 1
         return self._tid
 
-    def spawn_process(self, name: str, home_node: int = 0) -> LinuxProcess:
+    def spawn_process(self, name: str) -> LinuxProcess:
         """Create a user process (address-space accounting)."""
         self._pid += 1
-        proc = LinuxProcess(self, self._pid, name, home_node=home_node)
+        proc = LinuxProcess(self, self._pid, name)
         self.processes[self._pid] = proc
         return proc
 

@@ -25,9 +25,8 @@ Crash consistency rules (the order is the protocol):
    would lose a message, so that order is never used.
 
 ``kill -9`` (the fault class under test) never loses the OS page cache,
-so every append is recoverable regardless of fsync policy; the policy
-(see :mod:`repro.recovery.wal`) only dials how much a *power cut* can
-take with it.
+so every append is recoverable; the WAL's fsync at commit points (see
+:mod:`repro.recovery.wal`) bounds what a *power cut* can take with it.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import Message
-from repro.recovery.wal import FSYNC_COMMIT, WalError, WriteAheadLog, scan
+from repro.recovery.wal import WalError, WriteAheadLog, scan
 
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_DIR = "ckpt"
@@ -156,14 +155,14 @@ class RestoredState:
     """Everything :meth:`DurableStore.restore_state` recovers from disk."""
 
     #: Committed checkpoint per component: ``{"epoch","state","send","rx"}``.
-    checkpoints: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    checkpoints: Dict[str, Dict[str, Any]] = field(default_factory=dict, init=False)
     #: Unacked retransmit buffers:
     #: ``(src, iface) -> {dseq: (uid, message, (target component, provided))}``.
-    unacked: Dict[Tuple[str, str], Dict[int, tuple]] = field(default_factory=dict)
+    unacked: Dict[Tuple[str, str], Dict[int, tuple]] = field(default_factory=dict, init=False)
     #: First send-order uid a resumed run may allocate.
-    next_uid: int = 1
+    next_uid: int = field(default=1, init=False)
     #: WAL records surviving on disk (sends + acks + ckpt markers).
-    wal_records: int = 0
+    wal_records: int = field(default=0, init=False)
     #: Bytes the torn-tail truncation discarded on open.
     truncated_bytes: int = 0
 
@@ -204,16 +203,10 @@ class CheckpointStore:
 class DurableStore:
     """One directory holding WAL + checkpoints + manifest for one run."""
 
-    def __init__(
-        self,
-        root: str,
-        config: Optional[Dict[str, Any]] = None,
-        fsync: str = FSYNC_COMMIT,
-    ) -> None:
+    def __init__(self, root: str, config: Optional[Dict[str, Any]] = None) -> None:
         self.root = root
         self.config = dict(config or {})
         self.config_digest = config_digest(config)
-        self.fsync = fsync
         self.wal: Optional[WriteAheadLog] = None
         self.ckpts = CheckpointStore(os.path.join(root, _CKPT_DIR))
         self.manifest: Dict[str, Any] = {}
@@ -248,9 +241,7 @@ class DurableStore:
                 "commits": 0,
             }
             self._write_manifest()
-        self.wal = WriteAheadLog(
-            os.path.join(self.root, self.manifest["wal"]), fsync=self.fsync
-        )
+        self.wal = WriteAheadLog(os.path.join(self.root, self.manifest["wal"]))
         self.opened = True
         return self
 

@@ -106,7 +106,6 @@ def run_durable_campaign(
     drop_rate: float = 0.05,
     crashes: int = 3,
     kill9s: int = 1,
-    fsync: str = "commit",
     timeout_s: float = 600.0,
 ) -> DurableCampaignResult:
     """Run one seeded chaos campaign in a forked child process,
@@ -128,7 +127,6 @@ def run_durable_campaign(
         "drop_rate": drop_rate,
         "crashes": crashes,
         "kill9s": kill9s,
-        "fsync": fsync,
     }
     atomic_write_bytes(
         os.path.join(durable_dir, CONFIG_NAME),

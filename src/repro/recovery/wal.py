@@ -17,19 +17,11 @@ ends the readable prefix.  :func:`scan` reports that prefix, and opening
 a log for append truncates the file back to it -- the torn tail a crash
 left behind is discarded before any new record lands after it.
 
-Fsync policy (the durability/throughput dial, see ``docs/robustness.md``):
-
-``"always"``
-    fsync after every append.  Nothing acknowledged is ever lost, at the
-    price of one disk round-trip per guaranteed operation.
-``"commit"`` (default)
-    fsync only at explicit :meth:`WriteAheadLog.sync` points -- the
-    recovery manager syncs on every checkpoint commit, so at most one
-    inter-checkpoint window of operations can be lost to a power cut.
-    A plain ``kill -9`` loses nothing either way: the OS page cache
-    survives the process.
-``"never"``
-    leave flushing entirely to the OS (benchmarks, tests).
+Appends are fsynced only at explicit :meth:`WriteAheadLog.sync` commit
+points (see ``docs/robustness.md``): the recovery manager syncs on every
+checkpoint commit, so at most one inter-checkpoint window of operations
+can be lost to a power cut.  A plain ``kill -9`` loses nothing: the OS
+page cache survives the process.
 """
 
 from __future__ import annotations
@@ -42,11 +34,6 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 MAGIC = b"RWAL1\n"
 _HEAD = struct.Struct("<II")  # payload length, crc32
-
-FSYNC_ALWAYS = "always"
-FSYNC_COMMIT = "commit"
-FSYNC_NEVER = "never"
-FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_COMMIT, FSYNC_NEVER)
 
 #: Cap on a single record (a corrupted length field must not turn into a
 #: multi-gigabyte read).  Campaign records are a few kB.
@@ -63,7 +50,7 @@ def encode_record(record: Dict[str, Any]) -> bytes:
     return _HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def scan(path: str, strict: bool = False) -> Tuple[List[Dict[str, Any]], int, str]:
+def scan(path: str) -> Tuple[List[Dict[str, Any]], int, str]:
     """Read the trustworthy prefix of a log.
 
     Returns ``(records, good_length, tail)`` where ``good_length`` is the
@@ -71,9 +58,7 @@ def scan(path: str, strict: bool = False) -> Tuple[List[Dict[str, Any]], int, st
     ended the scan: ``"clean"`` (end of file), ``"torn"`` (incomplete
     trailing frame -- the normal crash signature) or ``"corrupt"`` (a
     CRC or length-field mismatch: bit rot, or a crash that landed inside
-    an earlier record).  With ``strict=True`` anything but ``"clean"``
-    raises :class:`WalError` instead -- nothing after a bad frame is ever
-    deserialized either way.
+    an earlier record).  Nothing after a bad frame is ever deserialized.
     """
     records: List[Dict[str, Any]] = []
     with open(path, "rb") as fh:
@@ -101,11 +86,6 @@ def scan(path: str, strict: bool = False) -> Tuple[List[Dict[str, Any]], int, st
             break
         records.append(pickle.loads(payload))
         offset = end
-    if strict and tail != "clean":
-        raise WalError(
-            f"{path}: {tail} record at byte {offset} "
-            f"({size - offset} untrusted byte(s) follow)"
-        )
     return records, offset, tail
 
 
@@ -118,11 +98,8 @@ class WriteAheadLog:
     :meth:`records`) to read the surviving records.
     """
 
-    def __init__(self, path: str, fsync: str = FSYNC_COMMIT) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"unknown fsync policy {fsync!r}; expected one of {FSYNC_POLICIES}")
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.fsync = fsync
         #: Records discarded by torn-tail truncation on open (0 for a
         #: fresh or cleanly closed log); surfaced by ``repro recover``.
         self.truncated_bytes = 0
@@ -139,8 +116,6 @@ class WriteAheadLog:
         else:
             self._fh = open(path, "ab")
             self._fh.write(MAGIC)
-            self._fh.flush()
-            self._dirty = True
             self._sync_now()
         self._dirty = False
         self.appended = 0
@@ -151,20 +126,12 @@ class WriteAheadLog:
         self._fh.write(encode_record(record))
         self.appended += 1
         self._dirty = True
-        if self.fsync == FSYNC_ALWAYS:
-            self._sync_now()
         return offset
 
     def sync(self) -> None:
-        """Commit point: flush to the OS and (unless ``fsync="never"``)
-        to stable storage."""
-        if not self._dirty:
-            return
-        if self.fsync == FSYNC_NEVER:
-            self._fh.flush()
-            self._dirty = False
-            return
-        self._sync_now()
+        """Commit point: flush to the OS and to stable storage."""
+        if self._dirty:
+            self._sync_now()
 
     def _sync_now(self) -> None:
         self._fh.flush()
@@ -186,7 +153,7 @@ class WriteAheadLog:
         return os.path.getsize(self.path)
 
     def close(self) -> None:
-        """Flush, sync per policy, release the file handle."""
+        """Flush, sync, release the file handle."""
         if self._fh.closed:
             return
         self.sync()

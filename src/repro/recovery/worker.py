@@ -70,7 +70,7 @@ def run_worker(root: str) -> dict:
         kill9s=config["kill9s"],
     )
     inproc, _process_specs = split_process_faults(plan)
-    store = DurableStore(root, config=config, fsync=config["fsync"])
+    store = DurableStore(root, config=config)
     runtime = build_run(
         RunConfig(
             "native", faults=inproc, policy="recover", seed=config["seed"], durable=store

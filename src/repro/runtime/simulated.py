@@ -236,7 +236,7 @@ class SimRuntime(Runtime):
     def _start_dynamic(self, cont: ComponentContainer) -> None:
         self._launch(cont)
 
-    def spawn_controller(self, fn, name: str = "controller"):
+    def spawn_controller(self, fn):
         """Run a reconfiguration/monitoring flow inside the simulation.
 
         ``fn(runtime, observer_ctx)`` must be a generator: it may sleep
@@ -249,7 +249,7 @@ class SimRuntime(Runtime):
         if self.app is None or self.app.observer is None:
             raise RuntimeError_("controllers need a deployed app with an observer")
         cont = self.container(self.app.observer.name)
-        return self._spawn_flow(fn(self, cont.context), name=name, cont=cont)
+        return self._spawn_flow(fn(self, cont.context), name="controller", cont=cont)
 
     def _wrap_behavior(self, cont: ComponentContainer) -> Generator:
         component, probe, ctx = cont.component, cont.probe, cont.context
@@ -632,30 +632,20 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
     """:class:`SmpSimRuntime` with the shard count first:
     ``ShardedSmpSimRuntime(4)`` is ``SmpSimRuntime(shards=4)``."""
 
-    def __init__(
-        self,
-        n_shards: int,
-        platform: Optional[Platform] = None,
-        quantum_ns: int = 4_000_000,
-    ) -> None:
-        super().__init__(platform=platform, quantum_ns=quantum_ns, shards=n_shards)
+    def __init__(self, n_shards: int) -> None:
+        super().__init__(shards=n_shards)
 
 
 class Sti7200SimRuntime(SimRuntime):
-    """EMBera over the simulated STi7200 running OS21 + EMBX."""
+    """EMBera over the simulated STi7200 running OS21 + EMBX, one
+    component per CPU."""
 
-    def __init__(
-        self,
-        platform: Optional[Platform] = None,
-        quantum_ns: int = 1_000_000,
-        enforce_one_component_per_cpu: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.kernel = Kernel()
-        self.platform = platform or make_sti7200()
-        self.system = OS21System(self.kernel, self.platform, quantum_ns=quantum_ns)
+        self.platform = make_sti7200()
+        self.system = OS21System(self.kernel, self.platform)
         self.embx = EmbxTransport(self.kernel, self.platform.region("sdram"))
-        self.enforce_one_component_per_cpu = enforce_one_component_per_cpu
         self._cpu_owner: Dict[int, str] = {}
 
     # -- deployment -------------------------------------------------------------
@@ -671,7 +661,7 @@ class Sti7200SimRuntime(SimRuntime):
                     f"component {comp.name!r} needs a cpu placement on sti7200 "
                     "(one binary per CPU); use comp.place(cpu=N)"
                 )
-            if self.enforce_one_component_per_cpu and cpu in self._cpu_owner:
+            if cpu in self._cpu_owner:
                 raise RuntimeError_(
                     f"cpu {cpu} already runs {self._cpu_owner[cpu]!r}: the OS21 "
                     "implementation supports one component per CPU"

@@ -17,7 +17,7 @@ where ``eot_j`` is shard *j*'s earliest staged delivery: nothing any
 shard does in the window can land below it.  No null messages
 circulate; a coordinator recomputes the bound each sweep (a time-window
 barrier).  The only workload on this layer, ``traffic``, costs every
-hop the same ``compute_ns + link_ns``, so that hop is its lookahead.
+hop the same ``COMPUTE_NS + LINK_NS``, so that hop is its lookahead.
 :meth:`ShardedSimulation.run` runs one coordinator loop.  Given the
 run's handler table and a host with more than one usable CPU, it forks
 worker processes that each own a share of the shards (`Worker

@@ -51,10 +51,10 @@ class SpanEdge:
     size_bytes: int = 0
     send_begin_ns: int = 0
     send_end_ns: int = 0
-    recv_component: str = ""
-    recv_begin_ns: Optional[int] = None
-    recv_end_ns: Optional[int] = None
-    receptions: int = 0           # >1 means a duplicated delivery
+    recv_component: str = field(default="", init=False)
+    recv_begin_ns: Optional[int] = field(default=None, init=False)
+    recv_end_ns: Optional[int] = field(default=None, init=False)
+    receptions: int = field(default=0, init=False)  # >1 means a duplicated delivery
 
 
 @dataclass
@@ -70,10 +70,10 @@ class HopLatency:
     """
 
     edge: SpanEdge
-    compute_ns: int = 0
-    send_ns: int = 0
-    queue_ns: int = 0
-    recv_ns: int = 0
+    compute_ns: int = field(default=0, init=False)
+    send_ns: int = field(default=0, init=False)
+    queue_ns: int = field(default=0, init=False)
+    recv_ns: int = field(default=0, init=False)
 
     @property
     def total_ns(self) -> int:
@@ -88,7 +88,7 @@ class ItemLatency:
     tag: str
     start_ns: int                 # root send BEGIN
     end_ns: int                   # final deposit/send END (delivery)
-    hops: List[HopLatency] = field(default_factory=list)
+    hops: List[HopLatency] = field(default_factory=list, init=False)
 
     @property
     def e2e_ns(self) -> int:

@@ -11,8 +11,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.trace.analysis import Interval
 
-#: Default glyph per operation name; '#' for anything unknown.
-DEFAULT_GLYPHS = {
+#: Glyph per operation name; '#' for anything unknown.
+GLYPHS = {
     "send": "s",
     "receive": "r",
     "deposit": "d",
@@ -27,7 +27,6 @@ def render_gantt(
     span_ns: Optional[int] = None,
     width: int = 80,
     components: Optional[Sequence[str]] = None,
-    glyphs: Optional[Dict[str, str]] = None,
 ) -> str:
     """Render intervals as one text lane per component.
 
@@ -38,9 +37,6 @@ def render_gantt(
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     ivals = list(ivals)
-    glyph_map = dict(DEFAULT_GLYPHS)
-    if glyphs:
-        glyph_map.update(glyphs)
     if span_ns is None:
         span_ns = max((iv.start_ns + iv.duration_ns for iv in ivals), default=0)
     if span_ns <= 0:
@@ -82,8 +78,8 @@ def render_gantt(
                 cells.append(".")
             else:
                 name = max(acc, key=acc.get)
-                cells.append(glyph_map.get(name, "#"))
+                cells.append(GLYPHS.get(name, "#"))
         lines.append(f"{comp:{label_w}}  |{''.join(cells)}|")
-    legend = ", ".join(f"{g}={n}" for n, g in glyph_map.items())
+    legend = ", ".join(f"{g}={n}" for n, g in GLYPHS.items())
     lines.append(f"{'':{label_w}}  legend: {legend}, .=idle, #=other")
     return "\n".join(lines)

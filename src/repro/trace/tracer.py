@@ -263,16 +263,14 @@ class TracingContext:
             self._tracer.emit("compute", opclass, END)
 
 
-def enable_tracing(runtime, buffer: Optional[TraceBuffer] = None) -> TraceBuffer:
+def enable_tracing(runtime) -> TraceBuffer:
     """Install tracing contexts on every deployed component.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    Every component traces into one buffer -- ``buffer``, or a fresh
-    one -- at any shard count.  Returns the buffer; :func:`collect_trace`
-    returns it after ``wait()``.
+    Every component traces into one fresh buffer at any shard count.
+    Returns the buffer; :func:`collect_trace` returns it after ``wait()``.
     """
-    if buffer is None:
-        buffer = TraceBuffer()
+    buffer = TraceBuffer()
     for cont in runtime.containers.values():
         if cont.context is None:
             raise RuntimeError("enable_tracing requires a deployed application")

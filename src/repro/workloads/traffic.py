@@ -16,13 +16,13 @@ the trace digest -- is identical for every shard count.
 Two properties are deliberate:
 
 - **Tick alignment.**  All requests of a tick enter at the same instant
-  and every hop costs the same fixed ``compute_ns + link_ns``, so each
+  and every hop costs the same fixed ``COMPUTE_NS + LINK_NS``, so each
   tier's deliveries for one tick share a receive timestamp.  That is
   the batched-release fast path (one released group per distinct
   timestamp, delivered back to back) at full strength -- exactly the
   shape of a load-balanced service where queues drain in waves.
 - **Session skew.**  A small share of sessions is "heavy" (issues
-  ``heavy_factor`` requests per tick) and heavy sessions concentrate on
+  ``HEAVY_FACTOR`` requests per tick) and heavy sessions concentrate on
   the low-numbered ingresses, so load is uneven over the graph the way
   a real service's is: the static unit-weight partition leaves some
   shards hotter than others (``shard_events`` in the result), and the
@@ -44,6 +44,19 @@ from repro.sim.shard import Shard, ShardedSimulation, partition_graph
 _MASK64 = (1 << 64) - 1
 _FNV = 1099511628211
 
+#: Backends each frontend fans a request out to.
+FANOUT = 2
+#: Time between two load ticks.
+TICK_NS = 1_000_000
+#: A hop costs its handler's compute plus the link; their sum is the
+#: lookahead every shard runs ahead by.
+COMPUTE_NS = 2_000
+LINK_NS = 500
+#: Share of sessions that are heavy, and the requests per tick a heavy
+#: session issues.
+HEAVY_SHARE = 0.1
+HEAVY_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -51,51 +64,31 @@ class TrafficConfig:
 
     ``n_components`` is split across the four tiers (~1.5% ingress, 25%
     frontends, ~6% sinks, the rest backends).  Every request costs
-    ``2 + 2 * fanout`` deliveries (ingress, frontend, ``fanout``
+    ``2 + 2 * FANOUT`` deliveries (ingress, frontend, ``FANOUT``
     backends, their sinks), so total events are
-    ``requests * (2 + 2 * fanout)`` with
+    ``requests * (2 + 2 * FANOUT)`` with
     ``requests = ticks * sum(per-session activity)``.
     """
 
     n_components: int = 1000
-    n_sessions: int = 0  # 0 = n_components // 4
     ticks: int = 3
-    fanout: int = 2
-    tick_ns: int = 1_000_000
-    compute_ns: int = 2_000
-    link_ns: int = 500
     spin: int = 120  # pure-python work per event (honest busy time)
-    heavy_share: float = 0.1  # share of sessions that are heavy
-    heavy_factor: int = 4  # requests per tick for a heavy session
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if self.n_components < 8:
+            raise ValueError(
+                f"traffic graph needs at least 8 components, got {self.n_components}"
+            )
         if self.ticks < 1:
             raise ValueError(f"a run needs at least one load tick, got ticks={self.ticks}")
-        if self.n_sessions < 0:
-            raise ValueError(
-                f"n_sessions must be non-negative (0 = n_components // 4), "
-                f"got n_sessions={self.n_sessions}"
-            )
-        if self.compute_ns < 0 or self.link_ns < 0:
-            raise ValueError(
-                f"hop costs must be non-negative, got compute_ns={self.compute_ns} "
-                f"and link_ns={self.link_ns}"
-            )
-        if self.compute_ns + self.link_ns < 1:
-            raise ValueError(
-                "a hop must take at least 1 ns (compute_ns + link_ns): it is "
-                "the lookahead every shard runs ahead by"
-            )
 
     @property
     def sessions(self) -> int:
-        return self.n_sessions or max(4, self.n_components // 4)
+        return max(4, self.n_components // 4)
 
 
 def _tier_sizes(n: int) -> Tuple[int, int, int, int]:
-    if n < 8:
-        raise ValueError(f"traffic graph needs at least 8 components, got {n}")
     n_ingress = max(1, n // 64)
     n_front = max(1, n // 4)
     n_sink = max(1, n // 16)
@@ -129,7 +122,7 @@ def build_traffic_graph(config: TrafficConfig):
         fronts_of[f % n_ingress].append(f)
         edges.append((names[f % n_ingress], names[base_front + f]))
     # Each frontend owns a small sampled pool of backends.
-    pool_size = min(n_back, max(config.fanout, 2) + 2)
+    pool_size = min(n_back, FANOUT + 2)
     pool_of: List[List[int]] = []
     for f in range(n_front):
         pool = sorted(rng.sample(range(n_back), pool_size))
@@ -153,8 +146,8 @@ def build_traffic_graph(config: TrafficConfig):
 
 
 def _activity(config: TrafficConfig, session: int) -> int:
-    heavy = int(config.sessions * config.heavy_share)
-    return config.heavy_factor if session < heavy else 1
+    heavy = int(config.sessions * HEAVY_SHARE)
+    return HEAVY_FACTOR if session < heavy else 1
 
 
 def _spin(n: int) -> int:
@@ -192,14 +185,14 @@ def run_traffic(
 
     shards = [Shard(i) for i in range(n_shards)]
     # Every hop lands compute + link after its trigger, on any shard.
-    sim = ShardedSimulation(shards, config.compute_ns + config.link_ns)
+    compute_ns, link_ns, fanout = COMPUTE_NS, LINK_NS, FANOUT
+    sim = ShardedSimulation(shards, compute_ns + link_ns)
 
     n = len(names)
     folds = [0] * n  # per-component delivery-sequence hash (layout-invariant)
     comp_events = [0] * n
     seqs = [0] * n  # per-source send counters (layout-invariant order)
     spin = config.spin
-    fanout = config.fanout
 
     def fold(idx: int, src_idx: int, seq: int, t: int) -> None:
         folds[idx] = (
@@ -211,7 +204,7 @@ def run_traffic(
         # Stages the delivery ``handler(dst_idx, src_idx, seq, recv, *extra)``.
         seq = seqs[src_idx]
         seqs[src_idx] = seq + 1
-        recv = t_send + config.link_ns
+        recv = t_send + link_ns
         env = Envelope(
             recv, t_send, names[src_idx], "out", seq,
             handler, dst_idx, src_idx, seq, recv, *extra,
@@ -226,13 +219,13 @@ def run_traffic(
     def on_backend(idx: int, src_idx: int, seq: int, t: int) -> None:
         _spin(spin)
         fold(idx, src_idx, seq, t)
-        send(idx, base_sink + sink_of[idx - base_back], t + config.compute_ns, on_sink)
+        send(idx, base_sink + sink_of[idx - base_back], t + compute_ns, on_sink)
 
     def on_frontend(idx: int, src_idx: int, seq: int, t: int, session: int) -> None:
         _spin(spin)
         fold(idx, src_idx, seq, t)
         pool = pool_of[idx - base_front]
-        t_send = t + config.compute_ns
+        t_send = t + compute_ns
         for j in range(fanout):
             be = base_back + pool[(session + j) % len(pool)]
             send(idx, be, t_send, on_backend)
@@ -242,16 +235,16 @@ def run_traffic(
         fold(idx, -1, seq, t)
         fronts = fronts_of[idx]
         fe = base_front + fronts[(session + tick) % len(fronts)]
-        send(idx, fe, t + config.compute_ns, on_frontend, session)
+        send(idx, fe, t + compute_ns, on_frontend, session)
 
     # Inject every request up front: session s, tick k, copy j -- all
     # requests of a tick enter their ingress at the same instant.
-    max_req = max(config.heavy_factor, 1)
+    max_req = HEAVY_FACTOR
     n_requests = 0
     for s in range(config.sessions):
         lb = s % n_ingress
         for k in range(config.ticks):
-            t0 = (k + 1) * config.tick_ns
+            t0 = (k + 1) * TICK_NS
             for j in range(_activity(config, s)):
                 seq = (s * config.ticks + k) * max_req + j
                 shards[shard_of[lb]].stage(

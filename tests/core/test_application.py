@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Application, Component, ConnectionError_, ObserverComponent
+from repro.core import Application, Component, ConnectionError_
 from repro.core.errors import LifecycleError
 from repro.core.interfaces import OBSERVATION_INTERFACE
 from repro.core.observer import REPORTS_INTERFACE
@@ -96,7 +96,7 @@ def test_second_observer_rejected():
     app = two_component_app()
     app.attach_observer()
     with pytest.raises(ConnectionError_, match="already has an observer"):
-        app.attach_observer(ObserverComponent("obs2"))
+        app.attach_observer()
 
 
 def test_seal_freezes_structure():

@@ -147,3 +147,16 @@ def test_invalid_shard_count_is_a_config_error(command, shards, capsys, tmp_path
     assert f"error: shards={shards}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ticks", "0"], "error: a run needs at least one load tick, got ticks=0\n"),
+        (["--components", "4"], "error: traffic graph needs at least 8 components, got 4\n"),
+    ],
+    ids=["ticks", "components"],
+)
+def test_refused_traffic_run_is_one_error_line(flags, message, capsys):
+    assert main(["run", "--workload", "traffic", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

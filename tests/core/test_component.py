@@ -103,8 +103,8 @@ def test_interface_bytes_counts_functional_provided_only():
     assert c.interface_bytes() == 0  # observation pair is free
     c.add_provided("in")
     assert c.interface_bytes() == DEFAULT_MAILBOX_BYTES
-    c.add_provided("in2", mailbox_bytes=1000)
-    assert c.interface_bytes() == DEFAULT_MAILBOX_BYTES + 1000
+    c.add_provided("in2")
+    assert c.interface_bytes() == 2 * DEFAULT_MAILBOX_BYTES
 
 
 def test_functional_interface_filters():

@@ -19,6 +19,7 @@ from repro.core.contracts import (
     ContractChecker,
 )
 from repro.core.interfaces import OBSERVATION_INTERFACE
+from repro.metrics import telemetry
 from repro.metrics.telemetry import MetricsRegistry, collect_telemetry, enable_telemetry
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly
@@ -188,7 +189,7 @@ def test_send_side_rate_contract():
     assert checker.violations == {("in", RATE): 1}
 
 
-def test_min_rate_judges_silent_windows_at_the_cut():
+def test_min_rate_judges_silent_windows_at_the_cut(monkeypatch):
     """A 2 kHz floor over 1 ms windows: three messages in each of
     windows 0-2 and 9-11, none in 3-8.  The cut judges every interior
     window, so each silent one is a violation, counted in its window."""
@@ -197,7 +198,8 @@ def test_min_rate_judges_silent_windows_at_the_cut():
     comp.set_contract("in", InterfaceContract(min_rate_hz=2_000.0))
     probe = ObservationProbe(comp)
     rt = SimpleNamespace(containers={"cons": SimpleNamespace(component=comp, probe=probe, extra={})})
-    enable_telemetry(rt, window_ns=1_000_000)
+    monkeypatch.setattr(telemetry, "DEFAULT_WINDOW_NS", 1_000_000)
+    enable_telemetry(rt)
     seq = 0
     for window in (0, 1, 2, 9, 10, 11):
         for k in range(3):

@@ -122,14 +122,3 @@ def test_context_log_collects():
     rt.run(app)
     messages = [text for (_, comp, text) in rt.logs if comp == "c"]
     assert messages == ["starting", "done"]
-
-
-def test_embx_invalid_config_rejected():
-    from repro.embx import EmbxError, EmbxTransport
-    from repro.hw import MemoryRegion
-    from repro.sim import Kernel
-
-    with pytest.raises(EmbxError):
-        EmbxTransport(Kernel(), MemoryRegion("m", 1024), bounce_bytes=0)
-    with pytest.raises(EmbxError):
-        EmbxTransport(Kernel(), MemoryRegion("m", 1024), bounce_penalty=0.5)

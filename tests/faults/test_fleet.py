@@ -179,11 +179,32 @@ def test_aggregate_lists_cells_in_grid_order(tmp_path):
 def test_reference_cache_is_shared_and_reused(tmp_path):
     config = CampaignConfig(**TINY)
     first = run_fleet_campaign(str(tmp_path), config, max_workers=2)
-    # both cells share one (seed, platform) reference
+    # both cells share one per-seed reference
     assert first.references_built == 1
     # a resume finds the cache valid and rebuilds nothing
     resumed = run_fleet_campaign(str(tmp_path), resume=True)
     assert resumed.references_built == 0
+
+
+def test_one_reference_per_seed_serves_every_shard_count(tmp_path):
+    """The decoded pixels are shard-count invariant, so a grid over 1 and
+    2 shards builds one reference per seed, and its aggregate is the one
+    a per-(seed, shard count) cache gave."""
+    seeds = (1, 7)
+    config = CampaignConfig(
+        seeds=seeds,
+        fault_classes=("crash",),
+        intensities=("light",),
+        policies=("restart",),
+        shard_counts=(1, 2),
+        n_images=4,
+    )
+    result = run_fleet_campaign(str(tmp_path), config, max_workers=2)
+    assert result.ok and result.cells_ok == 4
+    assert result.references_built == len(seeds)
+    assert result.aggregate_sha256 == (
+        "caddfbcb20cc23385f2e901198fd17a74eef7c497e50ee492670c24d4333c7b9"
+    )
 
 
 def test_mismatched_config_is_refused(tmp_path):
@@ -205,7 +226,7 @@ def test_crashing_worker_is_retried_then_quarantined(tmp_path):
     config = CampaignConfig(**{**TINY, "policies": ("restart",)})
     result = run_fleet_campaign(
         str(tmp_path), config, max_workers=1,
-        max_cell_attempts=2, retry_backoff_s=0.01, worker=suicidal,
+        max_cell_attempts=2, worker=suicidal,
     )
     assert not result.ok
     assert result.failed_attempts == 2
@@ -247,7 +268,7 @@ def test_flaky_worker_recovers_on_retry_and_clears_quarantine(tmp_path):
     config = CampaignConfig(**{**TINY, "policies": ("restart",)})
     result = run_fleet_campaign(
         str(tmp_path / "c"), config, max_workers=1,
-        max_cell_attempts=3, retry_backoff_s=0.01, worker=flaky,
+        max_cell_attempts=3, worker=flaky,
     )
     assert result.ok
     assert result.failed_attempts == 1 and result.executed == 1

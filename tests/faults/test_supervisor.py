@@ -11,6 +11,7 @@ from repro.faults import (
     RestartPolicy,
     Supervisor,
 )
+from repro.faults.supervisor import BASE_BACKOFF_NS, MAX_ATTEMPTS
 from repro.runtime import NativeRuntime, SmpSimRuntime
 from repro.sim.rng import RngRegistry
 
@@ -50,34 +51,25 @@ def make_flaky_app(failures, n_messages=8):
 
 
 class TestRestartPolicy:
-    def test_backoff_grows_exponentially_and_caps(self):
-        policy = RestartPolicy(
-            base_backoff_ns=1_000, factor=2.0, max_backoff_ns=5_000, jitter=0.0
-        )
+    def test_backoff_doubles_per_attempt(self):
+        policy = RestartPolicy()
         rng = RngRegistry(0).stream("x")
-        assert policy.backoff_ns(1, rng) == 1_000
-        assert policy.backoff_ns(2, rng) == 2_000
-        assert policy.backoff_ns(3, rng) == 4_000
-        assert policy.backoff_ns(4, rng) == 5_000  # capped
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            raw = BASE_BACKOFF_NS * 2 ** (attempt - 1)
+            assert 0.9 * raw <= policy.backoff_ns(attempt, rng) <= 1.1 * raw
 
     def test_jitter_is_bounded_and_deterministic(self):
-        policy = RestartPolicy(base_backoff_ns=1_000_000, jitter=0.1)
+        policy = RestartPolicy()
         a = [policy.backoff_ns(1, RngRegistry(9).stream("s")) for _ in range(3)]
         assert a[0] == a[1] == a[2]
-        assert 900_000 <= a[0] <= 1_100_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RestartPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RestartPolicy(jitter=1.0)
+        assert 0.9 * BASE_BACKOFF_NS <= a[0] <= 1.1 * BASE_BACKOFF_NS
 
 
 def test_sim_restart_recovers_and_is_observed():
     app, sink = make_flaky_app(failures=2)
     rt = SmpSimRuntime()
     rt.deploy(app)
-    sup = Supervisor(policy=RestartPolicy(max_attempts=3, base_backoff_ns=100_000)).install(rt)
+    sup = Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()
@@ -88,7 +80,7 @@ def test_sim_restart_recovers_and_is_observed():
     probe = rt.container("cons").probe
     assert probe.restarts == 2
     assert len(probe.recovery_ns) == 2
-    assert all(d >= 100_000 for d in probe.recovery_ns)  # downtime >= backoff
+    assert all(d >= 0.9 * BASE_BACKOFF_NS for d in probe.recovery_ns)  # downtime >= backoff
     assert [e.action for e in sup.events] == ["restart", "restart"]
 
 
@@ -96,7 +88,7 @@ def test_native_restart_recovers():
     app, sink = make_flaky_app(failures=1)
     rt = NativeRuntime(receive_timeout_s=5.0, join_timeout_s=30.0)
     rt.deploy(app)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=1_000_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()
@@ -109,12 +101,12 @@ def test_escalation_after_max_attempts():
     app, _ = make_flaky_app(failures=99)
     rt = SmpSimRuntime()
     rt.deploy(app)
-    sup = Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=1_000)).install(rt)
+    sup = Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
-    with pytest.raises(EscalationError, match="failed permanently after 2 restart"):
+    with pytest.raises(EscalationError, match=f"failed permanently after {MAX_ATTEMPTS} restart"):
         rt.wait()
     assert app.components["cons"].state == ComponentState.FAILED
-    assert [e.action for e in sup.events] == ["restart", "restart", "escalate"]
+    assert [e.action for e in sup.events] == ["restart"] * MAX_ATTEMPTS + ["escalate"]
 
 
 def test_escalation_chains_the_causing_exception():
@@ -123,7 +115,7 @@ def test_escalation_chains_the_causing_exception():
     app, _ = make_flaky_app(failures=99)
     rt = SmpSimRuntime()
     rt.deploy(app)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=1_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     with pytest.raises(EscalationError) as err:
         rt.wait()
@@ -181,7 +173,7 @@ def test_supervised_injected_crashes_recover_end_to_end():
     rt = SmpSimRuntime()
     rt.deploy(app)
     FaultInjector(FaultPlan(seed=0).crash("cons", on_receive=4)).install(rt)
-    Supervisor(policy=RestartPolicy(max_attempts=2)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()
@@ -196,10 +188,10 @@ def test_full_jitter_backoff_spreads_over_the_whole_window():
     band around raw -- the difference that desynchronizes retry storms."""
     from repro.faults.supervisor import JITTER_FULL
 
-    proportional = RestartPolicy(base_backoff_ns=1_000_000, jitter=0.1)
-    full = RestartPolicy(base_backoff_ns=1_000_000, jitter_mode=JITTER_FULL)
+    proportional = RestartPolicy()
+    full = RestartPolicy(jitter_mode=JITTER_FULL)
     registry = RngRegistry(7)
-    raw = 1_000_000
+    raw = BASE_BACKOFF_NS
     prop_draws = [
         proportional.backoff_ns(1, registry.stream(f"p.{k}")) for k in range(32)
     ]
@@ -215,7 +207,7 @@ def test_full_jitter_decorrelates_co_faulted_components():
     component its own point of the window (no synchronized retry band)."""
     from repro.faults.supervisor import JITTER_FULL
 
-    policy = RestartPolicy(base_backoff_ns=1_000_000, jitter_mode=JITTER_FULL)
+    policy = RestartPolicy(jitter_mode=JITTER_FULL)
     registry = RngRegistry(0)
     draws = {
         name: policy.backoff_ns(1, registry.stream(f"supervisor.backoff.{name}"))
@@ -227,7 +219,7 @@ def test_full_jitter_decorrelates_co_faulted_components():
 def test_full_jitter_is_deterministic_per_seed():
     from repro.faults.supervisor import JITTER_FULL
 
-    policy = RestartPolicy(base_backoff_ns=1_000_000, jitter_mode=JITTER_FULL)
+    policy = RestartPolicy(jitter_mode=JITTER_FULL)
     a = policy.backoff_ns(2, RngRegistry(5).stream("supervisor.backoff.X"))
     b = policy.backoff_ns(2, RngRegistry(5).stream("supervisor.backoff.X"))
     assert a == b
@@ -239,8 +231,8 @@ def test_unknown_jitter_mode_is_rejected():
 
 
 def test_degrade_detach_outbound_disconnects_required_interfaces():
-    """detach_outbound severs the degraded component's outgoing data
-    connections so dynamic downstream counting stops expecting its EOS."""
+    """Degrading severs the component's outgoing data connections so
+    dynamic downstream counting stops expecting its EOS."""
     from tests.faults.conftest import collector_behavior, producer_behavior
 
     app = Application("detach")
@@ -254,9 +246,6 @@ def test_degrade_detach_outbound_disconnects_required_interfaces():
     assert mid.get_required("out").connected
     Supervisor._disconnect_outbound(mid)
     assert not mid.get_required("out").connected
-    # inbound stays: detach_outbound composes with (not replaces) the
-    # inbound disconnect the degrade flow always performs
+    # inbound stays: the outbound detach composes with (not replaces)
+    # the inbound disconnect the degrade flow performs
     assert app.components["prod"].get_required("out").connected
-    # and the flag defaults off
-    assert not DegradePolicy().detach_outbound
-    assert DegradePolicy(detach_outbound=True).detach_outbound

@@ -11,8 +11,11 @@ import sys
 import threading
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core import Component, Message, ObservationProbe
 from repro.core.contracts import ORDERING, InterfaceContract
+from repro.metrics import telemetry
 from repro.metrics.telemetry import enable_telemetry
 
 N_OPS = 40
@@ -31,7 +34,9 @@ def _wired_probes(n=1, contract=None):
         probe = ObservationProbe(comp)
         containers[comp.name] = SimpleNamespace(component=comp, probe=probe, extra={})
     rt = SimpleNamespace(containers=containers)
-    registry = enable_telemetry(rt, window_ns=1_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(telemetry, "DEFAULT_WINDOW_NS", 1_000)
+        registry = enable_telemetry(rt)
     return [c.probe for c in containers.values()], registry
 
 

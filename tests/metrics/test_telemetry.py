@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import Component, Message, ObservationProbe
+from repro.metrics import telemetry
 from repro.metrics.export import metrics_digest
 from repro.metrics.telemetry import (
     DEFAULT_WINDOW_NS,
@@ -182,7 +183,7 @@ def test_untimed_writes_land_in_the_window_of_the_clock():
     assert [(w.index, w.data["msgs_total"]["inc"]) for w in reg.windows] == [(2, 3), (3, 4)]
 
 
-def test_a_record_stamped_behind_the_registry_clock_lands_in_its_window():
+def test_a_record_stamped_behind_the_registry_clock_lands_in_its_window(monkeypatch):
     """A send is stamped when it starts; if another component moved the
     shared clock past a window boundary meanwhile, the record lands in
     the window the clock is in."""
@@ -192,7 +193,8 @@ def test_a_record_stamped_behind_the_registry_clock_lands_in_its_window():
         comp.add_provided("in")
         comp.add_required("out")
         probes[name] = SimpleNamespace(component=comp, probe=ObservationProbe(comp), extra={})
-    reg = enable_telemetry(SimpleNamespace(containers=probes), window_ns=1_000)
+    monkeypatch.setattr(telemetry, "DEFAULT_WINDOW_NS", 1_000)
+    reg = enable_telemetry(SimpleNamespace(containers=probes))
     probes["b"].probe.record_receive("in", Message(payload=b"x", sent_at_us=1), 10, now_us=5)
     probes["a"].probe.record_send("out", Message(payload=b"x", sent_at_us=3), 10)
     reg.finish()

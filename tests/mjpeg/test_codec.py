@@ -45,7 +45,7 @@ def test_block_raster_order():
 
 def test_encode_decode_exact_coefficient_recovery():
     """Entropy coding is lossless: decoded quantized coefficients match."""
-    img = synthetic_frame(0, 48, 48)
+    img = synthetic_frame(0, 48, 48, np.random.default_rng(4))
     enc = encode_image(img, quality=75)
     zz = decode_frame_bits(enc.payload, enc.n_blocks)
     assert np.array_equal(zz, enc.qcoefs_zz.astype(np.int32))
@@ -76,7 +76,7 @@ def test_stored_coefficients_match_bit_decode():
 
 
 def test_truncated_stream_raises():
-    img = synthetic_frame(0, 32, 32)
+    img = synthetic_frame(0, 32, 32, np.random.default_rng(5))
     enc = encode_image(img, quality=75)
     with pytest.raises(DecodeError, match="truncated"):
         decode_frame_bits(enc.payload[: len(enc.payload) // 4], enc.n_blocks)

@@ -96,7 +96,7 @@ def test_priority_preemption_between_tasks_on_one_cpu():
     sys_.task_create(low(), name="low", cpu=1, priority=1)
 
     def launch():
-        sys_.task_create(high(), name="high", cpu=1, priority=9, charge_memory=False)
+        sys_.task_create(high(), name="high", cpu=1, priority=9)
 
     k.schedule(2_000, launch)
     sys_.shutdown()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw import make_smp16
 from repro.oslinux import DEFAULT_STACK_BYTES, LinuxSystem
+from repro.oslinux.system import HOME_NODE
 from repro.sim import Kernel, Timeout
 from repro.sim.executor import Compute
 
@@ -19,8 +20,8 @@ def test_default_stack_matches_paper():
 
 def test_thread_stack_charged_and_released():
     k, sys_ = make_sys()
-    proc = sys_.spawn_process("app", home_node=2)
-    region = sys_.node_region(2)
+    proc = sys_.spawn_process("app")
+    region = sys_.node_region(HOME_NODE)
 
     def worker():
         yield Timeout(100)
@@ -48,19 +49,19 @@ def test_custom_stack_size():
 
 def test_malloc_accounting():
     k, sys_ = make_sys()
-    proc = sys_.spawn_process("app", home_node=1)
+    proc = sys_.spawn_process("app")
     proc.malloc(5000, label="buf")
     assert proc.heap_bytes == 5000
-    assert sys_.node_region(1).used_bytes == 5000
+    assert sys_.node_region(HOME_NODE).used_bytes == 5000
     assert proc.heap_peak == 5000
 
 
 def test_malloc_on_explicit_node():
     k, sys_ = make_sys()
-    proc = sys_.spawn_process("app", home_node=0)
+    proc = sys_.spawn_process("app")
     proc.malloc(100, node=5)
     assert sys_.node_region(5).used_bytes == 100
-    assert sys_.node_region(0).used_bytes == 0
+    assert sys_.node_region(HOME_NODE).used_bytes == 0
 
 
 def test_threads_spread_across_cores():

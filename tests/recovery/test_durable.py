@@ -30,7 +30,7 @@ CONFIG = {"app": "recpipe", "n": N}
 def _install(root, app, checkpoint_interval=4, make=SmpSimRuntime):
     rt = make()
     rt.deploy(app)
-    store = DurableStore(str(root), config=CONFIG, fsync="never")
+    store = DurableStore(str(root), config=CONFIG)
     recovery = RecoveryManager(
         checkpoint_interval=checkpoint_interval, durable=store
     ).install(rt)
@@ -89,7 +89,7 @@ def test_restore_is_idempotent_across_repeated_deaths(tmp_path):
 
 
 def test_config_digest_binds_the_directory_to_one_campaign(tmp_path):
-    store = DurableStore(str(tmp_path), config=CONFIG, fsync="never")
+    store = DurableStore(str(tmp_path), config=CONFIG)
     store.open()
     store.close()
     other = DurableStore(str(tmp_path), config={"app": "recpipe", "n": N + 1})

@@ -27,9 +27,7 @@ def _run(plan=None, n_messages=N, supervise=False, checkpoint_interval=4):
         FaultInjector(plan).install(rt)
     recovery = RecoveryManager(checkpoint_interval=checkpoint_interval).install(rt)
     if supervise:
-        Supervisor(
-            policy=RestartPolicy(max_attempts=3, base_backoff_ns=100_000)
-        ).install(rt)
+        Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()
@@ -95,7 +93,7 @@ def test_crash_without_snapshot_falls_back_to_epoch0_replay():
     rt.deploy(app)
     FaultInjector(FaultPlan(seed=0).crash("cons", on_receive=7)).install(rt)
     recovery = RecoveryManager().install(rt)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=100_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()
@@ -163,7 +161,7 @@ def test_recovered_restart_leaks_no_deadline_timers():
     rt.deploy(app)
     FaultInjector(FaultPlan(seed=0).crash("cons", on_receive=5)).install(rt)
     RecoveryManager().install(rt)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=100_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()

@@ -44,7 +44,7 @@ def test_sti7200_crash_restores_and_replays_through_embx():
     rt.deploy(app)
     FaultInjector(FaultPlan(seed=1).crash("cons", on_receive=7)).install(rt)
     recovery = RecoveryManager(checkpoint_interval=4).install(rt)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=100_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()
@@ -62,7 +62,7 @@ def test_native_crash_restores_checkpoint_exactly_once():
     rt.deploy(app)
     FaultInjector(FaultPlan(seed=2).crash("cons", on_receive=6)).install(rt)
     recovery = RecoveryManager(checkpoint_interval=4).install(rt)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=1_000_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()

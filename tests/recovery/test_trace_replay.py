@@ -31,7 +31,7 @@ def _run(seed):
     buffer = enable_tracing(rt)
     FaultInjector(plan).install(rt)
     recovery = RecoveryManager(checkpoint_interval=4).install(rt)
-    Supervisor(policy=RestartPolicy(max_attempts=2, base_backoff_ns=100_000)).install(rt)
+    Supervisor(policy=RestartPolicy()).install(rt)
     rt.start()
     rt.wait()
     rt.stop()

@@ -43,14 +43,6 @@ def test_one_component_per_cpu_enforced():
         rt.deploy(app)
 
 
-def test_one_component_per_cpu_relaxable():
-    app = make_pipeline_app()
-    app.components["prod"].place(cpu=1)
-    app.components["cons"].place(cpu=1)
-    rt = Sti7200SimRuntime(enforce_one_component_per_cpu=False)
-    rt.run(app)
-
-
 def test_invalid_cpu_rejected():
     app = make_pipeline_app()
     app.components["prod"].place(cpu=0)

@@ -8,9 +8,9 @@ the callback count.
 import pytest
 
 from repro.sim.mailbox import Staging
-from repro.workloads import TrafficConfig, build_traffic_graph, run_traffic
+from repro.workloads import TrafficConfig, build_traffic_graph, run_traffic, traffic
 
-CFG = TrafficConfig(n_components=200, n_sessions=40, ticks=2, spin=5)
+CFG = TrafficConfig(n_components=200, ticks=2, spin=5)
 
 #: Digest and makespan of the 1k-component seed-1 model (the CLI's
 #: ``run --workload traffic --components 1000``).  The shard-count oracle
@@ -38,30 +38,19 @@ def test_traffic_rejects_tiny_graphs():
         build_traffic_graph(TrafficConfig(n_components=4))
 
 
-@pytest.mark.parametrize(
-    "compute_ns, link_ns, match",
-    [(0, 0, "at least 1 ns"), (-1, 500, "non-negative"), (2_000, -3_000, "non-negative")],
-)
-def test_traffic_rejects_hops_without_a_lookahead(compute_ns, link_ns, match):
-    # A zero-delay hop leaves the shards no window to run ahead in: the
-    # config is refused before any shard exists, not run with a bent
-    # lookahead whose digest then depends on the shard count.
-    with pytest.raises(ValueError, match=match):
-        TrafficConfig(n_components=100, compute_ns=compute_ns, link_ns=link_ns)
-
-
-@pytest.mark.parametrize(
-    "field, value", [("ticks", 0), ("ticks", -1), ("n_sessions", -3)]
-)
+@pytest.mark.parametrize("field, value", [("ticks", 0), ("ticks", -1)])
 def test_traffic_rejects_runs_without_requests(field, value):
-    # No tick or a negative session count issues no request: the run
-    # would simulate 0 events, so the config is refused up front.
+    # No tick issues no request: the run would simulate 0 events, so the
+    # config is refused up front.
     with pytest.raises(ValueError, match=f"{field}={value}"):
         TrafficConfig(n_components=100, **{field: value})
 
 
-def test_one_ns_hops_are_shard_count_invariant():
-    config = TrafficConfig(n_components=100, ticks=2, spin=0, compute_ns=1, link_ns=0)
+def test_one_ns_hops_are_shard_count_invariant(monkeypatch):
+    # The least lookahead the shard layer can run ahead by.
+    monkeypatch.setattr(traffic, "COMPUTE_NS", 1)
+    monkeypatch.setattr(traffic, "LINK_NS", 0)
+    config = TrafficConfig(n_components=100, ticks=2, spin=0)
     reference = run_traffic(config, 1)
     for n_shards in (2, 4):
         result = run_traffic(config, n_shards)
@@ -72,7 +61,7 @@ def test_one_ns_hops_are_shard_count_invariant():
 
 def test_digest_invariant_across_shard_counts():
     reference = run_traffic(CFG, 1)
-    assert reference["events"] == reference["requests"] * (2 + 2 * CFG.fanout)
+    assert reference["events"] == reference["requests"] * (2 + 2 * traffic.FANOUT)
     for n_shards in (2, 4):
         result = run_traffic(CFG, n_shards)
         assert result["digest"] == reference["digest"]
@@ -90,7 +79,7 @@ def test_1k_seed1_digest_is_pinned(n_shards):
 
 @pytest.mark.parametrize("seed", (1, 7, 42))
 def test_batched_release_matches_per_envelope(monkeypatch, seed):
-    config = TrafficConfig(n_components=120, n_sessions=24, ticks=2, spin=0, seed=seed)
+    config = TrafficConfig(n_components=120, ticks=2, spin=0, seed=seed)
     batched = run_traffic(config, 3)
     monkeypatch.setattr(Staging, "release_batched", Staging.release_below)
     reference = run_traffic(config, 3)
