@@ -169,12 +169,13 @@ class BitReader:
         self._accbits = accbits
         self._acc &= (1 << accbits) - 1
 
-    # -- inlined-decode support (see repro.mjpeg.decoder.decode_plane) ------
+    # -- plane-decode support (see repro.mjpeg.decoder.decode_plane) --------
 
     def _seek_bit(self, bitpos: int) -> None:
         """Reposition the cursor to an absolute bit offset.  Used by the
-        inlined decode loop, which tracks consumption on its own and
-        writes the final position back here."""
+        plane decode, which reads the segment's bytes itself and writes
+        back where it stopped: after its last block, or in front of the
+        symbol it failed on."""
         bytepos = (bitpos + 7) >> 3
         accbits = bytepos * 8 - bitpos
         self._bytepos = bytepos

@@ -4,14 +4,19 @@ Tables are defined by the standard's ``(BITS, HUFFVAL)`` pair: BITS[l] is
 the number of codes of length ``l+1``; HUFFVAL lists the symbol for each
 code in canonical order.
 
-Decoding is a single flat-table lookup: a lazily built 2^16-entry LUT
-maps the next 16 bits of the stream (1-padded past EOF) directly to a
-packed ``(code_length << 8) | symbol`` entry, so each symbol costs one
-``peek16`` + one list index + one ``skip``.  The MINCODE/MAXCODE/VALPTR
-walk of figure F.16 is retained as :meth:`HuffmanTable.decode_walk` --
-the bit-exact reference the LUT is property-tested against, and the
-pre-LUT reference of the entropy-decode gate in
-``benchmarks/test_perf_gates.py``.
+Every decode table is indexed by the next 16 bits of the stream
+(1-padded past EOF): a code of length L owns the 2^(16-L) windows that
+start with it.  One symbol at a time, :meth:`HuffmanTable.decode` reads
+a lazily built 2^16-entry list of ``(code_length << 8) | symbol``
+entries: one ``peek16``, one list index, one ``skip``.  A whole plane is
+decoded from :meth:`HuffmanTable.plane_tables`, two numpy arrays per
+(DC, AC) table pair built on first use: the decode-state step and the
+coefficient fields of every window (see
+``repro.mjpeg.decoder.decode_plane``).  The
+MINCODE/MAXCODE/VALPTR walk of figure F.16 is retained as
+:meth:`HuffmanTable.decode_walk` -- the bit-exact reference the tables
+are property-tested against, and the pre-LUT reference of the
+entropy-decode gate in ``benchmarks/test_perf_gates.py``.
 
 The shipped tables are the Annex K "typical" luminance tables; since the
 encoder and decoder share them, correctness is self-contained.
@@ -87,6 +92,10 @@ AC_CHROMA_VALS = [
 EOB = 0x00
 ZRL = 0xF0
 
+#: The state step of a window no code starts: it lands past the
+#: sentinel of every segment ``decode_plane`` takes (up to 2^29 - 1 bits).
+NO_CODE = 1 << 30
+
 
 class HuffmanTable:
     """A canonical Huffman code built from a (BITS, HUFFVAL) pair."""
@@ -123,9 +132,7 @@ class HuffmanTable:
             if code > (1 << length) * 2:
                 raise ValueError(f"over-subscribed code space in table {name!r}")
         self._lut: Optional[List[int]] = None  # built on first decode
-        self._lut_dc: Optional[List[int]] = None
-        self._lut_ac: Optional[List[int]] = None
-        self._lut_ac_value: Optional[List[int]] = None
+        self._plane_tables: Dict[HuffmanTable, tuple] = {}  # per AC table
         self._encode_arrays = None  # built on first vectorised encode
 
     @property
@@ -136,52 +143,49 @@ class HuffmanTable:
             self._lut = self._window_table(lambda length, symbol: (length << 8) | symbol)
         return self._lut
 
-    @property
-    def lut_dc(self) -> List[int]:
-        """2^16-entry table specialised for DC decode: the symbol *is* the
-        magnitude category, so each entry packs the total consumption up
-        front as ``((code_length + category) << 16) | category`` (0 =
-        invalid).  ``decode_plane`` reads code and magnitude in one step."""
-        if self._lut_dc is None:
-            self._lut_dc = self._window_table(
-                lambda length, category: ((length + category) << 16) | category
-            )
-        return self._lut_dc
+    def plane_tables(self, ac_table: HuffmanTable):
+        """``(steps, info)``: the per-window tables ``decode_plane`` reads
+        for a plane coded with this DC table and ``ac_table``, built on
+        the first such plane and kept here per AC table.
 
-    @property
-    def lut_ac(self) -> List[int]:
-        """2^16-entry table specialised for AC decode.  Entries are
-        ``((code_length + size) << 16) | (run << 8) | size`` for ordinary
-        run/size symbols (ZRL included: run=15, size=0), ``-code_length``
-        for EOB, and 0 for an invalid window."""
-        if self._lut_ac is None:
-            self._lut_ac = self._window_table(_ac_entry)
-        return self._lut_ac
+        A decode state is ``2 * bit_offset + mode``, where mode 0 expects
+        a DC symbol and mode 1 an AC symbol.  ``steps`` holds, for each
+        16-bit window, the DC and the AC state step as two int32 halves
+        of one int64, so one gather of a plane's windows yields the
+        successor step of every state: ``2 * need + 1`` from DC to AC
+        (``need`` is the code length plus the magnitude bits), ``2 *
+        need`` from AC to AC for a run/size or ZRL symbol, ``2 *
+        code_length - 1`` from EOB back to DC, and :data:`NO_CODE` where
+        no code starts the window (512 KB).
 
-    @property
-    def lut_ac_value(self) -> List[int]:
-        """2^16-entry companion of :attr:`lut_ac`: for a window whose AC
-        code and magnitude bits both fit in its 16 bits, the signed
-        coefficient (EXTEND applied); 0 for every other window (EOB,
-        ZRL, a symbol that needs more than 16 bits, invalid).  A valid
-        coefficient is never 0, so ``decode_plane`` reads the value in
-        one index and, on 0, cuts the magnitude from its bit register.
-        Each code's interval splits into one run of windows per
-        magnitude, filled with one shared int."""
-        if self._lut_ac_value is None:
-            out = [0] * (1 << 16)
-            for window, length, symbol in self._code_windows():
+        ``info`` is indexed by ``(window << 1) | mode`` and packs what a
+        completed symbol adds to the plane into an int16, ``inc | length
+        << 5 | shift << 10`` (256 KB): ``inc`` is how far the symbol
+        moves the zigzag index (``run + 1``, so 16 for ZRL and 1 for EOB;
+        0 for DC), ``length`` is the code length and ``shift`` is 16
+        minus the magnitude bits.  Both are filled code by code from
+        :meth:`_code_windows` and are read-only: every plane shares them.
+        """
+        tables = self._plane_tables.get(ac_table)
+        if tables is None:
+            import numpy as np
+
+            steps = np.full((1 << 16, 2), NO_CODE, dtype=np.int32)
+            info = np.zeros((1 << 16, 2), dtype=np.int16)
+            for window, length, category in self._code_windows():
+                span = slice(window, window + (1 << (16 - length)))
+                steps[span, 0] = 2 * (length + category) + 1
+                info[span, 0] = length << 5 | (16 - category) << 10
+            for window, length, symbol in ac_table._code_windows():
+                span = slice(window, window + (1 << (16 - length)))
                 size = symbol & 0x0F
-                need = length + size
-                if not size or need > 16:  # EOB, ZRL, or past the window
-                    continue
-                span = 1 << (16 - need)
-                for bits in range(1 << size):
-                    value = bits if bits >= 1 << (size - 1) else bits - (1 << size) + 1
-                    out[window : window + span] = [value] * span
-                    window += span
-            self._lut_ac_value = out
-        return self._lut_ac_value
+                steps[span, 1] = 2 * length - 1 if symbol == EOB else 2 * (length + size)
+                info[span, 1] = (symbol >> 4) + 1 | length << 5 | (16 - size) << 10
+            tables = steps.view(np.int64).ravel(), info.ravel()
+            for table in tables:
+                table.flags.writeable = False
+            self._plane_tables[ac_table] = tables
+        return tables
 
     @property
     def encode_arrays(self):
@@ -261,15 +265,6 @@ class HuffmanTable:
             code = (code << 1) | reader.read_bit()
             length += 1
         return self.values[self._valptr[length] + (code - self._mincode[length])]
-
-
-def _ac_entry(length: int, symbol: int) -> int:
-    """One :attr:`HuffmanTable.lut_ac` entry."""
-    if symbol == EOB:
-        return -length
-    run = symbol >> 4
-    size = symbol & 0x0F
-    return ((length + size) << 16) | (run << 8) | size
 
 
 #: The standard tables, shared by encoder and decoder.

@@ -8,6 +8,7 @@ from benchmarks.test_perf_gates import (
     PARENT_EMIT_RATIO,
     PARENT_SCHEDULE_RATIO,
     decode_verdict,
+    loop_verdict,
     metrics_verdict,
     micro_verdict,
     scale_verdict,
@@ -48,3 +49,8 @@ def test_sim_scale_fails_on_a_single_slow_repetition():
 def test_entropy_decode_gate_is_a_median_floor():
     assert decode_verdict(_around(3.0)).ok
     assert not decode_verdict(_around(2.99)).ok
+
+
+def test_entropy_decode_loop_gate_is_a_median_floor():
+    assert loop_verdict(_around(1.7)).ok
+    assert not loop_verdict(_around(1.69)).ok

@@ -4,17 +4,17 @@ kept the way they were first written.
 ``lut`` came from one ``np.repeat`` over the canonical code intervals,
 converted with ``.tolist()`` (one int object per window).  ``lut_dc``
 and ``lut_ac`` were derived from it by a Python loop over all 2^16
-windows, and ``lut_ac_value`` by a walk over ``lut_ac``.  The shipped
-tables are built from the code intervals directly and must equal these
-entry for entry; ``tests/mjpeg/test_huffman_tables.py`` holds them to
-that.
+windows; ``reference_plane_tables`` derives the plane decode's
+``HuffmanTable.plane_tables`` the same way.  The tables in use are built
+from the code intervals directly and must equal these entry for entry;
+``tests/mjpeg/test_huffman_tables.py`` holds them to that.
 """
 
 from typing import List
 
 import numpy as np
 
-from repro.mjpeg.huffman import EOB
+from repro.mjpeg.huffman import EOB, NO_CODE
 
 
 def reference_lut(table) -> List[int]:
@@ -60,29 +60,31 @@ def reference_lut_ac(table) -> List[int]:
     return out
 
 
-def reference_lut_ac_value(table) -> List[int]:
-    packed = reference_lut_ac(table)
-    out = [0] * (1 << 16)
-    window = 0
-    while window < 1 << 16:
-        entry = packed[window]
-        need = entry >> 16
-        size = entry & 0xFF
-        if entry <= 0 or not size or need > 16:
-            window += 1
-            continue
-        span = 1 << (16 - need)
-        value = (window >> (16 - need)) & ((1 << size) - 1)
-        if value < 1 << (size - 1):
-            value -= (1 << size) - 1
-        out[window : window + span] = [value] * span
-        window += span
-    return out
-
-
 REFERENCE_BUILDERS = {
     "lut": reference_lut,
     "lut_dc": reference_lut_dc,
     "lut_ac": reference_lut_ac,
-    "lut_ac_value": reference_lut_ac_value,
 }
+
+
+def reference_plane_tables(dc_table, ac_table):
+    """``dc_table.plane_tables(ac_table)`` window by window from ``lut``:
+    the int32 DC and AC state steps (``NO_CODE`` where no code starts)
+    and the int16 ``inc | length << 5 | shift << 10`` symbol fields."""
+    steps = np.full((1 << 16, 2), NO_CODE, dtype=np.int32)
+    info = np.zeros((1 << 16, 2), dtype=np.int16)
+    for window, entry in enumerate(reference_lut(dc_table)):
+        if entry:
+            length, category = entry >> 8, entry & 0xFF
+            steps[window, 0] = 2 * (length + category) + 1
+            info[window, 0] = (length << 5) | ((16 - category) << 10)
+    for window, entry in enumerate(reference_lut(ac_table)):
+        if entry:
+            length, symbol = entry >> 8, entry & 0xFF
+            run, size = symbol >> 4, symbol & 0x0F
+            if symbol == EOB:
+                steps[window, 1] = 2 * length - 1
+            else:
+                steps[window, 1] = 2 * (length + size)
+            info[window, 1] = (run + 1) | (length << 5) | ((16 - size) << 10)
+    return steps, info

@@ -1,6 +1,6 @@
-"""Property tests pinning the LUT decode fast paths to the F.16 walk.
+"""Property tests pinning the table-driven decodes to the F.16 walk.
 
-The flat-LUT symbol decode (``HuffmanTable.decode``), the packed-LUT
+The flat-LUT symbol decode (``HuffmanTable.decode``), the successor-chain
 plane decode (``decode_plane``) and the per-bit MINCODE/MAXCODE walk
 must be bit-for-bit interchangeable, including their error behaviour.
 """
@@ -26,6 +26,8 @@ from repro.mjpeg.huffman import (
     decode_magnitude,
     magnitude_category,
 )
+
+from tests.mjpeg.reference_decode_loop import lut_ac, lut_ac_value
 
 TABLES = [STD_DC_LUMA, STD_AC_LUMA, STD_DC_CHROMA, STD_AC_CHROMA]
 
@@ -124,6 +126,15 @@ def test_invalid_code_raises_decode_error():
         decode_frame_bits(b"\xff" * 8, 1)
 
 
+def test_a_segment_past_the_state_range_is_refused():
+    # A state is 2 * offset + mode in an int32 next to a 2^30 no-code
+    # step, so 2^29 bits is the limit; the reader only claims its size.
+    reader = BitReader(b"")
+    reader._nbytes = 1 << 26
+    with pytest.raises(ValueError, match="2\\^29-bit limit"):
+        decode_plane(reader, 1)
+
+
 def test_bitwriter_accepts_wide_values():
     writer = BitWriter()
     writer.write((1 << 40) - 3, 41)
@@ -161,10 +172,11 @@ def test_peek16_pads_with_ones_past_eof():
 
 @pytest.mark.parametrize("table", [STD_AC_LUMA, STD_AC_CHROMA], ids=lambda t: t.name)
 def test_ac_value_table_matches_extend_on_every_window(table):
-    # Every window whose AC code plus magnitude fits in 16 bits maps to
-    # the EXTEND of its magnitude bits; every other window maps to 0.
-    packed = table.lut_ac
-    values = table.lut_ac_value
+    # The per-symbol reference loop's value table: every window whose AC
+    # code plus magnitude fits in 16 bits maps to the EXTEND of its
+    # magnitude bits; every other window maps to 0.
+    packed = lut_ac(table)
+    values = lut_ac_value(table)
     for window in range(1 << 16):
         entry = packed[window]
         need = entry >> 16
@@ -197,9 +209,10 @@ def _ac_needs(qzz, ac_table):
 
 
 def test_decode_plane_reaches_both_ac_magnitude_branches():
-    # Crafted blocks: short symbols served by the AC value table, ZRL
-    # runs, and 10-bit magnitudes whose code plus magnitude
-    # overflow the 16-bit window (the bit-register branch).
+    # Crafted blocks: short symbols whose code and magnitude share one
+    # 16-bit window, ZRL runs, and 10-bit magnitudes whose code plus
+    # magnitude overflow it (the reference loop's value-table and
+    # bit-register branches).
     qzz = np.zeros((4, 64), dtype=np.int32)
     qzz[0, 0] = 5
     qzz[0, 1:6] = [1, -1, 3, -2, 7]
@@ -227,7 +240,8 @@ def test_decode_plane_reaches_both_ac_magnitude_branches():
 
 def test_random_blocks_reach_both_ac_magnitude_branches():
     # The property test above draws magnitudes up to 1023; its blocks
-    # must exercise the table branch and the need > 16 branch alike.
+    # must hold symbols that fit one 16-bit window and symbols that
+    # overflow it alike.
     rng = np.random.default_rng(42)
     needs = []
     for trial in range(8):
