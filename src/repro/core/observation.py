@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.errors import ObservationError
 from repro.core.messages import DATA, OBSERVATION, Message
@@ -37,7 +37,7 @@ APPLICATION_LEVEL = "application"
 
 LEVELS = (OS_LEVEL, MIDDLEWARE_LEVEL, APPLICATION_LEVEL)
 
-#: Record opcodes (first element of a probe record).
+#: Operation codes (first element of a column key).
 _SEND = 0
 _RECV = 1
 
@@ -69,20 +69,37 @@ class ObservationProbe:
 
     Every component is observed at all three levels, and every
     middleware operation is timed.
+
+    The hot path keeps what must stay live -- the Table 2 counters, the
+    registry clock nudge and the contract checks -- and appends the rest
+    of the operation's record to the columns of its (operation,
+    interface): its duration, and for a receive first its delivery
+    latency (-1 when unknown).  With telemetry attached, an operation
+    first also appends its time on the registry clock and its size (-1
+    for a control message).  :meth:`_fold` feeds every plane that reads
+    the records -- the timers below and, when attached, the telemetry
+    instruments -- one batch per column, which the telemetry cuts into
+    its window runs.
+
+    Native-runtime threads append without a lock: only the component's
+    own thread records into its probe (observation traffic is not
+    recorded), while a fold may run on any thread.  An operation appends
+    its duration last, so the length of a duration column counts the
+    records complete in every column of its key; a fold takes that many
+    from each and deletes them, under a lock only folds take.
     """
 
     def __init__(self, component: "Component") -> None:
         self.component = component
-        #: One record per middleware operation, ``(op, iface,
-        #: duration_ns, latency_ns, size_bytes, t_ns)``:
-        #: ``size_bytes`` is -1 for control messages, ``latency_ns`` -1
-        #: when unknown, and ``t_ns`` is the telemetry registry's
-        #: clock when it was recorded (0 without telemetry).  The hot path
-        #: appends one tuple; :meth:`_fold` feeds every plane that reads
-        #: it -- the timers below and, when attached, the telemetry
-        #: instruments.  Appending to a list is atomic under the GIL, so
-        #: native-runtime threads append without a lock.
-        self._records: list = []
+        #: The records not yet folded, as columns: one ``(t_ns,
+        #: size_bytes, latency_ns, duration_ns)`` tuple of lists per
+        #: (operation, interface), in the order each key first recorded.
+        #: See the class doc for what each operation appends.
+        self._columns: Dict[Tuple[int, str], tuple] = {}
+        #: The same columns by interface, one dict per operation, for
+        #: the hot path.
+        self._send_columns: Dict[str, tuple] = {}
+        self._recv_columns: Dict[str, tuple] = {}
         self._fold_lock = threading.Lock()
         self._send_timer = Timer(f"{component.name}.send")
         self._recv_timer = Timer(f"{component.name}.receive")
@@ -132,63 +149,41 @@ class ObservationProbe:
 
         Runs before every read, and from the registry's window cut
         (:meth:`~repro.metrics.telemetry.MetricsRegistry.finish`); each
-        record lands in the window of its own ``t_ns``.  Snapshot then
-        delete under a lock only folds take: a record a concurrent
-        native-runtime thread appends mid-fold stays for the next fold,
-        and two folds never take the same record.
+        record lands in the window of its own ``t_ns``.  Keys are walked
+        in first-record order, so timers and registry instruments are
+        created in the order of the operations that first used them.  A
+        record a concurrent native-runtime thread appends mid-fold stays
+        for the next fold, and two folds never take the same record.
         """
         with self._fold_lock:
-            buf = self._records
-            n = len(buf)
-            if not n:
-                return
-            chunk = buf[:n]
-            del buf[:n]
-            send_timer = self._send_timer
-            recv_timer = self._recv_timer
-            latency_timer = self._latency_timer
-            by_send = self._send_timers_by_iface
-            by_recv = self._recv_timers_by_iface
-            for op, iface, dur, latency, _size, _t in chunk:
-                if op == _SEND:
-                    send_timer.record(dur)
-                    timer = by_send.get(iface)
-                    if timer is None:
-                        timer = by_send[iface] = Timer(iface)
-                else:
-                    recv_timer.record(dur)
-                    if latency >= 0:
-                        latency_timer.record(latency)
-                    timer = by_recv.get(iface)
-                    if timer is None:
-                        timer = by_recv[iface] = Timer(iface)
-                timer.record(dur)
             tel = self.telemetry
-            if tel is None:
-                return
-            # One batch per (operation, interface, window): the time of
-            # its first record, every duration, and the sizes and known
-            # delivery latencies of its data messages.  Latency is a
-            # *data* metric: control messages (e.g. end-of-stream
-            # markers) queue behind the whole stream and would dominate
-            # the tail with meaningless outliers.
-            window_ns = tel.registry.window_ns
-            groups: Dict[tuple, tuple] = {}
-            for op, iface, dur, latency, size, t in chunk:
-                key = (op, iface, t // window_ns)
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = (t, [], [], [])
-                group[1].append(dur)
-                if size >= 0:
-                    group[2].append(size)
-                    if latency >= 0:
-                        group[3].append(latency)
-            for (op, iface, _window), (t_ns, durations, sizes, latencies) in groups.items():
+            for (op, iface), columns in list(self._columns.items()):
+                n = len(columns[3])
+                if not n:
+                    continue
+                ts, sizes, latencies, durations = [column[:n] for column in columns]
+                for column in columns:
+                    del column[:n]
                 if op == _SEND:
-                    tel.fold_sends(iface, t_ns, durations, sizes)
+                    self._send_timer.record_many(durations)
+                    by_iface = self._send_timers_by_iface
                 else:
-                    tel.fold_receives(iface, t_ns, durations, sizes, latencies)
+                    self._recv_timer.record_many(durations)
+                    if min(latencies) < 0:
+                        self._latency_timer.record_many([x for x in latencies if x >= 0])
+                    else:
+                        self._latency_timer.record_many(latencies)
+                    by_iface = self._recv_timers_by_iface
+                timer = by_iface.get(iface)
+                if timer is None:
+                    timer = by_iface[iface] = Timer(iface)
+                timer.record_many(durations)
+                if tel is None:
+                    continue
+                if op == _SEND:
+                    tel.fold_sends(iface, ts, durations, sizes)
+                else:
+                    tel.fold_receives(iface, ts, durations, sizes, latencies)
 
     # The timers stay part of the public surface; reading one folds the
     # pending records first, so deferral is invisible to consumers.
@@ -223,9 +218,9 @@ class ObservationProbe:
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
         """Account one send operation (kind-aware; see class doc).
 
-        Hot path: counters, the telemetry clock nudge, one timestamped
-        record append and the live contract check; timers and
-        histograms are folded later by :meth:`_fold`.
+        Hot path: counters, the telemetry clock nudge, the column
+        appends and the live contract check; timers and histograms are
+        folded later by :meth:`_fold`.
         """
         kind = message.kind
         if kind == OBSERVATION:
@@ -236,9 +231,12 @@ class ObservationProbe:
             self.bytes_sent += size
         else:
             size = -1
+        columns = self._send_columns.get(iface)
+        if columns is None:
+            columns = self._new_columns(_SEND, iface)
         tel = self.telemetry
         if tel is None:
-            self._records.append((_SEND, iface, duration_ns, -1, size, 0))
+            columns[3].append(duration_ns)
             return
         # The record's time is the registry clock, moved to the message's
         # stamp first: a send stamped before another component moved the
@@ -250,9 +248,17 @@ class ObservationProbe:
             reg.last_ns = ts
         else:
             ts = reg.last_ns
-        self._records.append((_SEND, iface, duration_ns, -1, size, ts))
+        columns[0].append(ts)
+        columns[1].append(size)
+        columns[3].append(duration_ns)
         if kind == DATA and tel.checker is not None:
             tel.checker.on_send(iface, message, ts)
+
+    def _new_columns(self, op: int, iface: str) -> tuple:
+        """The empty columns of a key's first record."""
+        columns = self._columns.setdefault((op, iface), ([], [], [], []))
+        (self._send_columns if op == _SEND else self._recv_columns)[iface] = columns
+        return columns
 
     def record_deposit(self, iface: str, message: Message, duration_ns: int) -> None:
         """A deposit into the component's own provided interface: tracked,
@@ -281,9 +287,13 @@ class ObservationProbe:
             latency_ns = max(0, (now_us - sent)) * 1_000
         else:
             latency_ns = -1
+        columns = self._recv_columns.get(iface)
+        if columns is None:
+            columns = self._new_columns(_RECV, iface)
         tel = self.telemetry
         if tel is None:
-            self._records.append((_RECV, iface, duration_ns, latency_ns, size, 0))
+            columns[2].append(latency_ns)
+            columns[3].append(duration_ns)
             return
         reg = tel.registry
         ts = now_us * 1_000 if now_us is not None else 0
@@ -291,7 +301,10 @@ class ObservationProbe:
             reg.last_ns = ts
         else:
             ts = reg.last_ns
-        self._records.append((_RECV, iface, duration_ns, latency_ns, size, ts))
+        columns[0].append(ts)
+        columns[1].append(size)
+        columns[2].append(latency_ns)
+        columns[3].append(duration_ns)
         if kind == DATA and tel.checker is not None:
             tel.checker.on_receive(iface, message, latency_ns, ts)
 

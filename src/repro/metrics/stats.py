@@ -8,7 +8,7 @@ nanoseconds; presentation layers convert.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 
 class Counter:
@@ -49,14 +49,24 @@ class Timer:
         self.min_ns: Optional[int] = None
         self.max_ns: Optional[int] = None
 
-    def record(self, duration_ns: int) -> None:
-        """Record one duration sample (nanoseconds)."""
-        if duration_ns < 0:
-            raise ValueError(f"negative duration: {duration_ns}")
-        self.count += 1
-        self.total_ns += duration_ns
-        self.min_ns = duration_ns if self.min_ns is None else min(self.min_ns, duration_ns)
-        self.max_ns = duration_ns if self.max_ns is None else max(self.max_ns, duration_ns)
+    def record_many(self, durations: Sequence[int]) -> None:
+        """Record a batch of duration samples (nanoseconds).
+
+        Only integer count, total, min and max change, so any split of a
+        stream into batches leaves the same timer.  A negative sample
+        raises ``ValueError`` before anything changes."""
+        if not durations:
+            return
+        low = min(durations)
+        if low < 0:
+            raise ValueError(f"negative duration: {low}")
+        high = max(durations)
+        self.count += len(durations)
+        self.total_ns += sum(durations)
+        if self.min_ns is None or low < self.min_ns:
+            self.min_ns = low
+        if self.max_ns is None or high > self.max_ns:
+            self.max_ns = high
 
     @property
     def mean_ns(self) -> float:

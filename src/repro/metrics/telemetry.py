@@ -18,10 +18,11 @@ giving up the "no per-sample storage" constraint of an embedded target:
   numbers the windows from 1.
 - :class:`ComponentTelemetry` -- the per-component instruments fed by
   the :class:`~repro.core.observation.ObservationProbe`'s records: the
-  probe appends one timestamped record per send/receive, and one fold
-  feeds its timers and these histograms and counters when something
-  reads them.  The probe also runs the component's contract checker
-  (:mod:`repro.core.contracts`) on the same stream, per operation.
+  probe appends each send/receive to its interface's columns, and one
+  fold feeds its timers and these histograms and counters when
+  something reads them, one column at a time.  The probe also runs the
+  component's contract checker (:mod:`repro.core.contracts`) on the
+  same stream, per operation.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
   wiring, shaped exactly like ``enable_tracing`` / ``collect_trace``:
   one registry per runtime at any shard count; call after
@@ -36,8 +37,9 @@ the ``metrics sha256`` CI gate (see :mod:`repro.metrics.export`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import count
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import Counter
 
@@ -50,6 +52,8 @@ DEFAULT_WINDOW_NS = 5_000_000
 
 #: Reported quantiles (fraction, snapshot key).
 QUANTILES = ((0.50, "p50_ns"), (0.90, "p90_ns"), (0.99, "p99_ns"), (0.999, "p999_ns"))
+_QUANTILE_FRACTIONS = tuple(q for q, _key in QUANTILES)
+_QUANTILE_KEYS = tuple(key for _q, key in QUANTILES)
 
 
 def bucket_of(value: int) -> int:
@@ -119,41 +123,49 @@ class Log2Histogram:
 
     def observe_many(self, values: Sequence[int], t_ns: Optional[int] = None) -> None:
         """Record a batch of samples, all taken in the window of sim time
-        ``t_ns`` (default: the registry clock).  State is bound to locals
-        once per batch: the probe folds one batch per interface and
-        window."""
-        if not values:
-            return
+        ``t_ns`` (default: the registry clock)."""
+        self.observe_windows(((window_of(self.registry, t_ns), values),))
+
+    def observe_windows(self, batches: Iterable[Tuple[int, Sequence[int]]]) -> None:
+        """Record batches of samples, each ``(window, values)`` taken in
+        the window of that index (see :func:`window_of`).  State is bound
+        to locals once per call: the probe's fold hands over an
+        interface's column in one call, one batch per window run."""
         counts = self.counts
-        delta = self.deltas.setdefault(
-            window_of(self.registry, t_ns),
-            {"kind": "histogram", "count": 0, "total_ns": 0, "buckets": {}},
-        )
-        buckets = delta["buckets"]
+        deltas = self.deltas
         keys = _BUCKET_KEYS
-        n = tot = 0
-        mn, mx = self.min_value, self.max_value
-        for v in values:
-            if v < 0:
-                v = 0
-            b = v.bit_length()
-            if b >= N_BUCKETS:
-                b = N_BUCKETS - 1
-            counts[b] += 1
-            key = keys[b]
-            buckets[key] = buckets.get(key, 0) + 1
-            n += 1
-            tot += v
-            if mn is None or v < mn:
-                mn = v
-            if mx is None or v > mx:
-                mx = v
-        self.count += n
-        self.total += tot
-        delta["count"] += n
-        delta["total_ns"] += tot
-        self.min_value = mn
-        self.max_value = mx
+        top = N_BUCKETS - 1
+        count, grand, mn, mx = self.count, self.total, self.min_value, self.max_value
+        for window, values in batches:
+            if not values:
+                continue
+            delta = deltas.get(window)
+            if delta is None:
+                delta = deltas[window] = {
+                    "kind": "histogram", "count": 0, "total_ns": 0, "buckets": {},
+                }
+            buckets = delta["buckets"]
+            total = 0
+            for v in values:
+                if v < 0:
+                    v = 0
+                b = v.bit_length()
+                if b > top:
+                    b = top
+                counts[b] += 1
+                key = keys[b]
+                buckets[key] = buckets.get(key, 0) + 1
+                total += v
+                if mn is None or v < mn:
+                    mn = v
+                if mx is None or v > mx:
+                    mx = v
+            n = len(values)
+            count += n
+            grand += total
+            delta["count"] += n
+            delta["total_ns"] += total
+        self.count, self.total, self.min_value, self.max_value = count, grand, mn, mx
 
     def merge(self, other: "Log2Histogram") -> None:
         """Bucketwise addition (the dashboard folds interfaces with it)."""
@@ -174,31 +186,37 @@ class Log2Histogram:
         """Quantile by cumulative bucket walk with linear interpolation
         inside the bucket, clamped to the tracked min/max (so an empty
         histogram reports 0 and a single sample reports itself exactly)."""
+        return self._walk((q,))[0]
+
+    def quantiles(self) -> Dict[str, float]:
+        """The reported quantile set (see :data:`QUANTILES`)."""
+        return dict(zip(_QUANTILE_KEYS, self._walk(_QUANTILE_FRACTIONS)))
+
+    def _walk(self, fractions: Sequence[float]) -> List[float]:
+        """:meth:`percentile` of each of the ascending ``fractions``, all
+        in one bucket walk."""
         n = self.count
         if n == 0:
-            return 0.0
-        target = q * n
-        if target < 1.0:
-            target = 1.0
+            return [0.0] * len(fractions)
+        targets = [q * n if q * n >= 1.0 else 1.0 for q in fractions]
+        values: List[float] = []
         cum = 0
         for b, c in enumerate(self.counts):
             if not c:
                 continue
             prev = cum
             cum += c
-            if cum >= target:
+            while cum >= targets[len(values)]:
                 lo, hi = bucket_bounds(b)
-                value = lo + (target - prev) / c * (hi - lo)
+                value = lo + (targets[len(values)] - prev) / c * (hi - lo)
                 if self.min_value is not None and value < self.min_value:
                     value = float(self.min_value)
                 if self.max_value is not None and value > self.max_value:
                     value = float(self.max_value)
-                return value
-        return float(self.max_value or 0)  # pragma: no cover - cum covers n
-
-    def quantiles(self) -> Dict[str, float]:
-        """The reported quantile set (see :data:`QUANTILES`)."""
-        return {key: self.percentile(q) for q, key in QUANTILES}
+                values.append(value)
+                if len(values) == len(targets):
+                    return values
+        return values + [float(self.max_value or 0)] * (len(targets) - len(values))  # pragma: no cover
 
     def state(self) -> Tuple[int, int, Tuple[int, ...]]:
         """Cumulative integer state (for window deltas and digests)."""
@@ -275,10 +293,21 @@ class WindowedCounter(Counter):
     def inc(self, n: int = 1, t_ns: Optional[int] = None) -> None:
         """Increment by ``n`` at sim time ``t_ns`` (default: the
         registry clock)."""
-        super().inc(n)
-        if n:
-            window = window_of(self.registry, t_ns)
-            self.deltas.setdefault(window, {"kind": "counter", "inc": 0})["inc"] += n
+        self.inc_windows(((window_of(self.registry, t_ns), n),))
+
+    def inc_windows(self, amounts: Iterable[Tuple[int, int]]) -> None:
+        """Increment by each ``(window, n)``: ``n`` in the window of that
+        index (see :func:`window_of`)."""
+        deltas = self.deltas
+        for window, n in amounts:
+            if n < 0:
+                raise ValueError(f"counter increment must be >= 0, got {n}")
+            if n:
+                self.value += n
+                delta = deltas.get(window)
+                if delta is None:
+                    delta = deltas[window] = {"kind": "counter", "inc": 0}
+                delta["inc"] += n
 
     def reset(self) -> None:
         """Zero the counter and drop its window deltas."""
@@ -472,19 +501,63 @@ def _merge_window_data(into: Dict[str, Dict[str, Any]], data: Dict[str, Dict[str
                 buckets[b] = buckets.get(b, 0) + c
 
 
+def _window_runs(ts: List[int], window_ns: int) -> List[Tuple[int, int, int]]:
+    """``(start, end, window)`` of each run of consecutive records of a
+    column in one window.  The registry clock only moves forward, so a
+    probe's times are sorted and a bisect finds each run's end.  After
+    the registry's ``clear()``, or when native-runtime threads race on
+    its clock, they may not be, and then the records are walked one by
+    one."""
+    n = len(ts)
+    ordered = ts == sorted(ts)
+    runs = []
+    start = 0
+    while start < n:
+        window = ts[start] // window_ns
+        if ordered:
+            end = bisect_left(ts, (window + 1) * window_ns, start, n)
+        else:
+            end = start + 1
+            while end < n and ts[end] // window_ns == window:
+                end += 1
+        runs.append((start, end, window))
+        start = end
+    return runs
+
+
+def _fold_data(entry: list, runs: List[Tuple[int, int, int]], sizes: List[int]) -> None:
+    """The message and byte counters of an interface column's data
+    messages, one increment per window run."""
+    messages = []
+    nbytes = []
+    for start, end, window in runs:
+        data = sizes[start:end]
+        if -1 in data:
+            data = [size for size in data if size >= 0]
+        if data:
+            messages.append((window, len(data)))
+            nbytes.append((window, sum(data)))
+    entry[1].inc_windows(messages)
+    entry[2].inc_windows(nbytes)
+
+
 class ComponentTelemetry:
     """Per-component adapter between the observation probe and a shared
     :class:`MetricsRegistry` (plus the component's contract checker,
     when any interface carries a contract).
 
     The middleware stream arrives as the probe's own records (see
-    :meth:`ObservationProbe._fold`): the probe's hot path moves the
-    registry clock and runs the live contract checks, and its fold --
-    run before every read, and by :meth:`MetricsRegistry.finish`
-    before the cut -- hands each interface's durations, data sizes and
-    latencies, one batch per window, to :meth:`fold_sends` /
-    :meth:`fold_receives`.  Contract checks stay per operation:
-    violations are *live* by design.
+    :class:`~repro.core.observation.ObservationProbe`): the probe's hot
+    path moves the registry clock and runs the live contract checks,
+    and its fold -- run before every read, and by
+    :meth:`MetricsRegistry.finish` before the cut -- hands each
+    interface's columns (times, durations, sizes and, for receives,
+    latencies) to :meth:`fold_sends` / :meth:`fold_receives` in one
+    call.  Those cut the column into its window runs and give each
+    instrument one batch per run, all in one call per instrument
+    (:meth:`Log2Histogram.observe_windows`,
+    :meth:`WindowedCounter.inc_windows`).  Contract checks stay per
+    operation: violations are *live* by design.
     """
 
     __slots__ = (
@@ -532,31 +605,47 @@ class ComponentTelemetry:
         return entry
 
     # -- middleware stream (folded probe records) ----------------------------
+    #
+    # One call per interface column that a probe fold takes: ``ts`` is
+    # each operation's time on the registry clock, ``sizes`` -1 for a
+    # control message and ``latencies`` -1 when unknown.  Latency is a
+    # *data* metric: control messages (e.g. end-of-stream markers) queue
+    # behind the whole stream and would dominate the tail with
+    # meaningless outliers.
 
-    def fold_sends(self, iface: str, t_ns: int, durations: List[int], sizes: List[int]) -> None:
-        """Fold one interface's sends in the window of ``t_ns``: every
-        operation's duration, and the sizes of the data messages among
-        them."""
+    def fold_sends(self, iface: str, ts: List[int], durations: List[int],
+                   sizes: List[int]) -> None:
+        """Fold one interface's sends: every operation's duration, and
+        the count and bytes of its data messages, each window run of
+        the column in the window of its own time."""
         entry = self._send_cache.get(iface)
         if entry is None:
             entry = self._make_send(iface)
-        entry[0].observe_many(durations, t_ns)
-        if sizes:
-            entry[1].inc(len(sizes), t_ns)
-            entry[2].inc(sum(sizes), t_ns)
+        runs = _window_runs(ts, self.registry.window_ns)
+        entry[0].observe_windows([(window, durations[start:end]) for start, end, window in runs])
+        _fold_data(entry, runs, sizes)
 
-    def fold_receives(self, iface: str, t_ns: int, durations: List[int], sizes: List[int],
-                      latencies: List[int]) -> None:
+    def fold_receives(self, iface: str, ts: List[int], durations: List[int],
+                      sizes: List[int], latencies: List[int]) -> None:
         """Fold one interface's receives (see :meth:`fold_sends`) and the
-        delivery latencies of its data messages."""
+        known delivery latencies of its data messages."""
         entry = self._recv_cache.get(iface)
         if entry is None:
             entry = self._make_recv(iface)
-        entry[0].observe_many(durations, t_ns)
-        if sizes:
-            entry[1].inc(len(sizes), t_ns)
-            entry[2].inc(sum(sizes), t_ns)
-        entry[3].observe_many(latencies, t_ns)
+        runs = _window_runs(ts, self.registry.window_ns)
+        entry[0].observe_windows([(window, durations[start:end]) for start, end, window in runs])
+        _fold_data(entry, runs, sizes)
+        batches = []
+        for start, end, window in runs:
+            run_sizes = sizes[start:end]
+            run_latencies = latencies[start:end]
+            if -1 in run_sizes or -1 in run_latencies:
+                run_latencies = [
+                    latency for size, latency in zip(run_sizes, run_latencies)
+                    if size >= 0 and latency >= 0
+                ]
+            batches.append((window, run_latencies))
+        entry[3].observe_windows(batches)
 
     # -- robustness stream (supervisor / recovery / injector hooks) -----------
     #
@@ -671,6 +760,9 @@ def enable_telemetry(runtime) -> MetricsRegistry:
     registry = MetricsRegistry(window_ns=DEFAULT_WINDOW_NS)
     for cont in runtime.containers.values():
         probe = cont.probe
+        # Records made before the plane attaches carry no registry time:
+        # they feed the timers only.
+        probe._fold()
         probe.telemetry = ComponentTelemetry(registry, cont.component.name)
         probe.telemetry.checker = _attach_checker(cont, registry)
         registry._probes.append(probe)

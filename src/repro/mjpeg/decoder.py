@@ -25,7 +25,6 @@ from repro.mjpeg.huffman import (
     NO_CODE,
     STD_AC_LUMA,
     STD_DC_LUMA,
-    ZRL,
     decode_magnitude,
 )
 from repro.mjpeg.quant import dequantize, quant_table
@@ -216,9 +215,9 @@ def decode_plane_reference(
 ) -> np.ndarray:
     """The pre-LUT decode path: per-symbol F.16 MINCODE/MAXCODE walk.
 
-    Kept as the bit-exactness oracle for :func:`decode_plane` and as the
-    reference of the entropy-decode gate in
-    ``benchmarks/test_perf_gates.py``.
+    Kept as the bit-exactness oracle for :func:`decode_plane`, errors
+    and reader position included, and as the reference of the
+    entropy-decode gate in ``benchmarks/test_perf_gates.py``.
     """
     out = np.zeros((n_blocks, 64), dtype=np.int32)
     prev_dc = 0
@@ -234,29 +233,37 @@ def _decode_block(
     dc_table=STD_DC_LUMA,
     ac_table=STD_AC_LUMA,
 ) -> int:
+    """One block by the F.16 walk.  On an error the reader stops where
+    :func:`decode_plane` stops: in front of the symbol that ran past the
+    data or matched no code, and after a symbol whose run overflows the
+    block."""
+    symbol_at = reader.bits_read
+    table = "DC"
     try:
         category = dc_table.decode_walk(reader)
         diff = decode_magnitude(reader, category)
         dc = prev_dc + diff
         zz[0] = dc
+        table = "AC"
         k = 1
         while k < 64:
+            symbol_at = reader.bits_read
             symbol = ac_table.decode_walk(reader)
             if symbol == EOB:
                 break
-            if symbol == ZRL:
-                k += 16
-                continue
-            run = symbol >> 4
-            size = symbol & 0x0F
-            k += run
+            value = decode_magnitude(reader, symbol & 0x0F)
+            k += symbol >> 4  # ZRL is a run of 15 and a zero
             if k >= 64:
                 raise DecodeError(f"AC run overflows block (k={k})")
-            zz[k] = decode_magnitude(reader, size)
+            zz[k] = value
             k += 1
         return dc
     except EOFError as eof:
+        reader._seek_bit(symbol_at)
         raise DecodeError("entropy segment truncated") from eof
+    except ValueError:  # decode_walk found no code in 16 bits
+        reader._seek_bit(symbol_at)
+        raise DecodeError(f"invalid {table} Huffman code") from None
 
 
 def decode_frame_coefficients(

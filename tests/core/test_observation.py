@@ -78,10 +78,10 @@ def test_deferred_samples_fold_identically():
     for i in range(100):
         probe.record_send("out" if i % 3 else "aux", msg, 100 + i)
         probe.record_receive("in", stamped, 200 + i, now_us=10 + i)
-    # Records sit unfolded in the buffer until a timer is read.
-    assert len(probe._records) == 200
+    # Records sit unfolded in the columns until a timer is read.
+    assert sum(len(columns[3]) for columns in probe._columns.values()) == 200
     report = probe.report(MIDDLEWARE_LEVEL)
-    assert not probe._records
+    assert not any(any(columns) for columns in probe._columns.values())
     assert report["send"]["count"] == 100
     assert report["send"]["total_ns"] == sum(100 + i for i in range(100))
     assert report["receive"]["count"] == 100

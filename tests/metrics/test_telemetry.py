@@ -14,6 +14,7 @@ Three families of guarantees pinned here:
   (seeds 1 / 7 / 42), the ``metrics sha256`` CI oracle in test form.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,7 @@ from repro.metrics.telemetry import (
     Log2Histogram,
     MetricsRegistry,
     N_BUCKETS,
+    QUANTILES,
     bucket_bounds,
     bucket_of,
     enable_telemetry,
@@ -113,6 +115,34 @@ def test_percentile_is_monotone_in_q():
         h.observe(v)
     qs = [h.percentile(q) for q in (0.1, 0.5, 0.9, 0.99, 0.999)]
     assert qs == sorted(qs)
+
+
+def test_quantiles_match_each_percentile_alone():
+    # quantiles() finds all four in one bucket walk.
+    rng = random.Random(4)
+    for _ in range(200):
+        h = Log2Histogram()
+        h.observe_many([rng.randrange(1 << rng.randrange(1, 40)) for _ in range(rng.randrange(1, 60))])
+        assert h.quantiles() == {key: h.percentile(q) for q, key in QUANTILES}
+
+
+def test_window_batches_match_one_write_per_window():
+    # observe_windows / inc_windows (the probe fold's per-column calls)
+    # leave what one observe_many / inc per batch leaves, clamps and
+    # empty batches included.
+    batches = [(0, [5, 9, 0]), (3, [-2, 1 << 70, 7]), (0, [12]), (4, [])]
+    amounts = [(0, 2), (3, 0), (0, 5)]
+    whole, split = MetricsRegistry(window_ns=1_000), MetricsRegistry(window_ns=1_000)
+    whole.histogram("h").observe_windows(batches)
+    whole.counter("n").inc_windows(amounts)
+    for window, values in batches:
+        split.histogram("h").observe_many(values, t_ns=window * 1_000)
+    for window, n in amounts:
+        split.counter("n").inc(n, t_ns=window * 1_000)
+    for reg in (whole, split):
+        reg.finish(5_000)
+    assert whole.snapshot() == split.snapshot()
+    assert [w.index for w in whole.windows] == [0, 3]
 
 
 # -- merge -------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The chain decode against the per-symbol loop it replaced.
 
 ``decode_plane`` must agree with ``decode_plane_loop``
-(``tests/mjpeg/reference_decode_loop.py``) on every input: the
-coefficient bytes, the ``DecodeError`` text, the type of its
-``__cause__`` and ``reader.bits_read`` afterwards.  Every decode runs
-under a deadline, so a chase that never ends fails its case instead of
-hanging the suite.
+(``tests/mjpeg/reference_decode_loop.py``) and with the per-bit F.16
+walk ``decode_plane_reference`` on every input: the coefficient bytes,
+the ``DecodeError`` text, the type of its ``__cause__`` and
+``reader.bits_read`` afterwards.  Every decode runs under a deadline,
+so a chase that never ends fails its case instead of hanging the suite.
 """
 
 import random
@@ -18,7 +18,7 @@ import pytest
 import repro.mjpeg.decoder as decoder
 from repro.mjpeg import generate_stream
 from repro.mjpeg.bitio import BitReader, BitWriter
-from repro.mjpeg.decoder import DecodeError, decode_plane
+from repro.mjpeg.decoder import DecodeError, decode_plane, decode_plane_reference
 from repro.mjpeg.encoder import encode_plane
 from repro.mjpeg.huffman import STD_AC_CHROMA, STD_AC_LUMA, STD_DC_CHROMA, STD_DC_LUMA
 
@@ -62,7 +62,8 @@ def outcome(decode, payload, n_blocks, skip, tables):
 def assert_same(payload, n_blocks, skip=0, tables=LUMA):
     chain = outcome(decode_plane, payload, n_blocks, skip, tables)
     loop = outcome(decode_plane_loop, payload, n_blocks, skip, tables)
-    assert chain == loop, (payload.hex(), n_blocks, skip, tables[0].name)
+    walk = outcome(decode_plane_reference, payload, n_blocks, skip, tables)
+    assert chain == loop == walk, (payload.hex(), n_blocks, skip, tables[0].name)
     return chain
 
 
@@ -189,12 +190,14 @@ def test_zero_blocks(skip):
 def test_a_symbol_that_fills_its_block_and_runs_past_the_data():
     # The last symbol (run 1, size 6 at bit 345) would place coefficient
     # 63 and fill its block, but its magnitude runs past the data: it
-    # completes nothing, and the reader stops in front of it.
+    # completes nothing, and the reader stops in front of it -- in the
+    # F.16 walk too, which reads the magnitude bit by bit.
     payload = bytes.fromhex(
         "ffb0dffb586ffc5a2ffe880ffe431fff1c0bff243ffc574bfe3cbdff2cac7fe44abff17927fd3469ff4cb77fad"
     )
     result = assert_same(payload, 11, 0, CHROMA)
     assert result == ("error", "entropy segment truncated", EOFError, 345)
+    assert outcome(decode_plane_reference, payload, 11, 0, CHROMA)[3] == 345
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
