@@ -34,8 +34,8 @@ Commands
     per-component send/receive/latency/busy/restart table plus the
     windowed message-rate and latency chart; ``--watch`` replays the
     telemetry windows as redrawn terminal frames.
-``faults [--seed S] [--images N] [--drop-rate P] [--crashes K] [--recover]
-[--durable DIR] [--kill9 K] [--metrics OUT]``
+``faults [--seed S] [--images N] [--recover] [--durable DIR] [--kill9 K]
+[--metrics OUT]``
     Run a seeded chaos campaign over the MJPEG SMP demo (crashes,
     drops, duplicates under supervision) and print the recovery
     report; exits 1 unless every surviving frame is bit-exact (see
@@ -267,16 +267,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print("--kill9 requires --recover --durable DIR (it kills a real process)",
               file=sys.stderr)
         return 2
-    from repro.faults import build_campaign_plan, run_chaos_campaign
+    from repro.faults import run_chaos_campaign
 
-    result = run_chaos_campaign(
-        seed=args.seed,
-        n_images=args.images,
-        recover=args.recover,
-        plan=build_campaign_plan(
-            args.seed, args.images, drop_rate=args.drop_rate, crashes=args.crashes
-        ),
-    )
+    result = run_chaos_campaign(seed=args.seed, n_images=args.images, recover=args.recover)
     print(json.dumps(result.summary(), indent=2))
     for event in result.supervision:
         print(
@@ -336,8 +329,6 @@ def _cmd_faults_durable(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_images=args.images,
         durable_dir=args.durable,
-        drop_rate=args.drop_rate,
-        crashes=args.crashes,
         kill9s=1 if args.kill9 is None else args.kill9,
     )
     print(json.dumps(result.summary(), indent=2))
@@ -728,10 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument("--seed", type=int, default=0, help="campaign seed")
     faults.add_argument("--images", type=int, default=10, help="stream length")
-    faults.add_argument(
-        "--drop-rate", type=float, default=0.05, help="message-drop probability"
-    )
-    faults.add_argument("--crashes", type=int, default=3, help="scheduled crash count")
     faults.add_argument(
         "--recover",
         action="store_true",

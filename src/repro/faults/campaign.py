@@ -254,7 +254,6 @@ def build_campaign_plan(
     drop_rate: float = 0.05,
     crashes: int = 3,
     duplicate_rate: float = 0.05,
-    kill9s: int = 0,
 ) -> FaultPlan:
     """Derive the deterministic fault plan for one campaign seed.
 
@@ -263,13 +262,6 @@ def build_campaign_plan(
     idctReorder`` connection (one lossy link, so most frames survive);
     duplicates hit ``IDCT_1 -> idctReorder`` (the reassembly stage must
     dedupe them).
-
-    ``kill9s`` adds process-level SIGKILL faults (round-robin over the
-    IDCT workers, triggered after distinct durable-frame counts drawn
-    from the separate ``campaign.kill9`` stream, so existing seeds keep
-    their exact in-process schedules).  These cannot be injected by
-    :class:`~repro.faults.injector.FaultInjector` -- the kill-9
-    supervisor of :mod:`repro.recovery.supervised` executes them.
     """
     if n_images < 3:
         raise ValueError(f"campaign needs at least 3 images, got {n_images}")
@@ -285,18 +277,13 @@ def build_campaign_plan(
         plan.drop("IDCT_2", "idctReorder", probability=drop_rate)
     if duplicate_rate > 0:
         plan.duplicate("IDCT_1", "idctReorder", probability=duplicate_rate)
-    if kill9s:
-        if kill9s >= n_images - 1:
-            raise ValueError(
-                f"at most {n_images - 2} kill9 faults fit a {n_images}-image stream"
-            )
-        kill_rng = RngRegistry(seed).stream("campaign.kill9")
-        thresholds: set = set()
-        while len(thresholds) < kill9s:
-            thresholds.add(int(kill_rng.integers(1, n_images - 1)))
-        for k, after in enumerate(sorted(thresholds)):
-            plan.kill9(_IDCTS[k % len(_IDCTS)], after_frames=after)
     return plan
+
+
+def campaign_stream(seed: int, n_images: int):
+    """The synthetic MJPEG stream every campaign decodes: ``n_images``
+    96x96 images at quality 75, generated from ``seed``."""
+    return generate_stream(n_images, 96, 96, quality=75, seed=seed)
 
 
 def reference_oracle(stream) -> Tuple[Dict[int, str], str]:
@@ -379,7 +366,7 @@ def run_chaos_campaign(
         shards=shards, trace=True, telemetry=True, faults=plan, policy=profile.name,
         seed=seed,
     )
-    stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
+    stream = campaign_stream(seed, n_images)
     if reference_hashes is None:
         reference_hashes, reference_digest = reference_oracle(stream)
     elif not reference_digest:

@@ -10,8 +10,13 @@ Policies are named from the one table the engine owns
 engine's own :meth:`~repro.faults.campaign.CampaignResult.record`.
 
 The orchestrator fans hundreds of cells out across a pool of worker
-processes, reaping crashed or hung workers, retrying failed cells with
-backoff, and quarantining cells that keep failing.  Every artifact on
+processes through :func:`supervise`, which reaps crashed or hung
+workers and retries failed cells with backoff; cells that keep failing
+are quarantined.  :func:`supervise` is the repository's one supervisor
+of campaign children: the kill-9 campaign
+(:func:`repro.recovery.supervised.run_durable_campaign`) hands it its
+component process, with no backoff and a hook that SIGKILLs the child
+at scheduled frame counts.  Every artifact on
 disk is an atomic, checksummed JSON document
 (:func:`repro.recovery.durable.write_checksummed_json` -- the same
 crash-consistency machinery the exactly-once recovery store uses), so
@@ -63,13 +68,13 @@ from repro.faults.campaign import (
     DEADLINE_US,
     POLICIES,
     build_campaign_plan,
+    campaign_stream,
     draw_receive_counts,
     reference_oracle,
     run_chaos_campaign,
 )
 from repro.faults.plan import CRASH, DROP, OVERFLOW, FaultPlan
 from repro.mjpeg.components import BATCHES_PER_IMAGE
-from repro.mjpeg.stream import generate_stream
 from repro.recovery.durable import (
     DurableError,
     atomic_write_bytes,
@@ -84,8 +89,9 @@ CELLS_DIR = "cells"
 REFCACHE_DIR = "refcache"
 #: Backoff before a failed cell's first retry; it doubles per attempt.
 RETRY_BACKOFF_S = 0.25
-#: How often the orchestrator polls its workers.
-POLL_S = 0.02
+#: How often :func:`supervise` polls its children (fine enough for the
+#: kill-9 campaign to SIGKILL its child between two frames).
+POLL_S = 0.005
 
 #: Fault classes a cell can draw from the grid.  Each is a deterministic
 #: plan template parameterized by (seed, intensity); ``mixed`` is the
@@ -280,8 +286,7 @@ def reference_path(root: str, seed: int) -> str:
 def build_reference_entry(seed: int, n_images: int) -> Dict[str, Any]:
     """Run the fault-free reference once and distil it into the cacheable
     oracle: per-frame sha256 hashes plus the order-independent set digest."""
-    stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
-    hashes, digest = reference_oracle(stream)
+    hashes, digest = reference_oracle(campaign_stream(seed, n_images))
     return {
         "seed": seed,
         "n_images": n_images,
@@ -393,6 +398,81 @@ def _cell_worker(root: str, cell_dict: Dict[str, Any], settings: Dict[str, Any])
 
 
 # --------------------------------------------------------------------------
+# Child-process supervisor
+# --------------------------------------------------------------------------
+
+
+def supervise(
+    jobs: List[Tuple[Any, tuple]],
+    target: Callable[..., None],
+    settle: Callable[[Any, Optional[int], int], bool],
+    *,
+    max_workers: int,
+    timeout_s: float,
+    max_attempts: int,
+    backoff_s: float,
+    poll: Optional[Callable[[List[Any]], None]],
+) -> None:
+    """Run ``target(*args)`` once per ``(key, args)`` job, each in a
+    forked child, at most ``max_workers`` at a time: the one supervisor
+    of campaign children (fleet cells and the kill-9 campaign's
+    component process).
+
+    A child that exits is reaped; one still alive ``timeout_s`` after
+    its start is terminated, then killed, then joined, and settled with
+    exit code ``None``.  ``settle(key, exitcode, attempts)`` judges each
+    ended attempt: True when the job is complete (its result is on
+    disk); False queues it again after ``backoff_s * 2 ** (attempts -
+    1)`` seconds unless ``attempts`` reached ``max_attempts``.
+    ``settle`` may raise to end the run.  ``poll``, when given, is
+    called with the live children once per poll.  No child outlives a
+    return or a raise.
+    """
+
+    def reap(proc) -> None:
+        proc.terminate()
+        proc.join(timeout=1.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+
+    # Fork: targets may be closures, and SIGKILL is POSIX-only anyway.
+    ctx = multiprocessing.get_context("fork")
+    # (key, args, attempts so far, not-before)
+    pending = deque((key, args, 0, 0.0) for key, args in jobs)
+    running: Dict[Any, tuple] = {}  # key -> (proc, args, attempts, deadline)
+    try:
+        while pending or running:
+            now = time.monotonic()
+            # Retries queue at the back; a head-of-line wait is fine.
+            while pending and len(running) < max_workers and pending[0][3] <= now:
+                key, args, attempts, _ = pending.popleft()
+                proc = ctx.Process(target=target, args=args)
+                proc.start()
+                running[key] = (proc, args, attempts + 1, now + timeout_s)
+            for key, (proc, args, attempts, deadline) in list(running.items()):
+                if proc.is_alive():
+                    if time.monotonic() <= deadline:
+                        continue
+                    reap(proc)  # hung child
+                    exitcode = None
+                else:
+                    proc.join()
+                    exitcode = proc.exitcode
+                del running[key]
+                if not settle(key, exitcode, attempts) and attempts < max_attempts:
+                    not_before = time.monotonic() + backoff_s * 2 ** (attempts - 1)
+                    pending.append((key, args, attempts, not_before))
+            if poll is not None and running:
+                poll([proc for proc, *_ in running.values()])
+            if pending or running:
+                time.sleep(POLL_S)
+    finally:
+        for proc, *_ in running.values():
+            reap(proc)
+
+
+# --------------------------------------------------------------------------
 # Orchestrator (parent side)
 # --------------------------------------------------------------------------
 
@@ -467,14 +547,6 @@ def _load_cell_result(
     ):
         return None
     return body
-
-
-def _kill_worker(proc) -> None:
-    proc.terminate()
-    proc.join(timeout=1.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
 
 
 def write_manifest(root: str, config: CampaignConfig) -> str:
@@ -606,101 +678,72 @@ def run_fleet_campaign(
     result.references_built = ensure_reference_cache(root, grid, progress)
 
     results: Dict[str, Dict[str, Any]] = {}
-    pending: deque = deque()
+    pending: List[CellSpec] = []
     for cell in grid:
         body = _load_cell_result(root, cell, digest)
         if body is not None:
             results[cell.cell_id] = body
             result.reused += 1
         else:
-            pending.append((cell, 0, 0.0))  # (cell, attempts so far, not-before)
+            pending.append(cell)
     if progress:
         progress(
             f"campaign: {len(grid)} cells, {result.reused} already done, "
             f"{len(pending)} to run"
         )
 
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-forking platforms
-        ctx = multiprocessing.get_context()
-    if worker is None:
-        worker = _cell_worker
     if max_workers is None:
         max_workers = max(1, min(8, os.cpu_count() or 2))
     settings = {"config_digest": digest, "deadline_us": config.deadline_us}
+    quarantined: List[str] = []
 
-    running: Dict[str, tuple] = {}  # cell_id -> (proc, cell, attempts, deadline)
-    quarantined: Dict[str, CellSpec] = {}
-    while pending or running:
-        now = time.monotonic()
-        while pending and len(running) < max_workers:
-            cell, attempts, not_before = pending[0]
-            if not_before > now:
-                break  # backoffs are uniform; head-of-line wait is fine
-            pending.popleft()
-            proc = ctx.Process(
-                target=worker, args=(root, cell.describe(), settings)
+    def settle(cell: CellSpec, exitcode: Optional[int], attempts: int) -> bool:
+        body = _load_cell_result(root, cell, digest)
+        if body is not None:
+            results[cell.cell_id] = body
+            result.executed += 1
+            qpath = quarantine_path(root, cell.cell_id)
+            if os.path.exists(qpath):
+                os.unlink(qpath)  # the cell recovered on a later pass
+            if progress:
+                state = "ok" if body["result"]["ok"] else "FAIL"
+                progress(f"cell {len(results)}/{len(grid)} {cell.cell_id}: {state}")
+            return True
+        # No valid result: the attempt failed (crash, hang, torn write).
+        if exitcode is None:
+            reason = f"timed out after {cell_timeout_s:g}s"
+        else:
+            reason = f"worker exited with code {exitcode}"
+        result.failed_attempts += 1
+        if attempts >= max_cell_attempts:
+            quarantined.append(cell.cell_id)
+            write_checksummed_json(
+                quarantine_path(root, cell.cell_id),
+                {"cell": cell.describe(), "attempts": attempts, "last_error": reason},
+                dir_sync=False,
             )
-            proc.start()
-            running[cell.cell_id] = (proc, cell, attempts, now + cell_timeout_s)
-
-        finished: List[tuple] = []
-        for cell_id, (proc, cell, attempts, deadline) in list(running.items()):
-            if proc.is_alive():
-                if time.monotonic() <= deadline:
-                    continue
-                _kill_worker(proc)  # hung worker: reap it
-                reason = f"timed out after {cell_timeout_s:g}s"
-            else:
-                proc.join()
-                reason = f"worker exited with code {proc.exitcode}"
-            del running[cell_id]
-            finished.append((cell, attempts, reason))
-
-        for cell, attempts, reason in finished:
-            body = _load_cell_result(root, cell, digest)
-            if body is not None:
-                results[cell.cell_id] = body
-                result.executed += 1
-                qpath = quarantine_path(root, cell.cell_id)
-                if os.path.exists(qpath):
-                    os.unlink(qpath)  # the cell recovered on a later pass
-                if progress:
-                    state = "ok" if body["result"]["ok"] else "FAIL"
-                    progress(
-                        f"cell {len(results)}/{len(grid)} {cell.cell_id}: {state}"
-                    )
-                continue
-            # No valid result: the attempt failed (crash, hang, torn write).
-            attempts += 1
-            result.failed_attempts += 1
-            if attempts >= max_cell_attempts:
-                quarantined[cell.cell_id] = cell
-                write_checksummed_json(
-                    quarantine_path(root, cell.cell_id),
-                    {
-                        "cell": cell.describe(),
-                        "attempts": attempts,
-                        "last_error": reason,
-                    },
-                    dir_sync=False,
+            if progress:
+                progress(
+                    f"cell {cell.cell_id}: QUARANTINED after "
+                    f"{attempts} attempts ({reason})"
                 )
-                if progress:
-                    progress(
-                        f"cell {cell.cell_id}: QUARANTINED after "
-                        f"{attempts} attempts ({reason})"
-                    )
-            else:
-                backoff = RETRY_BACKOFF_S * (2 ** (attempts - 1))
-                pending.append((cell, attempts, time.monotonic() + backoff))
-                if progress:
-                    progress(
-                        f"cell {cell.cell_id}: attempt {attempts} failed "
-                        f"({reason}); retrying in {backoff:g}s"
-                    )
-        if pending or running:
-            time.sleep(POLL_S)
+        elif progress:
+            progress(
+                f"cell {cell.cell_id}: attempt {attempts} failed ({reason}); "
+                f"retrying after backoff"
+            )
+        return False
+
+    supervise(
+        [(cell, (root, cell.describe(), settings)) for cell in pending],
+        _cell_worker if worker is None else worker,
+        settle,
+        max_workers=max_workers,
+        timeout_s=cell_timeout_s,
+        max_attempts=max_cell_attempts,
+        backoff_s=RETRY_BACKOFF_S,
+        poll=None,
+    )
 
     result.quarantined = sorted(quarantined)
     aggregate = build_aggregate(config, grid, results, result.quarantined)

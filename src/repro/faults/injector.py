@@ -38,10 +38,8 @@ from repro.faults.plan import (
     DROP,
     DUPLICATE,
     FaultPlan,
-    FaultPlanError,
     FaultSpec,
     OVERFLOW,
-    PROCESS_KINDS,
     STALL,
     TRANSFER_KINDS,
 )
@@ -105,14 +103,6 @@ class FaultInjector:
         self.installed = False
         plan.validate()  # cross-spec conflicts fail here, not mid-campaign
         for spec in plan.specs:
-            if spec.kind in PROCESS_KINDS:
-                # kill9 targets the hosting OS process, which no in-process
-                # hook can survive to execute; the kill-9 supervisor runs
-                # those (split them out with plan.split_process_faults).
-                raise FaultPlanError(
-                    f"{spec.kind} is a process-level fault; FaultInjector cannot "
-                    f"inject it -- split it out with split_process_faults()"
-                )
             if spec.kind in TRANSFER_KINDS:
                 # Pair each spec with its rng stream up front: streams are
                 # memoized by name in the registry, so this draws the same

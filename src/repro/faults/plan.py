@@ -32,15 +32,10 @@ Fault taxonomy (``kind``):
     The receiving mailbox behaves as if bounded to ``capacity``
     entries: sends that find it full are refused and the message is
     lost (counted as an overflow fault).
-``kill9``
-    **Process-level**: SIGKILL the real OS process hosting the target
-    component once ``after_frames`` decoded frames are durable on disk.
-    Unlike every other kind this is not injectable in-process -- the
-    victim gets no exception, no cleanup, no supervisor flow; only the
-    durable store survives.  Executed by the kill-9 supervisor of
-    :mod:`repro.recovery.supervised`; :class:`~repro.faults.injector.FaultInjector`
-    rejects plans that still contain one (split them out first with
-    :func:`split_process_faults`).
+
+Killing the OS process that hosts the components is not a plan kind: the
+kill-9 campaign (:mod:`repro.recovery.supervised`) draws its own SIGKILL
+thresholds and executes them from the parent process.
 """
 
 from __future__ import annotations
@@ -55,14 +50,11 @@ DELAY = "delay"
 CORRUPT = "corrupt"
 STALL = "stall"
 OVERFLOW = "overflow"
-KILL9 = "kill9"
 
-KINDS = (CRASH, DROP, DUPLICATE, DELAY, CORRUPT, STALL, OVERFLOW, KILL9)
+KINDS = (CRASH, DROP, DUPLICATE, DELAY, CORRUPT, STALL, OVERFLOW)
 
 #: Kinds interposed on the sender's transfer path.
 TRANSFER_KINDS = (DROP, DUPLICATE, DELAY, CORRUPT, OVERFLOW)
-#: Kinds executed against the hosting OS process, outside the runtime.
-PROCESS_KINDS = (KILL9,)
 
 
 class FaultPlanError(ValueError):
@@ -81,7 +73,6 @@ class FaultSpec:
     probability: float = 1.0
     delay_ns: int = 0
     capacity: int = 0
-    after_frames: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -106,11 +97,6 @@ class FaultSpec:
                 f"{self.kind} fault on {self.component!r}: negative capacity "
                 f"{self.capacity}"
             )
-        if self.after_frames < 0:
-            raise FaultPlanError(
-                f"{self.kind} fault on {self.component!r}: negative after_frames "
-                f"{self.after_frames}"
-            )
         if self.kind == CRASH:
             if (self.at_ns is None) == (self.on_receive is None):
                 raise FaultPlanError("crash needs exactly one of at_ns= or on_receive=")
@@ -126,8 +112,6 @@ class FaultSpec:
             raise FaultPlanError("stall needs on_receive >= 1")
         if self.kind == OVERFLOW and self.capacity < 1:
             raise FaultPlanError(f"overflow needs capacity >= 1, got {self.capacity}")
-        if self.kind == KILL9 and self.after_frames < 1:
-            raise FaultPlanError(f"kill9 needs after_frames >= 1, got {self.after_frames}")
 
     def describe(self) -> Dict[str, Any]:
         """A JSON-friendly summary of this spec (campaign manifests)."""
@@ -144,8 +128,6 @@ class FaultSpec:
             out["delay_ns"] = self.delay_ns
         if self.capacity:
             out["capacity"] = self.capacity
-        if self.after_frames:
-            out["after_frames"] = self.after_frames
         return out
 
 
@@ -160,7 +142,7 @@ class FaultPlan:
     """
 
     seed: int = 0
-    specs: List[FaultSpec] = field(default_factory=list)
+    specs: List[FaultSpec] = field(default_factory=list, init=False)
 
     def add(self, spec: FaultSpec) -> "FaultPlan":
         """Append a prebuilt spec (fluent)."""
@@ -201,15 +183,6 @@ class FaultPlan:
         """Bound the mailbox behind this connection; overflowing sends are lost."""
         return self.add(FaultSpec(OVERFLOW, component, interface, capacity=capacity))
 
-    def kill9(self, component: str, after_frames: int) -> "FaultPlan":
-        """SIGKILL the OS process hosting ``component`` once ``after_frames``
-        decoded frames are durable on disk (process-level; see module doc)."""
-        return self.add(FaultSpec(KILL9, component, after_frames=after_frames))
-
-    def process_faults(self) -> List[FaultSpec]:
-        """The process-level specs (executed outside the runtime)."""
-        return [s for s in self.specs if s.kind in PROCESS_KINDS]
-
     def validate(self) -> "FaultPlan":
         """Cross-spec validation, run eagerly (fleet campaigns call this at
         grid-build time so an ill-formed plan fails before any cell runs).
@@ -222,13 +195,10 @@ class FaultPlan:
           triggering at the same receive index would stack into one opaque
           freeze; split them across distinct receives instead;
         * **duplicate crash triggers** -- two crashes on the same component
-          at the same instant / receive: the second can never fire;
-        * **duplicate kill9 thresholds** -- two SIGKILLs of the same
-          component at the same durable-frame count.
+          at the same instant / receive: the second can never fire.
         """
         stalls: set = set()
         crashes: set = set()
-        kills: set = set()
         for spec in self.specs:
             if spec.kind == STALL:
                 key = (spec.component, spec.on_receive)
@@ -253,14 +223,6 @@ class FaultPlan:
                         f"second crash would fire"
                     )
                 crashes.add(key)
-            elif spec.kind == KILL9:
-                key = (spec.component, spec.after_frames)
-                if key in kills:
-                    raise FaultPlanError(
-                        f"duplicate kill9 threshold on {spec.component!r} "
-                        f"(after_frames={spec.after_frames})"
-                    )
-                kills.add(key)
         return self
 
     def describe(self) -> List[Dict[str, Any]]:
@@ -270,10 +232,3 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
-
-def split_process_faults(plan: FaultPlan) -> "tuple[FaultPlan, List[FaultSpec]]":
-    """Split ``plan`` into an in-process plan (safe to hand to
-    :class:`~repro.faults.injector.FaultInjector`) and the process-level
-    specs the supervising parent executes itself."""
-    inproc = FaultPlan(plan.seed, [s for s in plan.specs if s.kind not in PROCESS_KINDS])
-    return inproc, plan.process_faults()

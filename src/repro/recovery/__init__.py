@@ -25,8 +25,9 @@ A fourth layer (PR 7) makes the first three survive real process death:
 an append-only :class:`~repro.recovery.wal.WriteAheadLog` plus on-disk
 checkpoint spills, and ``RecoveryManager(durable=...)`` cold-restores
 the consistent cut in a fresh process -- the basis of the supervised
-``kill -9`` campaign in :mod:`repro.recovery.supervised`, which forks
-:func:`repro.recovery.worker.run_worker` and SIGKILLs it.
+``kill -9`` campaign in :mod:`repro.recovery.supervised`, which hands
+:func:`repro.recovery.supervised.run_worker` to the fleet's process
+supervisor (:func:`repro.faults.fleet.supervise`) and SIGKILLs it.
 """
 
 from repro.recovery.durable import DurableError, DurableStore, FrameStore

@@ -1,15 +1,16 @@
-"""The kill-9 supervisor: SIGKILL a live component process, restore it
+"""The kill-9 campaign: SIGKILL a live component process, restore it
 from disk, prove nothing was lost.
 
 :func:`run_durable_campaign` is the process-level counterpart of
 :func:`repro.faults.campaign.run_chaos_campaign`: the same seeded chaos
 campaign (in-process crashes, drops, duplicates) runs in a **child OS
-process** forked from this one (:func:`repro.recovery.worker.run_worker`,
-hosted the way fleet cells are) whose recovery state lives in a
-:class:`~repro.recovery.durable.DurableStore`, and this parent executes
-the plan's ``kill9`` faults against the real pid -- SIGKILL, no warning,
-no cleanup -- once the scheduled number of decoded frames is durable on
-disk.  Each respawn cold-restores from the WAL + checkpoints.  The
+process** (:func:`run_worker`) whose recovery state lives in a
+:class:`~repro.recovery.durable.DurableStore`.  The child is supervised
+by :func:`repro.faults.fleet.supervise`, the supervisor of fleet cells,
+with no backoff between incarnations and one hook of this module: once
+the next of :func:`draw_kill_thresholds`' decoded-frame counts is
+durable on disk, the parent SIGKILLs the real pid -- no warning, no
+cleanup.  Each respawn cold-restores from the WAL + checkpoints.  The
 child writes nothing of its own; a traceback goes to the inherited
 stderr.
 
@@ -29,7 +30,6 @@ instant nondeterministic; the digest is invariant either way.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import tempfile
@@ -37,16 +37,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.faults.campaign import build_campaign_plan, reference_oracle
-from repro.mjpeg.components import frames_digest
-from repro.mjpeg.stream import generate_stream
-from repro.recovery.durable import FrameStore, atomic_write_bytes
-from repro.recovery.worker import CONFIG_NAME, FRAMES_DIR, RESULT_NAME, run_worker
+from repro.faults.campaign import build_campaign_plan, campaign_stream, reference_oracle
+from repro.faults.fleet import supervise
+from repro.mjpeg.components import build_smp_assembly, frames_digest
+from repro.recovery.durable import DurableStore, FrameStore, atomic_write_bytes
+from repro.runtime.build import RunConfig, build_run
+from repro.sim.rng import RngRegistry
 
 #: Extra respawns tolerated beyond the scheduled kills (a child that
 #: dies on its own -- e.g. a deadline timeout racing teardown -- gets
 #: another chance to finish from its durable state).
 EXTRA_RESPAWNS = 3
+
+CONFIG_NAME = "CONFIG.json"
+RESULT_NAME = "RESULT.json"
+FRAMES_DIR = "frames"
 
 
 @dataclass
@@ -95,93 +100,152 @@ class DurableCampaignResult:
         }
 
 
-#: How often the parent polls the child and the frame store, in seconds.
-POLL_S = 0.005
+def draw_kill_thresholds(seed: int, n_images: int, kill9s: int) -> List[int]:
+    """The ``kill9s`` distinct durable-frame counts, ascending, at which
+    the parent SIGKILLs the child: drawn from the ``campaign.kill9``
+    stream of ``seed`` (disjoint from the in-process plan's streams),
+    each in ``[1, n_images - 1)`` so every kill lands before the last
+    of the stream's ``n_images - 1`` frames."""
+    if kill9s >= n_images - 1:
+        raise ValueError(
+            f"at most {n_images - 2} kill9 faults fit a {n_images}-image stream"
+        )
+    rng = RngRegistry(seed).stream("campaign.kill9")
+    thresholds: set = set()
+    while len(thresholds) < kill9s:
+        thresholds.add(int(rng.integers(1, n_images - 1)))
+    return sorted(thresholds)
+
+
+def run_worker(root: str) -> None:
+    """One incarnation of the durable campaign in directory ``root``:
+    the body of the child process.
+
+    It runs the MJPEG SMP assembly on the native runtime (real threads
+    -- the paper's "an EMBera application is a Linux user process")
+    with the seed's in-process fault plan, the ``recover`` supervision
+    profile and a :class:`~repro.recovery.RecoveryManager` layered over
+    the :class:`~repro.recovery.durable.DurableStore` in ``root``.
+    Completed frames go to a :class:`~repro.recovery.durable.FrameStore`
+    (``root/frames``), which is also the parent's progress signal and
+    the oracle's input.  The process expects to be SIGKILLed at any
+    instant: on (re)spawn it reads ``root/CONFIG.json``, rebuilds the
+    identical application and cold-restores whatever consistent cut the
+    previous incarnation committed.  A run that drains the stream
+    writes ``root/RESULT.json`` atomically -- its existence is the
+    completion signal.
+    """
+    with open(os.path.join(root, CONFIG_NAME)) as fh:
+        config = json.load(fh)
+    seed, n_images = config["seed"], config["n_images"]
+    frames = FrameStore(os.path.join(root, FRAMES_DIR))
+    app = build_smp_assembly(
+        campaign_stream(seed, n_images),
+        use_stored_coefficients=True,
+        keep_frames=False,
+        with_observer=False,
+        drop_incomplete=False,
+        frame_sink=frames.save,
+    )
+    runtime = build_run(
+        RunConfig(
+            "native",
+            faults=build_campaign_plan(seed, n_images),
+            policy="recover",
+            seed=seed,
+            durable=DurableStore(root, config=config),
+        ),
+        app,
+    )
+    runtime.run()
+    runtime.stop()
+
+    result = {
+        "pid": os.getpid(),
+        "frames_on_disk": frames.count(),
+        "injected": runtime.injector.counts(),
+        "supervised_restarts": len(runtime.supervisor.events),
+        "recovery": runtime.recovery.report(),
+    }
+    runtime.recovery.close()
+    atomic_write_bytes(
+        os.path.join(root, RESULT_NAME),
+        json.dumps(result, indent=2, sort_keys=True).encode(),
+    )
 
 
 def run_durable_campaign(
     seed: int = 0,
     n_images: int = 10,
     durable_dir: Optional[str] = None,
-    drop_rate: float = 0.05,
-    crashes: int = 3,
     kill9s: int = 1,
     timeout_s: float = 600.0,
 ) -> DurableCampaignResult:
     """Run one seeded chaos campaign in a forked child process,
-    SIGKILLing it at the plan's scheduled frame counts; see module doc.
+    SIGKILLing it at :func:`draw_kill_thresholds`' frame counts; see
+    the module doc.
+
+    The child gets ``kill9s + EXTRA_RESPAWNS + 1`` spawns; past that the
+    campaign raises :class:`RuntimeError`.  An incarnation alive after
+    ``timeout_s`` is reaped and the campaign raises
+    :class:`TimeoutError`.
     """
     if durable_dir is None:
         durable_dir = tempfile.mkdtemp(prefix=f"repro-durable-{seed}-")
     os.makedirs(durable_dir, exist_ok=True)
 
-    stream = generate_stream(n_images, 96, 96, quality=75, seed=seed)
-    reference_hashes, reference_digest = reference_oracle(stream)
-
-    config = {
-        "seed": seed,
-        "n_images": n_images,
-        "width": 96,
-        "height": 96,
-        "quality": 75,
-        "drop_rate": drop_rate,
-        "crashes": crashes,
-        "kill9s": kill9s,
-    }
+    reference_hashes, reference_digest = reference_oracle(campaign_stream(seed, n_images))
+    config = {"seed": seed, "n_images": n_images, "kill9s": kill9s}
     atomic_write_bytes(
         os.path.join(durable_dir, CONFIG_NAME),
         json.dumps(config, indent=2, sort_keys=True).encode(),
     )
-
-    plan = build_campaign_plan(
-        seed, n_images, drop_rate=drop_rate, crashes=crashes, kill9s=kill9s
-    )
-    pending_kills = sorted(
-        (spec.after_frames for spec in plan.process_faults()), reverse=True
-    )
+    plan = build_campaign_plan(seed, n_images)
+    pending_kills = draw_kill_thresholds(seed, n_images, kill9s)
 
     frames_store = FrameStore(os.path.join(durable_dir, FRAMES_DIR))
     result_path = os.path.join(durable_dir, RESULT_NAME)
-    # Forked like a fleet cell; SIGKILL makes this POSIX-only anyway.
-    ctx = multiprocessing.get_context("fork")
-
     t0 = time.monotonic()
-    deadline = t0 + timeout_s
-    respawn_budget = len(pending_kills) + EXTRA_RESPAWNS
-    proc = None
-    spawns = kills = 0
-    try:
-        while True:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"durable campaign (seed {seed}) exceeded {timeout_s}s"
-                )
-            if proc is None or not proc.is_alive():
-                if proc is not None:
-                    proc.join()
-                    if proc.exitcode == 0 and os.path.exists(result_path):
-                        break  # the stream is drained and the result is durable
-                if spawns > respawn_budget:
-                    raise RuntimeError(
-                        f"durable campaign (seed {seed}) worker died "
-                        f"{spawns} times without completing"
-                    )
-                proc = ctx.Process(target=run_worker, args=(durable_dir,))
-                proc.start()
-                spawns += 1
-            if pending_kills and frames_store.count() >= pending_kills[-1]:
-                proc.kill()
-                proc.join()
-                if proc.exitcode == -signal.SIGKILL:
-                    kills += 1
-                    pending_kills.pop()
-                # else: the child finished first; the loop reaps it above.
-            time.sleep(POLL_S)
-    finally:
-        if proc is not None:
-            if proc.is_alive():
-                proc.kill()
-            proc.join()
+    kills = spawns = 0
+    killing = done = False
+
+    def kill_at_threshold(procs) -> None:
+        nonlocal killing
+        if not killing and pending_kills and frames_store.count() >= pending_kills[0]:
+            procs[0].kill()
+            killing = True
+
+    def settle(_key, exitcode: Optional[int], attempts: int) -> bool:
+        nonlocal kills, spawns, killing, done
+        spawns = attempts
+        if exitcode is None:
+            raise TimeoutError(
+                f"durable campaign (seed {seed}) worker exceeded {timeout_s}s"
+            )
+        if killing and exitcode == -signal.SIGKILL:
+            kills += 1
+            pending_kills.pop(0)
+        killing = False
+        # Done once the stream is drained and the result is durable (a
+        # kill the child outran ends here too); any other exit respawns.
+        done = exitcode == 0 and os.path.exists(result_path)
+        return done
+
+    supervise(
+        [(durable_dir, (durable_dir,))],
+        run_worker,
+        settle,
+        max_workers=1,
+        timeout_s=timeout_s,
+        max_attempts=kill9s + EXTRA_RESPAWNS + 1,
+        backoff_s=0.0,
+        poll=kill_at_threshold,
+    )
+    if not done:
+        raise RuntimeError(
+            f"durable campaign (seed {seed}) worker died "
+            f"{spawns} times without completing"
+        )
 
     delivered = frames_store.load_frames()
     with open(result_path) as fh:
