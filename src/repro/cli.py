@@ -39,8 +39,10 @@ Commands
     Run a seeded chaos campaign over the MJPEG SMP demo (crashes,
     drops, duplicates under supervision) and print the recovery
     report; exits 1 unless every surviving frame is bit-exact (see
-    ``docs/robustness.md``).  The campaign carries the live telemetry
-    plane with QoS contracts on the decode pipeline: plain campaigns
+    ``docs/robustness.md``), and 2 on a stream too short for the plan
+    or a ``--kill9`` count that does not fit it.  The campaign
+    carries the live telemetry plane with QoS contracts on the decode
+    pipeline: plain campaigns
     trip the *ordering* contract (injected duplicates reach the app),
     ``--recover`` campaigns trip the *deadline* contract (replays
     arrive late) and dedup the duplicates.  ``--metrics OUT`` writes
@@ -267,9 +269,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print("--kill9 requires --recover --durable DIR (it kills a real process)",
               file=sys.stderr)
         return 2
-    from repro.faults import run_chaos_campaign
+    from repro.faults import FaultPlanError, run_chaos_campaign
 
-    result = run_chaos_campaign(seed=args.seed, n_images=args.images, recover=args.recover)
+    try:
+        result = run_chaos_campaign(seed=args.seed, n_images=args.images, recover=args.recover)
+    except FaultPlanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(result.summary(), indent=2))
     for event in result.supervision:
         print(
@@ -325,12 +331,16 @@ def _cmd_faults_durable(args: argparse.Namespace) -> int:
         print("--durable requires --recover (durability layers under the "
               "recovery manager)", file=sys.stderr)
         return 2
-    result = run_durable_campaign(
-        seed=args.seed,
-        n_images=args.images,
-        durable_dir=args.durable,
-        kill9s=1 if args.kill9 is None else args.kill9,
-    )
+    try:
+        result = run_durable_campaign(
+            seed=args.seed,
+            n_images=args.images,
+            durable_dir=args.durable,
+            kill9s=1 if args.kill9 is None else args.kill9,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(result.summary(), indent=2))
     if not result.ok:
         print(
@@ -638,6 +648,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser."""
+    from repro.faults.campaign import FAULT_CLASSES, INTENSITIES, POLICIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="EMBera reproduction: component-based observation of MPSoC",
@@ -761,15 +773,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated campaign seeds (run only)",
     )
     campaign.add_argument(
-        "--classes", default="crash,drop,duplicate,stall,mixed",
+        "--classes", default=",".join(FAULT_CLASSES),
         metavar="C,C,...", help="fault classes of the grid (run only)",
     )
     campaign.add_argument(
-        "--intensities", default="light,heavy", metavar="I,I,...",
+        "--intensities", default=",".join(INTENSITIES), metavar="I,I,...",
         help="fault intensities of the grid (run only)",
     )
     campaign.add_argument(
-        "--policies", default="restart,restart-jitter,degrade,halt,recover",
+        "--policies", default=",".join(POLICIES),
         metavar="P,P,...", help="supervision policies of the grid (run only)",
     )
     campaign.add_argument(
@@ -889,10 +901,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "top": _cmd_top,
     }[args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): point stdout at
+        # devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,14 +11,13 @@ See ``docs/robustness.md``.  Quick tour::
     rt.run()
 """
 
-from repro.faults.campaign import CampaignResult, build_campaign_plan, run_chaos_campaign
+from repro.faults.campaign import CampaignResult, build_plan, run_chaos_campaign
 from repro.faults.decision import build_report, pareto_frontier, render_report
 from repro.faults.fleet import (
     CampaignConfig,
     CellSpec,
     FleetError,
     FleetResult,
-    build_cell_plan,
     build_grid,
     load_aggregate,
     run_fleet_campaign,
@@ -68,9 +67,8 @@ __all__ = [
     "STALL",
     "SupervisionEvent",
     "Supervisor",
-    "build_campaign_plan",
-    "build_cell_plan",
     "build_grid",
+    "build_plan",
     "build_report",
     "load_aggregate",
     "pareto_frontier",

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.contracts import InterfaceContract
 from repro.core.observation import APPLICATION_LEVEL
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.faults.supervisor import (
     JITTER_FULL,
     RESTART,
@@ -96,16 +96,16 @@ POLICIES: Dict[str, PolicyProfile] = {
 }
 
 
-def attach_campaign_contracts(app, deadline_us: int = DEADLINE_US) -> None:
+def attach_campaign_contracts(app) -> None:
     """Attach the campaign's QoS contracts to the decode pipeline.
 
-    Every IDCT input gets a per-message delivery deadline; the Reorder
-    input additionally requires per-sender ordering, which injected
-    duplicates violate unless exactly-once recovery dedups them first --
-    so ordering violations count the duplicates that *reached* the
-    application.
+    Every IDCT input gets a per-message delivery deadline of
+    :data:`DEADLINE_US`; the Reorder input additionally requires
+    per-sender ordering, which injected duplicates violate unless
+    exactly-once recovery dedups them first -- so ordering violations
+    count the duplicates that *reached* the application.
     """
-    deadline_ns = deadline_us * 1_000
+    deadline_ns = DEADLINE_US * 1_000
     for name in _IDCTS:
         comp = app.components[name]
         for prov in comp.functional_provided():
@@ -230,54 +230,89 @@ class CampaignResult:
         return out
 
 
-def draw_receive_counts(
-    seed: int, stream: str, count: int, per_idct: int
-) -> List[Tuple[str, int]]:
-    """``count`` distinct (IDCT worker, receive count) triggers drawn
-    from the named ``stream`` of ``seed``: workers round-robin, each
-    count in ``[2, per_idct)``."""
-    rng = RngRegistry(seed).stream(stream)
-    used: List[Tuple[str, int]] = []
-    for k in range(count):
-        component = _IDCTS[k % len(_IDCTS)]
-        while True:
-            trigger = (component, int(rng.integers(2, per_idct)))
-            if trigger not in used:
-                used.append(trigger)
-                break
-    return used
+#: The fleet grid's fault classes and intensities: a cell runs the
+#: template ``"<class>.<intensity>"`` of :data:`PLAN_TEMPLATES`.
+FAULT_CLASSES = ("crash", "drop", "duplicate", "stall", "mixed")
+INTENSITIES = ("light", "heavy")
 
 
-def build_campaign_plan(
-    seed: int,
-    n_images: int,
-    drop_rate: float = 0.05,
-    crashes: int = 3,
-    duplicate_rate: float = 0.05,
-) -> FaultPlan:
-    """Derive the deterministic fault plan for one campaign seed.
+@dataclass(frozen=True)
+class PlanTemplate:
+    """One row of :data:`PLAN_TEMPLATES`: what a campaign injects.
 
-    Crashes hit the IDCT workers round-robin at receive counts drawn from
-    the ``campaign.schedule`` stream; drops hit the ``IDCT_2 ->
-    idctReorder`` connection (one lossy link, so most frames survive);
-    duplicates hit ``IDCT_1 -> idctReorder`` (the reassembly stage must
-    dedupe them).
+    ``triggers`` distinct receive counts are drawn from the named RNG
+    ``stream`` (empty when there are none); each crashes its IDCT
+    worker, or stalls it for ``stall_ns`` when that is positive.
+    ``drops`` and ``duplicates`` hold one rate per IDCT -> Reorder link,
+    in :data:`_IDCTS` order.
     """
+
+    stream: str
+    triggers: int
+    stall_ns: int
+    drops: Tuple[float, float, float]
+    duplicates: Tuple[float, float, float]
+
+
+_NONE = (0.0, 0.0, 0.0)
+
+#: Every plan a campaign can run: ``"campaign"`` for ``repro faults``
+#: and the kill-9 worker, ``"<class>.<intensity>"`` for fleet cells.
+#: Fleet crash and stall triggers come from ``fleet.*`` streams, so
+#: they never perturb the ``campaign.schedule`` seeds; ``mixed`` is the
+#: campaign plan at other rates.  That plan drops on one link only
+#: (``IDCT_2``), so most frames survive, and duplicates on ``IDCT_1``,
+#: which the Reorder stage must dedupe.
+PLAN_TEMPLATES: Dict[str, PlanTemplate] = {
+    "campaign": PlanTemplate("campaign.schedule", 3, 0, (0.0, 0.05, 0.0), (0.05, 0.0, 0.0)),
+    "crash.light": PlanTemplate("fleet.crash", 1, 0, _NONE, _NONE),
+    "crash.heavy": PlanTemplate("fleet.crash", 3, 0, _NONE, _NONE),
+    "drop.light": PlanTemplate("", 0, 0, (0.0, 0.05, 0.0), _NONE),
+    "drop.heavy": PlanTemplate("", 0, 0, (0.0, 0.15, 0.10), _NONE),
+    "duplicate.light": PlanTemplate("", 0, 0, _NONE, (0.05, 0.0, 0.0)),
+    "duplicate.heavy": PlanTemplate("", 0, 0, _NONE, (0.20, 0.0, 0.10)),
+    "stall.light": PlanTemplate("fleet.stall", 1, 1_000_000, _NONE, _NONE),
+    "stall.heavy": PlanTemplate("fleet.stall", 3, 2_500_000, _NONE, _NONE),
+    "mixed.light": PlanTemplate("campaign.schedule", 1, 0, (0.0, 0.03, 0.0), (0.03, 0.0, 0.0)),
+    "mixed.heavy": PlanTemplate("campaign.schedule", 3, 0, (0.0, 0.08, 0.0), (0.08, 0.0, 0.0)),
+}
+
+
+def build_plan(seed: int, n_images: int, template: str) -> FaultPlan:
+    """The deterministic fault plan of ``template`` (a key of
+    :data:`PLAN_TEMPLATES`) for one seed and stream length.
+
+    Triggers hit the IDCT workers round-robin, each at a distinct
+    receive count in ``[2, per_idct)``; the drops and duplicates on the
+    worker -> Reorder links follow in IDCT order.
+    """
+    if template not in PLAN_TEMPLATES:
+        raise FaultPlanError(
+            f"unknown plan template {template!r}; expected one of {tuple(PLAN_TEMPLATES)}"
+        )
     if n_images < 3:
-        raise ValueError(f"campaign needs at least 3 images, got {n_images}")
+        raise FaultPlanError(f"campaign needs at least 3 images, got {n_images}")
+    row = PLAN_TEMPLATES[template]
     per_idct = (n_images - 1) * BATCHES_PER_IMAGE // len(_IDCTS)
-    if per_idct < 4:
-        raise ValueError("stream too short for the crash schedule")
+    rng = RngRegistry(seed).stream(row.stream)
+    triggers: List[Tuple[str, int]] = []
+    while len(triggers) < row.triggers:
+        trigger = (_IDCTS[len(triggers) % len(_IDCTS)], int(rng.integers(2, per_idct)))
+        if trigger not in triggers:
+            triggers.append(trigger)
     plan = FaultPlan(seed)
-    for component, on_receive in draw_receive_counts(
-        seed, "campaign.schedule", crashes, per_idct
-    ):
-        plan.crash(component, on_receive=on_receive)
-    if drop_rate > 0:
-        plan.drop("IDCT_2", "idctReorder", probability=drop_rate)
-    if duplicate_rate > 0:
-        plan.duplicate("IDCT_1", "idctReorder", probability=duplicate_rate)
-    return plan
+    for component, on_receive in triggers:
+        if row.stall_ns:
+            plan.stall(component, on_receive=on_receive, delay_ns=row.stall_ns)
+        else:
+            plan.crash(component, on_receive=on_receive)
+    for component, rate in zip(_IDCTS, row.drops):
+        if rate:
+            plan.drop(component, "idctReorder", probability=rate)
+    for component, rate in zip(_IDCTS, row.duplicates):
+        if rate:
+            plan.duplicate(component, "idctReorder", probability=rate)
+    return plan.validate()
 
 
 def campaign_stream(seed: int, n_images: int):
@@ -317,7 +352,6 @@ def run_chaos_campaign(
     seed: int = 0,
     n_images: int = 10,
     recover: bool = False,
-    deadline_us: int = DEADLINE_US,
     plan: FaultPlan = None,
     policy: str = "restart",
     shards: int = 1,
@@ -341,13 +375,13 @@ def run_chaos_campaign(
     latency histograms, restart/MTTR series, and the QoS contracts of
     :func:`attach_campaign_contracts` checked message-by-message.
     Deadline violations surface recovery replays that arrive past
-    ``deadline_us``; ordering violations count injected duplicates that
+    :data:`DEADLINE_US`; ordering violations count injected duplicates that
     reached the application (zero under exactly-once recovery, which
     dedups them at admission).
 
     The remaining keywords are the fleet-cell hooks
     (:mod:`repro.faults.fleet` fans hundreds of these out across a worker
-    pool): an explicit ``plan`` replaces :func:`build_campaign_plan`,
+    pool): an explicit ``plan`` replaces the ``"campaign"`` template,
     ``shards`` places the chaos application on that many SMP shards,
     ``oracle`` relaxes or tightens :attr:`CampaignResult.ok`
     per policy expectation, and ``reference_hashes`` /
@@ -360,7 +394,7 @@ def run_chaos_campaign(
         raise ValueError(f"recover=True selects the recover policy, not {policy!r}")
     profile = POLICIES["recover" if recover else policy]
     if plan is None:
-        plan = build_campaign_plan(seed, n_images)
+        plan = build_plan(seed, n_images, "campaign")
     plan.validate()
     config = RunConfig(
         shards=shards, trace=True, telemetry=True, faults=plan, policy=profile.name,
@@ -381,7 +415,7 @@ def run_chaos_campaign(
         dynamic_upstream=profile.severs,
         quiescence_timeout_ns=QUIESCENCE_NS if profile.severs else None,
     )
-    attach_campaign_contracts(app, deadline_us)
+    attach_campaign_contracts(app)
     rt = build_run(config, app)
     injector, recovery, supervisor = rt.injector, rt.recovery, rt.supervisor
     error = ""

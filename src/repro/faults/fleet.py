@@ -5,9 +5,11 @@ at one point of the campaign grid -- the cross product of
 
     seed x fault class x intensity x supervision policy x shard count.
 
-Policies are named from the one table the engine owns
-(:data:`repro.faults.campaign.POLICIES`), and a cell's result is the
-engine's own :meth:`~repro.faults.campaign.CampaignResult.record`.
+Policies and plans are named from the tables the engine owns
+(:data:`repro.faults.campaign.POLICIES`, and
+:data:`~repro.faults.campaign.PLAN_TEMPLATES` under
+``"<class>.<intensity>"``), and a cell's result is the engine's own
+:meth:`~repro.faults.campaign.CampaignResult.record`.
 
 The orchestrator fans hundreds of cells out across a pool of worker
 processes through :func:`supervise`, which reaps crashed or hung
@@ -64,17 +66,15 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.campaign import (
-    _IDCTS,
-    DEADLINE_US,
+    FAULT_CLASSES,
+    INTENSITIES,
     POLICIES,
-    build_campaign_plan,
+    build_plan,
     campaign_stream,
-    draw_receive_counts,
     reference_oracle,
     run_chaos_campaign,
 )
-from repro.faults.plan import CRASH, DROP, OVERFLOW, FaultPlan
-from repro.mjpeg.components import BATCHES_PER_IMAGE
+from repro.faults.plan import CRASH, DROP, OVERFLOW
 from repro.recovery.durable import (
     DurableError,
     atomic_write_bytes,
@@ -92,12 +92,6 @@ RETRY_BACKOFF_S = 0.25
 #: How often :func:`supervise` polls its children (fine enough for the
 #: kill-9 campaign to SIGKILL its child between two frames).
 POLL_S = 0.005
-
-#: Fault classes a cell can draw from the grid.  Each is a deterministic
-#: plan template parameterized by (seed, intensity); ``mixed`` is the
-#: legacy combined campaign plan (crashes + drops + duplicates).
-FAULT_CLASSES = ("crash", "drop", "duplicate", "stall", "mixed")
-INTENSITIES = ("light", "heavy")
 
 
 class FleetError(ValueError):
@@ -126,7 +120,6 @@ class CampaignConfig:
     policies: Tuple[str, ...] = ("restart", "degrade", "halt", "recover")
     shard_counts: Tuple[int, ...] = (1, 2)
     n_images: int = 4
-    deadline_us: int = DEADLINE_US
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -163,6 +156,13 @@ class CampaignConfig:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "CampaignConfig":
+        names = {spec.name for spec in fields(CampaignConfig)}
+        unknown, missing = sorted(set(data) - names), sorted(names - set(data))
+        if unknown or missing:
+            raise FleetError(
+                f"campaign config keys differ from this version's (unknown: "
+                f"{unknown}, missing: {missing}); start a fresh directory"
+            )
         return CampaignConfig(**{key: tuple(value) if isinstance(value, list) else value
                                  for key, value in data.items()})
 
@@ -213,61 +213,6 @@ def build_grid(config: CampaignConfig) -> List[CellSpec]:
         CellSpec(index, *point, n_images=config.n_images)
         for index, point in enumerate(axes)
     ]
-
-
-def build_cell_plan(
-    seed: int, n_images: int, fault_class: str, intensity: str
-) -> FaultPlan:
-    """The deterministic fault plan of one cell.
-
-    Receive-count triggers are drawn from seeded named streams
-    (``fleet.<class>``), disjoint from the legacy ``campaign.*`` streams,
-    so fleet schedules never perturb existing single-campaign seeds.
-    """
-    if fault_class not in FAULT_CLASSES:
-        raise FleetError(
-            f"unknown fault class {fault_class!r}; expected one of {FAULT_CLASSES}"
-        )
-    if intensity not in INTENSITIES:
-        raise FleetError(
-            f"unknown intensity {intensity!r}; expected one of {INTENSITIES}"
-        )
-    heavy = intensity == "heavy"
-    per_idct = (n_images - 1) * BATCHES_PER_IMAGE // len(_IDCTS)
-    if per_idct < 4:
-        raise FleetError("stream too short for the fleet fault schedules")
-    plan = FaultPlan(seed)
-    if fault_class == "crash":
-        for component, on_receive in draw_receive_counts(
-            seed, "fleet.crash", 3 if heavy else 1, per_idct
-        ):
-            plan.crash(component, on_receive=on_receive)
-    elif fault_class == "drop":
-        plan.drop("IDCT_2", "idctReorder", probability=0.15 if heavy else 0.05)
-        if heavy:
-            plan.drop("IDCT_3", "idctReorder", probability=0.10)
-    elif fault_class == "duplicate":
-        plan.duplicate("IDCT_1", "idctReorder", probability=0.20 if heavy else 0.05)
-        if heavy:
-            plan.duplicate("IDCT_3", "idctReorder", probability=0.10)
-    elif fault_class == "stall":
-        for component, on_receive in draw_receive_counts(
-            seed, "fleet.stall", 3 if heavy else 1, per_idct
-        ):
-            plan.stall(
-                component,
-                on_receive=on_receive,
-                delay_ns=2_500_000 if heavy else 1_000_000,
-            )
-    else:  # mixed: the legacy combined campaign schedule
-        return build_campaign_plan(
-            seed,
-            n_images,
-            drop_rate=0.08 if heavy else 0.03,
-            crashes=3 if heavy else 1,
-            duplicate_rate=0.08 if heavy else 0.03,
-        ).validate()
-    return plan.validate()
 
 
 # --------------------------------------------------------------------------
@@ -345,14 +290,14 @@ def quarantine_path(root: str, cell_id: str) -> str:
     return os.path.join(root, CELLS_DIR, f"{cell_id}.quarantine.json")
 
 
-def execute_cell(root: str, cell: CellSpec, deadline_us: int) -> Dict[str, Any]:
+def execute_cell(root: str, cell: CellSpec) -> Dict[str, Any]:
     """Run one cell against the cached reference; returns the
     deterministic result record (virtual-time metrics only -- anything
     wall-clock would break the byte-identical aggregate)."""
     profile = POLICIES[cell.policy]
     reference = load_reference(root, cell.seed, cell.n_images)
     hashes = {int(index): digest for index, digest in reference["hashes"].items()}
-    plan = build_cell_plan(cell.seed, cell.n_images, cell.fault_class, cell.intensity)
+    plan = build_plan(cell.seed, cell.n_images, f"{cell.fault_class}.{cell.intensity}")
     oracle = profile.oracle
     if oracle == "progress" and any(
         s.kind in (DROP, OVERFLOW, CRASH) for s in plan.specs
@@ -369,7 +314,6 @@ def execute_cell(root: str, cell: CellSpec, deadline_us: int) -> Dict[str, Any]:
     return run_chaos_campaign(
         seed=cell.seed,
         n_images=cell.n_images,
-        deadline_us=deadline_us,
         plan=plan,
         policy=cell.policy,
         shards=cell.shards,
@@ -384,7 +328,7 @@ def _cell_worker(root: str, cell_dict: Dict[str, Any], settings: Dict[str, Any])
     atomically.  A crash or SIGKILL at any point leaves either no file or
     a complete checksummed one -- never a torn result."""
     cell = CellSpec.from_dict(cell_dict)
-    result = execute_cell(root, cell, settings["deadline_us"])
+    result = execute_cell(root, cell)
     write_checksummed_json(
         cell_result_path(root, cell.cell_id),
         {
@@ -694,7 +638,7 @@ def run_fleet_campaign(
 
     if max_workers is None:
         max_workers = max(1, min(8, os.cpu_count() or 2))
-    settings = {"config_digest": digest, "deadline_us": config.deadline_us}
+    settings = {"config_digest": digest}
     quarantined: List[str] = []
 
     def settle(cell: CellSpec, exitcode: Optional[int], attempts: int) -> bool:

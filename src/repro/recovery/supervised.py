@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.faults.campaign import build_campaign_plan, campaign_stream, reference_oracle
+from repro.faults.campaign import build_plan, campaign_stream, reference_oracle
 from repro.faults.fleet import supervise
 from repro.mjpeg.components import build_smp_assembly, frames_digest
 from repro.recovery.durable import DurableStore, FrameStore, atomic_write_bytes
@@ -61,7 +61,6 @@ class DurableCampaignResult:
     seed: int
     n_images: int
     durable_dir: str
-    plan: List[Dict[str, Any]]
     kills: int
     kills_scheduled: int
     spawns: int
@@ -106,6 +105,8 @@ def draw_kill_thresholds(seed: int, n_images: int, kill9s: int) -> List[int]:
     stream of ``seed`` (disjoint from the in-process plan's streams),
     each in ``[1, n_images - 1)`` so every kill lands before the last
     of the stream's ``n_images - 1`` frames."""
+    if n_images < 3:
+        raise ValueError(f"campaign needs at least 3 images, got {n_images}")
     if kill9s >= n_images - 1:
         raise ValueError(
             f"at most {n_images - 2} kill9 faults fit a {n_images}-image stream"
@@ -150,7 +151,7 @@ def run_worker(root: str) -> None:
     runtime = build_run(
         RunConfig(
             "native",
-            faults=build_campaign_plan(seed, n_images),
+            faults=build_plan(seed, n_images, "campaign"),
             policy="recover",
             seed=seed,
             durable=DurableStore(root, config=config),
@@ -190,6 +191,7 @@ def run_durable_campaign(
     ``timeout_s`` is reaped and the campaign raises
     :class:`TimeoutError`.
     """
+    pending_kills = draw_kill_thresholds(seed, n_images, kill9s)
     if durable_dir is None:
         durable_dir = tempfile.mkdtemp(prefix=f"repro-durable-{seed}-")
     os.makedirs(durable_dir, exist_ok=True)
@@ -200,8 +202,6 @@ def run_durable_campaign(
         os.path.join(durable_dir, CONFIG_NAME),
         json.dumps(config, indent=2, sort_keys=True).encode(),
     )
-    plan = build_campaign_plan(seed, n_images)
-    pending_kills = draw_kill_thresholds(seed, n_images, kill9s)
 
     frames_store = FrameStore(os.path.join(durable_dir, FRAMES_DIR))
     result_path = os.path.join(durable_dir, RESULT_NAME)
@@ -254,7 +254,6 @@ def run_durable_campaign(
         seed=seed,
         n_images=n_images,
         durable_dir=durable_dir,
-        plan=plan.describe(),
         kills=kills,
         kills_scheduled=kill9s,
         spawns=spawns,

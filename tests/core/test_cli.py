@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +164,40 @@ def test_refused_traffic_run_is_one_error_line(flags, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--images", "2"], "error: campaign needs at least 3 images, got 2\n"),
+        (["--images", "10", "--recover", "--durable", "state", "--kill9", "9"],
+         "error: at most 8 kill9 faults fit a 10-image stream\n"),
+        (["--images", "2", "--recover", "--durable", "state", "--kill9", "0"],
+         "error: campaign needs at least 3 images, got 2\n"),
+    ],
+    ids=["images", "kill9", "durable-images"],
+)
+def test_refused_faults_run_is_one_error_line(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["faults", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "state").exists()  # refused before any work
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    from repro.faults.fleet import CampaignConfig, write_manifest
+
+    # 300 cells: far more listing than one pipe buffer holds
+    write_manifest(str(tmp_path), CampaignConfig(seeds=(1, 7, 42), shard_counts=(1, 2, 4)))
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "campaign", "ls", str(tmp_path), "--verbose"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the first line
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

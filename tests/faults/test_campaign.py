@@ -2,25 +2,47 @@
 
 import pytest
 
-from repro.faults import build_campaign_plan, run_chaos_campaign
+from repro.faults import build_plan, run_chaos_campaign
 
 
 def test_campaign_plan_is_seed_deterministic():
-    a = build_campaign_plan(seed=11, n_images=8)
-    b = build_campaign_plan(seed=11, n_images=8)
+    a = build_plan(11, 8, "campaign")
+    b = build_plan(11, 8, "campaign")
     assert a.describe() == b.describe()
-    c = build_campaign_plan(seed=12, n_images=8)
+    c = build_plan(12, 8, "campaign")
     assert a.describe() != c.describe()
 
 
 def test_campaign_plan_shape():
-    plan = build_campaign_plan(seed=0, n_images=8, crashes=3)
+    plan = build_plan(0, 8, "campaign")
     kinds = [s.kind for s in plan.specs]
     assert kinds.count("crash") == 3
     assert "drop" in kinds and "duplicate" in kinds
     # crashes land on distinct IDCT workers, round-robin
     crash_comps = [s.component for s in plan.specs if s.kind == "crash"]
     assert sorted(crash_comps) == ["IDCT_1", "IDCT_2", "IDCT_3"]
+
+
+# The whole engine at 8 images -- plan, injection log, supervision
+# events and frame bytes -- as the commit before the template table
+# gave it.
+CAMPAIGN_DIGESTS = {
+    (1, False): "be2395423d948d5ca32e7ba3e7e88d7b6cbc329072db9c28ba3f706a1b65026d",
+    (7, False): "fa6082f5b88cea07c599d0a5801e7d6b3a25cc5f3592c90d401576dc3707c67b",
+    (42, False): "9b9598dea347f1a3676fb9e006cfbd6b1176255508dc6afe8cebf9e95ea4e2b3",
+    (1, True): "03b1674c4174994152459abc00b6fc562b79170baace26eb740a0485f6db71a2",
+    (7, True): "8d96101b13e8d3c65c92f2134f2808048a54d16dab8148160ff005f9ad6983ac",
+    (42, True): "06c2cf500e7f45ade485bac5586a178942e0b3149e5a4198a6a3a52948c1cc8c",
+}
+
+
+@pytest.mark.parametrize(
+    "seed, recover", sorted(CAMPAIGN_DIGESTS),
+    ids=lambda v: {False: "off", True: "recover"}.get(v, f"s{v}"),
+)
+def test_campaign_digest_is_pinned(seed, recover):
+    result = run_chaos_campaign(seed=seed, n_images=8, recover=recover)
+    assert result.digest == CAMPAIGN_DIGESTS[(seed, recover)]
 
 
 @pytest.fixture(scope="module")

@@ -2,15 +2,15 @@
 
 import json
 import os
+import re
 
 import pytest
 
-from repro.faults import CampaignResult
+from repro.faults import CampaignResult, FaultPlanError, build_plan
 from repro.faults.fleet import (
     CampaignConfig,
     CellSpec,
     FleetError,
-    build_cell_plan,
     build_grid,
     cell_result_path,
     load_aggregate,
@@ -117,24 +117,24 @@ def test_cellspec_roundtrips():
 @pytest.mark.parametrize("fault_class", ["crash", "drop", "duplicate", "stall", "mixed"])
 @pytest.mark.parametrize("intensity", ["light", "heavy"])
 def test_cell_plans_are_deterministic_and_valid(fault_class, intensity):
-    a = build_cell_plan(42, 4, fault_class, intensity)
-    b = build_cell_plan(42, 4, fault_class, intensity)
+    a = build_plan(42, 4, f"{fault_class}.{intensity}")
+    b = build_plan(42, 4, f"{fault_class}.{intensity}")
     assert a.describe() == b.describe()
     assert len(a) >= 1
     a.validate()
 
 
 def test_heavy_cells_inject_more_than_light():
-    light = build_cell_plan(1, 4, "crash", "light")
-    heavy = build_cell_plan(1, 4, "crash", "heavy")
+    light = build_plan(1, 4, "crash.light")
+    heavy = build_plan(1, 4, "crash.heavy")
     assert len(heavy) > len(light)
 
 
 def test_unknown_cell_plan_inputs_are_rejected():
-    with pytest.raises(FleetError, match="unknown fault class"):
-        build_cell_plan(1, 4, "meteor", "light")
-    with pytest.raises(FleetError, match="unknown intensity"):
-        build_cell_plan(1, 4, "crash", "extreme")
+    with pytest.raises(FaultPlanError, match="unknown plan template"):
+        build_plan(1, 4, "meteor.light")
+    with pytest.raises(FaultPlanError, match="unknown plan template"):
+        build_plan(1, 4, "crash.extreme")
 
 
 # -- orchestrator ----------------------------------------------------------
@@ -203,7 +203,7 @@ def test_one_reference_per_seed_serves_every_shard_count(tmp_path):
     assert result.ok and result.cells_ok == 4
     assert result.references_built == len(seeds)
     assert result.aggregate_sha256 == (
-        "caddfbcb20cc23385f2e901198fd17a74eef7c497e50ee492670c24d4333c7b9"
+        "fdf12d9418d0454ced19fc15a2f33abd0f37e7cf3c526786e38847d453e78477"
     )
 
 
@@ -285,6 +285,32 @@ def test_torn_cell_result_is_ignored_and_recomputed(tmp_path):
     resumed = run_fleet_campaign(str(tmp_path), resume=True, max_workers=2)
     assert resumed.executed == 1 and resumed.reused == 1
     assert resumed.aggregate_sha256 == first.aggregate_sha256
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda config: config.update(deadline_us=6_500), "unknown: ['deadline_us']"),
+        (lambda config: config.pop("n_images"), "missing: ['n_images']"),
+    ],
+    ids=["extra-key", "missing-key"],
+)
+def test_manifest_with_unknown_or_missing_keys_is_refused(tmp_path, capsys, edit, named):
+    from repro.cli import main
+    from repro.faults.fleet import MANIFEST_NAME, load_manifest
+    from repro.recovery.durable import config_digest, write_checksummed_json
+
+    config = CampaignConfig(**TINY).to_dict()
+    edit(config)
+    write_checksummed_json(
+        str(tmp_path / MANIFEST_NAME),
+        {"format": 1, "config": config, "config_digest": config_digest(config)},
+    )
+    with pytest.raises(FleetError, match=re.escape(named)):
+        load_manifest(str(tmp_path))
+    assert main(["campaign", "ls", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
 
 
 # -- CLI exit codes --------------------------------------------------------

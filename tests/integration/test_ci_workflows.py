@@ -216,3 +216,19 @@ def test_reach_job_runs_ci_commands_under_the_hook_then_the_report():
                     "python -m bench run --smoke", "repro info", "repro demo-smp 20",
                     "repro demo-sti7200 20", "repro observe"):
         assert command in commands, command
+
+
+def test_ci_campaign_grids_name_known_templates_and_policies():
+    from repro.faults.campaign import FAULT_CLASSES, INTENSITIES, POLICIES
+
+    known = {"classes": FAULT_CLASSES, "intensities": INTENSITIES, "policies": tuple(POLICIES)}
+    ci = yaml.load((WORKFLOW_DIR / "ci.yml").read_text(), Loader=UniqueKeyLoader)
+    runs = " ".join(
+        step.get("run", "") for job in ci["jobs"].values() for step in job["steps"]
+    )
+    seen = {axis: set() for axis in known}
+    for axis, values in re.findall(r"--(classes|intensities|policies)\s+([^\s\"']+)", runs):
+        for value in values.split(","):
+            assert value in known[axis], f"ci.yml --{axis} names unknown {value!r}"
+            seen[axis].add(value)
+    assert all(seen.values()), seen
