@@ -628,7 +628,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     config = RunConfig(shards=args.shards, telemetry=True)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
-    app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
+    app = build_smp_assembly(stream, use_stored_coefficients=True)
     rt = build_run(config, app)
     rt.run()
     rt.collect()

@@ -125,6 +125,7 @@ class ComponentContext(ABC):
         if req.target is None:
             raise ConnectionError_(f"{req.qualified_name} is not connected")
         self._seq += 1
+        t0 = self.now_ns()
         message = Message(
             payload=payload,
             kind=kind,
@@ -133,12 +134,11 @@ class ComponentContext(ABC):
             src_interface=required_name,
             seq=self._seq,
             size_bytes=size_bytes,
-            sent_at_us=self.now_us(),
+            sent_at_us=t0 // 1_000,
             span=next(self._span_source),
             cause=self._cause,
         )
         self.last_message = message
-        t0 = self.now_ns()
         recovery = self.recovery
         if recovery is not None:
             # Stamp the delivery sequence and buffer a retransmit copy

@@ -65,7 +65,7 @@ def payload_nbytes(payload: Any) -> int:
 NO_SPAN = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message in transit between two interfaces."""
 
@@ -75,7 +75,10 @@ class Message:
     src: str = ""
     src_interface: str = ""
     seq: int = 0
-    size_bytes: int = -1  # -1: estimate from payload at send time
+    #: Bytes the transport copies.  The producer that builds the payload
+    #: passes its size at construction; -1 walks the payload with
+    #: :func:`payload_nbytes` at construction instead.
+    size_bytes: int = -1
     sent_at_us: Optional[int] = None
     #: Causal identity: every send/deposit stamps a globally unique,
     #: monotonically increasing span id, and ``cause`` carries the span of

@@ -12,15 +12,17 @@ smaller than 50 kB.  Over 50 kB, the send function decreases its
 performance."
 
 Per-CPU asymmetry (ST40 slower than ST231 at equal size) comes from the
-``memcpy_byte`` cycle costs in the platform's CPU models -- the transport
-just yields :class:`~repro.sim.executor.Compute` commands and lets the
-core the caller runs on price them.
+``memcpy_byte`` cycle costs in the platform's CPU models -- the caller
+passes the model of the CPU it runs on, and a send yields one
+:class:`~repro.sim.executor.Compute` of the nanoseconds that model
+charges for the copy, plus the signal latency.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
+from repro.hw.cpu import CpuModel
 from repro.hw.memory import MemoryRegion
 from repro.sim.executor import Compute
 from repro.sim.process import Command
@@ -152,18 +154,20 @@ class EmbxTransport:
     # -- primitives ------------------------------------------------------------------
 
     def send(
-        self, obj: DistributedObject, payload: Any, nbytes: int
+        self, obj: DistributedObject, payload: Any, nbytes: int, model: CpuModel
     ) -> Generator[Command, Any, None]:
         """``EMBX_Send``: asynchronous write into the distributed object.
 
-        Charges the *calling* CPU for the copy plus the interrupt signal,
-        then deposits the message.  Returns as soon as the write is done
-        (the receiver need not be waiting).
+        Charges the *calling* CPU, whose cost model is ``model``, for the
+        copy plus the interrupt signal as one command, then deposits the
+        message.  Returns as soon as the write is done (the receiver need
+        not be waiting).
         """
         if nbytes < 0:
             raise EmbxError(f"negative message size {nbytes}")
-        yield Compute("memcpy_byte", self.effective_copy_bytes(nbytes))
-        yield Compute("ns", SIGNAL_LATENCY_NS)
+        yield Compute(
+            "ns", model.cost_ns("memcpy_byte", self.effective_copy_bytes(nbytes)) + SIGNAL_LATENCY_NS
+        )
         obj.queue.put((payload, nbytes))
         obj.sends += 1
         depth = len(obj.queue)

@@ -51,6 +51,13 @@ class Platform:
         self.core_nodes: List[int] = list(core_nodes)
         self.regions = dict(regions)
         self.numa = numa
+        #: ``numa.cost_factor`` from each core's node into each node, built
+        #: once so a copy reads its multiplier with two list indexes.
+        self._copy_factors: Optional[List[List[float]]] = (
+            [[numa.cost_factor(node, dst) for dst in range(numa.n_nodes)] for node in core_nodes]
+            if numa is not None
+            else None
+        )
         self.caches: Optional[List[CacheSim]] = (
             [CacheSim(cache_config) for _ in cores] if cache_config else None
         )
@@ -77,9 +84,9 @@ class Platform:
     def copy_factor(self, src_core: int, dst_node: int) -> float:
         """Per-byte cost multiplier for a copy from ``src_core`` into memory
         homed on ``dst_node`` (1.0 on uniform-memory platforms)."""
-        if self.numa is None:
+        if self._copy_factors is None:
             return 1.0
-        return self.numa.cost_factor(self.node_of_core(src_core), dst_node)
+        return self._copy_factors[src_core][dst_node]
 
     def cache_of_core(self, core_idx: int) -> Optional[CacheSim]:
         """The core's private cache model, or None."""

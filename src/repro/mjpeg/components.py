@@ -25,13 +25,14 @@ Table 2 exactly (10 386 for 578 images, 53 982 for 3 000).
 
 from __future__ import annotations
 
+from sys import getsizeof
 from typing import Dict, Generator, Optional
 
 import numpy as np
 
 from repro.core.application import Application
 from repro.core.component import Component
-from repro.core.messages import CONTROL
+from repro.core.messages import CONTROL, MESSAGE_HEADER_BYTES
 from repro.mjpeg.decoder import (
     assemble_image,
     coefficients_from_qzz,
@@ -51,6 +52,20 @@ TAG_BATCH = "batch"
 TAG_PIXELS = "pixels"
 TAG_FRAME = "frame"
 TAG_EOS = "eos"
+
+#: Key bytes of the two ints every batch payload carries.
+_INDEX_KEY_BYTES = len("frame") + len("batch")
+
+
+def batch_message_bytes(frame: int, batch: int, key: str, data: np.ndarray) -> int:
+    """Message size of the batch payload ``{"frame": frame, "batch":
+    batch, key: data}``, computed where the payload is built: what
+    :func:`~repro.core.messages.payload_nbytes` gives for it, plus the
+    header.  ``getsizeof`` of an int grows with its magnitude."""
+    return (
+        _INDEX_KEY_BYTES + len(key) + getsizeof(frame) + getsizeof(batch)
+        + data.nbytes + MESSAGE_HEADER_BYTES
+    )
 
 
 def frames_digest(frames: Dict[int, np.ndarray]) -> str:
@@ -155,7 +170,10 @@ class FetchComponent(Component):
                 if b < self._sent_in_frame:
                     continue  # sent before a crash; receivers dedup re-sends
                 payload = {"frame": record.index, "batch": b, "coefs": batch}
-                yield from ctx.send(targets[b % len(targets)], payload, tag=TAG_BATCH)
+                size = batch_message_bytes(record.index, b, "coefs", batch)
+                yield from ctx.send(
+                    targets[b % len(targets)], payload, tag=TAG_BATCH, size_bytes=size
+                )
                 self._sent_in_frame = b + 1
             self._sent_in_frame = 0
             self._cursor = record.index + 1
@@ -204,8 +222,10 @@ class IdctComponent(Component):
             batch = msg.payload
             pixels = idct_stage(batch["coefs"])
             yield from ctx.compute("idct_block", pixels.shape[0])
-            payload = {"frame": batch["frame"], "batch": batch["batch"], "pixels": pixels}
-            yield from ctx.send("idctReorder", payload, tag=TAG_PIXELS)
+            frame, index = batch["frame"], batch["batch"]
+            payload = {"frame": frame, "batch": index, "pixels": pixels}
+            size = batch_message_bytes(frame, index, "pixels", pixels)
+            yield from ctx.send("idctReorder", payload, tag=TAG_PIXELS, size_bytes=size)
             self._processed += 1
             self._busy = False
 
@@ -416,7 +436,8 @@ class FetchReorderComponent(Component):
                     continue  # sent before a crash; the IDCTs dedup re-sends
                 target = f"fetchIdct{(b % self.n_idct) + 1}"
                 payload = {"frame": record.index, "batch": b, "coefs": batch}
-                yield from ctx.send(target, payload, tag=TAG_BATCH)
+                size = batch_message_bytes(record.index, b, "coefs", batch)
+                yield from ctx.send(target, payload, tag=TAG_BATCH, size_bytes=size)
                 self._sent_in_frame = b + 1
             # Reorder half: collect this frame's batches back.
             got: Dict[int, np.ndarray] = {}

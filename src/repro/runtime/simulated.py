@@ -100,11 +100,10 @@ class SimContext(ComponentContext):
         yield Timeout(int(delay_ns))
 
     def _transfer(self, target, message: Message) -> Generator:
-        yield from self.runtime._transfer(self.component, target, message)
+        return self.runtime._transfer(self.component, target, message)
 
     def _receive_from(self, provided, timeout_ns: Optional[int] = None) -> Generator:
-        message = yield from self.runtime._receive(self.component, provided, timeout_ns)
-        return message
+        return self.runtime._receive(self.component, provided, timeout_ns)
 
     def _try_receive_from(self, provided):
         return self.runtime._try_receive(provided)
@@ -529,10 +528,17 @@ class SmpSimRuntime(SimRuntime):
             return
         mailbox: SimMailbox = target.binding
         src_core = src_cont.extra["core"]
-        factor = self.platform.copy_factor(src_core, mailbox.node)
-        yield Compute("syscall", 1)
-        yield Compute("memcpy_byte", message.size_bytes * factor)
-        cache = self.platform.cache_of_core(src_core)
+        platform = self.platform
+        model = platform.cores[src_core]
+        factor = platform.copy_factor(src_core, mailbox.node)
+        # One command for the syscall and the copy into the mailbox.  Each
+        # part rounds on its own, so the charge equals pricing the two
+        # operations separately.
+        yield Compute(
+            "ns",
+            model.cost_ns("syscall", 1) + model.cost_ns("memcpy_byte", message.size_bytes * factor),
+        )
+        cache = platform.cache_of_core(src_core)
         if cache is not None:
             offset = mailbox.written_bytes % max(mailbox.capacity_bytes, 1)
             cache.access_range(mailbox.base_addr + offset, message.size_bytes)
@@ -716,7 +722,8 @@ class Sti7200SimRuntime(SimRuntime):
             yield Compute("syscall", OBS_CHANNEL_SYSCALLS)
             target.binding.put(message)
             return
-        yield from self.embx.send(target.binding, message, nbytes=message.size_bytes)
+        model = self.platform.cores[self.containers[src.name].extra["cpu"]]
+        yield from self.embx.send(target.binding, message, message.size_bytes, model)
 
     def _receive_data(
         self, dst: Component, provided, timeout_ns: Optional[int] = None

@@ -113,6 +113,16 @@ def test_platform_copy_factor_uniform_when_no_numa():
     assert p.copy_factor(0, 3) == 1.0
 
 
+def test_platform_copy_factor_table_matches_the_numa_model():
+    p = make_smp16()
+    numa = p.numa
+    for core in range(p.n_cores):
+        for node in range(numa.n_nodes):
+            expected = 1.0 + numa.hop_penalty * numa.hops(p.node_of_core(core), node)
+            assert p.copy_factor(core, node) == expected
+            assert type(p.copy_factor(core, node)) is float
+
+
 def test_platform_validation():
     with pytest.raises(ValueError):
         Platform("bad", cores=[CpuModel("c", 1e9)], core_nodes=[0, 1], regions={})

@@ -36,7 +36,7 @@ def test_send_receive_roundtrip():
     got = []
 
     def sender():
-        yield from tr.send(obj, {"frame": 7}, nbytes=1024)
+        yield from tr.send(obj, {"frame": 7}, 1024, sys_.platform.cores[0])
 
     def receiver():
         payload, nbytes = yield from tr.receive(obj)
@@ -56,7 +56,7 @@ def test_send_is_asynchronous():
     done = []
 
     def sender():
-        yield from tr.send(obj, "m", nbytes=100)
+        yield from tr.send(obj, "m", 100, sys_.platform.cores[0])
         done.append(k.now)
 
     sys_.task_create(sender(), name="tx", cpu=0)
@@ -78,7 +78,7 @@ def test_receive_blocks_until_send():
         from repro.sim.executor import Compute
 
         yield Compute("ns", 500_000)
-        yield from tr.send(obj, "m", nbytes=0)
+        yield from tr.send(obj, "m", 0, sys_.platform.cores[0])
         times["tx_done"] = k.now
 
     sys_.task_create(receiver(), name="rx", cpu=1)
@@ -115,7 +115,7 @@ def test_send_cost_st40_slower_than_st231():
 
         def sender():
             t0 = k.now
-            yield from tr.send(obj, "m", nbytes=100 * 1024)
+            yield from tr.send(obj, "m", 100 * 1024, sys_.platform.cores[cpu])
             durations[tag] = k.now - t0
 
         sys_.task_create(sender(), name="tx", cpu=cpu)
@@ -130,7 +130,7 @@ def test_send_receive_counters():
 
     def sender():
         for _ in range(3):
-            yield from tr.send(obj, "m", nbytes=10)
+            yield from tr.send(obj, "m", 10, sys_.platform.cores[0])
 
     def receiver():
         for _ in range(3):
@@ -152,8 +152,8 @@ def test_interrupt_counts_per_owner_cpu():
 
     def sender():
         for _ in range(3):
-            yield from tr.send(obj1, "m", nbytes=10)
-        yield from tr.send(obj2, "m", nbytes=10)
+            yield from tr.send(obj1, "m", 10, sys_.platform.cores[0])
+        yield from tr.send(obj2, "m", 10, sys_.platform.cores[0])
 
     def receiver(obj, n):
         def body():
