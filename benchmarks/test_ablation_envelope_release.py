@@ -2,20 +2,24 @@
 
 Two questions about :mod:`repro.sim.mailbox`:
 
-1. **How envelopes compare.**  ``Envelope`` is a tuple whose first five
-   elements are its key, so ``heapq`` orders envelopes with the C tuple
-   comparison.  The class it replaced compared through a Python
-   ``__lt__`` that built two key tuples per call; :class:`LtEnvelope`
-   below keeps it, verbatim, as the reference.  Both are timed
-   constructing, pushing and popping the same envelopes, once with every
-   ``recv_time`` distinct and once with 1000-way ``recv_time`` ties (the
-   traffic model's shape: the comparison runs deep into the key).
+1. **How envelopes compare.**  An envelope is a plain tuple whose first
+   five elements are its key, ``(*key, handler_index, *args)``, so
+   ``heapq`` orders envelopes with the C tuple comparison.  The class
+   the tuple form replaced compared through a Python ``__lt__`` that
+   built two key tuples per call; :class:`LtEnvelope` below keeps it as
+   the reference, with a handler index in place of its callable.  Both
+   are timed constructing, pushing and popping the same envelopes, once
+   with every ``recv_time`` distinct and once with 1000-way
+   ``recv_time`` ties (the traffic model's shape: the comparison runs
+   deep into the key).  Each arm builds its envelope through one call,
+   so the tuple arm pays a call the shipped code, which builds the
+   tuple inline, does not.
 2. **Whether batched release earns its code.**  ``run_traffic`` at 10k
    components x 4 shards (the ``traffic_10k`` workload) with
-   ``Staging.release_batched`` (one kernel callback per distinct receive
-   time) and with it replaced by ``Staging.release_below`` (one per
-   envelope), now that comparisons are cheap.  Runs alternate arms and
-   report the median; digests must agree.
+   ``Staging.release_batched`` (one ``deliver`` call per distinct
+   receive time) and with it replaced by ``Staging.release_below`` (one
+   per envelope).  Runs alternate arms and report the median; digests
+   must agree.
 """
 
 import statistics
@@ -26,7 +30,7 @@ from sys import intern
 import pytest
 
 from repro.metrics import Table
-from repro.sim.mailbox import Envelope, Staging
+from repro.sim.mailbox import Staging
 from repro.workloads import TrafficConfig, run_traffic
 from repro.workloads.traffic import build_traffic_graph
 
@@ -43,9 +47,9 @@ class LtEnvelope:
     """Reference: the envelope before it became a tuple -- slots plus a
     Python ``__lt__`` over a freshly built key tuple."""
 
-    __slots__ = ("recv_time", "send_time", "src", "src_interface", "seq", "deliver")
+    __slots__ = ("recv_time", "send_time", "src", "src_interface", "seq", "handler")
 
-    def __init__(self, recv_time, send_time, src, src_interface, seq, deliver):
+    def __init__(self, recv_time, send_time, src, src_interface, seq, handler):
         if recv_time < send_time:
             raise ValueError("recv_time precedes send_time")
         self.recv_time = recv_time
@@ -53,7 +57,7 @@ class LtEnvelope:
         self.src = intern(src)
         self.src_interface = intern(src_interface)
         self.seq = seq
-        self.deliver = deliver
+        self.handler = handler
 
     @property
     def key(self):
@@ -63,9 +67,13 @@ class LtEnvelope:
         return self.key < other.key
 
 
+def tuple_envelope(*fields):
+    """The shipped form: the fields themselves, as one tuple."""
+    return fields
+
+
 def heap_ns_per_envelope(make, ties: int) -> float:
     """Best-of-``REPEAT`` construct + push + pop cost per envelope."""
-    noop = lambda: None  # noqa: E731
     srcs = ["c%d" % k for k in range(64)]
     ifaces = ["s%d" % k for k in range(4)]
     best = float("inf")
@@ -74,7 +82,7 @@ def heap_ns_per_envelope(make, ties: int) -> float:
         heap = []
         for i in range(N_ENVELOPES):
             recv = i // ties + 1
-            heappush(heap, make(recv, recv - 1, srcs[i % 64], ifaces[i % 4], i, noop))
+            heappush(heap, make(recv, recv - 1, srcs[i % 64], ifaces[i % 4], i, 0))
         while heap:
             heappop(heap)
         best = min(best, time.perf_counter() - t0)
@@ -110,7 +118,7 @@ def run_ablation():
     compare = {
         ties: {
             "__lt__": heap_ns_per_envelope(LtEnvelope, ties),
-            "tuple": heap_ns_per_envelope(Envelope, ties),
+            "tuple": heap_ns_per_envelope(tuple_envelope, ties),
         }
         for ties in (1, 1000)
     }

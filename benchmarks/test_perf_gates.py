@@ -20,7 +20,10 @@ compares against a time measured on another host.
 - ``metrics_overhead``: the 8-image SMP decode with and without the live
   telemetry plane; the promise is at most 1.05x.
 - ``sim_scale``: the critical-path speedup of 1000-component traffic at
-  4 shards; the floor is 1.5x.
+  4 shards; the floor is 1.5x.  Its 10k-component cell times wall
+  clock, not CPU: over 3 alternating pairs the forked 4-shard run's
+  median ``wall_s`` must be below the 1-shard run's.  The cell is
+  skipped when one CPU is usable, since nothing forks then.
 """
 
 import gc
@@ -35,6 +38,7 @@ from repro.mjpeg.bitio import BitReader
 from repro.mjpeg.components import build_smp_assembly
 from repro.mjpeg.decoder import decode_plane, decode_plane_reference
 from repro.runtime import SmpSimRuntime
+from repro.sim.shard import usable_cpus
 from repro.sim.kernel import Kernel
 from repro.trace.tracer import TraceBuffer, Tracer
 from repro.workloads import TrafficConfig, run_traffic
@@ -73,6 +77,11 @@ METRICS_OVERHEAD_MAX = 1.05
 #: Static partitions of the skewed traffic graph leave ~1.7x event
 #: imbalance, so a healthy cut measures ~2-3x and a broken one ~1x.
 SIM_SCALE_SPEEDUP_MIN = 1.5
+
+#: The 10k-component cell: the ``traffic_10k`` benchmark's model, timed
+#: over this many alternating 1-shard / 4-shard pairs.
+SIM_SCALE_10K = TrafficConfig(n_components=10_000, ticks=3, seed=1)
+SIM_SCALE_10K_PAIRS = 3
 
 N_EMITS = 100_000
 DECODE_PASSES = 5
@@ -130,6 +139,13 @@ def scale_verdict(speedups: Sequence[float]) -> Verdict:
     """Fails when any repetition's 4-shard speedup is under 1.5x."""
     median, q1, q3 = _quartiles(speedups)
     return Verdict(min(speedups) >= SIM_SCALE_SPEEDUP_MIN, median, q1, q3, SIM_SCALE_SPEEDUP_MIN)
+
+
+def wall_verdict(serial: Sequence[float], forked: Sequence[float]) -> Verdict:
+    """Fails unless the median forked wall time is below the median
+    serial one; reports the per-pair forked/serial ratios."""
+    median, q1, q3 = _quartiles([f / s for s, f in zip(serial, forked)])
+    return Verdict(statistics.median(forked) < statistics.median(serial), median, q1, q3, 1.0)
 
 
 @contextmanager
@@ -292,4 +308,24 @@ def test_sim_scale():
     verdict = scale_verdict(speedups)
     print(f"sim_scale: wall-clock speedup_4 median {statistics.median(wall_speedups):.3f}")
     print(verdict.line("sim_scale", f"critical-path speedup_4 min {min(speedups):.3f},"))
+    big = wall_verdict(*sim_scale_10k_walls()) if usable_cpus() > 1 else None
+    if big is None:
+        print("sim_scale_10k: skipped, one usable CPU")
+    else:
+        print(big.line("sim_scale_10k", "wall_s 4 shards / 1 shard"))
     assert verdict.ok, verdict
+    assert big is None or big.ok, big
+
+
+def sim_scale_10k_walls():
+    """``(1-shard, 4-shard)`` ``wall_s`` lists of the 10k-component
+    cell, over alternating pairs; the 4-shard runs must fork."""
+    graph = build_traffic_graph(SIM_SCALE_10K)
+    walls = {1: [], 4: []}
+    for pair in range(SIM_SCALE_10K_PAIRS):
+        for n in (1, 4) if pair % 2 == 0 else (4, 1):
+            with parked_gc():
+                run = run_traffic(SIM_SCALE_10K, n, graph=graph)
+            assert n == 1 or run["workers"] > 1, run["workers"]
+            walls[n].append(run["wall_s"])
+    return walls[1], walls[4]

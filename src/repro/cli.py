@@ -344,8 +344,9 @@ def _cmd_faults_durable(args: argparse.Namespace) -> int:
     print(json.dumps(result.summary(), indent=2))
     if not result.ok:
         print(
-            "FAIL: durable campaign lost frames or diverged from the "
-            f"fault-free reference ({result.frames_delivered}/"
+            "FAIL: durable campaign missed a scheduled kill, lost frames or "
+            f"diverged from the fault-free reference ({result.kills}/"
+            f"{result.kills_scheduled} kills, {result.frames_delivered}/"
             f"{result.frames_expected} frames)",
             file=sys.stderr,
         )

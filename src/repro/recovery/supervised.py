@@ -10,7 +10,11 @@ by :func:`repro.faults.fleet.supervise`, the supervisor of fleet cells,
 with no backoff between incarnations and one hook of this module: once
 the next of :func:`draw_kill_thresholds`' decoded-frame counts is
 durable on disk, the parent SIGKILLs the real pid -- no warning, no
-cleanup.  Each respawn cold-restores from the WAL + checkpoints.  The
+cleanup.  The child draws the same thresholds from its ``CONFIG.json``
+and, once its frames on disk reach the next one above the count it
+started from, blocks in its frame sink until that SIGKILL arrives, so
+no scheduled kill can be outrun by a child that finishes between two
+polls.  Each respawn cold-restores from the WAL + checkpoints.  The
 child writes nothing of its own; a traceback goes to the inherited
 stderr.
 
@@ -73,10 +77,12 @@ class DurableCampaignResult:
 
     @property
     def ok(self) -> bool:
-        """Exactly-once across real process death: the complete frame
-        set came back from disk, bit-identical to the reference."""
+        """Exactly-once across real process death: every scheduled
+        kill happened, and the complete frame set came back from disk,
+        bit-identical to the reference."""
         return (
-            self.frames_delivered == self.frames_expected
+            self.kills == self.kills_scheduled
+            and self.frames_delivered == self.frames_expected
             and self.frames_digest == self.reference_frames_digest
         )
 
@@ -132,21 +138,35 @@ def run_worker(root: str) -> None:
     the oracle's input.  The process expects to be SIGKILLed at any
     instant: on (re)spawn it reads ``root/CONFIG.json``, rebuilds the
     identical application and cold-restores whatever consistent cut the
-    previous incarnation committed.  A run that drains the stream
-    writes ``root/RESULT.json`` atomically -- its existence is the
-    completion signal.
+    previous incarnation committed.  Once its frames on disk reach the
+    next kill threshold above the count it started from, the frame sink
+    blocks until the parent's SIGKILL ends the process.  A run that
+    drains the stream writes ``root/RESULT.json`` atomically -- its
+    existence is the completion signal.
     """
     with open(os.path.join(root, CONFIG_NAME)) as fh:
         config = json.load(fh)
     seed, n_images = config["seed"], config["n_images"]
     frames = FrameStore(os.path.join(root, FRAMES_DIR))
+    start = frames.count()
+    kill_at = next(
+        (t for t in draw_kill_thresholds(seed, n_images, config["kill9s"]) if t > start),
+        None,
+    )
+
+    def save_then_await_kill(index: int, image) -> None:
+        frames.save(index, image)
+        if kill_at is not None and frames.count() >= kill_at:
+            while True:  # the parent's SIGKILL ends this process
+                time.sleep(1.0)
+
     app = build_smp_assembly(
         campaign_stream(seed, n_images),
         use_stored_coefficients=True,
         keep_frames=False,
         with_observer=False,
         drop_incomplete=False,
-        frame_sink=frames.save,
+        frame_sink=save_then_await_kill,
     )
     runtime = build_run(
         RunConfig(
@@ -226,8 +246,8 @@ def run_durable_campaign(
             kills += 1
             pending_kills.pop(0)
         killing = False
-        # Done once the stream is drained and the result is durable (a
-        # kill the child outran ends here too); any other exit respawns.
+        # Done once the stream is drained and the result is durable;
+        # any other exit respawns.
         done = exitcode == 0 and os.path.exists(result_path)
         return done
 

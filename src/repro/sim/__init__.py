@@ -20,7 +20,7 @@ from repro.sim.clock import MICROSECOND, MILLISECOND, NANOSECOND, SECOND
 from repro.sim.errors import SimulationError, ProcessKilled
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
-from repro.sim.mailbox import Envelope, Staging
+from repro.sim.mailbox import Staging
 from repro.sim.process import Command, Timeout, WaitEvent
 from repro.sim.resources import Channel
 from repro.sim.rng import RngRegistry
@@ -34,7 +34,6 @@ from repro.sim.shard import (
 __all__ = [
     "Channel",
     "Command",
-    "Envelope",
     "Event",
     "Kernel",
     "Shard",

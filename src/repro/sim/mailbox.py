@@ -4,8 +4,8 @@ The sharded simulator (:mod:`repro.sim.shard`) splits one logical
 machine across several shards, each with a clock of its own.  A
 message, whether it crosses shards or stays inside one, is not handed
 over directly: the arrival *order* of concurrent sends would depend on
-which shard happened to run first.  Instead every delivery is an :class:`Envelope`
-with a totally ordered key
+which shard happened to run first.  Instead every delivery is an
+envelope with a totally ordered key
 
     ``(recv_time, send_time, src_component, src_interface, send_seq)``
 
@@ -13,11 +13,19 @@ where ``send_seq`` is the sender context's own per-message counter.  All
 key fields are properties of the *logical* send, none of the shard
 layout, so sorting envelopes by key reproduces one canonical per-channel
 put order for every shard count -- the heart of the shard-invariance
-oracle.  An envelope *is* that key plus its delivery action: a handler
-and the handler's positional arguments, ``(*key, handler, *args)``.  The
-heap orders it with the built-in tuple comparison, and the action is
-plain data -- one shared handler per kind of delivery, not a closure
-built for each send.
+oracle.
+
+An envelope is one plain tuple, that key followed by its delivery
+action:
+
+    ``(recv_time, send_time, src, src_interface, seq, handler_index, *args)``
+
+``handler_index`` indexes the run's handler table (one shared handler
+per kind of delivery, not a closure per send), and the delivery calls
+``handlers[handler_index](*args)``.  The same tuple is staged, released,
+delivered and pickled between worker processes as it is.  The heap
+orders envelopes with the built-in tuple comparison; keys are unique per
+logical send, so it never needs to get past the key.
 
 A cross-shard envelope is posted to the receiving shard's inbox, a
 plain list (``Shard.post``), and drained at synchronization points into
@@ -32,84 +40,22 @@ order no matter when they arrived.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
-from sys import intern as _intern
-from typing import Any, Callable, Iterable, List
+from typing import Any, Callable, Iterable, List, Sequence
 
 #: Key fields, in comparison order (see module docstring).
 KEY_FIELDS = ("recv_time", "send_time", "src", "src_interface", "seq")
 
 
-class Envelope(tuple):
-    """One staged delivery: the tuple ``(*key, deliver, *args)``.
-
-    ``deliver(*args)`` runs *on the receiving shard*, whose clock then
-    reads ``recv_time``.  A sender stages one shared handler with the
-    arguments of this send (the 6-argument form is the zero-argument
-    case).  Keys are unique per logical message (each sender context
-    numbers its sends), so comparisons never reach ``deliver``;
-    :class:`Staging` turns a duplicate key into a ``ValueError``.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        recv_time: int,
-        send_time: int,
-        src: str,
-        src_interface: str,
-        seq: int,
-        deliver: Callable[..., None],
-        *args: Any,
-    ) -> "Envelope":
-        if recv_time < send_time:
-            raise ValueError(
-                f"recv_time {recv_time} precedes send_time {send_time} "
-                f"(negative link latency?)"
-            )
-        # A workload sends many envelopes with the same (src, iface)
-        # strings; interning collapses them to one object each, so the
-        # heap's tuple comparisons short-circuit on identity instead of
-        # comparing characters (and N staged envelopes hold 2 string
-        # references, not 2N strings).
-        return tuple.__new__(
-            cls,
-            (recv_time, send_time, _intern(src), _intern(src_interface), seq, deliver, *args),
-        )
-
-    recv_time = property(itemgetter(0))
-    send_time = property(itemgetter(1))
-    src = property(itemgetter(2))
-    src_interface = property(itemgetter(3))
-    seq = property(itemgetter(4))
-    deliver = property(itemgetter(5))
-    #: The positional arguments ``deliver`` is called with.
-    args = property(itemgetter(slice(6, None)))
-    #: The total-order key (shard-layout independent).
-    key = property(itemgetter(slice(0, 5)))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Envelope recv={self[0]} send={self[1]} "
-            f"src={self[2]}.{self[3]}#{self[4]}>"
-        )
-
-
-def _deliver_group(group: List[Envelope]) -> Callable[[], None]:
-    """One callback delivering a whole equal-``recv_time`` group.
+def _deliver_group(group: List[tuple], handlers: Sequence[Callable[..., None]]) -> None:
+    """Deliver a whole equal-``recv_time`` group through ``handlers``.
 
     The group is already in key order (popped off the staging heap), so
     delivering inline back-to-back produces exactly the order the
-    per-envelope path produces: each ``deliver(*args)`` runs at the
-    same ``recv_time``, one after the other, in key order.
+    per-envelope path produces: each handler runs at the same
+    ``recv_time``, one after the other, in key order.
     """
-
-    def deliver_batch() -> None:
-        for env in group:
-            env[5](*env[6:])
-
-    return deliver_batch
+    for env in group:
+        handlers[env[5]](*env[6:])
 
 
 def _duplicate_key(key: tuple) -> ValueError:
@@ -119,10 +65,11 @@ def _duplicate_key(key: tuple) -> ValueError:
     )
 
 
-def _key_error(heap: List[Envelope], exc: TypeError) -> Exception:
+def _key_error(heap: List[tuple], exc: TypeError) -> Exception:
     """Equal keys make the heap's tuple comparison fall through to the
-    ``deliver`` callables, which raises ``TypeError`` when they differ:
-    name the key.  Only that error path pays for this scan."""
+    handler index and the arguments, which raises ``TypeError`` when the
+    arguments do not compare: name the key.  Only that error path pays
+    for this scan."""
     seen = set()
     for env in heap:
         key = env[:5]
@@ -134,26 +81,26 @@ def _key_error(heap: List[Envelope], exc: TypeError) -> Exception:
 
 class Staging:
     """A shard-private min-heap of envelopes, read by position
-    (``env[0]`` is ``recv_time``, ``env[5:]`` is ``deliver`` and its
-    arguments)."""
+    (``env[0]`` is ``recv_time``, ``env[5]`` the handler index,
+    ``env[6:]`` its arguments)."""
 
     def __init__(self) -> None:
-        self._heap: List[Envelope] = []
+        self._heap: List[tuple] = []
         self.released = 0
-        #: Callbacks handed out by :meth:`release_batched` (one per
+        #: Deliveries handed out by :meth:`release_batched` (one per
         #: distinct ``recv_time`` in a release) -- ``released /
         #: batches`` is the cross-shard batch factor the scaling bench
         #: reports.
         self.batches = 0
 
-    def push(self, envelope: Envelope) -> None:
+    def push(self, envelope: tuple) -> None:
         """Stage one envelope for later release."""
         try:
             heappush(self._heap, envelope)
         except TypeError as exc:
             raise _key_error(self._heap, exc)
 
-    def push_many(self, envelopes: Iterable[Envelope]) -> int:
+    def push_many(self, envelopes: Iterable[tuple]) -> int:
         """Stage a chunk of envelopes in one O(n) heapify instead of n
         O(log n) sifts -- the mailbox drain path hands over a whole
         window's worth of cross-shard arrivals at once."""
@@ -172,15 +119,16 @@ class Staging:
             raise _key_error(heap, exc)
         return len(items)
 
-    def _pop_below(self, horizon: int) -> List[Envelope]:
+    def _pop_below(self, horizon: int) -> List[tuple]:
         """Pop every envelope with ``recv_time < horizon``, in key order.
 
-        Two envelopes sharing a handler compare past an equal key into
-        their arguments without a ``TypeError``, so the heap accepts
-        them.  Equal keys pop adjacent, and this is where they are
-        caught (``seq`` first, so the unique case stays cheap)."""
+        Two envelopes with one key compare past it into their handler
+        indices and arguments, usually without a ``TypeError``, so the
+        heap accepts them.  Equal keys pop adjacent, and this is where
+        they are caught (``seq`` first, so the unique case stays
+        cheap)."""
         heap = self._heap
-        batch: List[Envelope] = []
+        batch: List[tuple] = []
         prev = (None,) * 5  # no envelope's recv_time is None
         try:
             while heap and heap[0][0] < horizon:
@@ -193,9 +141,12 @@ class Staging:
             raise _key_error(heap, exc)
         return batch
 
-    def release_below(self, horizon: int, deliver: Callable[..., Any]) -> int:
+    def release_below(
+        self, horizon: int, deliver: Callable[..., Any], handlers: Sequence[Callable[..., None]]
+    ) -> int:
         """Release every envelope with ``recv_time < horizon`` through
-        ``deliver(recv_time, handler, *args)``, in key order.
+        ``deliver(recv_time, handlers[handler_index], *args)``, in key
+        order.
 
         Key-order release below a *conservative* horizon (no
         later-staged envelope can undercut it) is what makes equal-time
@@ -205,21 +156,25 @@ class Staging:
         identical dispatch traces."""
         batch = self._pop_below(horizon)
         for env in batch:
-            deliver(env[0], *env[5:])
+            deliver(env[0], handlers[env[5]], *env[6:])
         n = len(batch)
         self.released += n
         self.batches += n
         return n
 
-    def release_batched(self, horizon: int, deliver: Callable[..., Any]) -> int:
-        """Batched release: one ``deliver(recv_time, callback)`` per
-        *distinct* ``recv_time`` below the horizon, the callback
-        delivering that time's whole key-ordered group inline.
+    def release_batched(
+        self, horizon: int, deliver: Callable[..., Any], handlers: Sequence[Callable[..., None]]
+    ) -> int:
+        """Batched release: one ``deliver`` call per *distinct*
+        ``recv_time`` below the horizon.  A lone envelope goes out as
+        ``deliver(t, handlers[handler_index], *args)``, a group as
+        ``deliver(t, _deliver_group, group, handlers)``, which delivers
+        that time's key-ordered group inline.
 
         Equivalent to :meth:`release_below` by construction: the groups
         go out in time order and each delivers in key order.  A fan-in
-        workload whose messages share timestamps pays one callback per
-        timestamp instead of one per envelope.  Ablation A10b
+        workload whose messages share timestamps pays one ``deliver``
+        per timestamp instead of one per envelope.  Ablation A10b
         (``benchmarks/test_ablation_envelope_release.py``) measures what
         that buys."""
         heap = self._heap
@@ -235,9 +190,9 @@ class Staging:
             while j < n and batch[j][0] == t:
                 j += 1
             if j - i == 1:
-                deliver(t, *env[5:])
+                deliver(t, handlers[env[5]], *env[6:])
             else:
-                deliver(t, _deliver_group(batch[i:j]))
+                deliver(t, _deliver_group, batch[i:j], handlers)
             self.batches += 1
             i = j
         self.released += n

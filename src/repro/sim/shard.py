@@ -18,8 +18,10 @@ shard does in the window can land below it.  No null messages
 circulate; a coordinator recomputes the bound each sweep (a time-window
 barrier).  The only workload on this layer, ``traffic``, costs every
 hop the same ``COMPUTE_NS + LINK_NS``, so that hop is its lookahead.
-:meth:`ShardedSimulation.run` runs one coordinator loop.  Given the
-run's handler table and a host with more than one usable CPU, it forks
+Every envelope names its handler by an index into the run's one handler
+table, given to :class:`ShardedSimulation` and shared by every shard.
+:meth:`ShardedSimulation.run` runs one coordinator loop.  Given an
+``export`` callback and a host with more than one usable CPU, it forks
 worker processes that each own a share of the shards (`Worker
 processes`_); otherwise it runs every shard on the calling thread, as a
 loop with no workers.
@@ -33,10 +35,10 @@ Each window is one exchange per forked worker: the coordinator sends
 the bound and the envelopes bound for that worker's shards, and gets
 back its shards' least ``eot`` and the envelopes they posted to shards
 of other workers.  An envelope between two shards of one worker never
-leaves its process.  One crossing workers travels as the plain tuple
-``(*key, handler_index, *args)``, indexing the run's handler table, and
-is rebuilt as an :class:`~repro.sim.mailbox.Envelope` on arrival.  The
-bound and the window sequence do not depend on the worker count, so
+leaves its process.  One crossing workers is pickled as the plain
+tuple it is (:mod:`repro.sim.mailbox`): its handler is an index, so the
+worker at the other end delivers it through its own copy of the table.
+The bound and the window sequence do not depend on the worker count, so
 the delivery order, the digests and the sweep count do not either.
 
 Determinism contract
@@ -44,7 +46,7 @@ Determinism contract
 The simulation produces the *same per-channel delivery order for every
 shard count*.  Two mechanisms enforce this:
 
-- every delivery is staged as an :class:`~repro.sim.mailbox.Envelope`
+- every delivery is staged as an envelope (:mod:`repro.sim.mailbox`)
   and delivered in key order ``(recv_time, send_time, src, iface, seq)``
   -- all fields properties of the logical send, none of the layout;
 - release happens batch-wise below a horizon no later-staged envelope
@@ -67,7 +69,7 @@ from time import thread_time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import SchedulingError, SimulationError
-from repro.sim.mailbox import Envelope, Staging
+from repro.sim.mailbox import Staging
 
 _INF = float("inf")
 
@@ -107,13 +109,13 @@ def partition_graph(
     size, so tightly coupled neighborhoods land together and the cut
     stays small.  ``affinity`` pins named components to shards
     (user-supplied placement wins over the heuristic).  Fully
-    deterministic: ties follow the declaration order of ``names`` and
-    ``edges``.
+    deterministic: ties follow the declaration order of ``names``.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
     names = list(names)
-    if len(set(names)) != len(names):
+    index_of = {n: i for i, n in enumerate(names)}
+    if len(index_of) != len(names):
         raise ValueError("component names must be unique")
     if n_shards > len(names):
         raise ValueError(
@@ -121,37 +123,38 @@ def partition_graph(
             f"without empty shards; use at most {len(names)} shards"
         )
     affinity = dict(affinity or {})
-    known = set(names)
     for name, shard in affinity.items():
-        if name not in known:
+        if name not in index_of:
             raise ValueError(f"affinity names unknown component {name!r}")
         if not 0 <= shard < n_shards:
             raise ValueError(f"affinity pins {name!r} to shard {shard}, have {n_shards}")
 
-    order_of = {n: i for i, n in enumerate(names)}
-    adjacency: Dict[str, List[str]] = {n: [] for n in names}
+    adjacency: List[List[int]] = [[] for _ in names]
     for a, b in edges:
-        if a not in adjacency or b not in adjacency:
-            raise ValueError(f"edge ({a!r}, {b!r}) references unknown component")
-        if a != b:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
+        try:
+            i, j = index_of[a], index_of[b]
+        except KeyError:
+            raise ValueError(f"edge ({a!r}, {b!r}) references unknown component") from None
+        if i != j:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
 
-    # Deterministic BFS over every connected part, seeds in name order,
-    # neighbours in declaration order.
-    bfs: List[str] = []
-    seen = set()
-    for seed in names:
-        if seed in seen:
+    # Deterministic BFS over every connected part, seeds and neighbours
+    # in name order (a component's index is its place in ``names``).  A
+    # neighbour listed twice is skipped the second time as seen.
+    bfs: List[int] = []
+    seen = [False] * len(names)
+    for seed in range(len(names)):
+        if seen[seed]:
             continue
         queue = deque([seed])
-        seen.add(seed)
+        seen[seed] = True
         while queue:
             node = queue.popleft()
             bfs.append(node)
-            for nxt in sorted(set(adjacency[node]), key=order_of.__getitem__):
-                if nxt not in seen:
-                    seen.add(nxt)
+            for nxt in sorted(adjacency[node]):
+                if not seen[nxt]:
+                    seen[nxt] = True
                     queue.append(nxt)
 
     assignment = dict(affinity)
@@ -162,7 +165,8 @@ def partition_graph(
     target = len(names) / n_shards
     shard = 0
     load = pinned_load[0]
-    for name in bfs:
+    for node in bfs:
+        name = names[node]
         if name in assignment:
             continue
         while shard < n_shards - 1 and load + 0.5 >= target:
@@ -188,8 +192,12 @@ class Shard:
         #: Cross-shard envelopes posted by other shards since the last
         #: drain; their order is irrelevant, :attr:`staging` re-orders
         #: them by key.
-        self.inbox: List[Envelope] = []
+        self.inbox: List[tuple] = []
         self.staging = Staging()
+        #: The run's handler table, which :class:`ShardedSimulation`
+        #: shares with every shard: an envelope's ``handler_index``
+        #: points into it.
+        self.handlers: Tuple[Callable[..., None], ...] = ()
         #: CPU seconds this shard's thread spent inside :meth:`run_until`
         #: -- the per-shard busy time the critical-path speedup metric
         #: uses.  CPU time, not wall time: a worker process the host
@@ -198,13 +206,29 @@ class Shard:
 
     # -- delivery intake ------------------------------------------------------
 
-    def stage(self, envelope: Envelope) -> None:
+    def stage(self, envelope: tuple) -> None:
         """Stage a *same-shard* delivery (called by this shard only)."""
+        if envelope[0] < envelope[1] or not 0 <= envelope[5] < len(self.handlers):
+            raise self._refusal(envelope)
         self.staging.push(envelope)
 
-    def post(self, envelope: Envelope) -> None:
+    def post(self, envelope: tuple) -> None:
         """Post a *cross-shard* delivery (called by the sending shard)."""
+        if envelope[0] < envelope[1] or not 0 <= envelope[5] < len(self.handlers):
+            raise self._refusal(envelope)
         self.inbox.append(envelope)
+
+    def _refusal(self, envelope: tuple) -> Exception:
+        """Why :meth:`stage` or :meth:`post` refused ``envelope``."""
+        if envelope[0] < envelope[1]:
+            return ValueError(
+                f"recv_time {envelope[0]} precedes send_time {envelope[1]} "
+                f"(negative link latency?)"
+            )
+        return SimulationError(
+            f"envelope handler index {envelope[5]!r} is not in the run's handler "
+            f"table of {len(self.handlers)}"
+        )
 
     def drain_inbox(self) -> int:
         """Move posted envelopes into the staging heap.
@@ -246,11 +270,12 @@ class Shard:
         staged = self.staging._heap
         release = self.staging.release_batched
         deliver = self._deliver
+        handlers = self.handlers
         t0 = thread_time()
         try:
             while staged and staged[0][0] < bound:
                 horizon = staged[0][0] + lookahead
-                release(bound if bound < horizon else horizon, deliver)
+                release(bound if bound < horizon else horizon, deliver, handlers)
         finally:
             self.busy_s += thread_time() - t0
 
@@ -293,23 +318,6 @@ def _pin(cpus: Sequence[int], worker: int) -> None:
     forked worker on its parent's CPU for the whole run."""
     if cpus:
         os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
-
-
-def _missing_handler(handler: Callable) -> SimulationError:
-    name = getattr(handler, "__qualname__", None) or repr(handler)
-    return SimulationError(f"envelope handler {name} is not in the run's handler table")
-
-
-def _to_wire(envelopes: Iterable[Envelope], index: Dict[Callable, int]) -> List[tuple]:
-    """Envelopes as ``(*key, handler_index, *args)`` tuples, which pickle."""
-    try:
-        return [env[:5] + (index[env[5]],) + env[6:] for env in envelopes]
-    except KeyError as exc:
-        raise _missing_handler(exc.args[0]) from None
-
-
-def _from_wire(wires: Iterable[tuple], handlers: Sequence[Callable]) -> List[Envelope]:
-    return [Envelope(*w[:5], handlers[w[5]], *w[6:]) for w in wires]
 
 
 class _WorkerTraceback(Exception):
@@ -372,7 +380,10 @@ class ShardedSimulation:
 
     ``lookahead_ns`` is the least delay, at least 1 ns, from the event
     that sends an envelope to that envelope's delivery, on one shard or
-    across two.  :meth:`run` then sweeps:
+    across two.  ``handlers`` is the run's handler table, which every
+    shard delivers through: an envelope's ``handler_index`` points into
+    it, and :meth:`Shard.stage` and :meth:`Shard.post` refuse an index
+    outside it.  :meth:`run` then sweeps:
 
     1. drain every inbox and take every shard's ``eot``; if all are
        ``inf`` the simulation is over,
@@ -386,7 +397,12 @@ class ShardedSimulation:
     after the window can never miss work below the bound.
     """
 
-    def __init__(self, shards: Sequence[Shard], lookahead_ns: int) -> None:
+    def __init__(
+        self,
+        shards: Sequence[Shard],
+        lookahead_ns: int,
+        handlers: Sequence[Callable[..., None]],
+    ) -> None:
         if not shards:
             raise ValueError("need at least one shard")
         for i, shard in enumerate(shards):
@@ -402,6 +418,9 @@ class ShardedSimulation:
             )
         self.shards = list(shards)
         self.lookahead = lookahead_ns
+        self.handlers = tuple(handlers)
+        for shard in self.shards:
+            shard.handlers = self.handlers
         self.sweeps = 0
         #: Worker processes the last :meth:`run` used (1: cooperative).
         self.workers = 1
@@ -430,24 +449,20 @@ class ShardedSimulation:
             if shard.eot() < bound:
                 shard.run_until(bound, lookahead)
 
-    def run(
-        self,
-        handlers: Optional[Sequence[Callable]] = None,
-        export: Optional[Callable[[List[int]], Any]] = None,
-    ) -> int:
+    def run(self, export: Optional[Callable[[List[int]], Any]] = None) -> int:
         """Sweep windows until every shard is idle; returns the number
         of sweeps.
 
-        ``handlers`` is the run's handler table: every handler an
-        envelope crossing shards may carry.  With it, and when more
-        than one CPU is usable, the shards run in ``min(shards, usable
-        CPUs)`` worker processes, ``workers - 1`` of them forked (module
-        docstring), and each forked worker's ``export(its shard
-        indices)`` lands in :attr:`exported`.  Without it, or with one
-        usable CPU, no ``os.fork`` or another live thread (forking
-        would copy a lock some thread holds), the same loop runs every
-        window on the calling thread.  Either way every shard here ends
-        holding its final clock and counters."""
+        ``export`` reads back what a forked worker computed for its
+        shards.  With it, and when more than one CPU is usable, the
+        shards run in ``min(shards, usable CPUs)`` worker processes,
+        ``workers - 1`` of them forked (module docstring), and each
+        forked worker's ``export(its shard indices)`` lands in
+        :attr:`exported`.  Without it, or with one usable CPU, no
+        ``os.fork`` or another live thread (forking would copy a lock
+        some thread holds), the same loop runs every window on the
+        calling thread.  Either way every shard here ends holding its
+        final clock and counters."""
         self.workers = 1
         self.exported = []
         shards = self.shards
@@ -456,15 +471,8 @@ class ShardedSimulation:
             if shard.inbox:
                 shard.drain_inbox()
         n_workers = 1
-        index: Dict[Callable, int] = {}
-        if handlers is not None:
-            index = {handler: k for k, handler in enumerate(handlers)}
-            for shard in shards:
-                for env in shard.staging._heap:
-                    if env[5] not in index:
-                        raise _missing_handler(env[5])
-            if hasattr(os, "fork") and threading.active_count() == 1:
-                n_workers = min(n, usable_cpus())
+        if export is not None and hasattr(os, "fork") and threading.active_count() == 1:
+            n_workers = min(n, usable_cpus())
         owner = [i % n_workers for i in range(n)]
         owned = [list(range(w, n, n_workers)) for w in range(n_workers)]
         #: least[w]: the least ``eot`` of worker w's shards.
@@ -494,13 +502,13 @@ class ShardedSimulation:
                     for _, sibling in children:
                         sibling.close()
                     _pin(cpus, w)
-                    self._serve(_Duplex(down[0], up[1]), owned[w], handlers, index, export)
+                    self._serve(_Duplex(down[0], up[1]), owned[w], export)
                 os.close(down[0])
                 os.close(up[1])
                 children.append((pid, _Duplex(up[0], down[1])))
             self.workers = n_workers
             _pin(cpus, 0)
-            # pending[w][i]: wire envelopes for shard i of worker w.
+            # pending[w][i]: envelopes for shard i of worker w.
             pending: List[Dict[int, List[tuple]]] = [{} for _ in range(n_workers)]
             while min(least) != _INF:
                 bound = self._bound(min(least))
@@ -511,23 +519,23 @@ class ShardedSimulation:
                 self.sweeps += 1
                 for i, shard in enumerate(shards):
                     if shard.inbox and owner[i]:
-                        pending[owner[i]][i] = _to_wire(shard.inbox, index)
+                        pending[owner[i]][i] = shard.inbox
                         shard.inbox = []
                 for w, (pid, link) in enumerate(children, 1):
                     least[w], outbound = _reply(link, pid)
-                    for i, wires in outbound.items():
+                    for i, envelopes in outbound.items():
                         if owner[i]:
-                            pending[owner[i]].setdefault(i, []).extend(wires)
+                            pending[owner[i]].setdefault(i, []).extend(envelopes)
                         else:
-                            shards[i].inbox.extend(_from_wire(wires, handlers))
+                            shards[i].inbox.extend(envelopes)
                 for i in owned[0]:
                     if shards[i].inbox:
                         shards[i].drain_inbox()
                 least[0] = min(shards[i].eot() for i in owned[0])
                 # A worker drains what it is sent before its next window.
                 for w, bound_for in enumerate(pending[1:], 1):
-                    for wires in bound_for.values():
-                        least[w] = min(least[w], min(wire[0] for wire in wires))
+                    for envelopes in bound_for.values():
+                        least[w] = min(least[w], min(env[0] for env in envelopes))
             for _, link in children:
                 link.send(None)
             for w, (pid, link) in enumerate(children, 1):
@@ -553,9 +561,7 @@ class ShardedSimulation:
         self,
         link: _Duplex,
         mine: List[int],
-        handlers: Sequence[Callable],
-        index: Dict[Callable, int],
-        export: Optional[Callable[[List[int]], Any]],
+        export: Callable[[List[int]], Any],
     ) -> None:  # pragma: no cover - runs in the worker
         """A forked worker's loop: run the windows of shards ``mine``
         as the coordinator asks, then report their state and exit.  An
@@ -568,21 +574,20 @@ class ShardedSimulation:
             while True:
                 message = link.recv()
                 if message is None:
-                    state = export(mine) if export is not None else None
-                    link.send(([shards[i]._summary() for i in mine], state))
+                    link.send(([shards[i]._summary() for i in mine], export(mine)))
                     code = 0
                     return
                 bound, inbound = message
-                for i, wires in inbound.items():
+                for i, envelopes in inbound.items():
                     shard = shards[i]
-                    shard.inbox.extend(_from_wire(wires, handlers))
+                    shard.inbox.extend(envelopes)
                     shard.drain_inbox()
                 self._run_window(mine, bound)
                 outbound = {}
                 for i in others:
                     shard = shards[i]
                     if shard.inbox:
-                        outbound[i] = _to_wire(shard.inbox, index)
+                        outbound[i] = shard.inbox
                         shard.inbox = []
                 for i in mine:
                     if shards[i].inbox:

@@ -8,7 +8,7 @@ arranged in four tiers --
 
 -- all on the raw shard layer (:mod:`repro.sim.shard`), so a 10k-
 component deployment is a table of handlers, not 10k OS-model threads.
-Every hop is an :class:`~repro.sim.mailbox.Envelope` with the usual
+Every hop is an envelope (:mod:`repro.sim.mailbox`) with the usual
 total-order key, which gives the workload the same determinism oracle
 as the MJPEG pipeline: the per-component delivery sequence -- and hence
 the trace digest -- is identical for every shard count.
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.mailbox import Envelope
 from repro.sim.shard import Shard, ShardedSimulation, partition_graph
 
 _MASK64 = (1 << 64) - 1
@@ -56,6 +55,8 @@ LINK_NS = 500
 #: session issues.
 HEAVY_SHARE = 0.1
 HEAVY_FACTOR = 4
+#: Handler indices of the four tiers in a run's handler table.
+INGRESS, FRONTEND, BACKEND, SINK = range(4)
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,7 @@ def run_traffic(
     shard_of = [assignment[name] for name in names]
 
     shards = [Shard(i) for i in range(n_shards)]
-    # Every hop lands compute + link after its trigger, on any shard.
     compute_ns, link_ns, fanout = COMPUTE_NS, LINK_NS, FANOUT
-    sim = ShardedSimulation(shards, compute_ns + link_ns)
 
     n = len(names)
     folds = [0] * n  # per-component delivery-sequence hash (layout-invariant)
@@ -200,12 +199,13 @@ def run_traffic(
         ) & _MASK64
         comp_events[idx] += 1
 
-    def send(src_idx: int, dst_idx: int, t_send: int, handler, *extra) -> None:
-        # Stages the delivery ``handler(dst_idx, src_idx, seq, recv, *extra)``.
+    def send(src_idx: int, dst_idx: int, t_send: int, handler: int, *extra) -> None:
+        # Stages the call of the table's ``handler`` with ``(dst_idx,
+        # src_idx, seq, recv, *extra)``.
         seq = seqs[src_idx]
         seqs[src_idx] = seq + 1
         recv = t_send + link_ns
-        env = Envelope(
+        env = (
             recv, t_send, names[src_idx], "out", seq,
             handler, dst_idx, src_idx, seq, recv, *extra,
         )
@@ -219,7 +219,7 @@ def run_traffic(
     def on_backend(idx: int, src_idx: int, seq: int, t: int) -> None:
         _spin(spin)
         fold(idx, src_idx, seq, t)
-        send(idx, base_sink + sink_of[idx - base_back], t + compute_ns, on_sink)
+        send(idx, base_sink + sink_of[idx - base_back], t + compute_ns, SINK)
 
     def on_frontend(idx: int, src_idx: int, seq: int, t: int, session: int) -> None:
         _spin(spin)
@@ -228,14 +228,19 @@ def run_traffic(
         t_send = t + compute_ns
         for j in range(fanout):
             be = base_back + pool[(session + j) % len(pool)]
-            send(idx, be, t_send, on_backend)
+            send(idx, be, t_send, BACKEND)
 
     def on_ingress(idx: int, seq: int, t: int, session: int, tick: int) -> None:
         _spin(spin)
         fold(idx, -1, seq, t)
         fronts = fronts_of[idx]
         fe = base_front + fronts[(session + tick) % len(fronts)]
-        send(idx, fe, t + compute_ns, on_frontend, session)
+        send(idx, fe, t + compute_ns, FRONTEND, session)
+
+    # Every hop lands compute + link after its trigger, on any shard.
+    sim = ShardedSimulation(
+        shards, compute_ns + link_ns, (on_ingress, on_frontend, on_backend, on_sink)
+    )
 
     # Inject every request up front: session s, tick k, copy j -- all
     # requests of a tick enter their ingress at the same instant.
@@ -243,13 +248,13 @@ def run_traffic(
     n_requests = 0
     for s in range(config.sessions):
         lb = s % n_ingress
+        stage = shards[shard_of[lb]].stage
+        iface = f"s{s}"  # one string per session, shared by its requests
         for k in range(config.ticks):
             t0 = (k + 1) * TICK_NS
             for j in range(_activity(config, s)):
                 seq = (s * config.ticks + k) * max_req + j
-                shards[shard_of[lb]].stage(
-                    Envelope(t0, 0, "client", f"s{s}", seq, on_ingress, lb, seq, t0, s, k)
-                )
+                stage((t0, 0, "client", iface, seq, INGRESS, lb, seq, t0, s, k))
                 n_requests += 1
 
     def export(owned: List[int]) -> List[Tuple[int, int, int]]:
@@ -258,7 +263,7 @@ def run_traffic(
         return [(i, folds[i], comp_events[i]) for i in range(n) if shard_of[i] in mine]
 
     t0 = time.perf_counter()
-    sim.run(handlers=(on_ingress, on_frontend, on_backend, on_sink), export=export)
+    sim.run(export=export)
     for _owned, comps in sim.exported:
         for i, f, e in comps:
             folds[i] = f

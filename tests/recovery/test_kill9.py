@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+import repro.faults.fleet as fleet
 import repro.recovery.supervised as supervised
 from repro.recovery.supervised import EXTRA_RESPAWNS, run_durable_campaign
 
@@ -82,3 +83,15 @@ def test_hung_worker_times_out_and_is_killed(tmp_path, monkeypatch):
             kill9s=1, timeout_s=0.5,
         )
     assert multiprocessing.active_children() == []
+
+
+def test_every_scheduled_kill_happens_however_slow_the_parent_polls(tmp_path, monkeypatch):
+    """A child that could drain the stream between two polls still
+    waits at each kill threshold for its SIGKILL: with the supervisor
+    polling every 0.3 s, seed 1 performs both scheduled kills."""
+    monkeypatch.setattr(fleet, "POLL_S", 0.3)
+    result = run_durable_campaign(
+        seed=1, n_images=10, durable_dir=str(tmp_path / "state"), kill9s=2, timeout_s=300.0,
+    )
+    assert (result.kills, result.spawns) == (2, 3)
+    assert result.ok

@@ -1,12 +1,15 @@
 """``partition_graph`` against its quadratic reference.
 
-The linear version pops the BFS queue from a deque, orders neighbours
-by declaration order alone, and checks affinity names against one set.
+The linear version pops the BFS queue from a deque, walks components
+as integer indices (neighbours as int sets, sorted per node) and checks
+affinity names against the one name index.
 None of that may move a component: every assignment must equal the
 reference's unit-weight one, on the traffic graphs the benchmark
-partitions and on random graphs with and without affinity pins.
+partitions and on random graphs with and without affinity pins, and the
+traffic graphs' assignments are pinned as digests.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -52,3 +55,27 @@ def test_random_graph_assignment_matches_reference(seed):
         assert partition_graph(names, edges, n_shards, **kwargs) == reference_partition(
             names, edges, n_shards, **kwargs
         ), (names, edges, n_shards, kwargs)
+
+
+#: sha256 of ``bytes(assignment[name] for name in names)`` for the
+#: seed-1 traffic graph, by ``(components, shards)``; captured before
+#: the partition moved to integer indices.  The 10k graph is the one the
+#: ``traffic_10k`` benchmark partitions inside its timed run.
+TRAFFIC_ASSIGNMENT_SHA256 = {
+    (1000, 1): "541b3e9daa09b20bf85fa273e5cbd3e80185aa4ec298e765db87742b70138a53",
+    (1000, 2): "c0a813648aea885ad64a2b8dc58f759b0c6d53ac20da927735c2aa06d270af94",
+    (1000, 4): "d1b3ece66257f866514e2a36c37142d3fed59a59b38b6e9a0b76c27bf1a2736b",
+    (10000, 1): "95b532cc4381affdff0d956e12520a04129ed49d37e154228368fe5621f0b9a2",
+    (10000, 2): "a7a2c70ed378982aa8591076637d5f982c7bfaf4c9e6077905f8ecf1eb04f106",
+    (10000, 4): "3c5730eb5b9a0815bf8c1109ab123e55e613ac277ffa7109b1373bfecf19da70",
+}
+
+
+@pytest.mark.parametrize("n_components", [1000, 10000])
+def test_traffic_graph_assignment_is_pinned(n_components):
+    graph = build_traffic_graph(TrafficConfig(n_components=n_components, seed=1))
+    names = graph["names"]
+    for n_shards in (1, 2, 4):
+        assignment = partition_graph(names, graph["edges"], n_shards)
+        digest = hashlib.sha256(bytes(assignment[name] for name in names)).hexdigest()
+        assert digest == TRAFFIC_ASSIGNMENT_SHA256[(n_components, n_shards)], n_shards

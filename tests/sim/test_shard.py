@@ -10,8 +10,8 @@ import time
 import pytest
 
 from repro.sim import Kernel
-from repro.sim.errors import SchedulingError
-from repro.sim.mailbox import Envelope, Staging
+from repro.sim.errors import SchedulingError, SimulationError
+from repro.sim.mailbox import Staging
 from repro.sim.resources import Channel
 from repro.sim.shard import (
     Shard,
@@ -110,9 +110,32 @@ def test_partition_graph_deterministic_under_affinity_pins():
 # -- envelopes / inbox / staging -----------------------------------------------
 
 
+def noop(*args):
+    pass
+
+
 def test_envelope_rejects_receive_before_send():
-    with pytest.raises(ValueError):
-        Envelope(5, 9, "a", "out", 0, lambda: None)
+    shard = Shard(0)
+    ShardedSimulation([shard], 100, (noop,))
+    for intake in (shard.stage, shard.post):
+        with pytest.raises(ValueError, match="recv_time 5 precedes send_time 9"):
+            intake((5, 9, "a", "out", 0, 0))
+    assert len(shard.staging) == 0 and shard.inbox == []
+
+
+@pytest.mark.parametrize("index", (-1, 2, 7))
+def test_handler_index_outside_the_table_is_refused(index):
+    shards = [Shard(0), Shard(1)]
+    ShardedSimulation(shards, 100, (noop, noop))
+    for intake in (shards[0].stage, shards[1].post):
+        with pytest.raises(SimulationError, match=f"handler index {index} is not in the run's"):
+            intake((10, 0, "a", "out", 0, index))
+    assert len(shards[0].staging) == 0 and shards[1].inbox == []
+
+
+def test_a_shard_outside_a_simulation_has_no_handlers():
+    with pytest.raises(SimulationError, match="handler index 0 .* table of 0"):
+        Shard(0).stage((10, 0, "a", "out", 0, 0))
 
 
 def test_staging_releases_in_key_order_below_horizon():
@@ -121,34 +144,34 @@ def test_staging_releases_in_key_order_below_horizon():
     # Same receive time, distinct (send, src, iface, seq) tiebreakers,
     # pushed in scrambled order.
     scrambled = [
-        Envelope(10, 4, "b", "out", 0, lambda: order.append("b4")),
-        Envelope(10, 2, "a", "out", 1, lambda: order.append("a2.1")),
-        Envelope(12, 0, "a", "out", 2, lambda: order.append("late")),
-        Envelope(10, 2, "a", "out", 0, lambda: order.append("a2.0")),
-        Envelope(10, 2, "a", "in", 5, lambda: order.append("a2.in")),
+        (10, 4, "b", "out", 0, 0, "b4"),
+        (10, 2, "a", "out", 1, 0, "a2.1"),
+        (12, 0, "a", "out", 2, 0, "late"),
+        (10, 2, "a", "out", 0, 0, "a2.0"),
+        (10, 2, "a", "in", 5, 0, "a2.in"),
     ]
     for env in scrambled:
         staging.push(env)
     released = []
-    staging.release_below(12, lambda _t, deliver: released.append(deliver))
-    for deliver in released:
-        deliver()
+    staging.release_below(
+        12, lambda _t, handler, *args: released.append((handler, args)), (order.append,)
+    )
+    for handler, args in released:
+        handler(*args)
     # Key order: (recv, send, src, iface, seq); recv=12 stays staged.
     assert order == ["a2.in", "a2.0", "a2.1", "b4"]
     assert len(staging) == 1
 
 
 def test_push_many_matches_individual_pushes():
-    envs = [
-        Envelope(i % 7 + 1, 0, f"c{i % 3}", "out", i, lambda: None) for i in range(40)
-    ]
+    envs = [(i % 7 + 1, 0, f"c{i % 3}", "out", i, 0, i) for i in range(40)]
     one, many = Staging(), Staging()
     for env in envs:
         one.push(env)
     assert many.push_many(envs) == 40
     released_one, released_many = [], []
-    one.release_below(100, lambda t, cb: released_one.append((t, cb)))
-    many.release_below(100, lambda t, cb: released_many.append((t, cb)))
+    one.release_below(100, lambda t, h, *args: released_one.append((t, args)), (noop,))
+    many.release_below(100, lambda t, h, *args: released_many.append((t, args)), (noop,))
     assert released_one == released_many  # same envelopes, same key order
     assert many.push_many([]) == 0
 
@@ -158,7 +181,7 @@ def test_release_batched_groups_by_recv_time_in_key_order():
     order = []
 
     def mk(recv, send, src, seq, tag):
-        return Envelope(recv, send, src, "out", seq, lambda: order.append(tag))
+        return (recv, send, src, "out", seq, 0, tag)
 
     for env in (
         mk(10, 2, "b", 0, "b0"),
@@ -169,12 +192,14 @@ def test_release_batched_groups_by_recv_time_in_key_order():
     ):
         staging.push(env)
     scheduled = []
-    n = staging.release_batched(25, lambda t, cb: scheduled.append((t, cb)))
+    n = staging.release_batched(
+        25, lambda t, cb, *args: scheduled.append((t, cb, args)), (order.append,)
+    )
     assert n == 4
-    # One callback per *distinct* receive time below the horizon.
-    assert [t for t, _ in scheduled] == [10, 20]
-    for _t, cb in scheduled:
-        cb()
+    # One delivery per *distinct* receive time below the horizon.
+    assert [t for t, _, _ in scheduled] == [10, 20]
+    for _t, cb, args in scheduled:
+        cb(*args)
     assert order == ["a0", "b0", "b1", "c1"]  # key order inside the group
     assert staging.released == 4
     assert staging.batches == 2
@@ -190,7 +215,6 @@ def _pipeline_run(n_shards: int):
     n_chains, n_stages = 4, 3
     link_ns, compute_ns = 100, 700
     shards = [Shard(i) for i in range(n_shards)]
-    sim = ShardedSimulation(shards, compute_ns + link_ns)
     shard_of = {
         (c, s): (c + s) % n_shards for c in range(n_chains) for s in range(n_stages)
     }
@@ -204,18 +228,14 @@ def _pipeline_run(n_shards: int):
         if s + 1 < n_stages:
             dst = shard_of[(c, s + 1)]
             send = t + compute_ns
-            env = Envelope(
-                send + link_ns, send, f"c{c}", f"s{s}", item,
-                lambda: handler(c, s + 1, item, send + link_ns),
-            )
+            env = (send + link_ns, send, f"c{c}", f"s{s}", item, 0, c, s + 1, item, send + link_ns)
             (shards[dst].stage if dst == me else shards[dst].post)(env)
 
+    sim = ShardedSimulation(shards, compute_ns + link_ns, (handler,))
     for c in range(n_chains):
         for item in range(5):
             t = (item + 1) * 400 + c * 7
-            shards[shard_of[(c, 0)]].stage(
-                Envelope(t, 0, "", f"c{c}", item, lambda c=c, i=item, t=t: handler(c, 0, i, t))
-            )
+            shards[shard_of[(c, 0)]].stage((t, 0, "", f"c{c}", item, 0, c, 0, item, t))
     sweeps = sim.run()
     assert sweeps >= 1
     return log
@@ -243,7 +263,6 @@ def _chaotic_run(n_shards: int, seed: int):
     n_comp, n_msgs, hops = 10, 30, 3
     compute_ns, link_ns = 500, 100
     shards = [Shard(i) for i in range(n_shards)]
-    sim = ShardedSimulation(shards, compute_ns + link_ns)
     shard_of = [i % n_shards for i in range(n_comp)]
     log = {i: [] for i in range(n_comp)}
     seqs = [0] * n_comp
@@ -257,20 +276,16 @@ def _chaotic_run(n_shards: int, seed: int):
             q = seqs[dst]
             seqs[dst] = q + 1
             send = t + compute_ns
-            env = Envelope(
-                send + link_ns, send, f"c{dst}", "out", q,
-                lambda: handler(nxt, dst, q, send + link_ns, ttl - 1),
-            )
+            recv = send + link_ns
+            env = (recv, send, f"c{dst}", "out", q, 0, nxt, dst, q, recv, ttl - 1)
             (shards[shard_of[nxt]].stage if shard_of[nxt] == me
              else shards[shard_of[nxt]].post)(env)
 
+    sim = ShardedSimulation(shards, compute_ns + link_ns, (handler,))
     for i in range(n_msgs):
         dst = (i * 7 + seed) % n_comp
         t = 1_000 * (i % 5 + 1)  # clustered entry times -> shared recv times
-        shards[shard_of[dst]].stage(
-            Envelope(t, 0, "src", f"m{i}", i,
-                     lambda d=dst, i=i, t=t: handler(d, -1, i, t, hops))
-        )
+        shards[shard_of[dst]].stage((t, 0, "src", f"m{i}", i, 0, dst, -1, i, t, hops))
     sim.run()
     assert sum(len(v) for v in log.values()) == n_msgs * (hops + 1)
     return log
@@ -294,15 +309,13 @@ def test_idle_shard_with_pending_cross_shard_input_is_not_deadlocked():
     it at t=50.  The mailbox drain must surface the cross-shard
     envelope, so the run ends with it delivered at its receive time."""
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards, 100)
     got = []
 
     def produce():
-        shards[1].post(
-            Envelope(150, 50, "producer", "out", 0, lambda: got.append(shards[1].now))
-        )
+        shards[1].post((150, 50, "producer", "out", 0, 1))
 
-    shards[0].stage(Envelope(50, 0, "client", "in", 0, produce))
+    sim = ShardedSimulation(shards, 100, (produce, lambda: got.append(shards[1].now)))
+    shards[0].stage((50, 0, "client", "in", 0, 0))
     sim.run()
     assert got == [150]
 
@@ -312,13 +325,13 @@ def test_delivery_in_a_shards_past_raises():
     # promises 1 000 ns of lookahead and shard 0 then sends with 10, so
     # shard 1 has run past the arrival.
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards, 1_000)
 
     def late_send():
-        shards[1].post(Envelope(20, 10, "a", "out", 0, lambda: None))
+        shards[1].post((20, 10, "a", "out", 0, 1))
 
-    shards[0].stage(Envelope(10, 0, "a", "in", 0, late_send))
-    shards[1].stage(Envelope(500, 0, "b", "in", 0, lambda: None))
+    sim = ShardedSimulation(shards, 1_000, (late_send, noop))
+    shards[0].stage((10, 0, "a", "in", 0, 0))
+    shards[1].stage((500, 0, "b", "in", 0, 1))
     with pytest.raises(SchedulingError, match="cannot schedule in the past: 20 < 500"):
         sim.run()
     assert sim.workers == 1
@@ -327,10 +340,10 @@ def test_delivery_in_a_shards_past_raises():
 def test_unlinked_shards_run_independently():
     # Nothing crosses: two shards with staged work each run their own.
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards, 100)
     hits = []
-    shards[0].stage(Envelope(10, 0, "a", "out", 0, lambda: hits.append(0)))
-    shards[1].stage(Envelope(20, 0, "b", "out", 0, lambda: hits.append(1)))
+    sim = ShardedSimulation(shards, 100, (hits.append,))
+    shards[0].stage((10, 0, "a", "out", 0, 0, 0))
+    shards[1].stage((20, 0, "b", "out", 0, 0, 1))
     sim.run()
     assert sorted(hits) == [0, 1]
 
@@ -340,28 +353,29 @@ def test_busy_time_counts_cpu_not_wall_time():
     # critical-path speedup must not credit a shard for time the host
     # spent running something else.
     shard = Shard(0)
-    shard.stage(Envelope(10, 0, "a", "in", 0, lambda: time.sleep(0.05)))
-    ShardedSimulation([shard], 100).run()
+    sim = ShardedSimulation([shard], 100, (time.sleep,))
+    shard.stage((10, 0, "a", "in", 0, 0, 0.05))
+    sim.run()
     assert shard.busy_s < 0.01
 
 
 def test_shards_must_be_indexed_in_order():
     with pytest.raises(ValueError):
-        ShardedSimulation([Shard(1), Shard(0)], 100)
+        ShardedSimulation([Shard(1), Shard(0)], 100, ())
     with pytest.raises(ValueError):
-        ShardedSimulation([], 100)
+        ShardedSimulation([], 100, ())
 
 
 @pytest.mark.parametrize("lookahead_ns", (0, -5))
 def test_lookahead_below_one_ns_is_refused(lookahead_ns):
     with pytest.raises(ValueError, match="lookahead must be at least 1 ns"):
-        ShardedSimulation([Shard(0), Shard(1)], lookahead_ns)
+        ShardedSimulation([Shard(0), Shard(1)], lookahead_ns, ())
 
 
 def test_quiescent_clocks_align_to_global_max():
     shards = [Shard(0), Shard(1)]
-    sim = ShardedSimulation(shards, 100)
-    shards[0].stage(Envelope(5_000, 0, "a", "out", 0, lambda: None))
-    shards[1].stage(Envelope(7, 0, "b", "out", 0, lambda: None))
+    sim = ShardedSimulation(shards, 100, (noop,))
+    shards[0].stage((5_000, 0, "a", "out", 0, 0))
+    shards[1].stage((7, 0, "b", "out", 0, 0))
     sim.run()
     assert shards[0].now == shards[1].now == 5_000

@@ -6,7 +6,7 @@ the run's one lookahead, every message must satisfy
     receive time >= sender clock + link latency >= sender clock + lookahead
 
 The test also checks the two delivery-side halves of the contract: an
-envelope's deliver callback runs exactly at its receive time, and no
+envelope's handler runs exactly at its receive time, and no
 shard's clock ever has to move backwards (a violation raises
 ``SimulationError`` inside :meth:`Shard.run_until`, failing the test by
 exception).
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.sim.mailbox import Envelope
 from repro.sim.shard import Shard, ShardedSimulation
 
 SEEDS = [1, 7, 42]
@@ -34,10 +33,9 @@ def test_cross_shard_receive_respects_lookahead(monkeypatch, seed):
         for dst in range(n_shards):
             latency[(src, dst)] = rng.randrange(50, 301)
     lookahead = min(latency.values())
-    sim = ShardedSimulation(shards, lookahead)
 
     # Record every staged/posted envelope.  The sender's shard index is
-    # encoded in env.src by construction below.
+    # encoded in its src field by construction below.
     records = []
 
     def recording(intake, cross):
@@ -62,33 +60,28 @@ def test_cross_shard_receive_respects_lookahead(monkeypatch, seed):
         dst = rng.randrange(n_shards)
         send = t  # sender clock at the moment of sending
         recv = send + latency[(me, dst)]
-        env = Envelope(
-            recv, send, f"s{me}", "out", next(seq),
-            lambda: forward(dst, hops - 1, recv),
-        )
+        env = (recv, send, f"s{me}", "out", next(seq), 0, dst, hops - 1, recv)
         (shards[dst].stage if dst == me else shards[dst].post)(env)
+
+    sim = ShardedSimulation(shards, lookahead, (forward,))
 
     n_msgs = 60
     for m in range(n_msgs):
         me = m % n_shards
         t = rng.randrange(1, 2_000)
         hops = rng.randrange(1, 8)
-        shards[me].stage(
-            Envelope(t, 0, "seed", "in", m, lambda me=me, h=hops, t=t: forward(me, h, t))
-        )
+        shards[me].stage((t, 0, "seed", "in", m, 0, me, hops, t))
 
     sim.run()  # a lookahead violation raises SimulationError in run_until
 
-    forwarded = [(dst, env, cross) for dst, env, cross in records if env.src != "seed"]
+    forwarded = [(dst, env, cross) for dst, env, cross in records if env[2] != "seed"]
     assert forwarded, "workload generated no forwarded messages"
     assert any(cross for _, _, cross in forwarded), "no cross-shard traffic"
-    for dst, env, _cross in forwarded:
-        src = int(env.src[1:])
-        assert env.recv_time >= env.send_time + latency[(src, dst)] >= (
-            env.send_time + lookahead
-        ), (
-            f"envelope {env.src}->shard{dst} recv {env.recv_time} undercuts "
-            f"sender clock {env.send_time} + latency {latency[(src, dst)]}"
+    for dst, (recv, send, src_name, *_), _cross in forwarded:
+        src = int(src_name[1:])
+        assert recv >= send + latency[(src, dst)] >= send + lookahead, (
+            f"envelope {src_name}->shard{dst} recv {recv} undercuts "
+            f"sender clock {send} + latency {latency[(src, dst)]}"
         )
     # Everything injected was eventually delivered.
     assert len(delivered) == n_msgs + len(forwarded)

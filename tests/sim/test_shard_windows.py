@@ -24,7 +24,6 @@ import random
 
 import pytest
 
-from repro.sim.mailbox import Envelope
 from repro.sim.shard import Shard, ShardedSimulation
 from repro.workloads import TrafficConfig, run_traffic
 
@@ -58,7 +57,7 @@ def test_one_bound_never_exceeds_the_relaxation_fixed_point(seed):
     for _ in range(200):
         n_shards = rng.randrange(2, 9)
         lookahead = rng.randrange(1, 300)
-        sim = ShardedSimulation([Shard(i) for i in range(n_shards)], lookahead)
+        sim = ShardedSimulation([Shard(i) for i in range(n_shards)], lookahead, ())
         # About a third of the shards idle: bounds route through them.
         eots = [INF if rng.random() < 0.35 else rng.randrange(0, 5_000) for _ in range(n_shards)]
         if min(eots) == INF:
@@ -84,21 +83,19 @@ def test_bound_routes_through_a_chain_of_idle_shards(n_shards):
     # fail its delivery with "cannot schedule in the past".
     lookahead = 100
     shards = [Shard(i) for i in range(n_shards)]
-    sim = ShardedSimulation(shards, lookahead)
     arrivals = []
 
     def hop(me):
         now = shards[me].now
         arrivals.append((me, now))
         if me + 1 < n_shards:
-            shards[me + 1].post(
-                Envelope(now + lookahead, now, f"s{me}", "out", 0, hop, me + 1)
-            )
+            shards[me + 1].post((now + lookahead, now, f"s{me}", "out", 0, 0, me + 1))
 
     # Late work on the last shard: it may not run there before the token.
     tail = []
-    shards[-1].stage(Envelope(10_000, 0, "late", "in", 0, tail.append, "late"))
-    shards[0].stage(Envelope(50, 0, "token", "in", 0, hop, 0))
+    sim = ShardedSimulation(shards, lookahead, (hop, tail.append))
+    shards[-1].stage((10_000, 0, "late", "in", 0, 1, "late"))
+    shards[0].stage((50, 0, "token", "in", 0, 0, 0))
     sweeps = sim.run()
     assert arrivals == [(k, 50 + k * lookahead) for k in range(n_shards)]
     assert tail == ["late"]

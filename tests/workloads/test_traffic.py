@@ -89,3 +89,29 @@ def test_batched_release_matches_per_envelope(monkeypatch, seed):
     # must do strictly better on this tick-aligned workload.
     assert reference["batch_factor"] == 1.0
     assert batched["batch_factor"] > 10.0
+
+
+#: ``(events, sweeps, released, batches, shard_events)`` of the
+#: 1k-component model per ``(seed, shards)``, cooperative driver.  The
+#: work a run does, apart from what each unit of it costs: a speed-up of
+#: the shard layer must leave these alone.
+TRAFFIC_1K_WORK = {
+    (1, 1): (5850, 1, 5850, 12, [5850]),
+    (1, 2): (5850, 12, 5850, 21, [3634, 2216]),
+    (1, 4): (5850, 12, 5850, 36, [2449, 1185, 1106, 1110]),
+    (7, 1): (5850, 1, 5850, 12, [5850]),
+    (7, 2): (5850, 12, 5850, 24, [3711, 2139]),
+    (7, 4): (5850, 12, 5850, 39, [2495, 1216, 1052, 1087]),
+    (42, 1): (5850, 1, 5850, 12, [5850]),
+    (42, 2): (5850, 12, 5850, 21, [3887, 1963]),
+    (42, 4): (5850, 12, 5850, 36, [2622, 1265, 871, 1092]),
+}
+
+
+@pytest.mark.parametrize("seed, n_shards", sorted(TRAFFIC_1K_WORK))
+def test_traffic_1k_work_counts_are_pinned(usable_cpus, seed, n_shards):
+    usable_cpus(1)
+    result = run_traffic(TrafficConfig(n_components=1000, seed=seed, spin=0), n_shards)
+    assert result["workers"] == 1
+    fields = ("events", "sweeps", "released", "batches", "shard_events")
+    assert tuple(result[f] for f in fields) == TRAFFIC_1K_WORK[(seed, n_shards)]
