@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Event-trace support: the detailed view the paper's conclusion asks for.
 
-Runs the MJPEG decoder with full event tracing enabled, exports the
-trace to JSONL, and reconstructs per-component duration summaries and
+Runs the MJPEG decoder with full event tracing enabled, writes the
+trace in the columnar format ``repro trace`` writes, loads it back, and
+reconstructs per-component duration summaries and
 busy fractions -- turning "summarized information" into "a detailed view
 of the application behavior" (paper section 6).
 
@@ -16,7 +17,13 @@ from repro.metrics import Table
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly
 from repro.runtime import SmpSimRuntime
-from repro.trace import intervals, read_jsonl, summarize_durations, write_jsonl
+from repro.trace import (
+    TraceEvent,
+    intervals,
+    read_columns,
+    summarize_durations,
+    write_columns,
+)
 from repro.trace.analysis import busy_fraction
 from repro.trace.tracer import enable_tracing
 
@@ -33,15 +40,19 @@ def main() -> None:
     runtime.wait()
     runtime.stop()
 
-    events = buffer.events()
-    print(f"captured {len(events)} events "
+    print(f"captured {len(buffer)} events "
           f"({buffer.dropped} dropped) over "
           f"{runtime.makespan_ns / 1e6:.1f} virtual ms")
 
-    # round-trip through the JSONL writer
-    path = Path(tempfile.gettempdir()) / "mjpeg_trace.jsonl"
-    write_jsonl(events, path)
-    events = read_jsonl(path)
+    # round-trip through the columnar writer
+    path = Path(tempfile.gettempdir()) / "mjpeg_trace.columns.json"
+    write_columns(buffer, path)
+    cols = read_columns(path)
+    events = [
+        TraceEvent(*row)
+        for row in zip(cols.timestamp_ns, cols.seq, cols.component, cols.category,
+                       cols.name, cols.phase, cols.args)
+    ]
     print(f"trace written to {path}")
 
     ivals = intervals(events)

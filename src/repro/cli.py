@@ -22,10 +22,11 @@ Commands
     the CI ``shard-smoke`` job diffs them.  ``--metrics OUT`` additionally runs the live
     telemetry plane and writes the run's one registry (the ``metrics
     sha256:`` line is likewise shard-count invariant -- the CI
-    ``metrics-smoke`` job diffs it).  ``--workload traffic`` runs the
-    generated fan-in/fan-out service graph (``--components`` wide, 10k+
-    supported) instead; its invariant line is ``trace sha256:`` -- the
-    CI ``scale-smoke`` job diffs it across shard counts.  Both workloads
+    ``metrics-smoke`` job diffs it); the traffic workload refuses it.
+    ``--workload traffic`` runs the generated fan-in/fan-out service
+    graph (``--components`` wide, 10k+ supported) instead; its invariant
+    line is ``trace sha256:`` -- the CI ``scale-smoke`` job diffs it
+    across shard counts.  Both workloads
     place components with the one static partitioner
     (``repro.sim.shard.partition_graph``).  ``--profile OUT.pstats``
     wraps the run in cProfile.
@@ -46,9 +47,9 @@ Commands
     trip the *ordering* contract (injected duplicates reach the app),
     ``--recover`` campaigns trip the *deadline* contract (replays
     arrive late) and dedup the duplicates.  ``--metrics OUT`` writes
-    the campaign registry.  With ``--recover --durable DIR`` the
-    campaign runs in a forked child OS process whose recovery
-    state lives on disk in ``DIR``, and ``--kill9 K`` schedules K real
+    the campaign registry (refused with ``--durable``).  With
+    ``--recover --durable DIR`` the campaign runs in a forked child OS
+    process whose recovery state lives on disk in ``DIR``, and ``--kill9 K`` schedules K real
     SIGKILLs of that process mid-decode; the oracle is unchanged (the
     complete frame set, sha256-identical to the fault-free reference).
 ``recover {ls,dump,verify} DIR``
@@ -212,12 +213,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.hw import make_smp16
     from repro.mjpeg import generate_stream
     from repro.mjpeg.components import build_smp_assembly, frames_digest
-    from repro.runtime import RunConfig, build_run
+    from repro.runtime import ConfigError, RunConfig, build_run
 
     # The traffic model runs on the raw shard layer, which takes the
     # SMP runtime's shard count: this one config checks both.
     config = RunConfig(shards=args.shards, telemetry=args.metrics is not None)
     if args.workload == "traffic":
+        if args.metrics is not None:
+            raise ConfigError("--workload traffic writes no --metrics; drop one of the two")
         return _cmd_run_traffic(args)
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)
@@ -330,6 +333,10 @@ def _cmd_faults_durable(args: argparse.Namespace) -> int:
     if not args.recover:
         print("--durable requires --recover (durability layers under the "
               "recovery manager)", file=sys.stderr)
+        return 2
+    if args.metrics is not None:
+        print("error: a --durable campaign writes no --metrics; drop one of the two",
+              file=sys.stderr)
         return 2
     try:
         result = run_durable_campaign(
@@ -719,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="OUT", default=None,
         help="enable the live telemetry plane and write the registry "
         "to OUT (.prom/.txt = Prometheus text, else JSON); pins the "
-        "placement and prints a shard-count-invariant 'metrics sha256:' line",
+        "placement and prints a shard-count-invariant 'metrics sha256:' line "
+        "(mjpeg workload only)",
     )
     run.add_argument(
         "--profile", dest="pstats", metavar="OUT.pstats", default=None,
@@ -753,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="OUT", default=None,
         help="write the campaign's telemetry registry (latency histograms, "
         "restart/MTTR series, contract-violation counters) to OUT "
-        "(.prom/.txt = Prometheus text, else JSON)",
+        "(.prom/.txt = Prometheus text, else JSON); not with --durable",
     )
 
     campaign = sub.add_parser(

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
 from repro.core.errors import ObservationError
 from repro.core.messages import DATA, OBSERVATION, Message
 from repro.metrics import Counter, Timer
+from repro.metrics.telemetry import _fold_data, _window_runs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.component import Component
@@ -65,21 +66,25 @@ class ObservationReply:
 
 
 class ObservationProbe:
-    """Per-component accumulator fed by context interposition.
+    """The one observer of a component, fed by context interposition.
 
     Every component is observed at all three levels, and every
-    middleware operation is timed.
+    middleware operation is timed.  The probe keeps one record per
+    operation and derives every number it reports from it: the Table 2
+    counts, the timers and, once :func:`~repro.metrics.telemetry.enable_telemetry`
+    attaches a registry, the registry's per-interface histograms and
+    windowed counters.  Deposits, outside the records, keep their own
+    counter.
 
-    The hot path keeps what must stay live -- the Table 2 counters, the
-    registry clock nudge and the contract checks -- and appends the rest
-    of the operation's record to the columns of its (operation,
-    interface): its duration, and for a receive first its delivery
-    latency (-1 when unknown).  With telemetry attached, an operation
-    first also appends its time on the registry clock and its size (-1
-    for a control message).  :meth:`_fold` feeds every plane that reads
-    the records -- the timers below and, when attached, the telemetry
-    instruments -- one batch per column, which the telemetry cuts into
-    its window runs.
+    The hot path appends the record to the columns of its (operation,
+    interface) -- its size (-1 for a control message), for a receive
+    its delivery latency (-1 when unknown), and its duration -- and,
+    with a registry, first its time on the registry clock, which it
+    moves, then runs the component's live contract checks.
+    :meth:`_fold` turns the columns into every number above, one batch
+    per column and, for the registry, one batch per window run.  The
+    probe also writes the robustness instruments (faults, restarts,
+    checkpoints, replays, dedups) as they happen.
 
     Native-runtime threads append without a lock: only the component's
     own thread records into its probe (observation traffic is not
@@ -101,19 +106,17 @@ class ObservationProbe:
         self._send_columns: Dict[str, tuple] = {}
         self._recv_columns: Dict[str, tuple] = {}
         self._fold_lock = threading.Lock()
-        self._send_timer = Timer(f"{component.name}.send")
-        self._recv_timer = Timer(f"{component.name}.receive")
         #: End-to-end message latency (sender timestamp -> delivery).
         #: On OS21 the sender/receiver clocks are *local* per CPU, so this
         #: inherits their skew -- faithfully to the platform (sec. 5.2).
         self._latency_timer = Timer(f"{component.name}.latency")
         self._send_timers_by_iface: Dict[str, Timer] = {}
         self._recv_timers_by_iface: Dict[str, Timer] = {}
-        self.data_sends = Counter(f"{component.name}.sends")
-        self.data_receives = Counter(f"{component.name}.receives")
+        self._data_sends = Counter(f"{component.name}.sends")
+        self._data_receives = Counter(f"{component.name}.receives")
+        self._bytes_sent = 0
+        self._bytes_received = 0
         self.deposits = Counter(f"{component.name}.deposits")
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.started_at_us: Optional[int] = None
         self.ended_at_us: Optional[int] = None
         # Heap tracking (memory-evolution extension, paper section 6).
@@ -138,14 +141,38 @@ class ObservationProbe:
         self.os_adapter: Optional[Callable[[], Dict[str, Any]]] = None
         #: Runtime-provided middleware extras (e.g. live queue depths).
         self.middleware_adapter: Optional[Callable[[], Dict[str, Any]]] = None
-        #: Live metrics plane, attached by
-        #: :func:`repro.metrics.telemetry.enable_telemetry`.
-        self.telemetry = None
+        #: The live metrics plane (see :meth:`attach`): the shared
+        #: registry, the component's contract checker when it declares a
+        #: contract, and the registry instruments this probe writes --
+        #: per interface, ``[duration histogram, message counter, byte
+        #: counter]``, and a receive's delivery-latency histogram.
+        self.registry = None
+        self.checker = None
+        self._send_instruments: Dict[str, list] = {}
+        self._recv_instruments: Dict[str, list] = {}
+        self._robustness: Dict[str, Any] = {}
+
+    def attach(self, registry, checker) -> None:
+        """Feed ``registry`` from now on, and run ``checker`` (or none)
+        on the live stream.  Records made before carry no registry time:
+        they are folded first, into the probe's own numbers only."""
+        self._fold()
+        name = self.component.name
+        self.registry = registry
+        self.checker = checker
+        self._robustness = {
+            "restarts": registry.counter("restarts_total", component=name),
+            "downtime": registry.histogram("restart_downtime_ns", component=name),
+            "replays": registry.counter("replays_total", component=name),
+            "dedups": registry.counter("dedups_total", component=name),
+            "checkpoints": registry.counter("checkpoints_total", component=name),
+            "checkpoint_bytes": registry.counter("checkpoint_bytes_total", component=name),
+        }
 
     # -- folding ------------------------------------------------------------
 
     def _fold(self) -> None:
-        """Fold the appended records into the timers and the telemetry.
+        """Fold the appended records into every number derived from them.
 
         Runs before every read, and from the registry's window cut
         (:meth:`~repro.metrics.telemetry.MetricsRegistry.finish`); each
@@ -156,7 +183,7 @@ class ObservationProbe:
         for the next fold, and two folds never take the same record.
         """
         with self._fold_lock:
-            tel = self.telemetry
+            registry = self.registry
             for (op, iface), columns in list(self._columns.items()):
                 n = len(columns[3])
                 if not n:
@@ -164,11 +191,14 @@ class ObservationProbe:
                 ts, sizes, latencies, durations = [column[:n] for column in columns]
                 for column in columns:
                     del column[:n]
+                data = [size for size in sizes if size >= 0] if -1 in sizes else sizes
                 if op == _SEND:
-                    self._send_timer.record_many(durations)
+                    self._data_sends.inc(len(data))
+                    self._bytes_sent += sum(data)
                     by_iface = self._send_timers_by_iface
                 else:
-                    self._recv_timer.record_many(durations)
+                    self._data_receives.inc(len(data))
+                    self._bytes_received += sum(data)
                     if min(latencies) < 0:
                         self._latency_timer.record_many([x for x in latencies if x >= 0])
                     else:
@@ -178,25 +208,87 @@ class ObservationProbe:
                 if timer is None:
                     timer = by_iface[iface] = Timer(iface)
                 timer.record_many(durations)
-                if tel is None:
+                if registry is None:
                     continue
-                if op == _SEND:
-                    tel.fold_sends(iface, ts, durations, sizes)
-                else:
-                    tel.fold_receives(iface, ts, durations, sizes, latencies)
+                entry = self._instruments(op, iface)
+                runs = _window_runs(ts, registry.window_ns)
+                entry[0].observe_windows(
+                    [(window, durations[start:end]) for start, end, window in runs]
+                )
+                _fold_data(entry, runs, sizes)
+                if op == _RECV:
+                    # Latency is a *data* metric: control messages (e.g.
+                    # end-of-stream markers) queue behind the whole
+                    # stream and would dominate the tail.
+                    batches = []
+                    for start, end, window in runs:
+                        run_sizes = sizes[start:end]
+                        run_latencies = latencies[start:end]
+                        if -1 in run_sizes or -1 in run_latencies:
+                            run_latencies = [
+                                latency for size, latency in zip(run_sizes, run_latencies)
+                                if size >= 0 and latency >= 0
+                            ]
+                        batches.append((window, run_latencies))
+                    entry[3].observe_windows(batches)
 
-    # The timers stay part of the public surface; reading one folds the
+    def _instruments(self, op: int, iface: str) -> list:
+        """The registry instruments of one (operation, interface),
+        created on its first fold."""
+        cache = self._send_instruments if op == _SEND else self._recv_instruments
+        entry = cache.get(iface)
+        if entry is None:
+            reg, c = self.registry, self.component.name
+            if op == _SEND:
+                entry = [
+                    reg.histogram("send_duration_ns", component=c, iface=iface),
+                    reg.counter("messages_sent_total", component=c, iface=iface),
+                    reg.counter("bytes_sent_total", component=c, iface=iface),
+                ]
+            else:
+                entry = [
+                    reg.histogram("receive_duration_ns", component=c, iface=iface),
+                    reg.counter("messages_received_total", component=c, iface=iface),
+                    reg.counter("bytes_received_total", component=c, iface=iface),
+                    reg.histogram("delivery_latency_ns", component=c, iface=iface),
+                ]
+            cache[iface] = entry
+        return entry
+
+    # Every number below is a fold of the records: reading one folds the
     # pending records first, so deferral is invisible to consumers.
 
     @property
-    def send_timer(self) -> Timer:
+    def data_sends(self) -> Counter:
+        """Data messages sent (Table 2)."""
         self._fold()
-        return self._send_timer
+        return self._data_sends
+
+    @property
+    def data_receives(self) -> Counter:
+        """Data messages received (Table 2)."""
+        self._fold()
+        return self._data_receives
+
+    @property
+    def bytes_sent(self) -> int:
+        self._fold()
+        return self._bytes_sent
+
+    @property
+    def bytes_received(self) -> int:
+        self._fold()
+        return self._bytes_received
+
+    @property
+    def send_timer(self) -> Timer:
+        """Every send's duration: the per-interface timers, merged."""
+        return _merged(f"{self.component.name}.send", self.send_timers_by_iface)
 
     @property
     def recv_timer(self) -> Timer:
-        self._fold()
-        return self._recv_timer
+        """Every receive's duration: the per-interface timers, merged."""
+        return _merged(f"{self.component.name}.receive", self.recv_timers_by_iface)
 
     @property
     def latency_timer(self) -> Timer:
@@ -216,43 +308,35 @@ class ObservationProbe:
     # -- recording (called from ComponentContext) ----------------------------
 
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
-        """Account one send operation (kind-aware; see class doc).
-
-        Hot path: counters, the telemetry clock nudge, the column
-        appends and the live contract check; timers and histograms are
-        folded later by :meth:`_fold`.
-        """
+        """Append one send's record (see the class doc); everything but
+        the registry clock and the contract checks waits for
+        :meth:`_fold`."""
         kind = message.kind
         if kind == OBSERVATION:
             return  # observation traffic must not observe itself
-        if kind == DATA:
-            size = message.size_bytes
-            self.data_sends.inc()
-            self.bytes_sent += size
-        else:
-            size = -1
+        size = message.size_bytes if kind == DATA else -1
         columns = self._send_columns.get(iface)
         if columns is None:
             columns = self._new_columns(_SEND, iface)
-        tel = self.telemetry
-        if tel is None:
+        registry = self.registry
+        if registry is None:
+            columns[1].append(size)
             columns[3].append(duration_ns)
             return
         # The record's time is the registry clock, moved to the message's
         # stamp first: a send stamped before another component moved the
         # clock lands in the current window.
-        reg = tel.registry
         sent = message.sent_at_us
         ts = sent * 1_000 if sent is not None else 0
-        if ts > reg.last_ns:
-            reg.last_ns = ts
+        if ts > registry.last_ns:
+            registry.last_ns = ts
         else:
-            ts = reg.last_ns
+            ts = registry.last_ns
         columns[0].append(ts)
         columns[1].append(size)
         columns[3].append(duration_ns)
-        if kind == DATA and tel.checker is not None:
-            tel.checker.on_send(iface, message, ts)
+        if kind == DATA and self.checker is not None:
+            self.checker.on_send(iface, message, ts)
 
     def _new_columns(self, op: int, iface: str) -> tuple:
         """The empty columns of a key's first record."""
@@ -271,16 +355,11 @@ class ObservationProbe:
     def record_receive(
         self, iface: str, message: Message, duration_ns: int, now_us: Optional[int] = None
     ) -> None:
-        """Account one receive operation (kind-aware; see record_send)."""
+        """Append one receive's record (see :meth:`record_send`)."""
         kind = message.kind
         if kind == OBSERVATION:
             return
-        if kind == DATA:
-            size = message.size_bytes
-            self.data_receives.inc()
-            self.bytes_received += size
-        else:
-            size = -1
+        size = message.size_bytes if kind == DATA else -1
         sent = message.sent_at_us
         if now_us is not None and sent is not None:
             # Clamp at zero: cross-CPU local clocks may run ahead.
@@ -290,23 +369,23 @@ class ObservationProbe:
         columns = self._recv_columns.get(iface)
         if columns is None:
             columns = self._new_columns(_RECV, iface)
-        tel = self.telemetry
-        if tel is None:
+        registry = self.registry
+        if registry is None:
+            columns[1].append(size)
             columns[2].append(latency_ns)
             columns[3].append(duration_ns)
             return
-        reg = tel.registry
         ts = now_us * 1_000 if now_us is not None else 0
-        if ts > reg.last_ns:
-            reg.last_ns = ts
+        if ts > registry.last_ns:
+            registry.last_ns = ts
         else:
-            ts = reg.last_ns
+            ts = registry.last_ns
         columns[0].append(ts)
         columns[1].append(size)
         columns[2].append(latency_ns)
         columns[3].append(duration_ns)
-        if kind == DATA and tel.checker is not None:
-            tel.checker.on_receive(iface, message, latency_ns, ts)
+        if kind == DATA and self.checker is not None:
+            self.checker.on_receive(iface, message, latency_ns, ts)
 
     def record_alloc(self, nbytes: int, time_us: int) -> None:
         """Account a heap allocation (memory-evolution timeline)."""
@@ -319,11 +398,15 @@ class ObservationProbe:
         self.heap_bytes -= nbytes
         self.heap_timeline.append((time_us, self.heap_bytes))
 
+    # The robustness stream (injector, supervisor, recovery manager).
+    # A registry write without a ``now_ns`` lands in the window of the
+    # registry clock.
+
     def record_fault(self, kind: str) -> None:
         """Account one fault event (injected or organic) by kind."""
         self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.on_fault(kind)
+        if self.registry is not None:
+            self.registry.counter("faults_total", component=self.component.name, kind=kind).inc()
 
     def record_restart(self, downtime_ns: int, now_ns: Optional[int] = None) -> None:
         """Account a supervised restart and its failure-to-restart
@@ -332,8 +415,10 @@ class ObservationProbe:
         telemetry window, making MTTR a live series."""
         self.restarts += 1
         self.recovery_ns.append(int(downtime_ns))
-        if self.telemetry is not None:
-            self.telemetry.on_restart(downtime_ns, now_ns)
+        if self.registry is not None:
+            self._advance(now_ns)
+            self._robustness["restarts"].inc(1, now_ns)
+            self._robustness["downtime"].observe(int(downtime_ns), now_ns)
 
     def record_checkpoint(self, nbytes: int, duration_ns: int) -> None:
         """Account one committed recovery checkpoint: snapshot size and
@@ -341,20 +426,27 @@ class ObservationProbe:
         self.checkpoints += 1
         self.checkpoint_bytes += int(nbytes)
         self.checkpoint_ns.append(int(duration_ns))
-        if self.telemetry is not None:
-            self.telemetry.on_checkpoint(nbytes)
+        if self.registry is not None:
+            self._robustness["checkpoints"].inc()
+            self._robustness["checkpoint_bytes"].inc(int(nbytes))
 
     def record_replay(self, now_ns: Optional[int] = None) -> None:
         """Account one message replayed to this component after a restart."""
         self.replays += 1
-        if self.telemetry is not None:
-            self.telemetry.on_replay(now_ns)
+        if self.registry is not None:
+            self._advance(now_ns)
+            self._robustness["replays"].inc(1, now_ns)
 
     def record_dedup(self, now_ns: Optional[int] = None) -> None:
         """Account one duplicate discarded by delivery-sequence dedup."""
         self.dedups += 1
-        if self.telemetry is not None:
-            self.telemetry.on_dedup(now_ns)
+        if self.registry is not None:
+            self._advance(now_ns)
+            self._robustness["dedups"].inc(1, now_ns)
+
+    def _advance(self, now_ns: Optional[int]) -> None:
+        if now_ns is not None:
+            self.registry.advance(now_ns)
 
     # -- reports --------------------------------------------------------------
 
@@ -384,11 +476,10 @@ class ObservationProbe:
         return data
 
     def _middleware_report(self) -> Dict[str, Any]:
-        self._fold()
         data = {
-            "send": self._send_timer.snapshot(),
-            "receive": self._recv_timer.snapshot(),
-            "latency": self._latency_timer.snapshot(),
+            "send": self.send_timer.snapshot(),
+            "receive": self.recv_timer.snapshot(),
+            "latency": self.latency_timer.snapshot(),
             "send_by_interface": {
                 name: t.snapshot() for name, t in self._send_timers_by_iface.items()
             },
@@ -398,8 +489,12 @@ class ObservationProbe:
         }
         if self.middleware_adapter is not None:
             data.update(self.middleware_adapter())
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry.interface_summary()
+        if self.registry is not None:
+            data["telemetry"] = {
+                "send_duration_ns": _quantile_view(self._send_instruments, 0),
+                "receive_duration_ns": _quantile_view(self._recv_instruments, 0),
+                "delivery_latency_ns": _quantile_view(self._recv_instruments, 3),
+            }
         return data
 
     def _application_report(self) -> Dict[str, Any]:
@@ -427,11 +522,29 @@ class ObservationProbe:
                 "deduped": self.dedups,
             },
         }
-        if self.telemetry is not None:
-            summary = self.telemetry.contract_summary()
+        if self.checker is not None:
+            summary = self.checker.summary()
             if summary:
                 report["contracts"] = summary
         return report
+
+
+def _merged(name: str, timers: Dict[str, Timer]) -> Timer:
+    """One timer over the samples of ``timers``."""
+    merged = Timer(name)
+    for timer in timers.values():
+        merged.merge(timer)
+    return merged
+
+
+def _quantile_view(instruments: Dict[str, list], index: int) -> Dict[str, Any]:
+    """Per-interface percentile summary of one histogram of each entry."""
+    out = {}
+    for iface, entry in sorted(instruments.items()):
+        hist = entry[index]
+        if hist.count:
+            out[iface] = {"count": hist.count, **hist.quantiles()}
+    return out
 
 
 def observation_service_behavior(ctx, probe: ObservationProbe):

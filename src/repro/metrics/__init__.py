@@ -4,7 +4,6 @@ from repro.metrics.asciichart import render_xy
 from repro.metrics.stats import Counter, Timer
 from repro.metrics.table import Table
 from repro.metrics.telemetry import (
-    ComponentTelemetry,
     Gauge,
     Log2Histogram,
     MetricsRegistry,
@@ -22,7 +21,6 @@ from repro.metrics.export import (
 from repro.metrics.dashboard import iter_frames, render_dashboard
 
 __all__ = [
-    "ComponentTelemetry",
     "Counter",
     "Gauge",
     "Log2Histogram",

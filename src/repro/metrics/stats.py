@@ -68,6 +68,18 @@ class Timer:
         if self.max_ns is None or high > self.max_ns:
             self.max_ns = high
 
+    def merge(self, other: "Timer") -> None:
+        """Add ``other``'s samples (count, total, min and max merge
+        exactly)."""
+        if not other.count:
+            return
+        self.count += other.count
+        self.total_ns += other.total_ns
+        if self.min_ns is None or other.min_ns < self.min_ns:
+            self.min_ns = other.min_ns
+        if self.max_ns is None or other.max_ns > self.max_ns:
+            self.max_ns = other.max_ns
+
     @property
     def mean_ns(self) -> float:
         """Mean duration in nanoseconds (0.0 when empty)."""

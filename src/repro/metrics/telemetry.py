@@ -16,17 +16,19 @@ giving up the "no per-sample storage" constraint of an embedded target:
   deltas by window index (``index = t_ns // window_ns``); the registry
   cuts them into the series once, at read time (:meth:`finish`), and
   numbers the windows from 1.
-- :class:`ComponentTelemetry` -- the per-component instruments fed by
-  the :class:`~repro.core.observation.ObservationProbe`'s records: the
-  probe appends each send/receive to its interface's columns, and one
-  fold feeds its timers and these histograms and counters when
-  something reads them, one column at a time.  The probe also runs the
-  component's contract checker (:mod:`repro.core.contracts`) on the
-  same stream, per operation.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
   wiring, shaped exactly like ``enable_tracing`` / ``collect_trace``:
   one registry per runtime at any shard count; call after
   ``deploy()``, collect after ``wait()``.
+
+No second object stands between a component and the registry: each
+:class:`~repro.core.observation.ObservationProbe` is its component's one
+observer.  It holds the registry, the component's contract checker
+(:mod:`repro.core.contracts`) and its instruments, and its fold feeds
+the per-interface histograms and windowed counters from the same
+columns as its timers and Table 2 counts, one batch per window run
+(:func:`_window_runs`, :func:`_fold_data`).  The runtimes stamp their
+gauges into the registry themselves.
 
 Determinism contract: on the simulated runtimes every instrument fed
 from middleware hooks is a pure function of virtual time, so a pinned
@@ -428,7 +430,7 @@ class MetricsRegistry:
         final = self.last_ns // window_ns
         for probe in self._probes:
             probe._fold()
-            checker = probe.telemetry.checker
+            checker = probe.checker
             if checker is None or not checker.first_window:
                 continue
             for index in range(min(checker.first_window.values()), final + 1):
@@ -541,191 +543,6 @@ def _fold_data(entry: list, runs: List[Tuple[int, int, int]], sizes: List[int]) 
     entry[2].inc_windows(nbytes)
 
 
-class ComponentTelemetry:
-    """Per-component adapter between the observation probe and a shared
-    :class:`MetricsRegistry` (plus the component's contract checker,
-    when any interface carries a contract).
-
-    The middleware stream arrives as the probe's own records (see
-    :class:`~repro.core.observation.ObservationProbe`): the probe's hot
-    path moves the registry clock and runs the live contract checks,
-    and its fold -- run before every read, and by
-    :meth:`MetricsRegistry.finish` before the cut -- hands each
-    interface's columns (times, durations, sizes and, for receives,
-    latencies) to :meth:`fold_sends` / :meth:`fold_receives` in one
-    call.  Those cut the column into its window runs and give each
-    instrument one batch per run, all in one call per instrument
-    (:meth:`Log2Histogram.observe_windows`,
-    :meth:`WindowedCounter.inc_windows`).  Contract checks stay per
-    operation: violations are *live* by design.
-    """
-
-    __slots__ = (
-        "registry", "component", "checker",
-        "_send_cache", "_recv_cache",
-        "_restarts", "_restart_hist", "_replays", "_dedups",
-        "_checkpoints", "_checkpoint_bytes", "_faults",
-    )
-
-    def __init__(self, registry: MetricsRegistry, component: str) -> None:
-        self.registry = registry
-        self.component = component
-        #: The component's :class:`~repro.core.contracts.ContractChecker`,
-        #: set by :func:`enable_telemetry` when it declares a contract.
-        self.checker = None
-        # iface -> [duration hist, msg counter, byte counter]; receive
-        # adds a delivery-latency histogram.
-        self._send_cache: Dict[str, list] = {}
-        self._recv_cache: Dict[str, list] = {}
-        self._restarts = registry.counter("restarts_total", component=component)
-        self._restart_hist = registry.histogram("restart_downtime_ns", component=component)
-        self._replays = registry.counter("replays_total", component=component)
-        self._dedups = registry.counter("dedups_total", component=component)
-        self._checkpoints = registry.counter("checkpoints_total", component=component)
-        self._checkpoint_bytes = registry.counter("checkpoint_bytes_total", component=component)
-        self._faults: Dict[str, WindowedCounter] = {}
-
-    def _make_send(self, iface: str) -> list:
-        reg, c = self.registry, self.component
-        entry = self._send_cache[iface] = [
-            reg.histogram("send_duration_ns", component=c, iface=iface),
-            reg.counter("messages_sent_total", component=c, iface=iface),
-            reg.counter("bytes_sent_total", component=c, iface=iface),
-        ]
-        return entry
-
-    def _make_recv(self, iface: str) -> list:
-        reg, c = self.registry, self.component
-        entry = self._recv_cache[iface] = [
-            reg.histogram("receive_duration_ns", component=c, iface=iface),
-            reg.counter("messages_received_total", component=c, iface=iface),
-            reg.counter("bytes_received_total", component=c, iface=iface),
-            reg.histogram("delivery_latency_ns", component=c, iface=iface),
-        ]
-        return entry
-
-    # -- middleware stream (folded probe records) ----------------------------
-    #
-    # One call per interface column that a probe fold takes: ``ts`` is
-    # each operation's time on the registry clock, ``sizes`` -1 for a
-    # control message and ``latencies`` -1 when unknown.  Latency is a
-    # *data* metric: control messages (e.g. end-of-stream markers) queue
-    # behind the whole stream and would dominate the tail with
-    # meaningless outliers.
-
-    def fold_sends(self, iface: str, ts: List[int], durations: List[int],
-                   sizes: List[int]) -> None:
-        """Fold one interface's sends: every operation's duration, and
-        the count and bytes of its data messages, each window run of
-        the column in the window of its own time."""
-        entry = self._send_cache.get(iface)
-        if entry is None:
-            entry = self._make_send(iface)
-        runs = _window_runs(ts, self.registry.window_ns)
-        entry[0].observe_windows([(window, durations[start:end]) for start, end, window in runs])
-        _fold_data(entry, runs, sizes)
-
-    def fold_receives(self, iface: str, ts: List[int], durations: List[int],
-                      sizes: List[int], latencies: List[int]) -> None:
-        """Fold one interface's receives (see :meth:`fold_sends`) and the
-        known delivery latencies of its data messages."""
-        entry = self._recv_cache.get(iface)
-        if entry is None:
-            entry = self._make_recv(iface)
-        runs = _window_runs(ts, self.registry.window_ns)
-        entry[0].observe_windows([(window, durations[start:end]) for start, end, window in runs])
-        _fold_data(entry, runs, sizes)
-        batches = []
-        for start, end, window in runs:
-            run_sizes = sizes[start:end]
-            run_latencies = latencies[start:end]
-            if -1 in run_sizes or -1 in run_latencies:
-                run_latencies = [
-                    latency for size, latency in zip(run_sizes, run_latencies)
-                    if size >= 0 and latency >= 0
-                ]
-            batches.append((window, run_latencies))
-        entry[3].observe_windows(batches)
-
-    # -- robustness stream (supervisor / recovery / injector hooks) -----------
-    #
-    # Writes without a ``now_ns`` land in the window of the registry clock.
-
-    def on_restart(self, downtime_ns: int, now_ns: Optional[int] = None) -> None:
-        """One supervised restart: the MTTR live series."""
-        if now_ns is not None:
-            self.registry.advance(now_ns)
-        self._restarts.inc(1, now_ns)
-        self._restart_hist.observe(int(downtime_ns), now_ns)
-
-    def on_replay(self, now_ns: Optional[int] = None) -> None:
-        """One replayed message (exactly-once recovery)."""
-        if now_ns is not None:
-            self.registry.advance(now_ns)
-        self._replays.inc(1, now_ns)
-
-    def on_dedup(self, now_ns: Optional[int] = None) -> None:
-        """One duplicate discarded by sequence dedup."""
-        if now_ns is not None:
-            self.registry.advance(now_ns)
-        self._dedups.inc(1, now_ns)
-
-    def on_checkpoint(self, nbytes: int) -> None:
-        """One committed recovery checkpoint."""
-        self._checkpoints.inc()
-        self._checkpoint_bytes.inc(int(nbytes))
-
-    def on_fault(self, kind: str) -> None:
-        """One injected/organic fault, by kind."""
-        counter = self._faults.get(kind)
-        if counter is None:
-            counter = self._faults[kind] = self.registry.counter(
-                "faults_total", component=self.component, kind=kind
-            )
-        counter.inc()
-
-    # -- gauges (stamped by the runtimes) -------------------------------------
-
-    def set_busy(self, busy_ns: int) -> None:
-        """Stamp the component's accumulated CPU busy time."""
-        self.registry.gauge("busy_ns", component=self.component).set(
-            busy_ns, self.registry.last_ns
-        )
-
-    def set_queue_depth(self, iface: str, depth: int) -> None:
-        """Stamp one provided interface's live inbound queue depth."""
-        self.registry.gauge("queue_depth", component=self.component, iface=iface).set(
-            depth, self.registry.last_ns
-        )
-
-    # -- observer surface ------------------------------------------------------
-
-    def interface_summary(self) -> Dict[str, Any]:
-        """Per-interface percentile summary for the middleware report
-        (the probe folds its records before asking)."""
-
-        def quantile_view(entry_index: int, cache: Dict[str, tuple]) -> Dict[str, Any]:
-            out = {}
-            for iface, entry in sorted(cache.items()):
-                hist = entry[entry_index]
-                if hist.count:
-                    out[iface] = {"count": hist.count, **hist.quantiles()}
-            return out
-
-        return {
-            "send_duration_ns": quantile_view(0, self._send_cache),
-            "receive_duration_ns": quantile_view(0, self._recv_cache),
-            "delivery_latency_ns": quantile_view(3, self._recv_cache),
-        }
-
-    def contract_summary(self) -> Dict[str, Any]:
-        """Violation counts for the application report ({} when no
-        contracts are attached)."""
-        if self.checker is None:
-            return {}
-        return self.checker.summary()
-
-
 def _attach_checker(cont, registry: MetricsRegistry):
     """Build a contract checker for a container when any of its
     functional interfaces declares a contract."""
@@ -750,7 +567,8 @@ def _attach_checker(cont, registry: MetricsRegistry):
 
 
 def enable_telemetry(runtime) -> MetricsRegistry:
-    """Attach a :class:`ComponentTelemetry` to every deployed probe.
+    """Attach one registry, and each component's contract checker, to
+    every deployed probe.
 
     Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
     Every component feeds one registry of :data:`DEFAULT_WINDOW_NS`
@@ -760,11 +578,7 @@ def enable_telemetry(runtime) -> MetricsRegistry:
     registry = MetricsRegistry(window_ns=DEFAULT_WINDOW_NS)
     for cont in runtime.containers.values():
         probe = cont.probe
-        # Records made before the plane attaches carry no registry time:
-        # they feed the timers only.
-        probe._fold()
-        probe.telemetry = ComponentTelemetry(registry, cont.component.name)
-        probe.telemetry.checker = _attach_checker(cont, registry)
+        probe.attach(registry, _attach_checker(cont, registry))
         registry._probes.append(probe)
     runtime.metrics = registry
     return registry

@@ -194,22 +194,24 @@ class Runtime(ABC):
 
     def stamp_telemetry(self) -> None:
         """Stamp the runtime-owned gauges (busy time, live queue depths)
-        into the metrics plane.  Called by
-        :func:`repro.metrics.telemetry.collect_telemetry`; a no-op until
-        ``enable_telemetry`` has attached instruments.  Platforms with
-        extra observable state extend it (EMBX object traffic on the
-        STi7200)."""
+        of every component whose probe feeds the registry.  Called by
+        :func:`repro.metrics.telemetry.collect_telemetry`.  Platforms
+        with extra observable state extend it (EMBX object traffic on
+        the STi7200)."""
         for cont in self.containers.values():
-            tel = cont.probe.telemetry
-            if tel is None:
+            registry = cont.probe.registry
+            if registry is None:
                 continue
+            name = cont.component.name
             busy = self._busy_ns_of(cont)
             if busy is not None:
-                tel.set_busy(busy)
+                registry.gauge("busy_ns", component=name).set(busy, registry.last_ns)
             adapter = cont.probe.middleware_adapter
             if adapter is not None:
                 for iface, depth in adapter().get("queue_depths", {}).items():
-                    tel.set_queue_depth(iface, depth)
+                    registry.gauge("queue_depth", component=name, iface=iface).set(
+                        depth, registry.last_ns
+                    )
 
     def _default_plan(self) -> List[Tuple[str, str]]:
         if self.app is None or self.app.observer is None:

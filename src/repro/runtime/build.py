@@ -3,7 +3,9 @@
 A :class:`RunConfig` names a runtime and the planes a run carries;
 :func:`build_run` builds the runtime, deploys the application and wires
 the planes.  A combination no runtime supports is refused when the
-config is built, before any runtime exists, instead of mid-run.
+config is built, and a shard count the SMP runtime cannot place on the
+application when :func:`build_run` first sees it: before any runtime
+exists, instead of mid-run.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.hw.smp16 import CORES_PER_NODE, N_NODES
 from repro.runtime.base import RuntimeError_
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simulated import SmpSimRuntime, Sti7200SimRuntime
@@ -66,6 +69,24 @@ class RunConfig:
         return self.policy is not None and POLICIES[self.policy].recover
 
 
+def _check_placement(shards: int, app) -> None:
+    """Refuse a shard count the SMP runtime cannot place: every shard
+    owns a block of at least one core and hosts at least one of
+    ``app``'s components."""
+    cores = N_NODES * CORES_PER_NODE
+    if shards > cores:
+        raise ConfigError(
+            f"shards={shards}: runtime 'smp' has {cores} cores and each shard "
+            f"needs one of its own; use at most {cores} shards"
+        )
+    n = len(app.components)
+    if shards > n:
+        raise ConfigError(
+            f"shards={shards}: the application has {n} components and each shard "
+            f"needs one; use at most {n} shards"
+        )
+
+
 def build_run(config: RunConfig, app):
     """Build ``config``'s runtime, deploy ``app`` and install the planes
     in one fixed order: tracing (first, so the injector finds each
@@ -81,6 +102,8 @@ def build_run(config: RunConfig, app):
     from repro.trace.tracer import enable_tracing
 
     cls = RUNTIMES[config.runtime]
+    if cls is SmpSimRuntime:
+        _check_placement(config.shards, app)
     rt = cls(shards=config.shards) if cls is SmpSimRuntime else cls()
     rt.deploy(app)
     if config.trace:

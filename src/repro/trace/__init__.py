@@ -9,7 +9,9 @@ collecting detailed events."
 This package implements that support: per-component
 :class:`~repro.trace.tracer.Tracer` objects record timestamped
 :class:`~repro.trace.events.TraceEvent` records into bounded ring
-buffers; writers serialise them (JSONL or columnar JSON); and
+buffers; :func:`~repro.trace.writer.write_columns` serialises them as
+columnar JSON (one array per field, the format ``repro trace`` writes)
+and :func:`~repro.trace.writer.read_columns` loads it back; and
 :mod:`repro.trace.analysis` reconstructs per-component timelines,
 matched begin/end intervals and summary statistics.
 """
@@ -23,7 +25,7 @@ from repro.trace.tracer import (
     collect_trace,
     enable_tracing,
 )
-from repro.trace.writer import read_columns, read_jsonl, write_columns, write_jsonl
+from repro.trace.writer import read_columns, write_columns
 from repro.trace.analysis import busy_fraction, intervals, summarize_durations
 from repro.trace.causal import (
     HopLatency,
@@ -54,11 +56,9 @@ __all__ = [
     "intervals",
     "queue_depth_series",
     "read_columns",
-    "read_jsonl",
     "render_gantt",
     "summarize_durations",
     "write_chrome_trace",
     "write_columns",
-    "write_jsonl",
     "write_paje",
 ]

@@ -34,27 +34,3 @@ class TraceEvent:
         if self.timestamp_ns < 0:
             raise ValueError(f"negative timestamp {self.timestamp_ns}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict form."""
-        return {
-            "ts": self.timestamp_ns,
-            "seq": self.seq,
-            "comp": self.component,
-            "cat": self.category,
-            "name": self.name,
-            "ph": self.phase,
-            "args": self.args,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TraceEvent":
-        """Inverse of ``to_dict``."""
-        return cls(
-            timestamp_ns=d["ts"],
-            seq=d["seq"],
-            component=d["comp"],
-            category=d["cat"],
-            name=d["name"],
-            phase=d["ph"],
-            args=dict(d.get("args", {})),
-        )

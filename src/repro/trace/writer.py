@@ -1,36 +1,12 @@
-"""Trace serialisation: JSONL and the columnar JSON format."""
+"""Trace serialisation: the columnar JSON format."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
-
-from repro.trace.events import TraceEvent
+from typing import Union
 
 PathLike = Union[str, Path]
-
-
-def write_jsonl(events: Iterable[TraceEvent], path: PathLike) -> int:
-    """Write one JSON object per line; returns the event count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_dict(), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
-
-
-def read_jsonl(path: PathLike) -> List[TraceEvent]:
-    """Load events written by :func:`write_jsonl`."""
-    out: List[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(TraceEvent.from_dict(json.loads(line)))
-    return out
 
 
 def write_columns(trace, path: PathLike) -> int:
@@ -39,8 +15,8 @@ def write_columns(trace, path: PathLike) -> int:
     ``trace`` is a :class:`~repro.trace.tracer.TraceBuffer` or a
     :class:`~repro.trace.tracer.TraceColumns`.  The on-disk layout keeps
     one JSON array per column, which both compresses and parses far
-    better than row-per-line JSONL for large traces, and loads straight
-    back into the parallel-array form the analyses consume.  Returns the
+    better than one object per event for large traces, and loads
+    straight back into the parallel-array form the analyses consume.  Returns the
     event count.
     """
     dropped = getattr(trace, "dropped", 0)

@@ -142,7 +142,7 @@ def test_ci_command_stdout_is_pinned(command, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["trace", "top", "run"])
-@pytest.mark.parametrize("shards", ["0", "-2"])
+@pytest.mark.parametrize("shards", ["0", "-2", "9", "20"])
 def test_invalid_shard_count_is_a_config_error(command, shards, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([command, "--images", "4", "--shards", shards]) == 2
@@ -156,8 +156,10 @@ def test_invalid_shard_count_is_a_config_error(command, shards, capsys, tmp_path
     [
         (["--ticks", "0"], "error: a run needs at least one load tick, got ticks=0\n"),
         (["--components", "4"], "error: traffic graph needs at least 8 components, got 4\n"),
+        (["--metrics", "m.json"],
+         "error: --workload traffic writes no --metrics; drop one of the two\n"),
     ],
-    ids=["ticks", "components"],
+    ids=["ticks", "components", "metrics"],
 )
 def test_refused_traffic_run_is_one_error_line(flags, message, capsys):
     assert main(["run", "--workload", "traffic", *flags]) == 2
@@ -174,8 +176,10 @@ def test_refused_traffic_run_is_one_error_line(flags, message, capsys):
          "error: at most 8 kill9 faults fit a 10-image stream\n"),
         (["--images", "2", "--recover", "--durable", "state", "--kill9", "0"],
          "error: campaign needs at least 3 images, got 2\n"),
+        (["--images", "8", "--recover", "--durable", "state", "--metrics", "m.prom"],
+         "error: a --durable campaign writes no --metrics; drop one of the two\n"),
     ],
-    ids=["images", "kill9", "durable-images"],
+    ids=["images", "kill9", "durable-images", "durable-metrics"],
 )
 def test_refused_faults_run_is_one_error_line(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

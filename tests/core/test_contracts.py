@@ -208,7 +208,7 @@ def test_min_rate_judges_silent_windows_at_the_cut(monkeypatch):
             message = Message(payload=b"x", sent_at_us=now_us, seq=seq, src="prod")
             probe.record_receive("in", message, 10, now_us=now_us)
     registry = collect_telemetry(rt)
-    assert probe.telemetry.checker.violations == {("in", RATE): 6}
+    assert probe.checker.violations == {("in", RATE): 6}
     iid = "contract_violations_total{component=cons,iface=in,kind=rate}"
     assert [w.index for w in registry.windows if iid in w.data] == [3, 4, 5, 6, 7, 8]
 

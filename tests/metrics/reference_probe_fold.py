@@ -4,12 +4,15 @@
 as columns, one set per (operation, interface), and folds each column
 in batches.  Before that every operation appended one 6-tuple ``(op,
 iface, duration_ns, latency_ns, size_bytes, t_ns)`` to one list, and
-the fold below walked it record by record.  The hot paths and the fold
-are unchanged.  Only what they call and ``src/`` no longer has is
-defined here: the per-sample ``Timer.record``, on a subclass of the same
-name, and the per-window ``ComponentTelemetry.fold_sends`` and
-``fold_receives`` (which now take a whole column), as functions of the
-same names.
+the fold below walked it record by record, into one timer per
+operation beside the per-interface ones, while the hot paths counted
+the Table 2 messages and bytes.  The hot paths and the fold are
+unchanged.  Only what they call and ``src/`` no longer has is defined
+here: the per-sample ``Timer.record``, on a subclass of the same name;
+the per-operation timers and the reads that return them; and the
+per-window telemetry folds ``fold_sends`` and ``fold_receives`` (``src/``
+now folds a whole column in the probe), as functions of the same names
+over the probe's registry instruments.
 
 ``tests/metrics/test_probe_fold_differential.py`` holds the columnar
 fold to this one on timer snapshots, the registry's window series and
@@ -41,23 +44,19 @@ class Timer(stats.Timer):
         self.max_ns = duration_ns if self.max_ns is None else max(self.max_ns, duration_ns)
 
 
-def fold_sends(tel, iface, t_ns, durations, sizes) -> None:
-    """``ComponentTelemetry.fold_sends`` as it was: one interface's sends
-    in the window of ``t_ns``."""
-    entry = tel._send_cache.get(iface)
-    if entry is None:
-        entry = tel._make_send(iface)
+def fold_sends(probe, iface, t_ns, durations, sizes) -> None:
+    """The per-window send fold as it was: one interface's sends in the
+    window of ``t_ns``."""
+    entry = probe._instruments(_SEND, iface)
     entry[0].observe_many(durations, t_ns)
     if sizes:
         entry[1].inc(len(sizes), t_ns)
         entry[2].inc(sum(sizes), t_ns)
 
 
-def fold_receives(tel, iface, t_ns, durations, sizes, latencies) -> None:
-    """``ComponentTelemetry.fold_receives`` as it was."""
-    entry = tel._recv_cache.get(iface)
-    if entry is None:
-        entry = tel._make_recv(iface)
+def fold_receives(probe, iface, t_ns, durations, sizes, latencies) -> None:
+    """The per-window receive fold as it was."""
+    entry = probe._instruments(_RECV, iface)
     entry[0].observe_many(durations, t_ns)
     if sizes:
         entry[1].inc(len(sizes), t_ns)
@@ -74,6 +73,16 @@ class RecordListProbe(ObservationProbe):
         self._send_timer = Timer(f"{component.name}.send")
         self._recv_timer = Timer(f"{component.name}.receive")
         self._latency_timer = Timer(f"{component.name}.latency")
+
+    @property
+    def send_timer(self) -> Timer:
+        self._fold()
+        return self._send_timer
+
+    @property
+    def recv_timer(self) -> Timer:
+        self._fold()
+        return self._recv_timer
 
     def _fold(self) -> None:
         with self._fold_lock:
@@ -102,8 +111,7 @@ class RecordListProbe(ObservationProbe):
                     if timer is None:
                         timer = by_recv[iface] = Timer(iface)
                 timer.record(dur)
-            tel = self.telemetry
-            if tel is None:
+            if self.registry is None:
                 return
             # One batch per (operation, interface, window): the time of
             # its first record, every duration, and the sizes and known
@@ -111,7 +119,7 @@ class RecordListProbe(ObservationProbe):
             # *data* metric: control messages (e.g. end-of-stream
             # markers) queue behind the whole stream and would dominate
             # the tail with meaningless outliers.
-            window_ns = tel.registry.window_ns
+            window_ns = self.registry.window_ns
             groups: Dict[tuple, tuple] = {}
             for op, iface, dur, latency, size, t in chunk:
                 key = (op, iface, t // window_ns)
@@ -125,9 +133,9 @@ class RecordListProbe(ObservationProbe):
                         group[3].append(latency)
             for (op, iface, _window), (t_ns, durations, sizes, latencies) in groups.items():
                 if op == _SEND:
-                    fold_sends(tel, iface, t_ns, durations, sizes)
+                    fold_sends(self, iface, t_ns, durations, sizes)
                 else:
-                    fold_receives(tel, iface, t_ns, durations, sizes, latencies)
+                    fold_receives(self, iface, t_ns, durations, sizes, latencies)
 
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
         kind = message.kind
@@ -135,18 +143,17 @@ class RecordListProbe(ObservationProbe):
             return  # observation traffic must not observe itself
         if kind == DATA:
             size = message.size_bytes
-            self.data_sends.inc()
-            self.bytes_sent += size
+            self._data_sends.inc()
+            self._bytes_sent += size
         else:
             size = -1
-        tel = self.telemetry
-        if tel is None:
+        reg = self.registry
+        if reg is None:
             self._records.append((_SEND, iface, duration_ns, -1, size, 0))
             return
         # The record's time is the registry clock, moved to the message's
         # stamp first: a send stamped before another component moved the
         # clock lands in the current window.
-        reg = tel.registry
         sent = message.sent_at_us
         ts = sent * 1_000 if sent is not None else 0
         if ts > reg.last_ns:
@@ -154,8 +161,8 @@ class RecordListProbe(ObservationProbe):
         else:
             ts = reg.last_ns
         self._records.append((_SEND, iface, duration_ns, -1, size, ts))
-        if kind == DATA and tel.checker is not None:
-            tel.checker.on_send(iface, message, ts)
+        if kind == DATA and self.checker is not None:
+            self.checker.on_send(iface, message, ts)
 
     def record_receive(
         self, iface: str, message: Message, duration_ns: int, now_us: Optional[int] = None
@@ -165,8 +172,8 @@ class RecordListProbe(ObservationProbe):
             return
         if kind == DATA:
             size = message.size_bytes
-            self.data_receives.inc()
-            self.bytes_received += size
+            self._data_receives.inc()
+            self._bytes_received += size
         else:
             size = -1
         sent = message.sent_at_us
@@ -175,16 +182,15 @@ class RecordListProbe(ObservationProbe):
             latency_ns = max(0, (now_us - sent)) * 1_000
         else:
             latency_ns = -1
-        tel = self.telemetry
-        if tel is None:
+        reg = self.registry
+        if reg is None:
             self._records.append((_RECV, iface, duration_ns, latency_ns, size, 0))
             return
-        reg = tel.registry
         ts = now_us * 1_000 if now_us is not None else 0
         if ts > reg.last_ns:
             reg.last_ns = ts
         else:
             ts = reg.last_ns
         self._records.append((_RECV, iface, duration_ns, latency_ns, size, ts))
-        if kind == DATA and tel.checker is not None:
-            tel.checker.on_receive(iface, message, latency_ns, ts)
+        if kind == DATA and self.checker is not None:
+            self.checker.on_receive(iface, message, latency_ns, ts)

@@ -73,7 +73,7 @@ def test_timers_telemetry_and_contracts_count_every_operation():
     assert _instrument(registry, "messages_received_total", iface="in") == N_OPS
     assert _instrument(registry, "bytes_sent_total", iface="out") == probe.bytes_sent > 0
     assert _instrument(registry, "bytes_received_total", iface="in") == probe.bytes_received > 0
-    assert probe.telemetry.checker.violations == {("in", ORDERING): N_OPS - 1}
+    assert probe.checker.violations == {("in", ORDERING): N_OPS - 1}
     # Every record landed in exactly one window.
     iid = "receive_duration_ns{component=c0,iface=in}"
     assert sum(w.data[iid]["count"] for w in registry.windows if iid in w.data) == N_OPS

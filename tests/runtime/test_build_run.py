@@ -27,6 +27,8 @@ REJECTED = [
     pytest.param(dict(runtime="smp", durable=object()), ("durable", "recover"),
                  id="durable-without-recover"),
     pytest.param(dict(runtime="fpga"), ("fpga", "sti7200"), id="unknown-runtime"),
+    pytest.param(dict(shards=20), ("shards=20", "16 cores"), id="smp-shards20"),
+    pytest.param(dict(shards=9), ("shards=9", "6 components"), id="smp-shards9"),
 ] + [
     pytest.param(dict(runtime=runtime, shards=2), (repr(runtime), "shards"),
                  id=f"{runtime}+shards")

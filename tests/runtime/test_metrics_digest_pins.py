@@ -3,14 +3,21 @@
 ``metrics_digest`` covers every counter, histogram and the windowed
 delta series, so these literals hold the window cut itself fixed: each
 write must land in the same window, and every window must carry the
-same deltas, however and whenever the series is cut.
+same deltas, however and whenever the series is cut.  It skips gauges,
+so the decodes also pin the sha256 of the whole registry document
+(``registry_payload`` as canonical JSON): the ``busy_ns`` and
+``queue_depth`` gauges every runtime stamps, and the STi7200's
+``embx_*`` gauges.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from repro.faults.campaign import run_chaos_campaign
 from repro.metrics import collect_telemetry, enable_telemetry
-from repro.metrics.export import metrics_digest
+from repro.metrics.export import metrics_digest, registry_payload
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly
 from repro.runtime import ShardedSmpSimRuntime, SmpSimRuntime, Sti7200SimRuntime
@@ -27,6 +34,11 @@ DECODE_PINS = {
     ),
 }
 
+PAYLOAD_PINS = {
+    "smp": "bbe1153d069d4de1e353ca0d0b903cce949241534d66702ed61d91993ae3f8b5",
+    "sti7200": "bb24c8757dfcbb8aea0c3cd5f330cdd45be0b05b86e89254bdda084ea2087336",
+}
+
 CAMPAIGN_PINS = {
     (1, False): "c6c0ac3beee695f62212516ffdd5824aefc9b73b698465518ab799a952ce8ba9",
     (1, True): "8e31a28f4747429ebc8d4c57f85e49980d0b1db124a362510b4863dbdf53f58d",
@@ -37,9 +49,8 @@ CAMPAIGN_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DECODE_PINS))
-def test_eight_image_decode_metrics_digest(name):
-    make, digest = DECODE_PINS[name]
+def _eight_image_decode(name):
+    make = DECODE_PINS[name][0]
     stream = generate_stream(8, 96, 96, quality=75, seed=1)
     if name == "sti7200":
         app = build_sti7200_assembly(stream, keep_frames=True)
@@ -52,8 +63,23 @@ def test_eight_image_decode_metrics_digest(name):
     rt.wait()
     registry = collect_telemetry(rt)
     rt.stop()
+    return registry
+
+
+@pytest.mark.parametrize("name", sorted(DECODE_PINS))
+def test_eight_image_decode_metrics_digest(name):
+    registry = _eight_image_decode(name)
     assert registry.windows
-    assert metrics_digest(registry) == digest
+    assert metrics_digest(registry) == DECODE_PINS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_PINS))
+def test_eight_image_decode_registry_document(name):
+    registry = _eight_image_decode(name)
+    gauges = {e[1] for e in registry.instruments() if e[0] == "gauge"}
+    assert {"busy_ns", "queue_depth"} <= gauges
+    blob = json.dumps(registry_payload(registry), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == PAYLOAD_PINS[name]
 
 
 @pytest.mark.parametrize("seed,recover", sorted(CAMPAIGN_PINS))

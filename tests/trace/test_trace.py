@@ -10,9 +10,7 @@ from repro.trace import (
     TraceEvent,
     Tracer,
     intervals,
-    read_jsonl,
     summarize_durations,
-    write_jsonl,
 )
 from repro.trace.analysis import busy_fraction
 
@@ -31,11 +29,6 @@ def test_event_validation():
 def test_event_ordering_by_time_then_seq():
     events = [ev(20, 1), ev(10, 2), ev(10, 1)]
     assert sorted(events) == [ev(10, 1), ev(10, 2), ev(20, 1)]
-
-
-def test_event_dict_roundtrip():
-    e = ev(5, 1, args_key=3)
-    assert TraceEvent.from_dict(e.to_dict()) == e
 
 
 def test_buffer_drops_oldest_when_full():
@@ -113,13 +106,6 @@ def test_busy_fraction_unions_overlaps():
     ]
     frac = busy_fraction(intervals(events), "c", span_ns=100)
     assert frac == pytest.approx(0.8)
-
-
-def test_jsonl_roundtrip(tmp_path):
-    events = [ev(i, i, args_val=i) for i in range(10)]
-    path = tmp_path / "trace.jsonl"
-    assert write_jsonl(events, path) == 10
-    assert read_jsonl(path) == events
 
 
 def test_buffer_capacity_validated():
