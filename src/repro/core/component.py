@@ -167,10 +167,17 @@ class Component:
     # -- recovery contract (control interface, see docs/robustness.md) -------
 
     def snapshot(self) -> Optional[Dict[str, Any]]:
-        """Return a JSON/deepcopy-able dict of the component's resumable
-        state, or ``None`` when no consistent snapshot is possible right
-        now (mid-transaction) or the component does not support
+        """Return a dict of the component's resumable state, or ``None``
+        when no consistent snapshot is possible right now
+        (mid-transaction) or the component does not support
         checkpointing at all.
+
+        The returned state must be one the component will not mutate
+        afterwards: the recovery manager commits it as it is, without a
+        copy.  Return fresh containers (immutable values, such as ints
+        or arrays nothing writes to, may be shared).  The state must
+        also be deepcopy-able, since every restore hands the component a
+        deep copy of it, and picklable for a durable store.
 
         The contract: ``restore(snapshot())`` followed by a fresh
         ``behavior()`` generator must reproduce the same outputs, in the

@@ -291,12 +291,18 @@ class ReorderComponent(Component):
 
     def snapshot(self) -> Optional[dict]:
         """Consistent at the receive boundary (the only point the
-        recovery manager probes a receive-only component)."""
+        recovery manager probes a receive-only component).
+
+        The two containers the loop mutates are copied; the pixel arrays
+        are shared, since nothing writes to them after they arrive.  The
+        index set is rebuilt from a list, as ``deepcopy`` rebuilds a set,
+        so its ``sys.getsizeof`` (its ``checkpoint_bytes``) is the one a
+        deep copy would give."""
         return {
-            "pending": self._pending,
+            "pending": {index: dict(batches) for index, batches in self._pending.items()},
             "eos_seen": self._eos_seen,
             "completed": self._completed,
-            "completed_indices": self.completed_indices,
+            "completed_indices": set(list(self.completed_indices)),
         }
 
     def restore(self, state: dict) -> None:

@@ -59,14 +59,23 @@ from __future__ import annotations
 import threading
 import time
 from copy import deepcopy
-from dataclasses import replace
 from itertools import count
 from typing import Any, Dict, List, Tuple
 
-from repro.core.messages import OBSERVATION, payload_nbytes
+from repro.core.messages import OBSERVATION, Message, payload_nbytes
 
 #: Connection key: (sender component, required interface name).
 ConnKey = Tuple[str, str]
+
+
+def _message_copy(m: Message, span: int, cause: int) -> Message:
+    """A new :class:`Message` with every field of ``m`` but ``span`` and
+    ``cause``: one positional build (``__post_init__`` still validates),
+    serving both the retransmit buffer and the replay replica."""
+    return Message(
+        m.payload, m.kind, m.tag, m.src, m.src_interface, m.seq,
+        m.size_bytes, m.sent_at_us, span, cause, m.dseq,
+    )
 
 
 class RecoveryManager:
@@ -210,7 +219,9 @@ class RecoveryManager:
 
     def _take_checkpoint(self, name: str) -> bool:
         """Attempt a checkpoint; commits (and acks) only when the
-        component offers a consistent snapshot."""
+        component offers a consistent snapshot.  The snapshot is committed
+        as returned: the component promises not to mutate it (see
+        :meth:`~repro.core.component.Component.snapshot`)."""
         cont = self._conts[name]
         comp = cont.component
         t0 = time.perf_counter_ns()
@@ -219,7 +230,7 @@ class RecoveryManager:
             return False
         ckpt = {
             "epoch": self._epoch.get(name, -1) + 1,
-            "state": deepcopy(state),
+            "state": state,
             "send": {k: self._send_dseq[k] for k in self._send_keys.get(name, ())},
             "rx": {
                 k: {"next": v["next"], "seen": set(v["seen"])}
@@ -277,7 +288,7 @@ class RecoveryManager:
             # faults reassign ``message.payload`` on the original object,
             # so the buffered copy keeps the pristine payload for replay.
             uid = next(self._uid)
-            copy = replace(message)
+            copy = _message_copy(message, message.span, message.cause)
             self._unacked.setdefault(key, {})[dseq] = (uid, copy, target)
             if self.durable is not None:
                 self.durable.log_send(
@@ -355,7 +366,7 @@ class RecoveryManager:
         the caller has a context clock) places the replay sample in the
         right telemetry window."""
         runtime = self.runtime
-        replica = replace(copy, span=next(runtime.span_source), cause=copy.span)
+        replica = _message_copy(copy, next(runtime.span_source), copy.span)
         runtime._requeue(prov, replica)
         self.replayed += 1
         cont = self._conts.get(receiver)

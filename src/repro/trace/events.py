@@ -12,21 +12,34 @@ END = "E"
 _PHASES = (BEGIN, INSTANT, END)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TraceEvent:
     """One timestamped event.
 
-    Ordering is by timestamp then sequence, so merged multi-component
-    traces sort into a coherent global timeline.
+    Equality covers every field.  Ordering is by timestamp then
+    sequence only, so merged multi-component traces sort into a
+    coherent global timeline.
     """
 
     timestamp_ns: int
     seq: int
-    component: str = field(compare=False)
-    category: str = field(compare=False)  # e.g. "middleware", "lifecycle"
-    name: str = field(compare=False)      # e.g. "send", "receive", "compute"
-    phase: str = field(compare=False, default=INSTANT)
-    args: Dict[str, Any] = field(compare=False, default_factory=dict)
+    component: str
+    category: str  # e.g. "middleware", "lifecycle"
+    name: str      # e.g. "send", "receive", "compute"
+    phase: str = INSTANT
+    args: Dict[str, Any] = field(default_factory=dict, hash=False)
+
+    def __lt__(self, other: "TraceEvent") -> bool:
+        return (self.timestamp_ns, self.seq) < (other.timestamp_ns, other.seq)
+
+    def __le__(self, other: "TraceEvent") -> bool:
+        return (self.timestamp_ns, self.seq) <= (other.timestamp_ns, other.seq)
+
+    def __gt__(self, other: "TraceEvent") -> bool:
+        return (self.timestamp_ns, self.seq) > (other.timestamp_ns, other.seq)
+
+    def __ge__(self, other: "TraceEvent") -> bool:
+        return (self.timestamp_ns, self.seq) >= (other.timestamp_ns, other.seq)
 
     def __post_init__(self) -> None:
         if self.phase not in _PHASES:

@@ -31,6 +31,24 @@ def test_event_ordering_by_time_then_seq():
     assert sorted(events) == [ev(10, 1), ev(10, 2), ev(20, 1)]
 
 
+def test_event_equality_covers_every_field_while_ordering_keeps_two_keys():
+    base = ev(1, 1, comp="a", cat="b", name="c", k=1)
+    assert base == ev(1, 1, comp="a", cat="b", name="c", k=1)
+    assert hash(base) == hash(ev(1, 1, comp="a", cat="b", name="c", k=1))
+    others = [
+        ev(1, 1, comp="x", cat="b", name="c", k=1),
+        ev(1, 1, comp="a", cat="x", name="c", k=1),
+        ev(1, 1, comp="a", cat="b", name="x", k=1),
+        ev(1, 1, comp="a", cat="b", name="c", phase=BEGIN, k=1),
+        ev(1, 1, comp="a", cat="b", name="c", k=2),
+    ]
+    for other in others:
+        assert base != other
+        assert base <= other and base >= other
+        assert not base < other and not base > other
+    assert base < ev(1, 2) and ev(2, 0) > base
+
+
 def test_buffer_drops_oldest_when_full():
     buf = TraceBuffer(capacity=3)
     now = [0]
