@@ -303,7 +303,9 @@ def test_sim_scale():
         print(
             "sim_scale: wall events/s "
             + ", ".join(f"{n} shards {r['events'] / r['wall_s']:,.0f}" for n, r in runs.items())
-            + f" (4 shards on {runs[4]['workers']} worker process(es))"
+            + f" (4 shards on {runs[4]['workers']} worker process(es));"
+            + f" busy_s 1 shard {runs[1]['busy_s']:.4f},"
+            + f" max_shard_busy_s 4 shards {runs[4]['max_shard_busy_s']:.4f}"
         )
     verdict = scale_verdict(speedups)
     print(f"sim_scale: wall-clock speedup_4 median {statistics.median(wall_speedups):.3f}")

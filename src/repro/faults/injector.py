@@ -97,8 +97,9 @@ class FaultInjector:
         self._armed: Dict[str, List[FaultSpec]] = {}
         self._recv_counts: Dict[str, int] = {}
         self._fired: set = set()  # one-shot specs already delivered
-        self._probes: Dict[str, Any] = {}
-        self._tracers: Dict[str, Any] = {}
+        #: The runtime's containers by name, where a fault record finds
+        #: the victim's probe and tracer.
+        self._containers: Dict[str, Any] = {}
         self._epoch_ns: Optional[int] = None  # native-runtime time origin
         self.installed = False
         plan.validate()  # cross-spec conflicts fail here, not mid-campaign
@@ -120,27 +121,21 @@ class FaultInjector:
     # -- installation ---------------------------------------------------------
 
     def install(self, runtime) -> "FaultInjector":
-        """Hook every deployed behaviour context (call after ``deploy()``
-        -- and after ``enable_tracing`` if tracing is wanted -- but before
-        ``start()``; :func:`repro.runtime.build.build_run` does this for
-        ``RunConfig(faults=plan)``)."""
+        """Hook every behaviour context of ``runtime``: the deployed ones
+        now, and each one ``runtime.add_component`` creates later.  Call
+        after ``deploy()`` and before ``start()``;
+        :func:`repro.runtime.build.build_run` does this for
+        ``RunConfig(faults=plan)``."""
         if self.installed:
             raise RuntimeError("fault injector already installed")
-        names = set(runtime.containers)
         for spec in self.plan.specs:
-            if spec.component not in names:
+            if spec.component not in runtime.containers:
                 raise RuntimeError(
                     f"fault plan targets unknown component {spec.component!r}"
                 )
+        self._containers = runtime.containers
         for cont in runtime.containers.values():
-            base = cont.context
-            while hasattr(base, "_delegate"):  # unwrap TracingContext et al.
-                base = base._delegate
-            base.faults = self
-            self._probes[cont.component.name] = cont.probe
-            tracer = cont.extra.get("tracer")
-            if tracer is not None:
-                self._tracers[cont.component.name] = tracer
+            self.attach(cont)
         kernel = getattr(runtime, "kernel", None)
         if kernel is not None:
             for spec in sorted(self._time_crashes, key=lambda s: (s.at_ns, s.component)):
@@ -154,6 +149,10 @@ class FaultInjector:
         runtime.injector = self
         self.installed = True
         return self
+
+    def attach(self, cont) -> None:
+        """Hook one deployed container's behaviour context."""
+        cont.hook_context.faults = self
 
     def _arm(self, spec: FaultSpec) -> None:
         """Kernel callback at ``spec.at_ns`` after installation: arm a timed
@@ -174,11 +173,10 @@ class FaultInjector:
             # from (or double-counting in) the receive-edge stream.
             entry["span"] = int(span)
         self.log.append(entry)
+        cont = self._containers[component]
         if not kind.endswith("-armed"):
-            probe = self._probes.get(component)
-            if probe is not None:
-                probe.record_fault(kind)
-        tracer = self._tracers.get(component)
+            cont.probe.record_fault(kind)
+        tracer = cont.extra.get("tracer")
         if tracer is not None:
             if span:
                 tracer.emit("fault", kind, detail=detail, span=int(span))

@@ -18,8 +18,9 @@ giving up the "no per-sample storage" constraint of an embedded target:
   numbers the windows from 1.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
   wiring, shaped exactly like ``enable_tracing`` / ``collect_trace``:
-  one registry per runtime at any shard count; call after
-  ``deploy()``, collect after ``wait()``.
+  one registry per runtime at any shard count, fed by every component
+  including those added mid-run; enable before ``start()``, collect
+  after ``wait()``.
 
 No second object stands between a component and the registry: each
 :class:`~repro.core.observation.ObservationProbe` is its component's one
@@ -370,7 +371,7 @@ class MetricsRegistry:
         self._iids: Dict[tuple, str] = {}
         self.windows: List[Window] = []
         #: Observation probes feeding this registry (registered by
-        #: :func:`enable_telemetry`): :meth:`finish` folds their pending
+        #: :meth:`attach`): :meth:`finish` folds their pending
         #: records and judges their contract checkers before the cut.
         self._probes: list = []
         #: The registry clock: the latest sim time written or advanced
@@ -404,6 +405,13 @@ class MetricsRegistry:
         return sorted(
             self._entries.values(), key=lambda e: instrument_id(e[1], e[2])
         )
+
+    def attach(self, cont) -> None:
+        """Feed this registry from a deployed container's probe, which
+        also runs the contract checker its interfaces declare."""
+        probe = cont.probe
+        probe.attach(self, _attach_checker(cont, self))
+        self._probes.append(probe)
 
     # -- windows --------------------------------------------------------------
 
@@ -567,19 +575,16 @@ def _attach_checker(cont, registry: MetricsRegistry):
 
 
 def enable_telemetry(runtime) -> MetricsRegistry:
-    """Attach one registry, and each component's contract checker, to
-    every deployed probe.
+    """Feed one registry of :data:`DEFAULT_WINDOW_NS` windows from every
+    component of ``runtime``, at any shard count: the deployed ones now,
+    and each one ``runtime.add_component`` creates later.
 
-    Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    Every component feeds one registry of :data:`DEFAULT_WINDOW_NS`
-    windows at any shard count; returns it.
+    Call before ``runtime.start()``.  Returns the registry.
     """
     # Read at call time, so a test can narrow the windows by patching it.
     registry = MetricsRegistry(window_ns=DEFAULT_WINDOW_NS)
     for cont in runtime.containers.values():
-        probe = cont.probe
-        probe.attach(registry, _attach_checker(cont, registry))
-        registry._probes.append(probe)
+        registry.attach(cont)
     runtime.metrics = registry
     return registry
 

@@ -131,9 +131,11 @@ class RecoveryManager:
     # -- installation ---------------------------------------------------------
 
     def install(self, runtime) -> "RecoveryManager":
-        """Hook every deployed behaviour context (call after ``deploy()``
-        and before ``start()``; :func:`repro.runtime.build.build_run`
-        does this, in its fixed plane order, for the ``recover`` policy)."""
+        """Hook every behaviour context of ``runtime``: the deployed ones
+        now, and each one ``runtime.add_component`` creates later, with
+        its own epoch-0 checkpoint.  Call after ``deploy()`` and before
+        ``start()``; :func:`repro.runtime.build.build_run` does this for
+        the ``recover`` policy."""
         if self.installed:
             raise RuntimeError("recovery manager already installed")
         if runtime.recovery is not None and runtime.recovery is not self:
@@ -141,13 +143,7 @@ class RecoveryManager:
         runtime.recovery = self
         self.runtime = runtime
         for cont in runtime.containers.values():
-            if cont.context is None:
-                raise RuntimeError("install recovery after deploy()")
-            base = cont.context
-            while hasattr(base, "_delegate"):  # unwrap TracingContext et al.
-                base = base._delegate
-            base.recovery = self
-            self._conts[cont.component.name] = cont
+            self.attach(cont)
         if self.durable is not None and self.durable.has_state():
             # A previous process committed state into this directory --
             # this install is a cold restore, not a fresh start.
@@ -162,6 +158,17 @@ class RecoveryManager:
                 self._take_checkpoint(name)
         self.installed = True
         return self
+
+    def attach(self, cont) -> None:
+        """Hook one deployed container's behaviour context.  A container
+        attached after :meth:`install` (created mid-run) takes its
+        epoch-0 checkpoint here."""
+        cont.hook_context.recovery = self
+        name = cont.component.name
+        self._conts[name] = cont
+        if self.installed:
+            with self._lock:
+                self._take_checkpoint(name)
 
     def _cold_restore(self) -> None:
         """Rebuild the consistent cut a dead process left on disk: restore

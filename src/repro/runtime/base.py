@@ -8,7 +8,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.component import Component, ComponentState
+from repro.core.interfaces import OBSERVATION_INTERFACE
 from repro.core.observation import LEVELS, ObservationProbe
+from repro.core.observer import REPORTS_INTERFACE, ObserverComponent
 
 
 class RuntimeError_(Exception):
@@ -32,6 +34,13 @@ class ComponentContainer:
         self.service_handle = None  # observation service thread/task
         self.extra: Dict[str, Any] = {}
 
+    @property
+    def hook_context(self):
+        """The runtime's own behaviour context, under the tracing wrapper
+        when there is one: where the fault and recovery hooks go."""
+        context = self.context
+        return getattr(context, "_delegate", context)
+
 
 class Runtime(ABC):
     """Lifecycle driver: deploy -> start -> wait -> collect -> stop."""
@@ -44,8 +53,9 @@ class Runtime(ABC):
         #: components (next() on a count is atomic under CPython -- no
         #: lock even on the thread runtime).
         self.span_source = count(1)
-        # The optional planes, set between deploy and start by
-        # repro.runtime.build.build_run or by each plane's own install.
+        # The optional planes, set by each plane's installer (which
+        # repro.runtime.build.build_run calls) and attached to every
+        # container by _build_container.
         #: Trace plane: one :class:`TraceBuffer`.
         self.trace = None
         #: Live metrics plane: one :class:`MetricsRegistry`.
@@ -61,14 +71,20 @@ class Runtime(ABC):
 
     # -- lifecycle ----------------------------------------------------------
 
-    @abstractmethod
     def deploy(self, app: Application) -> None:
-        """Bind interfaces to transports, allocate memory, build contexts."""
+        """Register ``app`` and build each of its containers."""
+        self._register(app)
+        for cont in self.containers.values():
+            self._build_container(cont)
 
-    @abstractmethod
     def start(self) -> None:
-        """Launch every component's execution flow (and its observation
-        service)."""
+        """Launch every component's behaviour and observation service;
+        the observer's flows are spawned on demand by ``collect``."""
+        if self.app is None:
+            raise RuntimeError_("deploy() an application first")
+        for cont in self.containers.values():
+            if not isinstance(cont.component, ObserverComponent):
+                self._launch(cont)
 
     @abstractmethod
     def wait(self) -> None:
@@ -118,16 +134,13 @@ class Runtime(ABC):
         self.app.add_dynamic(component)
         cont = ComponentContainer(component, ObservationProbe(component))
         self.containers[component.name] = cont
-        self._deploy_dynamic(cont)
+        self._build_container(cont)
         for src, req_name, dst, prov_name in connections:
             self.connect_live(src, req_name, dst, prov_name)
         if observe:
             observer = self.app.observer
             if observer is None:
                 raise RuntimeError_("observe=True but the application has no observer")
-            from repro.core.interfaces import OBSERVATION_INTERFACE
-            from repro.core.observer import REPORTS_INTERFACE
-
             req_name = observer.register_target(component, dynamic=True)
             observer.get_required(req_name).connect(
                 component.get_provided(OBSERVATION_INTERFACE)
@@ -135,7 +148,7 @@ class Runtime(ABC):
             component.get_required(OBSERVATION_INTERFACE).connect(
                 observer.get_provided(REPORTS_INTERFACE)
             )
-        self._start_dynamic(cont)
+        self._launch(cont)
         return cont
 
     def connect_live(self, src, required_name: str, dst, provided_name: str) -> None:
@@ -161,11 +174,33 @@ class Runtime(ABC):
         req.disconnect()
         req.connect(target.get_provided(provided_name))
 
-    def _deploy_dynamic(self, cont: ComponentContainer) -> None:
-        raise NotImplementedError(f"{type(self).__name__} does not support reconfiguration")
+    # -- per-container steps ------------------------------------------------------
 
-    def _start_dynamic(self, cont: ComponentContainer) -> None:
-        raise NotImplementedError(f"{type(self).__name__} does not support reconfiguration")
+    def _build_container(self, cont: ComponentContainer) -> None:
+        """The one path of every container, deployed or added mid-run:
+        bind its interfaces, build its contexts, then attach each plane
+        the runtime holds, in one order (trace, telemetry, fault
+        injector, recovery), before it is launched.  A plane installed
+        later attaches the existing containers through the same
+        per-plane ``attach``."""
+        self._bind_component(cont)
+        self._build_contexts(cont)
+        for plane in (self.trace, self.metrics, self.injector, self.recovery):
+            if plane is not None:
+                plane.attach(cont)
+
+    @abstractmethod
+    def _bind_component(self, cont: ComponentContainer) -> None:
+        """Bind ``cont``'s provided interfaces to the platform's transport."""
+
+    @abstractmethod
+    def _build_contexts(self, cont: ComponentContainer) -> None:
+        """Give ``cont`` its component and service contexts, on the
+        runtime's clock and span counter, and its probe's adapters."""
+
+    @abstractmethod
+    def _launch(self, cont: ComponentContainer) -> None:
+        """Launch ``cont``'s behaviour and its observation service."""
 
     # -- shared helpers ---------------------------------------------------------
 
@@ -184,6 +219,21 @@ class Runtime(ABC):
         except KeyError:
             raise RuntimeError_(f"no deployed component {name!r}") from None
 
+    def _mw_adapter(self, cont: ComponentContainer):
+        """Middleware extras: live inbound queue depths per provided
+        interface -- the backlog signal adaptation controllers key on."""
+
+        def extras() -> Dict[str, Any]:
+            """Runtime-provided middleware extras (queue depths)."""
+            depth_of = cont.service_context._depth_of
+            return {"queue_depths": {
+                prov.name: depth_of(prov)
+                for prov in cont.component.provided.values()
+                if not prov.is_observation and prov.binding is not None
+            }}
+
+        return extras
+
     # -- telemetry ----------------------------------------------------------
 
     def _busy_ns_of(self, cont: ComponentContainer) -> Optional[int]:
@@ -194,14 +244,12 @@ class Runtime(ABC):
 
     def stamp_telemetry(self) -> None:
         """Stamp the runtime-owned gauges (busy time, live queue depths)
-        of every component whose probe feeds the registry.  Called by
+        of every component into the registry.  Called by
         :func:`repro.metrics.telemetry.collect_telemetry`.  Platforms
         with extra observable state extend it (EMBX object traffic on
         the STi7200)."""
+        registry = self.metrics
         for cont in self.containers.values():
-            registry = cont.probe.registry
-            if registry is None:
-                continue
             name = cont.component.name
             busy = self._busy_ns_of(cont)
             if busy is not None:

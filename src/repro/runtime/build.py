@@ -1,8 +1,9 @@
 """One run configuration and the one place that assembles it.
 
 A :class:`RunConfig` names a runtime and the planes a run carries;
-:func:`build_run` builds the runtime, deploys the application and wires
-the planes.  A combination no runtime supports is refused when the
+:func:`build_run` builds the runtime, deploys the application and
+installs the planes, which the runtime then attaches to every component
+it deploys or adds mid-run.  A combination no runtime supports is refused when the
 config is built, and a shard count the SMP runtime cannot place on the
 application when :func:`build_run` first sees it: before any runtime
 exists, instead of mid-run.
@@ -89,11 +90,10 @@ def _check_placement(shards: int, app) -> None:
 
 def build_run(config: RunConfig, app):
     """Build ``config``'s runtime, deploy ``app`` and install the planes
-    in one fixed order: tracing (first, so the injector finds each
-    component's tracer), telemetry, fault injector, recovery,
-    supervisor.  Returns the deployed, unstarted runtime; the planes
+    it asks for.  Returns the deployed, unstarted runtime; the planes
     hang off its ``trace``, ``metrics``, ``injector``, ``recovery`` and
-    ``supervisor`` attributes."""
+    ``supervisor`` attributes, and every component the runtime creates
+    later is attached to them too."""
     from repro.faults.campaign import POLICIES
     from repro.faults.injector import FaultInjector
     from repro.faults.supervisor import Supervisor

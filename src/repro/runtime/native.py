@@ -25,13 +25,11 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.application import Application
 from repro.core.component import Component
 from repro.core.context import ComponentContext
 from repro.core.errors import DeadlineError
 from repro.core.messages import CONTROL, Message
 from repro.core.observation import ObservationProbe, observation_service_behavior
-from repro.core.observer import ObserverComponent
 from repro.oslinux.system import DEFAULT_STACK_BYTES
 from repro.runtime.base import ComponentContainer, Runtime, RuntimeError_
 
@@ -208,26 +206,21 @@ class NativeRuntime(Runtime):
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def deploy(self, app: Application) -> None:
-        """Bind interfaces, build contexts and adapters."""
-        self._register(app)
-        for cont in self.containers.values():
-            for prov in cont.component.provided.values():
-                prov.binding = NativeMailbox(prov.mailbox_bytes)
-            cont.context = NativeContext(cont.component, cont.probe, self)
-            cont.service_context = NativeContext(cont.component, None, self)
-            cont.probe.os_adapter = self._os_adapter(cont)
-            cont.probe.middleware_adapter = self._mw_adapter(cont)
+    def _bind_component(self, cont: ComponentContainer) -> None:
+        for prov in cont.component.provided.values():
+            prov.binding = NativeMailbox(prov.mailbox_bytes)
+
+    def _build_contexts(self, cont: ComponentContainer) -> None:
+        cont.context = NativeContext(cont.component, cont.probe, self)
+        cont.service_context = NativeContext(cont.component, None, self)
+        cont.probe.os_adapter = self._os_adapter(cont)
+        cont.probe.middleware_adapter = self._mw_adapter(cont)
 
     def start(self) -> None:
-        """Launch every component's behaviour and observation service."""
-        if self.app is None:
-            raise RuntimeError_("deploy() an application first")
+        """Launch every component's behaviour and observation service,
+        and start the makespan clock."""
         self._t0 = time.perf_counter_ns()
-        for cont in self.containers.values():
-            if isinstance(cont.component, ObserverComponent):
-                continue
-            self._launch(cont)
+        super().start()
 
     def _launch(self, cont: ComponentContainer) -> None:
         thread = threading.Thread(
@@ -243,31 +236,6 @@ class NativeRuntime(Runtime):
         cont.service_handle = service
         thread.start()
         service.start()
-
-    # -- dynamic reconfiguration -------------------------------------------------
-
-    def _deploy_dynamic(self, cont: ComponentContainer) -> None:
-        for prov in cont.component.provided.values():
-            prov.binding = NativeMailbox(prov.mailbox_bytes)
-        cont.context = NativeContext(cont.component, cont.probe, self)
-        cont.service_context = NativeContext(cont.component, None, self)
-        cont.probe.os_adapter = self._os_adapter(cont)
-        cont.probe.middleware_adapter = self._mw_adapter(cont)
-
-    def _mw_adapter(self, cont: ComponentContainer):
-        def extras() -> Dict[str, Any]:
-            """Runtime-provided middleware extras (queue depths)."""
-            depths = {}
-            for prov in cont.component.provided.values():
-                if prov.is_observation or prov.binding is None:
-                    continue
-                depths[prov.name] = prov.binding.queue.qsize()
-            return {"queue_depths": depths}
-
-        return extras
-
-    def _start_dynamic(self, cont: ComponentContainer) -> None:
-        self._launch(cont)
 
     def _run_behavior(self, cont: ComponentContainer) -> None:
         comp, probe, ctx = cont.component, cont.probe, cont.context

@@ -136,9 +136,6 @@ class SimRuntime(Runtime):
 
     # -- subclass hooks ----------------------------------------------------------
 
-    def _bind_component(self, cont: ComponentContainer) -> None:
-        raise NotImplementedError
-
     def _spawn_behavior(self, cont: ComponentContainer) -> None:
         raise NotImplementedError
 
@@ -190,33 +187,12 @@ class SimRuntime(Runtime):
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def deploy(self, app: Application) -> None:
-        """Bind interfaces, build contexts and adapters."""
-        self._register(app)
-        for cont in self.containers.values():
-            self._bind_component(cont)
-        for cont in self.containers.values():
-            self._build_contexts(cont)
-
     def _build_contexts(self, cont: ComponentContainer) -> None:
-        """Give ``cont`` its component and service contexts, on the
-        runtime's clock and span counter, and its probe's adapters."""
         offset = self._clock_offset_for(cont)
         cont.context = SimContext(cont.component, cont.probe, self, offset)
         cont.service_context = SimContext(cont.component, None, self, offset)
         cont.probe.os_adapter = self._os_adapter(cont)
         cont.probe.middleware_adapter = self._mw_adapter(cont)
-
-    def start(self) -> None:
-        """Launch every component's behaviour and observation service."""
-        if self.app is None:
-            raise RuntimeError_("deploy() an application first")
-        for cont in self.containers.values():
-            if isinstance(cont.component, ObserverComponent):
-                continue  # observer flows are spawned on demand by collect()
-            self._launch(cont)
-        # The observer still needs its service-side channel bindings even
-        # though its behaviour is query-driven.
 
     def _launch(self, cont: ComponentContainer) -> None:
         self._spawn_behavior(cont)
@@ -227,13 +203,6 @@ class SimRuntime(Runtime):
         )
 
     # -- dynamic reconfiguration ---------------------------------------------------
-
-    def _deploy_dynamic(self, cont: ComponentContainer) -> None:
-        self._bind_component(cont)
-        self._build_contexts(cont)
-
-    def _start_dynamic(self, cont: ComponentContainer) -> None:
-        self._launch(cont)
 
     def spawn_controller(self, fn):
         """Run a reconfiguration/monitoring flow inside the simulation.
@@ -330,23 +299,6 @@ class SimRuntime(Runtime):
         self.system.shutdown()
         self.kernel.run()
 
-    # -- shared binding helpers ---------------------------------------------------------
-
-    def _mw_adapter(self, cont: ComponentContainer):
-        """Middleware extras: live inbound queue depths per provided
-        interface -- the backlog signal adaptation controllers key on."""
-
-        def extras() -> Dict[str, Any]:
-            """Runtime-provided middleware extras (queue depths)."""
-            depths = {}
-            for prov in cont.component.provided.values():
-                if prov.is_observation or prov.binding is None:
-                    continue
-                depths[prov.name] = len(self._data_queue(prov))
-            return {"queue_depths": depths}
-
-        return extras
-
     # -- component heap (memory-evolution extension) ----------------------------
 
     def _heap_region(self, cont: ComponentContainer):
@@ -371,6 +323,8 @@ class SimRuntime(Runtime):
             ) from None
         region.free(handle, time_ns=time_ns)
         return nbytes
+
+    # -- shared binding helpers ---------------------------------------------------------
 
     def _bind_observation_channels(self, cont: ComponentContainer) -> None:
         for prov in cont.component.provided.values():
@@ -623,9 +577,9 @@ class SmpSimRuntime(SimRuntime):
         so it must stay out of ``metrics_digest`` (which skips gauges)
         to keep the shard-invariance contract."""
         super().stamp_telemetry()
-        reg = self.metrics
-        if reg is None or self.n_shards == 1:
+        if self.n_shards == 1:
             return
+        reg = self.metrics
         cut = self._cut_traffic
         for k in range(self.n_shards):
             out = sum(n for (s, _d), n in cut.items() if s == k)
@@ -794,5 +748,4 @@ class Sti7200SimRuntime(SimRuntime):
         """Busy time and queue depths, plus the EMBX transport's
         per-distributed-object traffic gauges."""
         super().stamp_telemetry()
-        if self.metrics is not None:
-            self.embx.stamp_metrics(self.metrics)
+        self.embx.stamp_metrics(self.metrics)

@@ -110,6 +110,14 @@ class TraceBuffer:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def attach(self, cont) -> None:
+        """Trace a deployed container into this buffer: wrap its context
+        in a :class:`TracingContext` with a tracer of its own, which the
+        other planes find under ``cont.extra["tracer"]``."""
+        tracer = Tracer(self, cont.component.name, cont.context.now_ns)
+        cont.context = TracingContext(cont.context, tracer)
+        cont.extra["tracer"] = tracer
+
     def clear(self) -> None:
         """Drop all events, reset the dropped counter *and* the sequence
         counter -- a cleared buffer starts a fresh trace, numbered from
@@ -162,7 +170,7 @@ class Tracer:
 class TracingContext:
     """Wraps a runtime context, tracing sends/receives/computes.
 
-    Installed by :func:`enable_tracing` between ``deploy`` and ``start``;
+    Installed on every container by :meth:`TraceBuffer.attach`;
     behaviour code is -- as always -- untouched.  END events of the
     middleware operations carry the causal identity of the message
     (``span``/``cause``), its destination mailbox and size, which is what
@@ -264,19 +272,18 @@ class TracingContext:
 
 
 def enable_tracing(runtime) -> TraceBuffer:
-    """Install tracing contexts on every deployed component.
+    """Trace every component of ``runtime`` into one fresh buffer, at any
+    shard count: the deployed ones now, and each one
+    ``runtime.add_component`` creates later.
 
-    Call after ``runtime.deploy(app)`` and before ``runtime.start()``.
-    Every component traces into one fresh buffer at any shard count.
-    Returns the buffer; :func:`collect_trace` returns it after ``wait()``.
+    Call before ``runtime.start()``.  Returns the buffer;
+    :func:`collect_trace` returns it after ``wait()``.
     """
     buffer = TraceBuffer()
     for cont in runtime.containers.values():
         if cont.context is None:
             raise RuntimeError("enable_tracing requires a deployed application")
-        tracer = Tracer(buffer, cont.component.name, cont.context.now_ns)
-        cont.context = TracingContext(cont.context, tracer)
-        cont.extra["tracer"] = tracer
+        buffer.attach(cont)
     runtime.trace = buffer
     return buffer
 

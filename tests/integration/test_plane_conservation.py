@@ -7,11 +7,14 @@ must therefore agree exactly, on every runtime and shard count: per
 component, the probe's Table-2 counters equal the registry's message
 and byte counters summed over interfaces and the number of data-kind
 send/receive END rows in the trace; per interface, every timer counts
-as many operations as its duration histogram.
+as many operations as its duration histogram.  A component added while
+the application runs is attached to every plane before it is launched,
+so the same holds for it.
 """
 
 import pytest
 
+from repro.core import CONTROL, Component
 from repro.metrics.telemetry import collect_telemetry, enable_telemetry
 from repro.mjpeg import generate_stream
 from repro.mjpeg.components import build_smp_assembly, build_sti7200_assembly
@@ -21,7 +24,10 @@ from repro.runtime import (
     SmpSimRuntime,
     Sti7200SimRuntime,
 )
+from repro.sim.process import Timeout
 from repro.trace import END, collect_trace, enable_tracing
+
+from tests.runtime.test_reconfiguration import slow_pipeline
 
 N_IMAGES = 4
 
@@ -114,3 +120,87 @@ def test_probe_registry_and_trace_counters_agree(runtime, seed):
         ):
             timed = {iface: timer.count for iface, timer in timers.items()}
             assert timed == hists.get((name, metric), {}), (name, metric)
+
+
+#: Runtimes of the reconfigured run: the SMP runtime at 1 and 2 shards
+#: (a component added mid-run takes the next core and its shard), and
+#: real threads.
+RECONFIGURED_RUNTIMES = {
+    "native": lambda: NativeRuntime(),
+    "smp1": lambda: SmpSimRuntime(),
+    "smp2": lambda: SmpSimRuntime(shards=2),
+}
+
+
+def _add_tap_and_feeder(rt):
+    """Add a ``tap`` (observed) and a ``feeder`` sending it three data
+    messages and an end-of-stream."""
+
+    def tap_behavior(ctx):
+        while True:
+            msg = yield from ctx.receive("in")
+            if msg.kind == CONTROL:
+                return
+
+    def feeder_behavior(ctx):
+        for i in range(3):
+            yield from ctx.send("tap_out", f"t{i}")
+        yield from ctx.send("tap_out", None, kind=CONTROL, tag="eos")
+
+    tap = Component("tap", behavior=tap_behavior)
+    tap.add_provided("in")
+    rt.add_component(tap, observe=True)
+    rt.add_component(
+        Component("feeder", behavior=feeder_behavior),
+        connections=[("feeder", "tap_out", "tap", "in")],
+    )
+
+
+def _reconfigured_run(runtime: str):
+    """``slow_pipeline`` traced and metered from deploy, with ``tap`` and
+    ``feeder`` added after ``start()``."""
+    rt = RECONFIGURED_RUNTIMES[runtime]()
+    rt.deploy(slow_pipeline())
+    enable_tracing(rt)
+    enable_telemetry(rt)
+    rt.start()
+    if isinstance(rt, NativeRuntime):
+        _add_tap_and_feeder(rt)
+    else:
+
+        def controller(runtime, ctx):
+            yield Timeout(1_000)  # the pipeline is running
+            _add_tap_and_feeder(runtime)
+
+        rt.spawn_controller(controller)
+    rt.wait()
+    registry = collect_telemetry(rt)
+    rt.stop()
+    return rt, registry, collect_trace(rt)
+
+
+@pytest.mark.parametrize("runtime", sorted(RECONFIGURED_RUNTIMES))
+def test_components_added_mid_run_are_counted_by_every_plane(runtime):
+    rt, registry, trace = _reconfigured_run(runtime)
+    sums = _registry_sums(registry)
+    traced = _trace_counts(trace)
+    expected = {"tap": (0, 3), "feeder": (3, 0)}
+    for name, counts in expected.items():
+        probe = rt.container(name).probe
+        planes = {
+            "probe": (
+                probe.data_sends.value, probe.data_receives.value,
+                probe.bytes_sent, probe.bytes_received,
+            ),
+            "registry": tuple(
+                sums.get(name, {}).get(metric, 0)
+                for metric in (
+                    "messages_sent_total", "messages_received_total",
+                    "bytes_sent_total", "bytes_received_total",
+                )
+            ),
+        }
+        assert planes["probe"][:2] == counts, (name, planes)
+        assert planes["probe"] == planes["registry"], (name, planes)
+        per = traced.get(name, {"send": 0, "receive": 0})
+        assert (per["send"], per["receive"]) == counts, (name, per)
