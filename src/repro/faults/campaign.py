@@ -18,10 +18,18 @@ events) -- with zero changes to behaviour code.
 
 Replaying the same seed reproduces the fault schedule, the recovery
 timeline and the output digest bit-exactly.
+
+Every campaign of one ``(seed, n_images)`` in a process decodes one
+stream: :func:`campaign_stream` builds it once and shares it with the
+reference run, each chaos run, and every kill-9 incarnation or fleet
+cell forked after it was built.  The shared stream is read-only: its
+record tuple and coefficient arrays refuse writes, and the decode path
+builds fresh arrays from them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -315,9 +323,16 @@ def build_plan(seed: int, n_images: int, template: str) -> FaultPlan:
     return plan.validate()
 
 
+@functools.lru_cache(maxsize=8)
 def campaign_stream(seed: int, n_images: int):
     """The synthetic MJPEG stream every campaign decodes: ``n_images``
-    96x96 images at quality 75, generated from ``seed``."""
+    96x96 images at quality 75, generated from ``seed``.
+
+    Built once per process and key, then shared: every later campaign of
+    the same key, and every process forked after the build, decodes the
+    same object.  It is read-only -- the records are a tuple and the
+    stored coefficients refuse writes -- so no run can change the next
+    one's input."""
     return generate_stream(n_images, 96, 96, quality=75, seed=seed)
 
 

@@ -59,7 +59,8 @@ class EncodedFrame:
     #: the cost-model-only decode path can skip the Python-level bit
     #: walk.  ``nz_index`` holds the flat positions of the nonzero
     #: entries of the ``(n_blocks, 64)`` array (uint16 up to 1 024
-    #: blocks, uint32 above), ``nz_value`` their int16 values.
+    #: blocks, uint32 above), ``nz_value`` their int16 values.  Both
+    #: are read-only.
     nz_index: np.ndarray
     nz_value: np.ndarray
 
@@ -88,6 +89,10 @@ def encode_image(image: np.ndarray, quality: int = 75) -> EncodedFrame:
     nonzero = encode_plane(writer, qzz)
     writer.align()  # 1-pad the tail byte here, not in getvalue()
     payload = writer.getvalue()
+    nz_index = nonzero.astype(np.uint16 if qzz.size <= 1 << 16 else np.uint32)
+    nz_value = qzz.reshape(-1)[nonzero].astype(np.int16)
+    # Read-only: a stream shared between runs keeps its coefficients.
+    nz_index.flags.writeable = nz_value.flags.writeable = False
     return EncodedFrame(
         payload=payload,
         n_bits=writer.bits_written,
@@ -95,8 +100,8 @@ def encode_image(image: np.ndarray, quality: int = 75) -> EncodedFrame:
         width=w,
         quality=quality,
         n_blocks=qzz.shape[0],
-        nz_index=nonzero.astype(np.uint16 if qzz.size <= 1 << 16 else np.uint32),
-        nz_value=qzz.reshape(-1)[nonzero].astype(np.int16),
+        nz_index=nz_index,
+        nz_value=nz_value,
     )
 
 

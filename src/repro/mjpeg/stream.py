@@ -12,7 +12,7 @@ IDCTs) therefore matches a real stream of the same geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,12 +57,17 @@ class FrameRecord:
 
 
 class MJPEGStream:
-    """An in-memory sequence of independently encoded frames."""
+    """An in-memory sequence of independently encoded frames.
 
-    def __init__(self, records: List[FrameRecord], height: int, width: int, quality: int) -> None:
+    The records are kept as a tuple, so a stream shared between runs
+    cannot gain, lose or reorder frames."""
+
+    def __init__(
+        self, records: Sequence[FrameRecord], height: int, width: int, quality: int
+    ) -> None:
         if not records:
             raise ValueError("a stream needs at least one frame")
-        self.records = records
+        self.records = tuple(records)
         self.height = height
         self.width = width
         self.quality = quality

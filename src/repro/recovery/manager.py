@@ -132,10 +132,10 @@ class RecoveryManager:
 
     def install(self, runtime) -> "RecoveryManager":
         """Hook every behaviour context of ``runtime``: the deployed ones
-        now, and each one ``runtime.add_component`` creates later, with
-        its own epoch-0 checkpoint.  Call after ``deploy()`` and before
-        ``start()``; :func:`repro.runtime.build.build_run` does this for
-        the ``recover`` policy."""
+        now, and each one ``runtime.add_component`` creates later.  Call
+        after ``deploy()`` and before ``start()``;
+        :func:`repro.runtime.build.build_run` does this for the
+        ``recover`` policy."""
         if self.installed:
             raise RuntimeError("recovery manager already installed")
         if runtime.recovery is not None and runtime.recovery is not self:
@@ -146,27 +146,29 @@ class RecoveryManager:
             self.attach(cont)
         if self.durable is not None and self.durable.has_state():
             # A previous process committed state into this directory --
-            # this install is a cold restore, not a fresh start.
+            # this install is a cold restore, not a fresh start, and the
+            # restored cut replaces the deployed components' epoch 0.
             self._cold_restore()
-        else:
-            if self.durable is not None:
-                self.durable.open()
-            # Epoch-0 checkpoints: the pristine state is the restore target
-            # for components that crash before their first periodic
-            # checkpoint.
-            for name in self._conts:
-                self._take_checkpoint(name)
+        elif self.durable is not None:
+            self.durable.open()
         self.installed = True
         return self
 
     def attach(self, cont) -> None:
-        """Hook one deployed container's behaviour context.  A container
-        attached after :meth:`install` (created mid-run) takes its
-        epoch-0 checkpoint here."""
+        """Hook one container's behaviour context; its epoch-0
+        checkpoint is taken when it launches (:meth:`on_launch`)."""
         cont.hook_context.recovery = self
         name = cont.component.name
         self._conts[name] = cont
-        if self.installed:
+
+    def on_launch(self, cont) -> None:
+        """Take ``cont``'s epoch-0 checkpoint as the runtime launches it:
+        the pristine state is the restore target should it crash before
+        its first periodic checkpoint.  Every plane attached before
+        launch records it.  A component that already holds a committed
+        checkpoint, one a cold restore brought back, takes none."""
+        name = cont.component.name
+        if name not in self._epoch:
             with self._lock:
                 self._take_checkpoint(name)
 

@@ -79,9 +79,14 @@ class Runtime(ABC):
 
     def start(self) -> None:
         """Launch every component's behaviour and observation service;
-        the observer's flows are spawned on demand by ``collect``."""
+        the observer's flows are spawned on demand by ``collect``.  The
+        recovery plane first takes every component's epoch-0
+        checkpoint, so each plane attached by now records it."""
         if self.app is None:
             raise RuntimeError_("deploy() an application first")
+        if self.recovery is not None:
+            for cont in self.containers.values():
+                self.recovery.on_launch(cont)
         for cont in self.containers.values():
             if not isinstance(cont.component, ObserverComponent):
                 self._launch(cont)
@@ -148,6 +153,8 @@ class Runtime(ABC):
             component.get_required(OBSERVATION_INTERFACE).connect(
                 observer.get_provided(REPORTS_INTERFACE)
             )
+        if self.recovery is not None:
+            self.recovery.on_launch(cont)
         self._launch(cont)
         return cont
 

@@ -122,7 +122,7 @@ def test_numpy_floor_leg_runs_the_codec_tests_at_the_pyproject_floor():
     pyproject = (ROOT / "pyproject.toml").read_text()
     floor = pyproject.split('"numpy>=', 1)[1].split('"', 1)[0]
     assert f'"numpy=={floor}.*"' in runs
-    assert "pytest -x -q tests/mjpeg tests/faults" in runs
+    assert "pytest -x -q tests/mjpeg tests/faults tests/recovery" in runs
     # Past checkout and setup, every other step skips the leg.
     setup = ("actions/checkout", "actions/setup-python")
     for step in test["steps"]:

@@ -4,16 +4,19 @@ The runtime attaches each plane it holds to a container at one site,
 which deploy and ``add_component`` share, so a component created
 mid-run is checkpointed and fault-hooked like a deployed one.  A fault
 record finds the tracer through the container, so the fault injector
-traces the same rows installed before or after tracing.
+traces the same rows installed before or after tracing, and the
+epoch-0 checkpoints wait for launch, so recovery does too.
 """
 
 from repro.core import CONTROL, Component
 from repro.faults import FaultInjector, FaultPlan
+from repro.recovery import RecoveryManager
 from repro.runtime import RunConfig, SmpSimRuntime, build_run
 from repro.sim.process import Timeout
 from repro.trace import collect_trace, enable_tracing
 
 from tests.faults.conftest import make_pipeline
+from tests.recovery.conftest import make_recoverable_pipeline
 from tests.runtime.test_reconfiguration import slow_pipeline
 
 
@@ -119,3 +122,32 @@ def test_fault_trace_rows_do_not_depend_on_the_install_order():
     rows = _fault_rows(injector_first=False)
     assert {row[4] for row in rows} >= {"drop", "duplicate", "stall"}
     assert _fault_rows(injector_first=True) == rows
+
+
+def _recovery_rows(recovery_first):
+    app, _sink = make_recoverable_pipeline(10)
+    rt = SmpSimRuntime()
+    rt.deploy(app)
+    if recovery_first:
+        RecoveryManager().install(rt)
+        enable_tracing(rt)
+    else:
+        enable_tracing(rt)
+        RecoveryManager().install(rt)
+    rt.start()
+    rt.wait()
+    rt.stop()
+    # dur_ns is host time; every other field is the run's.
+    return [
+        (ts, seq, component, name, {k: v for k, v in args.items() if k != "dur_ns"})
+        for ts, seq, component, category, name, _phase, args in collect_trace(rt).rows()
+        if category == "recovery"
+    ]
+
+
+def test_recovery_trace_rows_do_not_depend_on_the_install_order():
+    rows = _recovery_rows(recovery_first=False)
+    assert {(row[2], row[4]["epoch"]) for row in rows if row[3] == "checkpoint"} >= {
+        ("cons", 0), ("cons", 1)
+    }
+    assert _recovery_rows(recovery_first=True) == rows
